@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: lint verify test bench bench-smoke bench-scale bench-flow \
-    bench-dispatch bench-naming chaos all
+    bench-dispatch bench-naming bench-e2e-smoke chaos all
 
 all: lint test
 
@@ -94,3 +94,13 @@ bench-naming:
 bench-dispatch:
 	$(PYTHON) benchmarks/microbench.py --dispatch
 	$(PYTHON) benchmarks/microbench.py --check --dispatch
+
+# The repo benchmark (BENCHMARK.json, bench_e2e/README.md) at 1/40 of
+# the work: all four workloads through the whole stack with the per-op
+# oracles on, every catalogue metric printed, the result set written to
+# BENCH_e2e_smoke.json — then the harness's own self-check.  Exit status
+# is correctness only; the numbers of a smoke run are not comparable.
+# CI runs this as the bench-e2e-smoke job.
+bench-e2e-smoke:
+	python3 -m bench_e2e --smoke --out BENCH_e2e_smoke.json
+	$(PYTHON) -m pytest bench_e2e -q

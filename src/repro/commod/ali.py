@@ -101,7 +101,9 @@ class AliLayer:
     def _deregister_on_kill(self) -> None:
         if self.uadd is None:
             return
-        # Best effort — the datagram rides whatever circuit still exists.
+        # Best effort.  Kill hooks run before the process's channels
+        # are closed (PROTOCOL.md §10), so the datagram rides a circuit
+        # that still exists instead of opening one from a dying module.
         self.nucleus.lcm.datagram(
             self.commod.nsp.ns_uadd, "ns_deregister", {"uadd": self.uadd.value},
         )

@@ -22,7 +22,7 @@ from dataclasses import replace
 from typing import Callable, Dict, Optional
 
 from repro.commod import ComMod
-from repro.errors import SimulationError
+from repro.errors import NtcsError, SimulationError
 from repro.machine.process import SimProcess
 
 
@@ -71,18 +71,19 @@ class ProcessController:
         if old is None:
             raise SimulationError(f"no module {module_name!r} to relocate")
         attrs = None
-        record = None
         if old.ali.uadd is not None:
-            # Preserve the module's registered attributes.
+            # Preserve the module's registered attributes: ask the
+            # naming service the way the module itself would, whatever
+            # shape (single, replicated, sharded) the service has.
             try:
-                record = testbed.name_server_instance.db.resolve_uadd(old.ali.uadd)
-                attrs = dict(record.attrs)
-            except Exception:
+                attrs = dict(old.nsp.resolve_uadd(old.ali.uadd).attrs)
+            except NtcsError:
                 attrs = None
         machine = testbed.machines[target_machine]
         process = SimProcess(machine, module_name)
         new = ComMod(process, testbed.registry, testbed.wellknown,
-                     network=network, config=replace(old.nucleus.config))
+                     network=network, config=replace(old.nucleus.config),
+                     nsp_factory=testbed.nsp_factory)
         if rebuild is not None:
             rebuild(old, new)
         # Registration under the same name supersedes the old entry —

@@ -23,12 +23,17 @@ class Channel:
     ``send`` queues data for the peer; delivery invokes the receive
     handler.  When the channel dies (peer close, process death, network
     failure), the close handler runs exactly once with a reason string.
+
+    The owning process holds the channel only while it lives: it is
+    owned from construction and disowned the moment it closes, so a
+    long-lived server references its open circuits, not its history.
     """
 
     def __init__(self, ipcs: "Ipcs", channel_id: int, owner: SimProcess):
         self.ipcs = ipcs
         self.channel_id = channel_id
         self.owner = owner
+        owner.own(self)
         self.open = False
         self._receive_handler: Optional[Callable[[bytes], None]] = None
         self._batch_receive_handler: \
@@ -107,6 +112,7 @@ class Channel:
             return
         self.open = False
         self._closed_reason = reason
+        self.owner.disown(self)
         if self._close_handler is not None:
             self._close_handler(reason)
 
@@ -132,6 +138,7 @@ class Listener:
         self.binding = binding
         self.owner = owner
         self.open = True
+        owner.own(self)
         self.on_accept: Optional[Callable[[Channel], None]] = None
 
     def address_blob(self) -> str:
@@ -142,6 +149,7 @@ class Listener:
         """Close this endpoint."""
         if self.open:
             self.open = False
+            self.owner.disown(self)
             self.ipcs._listener_closed(self)
 
     def __repr__(self) -> str:

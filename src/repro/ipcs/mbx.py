@@ -88,7 +88,6 @@ class SimMbxIpcs(Ipcs):
             raise AddressInUse(f"mailbox {path} on {self.iface.host}")
         listener = Listener(self, path, owner)
         self._mailboxes[path] = listener
-        owner.at_kill(listener.close)
         return listener
 
     def _listener_closed(self, listener: Listener) -> None:
@@ -108,7 +107,6 @@ class SimMbxIpcs(Ipcs):
         conn = _MbxConn(local_id, host, channel)
         conn.state = "OPEN_SENT"
         self._conns[local_id] = conn
-        owner.at_kill(channel.close)
         self._transmit(host, (_OPEN, path, local_id))
         self.scheduler.pump_until(
             lambda: conn.state in ("ESTABLISHED", "FAILED"),
@@ -238,7 +236,6 @@ class SimMbxIpcs(Ipcs):
         conn.state = "ESTABLISHED"
         channel.open = True
         self._conns[local_id] = conn
-        listener.owner.at_kill(channel.close)
         self._transmit(datagram.src_host, (_OPEN_ACK, remote_conn_id, local_id))
         if listener.on_accept is not None:
             listener.on_accept(channel)

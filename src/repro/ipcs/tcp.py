@@ -37,7 +37,7 @@ class _TcpConn:
         "local_id", "remote_id", "remote_host", "channel", "state",
         "next_send_seq", "next_recv_seq", "unacked", "out_of_order",
         "syn_timer", "syn_tries", "dst_port", "fail_reason", "rx_pending",
-        "rx_flush_scheduled",
+        "rx_flush_scheduled", "peer_key",
     )
 
     def __init__(self, local_id: int, remote_host: str, channel: Channel):
@@ -56,6 +56,9 @@ class _TcpConn:
         self.fail_reason = ""
         self.rx_pending: list = []
         self.rx_flush_scheduled = False
+        # Passive side only: this connection's key in ``_by_peer`` (the
+        # duplicate-SYN table), remembered so closing is O(1).
+        self.peer_key: Optional[Tuple[str, int]] = None
 
 
 class SimTcpIpcs(Ipcs):
@@ -104,7 +107,6 @@ class SimTcpIpcs(Ipcs):
             raise AddressInUse(f"tcp port {port} on {self.iface.host}")
         listener = Listener(self, str(port), owner)
         self._listeners[port] = listener
-        owner.at_kill(listener.close)
         return listener
 
     def _listener_closed(self, listener: Listener) -> None:
@@ -125,7 +127,6 @@ class SimTcpIpcs(Ipcs):
         conn.state = "SYN_SENT"
         conn.dst_port = port
         self._conns[local_id] = conn
-        owner.at_kill(channel.close)
         self._send_syn(conn)
         self.scheduler.pump_until(
             lambda: conn.state in ("ESTABLISHED", "FAILED"),
@@ -222,9 +223,8 @@ class SimTcpIpcs(Ipcs):
 
     def _drop_conn(self, conn: _TcpConn) -> None:
         self._conns.pop(conn.local_id, None)
-        for key, value in list(self._by_peer.items()):
-            if value is conn:
-                del self._by_peer[key]
+        if conn.peer_key is not None:
+            self._by_peer.pop(conn.peer_key, None)
 
     # -- wire ------------------------------------------------------------------
 
@@ -309,7 +309,7 @@ class SimTcpIpcs(Ipcs):
         channel.open = True
         self._conns[local_id] = conn
         self._by_peer[peer_key] = conn
-        listener.owner.at_kill(channel.close)
+        conn.peer_key = peer_key
         self._transmit(src_host, (_SYNACK, remote_conn_id, local_id))
         if listener.on_accept is not None:
             listener.on_accept(channel)

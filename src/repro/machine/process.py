@@ -10,7 +10,7 @@ is killed — which is how the rest of the system *finds out* it died
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, Dict, List
 
 from repro.machine.machine import Machine
 from repro.util.idgen import SequenceGenerator
@@ -21,8 +21,14 @@ _pids = SequenceGenerator()
 class SimProcess:
     """One process on one machine.
 
-    Cleanup callbacks registered with :meth:`at_kill` run when the
-    process dies (endpoint closure, naming-service deregistration, ...).
+    Death has two phases, like an OS running exit handlers before it
+    reclaims descriptors (PROTOCOL.md §10): first the callbacks
+    registered with :meth:`at_kill` (naming-service deregistration,
+    ...), while the process's circuits still exist to carry their
+    farewells; then every communication resource it still owns
+    (:meth:`own`) is closed — channels, then its listener.  A resource
+    that closes earlier is released with :meth:`disown`, so a
+    long-lived process references only what it currently has open.
     """
 
     def __init__(self, machine: Machine, name: str):
@@ -31,6 +37,9 @@ class SimProcess:
         self.pid = _pids.next()
         self.alive = True
         self._kill_hooks: List[Callable[[], None]] = []
+        # Open communication resources (anything with ``close()``), in
+        # acquisition order; a dict for O(1) disown.
+        self._resources: Dict[object, None] = {}
         machine.adopt(self)
 
     @property
@@ -41,15 +50,31 @@ class SimProcess:
         """Register a cleanup hook to run when the process is killed."""
         self._kill_hooks.append(hook)
 
+    def own(self, resource) -> None:
+        """Tie a communication resource's lifetime to this process: it
+        is closed when the process dies, unless it closes (and is
+        released with :meth:`disown`) first."""
+        self._resources[resource] = None
+
+    def disown(self, resource) -> None:
+        """Forget a resource that has closed on its own."""
+        self._resources.pop(resource, None)
+
     def kill(self) -> None:
-        """Terminate the process: run cleanup hooks (newest first), mark
-        dead.  Idempotent."""
+        """Terminate the process: mark dead, run cleanup hooks, then
+        close owned resources — each newest first, and each drained
+        until empty so whatever a hook or a close registers mid-kill
+        (a farewell that had to open a circuit) is torn down too.
+        Idempotent."""
         if not self.alive:
             return
         self.alive = False
-        for hook in reversed(self._kill_hooks):
-            hook()
-        self._kill_hooks.clear()
+        hooks, resources = self._kill_hooks, self._resources
+        while hooks or resources:
+            if hooks:
+                hooks.pop()()
+            else:
+                resources.popitem()[0].close()
         if self in self.machine.processes:
             self.machine.processes.remove(self)
 

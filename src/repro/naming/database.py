@@ -46,6 +46,12 @@ class NameDatabase:
         self._counter = SequenceGenerator()
         self._by_uadd: Dict[Address, NameRecord] = {}
         self._by_name: Dict[str, List[NameRecord]] = {}
+        # Topology index (PROTOCOL.md §9): the gateway records, in
+        # ``_by_uadd`` insertion order, and the alive-record count —
+        # both kept by the write paths so ``ns_list_gw`` and ``len()``
+        # cost O(gateways) and O(1) whatever the name population.
+        self._gateways: Dict[Address, NameRecord] = {}
+        self._alive = 0
         self.registrations = 0
         self.lookups = 0
         # Monotonic database generation (PROTOCOL.md §9): bumped by
@@ -87,18 +93,34 @@ class NameDatabase:
     def adopt(self, record: NameRecord) -> None:
         """Install a record created elsewhere (replication path).
         Idempotent: re-adopting a known UAdd updates the stored record
-        in place (last write wins)."""
+        in place (last write wins).  Every write funnels through here
+        (or :meth:`deregister`), which is what keeps the topology index
+        exact."""
         self.generation += 1
         existing = self._by_uadd.get(record.uadd)
         if existing is not None:
+            was_alive, was_gateway = existing.alive, existing.is_gateway
             existing.alive = record.alive
             existing.attrs = dict(record.attrs)
             existing.addresses = list(record.addresses)
             existing.mtype_name = record.mtype_name
+            self._alive += existing.alive - was_alive
+            if was_gateway and not existing.is_gateway:
+                del self._gateways[existing.uadd]
+            elif existing.is_gateway and not was_gateway:
+                # A known UAdd turned gateway: it takes the place its
+                # first adoption gave it, not the end of the index.
+                self._gateways = {
+                    uadd: rec for uadd, rec in self._by_uadd.items()
+                    if rec.is_gateway
+                }
             return
         self._by_uadd[record.uadd] = record
         self._by_name.setdefault(record.name, []).append(record)
         self.registrations += 1
+        self._alive += record.alive
+        if record.is_gateway:
+            self._gateways[record.uadd] = record
 
     def log_write(self, record: NameRecord) -> None:
         """Append an origin write to the anti-entropy log, snapshotted
@@ -126,6 +148,7 @@ class NameDatabase:
         if record is None or not record.alive:
             return False
         record.alive = False
+        self._alive -= 1
         self.generation += 1
         return True
 
@@ -192,10 +215,12 @@ class NameDatabase:
     def list_gateways(self) -> List[NameRecord]:
         """Active gateway records: alive *and* not superseded by a newer
         same-name registration — so a restarted gateway's fresh record
-        replaces its predecessor in everyone's route planning."""
+        replaces its predecessor in everyone's route planning.  Served
+        from the gateway index: the cost of a topology query does not
+        grow with the registered population."""
         return [
-            record for record in self._by_uadd.values()
-            if record.is_gateway and self.is_active(record)
+            record for record in self._gateways.values()
+            if self.is_active(record)
         ]
 
     def query_attrs(self, required: Dict[str, str]) -> List[NameRecord]:
@@ -213,4 +238,4 @@ class NameDatabase:
         return list(self._by_uadd.values())
 
     def __len__(self) -> int:
-        return sum(1 for r in self._by_uadd.values() if r.alive)
+        return self._alive

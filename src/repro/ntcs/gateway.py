@@ -233,7 +233,7 @@ class Gateway:
         except NtcsError:
             # Best-effort: the surviving leg may already be down too.
             other_nucleus.counters.incr("gateway_close_notify_lost")
-        other_nucleus.nd.close(other_lvc, "splice peer failed")
+        other_nucleus.ip.close_spliced(other_lvc, "splice peer failed")
         return True
 
     def _is_mine(self, addr: Address) -> bool:
@@ -581,7 +581,7 @@ class Gateway:
                 # The other leg is failing with the circuit; the close
                 # below dismantles it regardless.
                 out_nucleus.counters.incr("gateway_close_notify_lost")
-            out_nucleus.nd.close(out_lvc, "ivc closed")
+            out_nucleus.ip.close_spliced(out_lvc, "ivc closed")
             return
         self.messages_forwarded += 1
         self.frames_forwarded_zero_copy += 1

@@ -658,6 +658,14 @@ class IpLayer:
         self._by_lvc.pop(ivc.lvc, None)
         self.nd.close(ivc.lvc, reason)
 
+    def close_spliced(self, lvc: Lvc, reason: str) -> None:
+        """Gateway hook: close the surviving leg of a dismantled
+        splice.  The gateway spoke for the circuit, so no IVC_CLOSE of
+        ours and no upcall — but the endpoint entry the leg's accept
+        created must not outlive it."""
+        self._by_lvc.pop(lvc, None)
+        self.nd.close(lvc, reason)
+
     # -- upcalls from the ND-Layer ------------------------------------------------
 
     def _on_lvc_accept(self, lvc: Lvc) -> None:
@@ -747,6 +755,9 @@ class IpLayer:
     def _on_lvc_fault(self, lvc: Lvc, reason: str) -> None:
         gateway = self.nucleus.gateway_handler
         if gateway is not None and gateway.on_fault(self.nucleus, lvc, reason):
+            # The splice owned this leg; only the accept-time entry is
+            # left to forget.
+            self._by_lvc.pop(lvc, None)
             return
         ivc = self._by_lvc.get(lvc)
         if ivc is not None:

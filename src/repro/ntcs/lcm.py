@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.conversion.modes import decode_body
 from repro.errors import (
@@ -215,6 +215,9 @@ class LcmLayer:
     MAX_SEND_ATTEMPTS = 3
     # Bound on the served-request memory backing duplicate suppression.
     SERVED_LIMIT = 128
+    # Bound on the faulted-target memory: a server outlives most of the
+    # clients whose circuits it saw die and never sends to them again.
+    FAULTED_LIMIT = 128
 
     def __init__(self, nucleus):
         self.nucleus = nucleus
@@ -226,7 +229,9 @@ class LcmLayer:
         # of them completed a circuit repair (PROTOCOL.md §10).  A
         # first-establishment hiccup never enters this set, so cold
         # starts and ordinary relocation-follows are not counted.
-        self._faulted_targets: Set[Address] = set()
+        # Insertion-ordered and capped at FAULTED_LIMIT, oldest fault
+        # forgotten first (a forgotten repair goes uncounted, no more).
+        self._faulted_targets: Dict[Address, None] = {}
         # The local forwarding-address table (Sec. 3.5).
         self.forwarding: Dict[Address, Address] = {}
         self._pending: Dict[int, _PendingCall] = {}
@@ -328,7 +333,7 @@ class LcmLayer:
                 if new_target != target:
                     # The module relocated: that recovery is accounted
                     # as a relocation-follow, not a circuit repair.
-                    self._faulted_targets.discard(target)
+                    self._faulted_targets.pop(target, None)
                 target = new_target
                 continue
             self._ns_fault_streak = 0
@@ -336,7 +341,7 @@ class LcmLayer:
                 # An established circuit to this target had faulted and
                 # this send went through on a re-planned route: one
                 # completed repair (PROTOCOL.md §10).
-                self._faulted_targets.discard(target)
+                del self._faulted_targets[target]
                 nucleus.counters.incr("lcm_circuit_repairs")
                 # Resynchronize credits (PROTOCOL.md §12): a circuit
                 # that survived the fault window may have frames in
@@ -525,9 +530,16 @@ class LcmLayer:
         if ivc is not None:
             # An established circuit (not a first-open failure) is being
             # dropped after a fault: the next send through marks a repair.
-            self._faulted_targets.add(target)
+            self._mark_faulted((target,))
             if ivc.state not in ("CLOSED", "FAILED"):
                 self.ip.close(ivc, "dropped after fault", notify=False)
+
+    def _mark_faulted(self, targets) -> None:
+        faulted = self._faulted_targets
+        for target in targets:
+            faulted[target] = None
+        while len(faulted) > self.FAULTED_LIMIT:
+            del faulted[next(iter(faulted))]
 
     def _address_fault(self, target: Address, exc: Exception) -> Address:
         """The Sec. 3.5 address-fault handler: look for a forwarding
@@ -705,7 +717,7 @@ class LcmLayer:
         dead = [addr for addr, route in self._routes.items() if route is ivc]
         for addr in dead:
             del self._routes[addr]
-        self._faulted_targets.update(dead)
+        self._mark_faulted(dead)
         for pending in self._pending.values():
             if pending.done:
                 continue
@@ -724,8 +736,8 @@ class LcmLayer:
         if ivc is not None:
             self._routes[new] = ivc
         if old in self._faulted_targets:
-            self._faulted_targets.discard(old)
-            self._faulted_targets.add(new)
+            del self._faulted_targets[old]
+            self._faulted_targets[new] = None
         if old in self.forwarding:
             self.forwarding[new] = self.forwarding.pop(old)
         for key in [k for k in self._served if k[0] == old]:

@@ -23,11 +23,15 @@ from repro.realnet.kernel import RealtimeKernel
 
 class RealSocketChannel:
     """Duck-types :class:`repro.ipcs.base.Channel` over a non-blocking
-    socket, driven by the realtime kernel's selector."""
+    socket, driven by the realtime kernel's selector.  Owned by its
+    process until it shuts down, like the simulated channels."""
 
-    def __init__(self, kernel: RealtimeKernel, sock: socket.socket):
+    def __init__(self, kernel: RealtimeKernel, sock: socket.socket,
+                 owner: SimProcess):
         self.kernel = kernel
         self.sock = sock
+        self.owner = owner
+        owner.own(self)
         self.open = True
         self._receive_handler: Optional[Callable[[bytes], None]] = None
         self._close_handler: Optional[Callable[[str], None]] = None
@@ -107,6 +111,7 @@ class RealSocketChannel:
             return
         self.open = False
         self._closed_reason = reason
+        self.owner.disown(self)
         self.kernel.unregister(self.sock)
         try:
             self.sock.close()
@@ -114,6 +119,22 @@ class RealSocketChannel:
             pass
         if self._close_handler is not None:
             self._close_handler(reason)
+
+
+class _RealListener:
+    """A listening socket, closed when the process owning it dies."""
+
+    def __init__(self, kernel: RealtimeKernel, sock: socket.socket):
+        self.kernel = kernel
+        self.sock = sock
+
+    def close(self) -> None:
+        """Stop accepting and release the port."""
+        self.kernel.unregister(self.sock)
+        try:
+            self.sock.close()
+        except OSError:
+            pass
 
 
 class LoopbackRealIpcs:
@@ -138,7 +159,6 @@ class LoopbackTcpDriver(StdIfDriver):
     def __init__(self, ipcs: LoopbackRealIpcs):
         self.ipcs = ipcs
         self.kernel = ipcs.kernel
-        self._listeners = []
 
     @property
     def network_name(self) -> str:
@@ -164,20 +184,11 @@ class LoopbackTcpDriver(StdIfDriver):
                     return
                 except OSError:
                     return
-                channel = RealSocketChannel(self.kernel, conn)
+                channel = RealSocketChannel(self.kernel, conn, process)
                 on_accept(FramedChannel(channel))
 
         self.kernel.register_reader(sock, accept)
-        self._listeners.append(sock)
-
-        def close_listener():
-            self.kernel.unregister(sock)
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-        process.at_kill(close_listener)
+        process.own(_RealListener(self.kernel, sock))
         return f"rtcp:{self.network_name}:127.0.0.1:{actual_port}"
 
     def connect(self, process: SimProcess, blob: str,
@@ -213,9 +224,7 @@ class LoopbackTcpDriver(StdIfDriver):
             detail = ("timed out" if not ok
                       else errno.errorcode.get(state["error"], state["error"]))
             raise ConnectionRefused(f"connect to {blob}: {detail}")
-        channel = RealSocketChannel(self.kernel, sock)
-        process.at_kill(channel.close)
-        return FramedChannel(channel)
+        return FramedChannel(RealSocketChannel(self.kernel, sock, process))
 
 
 # The ND-Layer discovers this substrate through the driver registry: an

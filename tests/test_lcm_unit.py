@@ -164,3 +164,23 @@ def test_datagram_flag_visible_to_receiver(bed):
     message = sink.ali.receive(timeout=0.1)
     assert message.connectionless
     assert not message.reply_expected
+
+
+def test_faulted_target_memory_is_bounded_oldest_first(bed):
+    """A server sees the circuits of far more clients die than it will
+    ever send to again: the repair bookkeeping forgets the oldest
+    faults once FAULTED_LIMIT is reached instead of growing with every
+    client that ever came and went."""
+    server = echo_server(bed, "dest", "sun1")
+    lcm = server.nucleus.lcm
+    limit = lcm.FAULTED_LIMIT
+    for i in range(limit + 40):
+        client = bed.module(f"c.{i}", "vax1")
+        client.ali.call(server.ali.uadd, "echo", {"n": i, "text": "x"})
+        client.process.kill()
+        bed.settle()
+    assert len(lcm._faulted_targets) == limit
+    # The survivors are the most recent faults, in fault order.
+    newest = bed.modules[f"c.{limit + 39}"].ali.uadd
+    assert list(lcm._faulted_targets)[-1] == newest
+    assert bed.modules["c.0"].ali.uadd not in lcm._faulted_targets

@@ -141,6 +141,63 @@ def test_process_kill_idempotent(sched):
     assert count == [1]
 
 
+class _Resource:
+    def __init__(self, log, name, on_close=None):
+        self.log, self.name, self.on_close = log, name, on_close
+
+    def close(self):
+        self.log.append(self.name)
+        if self.on_close is not None:
+            self.on_close()
+
+
+def test_kill_runs_hooks_then_closes_owned_resources_newest_first(sched):
+    """The death sequence (PROTOCOL.md §10): farewell hooks run while
+    the process's channels still exist, then channels, then the
+    listener it created first."""
+    proc = SimProcess(Machine(sched, "m", VAX), "worker")
+    log = []
+    proc.own(_Resource(log, "listener"))
+    proc.own(_Resource(log, "channel.1"))
+    proc.at_kill(lambda: log.append("deregister"))
+    proc.own(_Resource(log, "channel.2"))
+    proc.kill()
+    assert log == ["deregister", "channel.2", "channel.1", "listener"]
+    assert not proc._kill_hooks and not proc._resources
+
+
+def test_resource_that_closed_first_is_forgotten(sched):
+    proc = SimProcess(Machine(sched, "m", VAX), "server")
+    log = []
+    kept, gone = _Resource(log, "kept"), _Resource(log, "gone")
+    proc.own(kept)
+    proc.own(gone)
+    proc.disown(gone)
+    proc.disown(gone)  # idempotent
+    assert list(proc._resources) == [kept]
+    proc.kill()
+    assert log == ["kept"]
+
+
+def test_teardown_registered_mid_kill_still_runs(sched):
+    """A farewell hook that opens a circuit, or a close that registers
+    more cleanup, must not leave anything behind a dead process."""
+    proc = SimProcess(Machine(sched, "m", VAX), "worker")
+    log = []
+
+    def farewell():
+        log.append("farewell")
+        proc.own(_Resource(log, "late channel"))
+
+    proc.own(_Resource(
+        log, "listener",
+        on_close=lambda: proc.at_kill(lambda: log.append("late hook"))))
+    proc.at_kill(farewell)
+    proc.kill()
+    assert log == ["farewell", "late channel", "listener", "late hook"]
+    assert not proc._kill_hooks and not proc._resources
+
+
 def test_pids_are_unique(sched):
     machine = Machine(sched, "m", VAX)
     pids = {SimProcess(machine, f"p{i}").pid for i in range(10)}

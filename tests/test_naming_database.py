@@ -1,6 +1,8 @@
 """Unit tests for the name/address database (Secs. 3.2, 3.5)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     ModuleStillAlive,
@@ -9,6 +11,7 @@ from repro.errors import (
     NoSuchName,
 )
 from repro.naming.database import NameDatabase
+from repro.naming.protocol import NameRecord
 
 
 def _register(db, name, net="ether0", blob="tcp:ether0:m:1", **attrs):
@@ -138,3 +141,114 @@ def test_len_counts_alive_only():
     _register(db, "b")
     db.deregister(r1.uadd)
     assert len(db) == 1
+
+
+# ---------------------------------------------------------------------------
+# The topology index (PROTOCOL.md §9): list_gateways ≡ the record scan
+# ---------------------------------------------------------------------------
+
+def _scan_gateways(db):
+    """What ``list_gateways`` was before the index: every record, in
+    ``_by_uadd`` insertion order.  The oracle lives here, not in src/."""
+    return [record for record in db._by_uadd.values()
+            if record.is_gateway and db.is_active(record)]
+
+
+class _CountGatewayChecks:
+    """Count ``NameRecord.is_gateway`` evaluations inside the block."""
+
+    def __enter__(self):
+        self.calls = 0
+        self._original = NameRecord.is_gateway
+        getter = self._original.fget
+
+        def counting(record):
+            self.calls += 1
+            return getter(record)
+
+        NameRecord.is_gateway = property(counting)
+        return self
+
+    def __exit__(self, *exc):
+        NameRecord.is_gateway = self._original
+
+
+_NAMES = ["gw.a", "gw.b", "mod.c", "mod.d"]
+_KINDS = st.sampled_from(["gateway", "index", None])
+_OPS = st.one_of(
+    # A fresh local registration (same-name ones supersede).
+    st.tuples(st.just("register"), st.sampled_from(_NAMES), _KINDS),
+    # A record minted by another server arriving by replication,
+    # anti-entropy or handoff — possibly already tombstoned.
+    st.tuples(st.just("adopt"), st.sampled_from(_NAMES), _KINDS,
+              st.booleans()),
+    st.tuples(st.just("merge"), st.sampled_from(_NAMES), _KINDS,
+              st.booleans()),
+    # A known UAdd written again: last write wins, and it may flip
+    # ``kind`` (the in-place attrs update) or the tombstone.
+    st.tuples(st.just("readopt"), st.integers(0, 63), _KINDS, st.booleans()),
+    st.tuples(st.just("remerge"), st.integers(0, 63), _KINDS, st.booleans()),
+    st.tuples(st.just("deregister"), st.integers(0, 63)),
+)
+
+
+def _attrs(kind):
+    return {} if kind is None else {"kind": kind}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_OPS, max_size=40))
+def test_gateway_index_equals_the_record_scan(ops):
+    db = NameDatabase()
+    remote = NameDatabase(server_id=7)   # mints the foreign UAdds
+    for op in ops:
+        known = db.all_records()
+        if op[0] == "register":
+            db.register(op[1], _attrs(op[2]), [("n0", "tcp:n0:h:1")], "VAX")
+        elif op[0] in ("adopt", "merge"):
+            record = remote.register(
+                op[1], _attrs(op[2]), [("n0", "tcp:n0:h:2")], "VAX")
+            record.alive = op[3]
+            getattr(db, op[0])(NameRecord.decode(record.encode()))
+        elif op[0] in ("readopt", "remerge") and known:
+            record = NameRecord.decode(known[op[1] % len(known)].encode())
+            record.attrs = _attrs(op[2])
+            record.alive = op[3]
+            getattr(db, op[0][2:])(record)
+        elif op[0] == "deregister" and known:
+            db.deregister(known[op[1] % len(known)].uadd)
+        listed = db.list_gateways()
+        oracle = _scan_gateways(db)
+        assert [id(r) for r in listed] == [id(r) for r in oracle]
+        assert len(db) == sum(1 for r in db.all_records() if r.alive)
+    # Served from the index: answering never inspects the population.
+    with _CountGatewayChecks() as checks:
+        db.list_gateways()
+    assert checks.calls <= len(_scan_gateways(db))
+
+
+def test_list_gateways_cost_is_independent_of_the_name_population():
+    db = NameDatabase()
+    first = db.register("gw.a", {"kind": "gateway"}, [], "VAX")
+    for i in range(2_000):
+        db.register(f"mod.{i}", {}, [], "VAX")
+    second = db.register("gw.b", {"kind": "gateway"}, [], "VAX")
+    with _CountGatewayChecks() as checks:
+        listed = db.list_gateways()
+    assert [r.uadd for r in listed] == [first.uadd, second.uadd]
+    assert checks.calls <= 2
+    assert len(db) == 2_002
+
+
+def test_known_uadd_turning_gateway_keeps_its_first_adoption_place():
+    db = NameDatabase()
+    late = db.register("late", {}, [], "VAX")
+    gw = db.register("gw", {"kind": "gateway"}, [], "VAX")
+    flipped = NameRecord.decode(late.encode())
+    flipped.attrs = {"kind": "gateway"}
+    db.adopt(flipped)
+    assert [r.uadd for r in db.list_gateways()] == [late.uadd, gw.uadd]
+    flipped = NameRecord.decode(gw.encode())
+    flipped.attrs = {"kind": "retired"}
+    db.adopt(flipped)
+    assert [r.uadd for r in db.list_gateways()] == [late.uadd]

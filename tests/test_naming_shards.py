@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from deployments import echo_server, sharded_chain, sharded_single_net
 from repro import VAX
+from repro.drts.proctl import ProcessController
 from repro.errors import NtcsError
 from repro.naming.shards import (
     HashRing,
@@ -34,6 +35,7 @@ from repro.naming.shards import (
     heal_naming_shards,
 )
 from repro.netsim import ChaosSchedule
+from repro.ntcs.message import FLAG_INTERNAL
 from repro.ntcs.nucleus import NucleusConfig
 
 # CI sweeps the chaos scenarios across seeds; exact-pin tests use
@@ -397,6 +399,112 @@ def test_rebalance_reaches_the_new_shard_across_gateways():
     reply = svc.ali.call(dst, "echo", {"n": 7, "text": "across"})
     assert reply.values["text"] == "ACROSS"
     assert far.ali.uadd == dst
+    for gw in bed.gateways.values():
+        assert gw.inter_gateway_control_messages == 0
+
+
+def _list_gw_acks(bed, groups, client):
+    """{server name: (count, records bytes)} of ``ns_list_gw_ack``, asked
+    of every fleet member over the wire."""
+    acks = {}
+    for group in groups.values():
+        for server in group:
+            reply = client.nucleus.lcm.call(
+                server.uadd, "ns_list_gw", {}, flags=FLAG_INTERNAL)
+            assert reply.type_name == "ns_list_gw_ack"
+            acks[server.name] = (reply.values["count"],
+                                 reply.values["records"])
+    return acks
+
+
+def test_list_gw_ack_bytes_pinned_on_the_sharded_chain():
+    """The topology answer is served from the database's gateway index
+    (PROTOCOL.md §9); its wire bytes are pinned to what the record scan
+    it replaced produced on this deployment — before and after a
+    crashed gateway's restart supersedes its dead registration."""
+    bed, groups = sharded_chain(hops=2, shards=2, replicas=2)
+    client = bed.module("client", "m0")
+    bed.settle()
+    gwm0 = (1, b"gateway.gw.gwm0\n2\nSun-3\n"
+               b"kind=gateway;networks=net0%2Cnet1\n"
+               b"net0|tcp:net0:gwm0:32768,net1|tcp:net1:gwm0:32768\n"
+               b"1\n0.005")
+    gwm1 = (1, b"gateway.gw.gwm1\n562949953421314\nSun-3\n"
+               b"kind=gateway;networks=net1%2Cnet2\n"
+               b"net1|tcp:net1:gwm1:32768,net2|tcp:net2:gwm1:32768\n"
+               b"1\n0.03000000000000002")
+    assert _list_gw_acks(bed, groups, client) == {
+        "name.shard.0.0": gwm0, "name.shard.0.1": gwm0,
+        "name.shard.1.0": gwm1, "name.shard.1.1": gwm1,
+    }
+
+    bed.machines["gwm1"].crash()
+    bed.settle()
+    bed.restart_gateway("gwm1")
+    bed.settle()
+    # Two gwm1 records now sit in shard 1's databases; only the fresh
+    # one is active.
+    restarted = (1, b"gateway.gw.gwm1\n562949953421315\nSun-3\n"
+                    b"kind=gateway;networks=net1%2Cnet2\n"
+                    b"net1|tcp:net1:gwm1:32768,net2|tcp:net2:gwm1:32768\n"
+                    b"1\n2.2908491989173556")
+    assert _list_gw_acks(bed, groups, client) == {
+        "name.shard.0.0": gwm0, "name.shard.0.1": gwm0,
+        "name.shard.1.0": restarted, "name.shard.1.1": restarted,
+    }
+
+
+@pytest.mark.parametrize("graceful", [True, False],
+                         ids=["graceful", "crash-style"])
+def test_process_control_relocates_on_sharded_naming(graceful):
+    """Regression: ``ProcessController.relocate`` built the replacement
+    with the single-server NSP and read the old attributes out of one
+    server's database, so on a sharded fleet the re-registration died
+    with ``expected ns_register_ack, naming service sent
+    ns_shard_redirect``.  The move must work across both gateways, keep
+    the registered attributes, and stay transparent to a client holding
+    the pre-move UAdd — whether the old module deregisters or just
+    vanishes (supersession)."""
+    bed, groups = sharded_chain(hops=2, shards=2, replicas=2)
+    # A name the anchor shard does *not* own: registering it through
+    # the wrong server is what drew the redirect.
+    assert _owning_group(bed, "idx.b")[0] == 1
+    old = echo_server(bed, "idx.b", "mEnd", attrs={"role": "echo"})
+    client = bed.module("client.m0", "m0")
+    bed.settle()
+    dst = client.ali.locate("idx.b")
+    assert client.ali.call(dst, "echo", {"n": 1, "text": "a"}) \
+        .values["text"] == "A"
+
+    def rebuild(_old, new):
+        def handle(request):
+            new.ali.reply(request, "echo", {
+                "n": request.values["n"],
+                "text": request.values["text"].upper() + "@m0"})
+        new.ali.set_request_handler(handle)
+
+    new = ProcessController(bed).relocate(
+        "idx.b", "m0", rebuild=rebuild, graceful=graceful)
+    bed.settle()
+    assert bed.modules["idx.b"] is new and not old.process.alive
+    assert new.ali.uadd != dst
+
+    reply = client.ali.call(dst, "echo", {"n": 2, "text": "b"})
+    assert reply.values["text"] == "B@m0"
+    assert dst in client.nucleus.lcm.forwarding
+    # Every replica of the owning shard serves the new record, with
+    # the attributes carried over; the old one is tombstoned only when
+    # the old module got to say goodbye.
+    _sid, owning = _owning_group(bed, "idx.b")
+    for server in owning:
+        record = server.db.resolve_name("idx.b")
+        assert record.uadd == new.ali.uadd
+        assert record.attrs == {"role": "echo"}
+    old_records = [server.db.get(dst)
+                   for group in groups.values() for server in group]
+    assert any(record is not None for record in old_records)
+    if not graceful:
+        assert all(record.alive for record in old_records if record)
     for gw in bed.gateways.values():
         assert gw.inter_gateway_control_messages == 0
 
