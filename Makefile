@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: lint verify test bench bench-smoke bench-scale bench-flow \
-    bench-dispatch bench-naming bench-e2e-smoke chaos all
+    bench-dispatch bench-naming bench-e2e-smoke bench-e2e-compare chaos all
 
 all: lint test
 
@@ -85,11 +85,12 @@ bench-naming:
 	$(PYTHON) benchmarks/microbench.py --check --naming
 
 # Frame-train dispatch sweep (PROTOCOL.md §13): regenerates
-# BENCH_dispatch.json at the repo root — batched delivery off vs on
-# over the 10/1k/10k fan-in topologies plus the real-stack gateway
-# burst — and enforces the dispatch floors (>=3x fewer scheduler
-# events per delivered message and >=2x faster drain at 10k modules)
-# and the pinned E5 establishment counts with trains on.
+# BENCH_dispatch.json at the repo root — netsim delivery-event
+# coalescing off (train_max = 1) vs on over the 10/1k/10k fan-in
+# topologies plus the real-stack gateway burst — and enforces the
+# dispatch floors (>=3x fewer scheduler events per delivered message
+# and >=2x faster drain at 10k modules) and the pinned E5
+# establishment counts with trains on.
 # CI runs this as the bench-dispatch job.
 bench-dispatch:
 	$(PYTHON) benchmarks/microbench.py --dispatch
@@ -104,3 +105,44 @@ bench-dispatch:
 bench-e2e-smoke:
 	python3 -m bench_e2e --smoke --out BENCH_e2e_smoke.json
 	$(PYTHON) -m pytest bench_e2e -q
+
+# Judge a change the way the pipeline does: the repo benchmark on the
+# committed files of BASE (extracted into a scratch tree) and on this
+# tree, three rounds of one untraced + one traced run per workload,
+# alternating which side runs first, then `--compare` on the merged
+# result sets.  Fails when an end-to-end metric is worse than BASE by
+# more than its BENCHMARK.json bound (a "worse" verdict).  Per-layer
+# counts that differ are printed but do not fail: a change to the code
+# is expected to move them.  ~10 minutes.
+# CI runs this as the bench-e2e-compare job on pull requests.
+COMPARE_DIR := .bench-e2e-compare
+MERGE_RESULTS := import json, sys; \
+    sets = [json.load(open(path)) for path in sys.argv[2:]]; \
+    sets[0]["runs"] = [run for s in sets for run in s["runs"]]; \
+    json.dump(sets[0], open(sys.argv[1], "w"), indent=1)
+
+bench-e2e-compare:
+	@test -n "$(BASE)" || \
+	    { echo "usage: make bench-e2e-compare BASE=<git ref>" >&2; exit 2; }
+	rm -rf $(COMPARE_DIR) && mkdir -p $(COMPARE_DIR)/base
+	git archive $(BASE) | tar -x -C $(COMPARE_DIR)/base
+	set -e; out=$$PWD/$(COMPARE_DIR); \
+	for round in 1 2 3; do \
+	    sides="base head"; \
+	    if [ $$round = 2 ]; then sides="head base"; fi; \
+	    for side in $$sides; do \
+	        tree=.; \
+	        if [ $$side = base ]; then tree=$(COMPARE_DIR)/base; fi; \
+	        (cd $$tree && python3 -m bench_e2e --runs 1 \
+	            --out $$out/$$side.$$round.json); \
+	    done; \
+	done
+	for side in base head; do \
+	    python3 -c '$(MERGE_RESULTS)' $(COMPARE_DIR)/$$side.json \
+	        $(COMPARE_DIR)/$$side.[123].json || exit 1; \
+	done
+	python3 -m bench_e2e --compare $(COMPARE_DIR)/base.json \
+	    $(COMPARE_DIR)/head.json > $(COMPARE_DIR)/compare.txt; \
+	    cat $(COMPARE_DIR)/compare.txt
+	grep -q '^verdict:' $(COMPARE_DIR)/compare.txt
+	! grep -q ' worse$$' $(COMPARE_DIR)/compare.txt

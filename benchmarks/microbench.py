@@ -20,8 +20,8 @@ The event-core scale sweep (timer wheel + run queues vs the pre-change
 single binary heap, PROTOCOL.md §11) writes ``BENCH_scale.json``; the
 flow-control overload bench (credit windows and backpressure,
 PROTOCOL.md §12) writes ``BENCH_flow.json``; the frame-train dispatch
-sweep (batched delivery and vectorized dispatch, PROTOCOL.md §13)
-writes ``BENCH_dispatch.json``.
+sweep (netsim delivery-event coalescing, PROTOCOL.md §13) writes
+``BENCH_dispatch.json``.
 
 Usage::
 
@@ -139,21 +139,18 @@ FLOW_COUNTERS = (
 
 # Frame-train dispatch sweep (PROTOCOL.md §13): a steady-state fan-in
 # workload on the netsim substrate — ``modules`` senders firing bursts
-# at one sink — with train coalescing off vs on.  The floors gate the
-# headline claims at 10,000 modules: scheduler events per delivered
-# message must drop >= 3x, and the wall-clock cost of draining the
-# whole workload must drop >= 2x.  A real-stack burst across the
-# two_nets gateway and the pinned E5 establishment counts ride along
-# as context and as the wire-invariance re-check.
+# at one sink — with train coalescing off (``train_max = 1``) vs on.
+# The floors gate the headline claims at 10,000 modules: scheduler
+# events per delivered message must drop >= 3x, and the wall-clock cost
+# of draining the whole workload must drop >= 2x.  A real-stack burst
+# across the two_nets gateway and the pinned E5 establishment counts
+# ride along as context and as the wire-invariance re-check.
 DISPATCH_SWEEP = (10, 1000, 10000)
 DISPATCH_MESSAGES = 40000
 DISPATCH_BURST_TICKS = 32      # senders spread over this many instants
 DISPATCH_EVENTS_FLOOR = 3.0    # x, events/message reduction at 10k
 DISPATCH_DRAIN_FLOOR = 2.0     # x, wall-clock drain speedup at 10k
 DISPATCH_E2E_MESSAGES = 60
-# Module-side train counters; the gateway-side pair (gw_train_splices,
-# gateway_train_rotations) is read off the Gateway objects directly.
-DISPATCH_TRAIN_COUNTERS = ("nd_train_frames", "lcm_train_drains")
 
 
 # ---------------------------------------------------------------------------
@@ -1178,10 +1175,10 @@ def _drive_dispatch_fanin(modules: int, enabled: bool, repeats: int = 3):
     ``modules`` senders, spread over ``DISPATCH_BURST_TICKS`` instants,
     each burst-transmit their share of ``DISPATCH_MESSAGES`` frames at
     one sink.  Same-instant same-destination frames are exactly what
-    the train coalescer batches; with ``enabled=False`` every frame
-    pays its own delivery event.  Returns total scheduler events,
-    messages delivered, best-of drain wall seconds, and the coalesced
-    train count."""
+    the train coalescer batches; with ``enabled=False`` (``train_max =
+    1``) every frame pays its own delivery event.  Returns total
+    scheduler events, messages delivered, best-of drain wall seconds,
+    and the coalesced train count."""
     from repro.netsim.network import Network
     from repro.netsim.scheduler import Scheduler
 
@@ -1190,18 +1187,15 @@ def _drive_dispatch_fanin(modules: int, enabled: bool, repeats: int = 3):
     def build():
         sched = Scheduler()
         net = Network(sched, "bench0", latency=0.0005)
-        net.train_enabled = enabled
+        if not enabled:
+            net.train_max = 1
         sink = net.attach("sink")
         delivered = [0]
 
         def on_frame(_datagram):
             delivered[0] += 1
 
-        def on_train(datagrams):
-            delivered[0] += len(datagrams)
-
         sink.bind_protocol("bench", on_frame)
-        sink.bind_protocol_batch("bench", on_train)
 
         def sender(iface):
             def fire():
@@ -1246,12 +1240,13 @@ def _drive_dispatch_e2e(enabled: bool):
     """The same claim on the real stack: a producer bursts
     ``DISPATCH_E2E_MESSAGES`` messages across the two_nets gateway to a
     polling consumer.  Returns scheduler events, messages received,
-    total wire frames (which must not move between modes), and the §13
-    train counters read off the run."""
+    total wire frames (which must not move between modes), and the
+    coalesced delivery events."""
     from deployments import two_nets
     from repro.ntcs.nucleus import NucleusConfig
 
-    bed = two_nets(config=NucleusConfig(train_enabled=enabled))
+    bed = two_nets(config=NucleusConfig() if enabled
+                   else NucleusConfig(train_max=1))
     prod = bed.module("train.producer", "vax1")
     cons = bed.module("train.consumer", "apollo1")
     addr = cons.ali.uadd
@@ -1270,9 +1265,6 @@ def _drive_dispatch_e2e(enabled: bool):
     # x1000 (milli-events per delivered message).
     counters.record_max("scheduler_events_per_message",
                         events * 1000 // max(1, received))
-    train_counts = {name: sum(commod.nucleus.counters[name]
-                              for commod in bed.modules.values())
-                    for name in DISPATCH_TRAIN_COUNTERS}
     return {
         "events": events,
         "received": received,
@@ -1280,11 +1272,7 @@ def _drive_dispatch_e2e(enabled: bool):
         "frames": sum(net.frames_sent for net in bed.networks.values()),
         "coalesced": sum(net.trains_coalesced
                          for net in bed.networks.values()),
-        "gw_splices": sum(gw.train_splices for gw in bed.gateways.values()),
-        "gw_rotations": sum(gw.train_rotations
-                            for gw in bed.gateways.values()),
         "events_per_msg_milli": counters["scheduler_events_per_message"],
-        "train_counts": train_counts,
     }
 
 
@@ -1344,12 +1332,6 @@ def bench_dispatch(rows: List[dict]) -> List[str]:
                     "frames"))
     rows.append(row("dispatch_e2e", "trains_coalesced", e2e_on["coalesced"],
                     "trains"))
-    rows.append(row("dispatch_e2e", "gateway_train_splices",
-                    e2e_on["gw_splices"], "splices"))
-    rows.append(row("dispatch_e2e", "gateway_train_rotations",
-                    e2e_on["gw_rotations"], "rotations"))
-    for name, value in sorted(e2e_on["train_counts"].items()):
-        rows.append(row("dispatch_e2e", name, value, "events"))
     for mode, result in (("off", e2e_off), ("on", e2e_on)):
         if result["received"] != DISPATCH_E2E_MESSAGES:
             failures.append(

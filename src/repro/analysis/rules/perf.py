@@ -1,20 +1,18 @@
-"""Performance rules: the data-plane hot paths stay batched.
+"""Performance rules: no per-frame scheduler events above the wire.
 
-The frame-train delivery path (PROTOCOL.md §13) exists because one
-scheduled event per frame was the dominant dispatch cost at scale.  A
-future edit that reintroduces a per-frame ``Scheduler.post`` loop in
-the ND-Layer or gateway hot paths silently undoes the optimisation
-while every golden stays green — the wire is unchanged, only the event
-count regresses — so the shape itself is machine-checked.
+The netsim coalesces back-to-back frames into one scheduled delivery
+event per train (PROTOCOL.md §13) because one event per frame was the
+dominant dispatch cost at scale.  A future edit that introduces a
+per-frame ``Scheduler.post`` loop in the ND-Layer or gateway hot paths
+silently undoes the optimisation while every golden stays green — the
+wire is unchanged, only the event count regresses — so the shape
+itself is machine-checked.
 
 PERF001 (error) per-frame delivery dispatch: a ``scheduler.post(...)``
                 or ``scheduler.schedule(...)`` call inside a ``for``/
                 ``while`` loop in one of the hot-path modules
-                (:data:`_HOT_PATH_MODULES`).  Batch the frames and make
-                one delivery post for the train — the sanctioned entry
-                points are ``NdLayer.send_frames`` and the gateway's
-                ``_forward_batch``/``_flush_backlog`` rotation, each of
-                which posts at most once per batch.
+                (:data:`_HOT_PATH_MODULES`).  Handle each frame inline
+                in its upcall; the netsim owns the only delivery post.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from repro.analysis.engine import (
     rule,
 )
 
-# The data-plane modules whose delivery loops must stay batched.
+# The data-plane modules that must not post one event per frame.
 _HOT_PATH_MODULES: Tuple[str, ...] = (
     "repro.ntcs.ndlayer",
     "repro.ntcs.gateway",
@@ -53,8 +51,8 @@ def _is_scheduler_receiver(node: ast.expr) -> bool:
 @rule(
     name="perf",
     ids=("PERF001",),
-    description="data-plane hot paths batch frame delivery (no "
-                "per-frame Scheduler.post loops)",
+    description="data-plane hot paths post no per-frame scheduler "
+                "events (no Scheduler.post loops)",
 )
 def check_perf(project: Project) -> Iterable[Finding]:
     """Emit PERF001 findings for per-frame dispatch loops."""
@@ -83,8 +81,8 @@ def check_perf(project: Project) -> Iterable[Finding]:
                     path=str(module.path), line=node.lineno,
                     message=(
                         f"per-frame scheduler.{func.attr}() inside a "
-                        f"hot-path loop; coalesce the frames and make "
-                        f"one delivery post through the train API "
+                        f"hot-path loop; handle the frame inline — the "
+                        f"netsim owns the one delivery post per train "
                         f"(PROTOCOL.md §13)"),
                 ))
     return findings

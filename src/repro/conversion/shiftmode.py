@@ -67,35 +67,6 @@ def shift_decode_u32s(data: Union[bytes, memoryview], count: int,
     return list(_codec(count).unpack_from(data, offset))
 
 
-def shift_encode_u32s_many(groups: Sequence[Sequence[int]]) -> bytes:
-    """Encode several equal-length integer groups back to back with one
-    struct call — the vectorized form used when a frame train shares a
-    header layout (PROTOCOL.md §13).  Equivalent to concatenating
-    :func:`shift_encode_u32s` over each group."""
-    if not groups:
-        return b""
-    width = len(groups[0])
-    flat: List[int] = []
-    for group in groups:
-        if len(group) != width:
-            raise ConversionError(
-                "shift mode: ragged groups in vectorized encode"
-            )
-        flat.extend(group)
-    return shift_encode_u32s(flat)
-
-
-def shift_decode_u32s_many(data: Union[bytes, memoryview], count: int,
-                           width: int, offset: int = 0) -> List[List[int]]:
-    """Decode ``count`` groups of ``width`` 32-bit integers each from
-    ``data`` in a single struct call, returning one list per group.
-    The vectorized inverse of :func:`shift_encode_u32s_many`."""
-    if count == 0:
-        return []
-    flat = shift_decode_u32s(data, count * width, offset)
-    return [flat[i:i + width] for i in range(0, count * width, width)]
-
-
 # Credit words (PROTOCOL.md §12).  Flow control piggybacks a cumulative
 # credit counter in the header aux word.  Aux zero has always meant "no
 # auxiliary information" on DATA frames, so the encoding must never

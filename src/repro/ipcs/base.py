@@ -8,7 +8,7 @@ translate these into the uniform STD-IF virtual circuits.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.errors import ChannelClosed
 from repro.machine.machine import Machine
@@ -36,8 +36,6 @@ class Channel:
         owner.own(self)
         self.open = False
         self._receive_handler: Optional[Callable[[bytes], None]] = None
-        self._batch_receive_handler: \
-            Optional[Callable[[List[bytes]], None]] = None
         self._close_handler: Optional[Callable[[str], None]] = None
         self._closed_reason: Optional[str] = None
         self.bytes_sent = 0
@@ -48,15 +46,6 @@ class Channel:
     def set_receive_handler(self, handler: Callable[[bytes], None]) -> None:
         """Install the callback invoked per delivered chunk/record."""
         self._receive_handler = handler
-
-    def set_batch_receive_handler(
-            self, handler: Callable[[List[bytes]], None]) -> None:
-        """Install an optional callback for a frame train's worth of
-        chunks/records delivered together (PROTOCOL.md §13).  Purely an
-        efficiency contract: the handler must process the chunks as
-        the per-chunk handler would, in list order.  Without one, a
-        batch falls back to per-chunk upcalls."""
-        self._batch_receive_handler = handler
 
     def set_close_handler(self, handler: Callable[[str], None]) -> None:
         """Install the callback invoked once when the channel dies."""
@@ -88,24 +77,6 @@ class Channel:
         self.bytes_received += len(data)
         if self._receive_handler is not None:
             self._receive_handler(data)
-
-    def _deliver_many(self, chunks: List[bytes]) -> None:
-        """Deliver a train's worth of chunks in one call.  The open
-        check runs once up front and again only if a handler closes the
-        channel mid-train (matching what per-chunk delivery would do)."""
-        if not self.open:
-            return
-        batch = self._batch_receive_handler
-        if batch is not None and len(chunks) > 1:
-            self.bytes_received += sum(len(c) for c in chunks)
-            batch(chunks)
-            return
-        for chunk in chunks:
-            if not self.open:
-                return
-            self.bytes_received += len(chunk)
-            if self._receive_handler is not None:
-                self._receive_handler(chunk)
 
     def _mark_closed(self, reason: str) -> None:
         if self._closed_reason is not None:
@@ -173,7 +144,6 @@ class Ipcs:
         self.network = network
         self.iface: Interface = machine.interface(network.name)
         self.iface.bind_protocol(self.protocol, self._on_datagram)
-        self.iface.bind_protocol_batch(self.protocol, self._on_datagram_many)
         machine.register_ipcs(network.name, self.protocol, self)
         # Local FIFO for this endpoint's immediate work (rx coalescing
         # and the like): posts land in O(1) and only the queue head is
@@ -202,13 +172,6 @@ class Ipcs:
 
     def _on_datagram(self, datagram) -> None:
         raise NotImplementedError
-
-    def _on_datagram_many(self, datagrams: List) -> None:
-        """A frame train's worth of datagrams for this IPCS.  The base
-        implementation replays them one by one; concrete IPCSs override
-        it to amortize per-frame work (PROTOCOL.md §13)."""
-        for datagram in datagrams:
-            self._on_datagram(datagram)
 
     def _channel_send(self, channel: Channel, data: bytes) -> None:
         raise NotImplementedError

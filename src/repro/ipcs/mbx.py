@@ -194,35 +194,6 @@ class SimMbxIpcs(Ipcs):
         elif kind == _CLOSE:
             self._handle_close(datagram)
 
-    def _on_datagram_many(self, datagrams) -> None:
-        """A frame train (PROTOCOL.md §13): runs of PUT records for one
-        connection are acknowledged record-by-record (the ACK burst
-        coalesces into its own train on the way back) and handed to the
-        channel as one batch, boundaries intact."""
-        i = 0
-        n = len(datagrams)
-        while i < n:
-            payload = datagrams[i].payload
-            if payload[0] != _PUT:
-                self._on_datagram(datagrams[i])
-                i += 1
-                continue
-            local_id = payload[1]
-            j = i
-            while (j < n and datagrams[j].payload[0] == _PUT
-                   and datagrams[j].payload[1] == local_id):
-                j += 1
-            conn = self._conns.get(local_id)
-            if conn is not None and conn.state == "ESTABLISHED":
-                records = []
-                for k in range(i, j):
-                    _, _, seq, data = datagrams[k].payload
-                    self._transmit(conn.remote_host,
-                                   (_PUT_ACK, conn.remote_id, seq))
-                    records.append(data)
-                conn.channel._deliver_many(records)
-            i = j
-
     def _handle_open(self, datagram: Datagram) -> None:
         _, path, remote_conn_id = datagram.payload
         listener = self._mailboxes.get(path)

@@ -250,45 +250,6 @@ class SimTcpIpcs(Ipcs):
         elif kind == _CLOSE:
             self._handle_close(datagram)
 
-    def _on_datagram_many(self, datagrams) -> None:
-        """A frame train (PROTOCOL.md §13): runs of DATA segments for
-        one connection amortize the connection lookup, the in-order
-        reassembly scan, and the rx-flush scheduling decision.  Every
-        segment is still acknowledged individually, in arrival order —
-        the wire is unchanged (the ACK burst coalesces into its own
-        train on the way back)."""
-        i = 0
-        n = len(datagrams)
-        while i < n:
-            payload = datagrams[i].payload
-            if payload[0] != _DATA:
-                self._on_datagram(datagrams[i])
-                i += 1
-                continue
-            local_id = payload[1]
-            j = i
-            while (j < n and datagrams[j].payload[0] == _DATA
-                   and datagrams[j].payload[1] == local_id):
-                j += 1
-            conn = self._conns.get(local_id)
-            if conn is not None and conn.state == "ESTABLISHED":
-                out_of_order = conn.out_of_order
-                for k in range(i, j):
-                    _, _, seq, data = datagrams[k].payload
-                    self._transmit(conn.remote_host,
-                                   (_ACK, conn.remote_id, seq))
-                    if seq >= conn.next_recv_seq:
-                        out_of_order[seq] = data
-                while conn.next_recv_seq in out_of_order:
-                    conn.rx_pending.append(
-                        out_of_order.pop(conn.next_recv_seq))
-                    conn.next_recv_seq += 1
-                if conn.rx_pending and not conn.rx_flush_scheduled:
-                    conn.rx_flush_scheduled = True
-                    self.run_queue.post(lambda c=conn: self._flush_rx(c),
-                                        note="tcp rx flush")
-            i = j
-
     def _handle_syn(self, datagram: Datagram) -> None:
         _, src_host, dst_port, remote_conn_id = datagram.payload
         peer_key = (src_host, remote_conn_id)

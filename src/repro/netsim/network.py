@@ -15,7 +15,8 @@ not accidentally provide it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.errors import NetworkUnreachable, SimulationError
 from repro.netsim.faults import FaultPlan
@@ -58,7 +59,8 @@ class Interface:
         self.network = network
         self.host = host
         self._handlers: Dict[str, Callable[[Datagram], None]] = {}
-        self._batch_handlers: Dict[str, Callable[[List[Datagram]], None]] = {}
+        # Arrived, not yet handed up, per protocol (PROTOCOL.md §13).
+        self._pending: Dict[str, Deque[Datagram]] = {}
         self.up = True
 
     def bind_protocol(self, protocol: str, handler: Callable[[Datagram], None]) -> None:
@@ -68,22 +70,12 @@ class Interface:
                 f"protocol {protocol!r} already bound on {self.host}@{self.network.name}"
             )
         self._handlers[protocol] = handler
-
-    def bind_protocol_batch(
-        self, protocol: str,
-        handler: Callable[[List[Datagram]], None],
-    ) -> None:
-        """Register an optional batch receive handler: a frame train
-        (PROTOCOL.md §13) for this protocol arrives as one call instead
-        of one :meth:`deliver` per frame.  Purely an efficiency
-        contract — the handler must process the frames exactly as the
-        per-frame handler would, in list order."""
-        self._batch_handlers[protocol] = handler
+        self._pending[protocol] = deque()
 
     def unbind_protocol(self, protocol: str) -> None:
         """Remove a protocol's receive handler."""
         self._handlers.pop(protocol, None)
-        self._batch_handlers.pop(protocol, None)
+        self._pending.pop(protocol, None)
 
     def send(self, dst_host: str, protocol: str, payload: Any,
              size: Optional[int] = None) -> None:
@@ -103,32 +95,25 @@ class Interface:
             size=size,
         )
 
-    def deliver(self, datagram: Datagram) -> None:
-        """Called by the network when a frame arrives for this host."""
-        if not self.up:
-            return
-        handler = self._handlers.get(datagram.protocol)
-        if handler is not None:
-            handler(datagram)
-        # No handler: the frame is dropped, as a real stack would discard
-        # a segment for a protocol nobody registered.
-
     def deliver_train(self, datagrams: List[Datagram]) -> None:
         """Called by the network when a frame train arrives — every
-        datagram shares this host and one protocol.  One handler lookup
-        serves the whole batch; an IPCS that registered a batch handler
-        receives the train intact, anyone else gets the per-frame
-        upcalls in order."""
-        if not self.up:
-            return
+        datagram shares this host and one protocol.  The frames join
+        the protocol's pending queue and go up one at a time, each
+        popped *before* its upcall: a handler that blocks mid-train and
+        lets a second train arrive re-entrantly has that train queue
+        behind the first one's remainder and drain in the nested call,
+        so upcall order is transmit order (PROTOCOL.md §13)."""
         protocol = datagrams[0].protocol
-        batch = self._batch_handlers.get(protocol)
-        if batch is not None and len(datagrams) > 1:
-            batch(datagrams)
-            return
         handler = self._handlers.get(protocol)
-        if handler is not None:
-            for datagram in datagrams:
+        if handler is None:
+            # The frames are dropped, as a real stack would discard
+            # segments for a protocol nobody registered.
+            return
+        pending = self._pending[protocol]
+        pending.extend(datagrams)
+        while pending:
+            datagram = pending.popleft()
+            if self.up:  # down (even since mid-train): frames are lost
                 handler(datagram)
 
 
@@ -188,9 +173,8 @@ class Network:
         # into a single delivery event.  Purely a delivery-path
         # construct — transmit-side accounting, the drop decision and
         # the trace hook stay per-frame, so the wire is unaffected.
-        # With ``train_enabled=False`` the pre-train per-frame schedule
-        # is reproduced event-for-event.
-        self.train_enabled = True
+        # ``train_max = 1`` is the ablation: one delivery event per
+        # frame, the pre-train schedule event-for-event.
         self.train_max = 64
         self._open_train: Optional[_Train] = None
         # Delivery events that carried more than one frame.
@@ -243,56 +227,44 @@ class Network:
         if self.bandwidth:
             delay += size / self.bandwidth
 
-        if self.train_enabled:
-            train = self._open_train
-            if (train is not None
-                    and train.iface is dst
-                    and train.protocol == datagram.protocol
-                    and train.delay == delay
-                    and train.born_at == self.scheduler.now
-                    and len(train.frames) < self.train_max):
-                # Back-to-back same-key frame: ride the open train's
-                # already-scheduled delivery event.  The event was
-                # posted at the head frame's (time, seq), so trains
-                # fire in head-seq order and delivery order equals the
-                # per-frame order exactly.
-                train.frames.append(datagram)
-                return
-            # Different key, a time advance, or a full train: this
-            # frame opens a fresh train (closing the previous one — it
-            # can no longer be joined).
-            train = _Train(dst, datagram.protocol,
-                           self.scheduler.now, delay, datagram)
-            self._open_train = train
-
-            def deliver_train():
-                # Close the train before delivering: a frame
-                # transmitted from inside a delivery upcall must start
-                # a new train, never join one already firing.
-                if self._open_train is train:
-                    self._open_train = None
-                frames = train.frames
-                self.frames_delivered += len(frames)
-                if len(frames) > 1:
-                    self.trains_coalesced += 1
-                dst.deliver_train(frames)
-
-            self.scheduler.post(
-                delay,
-                deliver_train,
-                note=f"{self.name}:{datagram.src_host}->{datagram.dst_host}",
-            )
+        train = self._open_train
+        if (train is not None
+                and train.iface is dst
+                and train.protocol == datagram.protocol
+                and train.delay == delay
+                and train.born_at == self.scheduler.now
+                and len(train.frames) < self.train_max):
+            # Back-to-back same-key frame: ride the open train's
+            # already-scheduled delivery event.  The event was posted
+            # at the head frame's (time, seq), so trains fire in
+            # head-seq order and delivery order equals the per-frame
+            # order exactly.
+            train.frames.append(datagram)
             return
+        # Different key, a time advance, or a full train: this frame
+        # opens a fresh train (closing the previous one — it can no
+        # longer be joined).
+        train = _Train(dst, datagram.protocol,
+                       self.scheduler.now, delay, datagram)
+        self._open_train = train
 
-        def deliver():
-            self.frames_delivered += 1
-            dst.deliver(datagram)
+        def deliver_train():
+            # Close the train before delivering: a frame transmitted
+            # from inside a delivery upcall must start a new train,
+            # never join one already firing.
+            if self._open_train is train:
+                self._open_train = None
+            frames = train.frames
+            self.frames_delivered += len(frames)
+            if len(frames) > 1:
+                self.trains_coalesced += 1
+            dst.deliver_train(frames)
 
         # Fire-and-forget: a frame in flight is never cancelled, so the
-        # pooled no-handle flavour keeps the per-frame cost to one
+        # pooled no-handle flavour keeps the per-train cost to one
         # recycled event object (PROTOCOL.md §11).
         self.scheduler.post(
             delay,
-            deliver,
+            deliver_train,
             note=f"{self.name}:{datagram.src_host}->{datagram.dst_host}",
         )

@@ -63,12 +63,6 @@ class Scheduler:
         self._max_events = max_events
         self._pump_depth = 0
         self.max_pump_depth_seen = 0
-        # One-shot callbacks run at the next blocking pump's entry.
-        # Frame-train walks (PROTOCOL.md §13) defer per-IVC flow-grant
-        # checks to the walk's end; registering the discharge here as
-        # well guarantees a handler that blocks *mid-walk* can never
-        # wait on a grant the deferral is holding back.
-        self._pump_flushers = []
 
     # -- clock ------------------------------------------------------------
 
@@ -119,12 +113,6 @@ class Scheduler:
         self._seq += 1
         self._wheel.push(
             self._pool.acquire(self._now + delay, self._seq, callback, note))
-
-    def defer_flush(self, flush: Callable[[], None]) -> None:
-        """Register a one-shot callback to run when the next blocking
-        pump starts (idempotent callbacks expected — a callback may also
-        run earlier through its owner's own discharge point)."""
-        self._pump_flushers.append(flush)
 
     def call_soon(self, callback: Callable[[], None], note: str = "") -> Event:
         """Schedule ``callback`` at the current virtual time (after any
@@ -224,11 +212,6 @@ class Scheduler:
         raises :class:`DeadlockError`, since no future event could ever
         change the outcome.
         """
-        if self._pump_flushers:
-            flushers = self._pump_flushers
-            self._pump_flushers = []
-            for flush in flushers:
-                flush()
         deadline = None if timeout is None else self._now + timeout
         self._pump_depth += 1
         self.max_pump_depth_seen = max(self.max_pump_depth_seen, self._pump_depth)

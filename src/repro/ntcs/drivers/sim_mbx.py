@@ -23,10 +23,6 @@ class RecordChannel(MessageChannel):
     def _on_bytes(self, data: bytes) -> None:
         self._emit(data)
 
-    def _on_bytes_many(self, chunks) -> None:
-        # A frame train (PROTOCOL.md §13): records map to messages 1:1.
-        self._emit_train(list(chunks))
-
 
 class SimMbxDriver(StdIfDriver):
     """STD-IF over :class:`~repro.ipcs.mbx.SimMbxIpcs`."""

@@ -31,32 +31,24 @@ class FramedChannel(MessageChannel):
         self.channel.send(shift_encode_u32s([len(data)]) + data)
 
     def _on_bytes(self, data: bytes) -> None:
-        self._buffer.extend(data)
-        self._emit_train(self._extract_all())
-
-    def _on_bytes_many(self, chunks) -> None:
-        # A frame train (PROTOCOL.md §13): extend the buffer with every
-        # chunk first, then extract all complete messages in one pass
-        # and hand them up as one train.
+        # One chunk may carry many messages.  Each is popped off the
+        # reassembly buffer *before* its upcall, so a handler that
+        # blocks and lets another chunk arrive re-entrantly has the
+        # nested call drain the same buffer: upcall order is stream
+        # order (PROTOCOL.md §13).  A handler that closes the circuit
+        # mid-chunk stops the walk, as a per-record IPCS would.
         buffer = self._buffer
-        for chunk in chunks:
-            buffer.extend(chunk)
-        self._emit_train(self._extract_all())
-
-    def _extract_all(self) -> list:
-        """Pop every complete length-prefixed message off the buffer."""
-        messages = []
-        buffer = self._buffer
-        while True:
-            if len(buffer) < _LEN_BYTES:
-                return messages
+        buffer.extend(data)
+        while self.channel.open and len(buffer) >= _LEN_BYTES:
             (length,) = shift_decode_u32s(buffer, 1)
             if length > _MAX_MESSAGE:
                 raise ProtocolError(f"insane frame length {length}")
-            if len(buffer) < _LEN_BYTES + length:
-                return messages
-            messages.append(bytes(buffer[_LEN_BYTES:_LEN_BYTES + length]))
-            del buffer[:_LEN_BYTES + length]
+            end = _LEN_BYTES + length
+            if len(buffer) < end:
+                return
+            message = bytes(buffer[_LEN_BYTES:end])
+            del buffer[:end]
+            self._emit(message)
 
 
 class SimTcpDriver(StdIfDriver):

@@ -23,8 +23,7 @@ the originating module.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import (
     AddressFault,
@@ -44,8 +43,6 @@ from repro.util.counters import (
     GATEWAY_CHECKSUM_VERIFIES_DEFERRED,
     GATEWAY_CREDIT_CLAMPS,
     GATEWAY_CREDIT_DROPS,
-    GATEWAY_TRAIN_ROTATIONS,
-    GW_TRAIN_SPLICES,
 )
 
 
@@ -71,13 +68,6 @@ class _SpliceCredit:
 class Gateway:
     """One gateway module, spanning every network its machine touches.
 
-    Class attributes:
-        TRAIN_ROTATE_BUDGET: frames of one train a splice may forward
-            before yielding when other splices are active — the
-            fair-share guard (PROTOCOL.md §13).  The remainder queues
-            behind a zero-delay continuation, so one producer's long
-            trains cannot starve another leg of the same gateway.
-
     Args:
         process: the gateway's process (its machine must be attached to
             at least two networks).
@@ -89,8 +79,6 @@ class Gateway:
             gateway passes its previous bindings so well-known prime
             blobs and peers' cached routes stay valid (PROTOCOL.md §10).
     """
-
-    TRAIN_ROTATE_BUDGET = 16
 
     def __init__(self, process, registry, wellknown,
                  config: Optional[NucleusConfig] = None,
@@ -131,14 +119,8 @@ class Gateway:
         # Flow enforcement on the splice path (PROTOCOL.md §12).
         self.credit_overruns_dropped = 0
         self.credit_clamps = 0
-        # Frame trains on the splice path (PROTOCOL.md §13): trains
-        # forwarded in one batch, fair-share rotations that chopped a
-        # long train so other splices got their turn, and the per-LVC
-        # remainders those rotations queued (forwarded by zero-delay
-        # continuations, order preserved per splice).
+        # Always 0: read by bench_e2e/workloads.py (SimWorkload.counters).
         self.train_splices = 0
-        self.train_rotations = 0
-        self._train_backlog: Dict[Lvc, Deque[bytes]] = {}
 
     # -- registration (Sec. 4.1: "their logical name and connected
     # networks are registered with the naming service; the same as any
@@ -188,9 +170,10 @@ class Gateway:
     def handle(self, nucleus: Nucleus, lvc: Lvc, msg: m.Msg) -> bool:
         """First crack at every message on this stack.  Returns True
         when the message belonged to the pass-through plane."""
-        splice = self._splices.get(lvc)
-        if splice is not None:
-            self._forward(lvc, splice, msg)
+        if lvc in self._splices:
+            # Only a teardown gets here decoded: the frame tap forwards
+            # every other kind on a spliced LVC from its header view.
+            self._forward_close(lvc, msg)
             return True
         if msg.kind == m.IVC_OPEN and not self._is_mine(msg.dst):
             # The gateway terminates the IVC_OPEN at each hop (it
@@ -206,19 +189,10 @@ class Gateway:
 
     def on_fault(self, nucleus: Nucleus, lvc: Lvc, reason: str) -> bool:
         """A spliced LVC died: close the other side (Sec. 4.3)."""
-        # Frames already received from the dead leg still go out the
-        # surviving one; the reverse direction's queued remainder is
-        # the messages "lost in Gateway queues" of Sec. 4.3.
-        self._drain_backlog_fully(lvc)
-        splice = self._splices.pop(lvc, None)
+        splice = self._dismantle(lvc)
         if splice is None:
             return False
         other_nucleus, other_lvc = splice
-        self._splices.pop(other_lvc, None)
-        self._splice_credit.pop(lvc, None)
-        self._splice_credit.pop(other_lvc, None)
-        self._train_backlog.pop(other_lvc, None)
-        self.teardowns_propagated += 1
         close_msg = m.Msg(
             kind=m.IVC_CLOSE,
             src=nucleus.self_addr,
@@ -235,6 +209,20 @@ class Gateway:
             other_nucleus.counters.incr("gateway_close_notify_lost")
         other_nucleus.ip.close_spliced(other_lvc, "splice peer failed")
         return True
+
+    def _dismantle(self, lvc: Lvc) -> Optional[Tuple[Nucleus, Lvc]]:
+        """Forget the splice ``lvc`` is one leg of — both directions,
+        both credit ledgers — and return its other leg, or None when
+        ``lvc`` is not spliced."""
+        splice = self._splices.pop(lvc, None)
+        if splice is None:
+            return None
+        other_lvc = splice[1]
+        self._splices.pop(other_lvc, None)
+        self._splice_credit.pop(lvc, None)
+        self._splice_credit.pop(other_lvc, None)
+        self.teardowns_propagated += 1
+        return splice
 
     def _is_mine(self, addr: Address) -> bool:
         if self.uadd is not None and addr == self.uadd:
@@ -266,10 +254,6 @@ class Gateway:
         # header view alone (words 1–6) without materializing a Msg.
         in_lvc.frame_tap = lambda raw: self._fast_forward(in_lvc, raw)
         out_lvc.frame_tap = lambda raw: self._fast_forward(out_lvc, raw)
-        in_lvc.frame_tap_train = \
-            lambda raws: self._fast_forward_train(in_lvc, raws)
-        out_lvc.frame_tap_train = \
-            lambda raws: self._fast_forward_train(out_lvc, raws)
         self.circuits_established += 1
         # Forward the original frame with only the hop-count (aux) and
         # checksum words patched in place — no header re-serialization.
@@ -371,12 +355,6 @@ class Gateway:
             return False  # let the ND-Layer's malformed handling run
         if header.kind == m.IVC_CLOSE:
             return False
-        backlog = self._train_backlog.get(in_lvc)
-        if backlog is not None:
-            # A rotated train's remainder is still queued for this
-            # splice: join the back of it so per-splice order holds.
-            backlog.append(raw)
-            return True
         out_nucleus, out_lvc = splice
         raw, forward = self._enforce_credit(
             in_lvc, out_nucleus, out_lvc, header, raw)
@@ -396,123 +374,6 @@ class Gateway:
             # reconfiguration" (Sec. 4.3).
             out_nucleus.counters.incr("gateway_messages_dropped")
         return True
-
-    def _fast_forward_train(self, in_lvc: Lvc, frames: Sequence) -> int:
-        """Train form of :meth:`_fast_forward` (PROTOCOL.md §13):
-        splice the maximal spliceable prefix of ``frames`` through the
-        zero-copy tap in one batch — headers decoded with one struct
-        call, one deferred-checksum decision for the lot, credit
-        enforced per frame.  Returns how many prefix frames were
-        consumed; 0 sends the head down the per-frame path.  Must never
-        pump (and does not: forwarding only transmits)."""
-        splice = self._splices.get(in_lvc)
-        if splice is None:
-            return 0
-        prefix: List[bytes] = []
-        for raw in frames:
-            if type(raw) is not bytes:
-                break
-            prefix.append(raw)
-        if len(prefix) < 2:
-            return 0
-        try:
-            headers = m.header_views(prefix)
-        except ProtocolError:
-            return 0  # a malformed frame: per-frame handling, in order
-        taken = 0
-        for header in headers:
-            if header.kind == m.IVC_CLOSE:
-                break  # teardown goes through the decode path, in order
-            taken += 1
-        if taken < 2:
-            return 0
-        out_nucleus, out_lvc = splice
-        backlog = self._train_backlog.get(in_lvc)
-        if backlog is not None:
-            # A rotated remainder is queued ahead of this train.
-            backlog.extend(prefix[:taken])
-            return taken
-        budget = taken
-        if self.splice_count() > 1 and taken > self.TRAIN_ROTATE_BUDGET:
-            budget = self.TRAIN_ROTATE_BUDGET
-        self._forward_batch(in_lvc, out_nucleus, out_lvc,
-                            headers[:budget], prefix[:budget])
-        self.train_splices += 1
-        out_nucleus.counters.incr(GW_TRAIN_SPLICES)
-        if budget < taken:
-            self._train_backlog[in_lvc] = deque(prefix[budget:taken])
-            self._rotate(in_lvc, out_nucleus)
-        return taken
-
-    def _forward_batch(self, in_lvc: Lvc, out_nucleus: Nucleus,
-                       out_lvc: Lvc, headers: Sequence[m.HeaderView],
-                       frames: Sequence[bytes]) -> None:
-        """Credit-check each frame, then splice the survivors out as
-        one train with batched counter updates."""
-        outs: List[bytes] = []
-        for header, raw in zip(headers, frames):
-            raw, forward = self._enforce_credit(
-                in_lvc, out_nucleus, out_lvc, header, raw)
-            if forward:
-                outs.append(raw)
-        if not outs:
-            return
-        count = len(outs)
-        self.messages_forwarded += count
-        self.frames_forwarded_zero_copy += count
-        self.checksum_verifies_deferred += count
-        out_nucleus.counters.incr(GATEWAY_CHECKSUM_VERIFIES_DEFERRED, count)
-        try:
-            out_nucleus.nd.send_frames(out_lvc, outs)
-        except NtcsError:
-            # The downstream leg died with traffic in flight (Sec. 4.3).
-            out_nucleus.counters.incr("gateway_messages_dropped")
-
-    def _rotate(self, in_lvc: Lvc, out_nucleus: Nucleus) -> None:
-        self.train_rotations += 1
-        out_nucleus.counters.incr(GATEWAY_TRAIN_ROTATIONS)
-        out_nucleus.scheduler.post(
-            0.0, lambda: self._flush_backlog(in_lvc),
-            note=f"{self.name} train rotation")
-
-    def _flush_backlog(self, in_lvc: Lvc) -> None:
-        """Forward (part of) a rotated train's queued remainder; posts
-        itself again while frames and competing splices remain."""
-        backlog = self._train_backlog.get(in_lvc)
-        if backlog is None:
-            return
-        splice = self._splices.get(in_lvc)
-        if splice is None:
-            # Dismantled with traffic queued: the Sec. 4.3 loss window.
-            del self._train_backlog[in_lvc]
-            return
-        out_nucleus, out_lvc = splice
-        budget = len(backlog)
-        if self.splice_count() > 1 and budget > self.TRAIN_ROTATE_BUDGET:
-            budget = self.TRAIN_ROTATE_BUDGET
-        chunk = [backlog.popleft() for _ in range(budget)]
-        # Frames were header-validated at intake; re-view in one batch.
-        self._forward_batch(in_lvc, out_nucleus, out_lvc,
-                            m.header_views(chunk), chunk)
-        if backlog:
-            self._rotate(in_lvc, out_nucleus)
-        else:
-            del self._train_backlog[in_lvc]
-
-    def _drain_backlog_fully(self, in_lvc: Lvc) -> None:
-        """Flush a splice's entire queued remainder right now — run
-        before a teardown propagates so no in-order frame is overtaken
-        by the close."""
-        backlog = self._train_backlog.pop(in_lvc, None)
-        if not backlog:
-            return
-        splice = self._splices.get(in_lvc)
-        if splice is None:
-            return
-        out_nucleus, out_lvc = splice
-        chunk = list(backlog)
-        self._forward_batch(in_lvc, out_nucleus, out_lvc,
-                            m.header_views(chunk), chunk)
 
     def _enforce_credit(self, in_lvc: Lvc, out_nucleus: Nucleus,
                         out_lvc: Lvc, header: m.HeaderView,
@@ -564,41 +425,16 @@ class Gateway:
             state.debits += 1
         return raw, True
 
-    def _forward(self, in_lvc: Lvc, splice: Tuple[Nucleus, Lvc], msg: m.Msg) -> None:
-        out_nucleus, out_lvc = splice
-        if msg.kind == m.IVC_CLOSE:
-            # Propagate the close and dismantle the splice (Sec. 4.3).
-            # Any rotated-train remainder goes out first, in order.
-            self._drain_backlog_fully(in_lvc)
-            self._splices.pop(in_lvc, None)
-            self._splices.pop(out_lvc, None)
-            self._splice_credit.pop(in_lvc, None)
-            self._splice_credit.pop(out_lvc, None)
-            self.teardowns_propagated += 1
-            try:
-                out_nucleus.nd.send(out_lvc, msg)
-            except NtcsError:
-                # The other leg is failing with the circuit; the close
-                # below dismantles it regardless.
-                out_nucleus.counters.incr("gateway_close_notify_lost")
-            out_nucleus.ip.close_spliced(out_lvc, "ivc closed")
-            return
-        self.messages_forwarded += 1
-        self.frames_forwarded_zero_copy += 1
-        if msg.checksum_pending:
-            # This hop never verified the header sum — the terminating
-            # endpoint will, once, for the whole chain.
-            self.checksum_verifies_deferred += 1
-            out_nucleus.counters.incr(GATEWAY_CHECKSUM_VERIFIES_DEFERRED)
+    def _forward_close(self, in_lvc: Lvc, msg: m.Msg) -> None:
+        """Propagate an IVC_CLOSE and dismantle the splice (Sec. 4.3)."""
+        out_nucleus, out_lvc = self._dismantle(in_lvc)
         try:
-            # The decoded-but-unmutated Msg still holds its original
-            # frame bytes: forward them verbatim.
-            out_nucleus.nd.send_frame(out_lvc, msg.encode())
+            out_nucleus.nd.send(out_lvc, msg)
         except NtcsError:
-            # The downstream leg died with traffic in flight: messages
-            # "may get lost in Gateway queues during this
-            # reconfiguration" (Sec. 4.3).
-            out_nucleus.counters.incr("gateway_messages_dropped")
+            # The other leg is failing with the circuit; the close
+            # below dismantles it regardless.
+            out_nucleus.counters.incr("gateway_close_notify_lost")
+        out_nucleus.ip.close_spliced(out_lvc, "ivc closed")
 
     # -- introspection -------------------------------------------------------
 

@@ -600,22 +600,7 @@ class IpLayer:
             lvc = ivc.lvc
             if lvc.rx_depth > 0:
                 lvc.rx_depth -= 1
-        if self.nucleus.train_depth:
-            # Mid-train (PROTOCOL.md §13): the credit debit above is
-            # per-message, but the owed-grant check runs once per IVC
-            # at the walk's end (or at the next blocking pump's entry,
-            # whichever comes first — nothing can wait on it).
-            self.nucleus.train_defer(
-                ivc, lambda: self._maybe_send_owed_grant(ivc))
-            return
-        self._maybe_send_owed_grant(ivc)
-
-    def _maybe_send_owed_grant(self, ivc: Ivc) -> None:
-        """Send the owed grant once the queue drains to the low
-        watermark — the check :meth:`note_consumed` runs per message
-        (or once per frame train)."""
-        flow = ivc.flow
-        if (flow is not None and flow.grant_owed and ivc.open
+        if (flow.grant_owed and ivc.open
                 and flow.rx_queued
                 <= self.nucleus.config.effective_flow_low_watermark()):
             self._send_grant(ivc, flow)

@@ -52,7 +52,7 @@ from repro.errors import (
 from repro.ntcs import message as m
 from repro.ntcs.address import Address
 from repro.ntcs.iplayer import Ivc
-from repro.util.counters import DROP_CONNECTIONLESS, LCM_TRAIN_DRAINS
+from repro.util.counters import DROP_CONNECTIONLESS
 from repro.util.idgen import SequenceGenerator
 
 # Conditions the send loop treats as "the address may be stale" — the
@@ -245,9 +245,6 @@ class LcmLayer:
         # long-lived server forgets the oldest conversations first.
         self._served: Dict[Tuple[Address, int], Optional[tuple]] = {}
         self._served_order: Deque[Tuple[Address, int]] = deque()
-        # Frame trains (PROTOCOL.md §13): the last train walk this LCM
-        # drained messages from, so each drain is counted exactly once.
-        self._last_train_serial = 0
 
     # -- primitives -----------------------------------------------------------
 
@@ -594,12 +591,6 @@ class LcmLayer:
         if msg.kind != m.DATA:
             nucleus.counters.incr("lcm_unexpected_kinds")
             return
-        if (nucleus.train_depth
-                and self._last_train_serial != nucleus.train_serial):
-            # First message of a frame train reaching this LCM: one
-            # drain pass covers the whole batch (PROTOCOL.md §13).
-            self._last_train_serial = nucleus.train_serial
-            nucleus.counters.incr(LCM_TRAIN_DRAINS)
         # A TAdd source is only unique to its assigner: key local tables
         # by the alias the ND/IP layer assigned to this circuit.
         effective_src = msg.src

@@ -40,12 +40,11 @@ without materializing a full message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro.conversion.shiftmode import (
     shift_decode_credit,
     shift_decode_u32s,
-    shift_decode_u32s_many,
     shift_encode_credit,
     shift_encode_u32s,
 )
@@ -180,67 +179,6 @@ class HeaderView:
     def checksum_ok(self) -> bool:
         """True when the checksum word matches the header sum."""
         return self._words[11] == sum(self._words[:11]) & 0xFFFFFFFF
-
-    @classmethod
-    def from_words(cls, words: List[int]) -> "HeaderView":
-        """Wrap already-decoded header words (the vectorized train
-        path); the words were validated by :func:`header_views`."""
-        view = cls.__new__(cls)
-        view._words = words
-        return view
-
-
-def header_views(frames: Sequence[Union[bytes, bytearray, memoryview]]
-                 ) -> List[HeaderView]:
-    """Decode the header words of a whole frame train in one struct
-    call (PROTOCOL.md §13): the 48-byte header prefixes are joined into
-    one contiguous buffer and unpacked together, then split into one
-    :class:`HeaderView` per frame.  Raises ProtocolError on the first
-    short or bad-magic frame, like per-frame construction would.
-    """
-    for frame in frames:
-        if len(frame) < HEADER_BYTES:
-            raise ProtocolError(f"short NTCS message: {len(frame)} bytes")
-    joined = b"".join(bytes(frame[:HEADER_BYTES]) for frame in frames)
-    groups = shift_decode_u32s_many(joined, len(frames), HEADER_WORDS)
-    views = []
-    for words in groups:
-        if words[0] != MAGIC:
-            raise ProtocolError(f"bad magic {words[0]:#x}")
-        views.append(HeaderView.from_words(words))
-    return views
-
-
-def decode_frames(frames: Sequence[bytes]) -> List["Msg"]:
-    """Vectorized :meth:`Msg.decode` over a frame train, checksum
-    deferred: header words for every frame come from one struct call.
-    Raises ProtocolError on the first malformed frame — callers fall
-    back to the per-frame path so error handling stays identical.
-    """
-    views = header_views(frames)
-    msgs = []
-    for frame, view in zip(frames, views):
-        words = view._words
-        body = frame[HEADER_BYTES:]
-        if len(body) != words[9]:
-            raise ProtocolError(
-                f"body length mismatch: header says {words[9]}, "
-                f"got {len(body)}"
-            )
-        msg = Msg(
-            kind=words[1],
-            flags=words[2],
-            src=Address.from_u32_pair(words[3], words[4]),
-            dst=Address.from_u32_pair(words[5], words[6]),
-            type_id=words[7],
-            corr_id=words[8],
-            aux=words[10],
-            body=body,
-        )
-        msg._frame = bytes(frame)
-        msg._checksum_deferred = True
-        msgs.append(msg)
-    return msgs
 
 
 def encode_credit(count: int) -> int:
@@ -414,11 +352,6 @@ class Msg:
         if ok:
             self._checksum_deferred = False
         return ok
-
-    @property
-    def checksum_pending(self) -> bool:
-        """True while the header checksum has not been verified yet."""
-        return self._checksum_deferred
 
     def __repr__(self) -> str:
         return (

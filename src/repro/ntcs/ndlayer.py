@@ -19,8 +19,7 @@ IPCS" — crossing networks is the IP-Layer's job.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Optional
 
 from repro.errors import (
     AddressFault,
@@ -34,7 +33,7 @@ from repro.ntcs import message as m
 from repro.ntcs.address import Address, blob_network
 from repro.ntcs.protocol import T_LVC_HELLO, T_LVC_HELLO_ACK
 from repro.ntcs.stdif import MessageChannel
-from repro.util.counters import ND_FRAMES_FORWARDED, ND_TRAIN_FRAMES
+from repro.util.counters import ND_FRAMES_FORWARDED
 
 
 # The LVC machine, model-checked by ntcsverify (pure literal).
@@ -133,16 +132,6 @@ class Lvc:
         # returning True means the frame was consumed (forwarded) and
         # the normal decode/dispatch path is skipped.
         self.frame_tap: Optional[Callable[[bytes], bool]] = None
-        # Train form of the tap (PROTOCOL.md §13): called with the
-        # pending frame sequence; returns how many frames of its prefix
-        # it consumed (spliced through in one batch).  Must never pump.
-        self.frame_tap_train: Optional[Callable[[Sequence], int]] = None
-        # Pending inbound train items: raw frames, plus already-decoded
-        # messages the batch decoder put back in their frames' places.
-        # One shared deque per LVC keeps delivery in arrival order even
-        # when an upcall blocks mid-walk and more frames arrive
-        # re-entrantly (see NdLayer._on_raw_train).
-        self.rx_train: Deque[Union[bytes, "m.Msg"]] = deque()
 
     @property
     def open(self) -> bool:
@@ -288,14 +277,6 @@ class NdLayer:
         self._transmit(lvc, frame)
         self.nucleus.counters.incr(ND_FRAMES_FORWARDED)
 
-    def send_frames(self, lvc: Lvc, frames: Sequence[bytes]) -> None:
-        """Transmit a whole train of already-encoded frames back to
-        back — the gateway splices them through with one counter update,
-        and the netsim coalesces them into one delivery event."""
-        for frame in frames:
-            self._transmit(lvc, frame)
-        self.nucleus.counters.incr(ND_FRAMES_FORWARDED, len(frames))
-
     def _transmit(self, lvc: Lvc, frame: bytes) -> None:
         if not lvc.mchan.open:
             raise ChannelClosed(f"{lvc} is closed ({lvc.close_reason})")
@@ -320,7 +301,6 @@ class NdLayer:
     def _install(self, lvc: Lvc) -> None:
         self._lvcs[lvc.lvc_id] = lvc
         lvc.mchan.set_message_handler(lambda raw: self._on_raw(lvc, raw))
-        lvc.mchan.set_train_handler(lambda raws: self._on_raw_train(lvc, raws))
         lvc.mchan.set_close_handler(lambda reason: self._on_closed(lvc, reason))
 
     def _on_accept(self, mchan: MessageChannel) -> None:
@@ -346,11 +326,6 @@ class NdLayer:
         except ProtocolError:
             self._malformed(lvc)
             return
-        self._dispatch_decoded(lvc, msg)
-
-    def _dispatch_decoded(self, lvc: Lvc, msg: m.Msg) -> None:
-        """The post-decode half of :meth:`_on_raw`, shared with the
-        train walk (whose messages were header-decoded in batch)."""
         lvc.messages_received += 1
         self.nucleus.trace(self.LAYER, "receive", caller="wire",
                            reason=msg.kind_name)
@@ -365,71 +340,6 @@ class NdLayer:
         else:
             self._maybe_purge_tadd(lvc, msg)
             self._message_upcall(lvc, msg)
-
-    def _on_raw_train(self, lvc: Lvc, raws: List[bytes]) -> None:
-        """Deliver a frame train (PROTOCOL.md §13).
-
-        Every pending item sits on the LVC's shared deque and is popped
-        *before* its upcall, so a handler that blocks mid-walk — and
-        receives more frames on this LVC re-entrantly — drains the same
-        deque: delivery order is arrival order, exactly what the
-        per-frame path produces.  Batch work happens on contiguous
-        runs: a spliced LVC's gateway tap forwards its maximal prefix
-        in one call, and a terminating run of raw frames is
-        header-decoded with one struct call, the decoded messages
-        taking their frames' places at the front of the deque.
-        """
-        nucleus = self.nucleus
-        pending = lvc.rx_train
-        pending.extend(raws)
-        incr = nucleus.counters.incr
-        nucleus.train_begin()
-        try:
-            while pending:
-                if not lvc.mchan.open:
-                    # Closed mid-walk (e.g. a malformed frame): the
-                    # per-frame path drops the rest the same way.
-                    pending.clear()
-                    break
-                head = pending[0]
-                if type(head) is not bytes:
-                    pending.popleft()
-                    self._dispatch_decoded(lvc, head)
-                    continue
-                tap_train = lvc.frame_tap_train
-                if tap_train is not None:
-                    taken = tap_train(pending)
-                    if taken:
-                        for _ in range(taken):
-                            pending.popleft()
-                        lvc.messages_received += taken
-                        incr(ND_TRAIN_FRAMES, taken)
-                        continue
-                    # Head not spliceable (control frame, dismantled
-                    # splice, ...): one frame through the full path.
-                    self._on_raw(lvc, pending.popleft())
-                    continue
-                run = 1
-                n = len(pending)
-                while run < n and type(pending[run]) is bytes:
-                    run += 1
-                if run > 1:
-                    frames = [pending[i] for i in range(run)]
-                    try:
-                        msgs = m.decode_frames(frames)
-                    except ProtocolError:
-                        # Malformed somewhere in the run: the per-frame
-                        # path keeps the error behavior identical.
-                        self._on_raw(lvc, pending.popleft())
-                        continue
-                    for _ in range(run):
-                        pending.popleft()
-                    pending.extendleft(reversed(msgs))
-                    incr(ND_TRAIN_FRAMES, run)
-                    continue
-                self._on_raw(lvc, pending.popleft())
-        finally:
-            nucleus.train_end()
 
     def _malformed(self, lvc: Lvc) -> None:
         self.nucleus.counters.incr("nd_malformed_messages")

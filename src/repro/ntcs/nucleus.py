@@ -79,14 +79,12 @@ class NucleusConfig:
         flow_probe_timeout: virtual seconds a zero-credit sender waits
             per credit probe before retrying (bounded retries, then
             the send fails as destination-unavailable).
-        train_enabled: frame trains (PROTOCOL.md §13) — coalesce
-            back-to-back same-destination frames into one scheduled
-            delivery event and keep the batch intact down the receive
-            stack.  Purely a delivery-path construct: the wire is
-            byte-identical either way, and off reproduces the
+        train_max: maximum back-to-back same-destination frames the
+            netsim coalesces into one scheduled delivery event
+            (PROTOCOL.md §13) before the next frame opens a fresh
+            train.  Purely a delivery-path construct: the wire is
+            byte-identical for every value, and 1 reproduces the
             pre-train per-frame event schedule event-for-event.
-        train_max: maximum frames one train may carry before the next
-            frame opens a fresh train (the size flush rule).
         trace: record layer entry/exit (Sec. 6.2 debugging support).
     """
 
@@ -109,7 +107,6 @@ class NucleusConfig:
     flow_low_watermark: Optional[int] = None
     flow_high_watermark: Optional[int] = None
     flow_probe_timeout: float = 1.0
-    train_enabled: bool = True
     train_max: int = 64
     trace: bool = False
 
@@ -172,16 +169,6 @@ class Nucleus:
         self._depth = 0
         self.max_depth_seen = 0
         self._suppress = 0
-
-        # Frame-train scope (PROTOCOL.md §13): while a train walk is
-        # active, per-IVC flow-grant checks are deferred and discharged
-        # once at the walk's end — or earlier, at the entry of any
-        # blocking pump, so the deferral can never hold back a grant
-        # something mid-walk is waiting on.
-        self.train_depth = 0
-        self.train_serial = 0
-        self._train_deferred: List[Callable[[], None]] = []
-        self._train_deferred_keys: Set[int] = set()
 
         # Hooks filled in by higher components.
         self.nsp = None                   # NSP-Layer (naming service stub)
@@ -261,45 +248,6 @@ class Nucleus:
                 caller=caller, reason=reason, depth=self._depth,
             )
             self._depth -= 1
-
-    # -- frame-train scope (PROTOCOL.md §13) ---------------------------------
-
-    def train_begin(self) -> None:
-        """Open a train walk: deferrable per-IVC checks registered via
-        :meth:`train_defer` accumulate until :meth:`train_end`."""
-        self.train_depth += 1
-        if self.train_depth == 1:
-            self.train_serial += 1
-
-    def train_end(self) -> None:
-        """Close a train walk; the outermost close discharges every
-        deferred check (the single owed-grant check per train)."""
-        self.train_depth -= 1
-        if self.train_depth == 0:
-            self.train_flush()
-
-    def train_defer(self, key, check: Callable[[], None]) -> None:
-        """Defer ``check`` to the end of the active train walk, at most
-        once per ``key`` (identity) per walk."""
-        ident = id(key)
-        if ident in self._train_deferred_keys:
-            return
-        if not self._train_deferred:
-            # Safety net: if anything blocks mid-walk, the scheduler
-            # discharges these at pump entry before running events.
-            self.scheduler.defer_flush(self.train_flush)
-        self._train_deferred_keys.add(ident)
-        self._train_deferred.append(check)
-
-    def train_flush(self) -> None:
-        """Run the deferred checks now (idempotent)."""
-        if not self._train_deferred:
-            return
-        checks = self._train_deferred
-        self._train_deferred = []
-        self._train_deferred_keys.clear()
-        for check in checks:
-            check()
 
     def trace(self, layer: str, operation: str, caller: str = "",
               reason: str = "") -> None:

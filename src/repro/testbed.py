@@ -102,7 +102,6 @@ class Testbed:
         net.protocol = protocol
         # Frame trains (PROTOCOL.md §13) are a delivery-path construct
         # of the substrate, configured deployment-wide.
-        net.train_enabled = self.config.train_enabled
         net.train_max = self.config.train_max
         self.networks[name] = net
         return net

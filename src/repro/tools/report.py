@@ -61,193 +61,61 @@ def collect_tables(results_dir: Optional[str] = None) -> Dict[str, List[str]]:
     return grouped
 
 
-def _pipeline_path(results_dir: Optional[str] = None) -> str:
-    # BENCH_pipeline.json is committed at the repo root (two levels up
-    # from benchmarks/results/), written by benchmarks/microbench.py.
-    directory = _results_dir(results_dir)
-    return os.path.join(os.path.dirname(os.path.dirname(directory)),
-                        "BENCH_pipeline.json")
-
-
-def pipeline_lines(results_dir: Optional[str] = None) -> List[str]:
-    """The fast-path microbench trajectory as markdown lines (empty when
-    BENCH_pipeline.json is absent or unreadable)."""
-    path = _pipeline_path(results_dir)
-    try:
-        with open(path) as f:
-            rows = json.load(f)
-    except (OSError, ValueError):
-        return []
-    if not isinstance(rows, list) or not rows:
-        return []
-    lines = [
-        "## Fast-path pipeline (benchmarks/microbench.py)",
-        "",
+# The bench tables ``benchmarks/microbench.py`` commits at the repo
+# root, in report order: BENCH_<name>.json -> (section title, blurb).
+_BENCH_TABLES = {
+    "pipeline": (
+        "Fast-path pipeline",
         "From `BENCH_pipeline.json` — regenerate with "
-        "`python benchmarks/microbench.py`.",
-        "",
-        "| bench | metric | value | unit |",
-        "|---|---|---|---|",
-    ]
-    for row in rows:
-        if not isinstance(row, dict):
-            continue
-        lines.append(
-            "| {bench} | {metric} | {value} | {unit} |".format(
-                bench=row.get("bench", "?"), metric=row.get("metric", "?"),
-                value=row.get("value", "?"), unit=row.get("unit", "?"),
-            )
-        )
-    lines.append("")
-    return lines
-
-
-def _naming_path(results_dir: Optional[str] = None) -> str:
-    # BENCH_naming.json sits next to BENCH_pipeline.json at the repo
-    # root, written by the same microbench run.
-    return os.path.join(os.path.dirname(_pipeline_path(results_dir)),
-                        "BENCH_naming.json")
-
-
-def naming_lines(results_dir: Optional[str] = None) -> List[str]:
-    """The control-plane work-saved table as markdown lines (empty when
-    BENCH_naming.json is absent or unreadable)."""
-    path = _naming_path(results_dir)
-    try:
-        with open(path) as f:
-            rows = json.load(f)
-    except (OSError, ValueError):
-        return []
-    if not isinstance(rows, list) or not rows:
-        return []
-    lines = [
-        "## Control-plane work saved (benchmarks/microbench.py)",
-        "",
+        "`python benchmarks/microbench.py`."),
+    "naming": (
+        "Control-plane work saved",
         "From `BENCH_naming.json` — the PROTOCOL.md §9 resolution cache, "
         "single-flight coalescing, and batched Name-Server operations, "
         "the pinned E5-internet invariants re-checked with the "
         "cache on, and the PROTOCOL.md §14 sharded sweep (1/2/4-shard "
         "bulk load of 10^5 modules with flat resolve cost, plus the "
         "million-name ring placement balance).  Regenerate with "
-        "`python benchmarks/microbench.py --naming`.",
-        "",
-        "| bench | metric | value | unit |",
-        "|---|---|---|---|",
-    ]
-    for row in rows:
-        if not isinstance(row, dict):
-            continue
-        lines.append(
-            "| {bench} | {metric} | {value} | {unit} |".format(
-                bench=row.get("bench", "?"), metric=row.get("metric", "?"),
-                value=row.get("value", "?"), unit=row.get("unit", "?"),
-            )
-        )
-    lines.append("")
-    return lines
-
-
-def _recovery_path(results_dir: Optional[str] = None) -> str:
-    # BENCH_recovery.json sits next to the other bench JSONs at the
-    # repo root, written by the same microbench run.
-    return os.path.join(os.path.dirname(_pipeline_path(results_dir)),
-                        "BENCH_recovery.json")
-
-
-def recovery_lines(results_dir: Optional[str] = None) -> List[str]:
-    """The circuit-repair / crash-recovery table as markdown lines
-    (empty when BENCH_recovery.json is absent or unreadable)."""
-    path = _recovery_path(results_dir)
-    try:
-        with open(path) as f:
-            rows = json.load(f)
-    except (OSError, ValueError):
-        return []
-    if not isinstance(rows, list) or not rows:
-        return []
-    lines = [
-        "## Crash recovery and circuit repair (benchmarks/microbench.py)",
-        "",
+        "`python benchmarks/microbench.py --naming`."),
+    "recovery": (
+        "Crash recovery and circuit repair",
         "From `BENCH_recovery.json` — the PROTOCOL.md §10 chaos run: a "
         "mid-chain gateway of the E5 3-gateway internet is crashed and "
         "restarted under a seeded fault schedule, and the conversation "
         "completes through circuit repair.  Repairs, reopen attempts, "
         "Name-Server failovers, and the bounded-backoff histogram are "
         "read straight off the run's counters.  Regenerate with "
-        "`python benchmarks/microbench.py`.",
-        "",
-        "| bench | metric | value | unit |",
-        "|---|---|---|---|",
-    ]
-    for row in rows:
-        if not isinstance(row, dict):
-            continue
-        lines.append(
-            "| {bench} | {metric} | {value} | {unit} |".format(
-                bench=row.get("bench", "?"), metric=row.get("metric", "?"),
-                value=row.get("value", "?"), unit=row.get("unit", "?"),
-            )
-        )
-    lines.append("")
-    return lines
-
-
-def _flow_path(results_dir: Optional[str] = None) -> str:
-    # BENCH_flow.json sits next to the other bench JSONs at the repo
-    # root, written by the same microbench run.
-    return os.path.join(os.path.dirname(_pipeline_path(results_dir)),
-                        "BENCH_flow.json")
-
-
-def flow_lines(results_dir: Optional[str] = None) -> List[str]:
-    """The flow-control / backpressure table as markdown lines (empty
-    when BENCH_flow.json is absent or unreadable)."""
-    path = _flow_path(results_dir)
-    try:
-        with open(path) as f:
-            rows = json.load(f)
-    except (OSError, ValueError):
-        return []
-    if not isinstance(rows, list) or not rows:
-        return []
-    lines = [
-        "## Flow control and backpressure (benchmarks/microbench.py)",
-        "",
+        "`python benchmarks/microbench.py`."),
+    "flow": (
+        "Flow control and backpressure",
         "From `BENCH_flow.json` — the PROTOCOL.md §12 overload run: a "
         "fast producer floods a polling consumer through a gateway, "
         "with credit-based flow control on vs off.  The controlled "
         "queue ceiling, the uncontrolled queue peak, goodput on both "
         "sides, and the credit counters (stalls, probes, grants, "
         "blocked sends) are read straight off the run.  Regenerate "
-        "with `python benchmarks/microbench.py`.",
-        "",
-        "| bench | metric | value | unit |",
-        "|---|---|---|---|",
-    ]
-    for row in rows:
-        if not isinstance(row, dict):
-            continue
-        lines.append(
-            "| {bench} | {metric} | {value} | {unit} |".format(
-                bench=row.get("bench", "?"), metric=row.get("metric", "?"),
-                value=row.get("value", "?"), unit=row.get("unit", "?"),
-            )
-        )
-    lines.append("")
-    return lines
+        "with `python benchmarks/microbench.py`."),
+    "dispatch": (
+        "Dispatch efficiency: frame trains",
+        "From `BENCH_dispatch.json` — the PROTOCOL.md §13 frame-train "
+        "sweep: the E13 fan-in workload at 10 / 1k / 10k modules with "
+        "netsim delivery-event coalescing off (`train_max = 1`) vs on.  "
+        "Scheduler events per delivered message, end-to-end drain "
+        "throughput, the coalesced-train counts, and the pinned E5 "
+        "establishment frame counts re-checked with trains on are read "
+        "straight off the runs.  Regenerate with "
+        "`python benchmarks/microbench.py`."),
+}
 
 
-def _dispatch_path(results_dir: Optional[str] = None) -> str:
-    # BENCH_dispatch.json sits next to the other bench JSONs at the
-    # repo root, written by the same microbench run.
-    return os.path.join(os.path.dirname(_pipeline_path(results_dir)),
-                        "BENCH_dispatch.json")
-
-
-def dispatch_lines(results_dir: Optional[str] = None) -> List[str]:
-    """The frame-train / vectorized-dispatch table as markdown lines
-    (empty when BENCH_dispatch.json is absent or unreadable)."""
-    path = _dispatch_path(results_dir)
+def bench_lines(name: str, results_dir: Optional[str] = None) -> List[str]:
+    """One committed bench table as markdown lines (empty when
+    ``BENCH_<name>.json`` is absent or unreadable).  The file sits at
+    the repo root, two levels up from ``benchmarks/results/``."""
+    title, blurb = _BENCH_TABLES[name]
+    directory = _results_dir(results_dir)
+    path = os.path.join(os.path.dirname(os.path.dirname(directory)),
+                        f"BENCH_{name}.json")
     try:
         with open(path) as f:
             rows = json.load(f)
@@ -256,16 +124,9 @@ def dispatch_lines(results_dir: Optional[str] = None) -> List[str]:
     if not isinstance(rows, list) or not rows:
         return []
     lines = [
-        "## Dispatch efficiency: frame trains (benchmarks/microbench.py)",
+        f"## {title} (benchmarks/microbench.py)",
         "",
-        "From `BENCH_dispatch.json` — the PROTOCOL.md §13 frame-train "
-        "sweep: the E13 fan-in workload at 10 / 1k / 10k modules with "
-        "train coalescing off vs on.  Scheduler events per delivered "
-        "message, end-to-end drain throughput, the train counters "
-        "(coalesced trains, ND train frames, gateway train splices and "
-        "rotations, LCM train drains), and the pinned E5 establishment "
-        "frame counts re-checked with trains on are read straight off "
-        "the runs.  Regenerate with `python benchmarks/microbench.py`.",
+        blurb,
         "",
         "| bench | metric | value | unit |",
         "|---|---|---|---|",
@@ -314,11 +175,8 @@ def compose_report(results_dir: Optional[str] = None,
             lines.append(chunk)
             lines.append("```")
             lines.append("")
-    lines.extend(pipeline_lines(results_dir))
-    lines.extend(naming_lines(results_dir))
-    lines.extend(recovery_lines(results_dir))
-    lines.extend(flow_lines(results_dir))
-    lines.extend(dispatch_lines(results_dir))
+    for name in _BENCH_TABLES:
+        lines.extend(bench_lines(name, results_dir))
     missing = [exp_id for _, exp_id, _ in _EXPERIMENTS
                if exp_id not in seen]
     if missing:

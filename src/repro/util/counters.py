@@ -34,17 +34,11 @@ DROP_CONNECTIONLESS = "drop_connectionless"
 GATEWAY_CREDIT_DROPS = "gateway_credit_overruns_dropped"
 GATEWAY_CREDIT_CLAMPS = "gateway_credit_clamps"
 
-# Frame-train event names (PROTOCOL.md §13).  The dispatch-efficiency
-# claim is measured, not assumed: each layer counts the batches it
-# processed, and the bench derives scheduler events per delivered
-# message from the run.  ``scheduler_events_per_message`` is a
-# milli-events-per-message high-water-style gauge recorded by benches
-# (integer counters only, so the ratio is stored x1000).
+# Frame trains (PROTOCOL.md §13): the bench derives scheduler events
+# per delivered message from the run and records it as a
+# milli-events-per-message high-water-style gauge (integer counters
+# only, so the ratio is stored x1000).
 SCHEDULER_EVENTS_PER_MESSAGE = "scheduler_events_per_message"
-ND_TRAIN_FRAMES = "nd_train_frames"
-GW_TRAIN_SPLICES = "gw_train_splices"
-LCM_TRAIN_DRAINS = "lcm_train_drains"
-GATEWAY_TRAIN_ROTATIONS = "gateway_train_rotations"
 
 
 class CounterSet:

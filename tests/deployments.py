@@ -130,3 +130,21 @@ def echo_server(bed: Testbed, name: str, machine: str, **kwargs):
 
     commod.ali.set_request_handler(handle)
     return commod
+
+
+def send_burst_with_bad_frame(client, uadd):
+    """Over ``client``'s established circuit to ``uadd``, send four
+    frames back to back — "numbers" messages a=0 and a=1, a zeroed
+    (bad-magic) frame, then a=3 — and return the LVC they went out on."""
+    lvc = client.nucleus.lcm._routes[uadd].lvc
+    frames = []
+    lvc.mchan.send_message = frames.append  # capture instead of sending
+    try:
+        for a in (0, 1, 3):
+            client.ali.send(uadd, "numbers", {"a": a, "b": 0, "big": 0})
+    finally:
+        del lvc.mchan.send_message
+    frames.insert(2, bytes(len(frames[0])))
+    for frame in frames:
+        lvc.mchan.send_message(frame)
+    return lvc

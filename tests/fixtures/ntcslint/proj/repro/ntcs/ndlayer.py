@@ -1,5 +1,5 @@
 """Seeded PERF001 violations: this file's module name resolves to
-repro.ntcs.ndlayer — a frame-train hot-path module — so per-frame
+repro.ntcs.ndlayer — a data-plane hot-path module — so per-frame
 Scheduler.post loops in it must fire."""
 
 

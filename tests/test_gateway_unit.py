@@ -3,7 +3,12 @@ limits, splice bookkeeping."""
 
 import pytest
 
-from deployments import chain_nets, echo_server, two_nets
+from deployments import (
+    chain_nets,
+    echo_server,
+    send_burst_with_bad_frame,
+    two_nets,
+)
 from repro import APOLLO, Testbed, VAX
 from repro.errors import NtcsError
 from repro.machine import SimProcess
@@ -126,6 +131,30 @@ def test_gateway_forwards_without_conversion():
     # Exactly one pack (at the source) and one unpack (at the sink):
     # the gateway converted nothing.
     assert registry_counters["pack_calls"] >= 1
+
+
+def test_malformed_frame_mid_burst_on_spliced_lvc():
+    """[ok, ok, bad-magic, ok] in one TCP chunk on a spliced LVC: the
+    first two are forwarded, the third closes the leg (tearing the
+    circuit down, Sec. 4.3), and the fourth is never forwarded."""
+    bed = two_nets()
+    received = []
+    sink = bed.module("ring.sink", "apollo1")
+    sink.ali.set_request_handler(lambda msg: received.append(msg.values["a"]))
+    client = bed.module("client", "vax1")
+    uadd = client.ali.locate("ring.sink")
+    client.ali.send(uadd, "numbers", {"a": 99, "b": 0, "big": 0})
+    bed.settle()
+    gw = bed.gateways["gw1"]
+    forwarded_before = gw.messages_forwarded
+    splices_before = gw.splice_count()
+    lvc = send_burst_with_bad_frame(client, uadd)
+    bed.settle()
+    assert received == [99, 0, 1]
+    assert gw.messages_forwarded == forwarded_before + 2
+    assert gw.stacks["ether0"].counters["nd_malformed_messages"] == 1
+    assert gw.splice_count() == splices_before - 1
+    assert not lvc.open
 
 
 def test_chain_nets_prime_routing_reaches_ns():

@@ -3,7 +3,7 @@ malformed-message handling, fault notification."""
 
 import pytest
 
-from deployments import echo_server, single_net
+from deployments import echo_server, send_burst_with_bad_frame, single_net
 from repro.errors import AddressFault
 from repro.naming.protocol import NameRecord
 from repro.ntcs import message as m
@@ -64,6 +64,28 @@ def test_malformed_message_closes_circuit(bed):
     bed.settle()
     server = bed.modules["dest"]
     assert server.nucleus.counters["nd_malformed_messages"] == 1
+
+
+def test_malformed_frame_mid_burst_drops_the_rest(bed):
+    """[ok, ok, bad-magic, ok] in one TCP chunk on a terminating LVC:
+    the first two are delivered, the third closes the circuit, and the
+    fourth is never handed up."""
+    received = []
+    sink = bed.module("sink", "sun1")
+    sink.ali.set_request_handler(lambda msg: received.append(msg.values["a"]))
+    client = bed.module("client", "vax1")
+    uadd = client.ali.locate("sink")
+    client.ali.send(uadd, "numbers", {"a": 99, "b": 0, "big": 0})
+    bed.settle()
+    coalesced_before = bed.networks["ether0"].trains_coalesced
+    open_before = sink.nucleus.nd.open_lvc_count()
+    lvc = send_burst_with_bad_frame(client, uadd)
+    bed.settle()
+    assert bed.networks["ether0"].trains_coalesced > coalesced_before
+    assert received == [99, 0, 1]
+    assert sink.nucleus.counters["nd_malformed_messages"] == 1
+    assert not lvc.open
+    assert sink.nucleus.nd.open_lvc_count() == open_before - 1
 
 
 def test_fault_notification_passed_upward(bed):

@@ -121,6 +121,33 @@ def test_drop_next(sched, net):
     assert net.faults.dropped == 2
 
 
+def test_handler_pumping_mid_train_sees_transmit_order(sched, net):
+    """A handler that blocks on the first frame of a train while a
+    second train arrives: both drain from the interface's one pending
+    queue, so upcall order is transmit order (PROTOCOL.md §13)."""
+    a = net.attach("hosta")
+    b = net.attach("hostb")
+    got, overlapped = [], []
+
+    def handler(datagram):
+        (n,) = datagram.payload
+        got.append(n)
+        if n == 0:
+            sched.wait(0.02)  # the second train lands inside this wait
+            overlapped.extend(got[1:])
+
+    b.bind_protocol("tcp", handler)
+    for n in range(5):
+        a.send("hostb", "tcp", (n,))
+    sched.wait(0.005)  # less than the latency: a separate train
+    for n in range(5, 10):
+        a.send("hostb", "tcp", (n,))
+    sched.run_until_idle()
+    assert got == list(range(10))
+    assert any(n >= 5 for n in overlapped)
+    assert net.trains_coalesced == 2
+
+
 def test_sever_and_heal(sched, net):
     a, _, got = _wired_pair(sched, net)
     net.faults.sever("hosta", "hostb")

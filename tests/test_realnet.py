@@ -60,6 +60,20 @@ def test_image_mode_between_like_types_over_real_sockets(deployment):
     assert received[0].values["n"] == 0x01020304
 
 
+def test_one_way_burst_over_real_sockets_arrives_in_order(deployment):
+    """Back-to-back one-way sends: one ``recv()`` carries several
+    messages, and the framing driver hands them up one at a time."""
+    sink = deployment.module("sink", "sunish")
+    received = []
+    sink.ali.set_request_handler(lambda m: received.append(m.values["n"]))
+    src = deployment.module("src", "vaxish")
+    uadd = src.ali.locate("sink")
+    for n in range(20):
+        src.ali.send(uadd, "real_echo", {"n": n, "text": "burst"})
+    deployment.kernel.pump_until(lambda: len(received) == 20, timeout=5.0)
+    assert received == list(range(20))
+
+
 def test_tadd_purge_over_real_sockets(deployment):
     ns_nucleus = deployment.name_server_instance.nucleus
     commod = deployment.module("worker", "sunish", register=False)

@@ -95,7 +95,6 @@ def _snapshot(bed):
     for name, gateway in bed.gateways.items():
         tables[f"gw.{name}._splices"] = len(gateway._splices)
         tables[f"gw.{name}._splice_credit"] = len(gateway._splice_credit)
-        tables[f"gw.{name}._train_backlog"] = len(gateway._train_backlog)
     for label, nucleus in _nuclei(bed):
         tables[f"{label}.ip._by_lvc"] = len(nucleus.ip._by_lvc)
         tables[f"{label}.nd._lvcs"] = len(nucleus.nd._lvcs)

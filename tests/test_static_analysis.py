@@ -205,15 +205,15 @@ def test_pragma_waives_a_finding():
 
 
 # ---------------------------------------------------------------------------
-# Performance (PERF001) — hot paths stay batched (PROTOCOL.md §13)
+# Performance (PERF001) — no per-frame events above the wire (§13)
 # ---------------------------------------------------------------------------
 
 def test_perf_rule_fires_on_per_frame_post_loops():
-    # The fixture's module name is repro.ntcs.ndlayer — a frame-train
+    # The fixture's module name is repro.ntcs.ndlayer — a data-plane
     # hot-path module — so scheduler posts inside for/while loops fire.
     findings = fixture_findings("ntcs/ndlayer")
     assert rule_lines(findings) == [("PERF001", 12), ("PERF001", 16)]
-    assert "train API" in findings[0].message
+    assert "per train" in findings[0].message
 
 
 def test_perf_rule_ignores_single_posts_and_other_modules():
@@ -227,8 +227,8 @@ def test_perf_rule_ignores_single_posts_and_other_modules():
 
 
 def test_live_hot_paths_satisfy_perf001():
-    # The real ND-Layer and gateway deliver trains through the batched
-    # entry points — no per-frame dispatch loops, no waivers.
+    # The real ND-Layer and gateway handle each frame inline in its
+    # upcall — no per-frame dispatch loops, no waivers.
     for rel in ("ntcs/ndlayer.py", "ntcs/gateway.py"):
         findings = [f for f in analyze([SRC_TREE / rel])
                     if f.rule == "PERF001"]

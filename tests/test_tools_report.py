@@ -3,7 +3,7 @@
 import json
 import os
 
-from repro.tools.report import collect_tables, compose_report, naming_lines
+from repro.tools.report import bench_lines, collect_tables, compose_report
 
 
 def test_collect_tables_from_fixture_dir(tmp_path):
@@ -48,7 +48,7 @@ def test_naming_lines_from_bench_json(tmp_path):
          "value": 14, "unit": "events", "virtual_ms": None,
          "wall_ms": None},
     ]))
-    lines = naming_lines(str(results))
+    lines = bench_lines("naming", str(results))
     assert any("Control-plane work saved" in line for line in lines)
     assert any("nsp_cache_hits" in line for line in lines)
     report = compose_report(str(results), now="test-time")
@@ -56,7 +56,8 @@ def test_naming_lines_from_bench_json(tmp_path):
 
 
 def test_naming_lines_absent_json(tmp_path):
-    assert naming_lines(str(tmp_path / "benchmarks" / "results")) == []
+    assert bench_lines(
+        "naming", str(tmp_path / "benchmarks" / "results")) == []
 
 
 def test_real_results_compose_when_present():

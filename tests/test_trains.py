@@ -1,22 +1,25 @@
-"""Frame trains (PROTOCOL.md §13): batched delivery and vectorized
-dispatch change how many scheduler events the data plane pays, and
-nothing else.
+"""Frame trains (PROTOCOL.md §13): the netsim coalesces back-to-back
+frames into one delivery event.  That changes how many scheduler
+events the data plane pays, and nothing else.
 
 Three layers of evidence:
 
-* exact-pin ablation — ``train_enabled=False`` reproduces the
-  pre-train per-frame event schedule event-for-event, and turning
-  trains on keeps every wire frame count and application answer while
-  strictly shrinking the event count;
-* a property — delivered message sequences are identical with trains
-  on and off under random coalescing windows (``train_max``), random
-  *deterministic* chaos schedules (gateway crash/restart, drop_next),
+* exact-pin ablation — ``train_max=1`` reproduces the pre-train
+  per-frame event schedule event-for-event, and the default window
+  keeps every wire frame count and application answer while strictly
+  shrinking the event count;
+* a property — delivered message sequences are identical for
+  ``train_max=1`` and every wider coalescing window under random
+  *deterministic* chaos schedules (gateway crash/restart, drop_next)
   and flow-control stalls.  Probabilistic drops are deliberately
   excluded: ``FaultPlan.should_drop`` draws its seeded RNG per
   transmit, so any schedule that consumes randomness in event order
-  is not comparable across modes — everything else must be;
-* unit coverage for the vectorized codecs the train path rides on
-  (``shift_*_u32s_many``, ``header_views``, ``decode_frames``).
+  is not comparable across windows — everything else must be;
+* arrival order under a blocking handler — a train is handed up one
+  frame at a time from a queue shared across re-entrant deliveries
+  (the netsim ``Interface`` for MBX records, the TCP driver's
+  reassembly buffer for stream chunks), so a handler that blocks
+  mid-train while a second burst arrives still sees arrival order.
 """
 
 import pytest
@@ -24,21 +27,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from deployments import echo_server, single_net, two_nets
-from repro.conversion.shiftmode import (
-    shift_decode_u32s_many,
-    shift_encode_u32s,
-    shift_encode_u32s_many,
-)
-from repro.errors import ConversionError, ProtocolError, SendWouldBlock
+from repro.errors import SendWouldBlock
 from repro.netsim import ChaosSchedule
-from repro.ntcs import message as m
-from repro.ntcs.address import Address
 from repro.ntcs.nucleus import NucleusConfig
 
 # The per-frame event schedule pinned before trains existed: total
 # scheduler events and per-network wire frames for the 20-call echo
-# workloads below.  ``train_enabled=False`` must reproduce these
-# exactly; trains on must keep the frames and shrink the events.
+# workloads below.  ``train_max=1`` must reproduce these exactly; a
+# wider window must keep the frames and shrink the events.
 SINGLE_NET_OFF_EVENTS = 168
 SINGLE_NET_FRAMES = 114
 TWO_NETS_OFF_EVENTS = 338
@@ -46,9 +42,8 @@ TWO_NETS_ETHER_FRAMES = 150
 TWO_NETS_RING_FRAMES = 118
 
 
-def _echo_workload(make_bed, server_machine, train_enabled, train_max=64):
-    bed = make_bed(config=NucleusConfig(
-        train_enabled=train_enabled, train_max=train_max))
+def _echo_workload(make_bed, server_machine, train_max=64):
+    bed = make_bed(config=NucleusConfig(train_max=train_max))
     echo_server(bed, "dest", server_machine)
     client = bed.module("client", "vax1")
     uadd = client.ali.locate("dest")
@@ -69,11 +64,11 @@ def _coalesced(bed):
 
 
 # ---------------------------------------------------------------------------
-# Exact-pin ablation: trains off == the pre-train schedule
+# Exact-pin ablation: train_max=1 == the pre-train schedule
 # ---------------------------------------------------------------------------
 
 def test_ablation_single_net_reproduces_per_frame_schedule():
-    bed, answers = _echo_workload(single_net, "sun1", train_enabled=False)
+    bed, answers = _echo_workload(single_net, "sun1", train_max=1)
     assert bed.scheduler.events_processed == SINGLE_NET_OFF_EVENTS
     assert _wire(bed) == {"ether0": SINGLE_NET_FRAMES}
     assert _coalesced(bed) == 0
@@ -81,7 +76,7 @@ def test_ablation_single_net_reproduces_per_frame_schedule():
 
 
 def test_ablation_two_nets_reproduces_per_frame_schedule():
-    bed, answers = _echo_workload(two_nets, "apollo1", train_enabled=False)
+    bed, answers = _echo_workload(two_nets, "apollo1", train_max=1)
     assert bed.scheduler.events_processed == TWO_NETS_OFF_EVENTS
     assert _wire(bed) == {"ether0": TWO_NETS_ETHER_FRAMES,
                           "ring0": TWO_NETS_RING_FRAMES}
@@ -99,7 +94,7 @@ def test_trains_on_same_wire_same_answers_fewer_events():
             (two_nets, "apollo1", {"ether0": TWO_NETS_ETHER_FRAMES,
                                    "ring0": TWO_NETS_RING_FRAMES},
              TWO_NETS_OFF_EVENTS)):
-        bed, answers = _echo_workload(make_bed, server, train_enabled=True)
+        bed, answers = _echo_workload(make_bed, server)
         assert _wire(bed) == frames
         assert answers == [(i, f"M{i}") for i in range(20)]
         assert bed.scheduler.events_processed < off_events
@@ -107,11 +102,9 @@ def test_trains_on_same_wire_same_answers_fewer_events():
 
 
 def test_train_counters_account_the_batches():
-    """A burst across the gateway drives every §13 counter: ND train
-    frames at the receiving stack, gateway train splices, and one LCM
-    drain per train walk — while messages arrive complete and in
-    order."""
-    bed = two_nets(config=NucleusConfig(train_enabled=True))
+    """A burst across the gateway coalesces into multi-frame delivery
+    events while messages arrive complete and in order."""
+    bed = two_nets()
     received = []
     sink = bed.module("ring.sink", "apollo1")
     sink.ali.set_request_handler(lambda msg: received.append(msg.values["a"]))
@@ -121,28 +114,23 @@ def test_train_counters_account_the_batches():
         src.ali.send(uadd, "numbers", {"a": i, "b": 0, "big": 0})
     bed.settle()
     assert received == list(range(60))
-    snap = sink.nucleus.counters.snapshot()
-    assert snap.get("nd_train_frames", 0) > 0
-    assert snap.get("lcm_train_drains", 0) >= 1
-    gateway = bed.gateways["gw1"]
-    assert gateway.train_splices >= 1
     assert _coalesced(bed) > 0
 
 
 # ---------------------------------------------------------------------------
-# Property: delivery order is mode-invariant under coalescing windows,
+# Property: delivery order is invariant under the coalescing window,
 # deterministic chaos, and flow-control stalls
 # ---------------------------------------------------------------------------
 
-def _burst_observables(train_enabled, train_max, flow_window, crash_at_ms,
+def _burst_observables(train_max, flow_window, crash_at_ms,
                        down_ms, drop_count, messages=18):
     """Everything an application can observe from a flood across the
     gateway: the delivered values in delivery order, plus every send
     outcome.  The gateway is crashed and restarted on a fixed virtual
     schedule and ``drop_count`` frames are unconditionally dropped —
-    both deterministic in event order, hence mode-comparable."""
+    both deterministic in event order, hence window-comparable."""
     bed = two_nets(config=NucleusConfig(
-        train_enabled=train_enabled, train_max=train_max,
+        train_max=train_max,
         flow_control_enabled=True, flow_window=flow_window,
         repair_max_attempts=8))
     sink = bed.module("ring.sink", "apollo1")
@@ -190,70 +178,59 @@ def _burst_observables(train_enabled, train_max, flow_window, crash_at_ms,
 )
 def test_train_delivery_order_equals_per_frame_order(
         train_max, flow_window, crash_at_ms, down_ms, drop_count):
-    on = _burst_observables(True, train_max, flow_window,
+    on = _burst_observables(train_max, flow_window,
                             crash_at_ms, down_ms, drop_count)
-    off = _burst_observables(False, train_max, flow_window,
+    off = _burst_observables(1, flow_window,
                              crash_at_ms, down_ms, drop_count)
     assert on == off
 
 
 # ---------------------------------------------------------------------------
-# Vectorized codec units
+# Arrival order survives a handler that blocks mid-train
 # ---------------------------------------------------------------------------
 
-def test_shift_encode_many_is_concatenation_of_singles():
-    groups = [[1, 2, 3], [0xFFFFFFFF, 0, 7], [10, 20, 30]]
-    blob = shift_encode_u32s_many(groups)
-    assert blob == b"".join(shift_encode_u32s(g) for g in groups)
-    assert shift_decode_u32s_many(blob, 3, 3) == groups
+@pytest.mark.parametrize("make_bed, sink_machine", [
+    (single_net, "sun1"),      # tcp: each burst is one coalesced chunk
+    (two_nets, "apollo1"),     # mbx behind gw1: each burst is one train
+])
+def test_arrival_order_survives_a_blocking_handler(make_bed, sink_machine):
+    """The handler for message 0 blocks while a second burst arrives.
+    Both bursts drain from one queue at their birth site, so the second
+    burst is handed up behind the first one's remainder, not ahead of
+    it (a per-delivery ``for frame in frames`` loop yields 0, 10..19,
+    1..9)."""
+    bed = make_bed()
+    sink = bed.module("sink", sink_machine)
+    started, blocked, overlapped = [], [], []
 
+    def handle(msg):
+        n = msg.values["a"]
+        started.append(n)
+        if n == 0:
+            blocked.append(n)
+            bed.scheduler.pump_until(lambda: False, timeout=0.005,
+                                     what="slow handler")
+            blocked.pop()
+        elif blocked:
+            overlapped.append(n)
 
-def test_shift_many_rejects_ragged_groups():
-    with pytest.raises(ConversionError):
-        shift_encode_u32s_many([[1, 2], [3]])
+    sink.ali.set_request_handler(handle)
+    src = bed.module("src", "vax1")
+    uadd = src.ali.locate("sink")
+    # Open the circuit first so the bursts below go out back to back.
+    src.ali.send(uadd, "numbers", {"a": 99, "b": 0, "big": 0})
+    bed.settle()
+    assert started == [99]
+    started.clear()
 
+    for n in range(10):
+        src.ali.send(uadd, "numbers", {"a": n, "b": 0, "big": 0})
+    bed.scheduler.wait(0.0002)  # less than one path latency
+    assert started == []
+    for n in range(10, 20):
+        src.ali.send(uadd, "numbers", {"a": n, "b": 0, "big": 0})
+    bed.settle()
 
-def test_header_views_match_per_frame_views():
-    frames = [
-        m.Msg(kind=m.DATA, src=Address(3), dst=Address(9),
-              flags=m.FLAG_PACKED, type_id=100 + i, corr_id=i,
-              body=bytes([i]) * i).encode()
-        for i in range(1, 6)
-    ]
-    views = m.header_views(frames)
-    for frame, view in zip(frames, views):
-        single = m.HeaderView(frame)
-        assert (view.kind, view.type_id, view.corr_id) == \
-            (single.kind, single.type_id, single.corr_id)
-
-
-def test_header_views_reject_bad_magic():
-    good = m.Msg(kind=m.DATA, src=Address(1), dst=Address(2),
-                 type_id=100, corr_id=1, body=b"").encode()
-    bad = b"\x00" * len(good)
-    with pytest.raises(ProtocolError):
-        m.header_views([good, bad])
-
-
-def test_decode_frames_matches_per_frame_decode():
-    frames = [
-        m.Msg(kind=m.DATA, src=Address(3), dst=Address(9),
-              flags=m.FLAG_PACKED, type_id=100, corr_id=i,
-              body=b"abc" * i).encode()
-        for i in range(4)
-    ]
-    batch = m.decode_frames(frames)
-    singles = [m.Msg.decode(f) for f in frames]
-    for got, want in zip(batch, singles):
-        assert (got.kind, got.flags, got.type_id, got.corr_id,
-                got.src.value, got.dst.value, got.body) == \
-            (want.kind, want.flags, want.type_id, want.corr_id,
-             want.src.value, want.dst.value, want.body)
-        assert got.checksum_ok()
-
-
-def test_decode_frames_rejects_truncated_body():
-    frame = bytearray(m.Msg(kind=m.DATA, src=Address(1), dst=Address(2),
-                            type_id=100, corr_id=1, body=b"xyz").encode())
-    with pytest.raises(ProtocolError):
-        m.decode_frames([bytes(frame[:-1])])
+    assert started == list(range(20))
+    assert any(n >= 10 for n in overlapped)
+    assert _coalesced(bed) > 0
