@@ -139,22 +139,19 @@ class Ipcs:
 
     protocol = "abstract"
 
+    #: Called by the interface when an arrival train has drained
+    #: (PROTOCOL.md §13).  None for an IPCS that hands every datagram
+    #: up as it arrives; a coalescing IPCS defines it as a method.
+    _on_train_end: Optional[Callable[[], None]] = None
+
     def __init__(self, machine: Machine, network: Network):
         self.machine = machine
+        self.scheduler = machine.scheduler
         self.network = network
         self.iface: Interface = machine.interface(network.name)
-        self.iface.bind_protocol(self.protocol, self._on_datagram)
+        self.iface.bind_protocol(self.protocol, self._on_datagram,
+                                 self._on_train_end)
         machine.register_ipcs(network.name, self.protocol, self)
-        # Local FIFO for this endpoint's immediate work (rx coalescing
-        # and the like): posts land in O(1) and only the queue head is
-        # registered with the global timer wheel, so the idle majority
-        # of a large topology is never visited (PROTOCOL.md §11).
-        self.run_queue = machine.scheduler.run_queue(
-            f"{machine.name}/{network.name}/{self.protocol}")
-
-    @property
-    def scheduler(self):
-        return self.machine.scheduler
 
     # -- to implement -------------------------------------------------------
 

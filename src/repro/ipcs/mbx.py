@@ -107,7 +107,7 @@ class SimMbxIpcs(Ipcs):
         conn = _MbxConn(local_id, host, channel)
         conn.state = "OPEN_SENT"
         self._conns[local_id] = conn
-        self._transmit(host, (_OPEN, path, local_id))
+        self.iface.send(host, self.protocol, (_OPEN, path, local_id))
         self.scheduler.pump_until(
             lambda: conn.state in ("ESTABLISHED", "FAILED"),
             timeout=timeout,
@@ -132,11 +132,13 @@ class SimMbxIpcs(Ipcs):
         seq = conn.next_seq
         conn.next_seq += 1
         self.records_sent += 1
-        self._transmit(conn.remote_host, (_PUT, conn.remote_id, seq, data))
+        self.iface.send(conn.remote_host, self.protocol,
+                        (_PUT, conn.remote_id, seq, data),
+                        Network.DEFAULT_FRAME_SIZE + len(data))
         timer = self.scheduler.schedule(
             self.ack_timeout,
             lambda: self._ack_timeout(conn, seq),
-            note=f"mbx ack timeout seq={seq}",
+            "mbx ack timeout",
         )
         conn.pending_acks[seq] = timer
 
@@ -165,7 +167,8 @@ class SimMbxIpcs(Ipcs):
         conn.pending_acks.clear()
         if notify_peer and was_established and conn.remote_id is not None:
             try:
-                self._transmit(conn.remote_host, (_CLOSE, conn.remote_id))
+                self.iface.send(conn.remote_host, self.protocol,
+                                (_CLOSE, conn.remote_id))
             except NetworkUnreachable:
                 # Peer unreachable: it will time the connection out.
                 self.close_notify_failures += 1
@@ -173,11 +176,6 @@ class SimMbxIpcs(Ipcs):
         conn.channel._mark_closed(reason)
 
     # -- wire ----------------------------------------------------------------
-
-    def _transmit(self, dst_host: str, payload: tuple) -> None:
-        size = 64 + sum(len(part) for part in payload
-                        if isinstance(part, (bytes, bytearray)))
-        self.iface.send(dst_host, self.protocol, payload, size=size)
 
     def _on_datagram(self, datagram: Datagram) -> None:
         kind = datagram.payload[0]
@@ -198,7 +196,8 @@ class SimMbxIpcs(Ipcs):
         _, path, remote_conn_id = datagram.payload
         listener = self._mailboxes.get(path)
         if listener is None or not listener.open:
-            self._transmit(datagram.src_host, (_NAK, remote_conn_id))
+            self.iface.send(datagram.src_host, self.protocol,
+                            (_NAK, remote_conn_id))
             return
         local_id = self._conn_ids.next()
         channel = Channel(self, local_id, listener.owner)
@@ -207,7 +206,8 @@ class SimMbxIpcs(Ipcs):
         conn.state = "ESTABLISHED"
         channel.open = True
         self._conns[local_id] = conn
-        self._transmit(datagram.src_host, (_OPEN_ACK, remote_conn_id, local_id))
+        self.iface.send(datagram.src_host, self.protocol,
+                        (_OPEN_ACK, remote_conn_id, local_id))
         if listener.on_accept is not None:
             listener.on_accept(channel)
 
@@ -231,7 +231,8 @@ class SimMbxIpcs(Ipcs):
         conn = self._conns.get(local_id)
         if conn is None or conn.state != "ESTABLISHED":
             return
-        self._transmit(conn.remote_host, (_PUT_ACK, conn.remote_id, seq))
+        self.iface.send(conn.remote_host, self.protocol,
+                        (_PUT_ACK, conn.remote_id, seq))
         # Record semantics: one send, one delivery, boundaries intact.
         conn.channel._deliver(data)
 

@@ -13,7 +13,8 @@ Faithful-to-purpose TCP behaviours the ND-Layer driver must cope with:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.errors import AddressInUse, ConnectionRefused, NetworkUnreachable
 from repro.ipcs.base import Channel, Ipcs, Listener
@@ -37,7 +38,7 @@ class _TcpConn:
         "local_id", "remote_id", "remote_host", "channel", "state",
         "next_send_seq", "next_recv_seq", "unacked", "out_of_order",
         "syn_timer", "syn_tries", "dst_port", "fail_reason", "rx_pending",
-        "rx_flush_scheduled", "peer_key",
+        "peer_key",
     )
 
     def __init__(self, local_id: int, remote_host: str, channel: Channel):
@@ -55,7 +56,6 @@ class _TcpConn:
         self.dst_port: Optional[int] = None
         self.fail_reason = ""
         self.rx_pending: list = []
-        self.rx_flush_scheduled = False
         # Passive side only: this connection's key in ``_by_peer`` (the
         # duplicate-SYN table), remembered so closing is O(1).
         self.peer_key: Optional[Tuple[str, int]] = None
@@ -72,6 +72,9 @@ class SimTcpIpcs(Ipcs):
         self._listeners: Dict[int, Listener] = {}
         self._conns: Dict[int, _TcpConn] = {}
         self._by_peer: Dict[Tuple[str, int], _TcpConn] = {}
+        # Connections holding in-order bytes not yet handed up, in
+        # arrival order; drained when the arrival train ends.
+        self._rx_ready: Deque[_TcpConn] = deque()
         self._conn_ids = SequenceGenerator()
         self._ephemeral = SequenceGenerator(ephemeral_base)
         # The retransmission timeout must cover serialization delay on
@@ -148,7 +151,9 @@ class SimTcpIpcs(Ipcs):
             conn.state = "FAILED"
             conn.fail_reason = "timed out"
             return
-        self._transmit(conn.remote_host, (_SYN, self.iface.host, conn.dst_port, conn.local_id))
+        self.iface.send(
+            conn.remote_host, self.protocol,
+            (_SYN, self.iface.host, conn.dst_port, conn.local_id))
         conn.syn_timer = self.scheduler.schedule(
             self.rto, lambda: self._syn_timeout(conn), note="tcp syn rto"
         )
@@ -170,12 +175,11 @@ class SimTcpIpcs(Ipcs):
 
     def _send_segment(self, conn: _TcpConn, seq: int, data: bytes, tries: int) -> None:
         self.segments_sent += 1
-        self._transmit(conn.remote_host, (_DATA, conn.remote_id, seq, data))
+        self.iface.send(conn.remote_host, self.protocol,
+                        (_DATA, conn.remote_id, seq, data),
+                        Network.DEFAULT_FRAME_SIZE + len(data))
         timer = self.scheduler.schedule(
-            self.rto,
-            lambda: self._segment_timeout(conn, seq),
-            note=f"tcp rto seq={seq}",
-        )
+            self.rto, lambda: self._segment_timeout(conn, seq), "tcp rto")
         conn.unacked[seq] = (timer, tries, data)
 
     def _segment_timeout(self, conn: _TcpConn, seq: int) -> None:
@@ -214,7 +218,8 @@ class SimTcpIpcs(Ipcs):
             conn.syn_timer.cancel()
         if notify_peer and was_established and conn.remote_id is not None:
             try:
-                self._transmit(conn.remote_host, (_CLOSE, conn.remote_id))
+                self.iface.send(conn.remote_host, self.protocol,
+                                (_CLOSE, conn.remote_id))
             except NetworkUnreachable:
                 # Peer unreachable: it will time the connection out.
                 self.close_notify_failures += 1
@@ -227,13 +232,6 @@ class SimTcpIpcs(Ipcs):
             self._by_peer.pop(conn.peer_key, None)
 
     # -- wire ------------------------------------------------------------------
-
-    def _transmit(self, dst_host: str, payload: tuple) -> None:
-        # Frame size for the bandwidth model: a fixed header share plus
-        # any data bytes riding in the segment.
-        size = 64 + sum(len(part) for part in payload
-                        if isinstance(part, (bytes, bytearray)))
-        self.iface.send(dst_host, self.protocol, payload, size=size)
 
     def _on_datagram(self, datagram: Datagram) -> None:
         kind = datagram.payload[0]
@@ -256,11 +254,12 @@ class SimTcpIpcs(Ipcs):
         existing = self._by_peer.get(peer_key)
         if existing is not None:
             # Duplicate SYN (our SYNACK was lost): re-answer, don't re-open.
-            self._transmit(src_host, (_SYNACK, remote_conn_id, existing.local_id))
+            self.iface.send(src_host, self.protocol,
+                            (_SYNACK, remote_conn_id, existing.local_id))
             return
         listener = self._listeners.get(dst_port)
         if listener is None or not listener.open:
-            self._transmit(src_host, (_RST, remote_conn_id))
+            self.iface.send(src_host, self.protocol, (_RST, remote_conn_id))
             return
         local_id = self._conn_ids.next()
         channel = Channel(self, local_id, listener.owner)
@@ -271,7 +270,8 @@ class SimTcpIpcs(Ipcs):
         self._conns[local_id] = conn
         self._by_peer[peer_key] = conn
         conn.peer_key = peer_key
-        self._transmit(src_host, (_SYNACK, remote_conn_id, local_id))
+        self.iface.send(src_host, self.protocol,
+                        (_SYNACK, remote_conn_id, local_id))
         if listener.on_accept is not None:
             listener.on_accept(channel)
 
@@ -300,22 +300,34 @@ class SimTcpIpcs(Ipcs):
         conn = self._conns.get(local_id)
         if conn is None or conn.state != "ESTABLISHED":
             return
-        self._transmit(conn.remote_host, (_ACK, conn.remote_id, seq))
+        self.iface.send(conn.remote_host, self.protocol,
+                        (_ACK, conn.remote_id, seq))
         if seq < conn.next_recv_seq:
             return  # duplicate, already delivered
         conn.out_of_order[seq] = data
+        rx_pending = conn.rx_pending
+        was_empty = not rx_pending
         while conn.next_recv_seq in conn.out_of_order:
-            conn.rx_pending.append(conn.out_of_order.pop(conn.next_recv_seq))
+            rx_pending.append(conn.out_of_order.pop(conn.next_recv_seq))
             conn.next_recv_seq += 1
-        if conn.rx_pending and not conn.rx_flush_scheduled:
-            # Byte-stream semantics: defer delivery one scheduler tick so
-            # segments arriving at the same instant coalesce into one
-            # chunk — receivers must frame their own messages.
-            conn.rx_flush_scheduled = True
-            self.run_queue.post(lambda: self._flush_rx(conn), note="tcp rx flush")
+        if was_empty and rx_pending:
+            # Byte-stream semantics: hold the bytes until the arrival
+            # train ends, so segments arriving at the same instant
+            # coalesce into one chunk — receivers must frame their own
+            # messages.
+            self._rx_ready.append(conn)
+
+    def _on_train_end(self) -> None:
+        """The interface has no more frames in this train: every stream
+        chunk it carried is born here (PROTOCOL.md §13).  Each
+        connection is popped *before* its upcall, so a handler that
+        blocks while another train arrives leaves the rest to the
+        nested call, in arrival order."""
+        ready = self._rx_ready
+        while ready:
+            self._flush_rx(ready.popleft())
 
     def _flush_rx(self, conn: _TcpConn) -> None:
-        conn.rx_flush_scheduled = False
         if not conn.rx_pending or conn.state != "ESTABLISHED":
             return
         chunk = b"".join(conn.rx_pending)

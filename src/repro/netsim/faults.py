@@ -85,7 +85,11 @@ class FaultPlan:
 
     def should_drop(self, src_host: str, dst_host: str) -> bool:
         """Decide the fate of one datagram; counts drops."""
-        if self.blocks(src_host, dst_host):
+        # With nothing severed or partitioned ``blocks`` cannot say yes:
+        # skip building its frozenset.  Every later decision, and the
+        # RNG draw, happens exactly as it would have.
+        if ((self._severed or self._partition is not None)
+                and self.blocks(src_host, dst_host)):
             self.dropped += 1
             return True
         if self._drop_next > 0:

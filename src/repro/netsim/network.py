@@ -16,7 +16,7 @@ not accidentally provide it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkUnreachable, SimulationError
 from repro.netsim.faults import FaultPlan
@@ -58,24 +58,30 @@ class Interface:
     def __init__(self, network: "Network", host: str):
         self.network = network
         self.host = host
-        self._handlers: Dict[str, Callable[[Datagram], None]] = {}
-        # Arrived, not yet handed up, per protocol (PROTOCOL.md §13).
-        self._pending: Dict[str, Deque[Datagram]] = {}
+        # Per protocol: (receive handler, train-end handler or None,
+        # frames arrived but not yet handed up — PROTOCOL.md §13).
+        self._bound: Dict[str, Tuple[Callable[[Datagram], None],
+                                     Optional[Callable[[], None]],
+                                     Deque[Datagram]]] = {}
         self.up = True
 
-    def bind_protocol(self, protocol: str, handler: Callable[[Datagram], None]) -> None:
-        """Register the per-protocol receive handler (one per IPCS)."""
-        if protocol in self._handlers:
+    def bind_protocol(self, protocol: str,
+                      handler: Callable[[Datagram], None],
+                      train_end: Optional[Callable[[], None]] = None) -> None:
+        """Register the per-protocol receive handler (one per IPCS).
+        ``train_end``, if given, is how the interface says "no more
+        frames in this train": it is called each time the protocol's
+        arrival queue drains, whether or not every frame was handed up
+        (frames popped while the interface is down are lost)."""
+        if protocol in self._bound:
             raise SimulationError(
                 f"protocol {protocol!r} already bound on {self.host}@{self.network.name}"
             )
-        self._handlers[protocol] = handler
-        self._pending[protocol] = deque()
+        self._bound[protocol] = (handler, train_end, deque())
 
     def unbind_protocol(self, protocol: str) -> None:
         """Remove a protocol's receive handler."""
-        self._handlers.pop(protocol, None)
-        self._pending.pop(protocol, None)
+        self._bound.pop(protocol, None)
 
     def send(self, dst_host: str, protocol: str, payload: Any,
              size: Optional[int] = None) -> None:
@@ -84,16 +90,10 @@ class Interface:
         header-only (a small control frame)."""
         if not self.up:
             return  # a downed interface silently loses frames
-        self.network.transmit(
-            Datagram(
-                network=self.network.name,
-                src_host=self.host,
-                dst_host=dst_host,
-                protocol=protocol,
-                payload=payload,
-            ),
-            size=size,
-        )
+        network = self.network
+        network.transmit(
+            Datagram(network.name, self.host, dst_host, protocol, payload),
+            size)
 
     def deliver_train(self, datagrams: List[Datagram]) -> None:
         """Called by the network when a frame train arrives — every
@@ -102,19 +102,21 @@ class Interface:
         popped *before* its upcall: a handler that blocks mid-train and
         lets a second train arrive re-entrantly has that train queue
         behind the first one's remainder and drain in the nested call,
-        so upcall order is transmit order (PROTOCOL.md §13)."""
-        protocol = datagrams[0].protocol
-        handler = self._handlers.get(protocol)
-        if handler is None:
+        so upcall order is transmit order (PROTOCOL.md §13).  Once the
+        queue is empty the protocol's train-end handler runs."""
+        bound = self._bound.get(datagrams[0].protocol)
+        if bound is None:
             # The frames are dropped, as a real stack would discard
             # segments for a protocol nobody registered.
             return
-        pending = self._pending[protocol]
+        handler, train_end, pending = bound
         pending.extend(datagrams)
         while pending:
             datagram = pending.popleft()
             if self.up:  # down (even since mid-train): frames are lost
                 handler(datagram)
+        if train_end is not None:
+            train_end()
 
 
 class _Train:
@@ -172,18 +174,19 @@ class Network:
         # sharing (dst_host, protocol, delay) at one transmit instant
         # into a single delivery event.  Purely a delivery-path
         # construct — transmit-side accounting, the drop decision and
-        # the trace hook stay per-frame, so the wire is unaffected.
+        # the trace hooks stay per-frame, so the wire is unaffected.
         # ``train_max = 1`` is the ablation: one delivery event per
-        # frame, the pre-train schedule event-for-event.
+        # frame.
         self.train_max = 64
         self._open_train: Optional[_Train] = None
         # Delivery events that carried more than one frame.
         self.trains_coalesced = 0
-        # Optional wire tap (see repro.netsim.tracelog): called for
-        # every transmitted frame, after the drop decision, with
-        # (datagram, size, dropped).  Observation only — it cannot
-        # alter delivery, so attaching one never perturbs a run.
-        self.trace_hook: Optional[Callable[[Datagram, int, bool], None]] = None
+        # Wire taps (see repro.netsim.tracelog, repro.netsim.sniffer):
+        # each is called for every transmitted frame, after the drop
+        # decision, with (datagram, size, dropped).  Observation only —
+        # a tap cannot alter delivery, so attaching one never perturbs
+        # a run.
+        self.trace_hooks: List[Callable[[Datagram, int, bool], None]] = []
 
     def attach(self, host: str) -> Interface:
         """Attach a new host; returns its interface."""
@@ -210,29 +213,31 @@ class Network:
     def transmit(self, datagram: Datagram, size: Optional[int] = None) -> None:
         """Schedule delivery of one frame after latency (plus the
         serialization delay when a bandwidth is configured)."""
-        if datagram.dst_host not in self._interfaces:
+        dst = self._interfaces.get(datagram.dst_host)
+        if dst is None:
             raise NetworkUnreachable(
                 f"no host {datagram.dst_host!r} on network {self.name!r}"
             )
-        size = size if size is not None else self.DEFAULT_FRAME_SIZE
+        if size is None:
+            size = self.DEFAULT_FRAME_SIZE
         self.frames_sent += 1
         self.bytes_sent += size
         dropped = self.faults.should_drop(datagram.src_host, datagram.dst_host)
-        if self.trace_hook is not None:
-            self.trace_hook(datagram, size, dropped)
+        for hook in self.trace_hooks:
+            hook(datagram, size, dropped)
         if dropped:
             return
-        dst = self._interfaces[datagram.dst_host]
         delay = self.latency
         if self.bandwidth:
             delay += size / self.bandwidth
 
+        now = self.scheduler.now
         train = self._open_train
         if (train is not None
                 and train.iface is dst
                 and train.protocol == datagram.protocol
                 and train.delay == delay
-                and train.born_at == self.scheduler.now
+                and train.born_at == now
                 and len(train.frames) < self.train_max):
             # Back-to-back same-key frame: ride the open train's
             # already-scheduled delivery event.  The event was posted
@@ -244,8 +249,7 @@ class Network:
         # Different key, a time advance, or a full train: this frame
         # opens a fresh train (closing the previous one — it can no
         # longer be joined).
-        train = _Train(dst, datagram.protocol,
-                       self.scheduler.now, delay, datagram)
+        train = _Train(dst, datagram.protocol, now, delay, datagram)
         self._open_train = train
 
         def deliver_train():
@@ -262,9 +266,6 @@ class Network:
 
         # Fire-and-forget: a frame in flight is never cancelled, so the
         # pooled no-handle flavour keeps the per-train cost to one
-        # recycled event object (PROTOCOL.md §11).
-        self.scheduler.post(
-            delay,
-            deliver_train,
-            note=f"{self.name}:{datagram.src_host}->{datagram.dst_host}",
-        )
+        # recycled event object (PROTOCOL.md §11).  The note is static:
+        # nothing per datagram is formatted (ntcslint PERF002).
+        self.scheduler.post(delay, deliver_train, "netsim train delivery")

@@ -19,15 +19,17 @@ Storage is the shared hierarchical timer wheel of
 :mod:`repro.netsim.timerwheel` (PROTOCOL.md §11): events run in the
 exact ``(time, seq)`` total order the original single heap produced,
 but pushes, pops and ``pending()`` no longer pay per-event Python
-comparisons or O(n) scans.  Three scheduling flavours exist:
+comparisons or O(n) scans.  Two scheduling flavours exist:
 
 * :meth:`schedule` — returns a cancellable :class:`Event` handle.
 * :meth:`post` — no handle, so the event object is recycled through a
   free list; use for fire-and-forget hot-path work (datagram delivery,
   chaos appliers) that is never cancelled.
-* :meth:`run_queue` — a named per-nucleus FIFO whose ``post`` is O(1)
-  and registers only the queue head with the wheel, so idle modules
-  cost nothing per tick.
+
+Every consumer — :meth:`step`, :meth:`run_for`, :meth:`pump_until` —
+takes events through the wheel's one fused step,
+:meth:`~repro.netsim.timerwheel.TimerWheel.pop_due`: the head comes
+off only if it is due by the caller's deadline.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.errors import DeadlockError, SimulationError, VirtualTimeout
-from repro.netsim.timerwheel import Event, EventPool, RunQueue, TimerWheel
+from repro.netsim.timerwheel import Event, EventPool, TimerWheel
 
-__all__ = ["Event", "RunQueue", "Scheduler"]
+__all__ = ["Event", "Scheduler"]
+
+_NO_DEADLINE = float("inf")
 
 
 class Scheduler:
@@ -119,30 +123,14 @@ class Scheduler:
         already-queued events at this time)."""
         return self.schedule(0.0, callback, note)
 
-    def run_queue(self, name: str) -> RunQueue:
-        """A named per-nucleus FIFO.  Its ``post`` lands locally in
-        O(1); only the queue's head deadline is registered with the
-        wheel, so idle queues are never visited."""
-        return RunQueue(self, name)
-
-    def _post_queued(self, queue: RunQueue, callback: Callable[[], None],
-                     note: str) -> None:
-        self._seq += 1
-        self._wheel.queue_push(
-            queue, self._pool.acquire(self._now, self._seq, callback, note))
-
     # -- execution --------------------------------------------------------
 
-    def _pop_runnable(self) -> Optional[Event]:
-        """Pop the earliest non-cancelled event, or None if queue empty."""
-        return self._wheel.pop()
-
-    def _peek_time(self) -> Optional[float]:
-        """Time of the earliest non-cancelled event, or None."""
-        event = self._wheel.peek()
-        return None if event is None else event.time
-
-    def _run(self, event: Event) -> None:
+    def _run_due(self, deadline: float) -> bool:
+        """Pop and run the earliest event if it is due by ``deadline``.
+        Returns False when nothing is."""
+        event = self._wheel.pop_due(deadline)
+        if event is None:
+            return False
         if event.time < self._now:
             raise SimulationError(
                 f"event time {event.time} precedes clock {self._now}"
@@ -161,15 +149,12 @@ class Scheduler:
             # fire-and-forget work reuse one allocation.
             self._pool.release(event)
         callback()
+        return True
 
     def step(self) -> bool:
         """Run the single earliest pending event.  Returns False when the
         queue is empty."""
-        event = self._wheel.pop()
-        if event is None:
-            return False
-        self._run(event)
-        return True
+        return self._run_due(_NO_DEADLINE)
 
     def run_until_idle(self, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains; returns how many ran."""
@@ -186,11 +171,7 @@ class Scheduler:
         of events run."""
         deadline = self._now + duration
         ran = 0
-        while True:
-            head_time = self._peek_time()
-            if head_time is None or head_time > deadline:
-                break
-            self._run(self._wheel.pop())
+        while self._run_due(deadline):
             ran += 1
         self._now = max(self._now, deadline)
         return ran
@@ -212,29 +193,27 @@ class Scheduler:
         raises :class:`DeadlockError`, since no future event could ever
         change the outcome.
         """
-        deadline = None if timeout is None else self._now + timeout
+        deadline = _NO_DEADLINE if timeout is None else self._now + timeout
+        run_due = self._run_due
         self._pump_depth += 1
         self.max_pump_depth_seen = max(self.max_pump_depth_seen, self._pump_depth)
         try:
             while True:
                 if predicate():
                     return True
-                head_time = self._peek_time()
-                if head_time is None:
-                    if deadline is not None:
-                        self._now = max(self._now, deadline)
-                        return False
-                    raise DeadlockError(
-                        f"pump_until({what or 'predicate'}): event queue empty "
-                        "and predicate false — nothing can unblock this call"
-                    )
-                if deadline is not None and head_time > deadline:
-                    # Leave it in place: it belongs to whoever pumps next.
-                    self._now = deadline
-                    return False
-                self._run(self._wheel.pop())
+                if not run_due(deadline):
+                    break
         finally:
             self._pump_depth -= 1
+        if timeout is None:
+            raise DeadlockError(
+                f"pump_until({what or 'predicate'}): event queue empty "
+                "and predicate false — nothing can unblock this call"
+            )
+        # Nothing (left) is due by the deadline; a later head stays in
+        # place — it belongs to whoever pumps next.
+        self._now = max(self._now, deadline)
+        return False
 
     def wait(self, duration: float) -> None:
         """Blockingly let ``duration`` virtual seconds elapse, running any

@@ -33,35 +33,31 @@ class Sniffer:
         self.frames: List[SniffedFrame] = []
         self._keep = keep
         self._network: Optional[Network] = None
-        self._original_transmit = None
 
     def attach(self, network: Network) -> "Sniffer":
-        """Start recording frames transmitted on a network."""
+        """Start recording frames delivered on a network."""
         if self._network is not None:
             raise RuntimeError("sniffer already attached")
         self._network = network
-        self._original_transmit = network.transmit
-        sniffer = self
-
-        def tapped(datagram: Datagram, size: Optional[int] = None):
-            if sniffer._keep is None or sniffer._keep(datagram):
-                sniffer.frames.append(SniffedFrame(
-                    time=network.scheduler.now,
-                    network=datagram.network,
-                    src_host=datagram.src_host,
-                    dst_host=datagram.dst_host,
-                    protocol=datagram.protocol,
-                    payload=datagram.payload,
-                ))
-            sniffer._original_transmit(datagram, size=size)
-
-        network.transmit = tapped
+        network.trace_hooks.append(self._tap)
         return self
 
+    def _tap(self, datagram: Datagram, size: int, dropped: bool) -> None:
+        if dropped or (self._keep is not None and not self._keep(datagram)):
+            return
+        self.frames.append(SniffedFrame(
+            time=self._network.scheduler.now,
+            network=datagram.network,
+            src_host=datagram.src_host,
+            dst_host=datagram.dst_host,
+            protocol=datagram.protocol,
+            payload=datagram.payload,
+        ))
+
     def detach(self) -> None:
-        """Stop recording and restore the network's transmit path."""
+        """Stop recording."""
         if self._network is not None:
-            self._network.transmit = self._original_transmit
+            self._network.trace_hooks.remove(self._tap)
             self._network = None
 
     # -- queries ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The shared event core: a hierarchical timer wheel with run queues.
+"""The shared event core: a hierarchical timer wheel.
 
 Both clocks of the reproduction drive their events through this module:
 the virtual-time :class:`~repro.netsim.scheduler.Scheduler` and the
@@ -33,13 +33,6 @@ The wheel routes events into coarse buckets keyed on quantized time
 order, and sequence numbers are allocated by the driver in call order.
 Wire goldens and chaos replays cannot observe the data structure.
 
-Run queues (:class:`RunQueue`) give each nucleus/machine a local FIFO
-for ``call_soon``-grade work: a post is a ``deque.append``, and only
-the queue's *head* ``(time, seq)`` is registered with the wheel, so a
-mostly-idle population registers nothing and is never visited.  FIFO
-entries are drained in global ``(time, seq)`` order against the timer
-tiers, preserving the total order exactly.
-
 Cancellation is accounted eagerly: :meth:`Event.cancel` moves the
 event from the live count to the cancelled count in O(1) (so
 ``pending()`` is O(1)), and the wheel compacts — rewrites itself
@@ -52,9 +45,8 @@ determinism contract and the cancellation accounting.
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 
 class Event:
@@ -94,9 +86,9 @@ class Event:
 class EventPool:
     """Free list for *unhandled* events.
 
-    Only events the caller never receives a handle to (``post`` /
-    ``RunQueue.post``) may be pooled: with no outstanding reference
-    there is no way to cancel a recycled object by mistake.  Events
+    Only events the caller never receives a handle to (``post``) may
+    be pooled: with no outstanding reference there is no way to cancel
+    a recycled object by mistake.  Events
     returned from ``schedule`` are allocated fresh and never reused.
     """
 
@@ -138,37 +130,8 @@ def _noop() -> None:
     pass
 
 
-class RunQueue:
-    """A per-nucleus (or per-machine) FIFO of immediate work.
-
-    ``post`` is the run-queue flavour of ``call_soon``: the callback is
-    stamped with the current time and the next global sequence number,
-    appended locally, and only the queue *head* is registered on the
-    wheel.  Entries cannot be cancelled — no handle is returned — which
-    is what lets them ride the event pool.
-    """
-
-    __slots__ = ("name", "_scheduler", "_fifo")
-
-    def __init__(self, scheduler, name: str):
-        self.name = name
-        self._scheduler = scheduler
-        self._fifo: Deque[Event] = deque()
-
-    def post(self, callback: Callable[[], None], note: str = "") -> None:
-        """Run ``callback`` at the current time, after already-queued
-        work (exact ``call_soon`` semantics, no handle)."""
-        self._scheduler._post_queued(self, callback, note)
-
-    def __len__(self) -> int:
-        return len(self._fifo)
-
-    def __repr__(self) -> str:
-        return f"RunQueue({self.name!r}, depth={len(self._fifo)})"
-
-
 class TimerWheel:
-    """The storage engine: timer tiers plus registered run-queue heads.
+    """The storage engine: three timer tiers.
 
     The wheel never invokes callbacks and never reads a clock — it is a
     pure priority structure over ``(time, seq)`` with O(1) live/
@@ -177,7 +140,7 @@ class TimerWheel:
     """
 
     __slots__ = ("quantum", "nslots", "_buckets", "_occupied", "_ready",
-                 "_overflow", "_qheads", "_cursor", "_live", "_cancelled",
+                 "_overflow", "_cursor", "_live", "_cancelled",
                  "compactions", "compact_threshold")
 
     def __init__(self, quantum: float = 0.005, slots: int = 512,
@@ -192,7 +155,6 @@ class TimerWheel:
         self._occupied: List[int] = []      # heap of absolute slot numbers
         self._ready: List[Tuple[float, int, Event]] = []
         self._overflow: List[Tuple[float, int, Event]] = []
-        self._qheads: List[Tuple[float, int, RunQueue]] = []
         self._cursor = 0
         self._live = 0
         self._cancelled = 0
@@ -203,7 +165,7 @@ class TimerWheel:
 
     @property
     def live(self) -> int:
-        """Not-yet-cancelled events held (timers + run-queue entries)."""
+        """Not-yet-cancelled events held."""
         return self._live
 
     @property
@@ -254,76 +216,35 @@ class TimerWheel:
         else:
             heappush(self._overflow, entry)
 
-    def queue_push(self, queue: RunQueue, event: Event) -> None:
-        """Append to a run queue; register its head if it was idle."""
-        event._wheel = self
-        self._live += 1
-        fifo = queue._fifo
-        fifo.append(event)
-        if len(fifo) == 1:
-            heappush(self._qheads, (event.time, event.seq, queue))
-
     # -- consumption --------------------------------------------------------
 
     def peek(self) -> Optional[Event]:
         """The earliest live event, or None.  Does not remove it."""
-        # Fast path: a live entry at the front of _ready that beats any
-        # registered run-queue head.  (time, seq) pairs are unique, so
-        # entry tuples compare without reaching their third elements.
-        ready = self._ready
-        if ready:
-            entry = ready[0]
-            event = entry[2]
-            if not event.cancelled:
-                qheads = self._qheads
-                if not qheads or entry < qheads[0]:
-                    return event
-        timer = self._timer_head()
-        qhead = self._qheads[0] if self._qheads else None
-        if timer is None:
-            return qhead[2]._fifo[0] if qhead is not None else None
-        # (time, seq) pairs are unique, so the tuples never compare
-        # their third elements.
-        if qhead is None or timer < qhead:
-            return timer[2]
-        return qhead[2]._fifo[0]
+        entry = self._timer_head()
+        return None if entry is None else entry[2]
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest live event, or None."""
+    def pop_due(self, deadline: float) -> Optional[Event]:
+        """The fused consume step: remove and return the earliest live
+        event if its time is at or before ``deadline``.  None means
+        nothing is due: the wheel is empty, or its head is later and
+        stays put.  An infinite deadline is a plain pop."""
         ready = self._ready
-        if ready:
-            entry = ready[0]
-            event = entry[2]
-            if not event.cancelled:
-                qheads = self._qheads
-                if not qheads or entry < qheads[0]:
-                    heappop(ready)
-                    self._live -= 1
-                    event._wheel = None
-                    return event
-        return self._pop_slow()
-
-    def _pop_slow(self) -> Optional[Event]:
-        timer = self._timer_head()
-        qhead = self._qheads[0] if self._qheads else None
-        if timer is None and qhead is None:
-            return None
-        if qhead is None or (timer is not None and timer < qhead):
-            heappop(self._ready)
-            event = timer[2]
+        if ready and not ready[0][2].cancelled:
+            entry = ready[0]    # fast path: a live head already in _ready
         else:
-            heappop(self._qheads)
-            queue = qhead[2]
-            event = queue._fifo.popleft()
-            if queue._fifo:
-                head = queue._fifo[0]
-                heappush(self._qheads, (head.time, head.seq, queue))
+            entry = self._timer_head()
+            if entry is None:
+                return None
+        if entry[0] > deadline:
+            return None
+        heappop(self._ready)    # _timer_head may have rebound the list
+        event = entry[2]
         self._live -= 1
         event._wheel = None
         return event
 
     def _timer_head(self) -> Optional[Tuple[float, int, Event]]:
-        """Earliest live *timer* entry (left in ``_ready``), or None."""
+        """Earliest live entry (left in ``_ready``), or None."""
         while True:
             ready = self._ready    # _refill may rebind the list
             while ready and ready[0][2].cancelled:

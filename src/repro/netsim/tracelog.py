@@ -1,6 +1,6 @@
 """Wire trace logging: JSONL event traces for conformance checking.
 
-A :class:`NetTraceLog` taps one or more networks' ``trace_hook`` and
+A :class:`NetTraceLog` taps one or more networks' ``trace_hooks`` and
 records every transmitted frame — including dropped ones — as one JSON
 object per line, in the chaos schedule's event shape
 (``{"at", "op", "target", "args"}``, see :mod:`repro.netsim.chaos`).
@@ -41,24 +41,24 @@ class NetTraceLog:
 
     def __init__(self) -> None:
         self.events: List[dict] = []
-        self._networks: List[Network] = []
+        self._taps: List[tuple] = []
 
     def attach(self, network: Network) -> "NetTraceLog":
-        """Start recording a network's frames (chainable; a network's
-        previous hook, if any, is replaced)."""
+        """Start recording a network's frames (chainable; other taps
+        on the network keep running)."""
         def hook(datagram: Datagram, size: int, dropped: bool,
                  network: Network = network) -> None:
             self._record(network, datagram, size, dropped)
 
-        network.trace_hook = hook
-        self._networks.append(network)
+        network.trace_hooks.append(hook)
+        self._taps.append((network, hook))
         return self
 
     def detach(self) -> None:
         """Stop recording on every attached network."""
-        for network in self._networks:
-            network.trace_hook = None
-        self._networks.clear()
+        for network, hook in self._taps:
+            network.trace_hooks.remove(hook)
+        self._taps.clear()
 
     def _record(self, network: Network, datagram: Datagram,
                 size: int, dropped: bool) -> None:

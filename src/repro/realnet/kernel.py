@@ -22,7 +22,7 @@ import time
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
-from repro.netsim.timerwheel import Event, RunQueue, TimerWheel
+from repro.netsim.timerwheel import Event, TimerWheel
 
 
 class RealtimeKernel:
@@ -83,24 +83,13 @@ class RealtimeKernel:
         """Run a callback on the next pump iteration."""
         return self.schedule(0.0, callback, note)
 
-    def run_queue(self, name: str) -> RunQueue:
-        """A named local FIFO, as on the simulation scheduler.  Posted
-        work runs on the next pump iteration in global order."""
-        return RunQueue(self, name)
-
-    def _post_queued(self, queue: RunQueue, callback: Callable[[], None],
-                     note: str) -> None:
-        self._seq += 1
-        self._wheel.queue_push(queue, Event(self.now, self._seq, callback, note))
-
     def _run_due_timers(self) -> int:
         ran = 0
         now = self.now
         while True:
-            timer = self._wheel.peek()
-            if timer is None or timer.time > now:
+            timer = self._wheel.pop_due(now)
+            if timer is None:
                 break
-            self._wheel.pop()
             self.events_processed += 1
             timer.callback()
             ran += 1

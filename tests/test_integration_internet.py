@@ -57,6 +57,53 @@ def test_no_inter_gateway_control_plane():
         assert gw.inter_gateway_control_messages == 0
 
 
+# E5 — what establishing one conversation across k gateways costs,
+# pinned layer by layer.  The ND-Layer message count is the paper-level
+# invariant (Sec. 4.2: each hop is an ordinary LVC set up by its two
+# ends, so the cost grows with the hops and nothing else).  The
+# datagram count is the same establishment seen from the wire — every
+# ND message twice (sim-TCP DATA + ACK) plus a SYN/SYNACK pair per new
+# connection — a *substrate* pin that substrate work may move, once,
+# with old -> new recorded in CHANGES.md.
+E5_ND_MESSAGES = {0: 6, 1: 28, 2: 54, 3: 88, 4: 130}
+E5_SUBSTRATE_DATAGRAMS = {0: 14, 1: 64, 2: 124, 3: 202, 4: 298}
+
+
+def _establish(hops):
+    """First call across ``hops`` gateways; returns the bed and what
+    the call cost in (ND-Layer messages, netsim datagrams)."""
+    bed = chain_nets(hops)
+    echo_server(bed, "far.echo", "mEnd")
+    client = bed.module("client", "m0")
+    uadd = client.ali.locate("far.echo")
+    nuclei = [commod.nucleus for commod in bed.modules.values()]
+    nuclei.append(bed.name_server_instance.nucleus)
+    for gateway in bed.gateways.values():
+        nuclei.extend(gateway.stacks.values())
+
+    def cost():
+        return (sum(n.counters["nd_messages_sent"] for n in nuclei),
+                sum(net.frames_sent for net in bed.networks.values()))
+
+    before = cost()
+    client.ali.call(uadd, "echo", {"n": 0, "text": "establish"})
+    return bed, tuple(b - a for a, b in zip(before, cost()))
+
+
+@pytest.mark.parametrize("hops", sorted(E5_ND_MESSAGES))
+def test_e5_establishment_nd_messages(hops):
+    bed, (nd_messages, _) = _establish(hops)
+    assert nd_messages == E5_ND_MESSAGES[hops]
+    assert all(gw.inter_gateway_control_messages == 0
+               for gw in bed.gateways.values())
+
+
+@pytest.mark.parametrize("hops", sorted(E5_SUBSTRATE_DATAGRAMS))
+def test_e5_establishment_substrate_datagrams(hops):
+    _, (_, datagrams) = _establish(hops)
+    assert datagrams == E5_SUBSTRATE_DATAGRAMS[hops]
+
+
 def test_end_to_end_machine_type_across_gateway():
     """Conversion mode must reflect the *end-to-end* pair, not the
     gateway hops: VAX client → (Apollo gateway) → Apollo server must

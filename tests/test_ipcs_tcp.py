@@ -2,6 +2,7 @@
 
 import pytest
 
+from deployments import chain_nets, echo_server
 from repro.errors import AddressInUse, ChannelClosed, ConnectionRefused, NetworkUnreachable
 from repro.ipcs import SimTcpIpcs
 from repro.machine import SimProcess
@@ -218,3 +219,119 @@ def test_bytes_accounting(sched, pair):
     sched.run_until_idle()
     assert channel.bytes_sent == 5
     assert accepted[0].bytes_received == 5
+
+
+# ---------------------------------------------------------------------------
+# Where a stream chunk is born: the tail of the arrival train
+# (PROTOCOL.md §13)
+# ---------------------------------------------------------------------------
+
+def _two_connections(client_proc, client_ipcs, listener):
+    """Two established connections to one listener, with every chunk
+    the server side receives logged as (connection tag, bytes)."""
+    accepted, chunks = [], []
+    listener.on_accept = accepted.append
+    conn_a = client_ipcs.connect(client_proc, listener.address_blob())
+    conn_b = client_ipcs.connect(client_proc, listener.address_blob())
+    for tag, channel in zip("AB", accepted):
+        channel.set_receive_handler(
+            lambda data, tag=tag: chunks.append((tag, data)))
+    return conn_a, conn_b, accepted, chunks
+
+
+def _stranded(ipcs):
+    return [conn for conn in ipcs._conns.values() if conn.rx_pending]
+
+
+def test_interleaved_connections_get_one_chunk_each(sched, ether, pair, sun1):
+    client_proc, client_ipcs, _, listener = pair
+    conn_a, conn_b, _, chunks = _two_connections(
+        client_proc, client_ipcs, listener)
+    trains_before = ether.trains_coalesced
+    events_before = sched.events_processed
+    conn_a.send(b"a1")
+    conn_b.send(b"b1")
+    conn_a.send(b"a2")
+    conn_b.send(b"b2")
+    sched.run_until_idle()
+    # One arrival train carried all four segments (and one carried the
+    # four acknowledgements back): two scheduler events in all, and
+    # each connection's bytes came up as one chunk, first arrival first.
+    assert chunks == [("A", b"a1a2"), ("B", b"b1b2")]
+    assert ether.trains_coalesced - trains_before == 2
+    assert sched.events_processed - events_before == 2
+    assert not _stranded(sun1.ipcs_for("ether0", "tcp"))
+
+
+def test_interface_down_mid_train_strands_no_bytes(sched, ether, pair, sun1):
+    """The train is DATA(A) CLOSE(B) DATA(A); B's close handler takes
+    the interface down, so the tail segment is lost.  What arrived
+    before still goes up when the train ends, nothing waits in
+    ``rx_pending`` for a flush that will never come, and the lost tail
+    arrives by retransmission once the interface is back."""
+    client_proc, client_ipcs, _, listener = pair
+    conn_a, conn_b, accepted, chunks = _two_connections(
+        client_proc, client_ipcs, listener)
+    server_ipcs = sun1.ipcs_for("ether0", "tcp")
+    iface = sun1.interface("ether0")
+    accepted[1].set_close_handler(lambda reason: setattr(iface, "up", False))
+    conn_a.send(b"one")
+    conn_b.close()
+    conn_a.send(b"two")
+    sched.run_for(0.003)
+    assert not iface.up
+    assert chunks == [("A", b"one")]
+    assert not _stranded(server_ipcs)
+    iface.up = True
+    sched.run_until_idle()
+    assert chunks == [("A", b"one"), ("A", b"two")]
+    assert client_ipcs.segments_retransmitted >= 1
+    assert not _stranded(server_ipcs)
+
+
+def test_blocking_chunk_upcall_keeps_stream_order(sched, ether, pair, sun1):
+    """A's handler blocks inside the first train's chunk upcall while a
+    second train arrives.  B's bytes from both trains surface in the
+    nested train end, as one chunk in stream order; A's second chunk
+    follows its first."""
+    client_proc, client_ipcs, _, listener = pair
+    conn_a, conn_b, accepted, chunks = _two_connections(
+        client_proc, client_ipcs, listener)
+
+    def slow(data):
+        chunks.append(("A", data))
+        if data == b"a1":
+            sched.pump_until(lambda: False, timeout=0.005, what="slow handler")
+            chunks.append(("A", b"<unblocked>"))
+
+    accepted[0].set_receive_handler(slow)
+    conn_a.send(b"a1")
+    conn_b.send(b"b1")
+    sched.run_for(0.0002)  # less than the wire latency
+    conn_a.send(b"a2")
+    conn_b.send(b"b2")
+    sched.run_until_idle()
+    assert chunks == [("A", b"a1"), ("B", b"b1b2"), ("A", b"a2"),
+                      ("A", b"<unblocked>")]
+    assert not _stranded(sun1.ipcs_for("ether0", "tcp"))
+
+
+def test_warm_echo_over_three_gateways_exact_substrate_cost():
+    """One warm ALI echo across the 3-gateway chain, calls back to back:
+    8 frame-hops, each a DATA segment and its ACK — 16 datagrams in 14
+    delivery events (the server's ACK shares a train with its reply,
+    the client's with its next request), no event of any other kind,
+    8 one-way latencies."""
+    bed = chain_nets(3)
+    echo_server(bed, "dest", "mEnd")
+    client = bed.module("client", "m0")
+    uadd = client.ali.locate("dest")
+    for n in range(2):
+        client.ali.call(uadd, "echo", {"n": n, "text": "warm"})
+    frames = sum(net.frames_sent for net in bed.networks.values())
+    events = bed.scheduler.events_processed
+    started = bed.now
+    client.ali.call(uadd, "echo", {"n": 2, "text": "x"})
+    assert sum(n.frames_sent for n in bed.networks.values()) - frames == 16
+    assert bed.scheduler.events_processed - events == 14
+    assert bed.now - started == pytest.approx(0.008)

@@ -40,6 +40,31 @@ def test_sniffer_filter(bed):
     assert all(f.payload[0] == "SYN" for f in sniffer.frames)
 
 
+def test_dropped_frames_are_not_recorded(bed):
+    """The sniffer sees what was *delivered*: a frame the fault plan
+    drops is not on its tape, while the wire trace — a second tap on
+    the same network — still shows it, marked dropped."""
+    ether = bed.networks["ether0"]
+    log = bed.record_wire_trace()
+    sniffer = Sniffer().attach(ether)
+    echo_server(bed, "dest", "sun1")
+    client = bed.module("client", "vax1")
+    uadd = client.ali.locate("dest")
+    client.ali.call(uadd, "echo", {"n": 1, "text": "x"})
+    sniffer.clear()
+    log.clear()
+    sent_before = ether.frames_sent
+    ether.faults.drop_next(2)
+    client.ali.call(uadd, "echo", {"n": 2, "text": "y"})
+    bed.settle()
+    sent = ether.frames_sent - sent_before
+    assert len(log) == sent
+    assert sum(event["args"]["dropped"] for event in log.events) == 2
+    assert len(sniffer) == sent - 2
+    sniffer.detach()
+    assert len(ether.trace_hooks) == 1  # the wire trace is still attached
+
+
 def test_double_attach_rejected(bed):
     sniffer = Sniffer().attach(bed.networks["ether0"])
     with pytest.raises(RuntimeError):

@@ -205,7 +205,8 @@ def test_pragma_waives_a_finding():
 
 
 # ---------------------------------------------------------------------------
-# Performance (PERF001) — no per-frame events above the wire (§13)
+# Performance (PERF001/PERF002) — no per-frame events above the wire
+# (§13), no per-datagram note formatting below it
 # ---------------------------------------------------------------------------
 
 def test_perf_rule_fires_on_per_frame_post_loops():
@@ -233,6 +234,25 @@ def test_live_hot_paths_satisfy_perf001():
         findings = [f for f in analyze([SRC_TREE / rel])
                     if f.rule == "PERF001"]
         assert findings == [], rel
+
+
+def test_perf_rule_fires_on_formatted_event_notes():
+    # The fixture's module name is repro.ipcs.bad_notes — a substrate
+    # module — so an f-string, %-format or .format() note fires
+    # (PERF002); constant notes and note-less posts past line 16 do not.
+    findings = fixture_findings("ipcs/bad_notes")
+    assert rule_lines(findings) == [
+        ("PERF002", 11), ("PERF002", 13), ("PERF002", 14)]
+    assert "constant" in findings[0].message
+    others = [f for f in fixture_findings() if f.rule == "PERF002"
+              and "ipcs/bad_notes" not in f.path]
+    assert others == []
+
+
+def test_live_substrate_satisfies_perf002():
+    findings = [f for f in analyze([SRC_TREE / "netsim", SRC_TREE / "ipcs"])
+                if f.rule == "PERF002"]
+    assert findings == []
 
 
 # ---------------------------------------------------------------------------

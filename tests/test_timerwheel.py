@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim import Scheduler
-from repro.netsim.timerwheel import Event, RunQueue, TimerWheel
+from repro.netsim.timerwheel import Event, TimerWheel
 
 
 QUANTUM = 0.005
@@ -163,47 +163,6 @@ def test_cancelled_head_is_skipped_without_running():
 
 
 # ---------------------------------------------------------------------------
-# Run queues
-# ---------------------------------------------------------------------------
-
-def test_run_queue_posts_interleave_with_timers_in_global_order():
-    sched = make_sched()
-    order = []
-    q = sched.run_queue("nucleus-a")
-    sched.schedule(0.0, lambda: order.append("timer-first"))
-    q.post(lambda: order.append("queued-1"))
-    sched.schedule(0.0, lambda: order.append("timer-last"))
-    q.post(lambda: order.append("queued-2"))
-    sched.run_until_idle()
-    # All at t=0: global (time, seq) order is exactly issue order.
-    assert order == ["timer-first", "queued-1", "timer-last", "queued-2"]
-
-
-def test_idle_run_queues_register_nothing():
-    sched = make_sched()
-    queues = [sched.run_queue(f"idle-{i}") for i in range(100)]
-    assert sched.pending() == 0
-    queues[7].post(lambda: None)
-    assert sched.pending() == 1
-    sched.run_until_idle()
-    assert all(len(q) == 0 for q in queues)
-
-
-def test_run_queue_post_from_drained_callback_requeues_head():
-    sched = make_sched()
-    order = []
-    q = sched.run_queue("self-posting")
-
-    def first():
-        order.append("first")
-        q.post(lambda: order.append("second"))
-
-    q.post(first)
-    sched.run_until_idle()
-    assert order == ["first", "second"]
-
-
-# ---------------------------------------------------------------------------
 # Property: wheel order == heap order
 # ---------------------------------------------------------------------------
 
@@ -213,8 +172,7 @@ def test_run_queue_post_from_drained_callback_requeues_head():
         st.tuples(
             st.floats(min_value=0.0, max_value=30.0,
                       allow_nan=False, allow_infinity=False),
-            st.sampled_from(["schedule", "post", "queue0", "queue1",
-                             "cancel-last"]),
+            st.sampled_from(["schedule", "post", "cancel-last"]),
         ),
         min_size=1, max_size=60,
     ),
@@ -225,7 +183,6 @@ def test_wheel_execution_order_matches_total_order(ops, slots):
     sorted ``(time, seq)`` order of the surviving events — the order
     the pre-wheel single heap produced."""
     sched = Scheduler(quantum=0.003, wheel_slots=slots)
-    queues = {name: sched.run_queue(name) for name in ("queue0", "queue1")}
     executed = []
     expected = []   # (time, seq) of every event that must run
     seq = [0]
@@ -244,10 +201,6 @@ def test_wheel_execution_order_matches_total_order(ops, slots):
         elif kind == "post":
             sched.post(delay, lambda s=seq_no, t=delay: emit(t, s))
             expected.append((delay, seq_no))
-        elif kind in queues:
-            # Run-queue posts ignore the delay: they land at now (=0).
-            queues[kind].post(lambda s=seq_no: emit(0.0, s))
-            expected.append((0.0, seq_no))
         elif kind == "cancel-last":
             seq[0] -= 1   # no event issued
             if last_handle[0] is not None:
@@ -272,10 +225,29 @@ def test_raw_wheel_pop_sequence_is_sorted(times):
         wheel.push(Event(t, i + 1, lambda: None, ""))
     popped = []
     while True:
-        event = wheel.pop()
+        event = wheel.pop_due(float("inf"))
         if event is None:
             break
         popped.append((event.time, event.seq))
     assert popped == sorted(popped)
     assert len(popped) == len(times)
     assert wheel.live == 0
+
+
+def test_pop_due_leaves_a_later_head_in_place():
+    """The fused consume step: the head comes off only if it is due by
+    the deadline; a cancelled head is skipped to the live one behind
+    it; ``live`` distinguishes "head is later" from "empty"."""
+    wheel = TimerWheel(quantum=0.01, slots=16)
+    corpse = Event(0.5, 1, lambda: None, "")
+    first = Event(1.0, 2, lambda: None, "")
+    second = Event(2.5, 3, lambda: None, "")    # beyond the wheel window
+    for event in (second, corpse, first):
+        wheel.push(event)
+    corpse.cancel()
+    assert wheel.pop_due(0.75) is None and wheel.live == 2
+    assert wheel.pop_due(1.0) is first          # due exactly at the deadline
+    assert wheel.pop_due(2.0) is None and wheel.live == 1
+    assert wheel.peek() is second
+    assert wheel.pop_due(2.5) is second
+    assert wheel.pop_due(float("inf")) is None and wheel.live == 0

@@ -4,10 +4,10 @@ events the data plane pays, and nothing else.
 
 Three layers of evidence:
 
-* exact-pin ablation — ``train_max=1`` reproduces the pre-train
-  per-frame event schedule event-for-event, and the default window
-  keeps every wire frame count and application answer while strictly
-  shrinking the event count;
+* exact-pin ablation — ``train_max=1`` is one delivery event per
+  frame, pinned exactly, and the default window keeps every wire frame
+  count and application answer while strictly shrinking the event
+  count;
 * a property — delivered message sequences are identical for
   ``train_max=1`` and every wider coalescing window under random
   *deterministic* chaos schedules (gateway crash/restart, drop_next)
@@ -31,13 +31,15 @@ from repro.errors import SendWouldBlock
 from repro.netsim import ChaosSchedule
 from repro.ntcs.nucleus import NucleusConfig
 
-# The per-frame event schedule pinned before trains existed: total
-# scheduler events and per-network wire frames for the 20-call echo
-# workloads below.  ``train_max=1`` must reproduce these exactly; a
-# wider window must keep the frames and shrink the events.
-SINGLE_NET_OFF_EVENTS = 168
+# The per-frame schedule: total scheduler events and per-network wire
+# frames for the 20-call echo workloads below.  ``train_max=1`` must
+# reproduce these exactly; a wider window must keep the frames and
+# shrink the events.  The frame counts date from before trains existed;
+# the event counts moved once, 168 -> 114 and 338 -> 268, when a TCP
+# stream chunk stopped costing a scheduler event of its own (PR 16).
+SINGLE_NET_OFF_EVENTS = 114
 SINGLE_NET_FRAMES = 114
-TWO_NETS_OFF_EVENTS = 338
+TWO_NETS_OFF_EVENTS = 268
 TWO_NETS_ETHER_FRAMES = 150
 TWO_NETS_RING_FRAMES = 118
 
@@ -64,7 +66,7 @@ def _coalesced(bed):
 
 
 # ---------------------------------------------------------------------------
-# Exact-pin ablation: train_max=1 == the pre-train schedule
+# Exact-pin ablation: train_max=1 == one delivery event per frame
 # ---------------------------------------------------------------------------
 
 def test_ablation_single_net_reproduces_per_frame_schedule():
