@@ -104,9 +104,7 @@ class AliLayer:
         # Best effort.  Kill hooks run before the process's channels
         # are closed (PROTOCOL.md §10), so the datagram rides a circuit
         # that still exists instead of opening one from a dying module.
-        self.nucleus.lcm.datagram(
-            self.commod.nsp.ns_uadd, "ns_deregister", {"uadd": self.uadd.value},
-        )
+        self.commod.nsp.deregister_on_death(self.uadd)
 
     def locate(self, name: str) -> Address:
         """Map a logical name to a UAdd.  The UAdd stays valid across

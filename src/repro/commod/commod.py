@@ -33,7 +33,6 @@ class ComMod:
         wellknown: WellKnownTable,
         network: Optional[str] = None,
         config: Optional[NucleusConfig] = None,
-        nsp_factory=None,
     ):
         self.process = process
         network = network or process.machine.networks[0]
@@ -42,14 +41,11 @@ class ComMod:
         # The module's communication resource exists from bind time so
         # registration can publish its blob.
         self.nucleus.nd.create_resource()
-        # The NSP-Layer isolates the naming-service implementation: a
-        # different factory (e.g. the replicated service) swaps it with
-        # "no direct impact on the NTCS" (Sec. 2.4).
-        if nsp_factory is not None:
-            self.nsp = nsp_factory(self.nucleus)
-        else:
-            self.nsp = NspLayer(self.nucleus)
-        self.nucleus.nsp = self.nsp
+        # The NSP-Layer isolates the naming-service implementation:
+        # one server or a fleet is a directory it reads from the
+        # well-known table, with "no direct impact on the NTCS"
+        # (Sec. 2.4).
+        self.nsp = self.nucleus.nsp = NspLayer(self.nucleus)
         self.ali = AliLayer(self)
 
     @property

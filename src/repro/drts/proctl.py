@@ -82,8 +82,7 @@ class ProcessController:
         machine = testbed.machines[target_machine]
         process = SimProcess(machine, module_name)
         new = ComMod(process, testbed.registry, testbed.wellknown,
-                     network=network, config=replace(old.nucleus.config),
-                     nsp_factory=testbed.nsp_factory)
+                     network=network, config=replace(old.nucleus.config))
         if rebuild is not None:
             rebuild(old, new)
         # Registration under the same name supersedes the old entry —

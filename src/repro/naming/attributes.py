@@ -137,12 +137,16 @@ class AttributeNameDatabase(NameDatabase):
             raise ModuleStillAlive(f"{old_uadd} ({record.name!r}) is still active")
         try:
             return super().lookup_forwarding(old_uadd)
-        except NoForwardingAddress:  # ntcslint: allow=EXC002 — fallthrough to attribute-similarity fallback below
-            pass
+        except NoForwardingAddress:
+            return self._most_similar(record)
+
+    def _most_similar(self, record: NameRecord) -> NameRecord:
+        """The active record whose attributes best match ``record``'s
+        (newest wins a tie); NoForwardingAddress below the threshold."""
         best: Optional[NameRecord] = None
         best_score = self.SIMILARITY_THRESHOLD
         for candidate in self.all_records():
-            if not candidate.alive or candidate.uadd == old_uadd:
+            if not candidate.alive or candidate.uadd == record.uadd:
                 continue
             if not self.is_active(candidate):
                 continue
@@ -154,6 +158,6 @@ class AttributeNameDatabase(NameDatabase):
                     best_score = max(best_score, score)
         if best is None:
             raise NoForwardingAddress(
-                f"no same-name or attribute-similar replacement for {old_uadd}"
+                f"no same-name or attribute-similar replacement for {record.uadd}"
             )
         return best

@@ -36,7 +36,7 @@ class NameDatabase:
     Args:
         server_id: prepended to generated UAdds, "in a distributed
             implementation, a unique Name Server identifier would be
-            appended" (Sec. 3.2) — used by :mod:`repro.naming.replicated`.
+            appended" (Sec. 3.2) — one id per member of a naming fleet.
         clock: source of registration timestamps.
     """
 

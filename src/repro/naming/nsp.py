@@ -6,11 +6,15 @@ naming service implementation."
 
 Everything here is a thin client over ordinary Nucleus communication —
 "the NSP-layers talk across multiple networks in the identical manner
-as application modules do" (Sec. 3.1).  Swapping the implementation
-(single server → replicated) only changes which class the ComMod
-constructs; callers see the same methods.
+as application modules do" (Sec. 3.1).  The service behind it may be
+one server, a replicated group or a sharded fleet (Sec. 7, PROTOCOL.md
+§14): that is the *directory* the layer reads from the well-known
+table when it is built, never a different class.  Every
+request takes one path: route to the owning shard, fail over inside
+its replica group, follow a bounded number of ``ns_shard_redirect``
+hops and fold newly learned shards into the ring.
 
-The control-plane fast path (PROTOCOL.md §9) lives here:
+The control-plane fast path (PROTOCOL.md §9) lives here too:
 
 * a generation-stamped :class:`~repro.naming.cache.ResolutionCache`
   answers repeated resolutions without a round trip,
@@ -21,7 +25,10 @@ The control-plane fast path (PROTOCOL.md §9) lives here:
   round trip, priming the cache with the returned records.
 
 All three are disabled by ``NucleusConfig.nsp_cache_enabled = False``,
-which reproduces the uncached control plane message-for-message.
+which reproduces the uncached control plane message-for-message — and
+whenever the directory holds more than one server: generation stamps
+of different servers are not comparable (each database counts its own
+writes), and a coalesced call bypasses the failover loop.
 """
 
 from __future__ import annotations
@@ -32,16 +39,19 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import (
     DestinationUnavailable,
     ModuleStillAlive,
+    NameServerUnreachable,
     NoForwardingAddress,
     NoSuchAddress,
     NoSuchName,
     NtcsError,
     ProtocolError,
+    ReplyTimeout,
 )
 from repro.naming import protocol as p
 from repro.naming.cache import ResolutionCache
 from repro.naming.protocol import NameRecord
-from repro.ntcs.address import Address
+from repro.naming.shards import HashRing, ShardEntry, load_name_servers
+from repro.ntcs.address import Address, SERVER_ID_SHIFT
 from repro.ntcs.lcm import CallHandle, IncomingMessage
 from repro.ntcs.message import FLAG_INTERNAL
 
@@ -54,17 +64,38 @@ class _Flight:
 
 
 class NspLayer:
-    """Client stub for the single-Name-Server implementation."""
+    """Client stub for the naming service, whatever its shape.
+
+    The fleet — {shard id: [(uadd, listen blob, machine type name)]} —
+    is read from the deployment's well-known table when the module is
+    initialized (Sec. 3.4); with none published that is the one
+    conventional Name Server.
+    """
 
     LAYER = "NSP"
+    _MAX_HOPS = 4
 
-    def __init__(self, nucleus, ns_uadd: Optional[Address] = None):
+    def __init__(self, nucleus):
         self.nucleus = nucleus
-        self.ns_uadd = ns_uadd or nucleus.wellknown.ns_uadd
+        self._directory: Dict[int, List[ShardEntry]] = {
+            sid: list(entries)
+            for sid, entries in nucleus.wellknown.name_servers().items()
+        }
+        self._anchor = min(self._directory)
+        self.ns_uadd = self._directory[self._anchor][0][0]
+        self._minted = load_name_servers(nucleus, self._directory)
+        self._ring = (HashRing(self._directory)
+                      if len(self._directory) > 1 else None)
+        # Per shard, the replica that answered last.
+        self._current: Dict[int, int] = {}
+        self.failovers = 0
+        # The §9 fast path needs one authority to stamp generations:
+        # it is on exactly when the directory holds one server.
         config = nucleus.config
+        servers = sum(len(entries) for entries in self._directory.values())
         self.cache: Optional[ResolutionCache] = None
-        self._coalesce = bool(config.nsp_cache_enabled)
-        if config.nsp_cache_enabled:
+        self._coalesce = bool(config.nsp_cache_enabled) and servers == 1
+        if self._coalesce:
             scheduler = nucleus.scheduler
             self.cache = ResolutionCache(
                 clock=lambda: scheduler.now,
@@ -73,17 +104,95 @@ class NspLayer:
             )
         self._flights: Dict[tuple, _Flight] = {}
 
-    # -- transport ------------------------------------------------------------
+    # -- transport: route, fail over, follow redirects ----------------------------
 
-    def _call(self, type_name: str, values: dict, reason: str,
-              timeout: Optional[float] = None) -> IncomingMessage:
+    def _route(self, type_name: str, values: dict) -> int:
+        if self._ring is not None:
+            if type_name in p.NAME_KEYED:
+                return self._ring.owner(values["name"])
+            if type_name in p.UADD_KEYED:
+                shard = self._minted.get(values["uadd"] >> SERVER_ID_SHIFT)
+                if shard is not None:
+                    return shard
+        return self._anchor
+
+    def _learn_redirect(self, reply: IncomingMessage) -> int:
+        """Absorb a redirect: count it, and if it names a shard we have
+        never seen (a rebalance happened behind our back), fold its
+        replica directory into the ring — shard-level path compression.
+        Learning a second server ends the §9 fast path for good."""
+        shard_id = reply.values["shard_id"]
+        nucleus = self.nucleus
+        nucleus.counters.incr("nsp_shard_redirects")
+        if shard_id not in self._directory:
+            entries: List[ShardEntry] = []
+            for record in p.decode_records(reply.values["records"]):
+                blob = record.addresses[0][1] if record.addresses else ""
+                entries.append((record.uadd, blob, record.mtype_name))
+            if not entries:
+                raise ProtocolError(
+                    f"redirect to unknown shard {shard_id} without a directory")
+            self._directory[shard_id] = entries
+            self._minted.update(
+                load_name_servers(nucleus, {shard_id: entries}))
+            self._ring = HashRing(self._directory)
+            self.cache = None
+            self._coalesce = False
+            nucleus.counters.incr("nsp_shard_ring_updates")
+        return shard_id
+
+    def _call_replicas(self, shard: int, type_name: str, values: dict,
+                       timeout: Optional[float]) -> IncomingMessage:
+        nucleus = self.nucleus
+        servers = self._directory[shard]
+        start = self._current.get(shard, 0)
+        last_error: Optional[Exception] = None
+        for i in range(len(servers)):
+            index = (start + i) % len(servers)
+            try:
+                reply = nucleus.lcm.call(
+                    servers[index][0], type_name, values,
+                    timeout=timeout, flags=FLAG_INTERNAL,
+                )
+            except (NameServerUnreachable, DestinationUnavailable,
+                    ReplyTimeout) as exc:
+                if len(servers) == 1:
+                    raise  # nobody to fail over to: the error as it is
+                last_error = exc
+                if i + 1 < len(servers):
+                    self.failovers += 1
+                    nucleus.counters.incr("ns_failovers")
+                continue
+            self._current[shard] = index
+            return reply
+        raise NameServerUnreachable(
+            f"all {len(servers)} servers of naming shard {shard} "
+            f"failed: {last_error}"
+        )
+
+    def _call_shard(self, shard: int, type_name: str, values: dict,
+                    reason: str, timeout: Optional[float] = None,
+                    follow: bool = True) -> IncomingMessage:
         nucleus = self.nucleus
         with nucleus.enter(self.LAYER, type_name, reason=reason):
             nucleus.counters.incr("nsp_calls")
-            return nucleus.lcm.call(
-                self.ns_uadd, type_name, values,
-                timeout=timeout, flags=FLAG_INTERNAL,
-            )
+            for _hop in range(1 + self._MAX_HOPS):
+                reply = self._call_replicas(shard, type_name, values, timeout)
+                if reply.type_name != "ns_shard_redirect":
+                    return reply
+                target = self._learn_redirect(reply)
+                if not follow:
+                    return reply
+                if target == shard:
+                    break
+                shard = target
+            raise ProtocolError(
+                f"sharded naming: redirect loop for {type_name}")
+
+    def _call(self, type_name: str, values: dict, reason: str,
+              timeout: Optional[float] = None) -> IncomingMessage:
+        return self._call_shard(self._route(type_name, values),
+                                type_name, values, reason, timeout=timeout)
 
     def _resolve(self, type_name: str, values: dict, reason: str,
                  key: Optional[tuple] = None,
@@ -96,8 +205,15 @@ class NspLayer:
         flight = self._flights.get(key)
         if flight is not None and flight.handle is not None:
             self.nucleus.counters.incr("nsp_calls_coalesced")
-            return self._join(flight, type_name, values, reason, timeout)
-        return self._lead(key, type_name, values, reason, timeout)
+            reply = self._join(flight, type_name, values, reason, timeout)
+        else:
+            reply = self._lead(key, type_name, values, reason, timeout)
+        if reply.type_name == "ns_shard_redirect":
+            # The lone server grew into a fleet behind our back: learn
+            # the shard it names and ask again down the routed path.
+            return self._call_shard(self._learn_redirect(reply), type_name,
+                                    values, reason, timeout=timeout)
+        return reply
 
     def _lead(self, key: tuple, type_name: str, values: dict, reason: str,
               timeout: Optional[float]) -> IncomingMessage:
@@ -202,6 +318,8 @@ class NspLayer:
                               reason=f"locate {uadd}",
                               key=("uadd", uadd))
         self._expect(reply, "ns_record_ack")
+        # A redirect learned on the way may have dropped the cache.
+        cacheable = cacheable and self.cache is not None
         gen = reply.values.get("gen", 0)
         self._observe(gen)
         if not reply.values["found"]:
@@ -226,6 +344,7 @@ class NspLayer:
                               reason=f"forwarding for {old_uadd}",
                               key=("fwd", old_uadd))
         self._expect(reply, "ns_forward_ack")
+        cacheable = cacheable and self.cache is not None
         gen = reply.values.get("gen", 0)
         self._observe(gen)
         status = reply.values["status"]
@@ -244,30 +363,47 @@ class NspLayer:
 
     def resolve_batch(self, names: List[str]) -> Dict[str, Optional[NameRecord]]:
         """Resolve many logical names in one ``ns_resolve_batch`` round
-        trip; returns {name: record or None}.  The returned records
-        prime both cache maps, so deployment warm-up replaces one
-        round trip per peer with one per module."""
-        unique = sorted(set(names))
-        reply = self._resolve("ns_resolve_batch", {
-            "count": len(unique),
-            "names": p.encode_name_list(unique).encode("ascii"),
-        }, reason=f"batch resolve {len(unique)} names")
-        self._expect(reply, "ns_resolve_batch_ack")
-        gen = reply.values.get("gen", 0)
-        self._observe(gen)
-        self.nucleus.counters.incr("nsp_batch_resolves")
-        missing, records = p.decode_batch_payload(reply.values["payload"])
+        trip per owning shard; returns {name: record or None}.  The
+        returned records prime both cache maps, so deployment warm-up
+        replaces one round trip per peer with one per module.  A
+        redirect (stale ring during a rebalance) folds in the learned
+        shard and regroups the affected names."""
         out: Dict[str, Optional[NameRecord]] = {}
-        for record in records:
-            out[record.name] = record
-            if self.cache is not None:
-                self.cache.store_name(record.name, record.uadd, gen)
-                self.cache.store_record(record.uadd, record, gen)
-        for name in missing:
-            out[name] = None
-            if self.cache is not None:
-                self.cache.store_missing_name(name, gen)
-        return out
+        pending = sorted(set(names))
+        for _attempt in range(1 + self._MAX_HOPS):
+            if not pending:
+                return out
+            groups: Dict[int, List[str]] = {}
+            for name in pending:
+                shard = (self._ring.owner(name) if self._ring is not None
+                         else self._anchor)
+                groups.setdefault(shard, []).append(name)
+            pending = []
+            for shard in sorted(groups):
+                batch = groups[shard]
+                reply = self._call_shard(shard, "ns_resolve_batch", {
+                    "count": len(batch),
+                    "names": p.encode_name_list(batch).encode("ascii"),
+                }, reason=f"batch resolve {len(batch)} names", follow=False)
+                if reply.type_name == "ns_shard_redirect":
+                    pending.extend(batch)
+                    continue
+                self._expect(reply, "ns_resolve_batch_ack")
+                gen = reply.values.get("gen", 0)
+                self._observe(gen)
+                self.nucleus.counters.incr("nsp_batch_resolves")
+                missing, records = p.decode_batch_payload(
+                    reply.values["payload"])
+                for record in records:
+                    out[record.name] = record
+                    if self.cache is not None:
+                        self.cache.store_name(record.name, record.uadd, gen)
+                        self.cache.store_record(record.uadd, record, gen)
+                for name in missing:
+                    out[name] = None
+                    if self.cache is not None:
+                        self.cache.store_missing_name(name, gen)
+        raise ProtocolError("sharded naming: batch resolve redirect loop")
 
     def evict_address(self, uadd: Address) -> None:
         """Address-fault hook (Sec. 3.5 meets §9): drop any cached
@@ -284,31 +420,51 @@ class NspLayer:
         self.evict_address(uadd)
         return bool(reply.values["ok"])
 
+    def deregister_on_death(self, uadd: Address) -> bool:
+        """A dying module's goodbye (PROTOCOL.md §10): one best-effort
+        ``ns_deregister`` datagram to the current replica of the shard
+        that minted ``uadd`` — the routing every UAdd-keyed request
+        takes.  Nobody waits for an answer; False when it was not sent."""
+        values = {"uadd": uadd.value}
+        shard = self._route("ns_deregister", values)
+        servers = self._directory[shard]
+        target = servers[self._current.get(shard, 0)][0]
+        return self.nucleus.lcm.datagram(target, "ns_deregister", values)
+
+    def _fan_out(self, type_name: str, values: dict,
+                 reason: str) -> List[NameRecord]:
+        """Ask every known shard and merge the record lists: one
+        shard's answer in the server's own order, several deduplicated
+        by UAdd and sorted by UAdd value for determinism."""
+        ack_type = type_name + "_ack"
+        merged: Dict[Address, NameRecord] = {}
+        for shard in sorted(self._directory):
+            reply = self._call_shard(shard, type_name, dict(values), reason)
+            self._expect(reply, ack_type)
+            records = p.decode_records(reply.values["records"])
+            if len(self._directory) == 1:
+                self._observe(reply.values.get("gen", 0))
+                return records
+            for record in records:
+                merged[record.uadd] = record
+        return sorted(merged.values(), key=lambda r: r.uadd.value)
+
     def list_gateways(self) -> List[NameRecord]:
         """The registered gateway records (routing topology, Sec. 4.2)."""
-        reply = self._call("ns_list_gw", {}, reason="topology")
-        self._expect(reply, "ns_list_gw_ack")
-        self._observe(reply.values.get("gen", 0))
-        return p.decode_records(reply.values["records"])
+        return self._fan_out("ns_list_gw", {}, "topology")
 
     def query_attrs(self, required: Dict[str, str]) -> List[NameRecord]:
         """Attribute-based resource location (Sec. 7's new scheme)."""
-        reply = self._call("ns_query_attrs", {
+        return self._fan_out("ns_query_attrs", {
             "query": p.encode_attrs(required).encode("ascii"),
-        }, reason="attribute query")
-        self._expect(reply, "ns_query_attrs_ack")
-        self._observe(reply.values.get("gen", 0))
-        return p.decode_records(reply.values["records"])
+        }, "attribute query")
 
     def query_predicates(self, query_text: str) -> List[NameRecord]:
         """Predicate-based location ("kind=index;shard<=3") — served by
         Name Servers running the attribute database extension."""
-        reply = self._call("ns_query_attrs", {
+        return self._fan_out("ns_query_attrs", {
             "query": query_text.encode("ascii"),
-        }, reason="predicate query")
-        self._expect(reply, "ns_query_attrs_ack")
-        self._observe(reply.values.get("gen", 0))
-        return p.decode_records(reply.values["records"])
+        }, "predicate query")
 
     def ping(self, timeout: float = 2.0) -> bool:
         """Is the naming service answering?"""

@@ -56,6 +56,14 @@ FWD_FOUND = 0
 FWD_NONE = 1
 FWD_ALIVE = 2
 
+# How a request finds its shard (PROTOCOL.md §14): by the ring owner of
+# the name it carries, or by the server id that minted its UAdd.
+# ``ns_resolve_batch`` carries many names; anything else any server
+# answers.  Client routing and server ownership checks read one table.
+NAME_KEYED = frozenset({"ns_register", "ns_resolve_name"})
+UADD_KEYED = frozenset({"ns_resolve_uadd", "ns_forward", "ns_deregister"})
+SHARD_KEYED = NAME_KEYED | UADD_KEYED | {"ns_resolve_batch"}
+
 _STRUCTS = [
     StructDef("ns_register", T_NS_REGISTER, [
         Field("name", "char[64]"),

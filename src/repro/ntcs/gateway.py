@@ -127,7 +127,10 @@ class Gateway:
     # application module") ----------------------------------------------------
 
     def register(self) -> Address:
-        """Register this gateway (name + all networks) with the naming service."""
+        """Register this gateway (name + all networks) with the naming
+        service, through the NSP-Layer its builder attached to each
+        stack (``nucleus.nsp``; the gateway sits below the NSP-Layer
+        in Fig. 2-1 and does not construct one itself)."""
         addresses = [
             (network, nucleus.nd.listen_blob)
             for network, nucleus in sorted(self.stacks.items())
@@ -142,15 +145,10 @@ class Gateway:
         for nucleus in self.stacks.values():
             nucleus.set_identity(self.uadd)
 
-        def deregister_on_kill():
-            # Best effort, like any module's graceful death: lets the
-            # naming service exclude this gateway from future routes.
-            primary.lcm.datagram(
-                self.wellknown.ns_uadd, "ns_deregister",
-                {"uadd": self.uadd.value},
-            )
-
-        self.process.at_kill(deregister_on_kill)
+        # Best effort, like any module's graceful death: lets the
+        # naming service exclude this gateway from future routes.
+        self.process.at_kill(
+            lambda: primary.require_nsp().deregister_on_death(self.uadd))
         return self.uadd
 
     def _primary_stack(self) -> Nucleus:
@@ -159,11 +157,6 @@ class Gateway:
             if self.wellknown.ns_reachable_directly(network):
                 return nucleus
         return self.stacks[sorted(self.stacks)[0]]
-
-    def attach_nsp(self, nsp_factory) -> None:
-        """Give each stack an NSP-Layer (factory: nucleus -> NspLayer)."""
-        for nucleus in self.stacks.values():
-            nucleus.nsp = nsp_factory(nucleus)
 
     # -- the hook the IP-Layer calls ---------------------------------------------
 

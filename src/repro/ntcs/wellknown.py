@@ -7,12 +7,13 @@ Server and of certain 'prime' gateways.  Once in operation, other
 
 One :class:`WellKnownTable` is built per deployment and shared by every
 module's Nucleus — the reproduction of compiling the same configuration
-constants into every binary.
+constants into every binary.  When the naming service is a fleet
+(PROTOCOL.md §14) its directory is one of those constants.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.ntcs.address import Address, NAME_SERVER_UADD, blob_network
 
@@ -28,12 +29,20 @@ class WellKnownTable:
         # Each network may know several prime gateways ("certain 'prime'
         # gateways", plural — Sec. 3.4); callers try them in order.
         self._prime_gateway_blobs: Dict[str, List[str]] = {}
+        self._name_servers: Dict[int, List[Tuple[Address, str, str]]] = {}
 
     # -- construction ------------------------------------------------------
 
     def add_name_server_blob(self, blob: str) -> None:
         """Record the Name Server's listening blob (network implied)."""
         self._ns_blobs[blob_network(blob)] = blob
+
+    def publish_name_servers(
+            self, directory: Dict[int, List[Tuple[Address, str, str]]]) -> None:
+        """Record the naming fleet: {shard id: [(uadd, listen blob,
+        machine type name)]}, loaded into every module's tables when
+        its NSP-Layer is initialized."""
+        self._name_servers = directory
 
     def add_prime_gateway(self, network: str, blob: str) -> None:
         """Record the blob, on ``network``, of a prime gateway modules
@@ -48,6 +57,12 @@ class WellKnownTable:
         if addr == self.ns_uadd:
             return self._ns_blobs.get(network)
         return None
+
+    def name_servers(self) -> Dict[int, List[Tuple[Address, str, str]]]:
+        """The published naming fleet — or, when none was, the one
+        conventional Name Server (its blob is per network:
+        :meth:`blob_for`)."""
+        return self._name_servers or {0: [(self.ns_uadd, "", "")]}
 
     def ns_networks(self) -> List[str]:
         """Networks the Name Server is directly attached to."""

@@ -28,6 +28,7 @@ from repro.errors import SimulationError
 from repro.ipcs import SimMbxIpcs, SimTcpIpcs
 from repro.machine import Machine, MachineType, SimProcess
 from repro.naming import NameServer, NspLayer, register_naming_types
+from repro.naming.shards import deploy_naming
 from repro.netsim import (
     ChaosEngine,
     ChaosSchedule,
@@ -72,17 +73,13 @@ class Testbed:
         self.machines: Dict[str, Machine] = {}
         self.gateways: Dict[str, Gateway] = {}
         self.modules: Dict[str, ComMod] = {}
+        # The naming fleet (PROTOCOL.md §14), filled by
+        # repro.naming.shards.deploy_naming: its primary, machine →
+        # server (for chaos restarts) and shard id → replica group.  A
+        # lone Name Server is all three.
         self.name_server_instance: Optional[NameServer] = None
-        # Swappable naming-service client (set by e.g. the replicated
-        # deployment helper); None means the single-server NspLayer.
-        self.nsp_factory = None
-        # Sharded naming bookkeeping (PROTOCOL.md §14), filled by
-        # repro.naming.shards.deploy_sharded_naming: machine → shard
-        # server (for chaos restarts), shard id → replica group, and
-        # the shard → [(uadd, blob, mtype)] directory.
         self.name_shard_servers: Dict[str, NameServer] = {}
         self.shard_groups: Dict[int, List[NameServer]] = {}
-        self.shard_directory: Dict[int, list] = {}
 
     # -- topology -----------------------------------------------------------
 
@@ -129,27 +126,42 @@ class Testbed:
 
     # -- system modules -----------------------------------------------------
 
-    def name_server(self, machine_name: str,
-                    network: Optional[str] = None,
-                    db=None) -> NameServer:
-        """Start the Name Server on a machine and publish its
-        well-known address to every (current and future) module.
+    def name_server(self, machine_name: str, db=None) -> NameServer:
+        """Start the lone Name Server on a machine and publish its
+        well-known address to every (current and future) module: the
+        one-server fleet, ``deploy_naming(self, [[machine_name]])``.
         Pass ``db`` to swap the database implementation (e.g. an
         :class:`~repro.naming.attributes.AttributeNameDatabase`)."""
-        if self.name_server_instance is not None:
-            raise SimulationError("this testbed already has a Name Server")
+        return deploy_naming(self, [[machine_name]], db=db)[0][0]
+
+    def start_name_server(self, machine_name: str,
+                          name: Optional[str] = None,
+                          shard_id: int = 0, db=None,
+                          network: Optional[str] = None) -> NameServer:
+        """Start one naming-fleet member on a machine, listening at the
+        well-known binding of ``network`` (default: the machine's
+        first) over ``db`` — fresh from
+        :func:`~repro.naming.shards.deploy_naming`, the survivor of a
+        crash from :meth:`restart_name_server`."""
         machine = self.machines[machine_name]
+        name = name or NameServer.DEFAULT_NAME
         network = network or machine.networks[0]
-        protocol = self.networks[network].protocol
-        process = SimProcess(machine, "name.server")
         server = NameServer(
-            process, self.registry, self.wellknown,
-            network=network, binding=_NS_BINDINGS[protocol],
-            config=replace(self.config), db=db,
+            SimProcess(machine, name), self.registry, self.wellknown,
+            network=network,
+            binding=_NS_BINDINGS[self.networks[network].protocol],
+            config=replace(self.config), db=db, name=name, shard_id=shard_id,
         )
-        self.wellknown.add_name_server_blob(server.listen_blob)
-        self.name_server_instance = server
+        self.name_shard_servers[machine_name] = server
         return server
+
+    @property
+    def shard_directory(self) -> Dict[int, list]:
+        """The fleet directory {shard id: [(uadd, listen blob, machine
+        type name)]} every server routes by and, for a fleet of more
+        than one, every module's NSP-Layer is built from."""
+        return {shard_id: [server.directory_entry for server in group]
+                for shard_id, group in self.shard_groups.items()}
 
     def gateway(self, machine_name: str,
                 prime_for: Optional[List[str]] = None) -> Gateway:
@@ -166,16 +178,17 @@ class Testbed:
         for network in (prime_for or []):
             blob = gateway.stacks[network].nd.listen_blob
             self.wellknown.add_prime_gateway(network, blob)
-        gateway.attach_nsp(self._gateway_nsp_factory())
+        return self._register_gateway(machine_name, gateway)
+
+    def _register_gateway(self, machine_name: str, gateway: Gateway) -> Gateway:
+        """Give each stack of a fresh gateway its NSP-Layer (whatever
+        naming service the well-known table publishes), register it
+        and file it under its machine."""
+        for nucleus in gateway.stacks.values():
+            nucleus.nsp = NspLayer(nucleus)
         gateway.register()
         self.gateways[machine_name] = gateway
         return gateway
-
-    def _gateway_nsp_factory(self):
-        """Gateways talk to whatever naming service the deployment
-        runs: the swapped-in factory (replicated / sharded) when one is
-        installed, the single-server NspLayer otherwise."""
-        return self.nsp_factory or (lambda nucleus: NspLayer(nucleus))
 
     def module(
         self,
@@ -193,7 +206,6 @@ class Testbed:
         commod = ComMod(
             process, self.registry, self.wellknown,
             network=network, config=config or replace(self.config),
-            nsp_factory=self.nsp_factory,
         )
         if register:
             commod.ali.register(name, attrs=attrs)
@@ -235,62 +247,28 @@ class Testbed:
         process = SimProcess(machine, f"gw.{machine_name}")
         gateway = Gateway(process, self.registry, self.wellknown,
                           config=replace(self.config), bindings=bindings)
-        gateway.attach_nsp(self._gateway_nsp_factory())
-        gateway.register()
-        self.gateways[machine_name] = gateway
-        return gateway
+        return self._register_gateway(machine_name, gateway)
 
-    def restart_name_server(self) -> NameServer:
-        """Restart the Name Server on its machine with the surviving
-        database and the same well-known binding.  The restart guard in
+    def restart_name_server(self,
+                            machine_name: Optional[str] = None) -> NameServer:
+        """Restart a crashed naming-fleet member (default: the primary)
+        on its machine with the surviving database, the same well-known
+        binding and its place in the fleet.  The restart guard in
         :class:`~repro.naming.server.NameServer` reuses the original
-        UAdd, so every module's well-known table stays valid."""
-        old = self.name_server_instance
-        if old is None:
-            raise SimulationError("this testbed has no Name Server to restart")
-        machine = old.process.machine
-        machine.revive()
-        network = blob_network(old.listen_blob)
-        protocol = self.networks[network].protocol
-        process = SimProcess(machine, old.process.name)
-        server = type(old)(
-            process, self.registry, self.wellknown,
-            network=network, binding=_NS_BINDINGS[protocol],
-            config=replace(self.config), db=old.db, name=old.name,
-        )
-        if hasattr(old, "peer_uadds") and hasattr(server, "set_peers"):
-            server.set_peers(list(old.peer_uadds))
-        self.name_server_instance = server
-        return server
-
-    def restart_name_shard(self, machine_name: str) -> NameServer:
-        """Restart a crashed shard server (PROTOCOL.md §14) on its
-        machine with the surviving database, the same well-known
-        binding, and its original UAdd, shard map and replica peers —
-        then pull the writes it missed from its peers through one
-        anti-entropy round."""
-        old = self.name_shard_servers.get(machine_name)
+        UAdd, so every module's well-known table stays valid; one
+        anti-entropy round then pulls the writes it missed from its
+        replica peers, if it has any (PROTOCOL.md §14)."""
+        old = (self.name_shard_servers.get(machine_name) if machine_name
+               else self.name_server_instance)
         if old is None:
             raise SimulationError(
-                f"machine {machine_name!r} hosts no naming shard server")
-        machine = self.revive_machine(machine_name)
-        network = blob_network(old.listen_blob)
-        process = SimProcess(machine, old.process.name)
-        server = type(old)(
-            process, self.registry, self.wellknown,
-            network=network,
-            binding=self._binding_from_blob(old.listen_blob),
-            config=replace(self.config), db=old.db, name=old.name,
-            shard_id=old.shard_id,
-        )
+                f"no Name Server to restart on {machine_name or 'this testbed'}")
+        machine_name = old.process.machine.name
+        self.revive_machine(machine_name)
+        server = self.start_name_server(
+            machine_name, old.name, shard_id=old.shard_id, db=old.db,
+            network=blob_network(old.listen_blob))
         server.set_shard_map(old.shard_directory)
-        server.set_peers(list(old.peer_uadds))
-        for entries in old.shard_directory.values():
-            for uadd, blob, mtype_name in entries:
-                server.nucleus.ns_addresses.add(uadd)
-                if uadd != server.uadd and blob:
-                    server.nucleus.addr_cache.store(uadd, blob, mtype_name)
-        self.name_shard_servers[machine_name] = server
         group = self.shard_groups[old.shard_id]
         group[group.index(old)] = server
         if self.name_server_instance is old:
@@ -335,11 +313,7 @@ class Testbed:
             if machine_name in self.gateways:
                 self.restart_gateway(machine_name)
             if machine_name in self.name_shard_servers:
-                self.restart_name_shard(machine_name)
-                return
-            ns = self.name_server_instance
-            if ns is not None and ns.process.machine.name == machine_name:
-                self.restart_name_server()
+                self.restart_name_server(machine_name)
         return restart
 
     # -- running -------------------------------------------------------------

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro import APOLLO, Field, StructDef, SUN3, Testbed, VAX
-from repro.naming.shards import deploy_sharded_naming
+from repro.naming.shards import deploy_naming
 from repro.ntcs.nucleus import NucleusConfig
 
 # Application message types used across the integration tests.
@@ -70,7 +70,7 @@ def sharded_single_net(shards: int = 2, replicas: int = 2,
                        config: NucleusConfig = None):
     """One Ethernet carrying a ``shards`` × ``replicas`` naming fleet
     (machine ``ns<shard><replica>`` per server) plus two app machines;
-    every module talks to naming through a ShardedNspLayer.  Returns
+    every module's NspLayer is built from the fleet directory.  Returns
     ``(bed, {shard_id: [servers]})``."""
     bed = Testbed(config=config)
     bed.network("ether0", protocol="tcp")
@@ -85,7 +85,7 @@ def sharded_single_net(shards: int = 2, replicas: int = 2,
         shard_machines.append(row)
     bed.machine("app1", SUN3, networks=["ether0"])
     bed.machine("app2", VAX, networks=["ether0"])
-    groups = deploy_sharded_naming(bed, shard_machines)
+    groups = deploy_naming(bed, shard_machines)
     register_app_types(bed)
     return bed, groups
 
@@ -108,7 +108,7 @@ def sharded_chain(hops: int = 2, shards: int = 2, replicas: int = 2,
             row.append(name)
         shard_machines.append(row)
     bed.machine("m0", VAX, networks=["net0"])
-    groups = deploy_sharded_naming(bed, shard_machines)
+    groups = deploy_naming(bed, shard_machines)
     for i in range(hops):
         bed.machine(f"gwm{i}", SUN3, networks=[f"net{i}", f"net{i + 1}"])
         bed.gateway(f"gwm{i}", prime_for=[f"net{i + 1}"])

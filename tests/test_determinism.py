@@ -2,8 +2,7 @@
 exactly reproducible — same build steps, same virtual timeline, same
 traces, same counters."""
 
-from deployments import echo_server, register_app_types, single_net, two_nets
-from repro import SUN3, Testbed, VAX
+from deployments import echo_server, single_net, two_nets
 from repro.ntcs.nucleus import NucleusConfig
 
 
@@ -96,86 +95,3 @@ def test_different_seeds_diverge():
     # counts; if not, the delivered sets must still match (TCP hides
     # loss) so compare the full tuple only loosely.
     assert run_a[0] == run_b[0] or run_a[1] != run_b[1]
-
-# ---------------------------------------------------------------------------
-# Sharding ablation (PROTOCOL.md §14)
-# ---------------------------------------------------------------------------
-
-def _naming_frames(log):
-    """(type_id, body) for every naming-protocol frame (type ids 10–39)
-    in a wire trace, in transmission order.  TCP DATA segments carry
-    length-prefixed NTCS frames; everything else is transport noise."""
-    from repro.ntcs.message import HEADER_BYTES, HeaderView
-    from repro.errors import ProtocolError
-
-    out = []
-    for event in log.events:
-        for blob_hex in event["args"]["frames"]:
-            blob = bytes.fromhex(blob_hex)
-            while len(blob) >= 4:
-                length = int.from_bytes(blob[:4], "big")
-                frame, blob = blob[4:4 + length], blob[4 + length:]
-                try:
-                    header = HeaderView(frame)
-                except ProtocolError:
-                    break
-                if 10 <= header.type_id < 40:
-                    out.append((header.type_id, frame[HEADER_BYTES:]))
-    return out
-
-
-def _naming_service_run(kind):
-    """One fixed locate/call/batch/deregister workload against either a
-    2-replica naming service or the same two machines as a single
-    1-shard × 2-replica sharded deployment."""
-    from repro.errors import NoSuchName
-    from repro.naming.replicated import deploy_replicated_naming
-    from repro.naming.shards import deploy_sharded_naming
-
-    bed = Testbed()
-    bed.network("ether0", protocol="tcp")
-    bed.machine("ns0", VAX, networks=["ether0"])
-    bed.machine("ns1", SUN3, networks=["ether0"])
-    bed.machine("app1", SUN3, networks=["ether0"])
-    bed.machine("app2", VAX, networks=["ether0"])
-    if kind == "replicated":
-        deploy_replicated_naming(bed, ["ns0", "ns1"])
-    else:
-        deploy_sharded_naming(bed, [["ns0", "ns1"]])
-    register_app_types(bed)
-    log = bed.record_wire_trace()
-
-    echo_server(bed, "dest", "app1")
-    worker = bed.module("worker", "app1")
-    client = bed.module("client", "app2")
-    bed.settle()
-    answers = []
-    for i in range(3):
-        uadd = client.ali.locate("dest")
-        reply = client.ali.call(uadd, "echo", {"n": i, "text": f"m{i}"})
-        answers.append((uadd.value, reply.values["n"], reply.values["text"]))
-    try:
-        client.ali.locate("ghost")
-    except NoSuchName:
-        answers.append("no-such-name")
-    batch = client.nsp.resolve_batch(["dest", "worker", "no.such"])
-    answers.append(tuple(sorted(
-        (name, record.uadd.value if record else None)
-        for name, record in batch.items())))
-    worker.ali.deregister()
-    bed.settle()
-    return answers, _naming_frames(log), bed.now
-
-
-def test_single_shard_ablation_matches_replicated_service():
-    """PROTOCOL.md §14 ablation: with one shard, the sharded deployment
-    IS the replicated naming service — same application answers, same
-    naming wire traffic message for message and byte for byte, same
-    virtual end time.  Ownership checks, the ring, and the anti-entropy
-    log cost nothing on the wire until a second shard exists."""
-    replicated = _naming_service_run("replicated")
-    sharded = _naming_service_run("sharded")
-    assert sharded[0] == replicated[0]          # answers
-    assert len(replicated[1]) > 0               # the trace saw naming
-    assert sharded[1] == replicated[1]          # frames, byte-identical
-    assert sharded[2] == replicated[2]          # virtual timeline

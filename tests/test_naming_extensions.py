@@ -18,7 +18,7 @@ from repro.naming.attributes import (
     parse_query,
     similarity,
 )
-from repro.naming.replicated import deploy_replicated_naming
+from repro.naming.shards import deploy_naming
 
 
 # -- predicates ------------------------------------------------------------
@@ -134,7 +134,7 @@ def _replicated_bed(replicas=2):
         machines.append(name)
     bed.machine("app1", SUN3, networks=["ether0"])
     bed.machine("app2", VAX, networks=["ether0"])
-    servers = deploy_replicated_naming(bed, machines)
+    servers = deploy_naming(bed, [machines])[0]
     register_app_types(bed)
     return bed, servers
 

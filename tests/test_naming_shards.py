@@ -273,7 +273,7 @@ def test_restarted_replica_heals_through_antientropy():
     worker = bed.module("worker", "app1")     # shard 0 owns "worker"
     late = bed.module("late.worker", "app1")  # shard 0 owns it too
     bed.settle()
-    healed = bed.restart_name_shard("ns01")
+    healed = bed.restart_name_server("ns01")
     bed.settle()
     assert healed.db.resolve_name("worker").uadd == worker.ali.uadd
     assert healed.db.resolve_name("late.worker").uadd == late.ali.uadd
@@ -294,7 +294,7 @@ def test_antientropy_skips_a_dead_peer_without_failing():
     assert survivor.counters["antientropy_skipped"] == 1
     assert survivor.counters["antientropy_rounds"] == 0
     # Once the peer is back, the next round completes normally.
-    bed.restart_name_shard("ns01")
+    bed.restart_name_server("ns01")
     bed.settle()
     assert survivor.run_antientropy() == 0   # nothing to pull
     assert survivor.counters["antientropy_rounds"] == 1
@@ -307,7 +307,7 @@ def test_heal_helper_converges_the_whole_fleet():
     bed.settle()
     bed.module("worker", "app1")
     bed.settle()
-    bed.restart_name_shard("ns01")
+    bed.restart_name_server("ns01")
     bed.settle()
     # A second fleet-wide round finds nothing left to move.
     assert heal_naming_shards(bed) == 0
@@ -443,11 +443,15 @@ def test_list_gw_ack_bytes_pinned_on_the_sharded_chain():
     bed.restart_gateway("gwm1")
     bed.settle()
     # Two gwm1 records now sit in shard 1's databases; only the fresh
-    # one is active.
+    # one is active.  (Its registration time read 2.2908491989173556
+    # while the crashed gateway's farewell datagram was aimed at the
+    # anchor server: 2.21 virtual seconds of connect retries from a
+    # dead machine.  Routed to the shard that minted the UAdd it rides
+    # the circuit the registration opened and costs no time.)
     restarted = (1, b"gateway.gw.gwm1\n562949953421315\nSun-3\n"
                     b"kind=gateway;networks=net1%2Cnet2\n"
                     b"net1|tcp:net1:gwm1:32768,net2|tcp:net2:gwm1:32768\n"
-                    b"1\n2.2908491989173556")
+                    b"1\n0.08000000000000006")
     assert _list_gw_acks(bed, groups, client) == {
         "name.shard.0.0": gwm0, "name.shard.0.1": gwm0,
         "name.shard.1.0": restarted, "name.shard.1.1": restarted,

@@ -85,6 +85,25 @@ def test_unmapped_module_is_reported():
     assert findings[0].severity == "warning"
 
 
+def test_naming_message_sent_outside_the_nsp_layer_fires():
+    # LAY003: the NSP-Layer is the single naming access point (Sec.
+    # 2.4).  Positional and keyword message types both fire; going
+    # through the NSP and an "ns_" that is not a message type do not.
+    findings = fixture_findings("ns_bypass")
+    assert rule_lines(findings) == [("LAY003", 8), ("LAY003", 9)]
+    assert "'ns_deregister'" in findings[0].message
+    assert "'ns_ping'" in findings[1].message
+
+
+def test_live_tree_speaks_nsp_only_inside_repro_naming():
+    # Waiver-free: the two farewell datagrams that used to hand-roll
+    # "ns_deregister" (ALI and gateway kill hooks) now go through
+    # NspLayer.deregister_on_death.
+    for rel in ("commod/ali.py", "ntcs/gateway.py"):
+        assert "ntcslint: allow=LAY003" not in (SRC_TREE / rel).read_text()
+    assert [f for f in analyze([SRC_TREE]) if f.rule == "LAY003"] == []
+
+
 def test_layer_map_places_the_paper_stack():
     assert layer_name("repro.commod.ali") == "ali"
     assert layer_name("repro.naming.nsp") == "nsp"
@@ -281,12 +300,12 @@ def test_live_fastpath_modules_are_clean():
 
 
 def test_sharded_naming_modules_are_clean():
-    """The PROTOCOL.md §14 sharding code — the ring, the shard servers,
-    and the stores they extend — carries no `ntcslint: allow` pragma
+    """The PROTOCOL.md §14 sharding code — the ring, the one server and
+    client class, and the stores they use — carries no `ntcslint: allow` pragma
     and yields zero findings: consistent hashing is built on CRC-32,
     not the salted builtin ``hash``, so the determinism family has
     nothing to waive."""
-    for rel in ("naming/shards.py", "naming/replicated.py",
+    for rel in ("naming/shards.py", "naming/server.py", "naming/nsp.py",
                 "naming/database.py", "naming/protocol.py"):
         path = SRC_TREE / rel
         assert "ntcslint: allow" not in path.read_text(), rel
