@@ -191,7 +191,7 @@ def test_bench_conversion_wire_time(benchmark, report):
         bed.machine("vax2", VAX, networks=["ether0"])
         bed.machine("sun1", SUN3, networks=["ether0"])
         bed.name_server("vax1")
-        sdef = StructDef("payload", 100, [
+        sdef = StructDef("payload", 101, [
             Field(f"w{i}", "u32") for i in range(500)
         ])
         bed.registry.register(sdef)

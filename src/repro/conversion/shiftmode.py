@@ -15,8 +15,7 @@ header hot path, so the codecs now batch all words through
 same function the shift loop computed, expressed once per header
 instead of once per byte.  The contract is unchanged and locked by the
 golden fixtures in ``tests/fixtures/wire/`` (frames captured from the
-per-byte implementation) plus the reference shift loop in
-``benchmarks/microbench.py``.
+per-byte implementation).
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ from repro.naming.cache import ResolutionCache
 from repro.naming.protocol import NameRecord
 from repro.naming.shards import HashRing, ShardEntry, load_name_servers
 from repro.ntcs.address import Address, SERVER_ID_SHIFT
-from repro.ntcs.lcm import CallHandle, IncomingMessage
+from repro.ntcs.lcm import CALL_RETRIES, CallHandle, IncomingMessage
 from repro.ntcs.message import FLAG_INTERNAL
 
 
@@ -225,7 +225,7 @@ class NspLayer:
         try:
             with nucleus.enter(self.LAYER, type_name, reason=reason):
                 nucleus.counters.incr("nsp_calls")
-                attempts = 1 + max(0, nucleus.config.call_retries)
+                attempts = 1 + CALL_RETRIES
                 last_error = ""
                 for _ in range(attempts):
                     handle = nucleus.lcm.call_async(

@@ -38,6 +38,7 @@ class FlowState:
 
     __slots__ = (
         "window",
+        "low_watermark",
         "tx_sent",
         "tx_consumed_seen",
         "rx_arrivals",
@@ -52,6 +53,8 @@ class FlowState:
         if window < 1:
             raise ValueError(f"flow window must be >= 1, got {window}")
         self.window = window
+        # Receive-queue depth at which an owed grant goes out.
+        self.low_watermark = max(1, window // 4)
         self.reset()
 
     def reset(self) -> None:

@@ -59,9 +59,10 @@ from repro.util.dispatch import handles
 MAX_HOPS = 8
 
 # How many credit probes a zero-credit sender issues (each waiting
-# ``flow_probe_timeout`` virtual seconds for a grant) before the send
+# FLOW_PROBE_TIMEOUT virtual seconds for a grant) before the send
 # fails as destination-unavailable (PROTOCOL.md §12).
 FLOW_PROBE_RETRIES = 3
+FLOW_PROBE_TIMEOUT = 1.0
 
 # The IVC endpoint machine, model-checked by ntcsverify (pure literal).
 # Anchored: the state names must match the ``.state`` strings this
@@ -123,7 +124,7 @@ PROTOCOL_MACHINES = (
                 "edges": (
                     {"event": "recv CREDIT_GRANT", "next": "READY",
                      "queue": "-inflight", "progress": True},
-                    {"event": "timeout flow_probe_timeout", "next": "STALLED",
+                    {"event": "timeout FLOW_PROBE_TIMEOUT", "next": "STALLED",
                      "bounded": "FLOW_PROBE_RETRIES"},
                     {"event": "local give_up", "next": "CLOSED"},
                 ),
@@ -480,7 +481,7 @@ class IpLayer:
             self._send_probe(ivc, flow)
             nucleus.scheduler.pump_until(
                 lambda: flow.credit > 0 or not ivc.open,
-                timeout=nucleus.config.flow_probe_timeout,
+                timeout=FLOW_PROBE_TIMEOUT,
                 what=f"credit on {ivc}",
             )
             if not ivc.open:
@@ -566,7 +567,7 @@ class IpLayer:
             return
         flow.on_probe(values["sent"])
         self._send_grant(ivc, flow)
-        if flow.rx_queued > nucleus.config.effective_flow_low_watermark():
+        if flow.rx_queued > flow.low_watermark:
             # The grant could not have freed much: the receive queue is
             # still deep.  Owe the peer an unsolicited grant for when
             # consumption drains it past the low watermark.
@@ -601,8 +602,7 @@ class IpLayer:
             if lvc.rx_depth > 0:
                 lvc.rx_depth -= 1
         if (flow.grant_owed and ivc.open
-                and flow.rx_queued
-                <= self.nucleus.config.effective_flow_low_watermark()):
+                and flow.rx_queued <= flow.low_watermark):
             self._send_grant(ivc, flow)
 
     def resync_credit(self, ivc: Optional[Ivc]) -> None:

@@ -62,6 +62,17 @@ from repro.util.idgen import SequenceGenerator
 _TRANSIENT = (AddressFault, ChannelClosed, ConnectionRefused,
               NetworkUnreachable, RouteNotFound)
 
+# The budgets bounding the LCM's retry loops: re-sends of a call whose
+# circuit died awaiting the reply (the NSP layer's shared-call loop
+# imports the same bound), Sec. 6.3 retries of the Name Server's
+# well-known address, and the wait before repair round k —
+# ``min(BASE * 2**(k-1), CAP)`` virtual seconds plus seeded jitter in
+# ``[0, BASE)`` (PROTOCOL.md §10).
+CALL_RETRIES = 2
+NS_FAULT_RETRY_LIMIT = 2
+REPAIR_BACKOFF_BASE = 0.05
+REPAIR_BACKOFF_CAP = 2.0
+
 # The LCM control loops, model-checked by ntcsverify (pure literals).
 # Not anchored: these abstract the send/call/receive control flow, not
 # a ``.state`` field.  Every retry cycle names the budget that bounds
@@ -116,7 +127,7 @@ PROTOCOL_MACHINES = (
             "RETRY": {
                 "edges": (
                     {"event": "local resend", "next": "WAIT_REPLY",
-                     "bounded": "call_retries"},
+                     "bounded": "CALL_RETRIES"},
                     {"event": "local give_up", "next": "FAILED"},
                 ),
             },
@@ -358,15 +369,14 @@ class LcmLayer:
         Sec. 6.3 well-known retry budget so the next round gets a fresh
         look at the naming service."""
         nucleus = self.nucleus
-        cfg = nucleus.config
         nucleus.counters.incr("lcm_circuit_repairs")
         nucleus.counters.incr(f"repair_backoff_bucket_{min(round_no - 1, 7)}")
         nucleus.trace(self.LAYER, "circuit_repair",
                       reason=f"round {round_no} for {dst}: {exc}")
         self._ns_fault_streak = 0
-        base = min(cfg.repair_backoff_base * (2 ** (round_no - 1)),
-                   cfg.repair_backoff_cap)
-        jitter = nucleus.repair_rng.random() * cfg.repair_backoff_base
+        base = min(REPAIR_BACKOFF_BASE * (2 ** (round_no - 1)),
+                   REPAIR_BACKOFF_CAP)
+        jitter = nucleus.repair_rng.random() * REPAIR_BACKOFF_BASE
         nucleus.scheduler.wait(base + jitter)
 
     def call(
@@ -381,13 +391,13 @@ class LcmLayer:
         correlated reply arrives.
 
         A call whose circuit dies while awaiting the reply is retried
-        (bounded by ``call_retries``): the message may have been lost in
+        (bounded by ``CALL_RETRIES``): the message may have been lost in
         a reconfiguration window (Sec. 3.5), and the retried send runs
         the full relocation machinery.  Reply timeouts are *not*
         retried — the destination saw the request."""
         nucleus = self.nucleus
         timeout = timeout if timeout is not None else nucleus.config.call_timeout
-        attempts = 1 + max(0, nucleus.config.call_retries)
+        attempts = 1 + CALL_RETRIES
         last_error = ""
         # One logical call keeps one correlation id across retries: the
         # receive side dedups requests on (src, corr_id), so a request
@@ -554,7 +564,7 @@ class LcmLayer:
                     # naming service about itself.
                     nucleus.counters.incr("ns_fault_patch_hits")
                     self._ns_fault_streak += 1
-                    if self._ns_fault_streak > nucleus.config.ns_fault_retry_limit:
+                    if self._ns_fault_streak > NS_FAULT_RETRY_LIMIT:
                         self._ns_fault_streak = 0
                         raise NameServerUnreachable(
                             "Name Server unreachable through its well-known address"

@@ -42,8 +42,6 @@ class NucleusConfig:
             instead of the raw (drifting) machine clock.
         ns_fault_patch: the Sec. 6.3 fix in the LCM address-fault
             handler.  Turn off only to reproduce the runaway recursion.
-        ns_fault_retry_limit: bounded well-known-address retries when
-            the patch is active.
         recursion_limit: maximum Nucleus re-entry depth — the
         reproduction's stand-in for the C stack limit.
         open_timeout / call_timeout: virtual-seconds deadlines.
@@ -56,10 +54,6 @@ class NucleusConfig:
             runs after its per-round relocation attempts exhaust
             (PROTOCOL.md §10).  0 disables repair entirely, reproducing
             the pre-repair fault behavior message for message.
-        repair_backoff_base / repair_backoff_cap: exponential-backoff
-            schedule between repair rounds — round k waits
-            ``min(base * 2**k, cap)`` virtual seconds plus seeded
-            jitter.
         chaos_seed: base seed for the per-module repair-jitter RNG
             (derived per process and network, so every module draws an
             independent but reproducible stream).
@@ -69,16 +63,9 @@ class NucleusConfig:
             kinds on the wire, every DATA aux word zero.
         flow_window: end-to-end IVC window — unconsumed flow-debited
             messages a sender may have outstanding before it stalls.
-        flow_low_watermark: receive-queue depth at which a receiver
-            owing a grant sends it (hysteresis: the grant is owed once
-            depth crossed ``flow_high_watermark``).  Defaults to
-            ``flow_window // 4``.
         flow_high_watermark: receive-queue depth above which
             connectionless arrivals are dropped (and counted) instead
             of queued.  Defaults to ``flow_window``.
-        flow_probe_timeout: virtual seconds a zero-credit sender waits
-            per credit probe before retrying (bounded retries, then
-            the send fails as destination-unavailable).
         train_max: maximum back-to-back same-destination frames the
             netsim coalesces into one scheduled delivery event
             (PROTOCOL.md §13) before the next frame opens a fresh
@@ -86,36 +73,29 @@ class NucleusConfig:
             byte-identical for every value, and 1 reproduces the
             pre-train per-frame event schedule event-for-event.
         trace: record layer entry/exit (Sec. 6.2 debugging support).
+
+    Budgets nothing varies are constants beside their readers, not
+    fields: ``CALL_RETRIES``, ``NS_FAULT_RETRY_LIMIT`` and
+    ``REPAIR_BACKOFF_BASE`` / ``_CAP`` in ``lcm``, ``FLOW_PROBE_TIMEOUT``
+    in ``iplayer``, and the grant low watermark (a quarter of the
+    window) in ``flow.FlowState``.
     """
 
     monitor_enabled: bool = False
     time_enabled: bool = False
     ns_fault_patch: bool = True
-    ns_fault_retry_limit: int = 2
     recursion_limit: int = 64
     open_timeout: float = 5.0
     call_timeout: float = 10.0
-    call_retries: int = 2
     nsp_cache_enabled: bool = True
     nsp_negative_ttl: float = 2.0
     repair_max_attempts: int = 4
-    repair_backoff_base: float = 0.05
-    repair_backoff_cap: float = 2.0
     chaos_seed: int = 0
     flow_control_enabled: bool = True
     flow_window: int = 256
-    flow_low_watermark: Optional[int] = None
     flow_high_watermark: Optional[int] = None
-    flow_probe_timeout: float = 1.0
     train_max: int = 64
     trace: bool = False
-
-    def effective_flow_low_watermark(self) -> int:
-        """The queue depth below which an owed credit grant is sent
-        (PROTOCOL.md §12); defaults to a quarter of the window."""
-        if self.flow_low_watermark is not None:
-            return self.flow_low_watermark
-        return max(1, self.flow_window // 4)
 
     def effective_flow_high_watermark(self) -> int:
         """The queue depth at which connectionless arrivals are dropped

@@ -11,7 +11,6 @@ yields an up-to-date ``EXPERIMENTS-RESULTS.md`` next to the results.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from datetime import datetime, timezone
@@ -61,89 +60,6 @@ def collect_tables(results_dir: Optional[str] = None) -> Dict[str, List[str]]:
     return grouped
 
 
-# The bench tables ``benchmarks/microbench.py`` commits at the repo
-# root, in report order: BENCH_<name>.json -> (section title, blurb).
-_BENCH_TABLES = {
-    "pipeline": (
-        "Fast-path pipeline",
-        "From `BENCH_pipeline.json` — regenerate with "
-        "`python benchmarks/microbench.py`."),
-    "naming": (
-        "Control-plane work saved",
-        "From `BENCH_naming.json` — the PROTOCOL.md §9 resolution cache, "
-        "single-flight coalescing, and batched Name-Server operations, "
-        "the pinned E5-internet invariants re-checked with the "
-        "cache on, and the PROTOCOL.md §14 sharded sweep (1/2/4-shard "
-        "bulk load of 10^5 modules with flat resolve cost, plus the "
-        "million-name ring placement balance).  Regenerate with "
-        "`python benchmarks/microbench.py --naming`."),
-    "recovery": (
-        "Crash recovery and circuit repair",
-        "From `BENCH_recovery.json` — the PROTOCOL.md §10 chaos run: a "
-        "mid-chain gateway of the E5 3-gateway internet is crashed and "
-        "restarted under a seeded fault schedule, and the conversation "
-        "completes through circuit repair.  Repairs, reopen attempts, "
-        "Name-Server failovers, and the bounded-backoff histogram are "
-        "read straight off the run's counters.  Regenerate with "
-        "`python benchmarks/microbench.py`."),
-    "flow": (
-        "Flow control and backpressure",
-        "From `BENCH_flow.json` — the PROTOCOL.md §12 overload run: a "
-        "fast producer floods a polling consumer through a gateway, "
-        "with credit-based flow control on vs off.  The controlled "
-        "queue ceiling, the uncontrolled queue peak, goodput on both "
-        "sides, and the credit counters (stalls, probes, grants, "
-        "blocked sends) are read straight off the run.  Regenerate "
-        "with `python benchmarks/microbench.py`."),
-    "dispatch": (
-        "Dispatch efficiency: frame trains",
-        "From `BENCH_dispatch.json` — the PROTOCOL.md §13 frame-train "
-        "sweep: the E13 fan-in workload at 10 / 1k / 10k modules with "
-        "netsim delivery-event coalescing off (`train_max = 1`) vs on.  "
-        "Scheduler events per delivered message, end-to-end drain "
-        "throughput, the coalesced-train counts, and the pinned E5 "
-        "establishment frame counts re-checked with trains on are read "
-        "straight off the runs.  Regenerate with "
-        "`python benchmarks/microbench.py`."),
-}
-
-
-def bench_lines(name: str, results_dir: Optional[str] = None) -> List[str]:
-    """One committed bench table as markdown lines (empty when
-    ``BENCH_<name>.json`` is absent or unreadable).  The file sits at
-    the repo root, two levels up from ``benchmarks/results/``."""
-    title, blurb = _BENCH_TABLES[name]
-    directory = _results_dir(results_dir)
-    path = os.path.join(os.path.dirname(os.path.dirname(directory)),
-                        f"BENCH_{name}.json")
-    try:
-        with open(path) as f:
-            rows = json.load(f)
-    except (OSError, ValueError):
-        return []
-    if not isinstance(rows, list) or not rows:
-        return []
-    lines = [
-        f"## {title} (benchmarks/microbench.py)",
-        "",
-        blurb,
-        "",
-        "| bench | metric | value | unit |",
-        "|---|---|---|---|",
-    ]
-    for row in rows:
-        if not isinstance(row, dict):
-            continue
-        lines.append(
-            "| {bench} | {metric} | {value} | {unit} |".format(
-                bench=row.get("bench", "?"), metric=row.get("metric", "?"),
-                value=row.get("value", "?"), unit=row.get("unit", "?"),
-            )
-        )
-    lines.append("")
-    return lines
-
-
 def compose_report(results_dir: Optional[str] = None,
                    now: Optional[str] = None) -> str:
     """The full markdown report as a string."""
@@ -175,8 +91,6 @@ def compose_report(results_dir: Optional[str] = None,
             lines.append(chunk)
             lines.append("```")
             lines.append("")
-    for name in _BENCH_TABLES:
-        lines.extend(bench_lines(name, results_dir))
     missing = [exp_id for _, exp_id, _ in _EXPERIMENTS
                if exp_id not in seen]
     if missing:

@@ -4,7 +4,8 @@ Several experiments assert *absence* claims from the paper — e.g.
 "no inter-gateway communication ever takes place" (Sec. 4.2) and
 "no needless conversions" (Sec. 5).  Absence is only checkable when the
 relevant events are counted at the point they would occur, so the NTCS
-layers increment :class:`CounterSet` entries and the benches read them.
+layers increment :class:`CounterSet` entries; the tier-1 tests pin
+them, and the experiment benches and ``bench_e2e`` report them.
 """
 
 from __future__ import annotations
@@ -33,12 +34,6 @@ ALI_SEND_BLOCKED = "ali_send_blocked"
 DROP_CONNECTIONLESS = "drop_connectionless"
 GATEWAY_CREDIT_DROPS = "gateway_credit_overruns_dropped"
 GATEWAY_CREDIT_CLAMPS = "gateway_credit_clamps"
-
-# Frame trains (PROTOCOL.md §13): the bench derives scheduler events
-# per delivered message from the run and records it as a
-# milli-events-per-message high-water-style gauge (integer counters
-# only, so the ratio is stored x1000).
-SCHEDULER_EVENTS_PER_MESSAGE = "scheduler_events_per_message"
 
 
 class CounterSet:

@@ -122,12 +122,18 @@ def test_gateway_kill_run_is_bit_deterministic(victim):
 def test_gateway_kill_exact_counters_under_fixed_seed():
     """Pin the exact repair counters for one (victim, seed) point —
     any behavioral drift in the repair path shows up here first."""
-    _, client, seen, _ = _gateway_kill_run("gwm1", seed=5)
+    bed, client, seen, engine = _gateway_kill_run("gwm1", seed=5)
     counters = client.nucleus.counters
     assert seen == [0, 1, 2, 3]
     assert counters["lcm_circuit_repairs"] == 1
     assert counters["ivc_reopen_attempts"] == 2
     assert counters["lcm_duplicate_requests_suppressed"] == 0
+    assert counters["ip_suspect_fallbacks"] == 2
+    assert counters["lcm_circuit_faults"] == 1
+    # The repair window: crash to conversation finished and bed idle,
+    # in virtual time.
+    crashed_at = engine.applied[0][0]
+    assert round((bed.now - crashed_at) * 1000, 4) == 435.0
 
 
 # ---------------------------------------------------------------------------

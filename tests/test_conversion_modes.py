@@ -63,7 +63,10 @@ def test_u64_split_join():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 2 ** 32 - 1), max_size=20))
 def test_property_shift_round_trip(values):
-    assert shift_decode_u32s(shift_encode_u32s(values), len(values)) == values
+    data = shift_encode_u32s(values)
+    # The wire contract: each word most-significant byte first.
+    assert data == b"".join(v.to_bytes(4, "big") for v in values)
+    assert shift_decode_u32s(data, len(values)) == values
 
 
 @settings(max_examples=200, deadline=None)

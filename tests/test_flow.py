@@ -8,6 +8,7 @@ buffering byte-for-byte on the wire (no credit kinds, no nonzero aux
 words on DATA).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,6 +94,53 @@ def test_overload_bounded_across_gateway():
     gw = bed.gateways["gw1"]
     assert gw.frames_forwarded_zero_copy > 0
     assert gw.credit_overruns_dropped == 0
+
+
+CREDIT_COUNTERS = (IP_CREDIT_STALLS, IP_CREDIT_PROBES, IP_CREDIT_GRANTS,
+                   IP_CREDIT_RESYNCS, ALI_SEND_BLOCKED)
+
+
+@pytest.mark.parametrize("flow_on, peak, virtual_ms, credit", [
+    (True, 16, 52.0, (5, 5, 0, 0, 10)),
+    (False, 96, 27.0, (0, 0, 0, 0, 0)),
+])
+def test_overload_script_exact_cost(flow_on, peak, virtual_ms, credit):
+    """The §12 overload script, pinned: 96 non-blocking sends through
+    the gateway at window 16 against a consumer that drains only when
+    the producer is refused — the worst polling-receiver shape.  Flow
+    control holds the queue at the window for ~2x the virtual time;
+    without it the whole backlog piles up and no credit traffic
+    exists.  Counts and virtual time are deterministic per seed."""
+    bed = two_nets(config=NucleusConfig(flow_control_enabled=flow_on,
+                                        flow_window=16))
+    prod, cons, addr = _producer_consumer(bed, "vax1", "apollo1")
+    t0 = bed.now
+    delivered = peak_queued = 0
+
+    def drain():
+        nonlocal delivered, peak_queued
+        bed.settle()
+        peak_queued = max(peak_queued, cons.ali.queued())
+        while cons.ali.queued():
+            cons.ali.receive(timeout=5.0)
+            delivered += 1
+
+    for i in range(96):
+        values = {"a": i, "b": 0, "big": 0}
+        try:
+            prod.ali.send(addr, "numbers", values, block=False)
+        except SendWouldBlock:
+            drain()
+            prod.ali.send(addr, "numbers", values)
+    drain()
+    assert delivered == 96
+    assert peak_queued == peak
+    if flow_on:  # the gauge is kept by the credit ledger only
+        assert cons.nucleus.counters[LVC_RX_QUEUE_HIGH_WATER] == peak
+    assert round((bed.now - t0) * 1000, 4) == virtual_ms
+    assert tuple(prod.nucleus.counters[name]
+                 for name in CREDIT_COUNTERS) == credit
+    assert bed.gateways["gw1"].credit_overruns_dropped == 0
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,25 @@ def test_e5_establishment_substrate_datagrams(hops):
     assert datagrams == E5_SUBSTRATE_DATAGRAMS[hops]
 
 
+def test_gateways_splice_without_copy_or_checksum():
+    """Sec. 5's "no needless conversions" at the gateway: every frame a
+    3-gateway chain forwards in steady state (naming traffic, one warm
+    call, ten more) goes out as the bytes that came in, its header
+    checksum left for the terminating endpoint to verify."""
+    bed = chain_nets(3)
+    echo_server(bed, "far.echo", "mEnd")
+    client = bed.module("client", "m0")
+    uadd = client.ali.locate("far.echo")
+    client.ali.call(uadd, "echo", {"n": 0, "text": "warm"})
+    t0 = bed.now
+    for i in range(10):
+        client.ali.call(uadd, "echo", {"n": i, "text": "steady"})
+    assert round((bed.now - t0) * 1000, 4) == 80.0  # 8 virtual ms a call
+    gateways = bed.gateways.values()
+    assert sum(gw.frames_forwarded_zero_copy for gw in gateways) == 113
+    assert sum(gw.checksum_verifies_deferred for gw in gateways) == 113
+
+
 def test_end_to_end_machine_type_across_gateway():
     """Conversion mode must reflect the *end-to-end* pair, not the
     gateway hops: VAX client → (Apollo gateway) → Apollo server must

@@ -19,6 +19,7 @@ Three layers of assurance:
 
 import os
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,20 @@ def test_ring_owner_pinned_across_processes():
     assert ring.owner("gw.gwm0") == 3
     assert ring.owner("far.echo") == 2
     assert ring.owner("mod.42") == 3
+
+
+@pytest.mark.parametrize("shards, lightest, heaviest", [
+    (2, 36_697, 63_303),
+    (4, 20_787, 28_048),
+])
+def test_ring_placement_of_1e5_names_pinned(shards, lightest, heaviest):
+    """Where the 10^5-name population of the §14 scale contract lands:
+    every name placed once, the lightest and heaviest shard pinned."""
+    ring = HashRing(range(shards))
+    loads = sorted(Counter(
+        ring.owner(f"mod.{i}") for i in range(100_000)).values())
+    assert len(loads) == shards and sum(loads) == 100_000
+    assert (loads[0], loads[-1]) == (lightest, heaviest)
 
 
 def test_ring_empty_refuses_to_route():

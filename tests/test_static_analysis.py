@@ -12,6 +12,7 @@ Two halves:
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -520,6 +521,32 @@ def test_committed_baseline_matches_repo_waiver_count():
     findings, waivers = run_rules_with_waivers(project)
     assert findings == [], "\n".join(f.render() for f in findings)
     assert len(waivers) == baseline, "\n".join(w.render() for w in waivers)
+
+
+def test_documented_make_targets_are_declared():
+    """Every ``make <target>`` the docs, the verify skill or a CI step
+    tells someone to run is declared in the Makefile's ``.PHONY`` — a
+    deleted target must take its mentions with it."""
+    makefile = (REPO_ROOT / "Makefile").read_text().replace("\\\n", " ")
+    declared = set(
+        re.search(r"^\.PHONY:(.*)$", makefile, re.M).group(1).split())
+    named = {}
+    for doc in ("README.md", "PROTOCOL.md", "ANALYSIS.md",
+                ".claude/skills/verify/SKILL.md"):
+        # Commands live in fenced blocks and backtick spans; prose may
+        # "make every advertisement idempotent" freely.
+        for code in re.findall(r"```.*?```|`[^`]+`",
+                               (REPO_ROOT / doc).read_text(), re.S):
+            for target in re.findall(r"\bmake\s+([a-z][a-z0-9-]*)", code):
+                named.setdefault(target, doc)
+    ci = ".github/workflows/ci.yml"
+    for target in re.findall(r"run:.*?\bmake ([a-z][a-z0-9-]*)",
+                             (REPO_ROOT / ci).read_text()):
+        named.setdefault(target, ci)
+    assert {"lint", "chaos", "bench-e2e-compare"} <= set(named)
+    undeclared = {target: where for target, where in named.items()
+                  if target not in declared}
+    assert not undeclared, f"not in the Makefile's .PHONY: {undeclared}"
 
 
 # ---------------------------------------------------------------------------

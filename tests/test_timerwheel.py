@@ -132,23 +132,49 @@ def test_cancel_then_reschedule_does_not_corrupt_pool():
 # Cancellation accounting
 # ---------------------------------------------------------------------------
 
-def test_pending_is_eager_and_compaction_removes_corpses():
-    sched = make_sched()
+def _armed_then_cancelled(sched):
+    """10 live timers; 200 more armed, then every one of them
+    cancelled.  Returns the live events."""
     keep = [sched.schedule(1.0 + i * 0.01, lambda: None) for i in range(10)]
     corpses = [sched.schedule(2.0 + i * 0.001, lambda: None)
                for i in range(200)]
     assert sched.pending() == 210
     for event in corpses:
         event.cancel()
-    # pending() reflects every cancel immediately (no pop needed)...
-    assert sched.pending() == 10
-    # ...and with 200 corpses > 10 live the wheel has compacted,
-    # repeatedly, keeping the held-corpse residue bounded by the
-    # compaction threshold rather than growing with the cancel count.
-    assert sched.wheel.compactions >= 2
-    assert sched.wheel.cancelled_held <= sched.wheel.compact_threshold
-    assert all(not e.cancelled for e in keep)
-    assert sched.run_until_idle() == 10
+    return keep
+
+
+def _steady_state_1000_modules(sched):
+    """What 1,000 connections at a 50 ms think time and a 1 s RTO
+    horizon keep parked in the queue: per module one far keepalive,
+    one near-due send timer, and 20 retransmit timers each cancelled as
+    soon as armed (the ack came).  Returns the live events."""
+    keep = []
+    for i in range(1000):
+        keep.append(sched.schedule(60.0 + (i % 64) * 0.9, lambda: None))
+        keep.append(sched.schedule(0.001 + (i % 50) * 0.001, lambda: None))
+        for j in range(20):
+            sched.schedule(0.2 + j * 0.05 + (i % 16) * 0.003,
+                           lambda: None).cancel()
+    return keep
+
+
+def test_pending_is_eager_and_compaction_removes_corpses():
+    for census in (_armed_then_cancelled, _steady_state_1000_modules):
+        sched = make_sched()
+        keep = census(sched)
+        # pending() reflects every cancel immediately (no pop needed)...
+        assert sched.pending() == len(keep)
+        # ...and with 20 corpses per live event the wheel has
+        # compacted, repeatedly: it never holds more corpses than the
+        # compaction threshold or the live count, whichever is larger,
+        # however many were cancelled.
+        wheel = sched.wheel
+        assert wheel.compactions >= 2
+        assert wheel.cancelled_held <= max(wheel.compact_threshold, len(keep))
+        assert all(not e.cancelled for e in keep)
+        assert sched.run_until_idle() == len(keep)
+        assert wheel.cancelled_held <= wheel.compact_threshold
 
 
 def test_cancelled_head_is_skipped_without_running():

@@ -1,9 +1,8 @@
 """Tests for the experiment report generator."""
 
-import json
 import os
 
-from repro.tools.report import bench_lines, collect_tables, compose_report
+from repro.tools.report import collect_tables, compose_report
 
 
 def test_collect_tables_from_fixture_dir(tmp_path):
@@ -36,28 +35,6 @@ def test_compose_report_empty_dir(tmp_path):
 def test_compose_report_nonexistent_dir(tmp_path):
     report = compose_report(str(tmp_path / "nope"))
     assert "Missing results" in report
-
-
-def test_naming_lines_from_bench_json(tmp_path):
-    """The control-plane work-saved table renders from BENCH_naming.json
-    (which sits two directories above the results dir)."""
-    results = tmp_path / "benchmarks" / "results"
-    results.mkdir(parents=True)
-    (tmp_path / "BENCH_naming.json").write_text(json.dumps([
-        {"bench": "control_plane_saved", "metric": "nsp_cache_hits",
-         "value": 14, "unit": "events", "virtual_ms": None,
-         "wall_ms": None},
-    ]))
-    lines = bench_lines("naming", str(results))
-    assert any("Control-plane work saved" in line for line in lines)
-    assert any("nsp_cache_hits" in line for line in lines)
-    report = compose_report(str(results), now="test-time")
-    assert "nsp_cache_hits" in report
-
-
-def test_naming_lines_absent_json(tmp_path):
-    assert bench_lines(
-        "naming", str(tmp_path / "benchmarks" / "results")) == []
 
 
 def test_real_results_compose_when_present():

@@ -22,6 +22,9 @@ Three layers of evidence:
   mid-train while a second burst arrives still sees arrival order.
 """
 
+from functools import partial
+from itertools import count
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -29,6 +32,8 @@ from hypothesis import strategies as st
 from deployments import echo_server, single_net, two_nets
 from repro.errors import SendWouldBlock
 from repro.netsim import ChaosSchedule
+from repro.netsim.network import Network
+from repro.netsim.scheduler import Scheduler
 from repro.ntcs.nucleus import NucleusConfig
 
 # The per-frame schedule: total scheduler events and per-network wire
@@ -117,6 +122,63 @@ def test_train_counters_account_the_batches():
     bed.settle()
     assert received == list(range(60))
     assert _coalesced(bed) > 0
+
+
+@pytest.mark.parametrize("train_max, events, trains", [
+    (1, 298, 0),
+    (64, 46, 33),
+])
+def test_gateway_burst_exact_events_and_trains(train_max, events, trains):
+    """60 one-way sends across the gateway to a polling consumer: the
+    scheduler events the burst costs per coalescing window, pinned,
+    with the wire frame count and the delivered sequence the same in
+    both."""
+    bed = two_nets(config=NucleusConfig(train_max=train_max))
+    prod = bed.module("train.producer", "vax1")
+    cons = bed.module("train.consumer", "apollo1")
+    events_before = bed.scheduler.events_processed
+    for i in range(60):
+        prod.ali.send(cons.ali.uadd, "numbers", {"a": i, "b": 0, "big": 0})
+    bed.settle()
+    received = []
+    while cons.ali.queued():
+        received.append(cons.ali.receive(timeout=5.0).values["a"])
+    assert received == list(range(60))
+    assert bed.scheduler.events_processed - events_before == events
+    assert sum(_wire(bed).values()) == 344
+    assert _coalesced(bed) == trains
+
+
+@pytest.mark.parametrize("senders, frames_each, off_events, on_events", [
+    (1_000, 40, 41_000, 1_640),
+    (10_000, 4, 50_000, 10_640),
+])
+def test_bare_netsim_fanin_events_per_window(senders, frames_each,
+                                             off_events, on_events):
+    """Fan-in on the bare substrate: senders spread over 32 instants
+    each burst their frames at one sink.  Per-frame delivery costs one
+    event per sender plus one per frame; coalescing costs one per
+    sender plus one per train of up to 64 same-instant frames — 640
+    trains either way, so the saving shrinks as the same frames spread
+    over more senders."""
+    for train_max, events, trains in ((1, off_events, 0),
+                                      (64, on_events, 640)):
+        sched = Scheduler()
+        net = Network(sched, "fanin0", latency=0.0005)
+        net.train_max = train_max
+        delivered = count()
+        net.attach("sink").bind_protocol("fanin", lambda _: next(delivered))
+
+        def burst(iface):
+            for _ in range(frames_each):
+                iface.send("sink", "fanin", b"x" * 48, size=64)
+
+        for i in range(senders):
+            sched.schedule(0.001 * (i % 32),
+                           partial(burst, net.attach(f"m{i}")))
+        assert sched.run_until_idle() == events
+        assert next(delivered) == senders * frames_each
+        assert net.trains_coalesced == trains
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from deployments import single_net, two_nets
 from repro import SUN3
 from repro.drts.proctl import ProcessController
+from repro.ntcs.nucleus import NucleusConfig
 from repro.ursa import Corpus, deploy_ursa
 from repro.ursa.protocol import decode_ids, encode_ids
 from repro.ursa.search_server import QueryError, parse_query
@@ -160,6 +161,36 @@ def test_ursa_across_networks():
     truth = corpus.build_inverted_index(corpus.doc_ids()).get(term, [])
     assert host.search(term) == truth
     assert bed.scheduler.max_pump_depth_seen >= 2  # nested blocking
+
+
+def test_cold_start_name_server_requests_exact():
+    """Three hosts each search and fetch once on a fresh deployment:
+    the Name-Server requests that costs besides registration — one
+    round trip per resolution with the NSP cache off, batched prefetch
+    plus cache hits with it on (PROTOCOL.md §9)."""
+    def cold_start(cache_enabled):
+        bed = single_net(NucleusConfig(nsp_cache_enabled=cache_enabled))
+        bed.machine("sun2", SUN3, networks=["ether0"])
+        corpus = Corpus(n_docs=30, seed=7)
+        term = corpus.common_terms(1)[0]
+        ursa = deploy_ursa(bed, corpus, index_machines=["sun1", "sun2"],
+                           search_machine="sun1", docs_machine="sun2",
+                           host_machines=["vax1", "sun1", "sun2"])
+        for host in ursa.hosts:
+            host.search_and_fetch(term, limit=2)
+        requests = sum(count
+                       for name, count in bed.name_server_instance.counters
+                       if name != "ns_register")
+        return requests, {
+            name: sum(commod.nucleus.counters[name]
+                      for commod in bed.modules.values())
+            for name in ("nsp_cache_hits", "nsp_batch_resolves",
+                         "nsp_cache_misses")}
+
+    assert cold_start(False)[0] == 15
+    assert cold_start(True) == (6, {"nsp_cache_hits": 14,
+                                    "nsp_batch_resolves": 5,
+                                    "nsp_cache_misses": 0})
 
 
 def test_index_server_relocation_transparent_to_search(system):
