@@ -153,31 +153,25 @@ def check_protocol(project: Project) -> Iterable[Finding]:
 
 
 def _check_duplicates(uses: List[_StructUse]) -> Iterable[Finding]:
-    by_id: Dict[int, List[_StructUse]] = {}
-    for use in uses:
-        if use.type_id is not None:
-            by_id.setdefault(use.type_id, []).append(use)
-    for type_id, group in sorted(by_id.items()):
-        if len(group) < 2:
+    # The repro tree is one scope: cross-module collisions bind there.
+    # Every stand-alone file is a scope of its own — it may reuse ids
+    # across never-coexisting registries, but not within itself.
+    firsts: Dict[Tuple[Optional[str], int], _StructUse] = {}
+    for use in sorted(uses, key=lambda u: (str(u.module.path), u.line)):
+        if use.type_id is None:
             continue
-        group.sort(key=lambda u: (str(u.module.path), u.line))
-        first = group[0]
-        for dup in group[1:]:
-            # Cross-module collisions only bind inside the repro tree;
-            # stand-alone files may reuse ids across never-coexisting
-            # registries (intra-module duplicates always count).
-            if dup.module.name != first.module.name and not (
-                _in_repro_tree(dup.module.name)
-                and _in_repro_tree(first.module.name)
-            ):
-                continue
-            yield Finding(
-                rule="PRO002", severity=SEVERITY_ERROR,
-                path=str(dup.module.path), line=dup.line,
-                message=(f"type id {type_id} ({dup.name or '?'!r}) already "
-                         f"defined as {first.name or '?'!r} at "
-                         f"{first.module.path}:{first.line}"),
-            )
+        scope = None if _in_repro_tree(use.module.name) \
+            else str(use.module.path)
+        first = firsts.setdefault((scope, use.type_id), use)
+        if first is use:
+            continue
+        yield Finding(
+            rule="PRO002", severity=SEVERITY_ERROR,
+            path=str(use.module.path), line=use.line,
+            message=(f"type id {use.type_id} ({use.name or '?'!r}) already "
+                     f"defined as {first.name or '?'!r} at "
+                     f"{first.module.path}:{first.line}"),
+        )
 
 
 def _check_fields(module: ModuleInfo, node: ast.Call,

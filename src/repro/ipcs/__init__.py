@@ -6,12 +6,14 @@ and Sun systems, the MBX mailbox facility on Apollo.  This package
 provides both flavours over the simulated networks:
 
 * :class:`SimTcpIpcs` — connection-oriented **byte streams** addressed
-  by (host, port), with a SYN/SYNACK handshake, per-segment
-  acknowledgement and bounded retransmission.  Receivers may see sends
-  coalesced or fragmented, so users must frame their own messages.
+  by (host, port), with a SYN/SYNACK handshake, one range
+  acknowledgement per connection per arrival train and bounded
+  retransmission.  Receivers may see sends coalesced or fragmented, so
+  users must frame their own messages.
 * :class:`SimMbxIpcs` — Apollo-style **mailboxes** addressed by
   pathname ("//host/path"), with record (message-boundary-preserving)
-  semantics and no retransmission: a lost record aborts the channel.
+  semantics, one acknowledgement range per connection per arrival
+  train and no retransmission: a lost record aborts the channel.
 
 The two deliberately differ in addressing, semantics and failure
 behaviour; unifying them behind one interface is exactly the job of the

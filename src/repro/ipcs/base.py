@@ -133,16 +133,12 @@ class Ipcs:
     Concrete subclasses implement:
       * :meth:`listen` — create a passive endpoint,
       * :meth:`connect` — blocking active open,
-      * wire handling over the network interface,
+      * wire handling over the network interface, per datagram and
+        per arrival train,
       * :meth:`address_blob_for` / :meth:`parse_blob`.
     """
 
     protocol = "abstract"
-
-    #: Called by the interface when an arrival train has drained
-    #: (PROTOCOL.md §13).  None for an IPCS that hands every datagram
-    #: up as it arrives; a coalescing IPCS defines it as a method.
-    _on_train_end: Optional[Callable[[], None]] = None
 
     def __init__(self, machine: Machine, network: Network):
         self.machine = machine
@@ -168,6 +164,12 @@ class Ipcs:
         raise NotImplementedError
 
     def _on_datagram(self, datagram) -> None:
+        raise NotImplementedError
+
+    def _on_train_end(self) -> None:
+        """Called by the interface when an arrival train has drained
+        (PROTOCOL.md §13): the train's acknowledgements go out, then
+        its deliveries go up."""
         raise NotImplementedError
 
     def _channel_send(self, channel: Channel, data: bytes) -> None:

@@ -6,14 +6,16 @@ must paper over:
 * addressing is by **pathname** ("//host/path"), not numeric port,
 * **record semantics** — each send is delivered as exactly one record;
   boundaries are preserved, never coalesced,
-* no retransmission: each record is acknowledged by the destination's
-  mailbox daemon, and a missing acknowledgement aborts the channel
-  (the Apollo ring was assumed reliable; failure means the peer died).
+* no retransmission: the destination's mailbox daemon acknowledges
+  the records of each arrival train with one range per connection, and
+  a missing acknowledgement aborts the channel (the Apollo ring was
+  assumed reliable; failure means the peer died).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.errors import AddressInUse, ConnectionRefused, NetworkUnreachable
 from repro.ipcs.base import Channel, Ipcs, Listener
@@ -32,7 +34,7 @@ _CLOSE = "MBX_CLOSE"
 
 class _MbxConn:
     __slots__ = ("local_id", "remote_id", "remote_host", "channel", "state",
-                 "next_seq", "pending_acks")
+                 "next_seq", "pending_acks", "ack_from", "ack_to")
 
     def __init__(self, local_id: int, remote_host: str, channel: Channel):
         self.local_id = local_id
@@ -42,6 +44,10 @@ class _MbxConn:
         self.state = "NEW"
         self.next_seq = 0
         self.pending_acks: Dict[int, object] = {}
+        # The range of records this arrival train owes a PUT_ACK for;
+        # ``ack_from`` is None when nothing is owed.
+        self.ack_from: Optional[int] = None
+        self.ack_to = 0
 
 
 class SimMbxIpcs(Ipcs):
@@ -55,6 +61,11 @@ class SimMbxIpcs(Ipcs):
         self._conns: Dict[int, _MbxConn] = {}
         self._conn_ids = SequenceGenerator()
         self._auto_names = SequenceGenerator()
+        # Records of the current arrival train not yet handed up, and
+        # the connections owed a PUT_ACK range for them, in arrival
+        # order (PROTOCOL.md §13).
+        self._records: Deque[Tuple[_MbxConn, bytes]] = deque()
+        self._acks_owed: Deque[_MbxConn] = deque()
         serialization_headroom = (
             65536 / network.bandwidth if network.bandwidth else 0.0
         )
@@ -209,6 +220,7 @@ class SimMbxIpcs(Ipcs):
         self.iface.send(datagram.src_host, self.protocol,
                         (_OPEN_ACK, remote_conn_id, local_id))
         if listener.on_accept is not None:
+            self._on_train_end()  # the train so far goes up first
             listener.on_accept(channel)
 
     def _handle_open_ack(self, datagram: Datagram) -> None:
@@ -231,22 +243,60 @@ class SimMbxIpcs(Ipcs):
         conn = self._conns.get(local_id)
         if conn is None or conn.state != "ESTABLISHED":
             return
-        self.iface.send(conn.remote_host, self.protocol,
-                        (_PUT_ACK, conn.remote_id, seq))
-        # Record semantics: one send, one delivery, boundaries intact.
-        conn.channel._deliver(data)
+        if conn.ack_from is None:
+            conn.ack_from = conn.ack_to = seq
+            self._acks_owed.append(conn)
+        elif seq == conn.ack_to + 1:
+            conn.ack_to = seq
+        else:
+            # A record in between went missing: acknowledge this one
+            # alone, so the owed range never claims the lost record —
+            # whose sender must still abort.
+            self.iface.send(conn.remote_host, self.protocol,
+                            (_PUT_ACK, conn.remote_id, seq, seq))
+        self._records.append((conn, data))
+
+    def _on_train_end(self) -> None:
+        """The interface has no more frames in this train (PROTOCOL.md
+        §13): every connection owed a PUT_ACK gets one range, then the
+        train's records go up — record semantics, one send, one
+        delivery, boundaries intact.  Each record is popped *before*
+        its upcall, so a handler that blocks while another train
+        arrives leaves the rest to the nested call, in arrival order.
+        Also called ahead of an accept or close upcall, so upcalls keep
+        arrival order."""
+        owed = self._acks_owed
+        while owed:
+            conn = owed.popleft()
+            first = conn.ack_from
+            conn.ack_from = None
+            self.iface.send(conn.remote_host, self.protocol,
+                            (_PUT_ACK, conn.remote_id, first, conn.ack_to))
+        records = self._records
+        while records:
+            conn, data = records.popleft()
+            conn.channel._deliver(data)
 
     def _handle_put_ack(self, datagram: Datagram) -> None:
-        _, local_id, seq = datagram.payload
+        _, local_id, first, last = datagram.payload
         conn = self._conns.get(local_id)
         if conn is None:
             return
-        timer = conn.pending_acks.pop(seq, None)
-        if timer is not None:
-            timer.cancel()
+        pending = conn.pending_acks
+        # Walk the range or the outstanding records, whichever is
+        # shorter: never more than what is outstanding.
+        if last - first < len(pending):
+            acked = range(first, last + 1)
+        else:
+            acked = [seq for seq in pending if first <= seq <= last]
+        for seq in acked:
+            timer = pending.pop(seq, None)
+            if timer is not None:
+                timer.cancel()
 
     def _handle_close(self, datagram: Datagram) -> None:
         _, local_id = datagram.payload
         conn = self._conns.get(local_id)
         if conn is not None:
+            self._on_train_end()  # the train so far goes up first
             self._abort(conn, "closed by peer", notify_peer=False)

@@ -5,8 +5,10 @@ Faithful-to-purpose TCP behaviours the ND-Layer driver must cope with:
 * active/passive open with SYN / SYNACK (and RST on refusal),
 * **byte-stream semantics** — contiguous segments are coalesced into a
   single delivery, so receivers must frame their own messages,
-* per-segment acknowledgement with bounded retransmission; exhausting
-  retries aborts the channel ("the link failed"),
+* one range acknowledgement per connection per arrival train (a
+  duplicate or out-of-order segment is acknowledged alone, at once),
+  with bounded retransmission; exhausting retries aborts the channel
+  ("the link failed"),
 * RST notification when the peer process dies while its host survives;
   silent loss (caught by retransmission timeout) when the host crashes.
 """
@@ -38,7 +40,7 @@ class _TcpConn:
         "local_id", "remote_id", "remote_host", "channel", "state",
         "next_send_seq", "next_recv_seq", "unacked", "out_of_order",
         "syn_timer", "syn_tries", "dst_port", "fail_reason", "rx_pending",
-        "peer_key",
+        "peer_key", "ack_from", "ack_to",
     )
 
     def __init__(self, local_id: int, remote_host: str, channel: Channel):
@@ -59,6 +61,10 @@ class _TcpConn:
         # Passive side only: this connection's key in ``_by_peer`` (the
         # duplicate-SYN table), remembered so closing is O(1).
         self.peer_key: Optional[Tuple[str, int]] = None
+        # The range of in-order segments this arrival train owes an
+        # acknowledgement for; ``ack_from`` is None when nothing is owed.
+        self.ack_from: Optional[int] = None
+        self.ack_to = 0
 
 
 class SimTcpIpcs(Ipcs):
@@ -75,6 +81,9 @@ class SimTcpIpcs(Ipcs):
         # Connections holding in-order bytes not yet handed up, in
         # arrival order; drained when the arrival train ends.
         self._rx_ready: Deque[_TcpConn] = deque()
+        # Connections owed a range acknowledgement, in arrival order;
+        # sent before the train's first upcall.
+        self._acks_owed: Deque[_TcpConn] = deque()
         self._conn_ids = SequenceGenerator()
         self._ephemeral = SequenceGenerator(ephemeral_base)
         # The retransmission timeout must cover serialization delay on
@@ -273,6 +282,7 @@ class SimTcpIpcs(Ipcs):
         self.iface.send(src_host, self.protocol,
                         (_SYNACK, remote_conn_id, local_id))
         if listener.on_accept is not None:
+            self._on_train_end()  # the train so far goes up first
             listener.on_accept(channel)
 
     def _handle_synack(self, datagram: Datagram) -> None:
@@ -300,29 +310,50 @@ class SimTcpIpcs(Ipcs):
         conn = self._conns.get(local_id)
         if conn is None or conn.state != "ESTABLISHED":
             return
-        self.iface.send(conn.remote_host, self.protocol,
-                        (_ACK, conn.remote_id, seq))
-        if seq < conn.next_recv_seq:
-            return  # duplicate, already delivered
-        conn.out_of_order[seq] = data
+        if seq != conn.next_recv_seq:
+            # A duplicate, or a segment past a gap: acknowledged alone
+            # and at once, so loss recovery is what it is without trains.
+            self.iface.send(conn.remote_host, self.protocol,
+                            (_ACK, conn.remote_id, seq, seq))
+            if seq > conn.next_recv_seq:
+                conn.out_of_order[seq] = data
+            return
+        if conn.ack_from is None:
+            conn.ack_from = seq
+            self._acks_owed.append(conn)
+        conn.ack_to = seq
         rx_pending = conn.rx_pending
-        was_empty = not rx_pending
-        while conn.next_recv_seq in conn.out_of_order:
-            rx_pending.append(conn.out_of_order.pop(conn.next_recv_seq))
-            conn.next_recv_seq += 1
-        if was_empty and rx_pending:
+        if not rx_pending:
             # Byte-stream semantics: hold the bytes until the arrival
             # train ends, so segments arriving at the same instant
             # coalesce into one chunk — receivers must frame their own
             # messages.
             self._rx_ready.append(conn)
+        rx_pending.append(data)
+        seq += 1
+        out_of_order = conn.out_of_order
+        while seq in out_of_order:
+            rx_pending.append(out_of_order.pop(seq))
+            seq += 1
+        conn.next_recv_seq = seq
 
     def _on_train_end(self) -> None:
-        """The interface has no more frames in this train: every stream
-        chunk it carried is born here (PROTOCOL.md §13).  Each
-        connection is popped *before* its upcall, so a handler that
-        blocks while another train arrives leaves the rest to the
-        nested call, in arrival order."""
+        """The interface has no more frames in this train (PROTOCOL.md
+        §13).  First every connection owed an acknowledgement gets one
+        range ACK, so no upcall — however long it blocks — holds one
+        back past the sender's retransmission timer; then every stream
+        chunk the train carried is born.  Each connection is popped
+        *before* its upcall, so a handler that blocks while another
+        train arrives leaves the rest to the nested call, in arrival
+        order.  Also called ahead of an accept or close upcall, so
+        upcalls keep arrival order."""
+        owed = self._acks_owed
+        while owed:
+            conn = owed.popleft()
+            first = conn.ack_from
+            conn.ack_from = None
+            self.iface.send(conn.remote_host, self.protocol,
+                            (_ACK, conn.remote_id, first, conn.ack_to))
         ready = self._rx_ready
         while ready:
             self._flush_rx(ready.popleft())
@@ -335,16 +366,25 @@ class SimTcpIpcs(Ipcs):
         conn.channel._deliver(chunk)
 
     def _handle_ack(self, datagram: Datagram) -> None:
-        _, local_id, seq = datagram.payload
+        _, local_id, first, last = datagram.payload
         conn = self._conns.get(local_id)
         if conn is None:
             return
-        entry = conn.unacked.pop(seq, None)
-        if entry is not None:
-            entry[0].cancel()
+        unacked = conn.unacked
+        # Walk the range or the outstanding segments, whichever is
+        # shorter: never more than what is outstanding.
+        if last - first < len(unacked):
+            acked = range(first, last + 1)
+        else:
+            acked = [seq for seq in unacked if first <= seq <= last]
+        for seq in acked:
+            entry = unacked.pop(seq, None)
+            if entry is not None:
+                entry[0].cancel()
 
     def _handle_close(self, datagram: Datagram) -> None:
         _, local_id = datagram.payload
         conn = self._conns.get(local_id)
         if conn is not None:
+            self._on_train_end()  # the train so far goes up first
             self._abort(conn, "closed by peer", notify_peer=False)

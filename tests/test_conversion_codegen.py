@@ -43,7 +43,7 @@ def test_round_trip():
 
 
 def test_packed_format_is_character_based():
-    pack, _, _ = build_codecs(StructDef("s", 1, [Field("n", "u32")]))
+    pack, _, _ = build_codecs(StructDef("s", 11, [Field("n", "u32")]))
     wire = pack({"n": 123456})
     assert b"123456" in wire  # decimal ASCII, per the paper's choice
 
@@ -51,14 +51,14 @@ def test_packed_format_is_character_based():
 def test_packed_format_endianness_independent():
     """The whole point: the packed bytes are identical no matter which
     machine packs them, because they never contain raw multi-byte ints."""
-    pack, unpack, _ = build_codecs(StructDef("s", 1, [Field("n", "u32")]))
+    pack, unpack, _ = build_codecs(StructDef("s", 12, [Field("n", "u32")]))
     wire = pack({"n": 0x01020304})
     assert unpack(wire) == {"n": 0x01020304}
     assert all(32 <= b < 127 or b == 0x1F for b in wire)
 
 
 def test_separator_inside_text_fields_safe():
-    pack, unpack, _ = build_codecs(StructDef("s", 1, [
+    pack, unpack, _ = build_codecs(StructDef("s", 13, [
         Field("a", "char[8]"), Field("b", "char[8]"),
     ]))
     values = {"a": "x\x1fy", "b": "1:2"}
@@ -66,7 +66,7 @@ def test_separator_inside_text_fields_safe():
 
 
 def test_range_checked_on_pack():
-    pack, _, _ = build_codecs(StructDef("s", 1, [Field("n", "u8")]))
+    pack, _, _ = build_codecs(StructDef("s", 14, [Field("n", "u8")]))
     with pytest.raises(ConversionError, match="out of range"):
         pack({"n": 300})
     with pytest.raises(ConversionError, match="out of range"):
@@ -74,19 +74,19 @@ def test_range_checked_on_pack():
 
 
 def test_char_overflow_checked_on_pack():
-    pack, _, _ = build_codecs(StructDef("s", 1, [Field("t", "char[4]")]))
+    pack, _, _ = build_codecs(StructDef("s", 15, [Field("t", "char[4]")]))
     with pytest.raises(ConversionError, match="too long"):
         pack({"t": "abcdef"})
 
 
 def test_non_ascii_rejected():
-    pack, _, _ = build_codecs(StructDef("s", 1, [Field("t", "char[8]")]))
+    pack, _, _ = build_codecs(StructDef("s", 16, [Field("t", "char[8]")]))
     with pytest.raises(ConversionError, match="not ASCII"):
         pack({"t": "héllo"})
 
 
 def test_unpack_rejects_garbage():
-    _, unpack, _ = build_codecs(StructDef("s", 1, [Field("n", "u32")]))
+    _, unpack, _ = build_codecs(StructDef("s", 17, [Field("n", "u32")]))
     with pytest.raises(ConversionError):
         unpack(b"not-a-number\x1f")
     with pytest.raises(ConversionError, match="unterminated"):
@@ -94,13 +94,13 @@ def test_unpack_rejects_garbage():
 
 
 def test_unpack_rejects_truncated_counted_field():
-    _, unpack, _ = build_codecs(StructDef("s", 1, [Field("t", "char[8]")]))
+    _, unpack, _ = build_codecs(StructDef("s", 18, [Field("t", "char[8]")]))
     with pytest.raises(ConversionError, match="truncated"):
         unpack(b"5:ab\x1f")
 
 
 def test_empty_struct():
-    pack, unpack, _ = build_codecs(StructDef("empty", 1, []))
+    pack, unpack, _ = build_codecs(StructDef("empty", 19, []))
     assert pack({}) == b""
     assert unpack(b"") == {}
 
@@ -182,11 +182,12 @@ def test_registry_accepts_custom_codecs():
 
 def test_registry_rejects_duplicates_and_partial_codecs():
     reg = ConversionRegistry()
-    reg.register(StructDef("a", 1, []))
+    first = StructDef("a", 1, [])
+    reg.register(first)
     with pytest.raises(ConversionError):
         reg.register(StructDef("a", 2, []))  # duplicate name
     with pytest.raises(ConversionError):
-        reg.register(StructDef("b", 1, []))  # duplicate id
+        reg.register(StructDef("b", first.type_id, []))  # duplicate id
     with pytest.raises(ConversionError):
         reg.register(StructDef("c", 3, []), pack=lambda v: b"")  # partial
 

@@ -32,11 +32,11 @@ def test_struct_validation():
     with pytest.raises(ConversionError):
         StructDef("s", 1, [Field("a", "i32"), Field("a", "u8")])  # ntcslint: allow=PRO004 — exercises the runtime duplicate-name rejection
     with pytest.raises(ConversionError):
-        StructDef("s", 1, [Field("tail", "bytes"), Field("a", "i32")])  # ntcslint: allow=PRO003 — exercises the runtime bytes-position rejection
+        StructDef("s", 2, [Field("tail", "bytes"), Field("a", "i32")])  # ntcslint: allow=PRO003 — exercises the runtime bytes-position rejection
     with pytest.raises(ConversionError):
         StructDef("s", -1, [])  # bad type id
     with pytest.raises(ConversionError):
-        StructDef("bad name", 1, [])
+        StructDef("bad name", 3, [])
 
 
 def test_fixed_size_computation():
@@ -71,45 +71,45 @@ def test_image_across_incompatible_machines_corrupts():
 
 
 def test_char_field_nul_padding_and_strip():
-    sdef = StructDef("s", 1, [Field("name", "char[8]")])
+    sdef = StructDef("s", 11, [Field("name", "char[8]")])
     image = sdef.image_encode({"name": "abc"}, "<")
     assert image == b"abc\x00\x00\x00\x00\x00"
     assert sdef.image_decode(image, "<") == {"name": "abc"}
 
 
 def test_char_field_overflow_rejected():
-    sdef = StructDef("s", 1, [Field("name", "char[4]")])
+    sdef = StructDef("s", 12, [Field("name", "char[4]")])
     with pytest.raises(ConversionError):
         sdef.image_encode({"name": "too long"}, "<")
 
 
 def test_missing_field_rejected():
-    sdef = StructDef("s", 1, [Field("a", "i32")])
+    sdef = StructDef("s", 13, [Field("a", "i32")])
     with pytest.raises(ConversionError, match="missing field"):
         sdef.image_encode({}, "<")
 
 
 def test_scalar_range_enforced_by_image_encode():
-    sdef = StructDef("s", 1, [Field("a", "u8")])
+    sdef = StructDef("s", 14, [Field("a", "u8")])
     with pytest.raises(ConversionError):
         sdef.image_encode({"a": 256}, "<")
 
 
 def test_variable_tail_round_trip():
-    sdef = StructDef("s", 1, [Field("n", "u16"), Field("tail", "bytes")])
+    sdef = StructDef("s", 15, [Field("n", "u16"), Field("tail", "bytes")])
     image = sdef.image_encode({"n": 9, "tail": b"abcdef"}, ">")
     values = sdef.image_decode(image, ">")
     assert values == {"n": 9, "tail": b"abcdef"}
 
 
 def test_tail_defaults_to_empty():
-    sdef = StructDef("s", 1, [Field("n", "u16"), Field("tail", "bytes")])
+    sdef = StructDef("s", 16, [Field("n", "u16"), Field("tail", "bytes")])
     image = sdef.image_encode({"n": 1}, ">")
     assert sdef.image_decode(image, ">")["tail"] == b""
 
 
 def test_truncated_image_rejected():
-    sdef = StructDef("s", 1, [Field("a", "i64")])
+    sdef = StructDef("s", 17, [Field("a", "i64")])
     with pytest.raises(ConversionError, match="shorter"):
         sdef.image_decode(b"\x00\x01", "<")
 

@@ -141,6 +141,69 @@ def test_bidirectional_records(sched, pair):
     assert client_got == [b"from-server"]
 
 
+def test_blocking_upcall_holds_back_no_acknowledgement(sched, ring, pair,
+                                                      apollo1):
+    """One train carries two records for A and one for B; A's first
+    record upcall blocks for two acknowledgement timeouts.  Both PUT_ACK
+    ranges left at the arrival instant, ahead of every upcall, so
+    neither channel aborts — acknowledging each connection as its
+    records are handed up would hold B's range behind A's handler and
+    kill B with "record not acknowledged"."""
+    _, client_ipcs, _, listener = pair
+    accepted = []
+    listener.on_accept = accepted.append
+    channels = [client_ipcs.connect(SimProcess(apollo1, tag),
+                                    listener.address_blob())
+                for tag in "AB"]
+    reasons, got, arrived, acks = [], [], [], []
+    for channel in channels:
+        channel.set_close_handler(reasons.append)
+    ring.trace_hooks.append(
+        lambda datagram, size, dropped: acks.append(
+            (sched.now, datagram.payload))
+        if datagram.payload[0] == "MBX_PUT_ACK" else None)
+
+    def slow(data):
+        got.append(data)
+        if not arrived:
+            arrived.append(sched.now)
+            sched.pump_until(lambda: False,
+                             timeout=2 * client_ipcs.ack_timeout,
+                             what="slow handler")
+
+    accepted[0].set_receive_handler(slow)
+    accepted[1].set_receive_handler(got.append)
+    channels[0].send(b"a1")
+    channels[1].send(b"b1")
+    channels[0].send(b"a2")
+    sched.run_until_idle()
+    assert got == [b"a1", b"b1", b"a2"]
+    assert reasons == []
+    assert all(channel.open for channel in channels)
+    assert [at for at, _ in acks] == arrived * 2
+    assert [payload[2:] for _, payload in acks] == [(0, 1), (0, 0)]
+
+
+def test_mid_train_close_goes_up_after_the_records_before_it(sched, pair,
+                                                            apollo1):
+    """Records are handed up at the train tail, but the train is
+    PUT(A) CLOSE(B) PUT(A): the record before B's close goes up before
+    its close upcall, the one after it behind — arrival order."""
+    _, client_ipcs, _, listener = pair
+    accepted, events = [], []
+    listener.on_accept = accepted.append
+    chan_a, chan_b = (client_ipcs.connect(SimProcess(apollo1, tag),
+                                          listener.address_blob())
+                      for tag in "AB")
+    accepted[0].set_receive_handler(events.append)
+    accepted[1].set_close_handler(events.append)
+    chan_a.send(b"a1")
+    chan_b.close()
+    chan_a.send(b"a2")
+    sched.run_until_idle()
+    assert events == [b"a1", "closed by peer", b"a2"]
+
+
 def test_many_clients_one_mailbox(sched, pair, apollo1):
     _, client_ipcs, _, listener = pair
     accepted = []

@@ -289,6 +289,21 @@ def test_interface_down_mid_train_strands_no_bytes(sched, ether, pair, sun1):
     assert not _stranded(server_ipcs)
 
 
+def test_mid_train_close_goes_up_after_the_bytes_before_it(sched, ether,
+                                                          pair):
+    """The train is DATA(A) CLOSE(B): A's chunk goes up before B's close
+    upcall, as it would with one frame per train — the IPCS hands the
+    train so far up ahead of an accept or close upcall."""
+    client_proc, client_ipcs, _, listener = pair
+    conn_a, conn_b, accepted, chunks = _two_connections(
+        client_proc, client_ipcs, listener)
+    accepted[1].set_close_handler(lambda reason: chunks.append(("B", reason)))
+    conn_a.send(b"one")
+    conn_b.close()
+    sched.run_until_idle()
+    assert chunks == [("A", b"one"), ("B", "closed by peer")]
+
+
 def test_blocking_chunk_upcall_keeps_stream_order(sched, ether, pair, sun1):
     """A's handler blocks inside the first train's chunk upcall while a
     second train arrives.  B's bytes from both trains surface in the
@@ -314,6 +329,37 @@ def test_blocking_chunk_upcall_keeps_stream_order(sched, ether, pair, sun1):
     assert chunks == [("A", b"a1"), ("B", b"b1b2"), ("A", b"a2"),
                       ("A", b"<unblocked>")]
     assert not _stranded(sun1.ipcs_for("ether0", "tcp"))
+
+
+def test_blocking_upcall_holds_back_no_acknowledgement(sched, ether, pair):
+    """One train carries a segment for A and one for B; A's chunk upcall
+    blocks for two retransmission timeouts.  Both range ACKs left at the
+    arrival instant, ahead of every upcall, so B's sender never times
+    out — acknowledging each connection as its chunk is handed up would
+    hold B's ACK behind A's handler and retransmit B's segment."""
+    client_proc, client_ipcs, _, listener = pair
+    conn_a, conn_b, accepted, chunks = _two_connections(
+        client_proc, client_ipcs, listener)
+    acks, arrived = [], []
+    ether.trace_hooks.append(
+        lambda datagram, size, dropped: acks.append(
+            (sched.now, datagram.payload)) if datagram.payload[0] == "ACK"
+        else None)
+
+    def slow(data):
+        arrived.append(sched.now)
+        chunks.append(("A", data))
+        sched.pump_until(lambda: False, timeout=2 * client_ipcs.rto,
+                         what="slow handler")
+
+    accepted[0].set_receive_handler(slow)
+    conn_a.send(b"a1")
+    conn_b.send(b"b1")
+    sched.run_until_idle()
+    assert chunks == [("A", b"a1"), ("B", b"b1")]
+    assert client_ipcs.segments_retransmitted == 0
+    assert [at for at, _ in acks] == arrived * 2
+    assert [payload[2:] for _, payload in acks] == [(0, 0), (0, 0)]
 
 
 def test_warm_echo_over_three_gateways_exact_substrate_cost():

@@ -68,14 +68,32 @@ def _nuclei(bed):
 
 
 def _ipcs_tables(bed):
-    """(label, table) of every IPCS connection/listener table."""
+    """(label, table) of every IPCS connection/listener table, and of
+    every arrival-train queue (PROTOCOL.md §13): connections owed an
+    acknowledgement, stream chunks and records not yet handed up."""
     for machine in bed.machines.values():
         for ipcs in machine.ipcs_instances():
             label = f"{machine.name}/{ipcs.network.name}"
-            for attr in ("_conns", "_by_peer", "_listeners", "_mailboxes"):
+            for attr in ("_conns", "_by_peer", "_listeners", "_mailboxes",
+                         "_acks_owed", "_rx_ready", "_records"):
                 table = getattr(ipcs, attr, None)
                 if table is not None:
                     yield f"{label}{attr}", table
+
+
+def _train_debts(bed):
+    """What a settled bed still owes some arrival train: a non-empty
+    train queue, or a connection holding an unsent ACK range."""
+    debts = []
+    for label, table in _ipcs_tables(bed):
+        if not isinstance(table, dict):
+            if table:
+                debts.append(f"{label}: {len(table)} queued")
+            continue
+        debts.extend(f"{label}: {entry!r} owes {entry.ack_from}-{entry.ack_to}"
+                     for entry in table.values()
+                     if getattr(entry, "ack_from", None) is not None)
+    return debts
 
 
 def _teardown_count(process):
@@ -111,6 +129,7 @@ class _Run:
         for k, (server_machine, _client_machine) in enumerate(pairs):
             _echo_server(bed, f"srv.{k}", server_machine)
         bed.settle()
+        assert not _train_debts(bed)
         self.bed = bed
         self.dead_nuclei = []
         self.dead_processes = []
@@ -132,6 +151,7 @@ class _Run:
         self.dead_processes.append(new.process)
         new.process.kill()
         bed.settle()
+        assert not _train_debts(bed), f"cycle {i}: {_train_debts(bed)}"
         del bed.modules[name]
 
 
@@ -161,6 +181,8 @@ def test_dead_modules_leave_nothing_behind(run):
     connection anywhere is owned by a dead process, and nothing keeps
     the dead module's Nucleus reachable."""
     for label, table in _ipcs_tables(run.bed):
+        if not isinstance(table, dict):
+            continue  # a train queue: empty once settled
         for entry in table.values():
             owner = getattr(entry, "channel", entry).owner
             assert owner.alive, f"{label}: {entry!r} owned by dead {owner!r}"

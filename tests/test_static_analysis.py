@@ -133,6 +133,23 @@ def test_protocol_rules_fire_exactly():
     assert "ok_message" in findings[1].message
 
 
+def test_stand_alone_duplicate_is_not_hidden_by_an_earlier_file(tmp_path):
+    # Stand-alone files may share an id across files (their registries
+    # never coexist), but each file's own uses are compared among
+    # themselves: an earlier-sorting file using the same id must not
+    # mask the later file's duplicate.
+    struct = 'StructDef("{}", 500, [Field("a", "u8")])\n'
+    header = "from repro.conversion import Field, StructDef\n"
+    (tmp_path / "a_first.py").write_text(header + struct.format("one"))
+    (tmp_path / "b_second.py").write_text(
+        header + struct.format("two") + struct.format("three"))
+    findings = analyze([tmp_path])
+    assert [(Path(f.path).name, f.rule, f.line) for f in findings] == [
+        ("b_second.py", "PRO002", 3)]
+    assert "'three'" in findings[0].message
+    assert "'two'" in findings[0].message
+
+
 def test_protocol_rule_resolves_constant_ids():
     # T_OUT_OF_RANGE = 99 is referenced by name, not literal.
     finding = fixture_findings("bad_protocol")[0]
@@ -389,9 +406,10 @@ def test_finding_render_shape():
 
 def test_registry_raises_typed_error_on_duplicate_type_id():
     registry = ConversionRegistry()
-    registry.register(StructDef("first", 100, [Field("a", "u8")]))
+    first = StructDef("first", 100, [Field("a", "u8")])
+    registry.register(first)
     with pytest.raises(DuplicateTypeId) as exc_info:
-        registry.register(StructDef("second", 100, [Field("b", "u8")]))
+        registry.register(StructDef("second", first.type_id, [Field("b", "u8")]))
     assert exc_info.value.type_id == 100
     assert "first" in str(exc_info.value)
     # Still a ConversionError for callers catching the family.
@@ -400,12 +418,12 @@ def test_registry_raises_typed_error_on_duplicate_type_id():
 
 def test_registry_raises_typed_error_on_duplicate_name():
     registry = ConversionRegistry()
-    registry.register(StructDef("same_name", 100, [Field("a", "u8")]))
+    registry.register(StructDef("same_name", 110, [Field("a", "u8")]))
     with pytest.raises(DuplicateTypeId):
-        registry.register(StructDef("same_name", 101, [Field("a", "u8")]))
+        registry.register(StructDef("same_name", 111, [Field("a", "u8")]))
     # No silent overwrite happened.
-    assert registry.get(100).sdef.name == "same_name"
-    assert 101 not in registry
+    assert registry.get(110).sdef.name == "same_name"
+    assert 111 not in registry
 
 
 # ---------------------------------------------------------------------------

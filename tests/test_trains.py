@@ -1,25 +1,27 @@
 """Frame trains (PROTOCOL.md §13): the netsim coalesces back-to-back
 frames into one delivery event.  That changes how many scheduler
-events the data plane pays, and nothing else.
+events the data plane pays and how many acknowledgements the IPCSs
+send — one range per connection per train — and nothing else.
 
 Three layers of evidence:
 
 * exact-pin ablation — ``train_max=1`` is one delivery event per
-  frame, pinned exactly, and the default window keeps every wire frame
-  count and application answer while strictly shrinking the event
-  count;
-* a property — delivered message sequences are identical for
-  ``train_max=1`` and every wider coalescing window under random
-  *deterministic* chaos schedules (gateway crash/restart, drop_next)
-  and flow-control stalls.  Probabilistic drops are deliberately
-  excluded: ``FaultPlan.should_drop`` draws its seeded RNG per
-  transmit, so any schedule that consumes randomness in event order
-  is not comparable across windows — everything else must be;
+  frame, pinned exactly, and the default window keeps every
+  application answer while strictly shrinking the event count (and,
+  on a burst, the ACK count);
+* a property — delivered message sequences, send outcomes and every
+  non-ACK frame on the wire are identical for ``train_max=1`` and
+  every wider coalescing window under random *deterministic* chaos
+  schedules (gateway crash/restart, drop_next) and flow-control
+  stalls.  Probabilistic drops are deliberately excluded:
+  ``FaultPlan.should_drop`` draws its seeded RNG per transmit, so any
+  schedule that consumes randomness in event order is not comparable
+  across windows — everything else must be;
 * arrival order under a blocking handler — a train is handed up one
   frame at a time from a queue shared across re-entrant deliveries
-  (the netsim ``Interface`` for MBX records, the TCP driver's
-  reassembly buffer for stream chunks), so a handler that blocks
-  mid-train while a second burst arrives still sees arrival order.
+  (the MBX IPCS's record queue, the TCP IPCS's reassembly buffer for
+  stream chunks), so a handler that blocks mid-train while a second
+  burst arrives still sees arrival order.
 """
 
 from functools import partial
@@ -124,15 +126,24 @@ def test_train_counters_account_the_batches():
     assert _coalesced(bed) > 0
 
 
+# Wire frames of the 60-send gateway burst per coalescing window.  The
+# per-frame count dates from before trains existed; the coalesced one
+# moved 344 -> 226 (and its trains 33 -> 31) when each connection's
+# share of an arrival train began to be acknowledged with one range ACK.
+GATEWAY_BURST_FRAMES = {1: 344, 64: 226}
+
+
 @pytest.mark.parametrize("train_max, events, trains", [
     (1, 298, 0),
-    (64, 46, 33),
+    (64, 46, 31),
 ])
 def test_gateway_burst_exact_events_and_trains(train_max, events, trains):
     """60 one-way sends across the gateway to a polling consumer: the
-    scheduler events the burst costs per coalescing window, pinned,
-    with the wire frame count and the delivered sequence the same in
-    both."""
+    scheduler events and wire frames the burst costs per coalescing
+    window, pinned, with the delivered sequence the same in both.  Only
+    acknowledgements differ between the windows: the per-frame schedule
+    acknowledges every segment and record, a train each connection's
+    share of it."""
     bed = two_nets(config=NucleusConfig(train_max=train_max))
     prod = bed.module("train.producer", "vax1")
     cons = bed.module("train.consumer", "apollo1")
@@ -145,7 +156,7 @@ def test_gateway_burst_exact_events_and_trains(train_max, events, trains):
         received.append(cons.ali.receive(timeout=5.0).values["a"])
     assert received == list(range(60))
     assert bed.scheduler.events_processed - events_before == events
-    assert sum(_wire(bed).values()) == 344
+    assert sum(_wire(bed).values()) == GATEWAY_BURST_FRAMES[train_max]
     assert _coalesced(bed) == trains
 
 
@@ -186,17 +197,40 @@ def test_bare_netsim_fanin_events_per_window(senders, frames_each,
 # deterministic chaos, and flow-control stalls
 # ---------------------------------------------------------------------------
 
+_ACKS = ("ACK", "MBX_PUT_ACK")
+_SEQUENCED = ("DATA", "MBX_PUT")
+
+
+def _record_wire_without_acks(bed):
+    """Every non-ACK frame the bed transmits from now on, in transmit
+    order: time, network, hosts, kind, sequence number, size and drop
+    verdict."""
+    frames = []
+    for name, network in sorted(bed.networks.items()):
+        def tap(datagram, size, dropped, name=name):
+            kind = datagram.payload[0]
+            if kind not in _ACKS:
+                seq = datagram.payload[2] if kind in _SEQUENCED else "-"
+                frames.append((bed.now, name, datagram.src_host,
+                               datagram.dst_host, kind, seq, size, dropped))
+        network.trace_hooks.append(tap)
+    return frames
+
+
 def _burst_observables(train_max, flow_window, crash_at_ms,
                        down_ms, drop_count, messages=18):
     """Everything an application can observe from a flood across the
     gateway: the delivered values in delivery order, plus every send
-    outcome.  The gateway is crashed and restarted on a fixed virtual
-    schedule and ``drop_count`` frames are unconditionally dropped —
-    both deterministic in event order, hence window-comparable."""
+    outcome — and the wire minus its acknowledgements, the only frames
+    a coalescing window may change.  The gateway is crashed and
+    restarted on a fixed virtual schedule and ``drop_count`` frames are
+    unconditionally dropped — both deterministic in event order, hence
+    window-comparable."""
     bed = two_nets(config=NucleusConfig(
         train_max=train_max,
         flow_control_enabled=True, flow_window=flow_window,
         repair_max_attempts=8))
+    wire = _record_wire_without_acks(bed)
     sink = bed.module("ring.sink", "apollo1")
     src = bed.module("src", "vax1")
     uadd = src.ali.locate("ring.sink")
@@ -228,7 +262,7 @@ def _burst_observables(train_max, flow_window, crash_at_ms,
             outcomes.append(("gave-up", i))
     bed.settle()
     drain()
-    return received, outcomes
+    return received, outcomes, wire
 
 
 @settings(max_examples=12, deadline=None,

@@ -1,18 +1,29 @@
 """Datagram-level wire invariance: substrate work must not move a frame.
 
 Three scripted runs are traced one line per transmitted datagram —
-virtual time, network, hosts, protocol, segment kind, sequence number,
-size, a checksum of the bytes carried, and the drop decision — and
-compared byte for byte with traces recorded by the implementation
-*before* the sim substrate was specialised (PR 16: stream chunks born
-at the train tail, fused pump step, per-datagram fast path).  Anything
-that changes what goes on the wire, when, in what order, or what the
-fault plan does to it fails here; scheduler-event counts and Python
-call counts are free to move.
+virtual time, network, hosts, protocol, segment kind, sequence number
+(``first-last`` for an acknowledgement covering a range), size, a
+checksum of the bytes carried, and the drop decision — and compared
+byte for byte with recorded traces.  Anything that changes what goes
+on the wire, when, in what order, or what the fault plan does to it
+fails here; scheduler-event counts and Python call counts are free to
+move.
+
+Each scenario is recorded twice:
+
+* ``<name>.trace`` at the default coalescing window.  ``echo5_chain3``
+  and ``sever_heal_single_net`` date from before the sim substrate was
+  specialised (stream chunks born at the train tail, fused pump step,
+  per-datagram fast path); ``burst40_two_nets_drop2`` was re-recorded
+  when each connection's share of an arrival train began to be
+  acknowledged with one range ACK — only its ACK lines changed.
+* ``<name>.train1.trace`` at ``train_max = 1``, recorded by the
+  implementation that still acknowledged every segment and record on
+  arrival: the ablation must reproduce that wire exactly.
 
 The fixtures' whole value is that the pre-change implementation wrote
-them.  Regenerate (only when the wire is *meant* to change, and record
-old -> new in CHANGES.md) with:
+them.  Regenerate the default-window traces (only when the wire is
+*meant* to change, and record old -> new in CHANGES.md) with:
 
     PYTHONPATH=src:tests python tests/test_wire_invariance.py
 """
@@ -24,12 +35,15 @@ import pytest
 
 from deployments import chain_nets, echo_server, single_net, two_nets
 from repro.netsim import NetTraceLog
+from repro.ntcs.nucleus import NucleusConfig
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "fixtures", "netsim_wire")
 
-# Segment kinds whose third payload element is a sequence number.
+# Segment kinds whose third payload element is a sequence number, and
+# the acknowledgements among them, whose fourth ends a range.
 _SEQUENCED = {"DATA", "ACK", "MBX_PUT", "MBX_PUT_ACK"}
+_RANGED = {"ACK", "MBX_PUT_ACK"}
 
 
 class _SegmentTrace(NetTraceLog):
@@ -40,8 +54,11 @@ class _SegmentTrace(NetTraceLog):
         super()._record(network, datagram, size, dropped)
         payload = datagram.payload
         args = self.events[-1]["args"]
-        args["kind"] = payload[0]
-        args["seq"] = payload[2] if payload[0] in _SEQUENCED else "-"
+        kind = args["kind"] = payload[0]
+        seq = payload[2] if kind in _SEQUENCED else "-"
+        if kind in _RANGED and payload[3] != seq:
+            seq = f"{seq}-{payload[3]}"
+        args["seq"] = seq
 
     def lines(self):
         out = []
@@ -63,8 +80,8 @@ def _traced(bed):
     return log
 
 
-def _echoes_over_three_gateways():
-    bed = chain_nets(3)
+def _echoes_over_three_gateways(config):
+    bed = chain_nets(3, config=config)
     log = _traced(bed)
     echo_server(bed, "dest", "mEnd")
     client = bed.module("client", "m0")
@@ -76,8 +93,8 @@ def _echoes_over_three_gateways():
     return log
 
 
-def _burst_through_gateway_with_drops():
-    bed = two_nets()
+def _burst_through_gateway_with_drops(config):
+    bed = two_nets(config=config)
     log = _traced(bed)
     received = []
     sink = bed.module("ring.sink", "apollo1")
@@ -94,8 +111,8 @@ def _burst_through_gateway_with_drops():
     return log
 
 
-def _sever_and_heal_mid_conversation():
-    bed = single_net()
+def _sever_and_heal_mid_conversation(config):
+    bed = single_net(config=config)
     log = _traced(bed)
     echo_server(bed, "dest", "sun1")
     client = bed.module("client", "vax1")
@@ -124,16 +141,28 @@ SCENARIOS = {
 }
 
 
+def _recorded(name):
+    with open(os.path.join(FIXTURES, name)) as handle:
+        return handle.read()
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_datagram_trace_is_byte_identical_to_the_recorded_wire(name):
-    with open(os.path.join(FIXTURES, name + ".trace")) as handle:
-        recorded = handle.read()
-    assert SCENARIOS[name]().lines() == recorded
+    assert SCENARIOS[name](None).lines() == _recorded(name + ".trace")
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_train_max_1_reproduces_the_per_frame_acknowledged_wire(name):
+    """The ablation is exact: with one frame per train every range ACK
+    covers one segment or record, so the wire is the one recorded
+    before acknowledgements were gathered per train."""
+    traced = SCENARIOS[name](NucleusConfig(train_max=1))
+    assert traced.lines() == _recorded(name + ".train1.trace")
 
 
 if __name__ == "__main__":
     os.makedirs(FIXTURES, exist_ok=True)
     for scenario, run in sorted(SCENARIOS.items()):
         with open(os.path.join(FIXTURES, scenario + ".trace"), "w") as out:
-            out.write(run().lines())
+            out.write(run(None).lines())
         print("wrote", scenario)
