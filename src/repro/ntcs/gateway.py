@@ -34,7 +34,7 @@ from repro.errors import (
     RouteNotFound,
 )
 from repro.ntcs import message as m
-from repro.ntcs.address import Address
+from repro.ntcs.address import Address, blob_network
 from repro.ntcs.iplayer import MAX_HOPS
 from repro.ntcs.ndlayer import Lvc
 from repro.ntcs.nucleus import Nucleus, NucleusConfig
@@ -43,6 +43,7 @@ from repro.util.counters import (
     GATEWAY_CHECKSUM_VERIFIES_DEFERRED,
     GATEWAY_CREDIT_CLAMPS,
     GATEWAY_CREDIT_DROPS,
+    GATEWAY_STALE_ADDR_FALLBACKS,
 )
 
 
@@ -260,17 +261,7 @@ class Gateway:
         toward it — chosen with the same naming-service machinery the
         originating IP-Layer used (Sec. 4.1)."""
         if dst_network in self.stacks:
-            out_nucleus = self.stacks[dst_network]
-            blob = self.wellknown.blob_for(dst, dst_network)
-            if blob is None:
-                record = self._resolve_via_any_stack(dst, preferred=out_nucleus)
-                blob = record.blob_on(dst_network)
-                if blob is None:
-                    raise AddressFault(
-                        dst, f"not reachable on {dst_network!r}"
-                    )
-            lvc = out_nucleus.nd.open_lvc(dst, blob, reason="final chain hop")
-            return out_nucleus, lvc
+            return self._open_final_hop(dst, dst_network)
         # Route onward: first hop toward dst_network from any of our
         # stacks (each stack's IP-Layer owns the BFS and its cache).
         errors = []
@@ -299,6 +290,42 @@ class Gateway:
         raise RouteNotFound(
             f"no onward route to {dst_network!r}: {'; '.join(errors) or 'no gateways'}"
         )
+
+    def _open_final_hop(self, dst: Address, dst_network: str) -> Tuple[Nucleus, Lvc]:
+        """Open the chain's last LVC, straight to ``dst`` on
+        ``dst_network``.  The blob comes from the well-known table, else
+        from this stack's address cache (the open protocol taught it at
+        the peer's last HELLO, Sec. 3.3), else from the naming service.
+        A cached blob that no longer answers is resolved afresh; when
+        naming still names the same blob the destination is dead, and
+        its fault stands without a second connect round (PROTOCOL.md
+        §3, "IVC through gateways")."""
+        out_nucleus = self.stacks[dst_network]
+        blob = self.wellknown.blob_for(dst, dst_network)
+        if blob is None:
+            entry = out_nucleus.addr_cache.lookup(dst)
+            if entry is not None and blob_network(entry.blob) == dst_network:
+                try:
+                    return out_nucleus, out_nucleus.nd.open_lvc(
+                        dst, entry.blob, reason="final chain hop")
+                except AddressFault as fault:
+                    # The connect already invalidated the stale entry.
+                    out_nucleus.counters.incr(GATEWAY_STALE_ADDR_FALLBACKS)
+                    blob = self._resolve_blob(dst, dst_network, out_nucleus)
+                    if blob == entry.blob:
+                        raise fault
+            else:
+                blob = self._resolve_blob(dst, dst_network, out_nucleus)
+        return out_nucleus, out_nucleus.nd.open_lvc(
+            dst, blob, reason="final chain hop")
+
+    def _resolve_blob(self, dst: Address, dst_network: str,
+                      preferred: Nucleus) -> str:
+        """``dst``'s blob on ``dst_network``, from the naming service."""
+        blob = self._resolve_via_any_stack(dst, preferred).blob_on(dst_network)
+        if blob is None:
+            raise AddressFault(dst, f"not reachable on {dst_network!r}")
+        return blob
 
     def _resolve_via_any_stack(self, dst: Address, preferred: Nucleus):
         """Resolve a UAdd through whichever of our stacks can currently

@@ -69,9 +69,11 @@ class NucleusConfig:
         train_max: maximum back-to-back same-destination frames the
             netsim coalesces into one scheduled delivery event
             (PROTOCOL.md §13) before the next frame opens a fresh
-            train.  Purely a delivery-path construct: the wire is
-            byte-identical for every value, and 1 reproduces the
-            pre-train per-frame event schedule event-for-event.
+            train.  A delivery-path construct: every non-ACK frame is
+            identical for every value (each IPCS acknowledges a train
+            with one range ACK per connection), and 1 reproduces the
+            per-frame event schedule event-for-event and the per-frame
+            wire byte for byte.
         trace: record layer entry/exit (Sec. 6.2 debugging support).
 
     Budgets nothing varies are constants beside their readers, not

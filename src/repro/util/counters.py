@@ -35,6 +35,11 @@ DROP_CONNECTIONLESS = "drop_connectionless"
 GATEWAY_CREDIT_DROPS = "gateway_credit_overruns_dropped"
 GATEWAY_CREDIT_CLAMPS = "gateway_credit_clamps"
 
+# A gateway's final chain hop dialled the blob its stack's address
+# cache held (Sec. 3.3) and the connect failed, so it fell back to the
+# naming service (PROTOCOL.md §3, "IVC through gateways").
+GATEWAY_STALE_ADDR_FALLBACKS = "gateway_stale_addr_fallbacks"
+
 
 class CounterSet:
     """A mutable set of named integer counters.

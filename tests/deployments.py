@@ -132,6 +132,20 @@ def echo_server(bed: Testbed, name: str, machine: str, **kwargs):
     return commod
 
 
+def veteran_of_far_echo(bed: Testbed):
+    """On a :func:`sharded_chain`: an echo server ``far.echo`` on
+    ``mEnd`` and a ``veteran`` client on ``m0`` that has called it once,
+    so the last gateway's stack on the far network holds the server's
+    blob from the open protocol (Sec. 3.3).  Returns ``(server,
+    veteran, server_uadd)``."""
+    server = echo_server(bed, "far.echo", "mEnd")
+    veteran = bed.module("veteran", "m0")
+    uadd = veteran.ali.locate("far.echo")
+    veteran.ali.call(uadd, "echo", {"n": 0, "text": "warm"})
+    bed.settle()
+    return server, veteran, uadd
+
+
 def send_burst_with_bad_frame(client, uadd):
     """Over ``client``'s established circuit to ``uadd``, send four
     frames back to back — "numbers" messages a=0 and a=1, a zeroed

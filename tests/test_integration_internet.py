@@ -3,8 +3,16 @@ chained IVCs, gateway autonomy, teardown propagation."""
 
 import pytest
 
-from deployments import chain_nets, echo_server, two_nets
-from repro.errors import DestinationUnavailable, RouteNotFound
+from deployments import (
+    chain_nets,
+    echo_server,
+    sharded_chain,
+    two_nets,
+    veteran_of_far_echo,
+)
+from repro.drts.proctl import ProcessController
+from repro.errors import DestinationUnavailable, NtcsError, RouteNotFound
+from repro.util.counters import GATEWAY_STALE_ADDR_FALLBACKS
 
 
 def test_direct_ivc_on_same_network():
@@ -227,3 +235,114 @@ def test_topology_cached_after_first_route():
     uadd2 = client.ali.locate("far.echo2")
     client.ali.call(uadd2, "echo", {"n": 2, "text": "y"})
     assert client.nucleus.counters["topology_queries"] == queries_after_first
+
+
+# The final chain hop reads its stack's address cache (PROTOCOL.md §3,
+# "IVC through gateways"): the gateway dials the blob the open protocol
+# taught it at the destination's last HELLO, and asks the naming service
+# only on a miss or when that blob no longer answers.  The hostile cases
+# below pin the stale-entry fallbacks, the originator's outcome and the
+# virtual time to it, next to the time the naming-first final hop (which
+# resolved before every connect) took on the same script.
+
+def _gateway_count(bed, name):
+    return sum(nucleus.counters[name] for gateway in bed.gateways.values()
+               for nucleus in gateway.stacks.values())
+
+
+def _call_again(bed, veteran, uadd):
+    """The veteran's next call to ``uadd``: (reply or the NtcsError it
+    raised, virtual seconds it took, gateway stale-entry fallbacks and
+    gateway naming calls it caused)."""
+    fallbacks = _gateway_count(bed, GATEWAY_STALE_ADDR_FALLBACKS)
+    nsp_calls = _gateway_count(bed, "nsp_calls")
+    start = bed.now
+    try:
+        outcome = veteran.ali.call(uadd, "echo", {"n": 1, "text": "again"},
+                                   timeout=5.0)
+    except NtcsError as exc:
+        outcome = exc
+    elapsed = bed.now - start
+    bed.settle()
+    return (outcome, elapsed,
+            _gateway_count(bed, GATEWAY_STALE_ADDR_FALLBACKS) - fallbacks,
+            _gateway_count(bed, "nsp_calls") - nsp_calls)
+
+
+def test_stale_entry_of_a_relocated_destination_forwards():
+    """(a) The destination is killed and re-registered as a new process:
+    its old blob refuses the connect, the gateway falls back to naming
+    and NAKs, and the veteran's LCM follows the forwarding to the
+    replacement.  Naming-first: 0.060000000000000026 s, 2 naming calls."""
+    bed, _groups = sharded_chain(hops=2, shards=2, replicas=2)
+    _server, veteran, uadd = veteran_of_far_echo(bed)
+
+    def rebuild(_old, new):
+        new.ali.set_request_handler(lambda request: new.ali.reply(
+            request, "echo", {"n": request.values["n"],
+                              "text": request.values["text"].upper()}))
+
+    ProcessController(bed).relocate("far.echo", "mEnd", rebuild=rebuild)
+    bed.settle()
+    reply, elapsed, fallbacks, nsp_calls = _call_again(bed, veteran, uadd)
+    assert reply.values["text"] == "AGAIN"
+    assert veteran.nucleus.counters["lcm_relocations_followed"] == 1
+    assert (elapsed, fallbacks, nsp_calls) == (0.060000000000000026, 1, 2)
+
+
+def test_stale_entry_of_a_crashed_machine_costs_one_connect_round():
+    """(b) The destination's machine crashes: the cached blob times out,
+    naming still names the same blob, so the gateway NAKs at once rather
+    than dialling it a second time.  The connect attempts on the far
+    network and the time to the typed failure equal the naming-first
+    hop's (30 attempts, 2.583001646631283 s, 15 naming calls)."""
+    bed, _groups = sharded_chain(hops=2, shards=2, replicas=2)
+    _server, veteran, uadd = veteran_of_far_echo(bed)
+    far_stack = bed.gateways["gwm1"].stacks["net2"]
+    bed.machines["mEnd"].crash()
+    bed.settle()
+    outcome, elapsed, fallbacks, nsp_calls = _call_again(bed, veteran, uadd)
+    assert isinstance(outcome, DestinationUnavailable)
+    assert (elapsed, fallbacks, nsp_calls) == (2.583001646631283, 1, 15)
+    assert far_stack.counters["nd_open_retries"] == 30
+
+
+def test_cached_blob_of_another_live_module_is_refused_by_the_endpoint():
+    """(c) The cached blob now belongs to a different live module (a
+    reused port; netsim never reuses one, so the entry is planted).  The
+    impostor's IP-Layer refuses the chained open with its
+    not-a-gateway NAK, which the originator sees as the same typed
+    failure the naming-first hop gave (0.9640016466313124 s, 5 naming
+    calls).  No hang, no untyped exception."""
+    bed, _groups = sharded_chain(hops=2, shards=2, replicas=2)
+    server, veteran, uadd = veteran_of_far_echo(bed)
+    impostor = echo_server(bed, "other.echo", "mEnd")
+    server.process.kill()
+    bed.settle()
+    bed.gateways["gwm1"].stacks["net2"].addr_cache.store(
+        uadd, impostor.nucleus.nd.listen_blob, impostor.nucleus.mtype.name)
+    outcome, elapsed, fallbacks, nsp_calls = _call_again(bed, veteran, uadd)
+    assert isinstance(outcome, DestinationUnavailable)
+    assert "no replacement module" in str(outcome)
+    assert (elapsed, fallbacks, nsp_calls) == (0.9440016466313128, 0, 0)
+    assert impostor.nucleus.counters["ivc_open_refused_not_gateway"] == 5
+
+
+def test_gateways_ask_naming_once_per_far_destination():
+    """Three newcomers in turn make a first call to the same far server.
+    Only the first costs the gateways naming calls: 5, where the
+    naming-first final hop made 6 and then 1 per later newcomer."""
+    bed, _groups = sharded_chain(hops=2, shards=2, replicas=2)
+    server = echo_server(bed, "far.echo", "mEnd")
+    bed.settle()
+    far_stack = bed.gateways["gwm1"].stacks["net2"]
+    costs = []
+    for i in range(3):
+        newcomer = bed.module(f"new.{i}", "m0")
+        uadd = newcomer.ali.locate("far.echo")
+        before = _gateway_count(bed, "nsp_calls")
+        newcomer.ali.call(uadd, "echo", {"n": i, "text": "hi"})
+        costs.append(_gateway_count(bed, "nsp_calls") - before)
+        entry = far_stack.addr_cache.lookup(uadd)
+        assert entry.blob == server.nucleus.nd.listen_blob
+    assert costs == [5, 0, 0]

@@ -1,0 +1,88 @@
+"""Probabilistic loss as a measured regime (PROTOCOL.md §13).
+
+One range ACK per connection per arrival train (the default window)
+acknowledges a whole train at once, so losing that one datagram leaves
+every segment it covered to its own retransmit timer.  The per-frame
+schedule (``train_max = 1``) loses one single-segment ACK instead.  These
+pins record what that costs on a fixed script: a 40-message one-way burst
+from the Ethernet across the gateway to the Apollo ring, with seeded
+probabilistic loss on the Ethernet (the ring's MBX does not retransmit,
+so loss there aborts the connection instead of measuring recovery).
+
+Each row pins, exactly: TCP segments retransmitted, wire frames on both
+networks, datagrams the fault plan dropped, and two virtual instants
+measured from the first send: the last delivery to the sink, and the
+last frame on the wire (recovery over).  They are measurements, not
+targets.  At p = 0.01 the train window retransmits 40 segments where the
+per-frame schedule retransmits 1: the single loss hits the range ACK of
+the whole burst.
+"""
+
+import pytest
+
+from deployments import two_nets
+from repro.ntcs.nucleus import NucleusConfig
+
+BURST = 40
+
+
+def _burst_under_loss(p, train_max):
+    bed = two_nets(config=NucleusConfig(train_max=train_max))
+    received, delivered_at = [], []
+
+    def on_message(msg):
+        received.append(msg.values["a"])
+        delivered_at.append(bed.now)
+
+    sink = bed.module("ring.sink", "apollo1")
+    sink.ali.set_request_handler(on_message)
+    src = bed.module("src", "vax1")
+    uadd = src.ali.locate("ring.sink")
+    src.ali.send(uadd, "numbers", {"a": BURST, "b": 0, "big": 0})
+    bed.settle()
+
+    ether = bed.networks["ether0"]
+    ether.faults.drop_probability = p
+    tcp = [ipcs for machine in bed.machines.values()
+           for ipcs in machine.ipcs_on("ether0")]
+    wire_at = []
+    for network in bed.networks.values():
+        network.trace_hooks.append(
+            lambda datagram, size, dropped: wire_at.append(bed.now))
+    retransmitted = sum(ipcs.segments_retransmitted for ipcs in tcp)
+    frames = sum(network.frames_sent for network in bed.networks.values())
+    start = bed.now
+    for i in range(BURST):
+        src.ali.send(uadd, "numbers", {"a": i, "b": 0, "big": 0})
+    bed.settle()
+
+    assert received == [BURST] + list(range(BURST))
+    return {
+        "retransmitted": sum(ipcs.segments_retransmitted for ipcs in tcp)
+        - retransmitted,
+        "frames": sum(network.frames_sent
+                      for network in bed.networks.values()) - frames,
+        "dropped": ether.faults.dropped,
+        "delivered_s": delivered_at[-1] - start,
+        "quiet_s": wire_at[-1] - start,
+    }
+
+
+@pytest.mark.parametrize("p, train_max, retransmitted, frames, dropped, "
+                         "delivered_s, quiet_s", [
+    (0.01, 1, 1, 162, 1, 0.0015000000000000013, 0.010000000000000002),
+    (0.01, 64, 40, 162, 1, 0.0015000000000000013, 0.010000000000000002),
+    (0.05, 1, 2, 163, 2, 0.010500000000000002, 0.010500000000000002),
+    (0.05, 64, 2, 91, 2, 0.010500000000000002, 0.010500000000000002),
+])
+def test_burst_under_loss_pinned(p, train_max, retransmitted, frames,
+                                 dropped, delivered_s, quiet_s):
+    """Every message arrives, in order, at both windows; the recovery
+    each window paid is pinned."""
+    assert _burst_under_loss(p, train_max) == {
+        "retransmitted": retransmitted,
+        "frames": frames,
+        "dropped": dropped,
+        "delivered_s": delivered_s,
+        "quiet_s": quiet_s,
+    }

@@ -17,6 +17,10 @@ The three tests split the assertions by the defect each one catches:
 * teardown registered *during* ``kill()`` never run — a live connection
   owned by a dead process, pinning its whole Nucleus,
 * gateway-spliced LVCs never forgotten by the IP-Layer.
+
+A fourth test aims the same snapshot at a gateway's final chain hop
+dialling a stale cached blob (PROTOCOL.md §3, "IVC through gateways"):
+a failed open must not leave a spliced leg or a half-open LVC behind.
 """
 
 import gc
@@ -24,7 +28,14 @@ import weakref
 
 import pytest
 
-from deployments import sharded_chain, two_nets
+from deployments import (
+    echo_server,
+    sharded_chain,
+    two_nets,
+    veteran_of_far_echo,
+)
+from repro.errors import DestinationUnavailable
+from repro.util.counters import GATEWAY_STALE_ADDR_FALLBACKS
 
 CYCLES = 50
 WARMUP = 5
@@ -197,3 +208,43 @@ def test_circuit_tables_return_to_steady_state(run):
     """Splice tables, IVC endpoint entries, LVC tables and IPCS
     connection tables describe what is open now, not what ever was."""
     assert run.final["tables"] == run.warm["tables"]
+
+
+def _crashed_destination(bed, server, uadd):
+    """The destination's machine crashes while the last gateway still
+    caches its blob (the failed connect invalidates it; re-arm puts it
+    back)."""
+    bed.machines["mEnd"].crash()
+    return server.nucleus.nd.listen_blob, server.nucleus.mtype.name
+
+
+def _impostor_behind_the_blob(bed, server, uadd):
+    """The destination dies and its cached blob now reaches a different
+    live module."""
+    impostor = echo_server(bed, "other.echo", "mEnd")
+    server.process.kill()
+    return impostor.nucleus.nd.listen_blob, impostor.nucleus.mtype.name
+
+
+@pytest.mark.parametrize("hostile, fallbacks", [
+    (_crashed_destination, 2),
+    (_impostor_behind_the_blob, 0),
+], ids=["machine_crash", "impostor"])
+def test_stale_final_hop_leaves_nothing_behind(hostile, fallbacks):
+    """The veteran's call over the stale entry fails typed; the first
+    failure also reaps the veteran's old circuit, so the snapshot after
+    it must still describe the system after the failure is repeated."""
+    bed, _groups = sharded_chain(hops=2, shards=2, replicas=2)
+    server, veteran, uadd = veteran_of_far_echo(bed)
+    blob, mtype_name = hostile(bed, server, uadd)
+    bed.settle()
+    far_stack = bed.gateways["gwm1"].stacks["net2"]
+    snapshots = []
+    for _attempt in range(2):
+        far_stack.addr_cache.store(uadd, blob, mtype_name)
+        with pytest.raises(DestinationUnavailable):
+            veteran.ali.call(uadd, "echo", {"n": 1, "text": "x"}, timeout=5.0)
+        bed.settle()
+        snapshots.append(_snapshot(bed))
+    assert snapshots[0] == snapshots[1]
+    assert far_stack.counters[GATEWAY_STALE_ADDR_FALLBACKS] == fallbacks
