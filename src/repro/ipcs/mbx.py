@@ -9,7 +9,10 @@ must paper over:
 * no retransmission: the destination's mailbox daemon acknowledges
   the records of each arrival train with one range per connection, and
   a missing acknowledgement aborts the channel (the Apollo ring was
-  assumed reliable; failure means the peer died).
+  assumed reliable; failure means the peer died),
+* a connection whose MBX_CLOSE has arrived is owed nothing: the peer
+  has aborted, so it is sent neither the train's PUT_ACK nor an
+  MBX_CLOSE back.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ _CLOSE = "MBX_CLOSE"
 
 class _MbxConn:
     __slots__ = ("local_id", "remote_id", "remote_host", "channel", "state",
-                 "next_seq", "pending_acks", "ack_from", "ack_to")
+                 "next_seq", "pending_acks", "ack_from", "ack_to",
+                 "peer_closed")
 
     def __init__(self, local_id: int, remote_host: str, channel: Channel):
         self.local_id = local_id
@@ -48,6 +52,10 @@ class _MbxConn:
         # ``ack_from`` is None when nothing is owed.
         self.ack_from: Optional[int] = None
         self.ack_to = 0
+        # The peer's MBX_CLOSE has arrived: the peer has aborted and
+        # cancelled its ack timeouts, so it is sent no PUT_ACK and no
+        # MBX_CLOSE.
+        self.peer_closed = False
 
 
 class SimMbxIpcs(Ipcs):
@@ -176,7 +184,8 @@ class SimMbxIpcs(Ipcs):
         for timer in conn.pending_acks.values():
             timer.cancel()
         conn.pending_acks.clear()
-        if notify_peer and was_established and conn.remote_id is not None:
+        if (notify_peer and was_established and conn.remote_id is not None
+                and not conn.peer_closed):
             try:
                 self.iface.send(conn.remote_host, self.protocol,
                                 (_CLOSE, conn.remote_id))
@@ -264,14 +273,16 @@ class SimMbxIpcs(Ipcs):
         its upcall, so a handler that blocks while another train
         arrives leaves the rest to the nested call, in arrival order.
         Also called ahead of an accept or close upcall, so upcalls keep
-        arrival order."""
+        arrival order; a connection whose MBX_CLOSE the train carried is
+        owed nothing."""
         owed = self._acks_owed
         while owed:
             conn = owed.popleft()
             first = conn.ack_from
             conn.ack_from = None
-            self.iface.send(conn.remote_host, self.protocol,
-                            (_PUT_ACK, conn.remote_id, first, conn.ack_to))
+            if not conn.peer_closed:
+                self.iface.send(conn.remote_host, self.protocol,
+                                (_PUT_ACK, conn.remote_id, first, conn.ack_to))
         records = self._records
         while records:
             conn, data = records.popleft()
@@ -298,5 +309,8 @@ class SimMbxIpcs(Ipcs):
         _, local_id = datagram.payload
         conn = self._conns.get(local_id)
         if conn is not None:
-            self._on_train_end()  # the train so far goes up first
+            # Marked before the train so far goes up, so neither its
+            # owed PUT_ACK nor an upcall's close reaches the gone peer.
+            conn.peer_closed = True
+            self._on_train_end()
             self._abort(conn, "closed by peer", notify_peer=False)

@@ -9,6 +9,8 @@ Faithful-to-purpose TCP behaviours the ND-Layer driver must cope with:
   duplicate or out-of-order segment is acknowledged alone, at once),
   with bounded retransmission; exhausting retries aborts the channel
   ("the link failed"),
+* a connection whose CLOSE has arrived is owed nothing: the peer has
+  aborted, so it is sent neither the train's ACK nor a CLOSE back,
 * RST notification when the peer process dies while its host survives;
   silent loss (caught by retransmission timeout) when the host crashes.
 """
@@ -40,7 +42,7 @@ class _TcpConn:
         "local_id", "remote_id", "remote_host", "channel", "state",
         "next_send_seq", "next_recv_seq", "unacked", "out_of_order",
         "syn_timer", "syn_tries", "dst_port", "fail_reason", "rx_pending",
-        "peer_key", "ack_from", "ack_to",
+        "peer_key", "ack_from", "ack_to", "peer_closed",
     )
 
     def __init__(self, local_id: int, remote_host: str, channel: Channel):
@@ -65,6 +67,9 @@ class _TcpConn:
         # acknowledgement for; ``ack_from`` is None when nothing is owed.
         self.ack_from: Optional[int] = None
         self.ack_to = 0
+        # The peer's CLOSE has arrived: the peer has aborted and
+        # cancelled its timers, so it is sent no ACK and no CLOSE.
+        self.peer_closed = False
 
 
 class SimTcpIpcs(Ipcs):
@@ -225,7 +230,8 @@ class SimTcpIpcs(Ipcs):
         conn.unacked.clear()
         if conn.syn_timer is not None:
             conn.syn_timer.cancel()
-        if notify_peer and was_established and conn.remote_id is not None:
+        if (notify_peer and was_established and conn.remote_id is not None
+                and not conn.peer_closed):
             try:
                 self.iface.send(conn.remote_host, self.protocol,
                                 (_CLOSE, conn.remote_id))
@@ -346,14 +352,16 @@ class SimTcpIpcs(Ipcs):
         *before* its upcall, so a handler that blocks while another
         train arrives leaves the rest to the nested call, in arrival
         order.  Also called ahead of an accept or close upcall, so
-        upcalls keep arrival order."""
+        upcalls keep arrival order; a connection whose CLOSE the train
+        carried is owed nothing."""
         owed = self._acks_owed
         while owed:
             conn = owed.popleft()
             first = conn.ack_from
             conn.ack_from = None
-            self.iface.send(conn.remote_host, self.protocol,
-                            (_ACK, conn.remote_id, first, conn.ack_to))
+            if not conn.peer_closed:
+                self.iface.send(conn.remote_host, self.protocol,
+                                (_ACK, conn.remote_id, first, conn.ack_to))
         ready = self._rx_ready
         while ready:
             self._flush_rx(ready.popleft())
@@ -386,5 +394,8 @@ class SimTcpIpcs(Ipcs):
         _, local_id = datagram.payload
         conn = self._conns.get(local_id)
         if conn is not None:
-            self._on_train_end()  # the train so far goes up first
+            # Marked before the train so far goes up, so neither its
+            # owed ACK nor an upcall's close reaches the gone peer.
+            conn.peer_closed = True
+            self._on_train_end()
             self._abort(conn, "closed by peer", notify_peer=False)

@@ -173,10 +173,11 @@ class Network:
         # Frame trains (PROTOCOL.md §13): coalesce back-to-back frames
         # sharing (dst_host, protocol, delay) at one transmit instant
         # into a single delivery event.  Transmit-side accounting, the
-        # drop decision and the trace hooks stay per-frame; the one
-        # thing a train changes on the wire is that the receiving IPCS
+        # drop decision and the trace hooks stay per-frame; what a
+        # train changes on the wire is that the receiving IPCS
         # acknowledges each connection's share of it with one range
-        # ACK.  ``train_max = 1`` is the ablation: one delivery event
+        # ACK, and sends nothing to a connection whose CLOSE it
+        # carried.  ``train_max = 1`` is the ablation: one delivery event
         # per frame, so one ACK per frame, as without trains.
         self.train_max = 64
         self._open_train: Optional[_Train] = None

@@ -4,6 +4,8 @@ TCP gives a byte stream, so this driver supplies the message framing:
 each NTCS message is prefixed with its length as one shift-mode 32-bit
 integer (endian-independent, per Sec. 5.2), and the receive side
 reassembles messages from arbitrarily coalesced or fragmented chunks.
+A length prefix above 16 MiB cannot be a message: it is handed up as
+one malformed message, and the rest of the stream is discarded.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.conversion.shiftmode import shift_decode_u32s, shift_encode_u32s
-from repro.errors import ProtocolError
 from repro.ipcs.tcp import SimTcpIpcs
 from repro.ntcs.stdif import MessageChannel, StdIfDriver
 
@@ -24,6 +25,7 @@ class FramedChannel(MessageChannel):
 
     def __init__(self, channel):
         self._buffer = bytearray()
+        self._unframed = False
         super().__init__(channel)
 
     def send_message(self, data: bytes) -> None:
@@ -37,12 +39,22 @@ class FramedChannel(MessageChannel):
         # nested call drain the same buffer: upcall order is stream
         # order (PROTOCOL.md §13).  A handler that closes the circuit
         # mid-chunk stops the walk, as a per-record IPCS would.
+        if self._unframed:
+            return
         buffer = self._buffer
         buffer.extend(data)
         while self.channel.open and len(buffer) >= _LEN_BYTES:
             (length,) = shift_decode_u32s(buffer, 1)
             if length > _MAX_MESSAGE:
-                raise ProtocolError(f"insane frame length {length}")
+                # The stream has lost its framing for good (PROTOCOL.md
+                # §7).  The prefix goes up alone — shorter than any
+                # header, so the ND-Layer's malformed path takes it —
+                # and every byte after it is discarded.
+                self._unframed = True
+                prefix = bytes(buffer[:_LEN_BYTES])
+                buffer.clear()
+                self._emit(prefix)
+                return
             end = _LEN_BYTES + length
             if len(buffer) < end:
                 return

@@ -71,7 +71,8 @@ class NucleusConfig:
             (PROTOCOL.md §13) before the next frame opens a fresh
             train.  A delivery-path construct: every non-ACK frame is
             identical for every value (each IPCS acknowledges a train
-            with one range ACK per connection), and 1 reproduces the
+            with one range ACK per connection), save a CLOSE answering
+            a CLOSE of the same train, and 1 reproduces the
             per-frame event schedule event-for-event and the per-frame
             wire byte for byte.
         trace: record layer entry/exit (Sec. 6.2 debugging support).

@@ -12,6 +12,7 @@ from deployments import (
 )
 from repro.drts.proctl import ProcessController
 from repro.errors import DestinationUnavailable, NtcsError, RouteNotFound
+from repro.ntcs.nucleus import NucleusConfig
 from repro.util.counters import GATEWAY_STALE_ADDR_FALLBACKS
 
 
@@ -110,6 +111,46 @@ def test_e5_establishment_nd_messages(hops):
 def test_e5_establishment_substrate_datagrams(hops):
     _, (_, datagrams) = _establish(hops)
     assert datagrams == E5_SUBSTRATE_DATAGRAMS[hops]
+
+
+# What one death costs on the wire (PROTOCOL.md §10, "Process death"):
+# frames from kill() until the bed settles, per arrival-train window.
+# Each hop of the teardown receives IVC_CLOSE and its peer's CLOSE.  At
+# train_max = 1 it acknowledges the IVC_CLOSE and answers with a CLOSE
+# of its own before the peer's arrives; at the default window both
+# arrive in one train, and a connection whose CLOSE has arrived is sent
+# nothing (PROTOCOL.md §13).
+TEARDOWN_FRAMES = {
+    "chain2_client": {1: 11, 64: 8},
+    "two_nets_client": {1: 8, 64: 6},
+    "two_nets_ring_server": {1: 14, 64: 10},
+}
+_TEARDOWNS = {
+    # (deployment, server machine, client machine, who dies)
+    "chain2_client": (lambda config: chain_nets(2, config=config),
+                      "mEnd", "m0", "client"),
+    "two_nets_client": (lambda config: two_nets(config=config),
+                        "apollo1", "vax1", "client"),
+    "two_nets_ring_server": (lambda config: two_nets(config=config),
+                             "apollo1", "vax1", "server"),
+}
+
+
+@pytest.mark.parametrize("train_max", [1, 64])
+@pytest.mark.parametrize("name", sorted(TEARDOWN_FRAMES))
+def test_teardown_frame_census(name, train_max):
+    build, server_machine, client_machine, victim = _TEARDOWNS[name]
+    bed = build(NucleusConfig(train_max=train_max))
+    server = echo_server(bed, "echo", server_machine)
+    client = bed.module("client", client_machine)
+    uadd = client.ali.locate("echo")
+    client.ali.call(uadd, "echo", {"n": 1, "text": "x"})
+    bed.settle()
+    before = sum(net.frames_sent for net in bed.networks.values())
+    (client if victim == "client" else server).process.kill()
+    bed.settle()
+    frames = sum(net.frames_sent for net in bed.networks.values()) - before
+    assert frames == TEARDOWN_FRAMES[name][train_max]
 
 
 def test_gateways_splice_without_copy_or_checksum():

@@ -88,6 +88,26 @@ def test_malformed_frame_mid_burst_drops_the_rest(bed):
     assert sink.nucleus.nd.open_lvc_count() == open_before - 1
 
 
+def test_hostile_length_prefix_takes_the_malformed_path(bed):
+    """A TCP length prefix above 16 MiB cannot start a message.  The
+    receiving ND-Layer counts it malformed, closes the LVC and faults
+    upward; the bytes behind it are discarded, nothing is raised into
+    whoever is pumping, and the next call opens a fresh circuit."""
+    server = echo_server(bed, "dest", "sun1")
+    client = bed.module("client", "vax1")
+    uadd = client.ali.locate("dest")
+    client.ali.call(uadd, "echo", {"n": 1, "text": "x"})
+    open_before = server.nucleus.nd.open_lvc_count()
+    lvc = client.nucleus.lcm._routes[uadd].lvc
+    lvc.mchan.channel.send(b"\xff\xff\xff\xf0" + b"never framed")
+    bed.settle()
+    assert server.nucleus.counters["nd_malformed_messages"] == 1
+    assert server.nucleus.nd.open_lvc_count() == open_before - 1
+    assert not lvc.open
+    reply = client.ali.call(uadd, "echo", {"n": 2, "text": "y"})
+    assert reply.values == {"n": 2, "text": "Y"}
+
+
 def test_fault_notification_passed_upward(bed):
     echo_server(bed, "dest", "sun1")
     client = bed.module("client", "vax1")

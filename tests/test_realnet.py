@@ -97,3 +97,23 @@ def test_many_round_trips(deployment):
         reply = client.ali.call(uadd, "real_echo", {"n": i, "text": "x"},
                                 timeout=5.0)
         assert reply.values["n"] == i
+
+
+def test_hostile_length_prefix_over_real_sockets(deployment):
+    """Real socket bytes whose length prefix claims 4 GiB: the server's
+    ND-Layer counts one malformed message and closes the circuit, the
+    kernel pump raises nothing, and the next call succeeds."""
+    server = _echo_server(deployment, "echo", "sunish")
+    client = deployment.module("client", "vaxish")
+    uadd = client.ali.locate("echo")
+    client.ali.call(uadd, "real_echo", {"n": 1, "text": "a"}, timeout=5.0)
+    lvc = client.nucleus.lcm._routes[uadd].lvc
+    lvc.mchan.channel.send(b"\xff\xff\xff\xf0" + b"never framed")
+    counters = server.nucleus.counters
+    assert deployment.kernel.pump_until(
+        lambda: counters["nd_malformed_messages"] and not lvc.open,
+        timeout=5.0)
+    assert counters["nd_malformed_messages"] == 1
+    reply = client.ali.call(uadd, "real_echo", {"n": 2, "text": "b"},
+                            timeout=5.0)
+    assert reply.values == {"n": 2, "text": "B"}

@@ -18,13 +18,19 @@ The three tests split the assertions by the defect each one catches:
   owned by a dead process, pinning its whole Nucleus,
 * gateway-spliced LVCs never forgotten by the IP-Layer.
 
-A fourth test aims the same snapshot at a gateway's final chain hop
+Two more read the wire after the warm-up: every connection opened in
+that time is closed by exactly one CLOSE, and no acknowledgement
+arrives at a connection already gone, apart from a pinned residue
+(PROTOCOL.md §13).
+
+A last test aims the same snapshot at a gateway's final chain hop
 dialling a stale cached blob (PROTOCOL.md §3, "IVC through gateways"):
 a failed open must not leave a spliced leg or a half-open LVC behind.
 """
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -132,10 +138,39 @@ def _snapshot(bed):
     return {"hooks": hooks, "tables": tables}
 
 
+class _WireCensus:
+    """Frames sent on every network, by segment kind, and the
+    acknowledgements that arrived at a connection already gone."""
+
+    def __init__(self, bed):
+        self.kinds = Counter()
+        self.dead_acks = 0
+        for network in bed.networks.values():
+            network.trace_hooks.append(
+                lambda datagram, size, dropped:
+                self.kinds.update((datagram.payload[0],)))
+        for machine in bed.machines.values():
+            for ipcs in machine.ipcs_instances():
+                for name in ("_handle_ack", "_handle_put_ack"):
+                    if hasattr(ipcs, name):
+                        self._tap(ipcs, name)
+
+    def _tap(self, ipcs, name):
+        handle = getattr(ipcs, name)
+
+        def tapped(datagram):
+            if datagram.payload[1] not in ipcs._conns:
+                self.dead_acks += 1
+            handle(datagram)
+
+        setattr(ipcs, name, tapped)
+
+
 class _Run:
     """One deployment after CYCLES cold contacts."""
 
     def __init__(self, build):
+        self.name = build.__name__.lstrip("_")
         bed, pairs = build()
         for k, (server_machine, _client_machine) in enumerate(pairs):
             _echo_server(bed, f"srv.{k}", server_machine)
@@ -149,6 +184,7 @@ class _Run:
             self._cycle(i, k, pairs[k][1])
             if i + 1 == WARMUP:
                 self.warm = _snapshot(bed)
+                self.wire = _WireCensus(bed)
         self.final = _snapshot(bed)
 
     def _cycle(self, i, k, machine):
@@ -208,6 +244,27 @@ def test_circuit_tables_return_to_steady_state(run):
     """Splice tables, IVC endpoint entries, LVC tables and IPCS
     connection tables describe what is open now, not what ever was."""
     assert run.final["tables"] == run.warm["tables"]
+
+
+def test_one_close_per_connection(run):
+    """The tables are back to steady state, so every connection opened
+    after the warm-up has closed since — each with exactly one CLOSE.
+    A peer whose CLOSE has arrived is not answered with another."""
+    kinds = run.wire.kinds
+    assert kinds["SYNACK"] > 0
+    assert kinds["CLOSE"] == kinds["SYNACK"]
+    assert kinds["MBX_CLOSE"] == kinds["MBX_OPEN_ACK"]
+
+
+# Acknowledgements of the dying module's ns_deregister: they leave in
+# the train before its CLOSE arrives, one per module and gateway hop on
+# its naming circuit, and reach a connection already gone.  Pinned for
+# a change that closes a dying module's circuits oldest first.
+DEAD_ACK_RESIDUE = {"two_nets": 67, "sharded_chain": 91}
+
+
+def test_no_ack_reaches_a_dead_connection_but_the_deregister_residue(run):
+    assert run.wire.dead_acks == DEAD_ACK_RESIDUE[run.name]
 
 
 def _crashed_destination(bed, server, uadd):

@@ -2,13 +2,15 @@
 over mailboxes, and the driver factory."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import ProtocolError
+from repro.conversion.shiftmode import shift_encode_u32s
 from repro.ipcs import SimMbxIpcs, SimTcpIpcs
 from repro.machine import SimProcess
 from repro.ntcs.drivers import make_driver
 from repro.ntcs.drivers.sim_mbx import RecordChannel, SimMbxDriver
 from repro.ntcs.drivers.sim_tcp import FramedChannel, SimTcpDriver
+from repro.ntcs.message import HEADER_BYTES
 
 
 class FakeChannel:
@@ -78,11 +80,101 @@ def test_framed_empty_message():
 
 
 def test_framed_rejects_insane_length():
+    """A prefix above 16 MiB goes up alone, as one message shorter than
+    any NTCS header (the ND-Layer's malformed path); nothing is raised
+    and every byte after it is discarded."""
     fake = FakeChannel()
     framed = FramedChannel(fake)
-    framed.set_message_handler(lambda m: None)
-    with pytest.raises(ProtocolError, match="insane"):
-        fake.feed(b"\xFF\xFF\xFF\xFF")
+    got = []
+    framed.set_message_handler(got.append)
+    fake.feed(b"\x00\x00\x00\x02ok\xFF\xFF\xFF\xFF\x00\x00")
+    fake.feed(b"\x00\x02no")
+    assert got == [b"ok", b"\xFF\xFF\xFF\xFF"]
+    assert len(got[-1]) < HEADER_BYTES
+
+
+# What a FramedChannel hands up for a byte stream, however it is split:
+# each sane prefix's message while the stream holds it whole, then, on
+# the first prefix above the limit, that prefix alone and nothing more.
+_LIMIT = 16 * 1024 * 1024
+
+
+def _reference_framing(stream):
+    """(messages, the offending prefix or None)."""
+    out, at = [], 0
+    while len(stream) - at >= 4:
+        length = int.from_bytes(stream[at:at + 4], "big")
+        if length > _LIMIT:
+            return out, stream[at:at + 4]
+        if len(stream) - at - 4 < length:
+            break
+        out.append(stream[at + 4:at + 4 + length])
+        at += 4 + length
+    return out, None
+
+
+def _prefixed(length, body=b""):
+    return shift_encode_u32s([length]) + body
+
+
+_messages = st.lists(st.binary(max_size=40), max_size=6)
+_piece = st.one_of(
+    st.binary(max_size=40).map(lambda body: _prefixed(len(body), body)),
+    st.tuples(st.binary(max_size=40), st.integers(1, 60)).map(
+        lambda inflated: _prefixed(len(inflated[0]) + inflated[1],
+                                   inflated[0])),
+    st.integers(_LIMIT + 1, 2 ** 32 - 1).map(_prefixed),
+    st.binary(min_size=1, max_size=12),  # garbage between frames
+)
+
+
+def _feed_split(stream, cuts, then=b""):
+    """Feed ``stream`` cut at ``cuts``, then ``then`` as one more chunk."""
+    fake = FakeChannel()
+    framed = FramedChannel(fake)
+    got = []
+    framed.set_message_handler(got.append)
+    points = sorted({0, len(stream), *(cut % (len(stream) + 1)
+                                      for cut in cuts)})
+    for start, end in zip(points, points[1:]):
+        fake.feed(stream[start:end])
+    if then:
+        fake.feed(then)
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(messages=_messages, bad_at=st.integers(0, 6),
+       prefix=st.integers(_LIMIT + 1, 2 ** 32 - 1),
+       tail=st.binary(max_size=30), cuts=st.lists(st.integers(0, 10 ** 4)))
+def test_framed_stream_is_exact_or_ends_in_one_malformed_blob(
+        messages, bad_at, prefix, tail, cuts):
+    """Whole frames split anywhere come up exactly; an inflated prefix
+    after the first ``bad_at`` of them comes up alone, and nothing
+    after it does — not the garbage, not the valid frames behind it."""
+    bad_at = min(bad_at, len(messages))
+    frames = [_prefixed(len(body), body) for body in messages]
+    hostile = _prefixed(prefix)
+    stream = b"".join(frames[:bad_at] + [hostile, tail] + frames[bad_at:])
+    assert _feed_split(stream, cuts) == messages[:bad_at] + [hostile]
+    assert _feed_split(b"".join(frames), cuts) == messages
+
+
+@settings(max_examples=200, deadline=None)
+@given(pieces=st.lists(_piece, max_size=8),
+       cuts=st.lists(st.integers(0, 10 ** 4)))
+def test_framed_reassembly_of_hostile_streams_never_raises(pieces, cuts):
+    """Frames, inflated prefixes and garbage between frames, split at
+    arbitrary points: reassembly never raises and matches the reference
+    framing; once an offending prefix has come up, a valid frame fed
+    behind it does not."""
+    stream = b"".join(pieces)
+    messages, offending = _reference_framing(stream)
+    got = _feed_split(stream, cuts, then=_prefixed(2, b"ok"))
+    if offending is None:
+        assert got[:len(messages)] == messages
+    else:
+        assert got == messages + [offending]
 
 
 def test_framed_round_trip_via_two_endpoints():

@@ -1,6 +1,6 @@
 """Datagram-level wire invariance: substrate work must not move a frame.
 
-Three scripted runs are traced one line per transmitted datagram —
+Four scripted runs are traced one line per transmitted datagram —
 virtual time, network, hosts, protocol, segment kind, sequence number
 (``first-last`` for an acknowledgement covering a range), size, a
 checksum of the bytes carried, and the drop decision — and compared
@@ -17,9 +17,13 @@ Each scenario is recorded twice:
   per-datagram fast path); ``burst40_two_nets_drop2`` was re-recorded
   when each connection's share of an arrival train began to be
   acknowledged with one range ACK — only its ACK lines changed.
+  ``teardown_chain2`` was first recorded when a connection whose CLOSE
+  has arrived stopped being acknowledged and answered.
 * ``<name>.train1.trace`` at ``train_max = 1``, recorded by the
   implementation that still acknowledged every segment and record on
-  arrival: the ablation must reproduce that wire exactly.
+  arrival (``teardown_chain2``'s: by the one that still acknowledged
+  and answered a closed peer): the ablation must reproduce that wire
+  exactly.
 
 The fixtures' whole value is that the pre-change implementation wrote
 them.  Regenerate the default-window traces (only when the wire is
@@ -134,10 +138,27 @@ def _sever_and_heal_mid_conversation(config):
     return log
 
 
+def _client_dies_across_two_gateways(config):
+    bed = chain_nets(2, config=config)
+    log = _traced(bed)
+    echo_server(bed, "dest", "mEnd")
+    client = bed.module("client", "m0")
+    uadd = client.ali.locate("dest")
+    reply = client.ali.call(uadd, "echo", {"n": 0, "text": "m0"})
+    assert reply.values["text"] == "M0"
+    bed.settle()
+    # The circuit is torn down hop by hop (PROTOCOL.md §10): each hop
+    # receives IVC_CLOSE and its peer's CLOSE in one train.
+    client.process.kill()
+    bed.settle()
+    return log
+
+
 SCENARIOS = {
     "echo5_chain3": _echoes_over_three_gateways,
     "burst40_two_nets_drop2": _burst_through_gateway_with_drops,
     "sever_heal_single_net": _sever_and_heal_mid_conversation,
+    "teardown_chain2": _client_dies_across_two_gateways,
 }
 
 
@@ -158,6 +179,24 @@ def test_train_max_1_reproduces_the_per_frame_acknowledged_wire(name):
     before acknowledgements were gathered per train."""
     traced = SCENARIOS[name](NucleusConfig(train_max=1))
     assert traced.lines() == _recorded(name + ".train1.trace")
+
+
+def test_teardown_omits_only_what_a_closed_peer_was_sent():
+    """Where a hop receives IVC_CLOSE and its peer's CLOSE in one train,
+    it sends that connection nothing more (PROTOCOL.md §13): the
+    default-window teardown is the per-frame one minus exactly two
+    range ACKs and one answering CLOSE, every other line and time
+    unchanged."""
+    trained = iter(_recorded("teardown_chain2.trace").splitlines())
+    omitted = []
+    expected = next(trained, None)
+    for line in _recorded("teardown_chain2.train1.trace").splitlines():
+        if line == expected:
+            expected = next(trained, None)
+        else:
+            omitted.append(line.split()[4:6])  # kind, sequence
+    assert expected is None
+    assert omitted == [["ACK", "3"], ["ACK", "3"], ["CLOSE", "-"]]
 
 
 if __name__ == "__main__":
