@@ -17,7 +17,13 @@ provides both flavours over the simulated networks:
 
 The two deliberately differ in addressing, semantics and failure
 behaviour; unifying them behind one interface is exactly the job of the
-NTCS ND-Layer (Sec. 2.2).
+NTCS ND-Layer (Sec. 2.2).  Everything else is one connection core, the
+:class:`Ipcs` base class: the connection record, the blocking open and
+its accept / refuse answers, the range-ACK train tail, close and abort
+(a connection whose CLOSE has arrived is sent nothing more).  Each
+IPCS declares its wire kinds and keeps only what differs: bindings,
+how an open goes out, the per-arrival acknowledgement rule, recovery
+(TCP retransmits, MBX aborts) and what the train tail hands up.
 """
 
 from repro.ipcs.base import Channel, Ipcs, Listener

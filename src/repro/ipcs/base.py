@@ -8,12 +8,14 @@ translate these into the uniform STD-IF virtual circuits.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.errors import ChannelClosed
+from repro.errors import ChannelClosed, ConnectionRefused, NetworkUnreachable
 from repro.machine.machine import Machine
 from repro.machine.process import SimProcess
-from repro.netsim.network import Interface, Network
+from repro.netsim.network import Datagram, Interface, Network
+from repro.util.idgen import SequenceGenerator
 
 
 class Channel:
@@ -127,18 +129,69 @@ class Listener:
         return f"Listener({self.address_blob()!r}, {'open' if self.open else 'closed'})"
 
 
-class Ipcs:
-    """Base class for the simulated native IPCSs.
+OPENING = "OPENING"
+ESTABLISHED = "ESTABLISHED"
+FAILED = "FAILED"
+CLOSED = "CLOSED"
 
-    Concrete subclasses implement:
-      * :meth:`listen` — create a passive endpoint,
-      * :meth:`connect` — blocking active open,
-      * wire handling over the network interface, per datagram and
-        per arrival train,
+
+class Conn:
+    """Book-keeping for one end of a connection, in either IPCS."""
+
+    __slots__ = (
+        "local_id", "remote_id", "remote_host", "channel", "state",
+        "next_send_seq", "next_recv_seq", "unacked", "out_of_order",
+        "rx_pending", "open_timer", "fail_reason", "peer_key",
+        "ack_from", "ack_to", "peer_closed",
+    )
+
+    def __init__(self, local_id: int, remote_host: str, channel: Channel,
+                 remote_id: Optional[int]):
+        self.local_id = local_id
+        self.remote_id = remote_id
+        self.remote_host = remote_host
+        self.channel = channel
+        self.state = OPENING if remote_id is None else ESTABLISHED
+        self.next_send_seq = 0
+        self.next_recv_seq = 0
+        # seq -> the timer that retransmits (TCP) or aborts (MBX).
+        self.unacked: Dict[int, object] = {}
+        self.out_of_order: Dict[int, bytes] = {}
+        self.rx_pending: List[bytes] = []
+        self.open_timer = None
+        self.fail_reason = ""
+        # Passive TCP side only: this connection's key in the
+        # duplicate-SYN table, remembered so closing is O(1).
+        self.peer_key: Optional[Tuple[str, int]] = None
+        # The range this arrival train owes an acknowledgement for;
+        # ``ack_from`` is None when nothing is owed.
+        self.ack_from: Optional[int] = None
+        self.ack_to = 0
+        # The peer's CLOSE has arrived: the peer has aborted and
+        # cancelled its timers, so it is sent no ACK and no CLOSE.
+        self.peer_closed = False
+
+
+class Ipcs:
+    """The connection core both simulated native IPCSs share.
+
+    Open / accept / refuse, one range acknowledgement per connection
+    per arrival train, close and abort are the same in both; each
+    subclass declares its wire kinds (``OPEN``, ``ACCEPT``, ``REFUSE``,
+    ``DATA``, ``ACK``, ``CLOSE``) and implements only what differs:
+
+      * :meth:`listen` and :meth:`_handle_open` — the binding namespace,
+      * :meth:`_send_open` — how an active open goes out,
+      * :meth:`_channel_send` and :meth:`_handle_data` — sending,
+        sequencing and the owed-range rule per arrival,
+      * :meth:`_hand_up` — what the train tail delivers,
       * :meth:`address_blob_for` / :meth:`parse_blob`.
     """
 
     protocol = "abstract"
+    # Each IPCS declares its wire kinds, why a refused open failed and
+    # how a failed open is reported (``OPEN_ERROR.format(blob, why)``).
+    OPEN = ACCEPT = REFUSE = DATA = ACK = CLOSE = REFUSED = OPEN_ERROR = ""
 
     def __init__(self, machine: Machine, network: Network):
         self.machine = machine
@@ -148,6 +201,12 @@ class Ipcs:
         self.iface.bind_protocol(self.protocol, self._on_datagram,
                                  self._on_train_end)
         machine.register_ipcs(network.name, self.protocol, self)
+        self._conns: Dict[int, Conn] = {}
+        self._conn_ids = SequenceGenerator()
+        # Connections owed a range acknowledgement, in arrival order;
+        # sent before the train's first upcall.
+        self._acks_owed: Deque[Conn] = deque()
+        self.close_notify_failures = 0
 
     # -- to implement -------------------------------------------------------
 
@@ -155,28 +214,194 @@ class Ipcs:
         """Create a passive endpoint; see concrete IPCS for semantics."""
         raise NotImplementedError
 
-    def connect(self, owner: SimProcess, address_blob: str, timeout: float = 5.0) -> Channel:
-        """Blocking active open to a physical address blob."""
-        raise NotImplementedError
-
     def address_blob_for(self, binding: str) -> str:
         """Format the physical-address blob for a local binding."""
         raise NotImplementedError
 
-    def _on_datagram(self, datagram) -> None:
+    @staticmethod
+    def parse_blob(blob: str) -> Tuple[str, str, object]:
+        """Split an address blob into (network, host, binding)."""
         raise NotImplementedError
 
-    def _on_train_end(self) -> None:
-        """Called by the interface when an arrival train has drained
-        (PROTOCOL.md §13): the train's acknowledgements go out, then
-        its deliveries go up."""
+    def _send_open(self, conn: Conn, binding) -> None:
+        raise NotImplementedError
+
+    def _handle_open(self, datagram: Datagram) -> None:
+        raise NotImplementedError
+
+    def _handle_data(self, datagram: Datagram) -> None:
+        raise NotImplementedError
+
+    def _hand_up(self) -> None:
         raise NotImplementedError
 
     def _channel_send(self, channel: Channel, data: bytes) -> None:
         raise NotImplementedError
 
-    def _channel_close(self, channel: Channel, reason: str, notify_peer: bool) -> None:
-        raise NotImplementedError
-
     def _listener_closed(self, listener: Listener) -> None:
         pass
+
+    # -- open ----------------------------------------------------------------
+
+    def connect(self, owner: SimProcess, address_blob: str, timeout: float = 5.0) -> Channel:
+        """Blocking active open to a physical address blob."""
+        network, host, binding = self.parse_blob(address_blob)
+        if network != self.network.name:
+            raise NetworkUnreachable(
+                f"{self.protocol} IPCS on {self.network.name} cannot reach "
+                f"network {network}")
+        conn = self._new_conn(owner, host)
+        self._send_open(conn, binding)
+        self.scheduler.pump_until(
+            lambda: conn.state in (ESTABLISHED, FAILED),
+            timeout=timeout,
+            what=f"{self.protocol} connect {address_blob}",
+        )
+        if conn.state != ESTABLISHED:
+            # Cancels a pending open retry too: a given-up connect sends
+            # nothing more.
+            self._abort(conn, "connect failed", notify_peer=False)
+            raise ConnectionRefused(self.OPEN_ERROR.format(
+                address_blob, conn.fail_reason or "timed out"))
+        return conn.channel
+
+    def _new_conn(self, owner: SimProcess, host: str,
+                  remote_id: Optional[int] = None) -> Conn:
+        """A registered connection: opening, or — given the peer's id —
+        established."""
+        local_id = self._conn_ids.next()
+        conn = Conn(local_id, host, Channel(self, local_id, owner), remote_id)
+        self._conns[local_id] = conn
+        return conn
+
+    def _accept(self, listener: Optional[Listener], host: str,
+                remote_id: int) -> None:
+        """Answer an OPEN: refuse it, or establish the passive end,
+        answer ACCEPT and hand the channel up — after the train so far,
+        so upcalls keep arrival order."""
+        if listener is None or not listener.open:
+            self.iface.send(host, self.protocol, (self.REFUSE, remote_id))
+            return
+        conn = self._new_conn(listener.owner, host, remote_id)
+        conn.channel.open = True
+        self.iface.send(host, self.protocol,
+                        (self.ACCEPT, remote_id, conn.local_id))
+        if listener.on_accept is not None:
+            self._on_train_end()
+            listener.on_accept(conn.channel)
+
+    def _handle_accept(self, datagram: Datagram) -> None:
+        _, local_id, remote_id = datagram.payload
+        conn = self._conns.get(local_id)
+        if conn is None or conn.state != OPENING:
+            return
+        if conn.open_timer is not None:
+            conn.open_timer.cancel()
+        conn.remote_id = remote_id
+        conn.state = ESTABLISHED
+        conn.channel.open = True
+
+    def _handle_refuse(self, datagram: Datagram) -> None:
+        conn = self._conns.get(datagram.payload[1])
+        if conn is not None and conn.state == OPENING:
+            if conn.open_timer is not None:
+                conn.open_timer.cancel()
+            conn.state = FAILED
+            conn.fail_reason = self.REFUSED
+
+    # -- wire ----------------------------------------------------------------
+
+    def _on_datagram(self, datagram: Datagram) -> None:
+        kind = datagram.payload[0]
+        if kind == self.DATA:
+            self._handle_data(datagram)
+        elif kind == self.ACK:
+            self._handle_ack(datagram)
+        elif kind == self.OPEN:
+            self._handle_open(datagram)
+        elif kind == self.ACCEPT:
+            self._handle_accept(datagram)
+        elif kind == self.REFUSE:
+            self._handle_refuse(datagram)
+        elif kind == self.CLOSE:
+            self._handle_close(datagram)
+
+    def _on_train_end(self) -> None:
+        """The interface has no more frames in this train (PROTOCOL.md
+        §13).  First every connection owed an acknowledgement gets one
+        range ACK, so no upcall — however long it blocks — holds one
+        back past the sender's timer; then :meth:`_hand_up` delivers
+        what the train carried, each entry popped *before* its upcall,
+        so a handler that blocks while another train arrives leaves the
+        rest to the nested call, in arrival order.  Also called ahead of
+        an accept or close upcall, so upcalls keep arrival order; a
+        connection whose CLOSE the train carried is owed nothing."""
+        owed = self._acks_owed
+        while owed:
+            conn = owed.popleft()
+            first = conn.ack_from
+            conn.ack_from = None
+            if not conn.peer_closed:
+                self.iface.send(conn.remote_host, self.protocol,
+                                (self.ACK, conn.remote_id, first, conn.ack_to))
+        self._hand_up()
+
+    def _handle_ack(self, datagram: Datagram) -> None:
+        _, local_id, first, last = datagram.payload
+        conn = self._conns.get(local_id)
+        if conn is None:
+            return
+        unacked = conn.unacked
+        # Walk the range or the outstanding entries, whichever is
+        # shorter: never more than what is outstanding.
+        if last - first < len(unacked):
+            acked = range(first, last + 1)
+        else:
+            acked = [seq for seq in unacked if first <= seq <= last]
+        for seq in acked:
+            timer = unacked.pop(seq, None)
+            if timer is not None:
+                timer.cancel()
+
+    def _handle_close(self, datagram: Datagram) -> None:
+        conn = self._conns.get(datagram.payload[1])
+        if conn is not None:
+            # Marked before the train so far goes up, so neither its
+            # owed ACK nor an upcall's close reaches the gone peer.
+            conn.peer_closed = True
+            self._on_train_end()
+            self._abort(conn, "closed by peer", notify_peer=False)
+
+    # -- close / abort -------------------------------------------------------
+
+    def _channel_close(self, channel: Channel, reason: str, notify_peer: bool) -> None:
+        conn = self._conns.get(channel.channel_id)
+        if conn is None:
+            channel._mark_closed(reason)
+            return
+        self._abort(conn, reason, notify_peer=notify_peer)
+
+    def _abort(self, conn: Conn, reason: str, notify_peer: bool) -> None:
+        """Close ``conn`` now.  Data of the current train not yet handed
+        up is discarded: the channel is closed before its turn comes."""
+        if conn.state == CLOSED:
+            return
+        was_established = conn.state == ESTABLISHED
+        conn.state = CLOSED
+        for timer in conn.unacked.values():
+            timer.cancel()
+        conn.unacked.clear()
+        if conn.open_timer is not None:
+            conn.open_timer.cancel()
+        if notify_peer and was_established and not conn.peer_closed:
+            try:
+                self.iface.send(conn.remote_host, self.protocol,
+                                (self.CLOSE, conn.remote_id))
+            except NetworkUnreachable:
+                # Peer unreachable: it will time the connection out.
+                self.close_notify_failures += 1
+        self._drop(conn)
+        conn.channel._mark_closed(reason)
+
+    def _drop(self, conn: Conn) -> None:
+        self._conns.pop(conn.local_id, None)

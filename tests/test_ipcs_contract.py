@@ -110,6 +110,51 @@ def test_contract_in_order_delivery(rig):
     assert joined == "".join(f"m{i:02d}" for i in range(20))
 
 
+def test_contract_given_up_connect_leaves_nothing_behind(rig):
+    """A connect that gives up before its open is answered sends nothing
+    more — no retried open, even once the peer is reachable again — and
+    neither side is left holding a connection."""
+    server_iface = rig.machine_b.interface(rig.net.name)
+    server_iface.up = False
+    with pytest.raises(ConnectionRefused, match="timed out"):
+        rig.ipcs_a.connect(rig.client, rig.listener.address_blob(),
+                           timeout=0.012)
+    frames = []
+    rig.net.trace_hooks.append(
+        lambda datagram, size, dropped: frames.append(datagram.payload))
+    server_iface.up = True
+    rig.sched.run_until_idle()
+    assert frames == []
+    assert not rig.ipcs_a._conns
+    assert not rig.ipcs_b._conns
+
+
+def test_contract_local_close_discards_the_channels_queued_data(rig):
+    """One train carries data for A, then for B, and A's upcall closes
+    B: B's data, not yet handed up, is discarded — B's handlers see only
+    its close — and B's peer is told (PROTOCOL.md §13)."""
+    accepted = []
+    rig.listener.on_accept = accepted.append
+    blob = rig.listener.address_blob()
+    chan_a = rig.ipcs_a.connect(rig.client, blob)
+    chan_b = rig.ipcs_a.connect(rig.client, blob)
+    server_a, server_b = accepted
+    events = []
+
+    def on_a(data):
+        events.append(("A", data))
+        server_b.close()
+
+    server_a.set_receive_handler(on_a)
+    server_b.set_receive_handler(lambda data: events.append(("B", data)))
+    server_b.set_close_handler(lambda why: events.append(("B", why)))
+    chan_a.send(b"a1")
+    chan_b.send(b"b1")
+    rig.sched.run_until_idle()
+    assert events == [("A", b"a1"), ("B", "closed by local end")]
+    assert chan_b.closed_reason == "closed by peer"
+
+
 def test_contract_many_concurrent_channels(rig):
     accepted = []
     rig.listener.on_accept = accepted.append

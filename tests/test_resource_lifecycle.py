@@ -84,6 +84,14 @@ def _nuclei(bed):
         yield name, commod.nucleus
 
 
+# Every table each IPCS must have.  A table renamed or gone fails the
+# lookup below rather than silently leaving the snapshot.
+IPCS_TABLES = {
+    "tcp": ("_conns", "_by_peer", "_listeners", "_acks_owed", "_rx_ready"),
+    "mbx": ("_conns", "_mailboxes", "_acks_owed", "_records"),
+}
+
+
 def _ipcs_tables(bed):
     """(label, table) of every IPCS connection/listener table, and of
     every arrival-train queue (PROTOCOL.md §13): connections owed an
@@ -91,11 +99,8 @@ def _ipcs_tables(bed):
     for machine in bed.machines.values():
         for ipcs in machine.ipcs_instances():
             label = f"{machine.name}/{ipcs.network.name}"
-            for attr in ("_conns", "_by_peer", "_listeners", "_mailboxes",
-                         "_acks_owed", "_rx_ready", "_records"):
-                table = getattr(ipcs, attr, None)
-                if table is not None:
-                    yield f"{label}{attr}", table
+            for attr in IPCS_TABLES[ipcs.protocol]:
+                yield f"{label}{attr}", getattr(ipcs, attr)
 
 
 def _train_debts(bed):
@@ -151,19 +156,18 @@ class _WireCensus:
                 self.kinds.update((datagram.payload[0],)))
         for machine in bed.machines.values():
             for ipcs in machine.ipcs_instances():
-                for name in ("_handle_ack", "_handle_put_ack"):
-                    if hasattr(ipcs, name):
-                        self._tap(ipcs, name)
+                self._tap(ipcs)
 
-    def _tap(self, ipcs, name):
-        handle = getattr(ipcs, name)
+    def _tap(self, ipcs):
+        """Wrap the IPCS's one ACK handler; raises if it has none."""
+        handle = ipcs._handle_ack
 
         def tapped(datagram):
             if datagram.payload[1] not in ipcs._conns:
                 self.dead_acks += 1
             handle(datagram)
 
-        setattr(ipcs, name, tapped)
+        ipcs._handle_ack = tapped
 
 
 class _Run:
