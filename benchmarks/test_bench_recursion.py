@@ -84,7 +84,9 @@ def test_bench_recursion(benchmark, report):
         "A cold send with monitoring and time correction recursively "
         "locates the time server, runs a time exchange, locates the "
         "monitor, and ships monitor data — all before/after the "
-        "application's own message (Sec. 6.1).  Warm sends reuse every "
-        "cached address and circuit."
+        "application's own message (Sec. 6.1).  Each destination's "
+        "location arrives with its locate (PROTOCOL.md §5), so no send "
+        "asks the naming service where a located module is.  Warm sends "
+        "reuse every cached address and circuit."
     )
     benchmark.pedantic(lambda: _scenario(True, True), rounds=3, iterations=1)

@@ -301,9 +301,27 @@ class NspLayer:
                 self.cache.store_missing_name(name, gen)
             raise NoSuchName(f"no module registered as {name!r}")
         uadd = Address(value=reply.values["uadd"])
+        self._prime_location(name, uadd, reply.values["record"])
         if self.cache is not None:
             self.cache.store_name(name, uadd, gen)
         return uadd
+
+    def _prime_location(self, name: str, uadd: Address, data: bytes) -> None:
+        """Keep the location a locate answer carries in the module's
+        Sec. 3.3 address cache (learned "through the NSP-layer
+        services"), so the first call needs no ``ns_resolve_uadd``.
+        The §9 cache is not involved.  A record other than the one
+        asked about is a faulty reply and primes nothing."""
+        records = p.decode_records(data)
+        if len(records) != 1 or records[0].name != name \
+                or records[0].uadd != uadd:
+            raise ProtocolError(
+                f"ns_resolve_name_ack for {name!r} carried another record")
+        record = records[0]
+        nucleus = self.nucleus
+        location = record.location(nucleus.ip.local_network)
+        if location is not None:
+            nucleus.addr_cache.store(uadd, location[1], record.mtype_name)
 
     def resolve_uadd(self, uadd: Address) -> NameRecord:
         """UAdd → physical location record (the second mapping).

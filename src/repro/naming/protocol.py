@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.conversion import ConversionRegistry, Field, StructDef
-from repro.errors import ProtocolError
+from repro.errors import NtcsError, ProtocolError
 from repro.ntcs.address import Address
 
 # -- type ids -----------------------------------------------------------------
@@ -81,6 +81,7 @@ _STRUCTS = [
         Field("found", "u8"),
         Field("uadd", "u64"),
         Field("gen", "u64"),
+        Field("record", "bytes"),        # the answered record; empty on a miss
     ]),
     StructDef("ns_resolve_uadd", T_NS_RESOLVE_UADD, [
         Field("uadd", "u64"),
@@ -258,6 +259,15 @@ class NameRecord:
                 return blob
         return None
 
+    def location(self, network: str) -> Optional[Tuple[str, str]]:
+        """The (network, blob) a module on ``network`` keeps in its
+        Sec. 3.3 address cache: the address on that network, else the
+        record's first; None when it has none."""
+        blob = self.blob_on(network)
+        if blob is not None:
+            return network, blob
+        return self.addresses[0] if self.addresses else None
+
     @property
     def is_gateway(self) -> bool:
         return self.attrs.get("kind") == "gateway"
@@ -281,15 +291,29 @@ class NameRecord:
         parts = text.split("\n")
         if len(parts) != 7:
             raise ProtocolError(f"malformed name record ({len(parts)} fields)")
+        try:
+            uadd = Address(value=int(parts[1]))
+            registered_at = float(parts[6])
+        except (ValueError, NtcsError) as exc:
+            raise ProtocolError(f"malformed name record: {exc}") from None
         return cls(
             name=_unescape(parts[0]),
-            uadd=Address(value=int(parts[1])),
+            uadd=uadd,
             mtype_name=_unescape(parts[2]),
             attrs=decode_attrs(parts[3]),
             addresses=decode_addresses(parts[4]),
             alive=parts[5] == "1",
-            registered_at=float(parts[6]),
+            registered_at=registered_at,
         )
+
+
+def decode_text(data: bytes) -> str:
+    """A bytes tail field as text.  Every variable part of the naming
+    protocol is ASCII, so anything else is a malformed message."""
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError:
+        raise ProtocolError("non-ASCII bytes in a naming field") from None
 
 
 _RECORD_SEP = "\x1d"  # ASCII group separator between records
@@ -302,7 +326,7 @@ def encode_records(records: List[NameRecord]) -> bytes:
 
 def decode_records(data: bytes) -> List[NameRecord]:
     """Decode a record list from a bytes tail field."""
-    text = data.decode("ascii")
+    text = decode_text(data)
     if not text:
         return []
     return [NameRecord.decode(chunk) for chunk in text.split(_RECORD_SEP)]
@@ -319,7 +343,7 @@ def encode_register_payload(attrs: Dict[str, str],
 
 def decode_register_payload(data: bytes) -> Tuple[Dict[str, str], List[Tuple[str, str]]]:
     """Split an ns_register payload into (attrs, addresses)."""
-    text = data.decode("ascii")
+    text = decode_text(data)
     attrs_text, sep, addr_text = text.partition(_PART_SEP)
     if not sep:
         raise ProtocolError("malformed register payload")
@@ -354,7 +378,7 @@ def decode_batch_payload(data: bytes) -> Tuple[List[str], List[NameRecord]]:
     head, sep, tail = data.partition(_PART_SEP.encode("ascii"))
     if not sep:
         raise ProtocolError("malformed batch-resolve payload")
-    return decode_name_list(head.decode("ascii")), decode_records(tail)
+    return decode_name_list(decode_text(head)), decode_records(tail)
 
 
 # -- stamped records (sharded naming, PROTOCOL.md §14) ---------------------------
@@ -374,7 +398,7 @@ def encode_stamped_records(pairs: List[Tuple[int, NameRecord]]) -> bytes:
 
 def decode_stamped_records(data: bytes) -> List[Tuple[int, NameRecord]]:
     """Decode a stamped-record list from a bytes tail field."""
-    text = data.decode("ascii")
+    text = decode_text(data)
     if not text:
         return []
     out: List[Tuple[int, NameRecord]] = []
@@ -382,5 +406,9 @@ def decode_stamped_records(data: bytes) -> List[Tuple[int, NameRecord]]:
         stamp_text, sep, record_text = chunk.partition(_STAMP_SEP)
         if not sep:
             raise ProtocolError("malformed stamped record")
-        out.append((int(stamp_text), NameRecord.decode(record_text)))
+        try:
+            stamp = int(stamp_text)
+        except ValueError:
+            raise ProtocolError(f"bad record stamp {stamp_text!r}") from None
+        out.append((stamp, NameRecord.decode(record_text)))
     return out

@@ -203,11 +203,16 @@ class NameServer:
         return "ns_register_ack", {"uadd": record.uadd.value}
 
     def _handle_resolve_name(self, request: IncomingMessage):
+        """The answer carries the record too, so the locating module
+        learns where the module is without an ``ns_resolve_uadd``."""
         try:
             record = self.db.resolve_name(request.values["name"])
         except NoSuchName:
-            return "ns_resolve_name_ack", {"found": 0, "uadd": 0}
-        return "ns_resolve_name_ack", {"found": 1, "uadd": record.uadd.value}
+            return "ns_resolve_name_ack", {"found": 0, "uadd": 0, "record": b""}
+        return "ns_resolve_name_ack", {
+            "found": 1, "uadd": record.uadd.value,
+            "record": p.encode_records([record]),
+        }
 
     def _handle_resolve_uadd(self, request: IncomingMessage):
         try:
@@ -252,7 +257,7 @@ class NameServer:
         """Resolve many names in one round trip (PROTOCOL.md §9): the
         found records ride back whole, so one reply primes both the
         name→UAdd and UAdd→record caches."""
-        names = p.decode_name_list(request.values["names"].decode("ascii"))
+        names = p.decode_name_list(p.decode_text(request.values["names"]))
         records, missing = [], []
         for name in names:
             try:
@@ -265,7 +270,7 @@ class NameServer:
         }
 
     def _handle_query_attrs(self, request: IncomingMessage):
-        query_text = request.values["query"].decode("ascii")
+        query_text = p.decode_text(request.values["query"])
         # Rich predicate syntax ("shard<=3") is served when the database
         # implements it (the Sec. 7 attribute-naming extension); plain
         # "k=v;k=v" exact matching otherwise.
@@ -332,7 +337,7 @@ class NameServer:
         if request.type_name in p.NAME_KEYED:
             names = [values["name"]]
         else:
-            names = p.decode_name_list(values["names"].decode("ascii"))
+            names = p.decode_name_list(p.decode_text(values["names"]))
         for name in names:
             owner = self._ring.owner(name)
             if owner != self.shard_id:

@@ -329,14 +329,13 @@ class IpLayer:
 
         # Ask the naming service — the recursive path (Sec. 3.1).
         record = nucleus.require_nsp().resolve_uadd(dst)
-        blob = record.blob_on(local)
-        if blob is not None:
-            nucleus.addr_cache.store(dst, blob, record.mtype_name)
-            return _Plan(direct=True, blob=blob)
-        if not record.addresses:
+        location = record.location(local)
+        if location is None:
             raise NoSuchAddress(f"{dst} has no physical addresses registered")
-        dst_network, remote_blob = record.addresses[0]
-        nucleus.addr_cache.store(dst, remote_blob, record.mtype_name)
+        dst_network, blob = location
+        nucleus.addr_cache.store(dst, blob, record.mtype_name)
+        if dst_network == local:
+            return _Plan(direct=True, blob=blob)
         return self._gateway_plan(dst, dst_network)
 
     def note_gateway_fault(self, gw_uadd: Optional[Address]) -> None:

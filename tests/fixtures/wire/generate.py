@@ -61,6 +61,10 @@ GOLDEN_RECORD = np.NameRecord(
 # StructDef to decode them.
 NAMING_BODIES = {
     "ns_resolve_name_ack": {"found": 1, "uadd": 17, "gen": 4},
+    "ns_resolve_name_ack_record": {
+        "found": 1, "uadd": 17, "gen": 4,
+        "record": np.encode_records([GOLDEN_RECORD]),
+    },
     "ns_record_ack": {"found": 1, "gen": 4,
                       "record": np.encode_records([GOLDEN_RECORD])},
     "ns_forward_ack": {"status": np.FWD_FOUND, "new_uadd": 33, "gen": 5},
@@ -73,6 +77,24 @@ NAMING_BODIES = {
         "gen": 4, "count": 1,
         "payload": np.encode_batch_payload(["no.such"], [GOLDEN_RECORD]),
     },
+}
+
+# Cases named other than their structure: the locate reply as it has
+# carried the answered record since it grew that trailing field
+# (PROTOCOL.md §5).
+CASE_STRUCTS = {"ns_resolve_name_ack_record": "ns_resolve_name_ack"}
+
+# Structures as they stood when a frozen body was written, for those
+# that have grown a trailing field since: packing the frozen case with
+# them keeps its bytes, which the replay test checks are a prefix of
+# the live body.
+FROZEN_STRUCTS = {
+    "ns_resolve_name_ack": StructDef(
+        "ns_resolve_name_ack", np.T_NS_RESOLVE_NAME_ACK, [
+            Field("found", "u8"),
+            Field("uadd", "u64"),
+            Field("gen", "u64"),
+        ]),
 }
 
 # One fixed shard-directory record shared by the sharded-naming frames
@@ -153,9 +175,13 @@ def cases(registry):
                            flags=m.FLAG_PACKED | m.FLAG_INTERNAL,
                            type_id=entry.sdef.type_id, aux=aux,
                            body=entry.pack(values)))
+    frozen = ConversionRegistry()
+    for sdef in FROZEN_STRUCTS.values():
+        frozen.register(sdef)
     for corr_id, (name, values) in enumerate(sorted(NAMING_BODIES.items()),
                                              start=20):
-        entry = registry.get_by_name(name)
+        entry = (frozen if name in FROZEN_STRUCTS else registry).get_by_name(
+            CASE_STRUCTS.get(name, name))
         yield (name, m.Msg(kind=m.DATA, src=src, dst=dst,
                            flags=m.FLAG_PACKED | m.FLAG_INTERNAL,
                            type_id=entry.sdef.type_id, corr_id=corr_id,

@@ -73,9 +73,15 @@ def test_no_inter_gateway_control_plane():
 # datagram count is the same establishment seen from the wire — every
 # ND message twice (sim-TCP DATA + ACK) plus a SYN/SYNACK pair per new
 # connection — a *substrate* pin that substrate work may move, once,
-# with old -> new recorded in CHANGES.md.
-E5_ND_MESSAGES = {0: 6, 1: 28, 2: 54, 3: 88, 4: 130}
-E5_SUBSTRATE_DATAGRAMS = {0: 14, 1: 64, 2: 124, 3: 202, 4: 298}
+# with old -> new recorded in CHANGES.md.  The locate hands the client
+# the destination's location (PROTOCOL.md §5), so the call asks naming
+# nothing: every row is one client <-> Name-Server round trip (2 ND
+# messages, 4 datagrams) below what a separate ns_resolve_uadd cost.
+E5_ND_MESSAGES = {0: 4, 1: 26, 2: 52, 3: 86, 4: 128}
+E5_SUBSTRATE_DATAGRAMS = {0: 10, 1: 60, 2: 120, 3: 198, 4: 294}
+# What each further gateway adds: the paper-level claim itself.
+E5_ND_INCREMENTS = [22, 26, 34, 42]
+E5_DATAGRAM_INCREMENTS = [50, 60, 78, 96]
 
 
 def _establish(hops):
@@ -111,6 +117,18 @@ def test_e5_establishment_nd_messages(hops):
 def test_e5_establishment_substrate_datagrams(hops):
     _, (_, datagrams) = _establish(hops)
     assert datagrams == E5_SUBSTRATE_DATAGRAMS[hops]
+
+
+def test_e5_cost_grows_with_the_hops_and_nothing_else():
+    """Sec. 4.2: a further gateway adds the same cost whatever naming
+    spends on the way.  The per-hop increments did not move when the
+    locate began to carry the destination's record."""
+    def increments(pins):
+        rows = [pins[hops] for hops in sorted(pins)]
+        return [b - a for a, b in zip(rows, rows[1:])]
+
+    assert increments(E5_ND_MESSAGES) == E5_ND_INCREMENTS
+    assert increments(E5_SUBSTRATE_DATAGRAMS) == E5_DATAGRAM_INCREMENTS
 
 
 # What one death costs on the wire (PROTOCOL.md §10, "Process death"):

@@ -6,6 +6,7 @@ import pytest
 from deployments import echo_server, single_net, two_nets
 from repro import NAME_SERVER_UADD
 from repro.errors import NameServerUnreachable, NoSuchAddress
+from repro.ntcs.nucleus import NucleusConfig
 
 
 @pytest.fixture
@@ -74,6 +75,27 @@ def test_open_protocol_fills_address_cache(bed):
     assert entry is not None
     assert entry.mtype_name == "Sun-3"
     assert "sun1" in entry.blob
+
+
+@pytest.mark.parametrize("cache_enabled", [True, False])
+def test_locate_brings_the_location_with_it(cache_enabled):
+    """Sec. 3.3: the ND-Layer learns a UAdd's location "through the
+    NSP-layer services".  The locate's reply carries the record, so the
+    first call asks the naming service nothing more.  This is the
+    paper's address cache, not the §9 resolution cache: it works with
+    that cache off, and leaves its record map empty when it is on."""
+    bed = single_net(NucleusConfig(nsp_cache_enabled=cache_enabled))
+    server = echo_server(bed, "echo.server", "sun1")
+    client = bed.module("client", "vax1")
+    uadd = client.ali.locate("echo.server")
+    entry = client.nucleus.addr_cache.lookup(uadd)
+    assert (entry.blob, entry.mtype_name) == (
+        server.nucleus.nd.listen_blob, "Sun-3")
+    if cache_enabled:
+        assert client.nsp.cache.lookup_record(uadd) is None
+    reply = client.ali.call(uadd, "echo", {"n": 1, "text": "x"})
+    assert reply.values["text"] == "X"
+    assert bed.name_server_instance.counters["ns_resolve_uadd"] == 0
 
 
 def test_name_server_removable_after_warmup(bed):

@@ -112,3 +112,36 @@ def test_ns_survives_many_clients(bed):
     server = bed.name_server_instance
     assert server.counters["ns_register"] == 31  # 30 + the client
     assert len(server.db) == 32  # + the NS itself
+
+
+# Hostile bytes in a naming field (hardening: decoder fuzzing).  Each
+# request carries one non-ASCII byte where the protocol expects ASCII.
+_NON_ASCII_REQUESTS = {
+    "ns_register": {"name": "evil", "mtype": "VAX", "payload": b"\xff"},
+    "ns_resolve_batch": {"count": 1, "names": b"\xff"},
+    "ns_query_attrs": {"query": b"\xff"},
+}
+
+
+@pytest.mark.parametrize("type_name", sorted(_NON_ASCII_REQUESTS))
+def test_non_ascii_datagram_is_logged_not_raised(bed, type_name):
+    """A datagram nobody waits for must not raise out of an unrelated
+    ``settle()``: the server logs it as a failed request."""
+    client = bed.module("client", "vax1")
+    assert client.nucleus.lcm.datagram(
+        NAME_SERVER_UADD, type_name, _NON_ASCII_REQUESTS[type_name],
+        flags=FLAG_INTERNAL)
+    bed.settle()
+    assert any(type_name in line
+               for line in bed.name_server_instance.nucleus.error_log)
+
+
+@pytest.mark.parametrize("type_name", sorted(_NON_ASCII_REQUESTS))
+def test_non_ascii_call_gets_an_error_ack(bed, type_name):
+    """Sent as a call, the same request is answered ``ns_ack ok=0``."""
+    client = bed.module("client", "vax1")
+    reply = client.nucleus.lcm.call(
+        NAME_SERVER_UADD, type_name, _NON_ASCII_REQUESTS[type_name],
+        flags=FLAG_INTERNAL)
+    assert reply.type_name == "ns_ack"
+    assert reply.values["ok"] == 0

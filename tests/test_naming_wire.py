@@ -19,6 +19,14 @@ At head the same deployments are values of one ``deploy_naming``:
 ``[["ns0", "ns1"]]``, ``[["ns0"]]`` and the 2 × 2 fleet.  The fixtures'
 whole value is that the three-class implementation wrote them; do not
 regenerate them from a tree that has only one.
+
+Since then the locate reply has carried the answered record
+(PROTOCOL.md §5), so the script's first call no longer asks
+``ns_resolve_uadd``.  The test checks that one change as a relation to
+the recording: the same answers; the same naming frames minus exactly
+one ``ns_resolve_uadd`` / ``ns_record_ack`` pair, where every recorded
+``ns_resolve_name_ack`` body is a byte prefix of the live one; and an
+end time one round trip (2 ms) earlier.
 """
 
 import json
@@ -29,6 +37,11 @@ import pytest
 from deployments import echo_server, register_app_types, sharded_single_net
 from repro import SUN3, Testbed, VAX
 from repro.errors import NoSuchName, ProtocolError
+from repro.naming.protocol import (
+    T_NS_RECORD_ACK,
+    T_NS_RESOLVE_NAME_ACK,
+    T_NS_RESOLVE_UADD,
+)
 from repro.naming.shards import add_naming_shard, deploy_naming
 from repro.ntcs.message import HEADER_BYTES, HeaderView
 from repro.ntcs.nucleus import NucleusConfig
@@ -142,6 +155,16 @@ def _observed(name):
     }
 
 
+def _same_but_longer_locate_replies(recorded, observed):
+    """Frame for frame equal, except that a recorded
+    ``ns_resolve_name_ack`` body need only be a prefix of the live one."""
+    return len(recorded) == len(observed) and all(
+        head_type == type_id and (
+            head_body.startswith(body) if type_id == T_NS_RESOLVE_NAME_ACK
+            else head_body == body)
+        for (type_id, body), (head_type, head_body) in zip(recorded, observed))
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_naming_wire_matches_the_three_class_service(name):
     with open(os.path.join(FIXTURES, name + ".json")) as handle:
@@ -149,5 +172,13 @@ def test_naming_wire_matches_the_three_class_service(name):
     observed = _observed(name)
     assert len(recorded["frames"]) > 0
     assert observed["answers"] == recorded["answers"]
-    assert observed["frames"] == recorded["frames"]
-    assert observed["end_time"] == recorded["end_time"]
+    frames = [(t, bytes.fromhex(body)) for t, body in recorded["frames"]]
+    head = [(t, bytes.fromhex(body)) for t, body in observed["frames"]]
+    # Exactly one ns_resolve_uadd round trip is gone.
+    assert any(
+        (frames[i][0], frames[i + 1][0]) == (T_NS_RESOLVE_UADD,
+                                             T_NS_RECORD_ACK)
+        and _same_but_longer_locate_replies(frames[:i] + frames[i + 2:], head)
+        for i in range(len(frames) - 1))
+    assert observed["end_time"] == pytest.approx(
+        recorded["end_time"] - 0.002, abs=1e-9)

@@ -33,9 +33,10 @@ def test_open_to_wrong_network_blob_faults(bed):
 
 
 def test_resolution_via_nsp_when_uncached(bed):
-    echo_server(bed, "dest", "sun1")
+    # The UAdd comes from the server itself, not from a locate: a
+    # locate would leave the location in the address cache.
+    uadd = echo_server(bed, "dest", "sun1").ali.uadd
     client = bed.module("client", "vax1")
-    uadd = client.ali.locate("dest")
     assert client.nucleus.addr_cache.lookup(uadd) is None
     lvc = client.nucleus.nd.open_lvc(uadd)  # no blob: ND resolves
     assert lvc.open

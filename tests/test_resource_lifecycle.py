@@ -26,11 +26,15 @@ arrives at a connection already gone, apart from a pinned residue
 A last test aims the same snapshot at a gateway's final chain hop
 dialling a stale cached blob (PROTOCOL.md §3, "IVC through gateways"):
 a failed open must not leave a spliced leg or a half-open LVC behind.
+The same holds for the client's blob primed by its locate (PROTOCOL.md
+§5) when the destination relocates or dies before the first call, and a
+forged locate reply primes nothing at all.
 """
 
 import gc
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -40,7 +44,10 @@ from deployments import (
     two_nets,
     veteran_of_far_echo,
 )
-from repro.errors import DestinationUnavailable
+from repro.drts.proctl import ProcessController
+from repro.errors import DestinationUnavailable, ProtocolError
+from repro.naming import protocol as p
+from repro.ntcs.address import make_uadd
 from repro.util.counters import GATEWAY_STALE_ADDR_FALLBACKS
 
 CYCLES = 50
@@ -309,3 +316,131 @@ def test_stale_final_hop_leaves_nothing_behind(hostile, fallbacks):
         snapshots.append(_snapshot(bed))
     assert snapshots[0] == snapshots[1]
     assert far_stack.counters[GATEWAY_STALE_ADDR_FALLBACKS] == fallbacks
+
+
+# Hazards of a primed location: the locate leaves the destination's
+# blob in the client's address cache (PROTOCOL.md §5), so the first call
+# may dial an address the destination has already left.  Each hazard
+# runs four times on one bed, client and peer dying at the end of each
+# run.  The first runs are warm-up: the first contact with each naming
+# shard leaves circuits that stay open.  The last two snapshots must be
+# equal.
+
+def _echo_rebuild(_old, new):
+    new.ali.set_request_handler(lambda request: new.ali.reply(
+        request, "echo", {"n": request.values["n"],
+                          "text": request.values["text"].upper()}))
+
+
+def _relocated_before_the_first_call(bed, i, machine):
+    """(a) The call faults once on the primed blob, the LCM follows the
+    forwarding to the replacement and the reply arrives.  On the
+    client's own network its ND-Layer dialled the blob and drops it."""
+    echo_server(bed, f"peer.{i}", machine)
+    client = bed.module(f"client.{i}", "m0")
+    uadd = client.ali.locate(f"peer.{i}")
+    assert uadd in client.nucleus.addr_cache
+    new = ProcessController(bed).relocate(f"peer.{i}", machine,
+                                          rebuild=_echo_rebuild)
+    bed.settle()
+    reply = client.ali.call(uadd, "echo", {"n": i, "text": "x"}, timeout=5.0)
+    assert reply.values == {"n": i, "text": "X"}
+    counters = client.nucleus.counters
+    assert counters["lcm_address_faults"] == 1
+    assert counters["lcm_relocations_followed"] == 1
+    assert (uadd in client.nucleus.addr_cache) == (machine != "m0")
+    return [client, new]
+
+
+def _killed_before_the_first_call(bed, i, machine):
+    """(b) The first call ends in a typed error well inside its
+    timeout: no hang."""
+    server = echo_server(bed, f"peer.{i}", machine)
+    client = bed.module(f"client.{i}", "m0")
+    uadd = client.ali.locate(f"peer.{i}")
+    server.process.kill()
+    bed.settle()
+    start = bed.now
+    with pytest.raises(DestinationUnavailable):
+        client.ali.call(uadd, "echo", {"n": i, "text": "x"}, timeout=5.0)
+    assert bed.now - start < 2.0
+    return [client]
+
+
+def _hazard_snapshots(hazard, machine, prepare=None):
+    bed, _groups = sharded_chain(hops=2, shards=2, replicas=2)
+    if prepare is not None:
+        prepare(bed)
+    snapshots = []
+    for i in range(4):
+        for commod in hazard(bed, i, machine):
+            commod.process.kill()
+        bed.settle()
+        for name in [name for name, commod in bed.modules.items()
+                     if not commod.process.alive]:
+            del bed.modules[name]
+        assert not _train_debts(bed)
+        snapshots.append(_snapshot(bed))
+    return snapshots
+
+
+@pytest.mark.parametrize("machine", ["m0", "mEnd"],
+                         ids=["same_network", "two_gateways_away"])
+@pytest.mark.parametrize("hazard", [
+    _relocated_before_the_first_call,
+    _killed_before_the_first_call,
+], ids=["relocated", "killed"])
+def test_primed_location_hazards_leave_nothing_behind(hazard, machine):
+    snapshots = _hazard_snapshots(hazard, machine)
+    assert snapshots[-2] == snapshots[-1]
+
+
+def _forge_locate_replies(bed, forge):
+    """Every naming server answers ``ns_resolve_name`` honestly, then
+    ``forge`` rewrites the record its reply carries."""
+    for group in bed.shard_groups.values():
+        for server in group:
+            honest = server._handlers["ns_resolve_name"]
+
+            def forged(request, honest=honest):
+                reply_type, values = honest(request)
+                values["record"] = forge(values["record"])
+                return reply_type, values
+
+            server._handlers["ns_resolve_name"] = forged
+
+
+def _another_uadd(data):
+    (record,) = p.decode_records(data)
+    return p.encode_records([replace(record, uadd=make_uadd(4242))])
+
+
+def _another_name(data):
+    (record,) = p.decode_records(data)
+    return p.encode_records([replace(record, name="impostor")])
+
+
+@pytest.mark.parametrize("forge", [
+    _another_uadd,
+    _another_name,
+    lambda data: data + b"\x1d" + data,
+    lambda data: b"\xff",
+    lambda data: b"",
+], ids=["another_uadd", "another_name", "two_records", "non_ascii", "empty"])
+def test_forged_locate_reply_primes_nothing(forge):
+    """(c) A reply whose record is not the one asked about, or does not
+    decode, is a ``ProtocolError`` and plants no blob for any UAdd."""
+    def hazard(bed, i, _machine):
+        server = echo_server(bed, f"peer.{i}", "mEnd")
+        client = bed.module(f"client.{i}", "m0")
+        cached = len(client.nucleus.addr_cache)
+        with pytest.raises(ProtocolError):
+            client.ali.locate(f"peer.{i}")
+        assert len(client.nucleus.addr_cache) == cached
+        assert server.ali.uadd not in client.nucleus.addr_cache
+        assert make_uadd(4242) not in client.nucleus.addr_cache
+        return [client, server]
+
+    snapshots = _hazard_snapshots(
+        hazard, "mEnd", prepare=lambda bed: _forge_locate_replies(bed, forge))
+    assert snapshots[-2] == snapshots[-1]

@@ -166,8 +166,9 @@ def test_ursa_across_networks():
 def test_cold_start_name_server_requests_exact():
     """Three hosts each search and fetch once on a fresh deployment:
     the Name-Server requests that costs besides registration — one
-    round trip per resolution with the NSP cache off, batched prefetch
-    plus cache hits with it on (PROTOCOL.md §9)."""
+    round trip per locate with the NSP cache off (the locate brings the
+    location with it, PROTOCOL.md §5), batched prefetch plus cache hits
+    with it on (PROTOCOL.md §9)."""
     def cold_start(cache_enabled):
         bed = single_net(NucleusConfig(nsp_cache_enabled=cache_enabled))
         bed.machine("sun2", SUN3, networks=["ether0"])
@@ -187,7 +188,7 @@ def test_cold_start_name_server_requests_exact():
             for name in ("nsp_cache_hits", "nsp_batch_resolves",
                          "nsp_cache_misses")}
 
-    assert cold_start(False)[0] == 15
+    assert cold_start(False)[0] == 9
     assert cold_start(True) == (6, {"nsp_cache_hits": 14,
                                     "nsp_batch_resolves": 5,
                                     "nsp_cache_misses": 0})

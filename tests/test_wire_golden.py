@@ -9,6 +9,7 @@ encoding — now or in a future "optimization" — fails here first.
 
 import json
 import os
+import struct
 
 import pytest
 
@@ -134,13 +135,21 @@ def test_control_bodies_reproduced_by_live_codecs():
         assert entry.unpack(golden) == values, name
 
 
+# Frozen naming bodies whose structure has grown a trailing field since
+# they were written; each stays a byte prefix of the live body.
+GROWN_SINCE_FROZEN = {"ns_resolve_name_ack"}
+
+
 def test_naming_bodies_reproduced_by_live_codecs():
     """The generation-stamped acks and the batched resolve pair
     (PROTOCOL.md §9): the manifest hex-encodes ``bytes`` fields, so
-    decode per the StructDef before packing."""
+    decode per the StructDef before packing.  A case is packed with the
+    structure its frame's type id names."""
     registry = _registry()
     for name, raw in MANIFEST["naming_bodies"].items():
-        entry = registry.get_by_name(name)
+        if name in GROWN_SINCE_FROZEN:
+            continue
+        entry = registry.get(FRAMES[name]["type_id"])
         values = {
             f.name: (bytes.fromhex(raw[f.name]) if f.ftype == "bytes"
                      else raw[f.name])
@@ -149,3 +158,22 @@ def test_naming_bodies_reproduced_by_live_codecs():
         golden = bytes.fromhex(FRAMES[name]["body_hex"])
         assert entry.pack(values) == golden, name
         assert entry.unpack(golden) == values, name
+
+
+def test_frozen_locate_reply_is_a_prefix_of_the_live_body():
+    """``ns_resolve_name_ack`` gained a trailing ``record`` field after
+    its body froze (PROTOCOL.md §5).  The frozen bytes stay as written,
+    and the live encoding of the same answer starts with them, in packed
+    mode and in image mode alike."""
+    entry = _registry().get_by_name("ns_resolve_name_ack")
+    frozen = bytes.fromhex(FRAMES["ns_resolve_name_ack"]["body_hex"])
+    answer = MANIFEST["naming_bodies"]["ns_resolve_name_ack"]
+    record = bytes.fromhex(
+        MANIFEST["naming_bodies"]["ns_resolve_name_ack_record"]["record"])
+    assert frozen == b"1\x1f17\x1f4\x1f"
+    for tail in (b"", record):
+        live = entry.pack({**answer, "record": tail})
+        assert live == frozen + str(len(tail)).encode() + b":" + tail + b"\x1f"
+        for order in "<>":
+            image = entry.sdef.image_encode({**answer, "record": tail}, order)
+            assert image == struct.pack(order + "BQQ", 1, 17, 4) + tail

@@ -25,6 +25,12 @@ Each scenario is recorded twice:
   and answered a closed peer): the ablation must reproduce that wire
   exactly.
 
+All eight were re-recorded once more when the locate reply began to
+carry the answered record (PROTOCOL.md §5).  Each new trace is its
+predecessor minus one four-line block, the client's ``ns_resolve_uadd``
+round trip (DATA, ACK, ``ns_record_ack`` DATA, ACK), with every later
+line 2 ms earlier; CHANGES.md records the check per file.
+
 The fixtures' whole value is that the pre-change implementation wrote
 them.  Regenerate the default-window traces (only when the wire is
 *meant* to change, and record old -> new in CHANGES.md) with:
