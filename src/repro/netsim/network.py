@@ -183,7 +183,7 @@ class Network:
         self._open_train: Optional[_Train] = None
         # Delivery events that carried more than one frame.
         self.trains_coalesced = 0
-        # Wire taps (see repro.netsim.tracelog, repro.netsim.sniffer):
+        # Wire taps (see repro.netsim.tracelog):
         # each is called for every transmitted frame, after the drop
         # decision, with (datagram, size, dropped).  Observation only —
         # a tap cannot alter delivery, so attaching one never perturbs

@@ -1,105 +1,30 @@
-"""Deployment builder for real-socket NTCS systems.
+"""The real-socket deployment: a :class:`~repro.testbed.Testbed` on a
+:class:`RealtimeKernel`, machines on loopback namespace ``loop0``."""
 
-Mirrors :class:`repro.testbed.Testbed`, but every "machine" is a bundle
-of real localhost sockets under one realtime kernel.  Machine *types*
-are still simulated (that is the point: byte-order heterogeneity on one
-physical host), so the conversion layer behaves exactly as on the
-simulated networks.
-"""
-
-from __future__ import annotations
-
-from dataclasses import replace
-from typing import Dict, Optional
-
-from repro.commod import ComMod
-from repro.errors import SimulationError
-from repro.machine import Machine, MachineType, SimProcess
-from repro.naming import NameServer
 from repro.ntcs.nucleus import NucleusConfig
-from repro.ntcs.wellknown import WellKnownTable
-from repro.realnet.driver import LoopbackRealIpcs
 from repro.realnet.kernel import RealtimeKernel
-from repro.testbed import make_registry
+from repro.testbed import Testbed
 
 NETWORK = "loop0"
 
 
-class RealDeployment:
-    """One real-socket deployment on localhost."""
+class RealDeployment(Testbed):
+    """One deployment over real localhost sockets; :meth:`shutdown` it."""
 
-    def __init__(self, config: Optional[NucleusConfig] = None):
-        self.kernel = RealtimeKernel()
-        self.registry = make_registry()
-        self.wellknown = WellKnownTable()
-        self.config = config or NucleusConfig(
-            open_timeout=3.0, call_timeout=5.0,
-        )
-        self.machines: Dict[str, Machine] = {}
-        self.modules: Dict[str, ComMod] = {}
-        self.name_server_instance: Optional[NameServer] = None
+    def __init__(self, config=None):
+        config = config or NucleusConfig(open_timeout=3.0, call_timeout=5.0)
+        super().__init__(config, scheduler=RealtimeKernel())
+        self.kernel = self.scheduler
+        self.network(NETWORK, protocol="rtcp")
 
-    def machine(self, name: str, mtype: MachineType) -> Machine:
-        """Create a 'machine': a machine type plus a real-socket IPCS slot."""
-        if name in self.machines:
-            raise SimulationError(f"machine {name!r} already exists")
-        machine = Machine(self.kernel, name, mtype)
-        LoopbackRealIpcs(self.kernel, machine, NETWORK)
-        self.machines[name] = machine
-        return machine
-
-    def name_server(self, machine_name: str) -> NameServer:
-        """Start the Name Server on a real socket (OS-assigned port)."""
-        if self.name_server_instance is not None:
-            raise SimulationError("this deployment already has a Name Server")
-        process = SimProcess(self.machines[machine_name], "name.server")
-        server = NameServer(
-            process, self.registry, self.wellknown,
-            network=NETWORK, binding=None,  # OS assigns the port
-            config=replace(self.config),
-        )
-        self.wellknown.add_name_server_blob(server.listen_blob)
-        self.name_server_instance = server
-        return server
-
-    def module(self, name: str, machine_name: str, register: bool = True,
-               attrs=None) -> ComMod:
-        """Create an application module over real sockets."""
-        process = SimProcess(self.machines[machine_name], name)
-        commod = ComMod(
-            process, self.registry, self.wellknown,
-            network=NETWORK, config=replace(self.config),
-        )
-        if register:
-            commod.ali.register(name, attrs=attrs)
-        self.modules[name] = commod
-        return commod
-
-    def warm_naming(self) -> int:
-        """Batch-prefetch the control plane (PROTOCOL.md §9): one
-        ``ns_resolve_batch`` round trip per module primes its resolution
-        cache with every registered peer's record, replacing one NS
-        round trip per (module, peer) pair at first contact.  Returns
-        the number of batch calls (0 when the cache is disabled)."""
-        if not self.config.nsp_cache_enabled or not self.modules:
-            return 0
-        names = sorted(self.modules)
-        batches = 0
-        for commod in self.modules.values():
-            commod.nsp.resolve_batch(names)
-            batches += 1
-        return batches
-
-    def settle(self, duration: float = 0.05) -> None:
-        """Let in-flight socket traffic drain (wall-clock)."""
-        self.kernel.wait(duration)
+    def machine(self, name, mtype, networks=(NETWORK,), **kwargs):
+        """A machine on ``networks`` (default: ``loop0``)."""
+        return super().machine(name, mtype, list(networks), **kwargs)
 
     def shutdown(self) -> None:
-        """Close every socket and the kernel."""
-        for commod in self.modules.values():
-            if commod.process.alive:
-                commod.process.kill()
-        if self.name_server_instance is not None:
-            if self.name_server_instance.process.alive:
-                self.name_server_instance.process.kill()
+        """Kill every live process, newest first (each farewell still
+        has the gateways and servers it rides), then close the kernel."""
+        alive = [p for m in self.machines.values() for p in m.processes]
+        for process in sorted(alive, key=lambda p: -p.pid):
+            process.kill()
         self.kernel.close()

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 from repro.errors import ChannelClosed, ConnectionRefused, NetworkUnreachable
 from repro.machine.machine import Machine
 from repro.machine.process import SimProcess
+from repro.netsim.network import Network
 from repro.ntcs.drivers import register_driver
 from repro.ntcs.drivers.sim_tcp import FramedChannel
 from repro.ntcs.stdif import MessageChannel, StdIfDriver
@@ -56,9 +57,12 @@ class RealSocketChannel:
             handler(self._closed_reason)
 
     def send(self, data: bytes) -> None:
-        """Queue bytes on the socket (partial writes buffered)."""
+        """Queue bytes on the socket (partial writes buffered).  Nothing
+        leaves a crashed machine: a crash is abrupt (PROTOCOL.md §10)."""
         if not self.open:
             raise ChannelClosed(self._closed_reason or "not open")
+        if not self.owner.machine.alive:
+            return
         self.bytes_sent += len(data)
         self._outbound.extend(data)
         self._flush()
@@ -138,17 +142,17 @@ class _RealListener:
 
 
 class LoopbackRealIpcs:
-    """A stand-in for the native IPCS registry slot: carries the kernel
-    and the logical network name the real driver serves."""
+    """The native IPCS slot of one loopback port namespace: an ``rtcp``
+    :class:`~repro.netsim.Network` record whose clock is the realtime
+    kernel.  No netsim frame crosses it; the driver opens real sockets."""
 
     protocol = "rtcp"
 
-    def __init__(self, kernel: RealtimeKernel, machine: Machine,
-                 network_name: str = "loop0"):
-        self.kernel = kernel
+    def __init__(self, machine: Machine, network: Network):
+        self.kernel: RealtimeKernel = network.scheduler
         self.machine = machine
-        self.network_name = network_name
-        machine.register_ipcs(network_name, self.protocol, self)
+        self.network_name = network.name
+        machine.register_ipcs(network.name, self.protocol, self)
 
 
 class LoopbackTcpDriver(StdIfDriver):

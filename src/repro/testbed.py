@@ -2,8 +2,12 @@
 
 The paper's URSA testbed mixed machines, networks, gateways, a Name
 Server and application modules.  :class:`Testbed` assembles exactly
-that on the simulation substrate — used by the examples, integration
-tests and every benchmark.
+that — used by the examples, integration tests and every benchmark —
+on whichever clock it is given: the virtual-time
+:class:`~repro.netsim.Scheduler` (the default) or a
+:class:`~repro.realnet.kernel.RealtimeKernel`, under which an ``rtcp``
+network is a loopback port namespace of real sockets that no netsim
+frame ever crosses.
 
 Typical use::
 
@@ -42,11 +46,13 @@ from repro.ntcs.nucleus import NucleusConfig
 from repro.ntcs.protocol import register_nucleus_types
 from repro.ntcs.wellknown import WellKnownTable
 from repro.drts.protocol import register_drts_types
+from repro.realnet.driver import LoopbackRealIpcs
 
-_IPCS_KINDS = {"tcp": SimTcpIpcs, "mbx": SimMbxIpcs}
+_IPCS_KINDS = {"tcp": SimTcpIpcs, "mbx": SimMbxIpcs, "rtcp": LoopbackRealIpcs}
 
-# Well-known bindings for the Name Server's listening resource.
-_NS_BINDINGS = {"tcp": "411", "mbx": "/mbx/name.server"}
+# Well-known bindings for the Name Server's listening resource (None:
+# the OS assigns a loopback port).
+_NS_BINDINGS = {"tcp": "411", "mbx": "/mbx/name.server", "rtcp": None}
 
 
 def make_registry() -> ConversionRegistry:
@@ -60,12 +66,15 @@ def make_registry() -> ConversionRegistry:
 
 class Testbed:
     """One deployment: scheduler, networks, machines, Name Server,
-    gateways and modules, sharing a registry and well-known table."""
+    gateways and modules, sharing a registry and well-known table.
+    ``scheduler`` is the clock everything runs on (default: a fresh
+    virtual-time :class:`~repro.netsim.Scheduler`)."""
 
     __test__ = False  # not a pytest test class, despite the name
 
-    def __init__(self, config: Optional[NucleusConfig] = None):
-        self.scheduler = Scheduler()
+    def __init__(self, config: Optional[NucleusConfig] = None,
+                 scheduler=None):
+        self.scheduler = scheduler or Scheduler()
         self.registry = make_registry()
         self.wellknown = WellKnownTable()
         self.config = config or NucleusConfig()
@@ -87,7 +96,8 @@ class Testbed:
                 latency: float = 0.001,
                 bandwidth: Optional[float] = None) -> Network:
         """Create a network.  ``protocol`` fixes which native IPCS runs
-        on it ("tcp" for ethernets, "mbx" for the Apollo ring);
+        on it ("tcp" for ethernets, "mbx" for the Apollo ring, "rtcp"
+        for a loopback port namespace under a realtime kernel);
         ``bandwidth`` (bytes/virtual-second) enables the serialization-
         delay model."""
         if protocol not in _IPCS_KINDS:

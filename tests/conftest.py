@@ -4,9 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+from deployments import Substrate
 from repro.ipcs import SimMbxIpcs, SimTcpIpcs
 from repro.machine import APOLLO, Machine, SimProcess, SUN3, VAX
 from repro.netsim import Network, Scheduler
+
+
+@pytest.fixture(params=["sim", "real"])
+def substrate(request):
+    """What a ``tests/deployments.py`` topology runs on: the simulator,
+    then real loopback sockets (shut down after the test).  A test that
+    wants its own ids parametrizes it with ``indirect=True``."""
+    substrate = Substrate(request.param)
+    yield substrate
+    substrate.shutdown()
 
 
 @pytest.fixture

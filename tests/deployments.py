@@ -1,10 +1,46 @@
-"""Canned deployments shared by integration tests and benchmarks."""
+"""Canned deployments shared by integration tests and benchmarks.
+
+Every builder takes a :class:`Substrate`: the simulator (the default)
+or real loopback sockets, where each network is an ``rtcp`` port
+namespace under one realtime kernel.  The topology, and every count the
+layers above the ND-Layer keep, is the same on both."""
 
 from __future__ import annotations
+
+from typing import List
 
 from repro import APOLLO, Field, StructDef, SUN3, Testbed, VAX
 from repro.naming.shards import deploy_naming
 from repro.ntcs.nucleus import NucleusConfig
+from repro.realnet import RealDeployment
+
+
+class Substrate:
+    """What a canned topology runs on.  ``"sim"`` builds a virtual-time
+    :class:`Testbed` whose networks keep their native IPCS; ``"real"``
+    builds a :class:`RealDeployment` whose networks are all ``rtcp`` and
+    remembers it, so :meth:`shutdown` can release its sockets."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.beds: List[RealDeployment] = []
+
+    def bed(self, config: NucleusConfig = None) -> Testbed:
+        if self.name == "sim":
+            return Testbed(config=config)
+        bed = RealDeployment(config)
+        self.beds.append(bed)
+        return bed
+
+    def protocol(self, native: str) -> str:
+        return native if self.name == "sim" else "rtcp"
+
+    def shutdown(self) -> None:
+        while self.beds:
+            self.beds.pop().shutdown()
+
+
+SIM = Substrate("sim")
 
 # Application message types used across the integration tests.
 ECHO = StructDef("echo", 100, [Field("n", "u32"), Field("text", "char[32]")])
@@ -19,10 +55,11 @@ def register_app_types(bed: Testbed) -> None:
         bed.registry.register(sdef)
 
 
-def single_net(config: NucleusConfig = None) -> Testbed:
+def single_net(config: NucleusConfig = None,
+               substrate: Substrate = SIM) -> Testbed:
     """One Ethernet, a VAX and a Sun, Name Server on the VAX."""
-    bed = Testbed(config=config)
-    bed.network("ether0", protocol="tcp")
+    bed = substrate.bed(config)
+    bed.network("ether0", protocol=substrate.protocol("tcp"))
     bed.machine("vax1", VAX, networks=["ether0"])
     bed.machine("sun1", SUN3, networks=["ether0"])
     bed.name_server("vax1")
@@ -30,12 +67,13 @@ def single_net(config: NucleusConfig = None) -> Testbed:
     return bed
 
 
-def two_nets(config: NucleusConfig = None) -> Testbed:
+def two_nets(config: NucleusConfig = None,
+             substrate: Substrate = SIM) -> Testbed:
     """Ethernet (tcp) + Apollo ring (mbx) joined by one gateway; Name
     Server on the Ethernet side — the paper's Fig. 2-2 shape."""
-    bed = Testbed(config=config)
-    bed.network("ether0", protocol="tcp")
-    bed.network("ring0", protocol="mbx", latency=0.0005)
+    bed = substrate.bed(config)
+    bed.network("ether0", protocol=substrate.protocol("tcp"))
+    bed.network("ring0", protocol=substrate.protocol("mbx"), latency=0.0005)
     bed.machine("vax1", VAX, networks=["ether0"])
     bed.machine("sun1", SUN3, networks=["ether0"])
     bed.machine("gw1", APOLLO, networks=["ether0", "ring0"])
@@ -47,13 +85,14 @@ def two_nets(config: NucleusConfig = None) -> Testbed:
     return bed
 
 
-def chain_nets(hops: int, config: NucleusConfig = None) -> Testbed:
+def chain_nets(hops: int, config: NucleusConfig = None,
+               substrate: Substrate = SIM) -> Testbed:
     """A linear chain of ``hops + 1`` networks joined by ``hops``
     gateways: net0 -gw0- net1 -gw1- ... -gw(h-1)- net(h).  Name Server
     on net0.  Used by the E5/E6 internet experiments."""
-    bed = Testbed(config=config)
+    bed = substrate.bed(config)
     for i in range(hops + 1):
-        bed.network(f"net{i}", protocol="tcp")
+        bed.network(f"net{i}", protocol=substrate.protocol("tcp"))
     bed.machine("m0", VAX, networks=["net0"])
     bed.name_server("m0")
     for i in range(hops):
@@ -67,13 +106,14 @@ def chain_nets(hops: int, config: NucleusConfig = None) -> Testbed:
 
 
 def sharded_single_net(shards: int = 2, replicas: int = 2,
-                       config: NucleusConfig = None):
+                       config: NucleusConfig = None,
+                       substrate: Substrate = SIM):
     """One Ethernet carrying a ``shards`` × ``replicas`` naming fleet
     (machine ``ns<shard><replica>`` per server) plus two app machines;
     every module's NspLayer is built from the fleet directory.  Returns
     ``(bed, {shard_id: [servers]})``."""
-    bed = Testbed(config=config)
-    bed.network("ether0", protocol="tcp")
+    bed = substrate.bed(config)
+    bed.network("ether0", protocol=substrate.protocol("tcp"))
     shard_machines = []
     for s in range(shards):
         row = []
@@ -91,14 +131,15 @@ def sharded_single_net(shards: int = 2, replicas: int = 2,
 
 
 def sharded_chain(hops: int = 2, shards: int = 2, replicas: int = 2,
-                  config: NucleusConfig = None):
+                  config: NucleusConfig = None,
+                  substrate: Substrate = SIM):
     """The :func:`chain_nets` internet shape with the naming fleet
     sharded across dedicated machines on net0: client machine ``m0`` on
     net0, ``hops`` gateways, far machine ``mEnd`` on the last network.
     Returns ``(bed, {shard_id: [servers]})``."""
-    bed = Testbed(config=config)
+    bed = substrate.bed(config)
     for i in range(hops + 1):
-        bed.network(f"net{i}", protocol="tcp")
+        bed.network(f"net{i}", protocol=substrate.protocol("tcp"))
     shard_machines = []
     for s in range(shards):
         row = []

@@ -133,28 +133,35 @@ def test_gateway_forwards_without_conversion():
     assert registry_counters["pack_calls"] >= 1
 
 
-def test_malformed_frame_mid_burst_on_spliced_lvc():
-    """[ok, ok, bad-magic, ok] in one TCP chunk on a spliced LVC: the
-    first two are forwarded, the third closes the leg (tearing the
-    circuit down, Sec. 4.3), and the fourth is never forwarded."""
-    bed = two_nets()
+def test_malformed_frame_mid_burst_on_spliced_lvc(substrate):
+    """[ok, ok, bad-magic, ok] back to back on a spliced LVC, as
+    simulated segments or as real socket bytes: the first two are
+    forwarded, the third closes the leg (tearing the circuit down,
+    Sec. 4.3), the fourth is never forwarded, and the next send opens a
+    fresh circuit and arrives."""
+    bed = two_nets(substrate=substrate)
+    pump = bed.scheduler.pump_until
     received = []
     sink = bed.module("ring.sink", "apollo1")
     sink.ali.set_request_handler(lambda msg: received.append(msg.values["a"]))
     client = bed.module("client", "vax1")
     uadd = client.ali.locate("ring.sink")
     client.ali.send(uadd, "numbers", {"a": 99, "b": 0, "big": 0})
-    bed.settle()
+    assert pump(lambda: received, timeout=5)
     gw = bed.gateways["gw1"]
     forwarded_before = gw.messages_forwarded
     splices_before = gw.splice_count()
     lvc = send_burst_with_bad_frame(client, uadd)
-    bed.settle()
+    assert pump(lambda: len(received) >= 3 and not lvc.open
+                and gw.splice_count() < splices_before, timeout=5)
     assert received == [99, 0, 1]
     assert gw.messages_forwarded == forwarded_before + 2
     assert gw.stacks["ether0"].counters["nd_malformed_messages"] == 1
     assert gw.splice_count() == splices_before - 1
     assert not lvc.open
+    client.ali.send(uadd, "numbers", {"a": 4, "b": 0, "big": 0})
+    assert pump(lambda: len(received) == 4, timeout=5)
+    assert received == [99, 0, 1, 4]
 
 
 def test_chain_nets_prime_routing_reaches_ns():

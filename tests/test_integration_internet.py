@@ -4,6 +4,7 @@ chained IVCs, gateway autonomy, teardown propagation."""
 import pytest
 
 from deployments import (
+    SIM,
     chain_nets,
     echo_server,
     sharded_chain,
@@ -84,10 +85,10 @@ E5_ND_INCREMENTS = [22, 26, 34, 42]
 E5_DATAGRAM_INCREMENTS = [50, 60, 78, 96]
 
 
-def _establish(hops):
+def _establish(hops, substrate=SIM):
     """First call across ``hops`` gateways; returns the bed and what
     the call cost in (ND-Layer messages, netsim datagrams)."""
-    bed = chain_nets(hops)
+    bed = chain_nets(hops, substrate=substrate)
     echo_server(bed, "far.echo", "mEnd")
     client = bed.module("client", "m0")
     uadd = client.ali.locate("far.echo")
@@ -105,12 +106,21 @@ def _establish(hops):
     return bed, tuple(b - a for a, b in zip(before, cost()))
 
 
-@pytest.mark.parametrize("hops", sorted(E5_ND_MESSAGES))
-def test_e5_establishment_nd_messages(hops):
-    bed, (nd_messages, _) = _establish(hops)
+@pytest.mark.parametrize("substrate, hops", [
+    pytest.param(name, hops, id=prefix + str(hops))
+    for name, prefix in (("sim", ""), ("real", "real-"))
+    for hops in sorted(E5_ND_MESSAGES)
+], indirect=["substrate"])
+def test_e5_establishment_nd_messages(substrate, hops):
+    """The paper-level pin is substrate-independent: over real loopback
+    sockets the same ND messages cross the same gateways, and no netsim
+    frame crosses an ``rtcp`` network."""
+    bed, (nd_messages, _) = _establish(hops, substrate)
     assert nd_messages == E5_ND_MESSAGES[hops]
     assert all(gw.inter_gateway_control_messages == 0
                for gw in bed.gateways.values())
+    assert all(net.frames_sent == 0 for net in bed.networks.values()
+               if net.protocol == "rtcp")
 
 
 @pytest.mark.parametrize("hops", sorted(E5_SUBSTRATE_DATAGRAMS))

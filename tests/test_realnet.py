@@ -3,6 +3,13 @@ sockets (experiment E10's strongest portability evidence)."""
 
 import pytest
 
+from deployments import (
+    Substrate,
+    chain_nets,
+    echo_server,
+    sharded_chain,
+    two_nets,
+)
 from repro import Field, StructDef, SUN3, VAX
 from repro.errors import NoSuchName
 from repro.realnet import RealDeployment
@@ -117,3 +124,61 @@ def test_hostile_length_prefix_over_real_sockets(deployment):
     reply = client.ali.call(uadd, "real_echo", {"n": 2, "text": "b"},
                             timeout=5.0)
     assert reply.values == {"n": 2, "text": "B"}
+
+
+@pytest.fixture
+def real():
+    substrate = Substrate("real")
+    yield substrate
+    substrate.shutdown()
+
+
+def test_machine_crash_over_real_sockets_is_abrupt(real):
+    """PROTOCOL.md §10 on real sockets: a crashed machine's dying
+    module puts no ``ns_deregister`` on the wire, so its record stays
+    active once the Name Server has seen the circuit close."""
+    bed = two_nets(substrate=real)
+    worker = bed.module("worker", "sun1")
+    server = bed.name_server_instance
+    circuits = server.nucleus.nd.open_lvc_count()
+    bed.machines["sun1"].crash()
+    assert bed.scheduler.pump_until(
+        lambda: server.nucleus.nd.open_lvc_count() < circuits, timeout=5)
+    assert server.db.resolve_uadd(worker.ali.uadd).alive
+
+
+def test_shutdown_leaves_no_socket_registered(real):
+    """``shutdown()`` kills every live process on every machine,
+    gateways included: the kernel's selector is empty when it closes."""
+    bed = chain_nets(2, substrate=real)
+    echo_server(bed, "far.echo", "mEnd")
+    client = bed.module("client", "m0")
+    uadd = client.ali.locate("far.echo")
+    client.ali.call(uadd, "echo", {"n": 0, "text": "x"}, timeout=5.0)
+    kernel = bed.kernel
+    registered_at_close = []
+    close = kernel.close
+
+    def recording_close():
+        registered_at_close.append(len(kernel.selector.get_map()))
+        close()
+
+    kernel.close = recording_close
+    real.shutdown()
+    assert registered_at_close == [0]
+
+
+def test_sharded_naming_fleet_over_real_sockets(real):
+    """A 2 x 2 naming fleet on real sockets behind two gateways: the
+    far module registers through the prime-gateway chain, the client
+    locates it, and the call crosses both splices."""
+    bed, groups = sharded_chain(2, 2, 2, substrate=real)
+    assert sorted(len(group) for group in groups.values()) == [2, 2]
+    echo_server(bed, "far.echo", "mEnd")
+    client = bed.module("client", "m0")
+    reply = client.ali.call(client.ali.locate("far.echo"), "echo",
+                            {"n": 5, "text": "fleet"}, timeout=5.0)
+    assert reply.values == {"n": 5, "text": "FLEET"}
+    assert all(gw.circuits_established >= 1
+               for gw in bed.gateways.values())
+    assert all(net.frames_sent == 0 for net in bed.networks.values())

@@ -5,6 +5,7 @@ import pytest
 from repro import VAX
 from repro.errors import ConnectionRefused, NetworkUnreachable
 from repro.machine import Machine, SimProcess
+from repro.netsim import Network
 from repro.realnet.driver import LoopbackRealIpcs, LoopbackTcpDriver
 from repro.realnet.kernel import RealtimeKernel
 
@@ -13,7 +14,7 @@ from repro.realnet.kernel import RealtimeKernel
 def rig():
     kernel = RealtimeKernel()
     machine = Machine(kernel, "m1", VAX)
-    ipcs = LoopbackRealIpcs(kernel, machine, "loop0")
+    ipcs = LoopbackRealIpcs(machine, Network(kernel, "loop0"))
     driver = LoopbackTcpDriver(ipcs)
     process = SimProcess(machine, "p1")
     yield kernel, machine, driver, process
