@@ -29,13 +29,11 @@ from repro.errors import (
     BadParameter,
     NoSuchName,
     NotRegistered,
-    SendWouldBlock,
     UnknownMessageType,
 )
 from repro.naming.protocol import NameRecord
 from repro.ntcs.address import Address
 from repro.ntcs.lcm import IncomingMessage
-from repro.util.counters import ALI_SEND_BLOCKED, IP_CREDIT_STALLS
 
 
 class AliLayer:
@@ -140,26 +138,15 @@ class AliLayer:
         a sender that has exhausted the destination circuit's credit
         window is parked on the run queue until the receiver consumes;
         with ``block=False`` it raises :class:`SendWouldBlock` at once
-        instead, leaving the message unsent.  Either outcome is counted
-        as ``ali_send_blocked``.  With ``flow_control_enabled=False``
+        instead, leaving the message unsent.  Each refusal and each
+        stall is counted as ``ali_send_blocked``.  With ``flow_control_enabled=False``
         the send never waits — the receiver buffers without limit."""
         dst = self._check_dst(dst)
         self._check_type(type_name)
         values = self._check_values(values)
-        counters = self.nucleus.counters
         with self.nucleus.enter(self.LAYER, "send", caller="application",
                                 reason=type_name):
-            stalls_before = counters[IP_CREDIT_STALLS]
-            try:
-                self.nucleus.lcm.send(dst, type_name, values, block=block)
-            except SendWouldBlock:
-                counters.incr(ALI_SEND_BLOCKED)
-                raise
-            stalled = counters[IP_CREDIT_STALLS] - stalls_before
-            if stalled:
-                # The send went through, but only after parking the
-                # caller for credit at least once.
-                counters.incr(ALI_SEND_BLOCKED, stalled)
+            self.nucleus.lcm.send(dst, type_name, values, block=block)
 
     def call(self, dst, type_name: str, values: Optional[dict] = None,
              timeout: Optional[float] = None) -> IncomingMessage:

@@ -21,6 +21,8 @@ from typing import Any, Dict, Optional, Tuple
 from repro.conversion.registry import ConversionRegistry, RegistryEntry
 from repro.errors import ConversionError
 from repro.machine.arch import MachineType
+from repro.util.counters import (
+    IMAGE_RECEIVES, IMAGE_SENDS, PACK_CALLS, UNPACK_CALLS)
 
 IMAGE = 0
 PACKED = 1
@@ -59,10 +61,10 @@ def encode_body(
     if mode is None:
         mode = IMAGE if compatible else PACKED
     if mode == IMAGE:
-        registry.counters.incr("image_sends")
+        registry.counters[IMAGE_SENDS] += 1
         return IMAGE, native_image
     values = entry.sdef.image_decode(native_image, src.struct_prefix)
-    registry.counters.incr("pack_calls")
+    registry.counters[PACK_CALLS] += 1
     return PACKED, entry.pack(values)
 
 
@@ -82,9 +84,9 @@ def encode_values(
     if mode is None:
         mode = IMAGE if compatible else PACKED
     if mode == IMAGE:
-        registry.counters.incr("image_sends")
+        registry.counters[IMAGE_SENDS] += 1
         return IMAGE, entry.sdef.image_encode(values, src.struct_prefix)
-    registry.counters.incr("pack_calls")
+    registry.counters[PACK_CALLS] += 1
     return PACKED, entry.pack(values)
 
 
@@ -107,9 +109,9 @@ def decode_body(
     if entry is None:
         entry = registry.get(type_id)
     if mode == IMAGE:
-        registry.counters.incr("image_receives")
+        registry.counters[IMAGE_RECEIVES] += 1
         return entry.sdef.image_decode(wire, dst.struct_prefix)
     if mode == PACKED:
-        registry.counters.incr("unpack_calls")
+        registry.counters[UNPACK_CALLS] += 1
         return entry.unpack(wire)
     raise ConversionError(f"unknown transfer mode {mode}")

@@ -22,7 +22,8 @@ from repro.conversion.codegen import build_codecs
 from repro.conversion.structdef import StructDef
 from repro.errors import ConversionError, DuplicateTypeId, UnknownMessageType
 from repro.machine.arch import MachineType
-from repro.util.counters import CounterSet
+from repro.util.counters import (
+    CODEC_CACHE_HITS, CODEC_CACHE_MISSES, REGISTRY, Counters)
 
 
 @dataclass
@@ -49,7 +50,7 @@ class ConversionRegistry:
         # immutable.
         self._route_cache: Dict[Tuple[int, str, str],
                                 Tuple[RegistryEntry, bool]] = {}
-        self.counters = CounterSet()
+        self.counters = Counters(REGISTRY)
 
     def register(
         self,
@@ -114,11 +115,11 @@ class ConversionRegistry:
         key = (type_id, src.data_format, dst.data_format)
         hit = self._route_cache.get(key)
         if hit is not None:
-            self.counters.incr("codec_cache_hits")
+            self.counters[CODEC_CACHE_HITS] += 1
             return hit
         decision = (self.get(type_id), src.image_compatible(dst))
         self._route_cache[key] = decision
-        self.counters.incr("codec_cache_misses")
+        self.counters[CODEC_CACHE_MISSES] += 1
         return decision
 
     def __contains__(self, type_id: int) -> bool:

@@ -42,11 +42,8 @@ from repro.errors import (
 )
 from repro.naming.protocol import NameRecord
 from repro.ntcs.address import Address
-
-# Counter names surfaced by the control-plane-work-saved report table.
-NSP_CACHE_HITS = "nsp_cache_hits"
-NSP_CACHE_MISSES = "nsp_cache_misses"
-NSP_CACHE_INVALIDATIONS = "nsp_cache_invalidations"
+from repro.util.counters import (
+    NSP_CACHE_HITS, NSP_CACHE_INVALIDATIONS, NSP_CACHE_MISSES)
 
 
 @dataclass
@@ -65,7 +62,7 @@ class ResolutionCache:
 
     Args:
         clock: virtual-time source (``scheduler.now``) for negative TTLs.
-        counters: the owning Nucleus's :class:`CounterSet`.
+        counters: the owning Nucleus's :class:`~repro.util.counters.Counters`.
         negative_ttl: virtual seconds a cached negative stays valid.
     """
 
@@ -88,9 +85,9 @@ class ResolutionCache:
             del table[key]
             entry = None
         if entry is None:
-            self._counters.incr(NSP_CACHE_MISSES)
+            self._counters[NSP_CACHE_MISSES] += 1
             return None
-        self._counters.incr(NSP_CACHE_HITS)
+        self._counters[NSP_CACHE_HITS] += 1
         if entry.error is not None:
             raise entry.error(entry.detail)
         return entry
@@ -115,7 +112,7 @@ class ResolutionCache:
             stale = [key for key, entry in table.items() if entry.gen < gen]
             for key in stale:
                 del table[key]
-                self._counters.incr(NSP_CACHE_INVALIDATIONS)
+                self._counters[NSP_CACHE_INVALIDATIONS] += 1
 
     # -- name → UAdd -----------------------------------------------------------
 
@@ -202,8 +199,7 @@ class ResolutionCache:
         for old in stale_forwards:
             del self._forwards[old]
             evicted += 1
-        if evicted:
-            self._counters.incr(NSP_CACHE_INVALIDATIONS, evicted)
+        self._counters[NSP_CACHE_INVALIDATIONS] += evicted
 
     # -- introspection ---------------------------------------------------------
 

@@ -54,6 +54,9 @@ from repro.naming.shards import HashRing, ShardEntry, load_name_servers
 from repro.ntcs.address import Address, SERVER_ID_SHIFT
 from repro.ntcs.lcm import CALL_RETRIES, CallHandle, IncomingMessage
 from repro.ntcs.message import FLAG_INTERNAL
+from repro.util.counters import (
+    LCM_CALL_RETRIES, NS_FAILOVERS, NSP_BATCH_RESOLVES, NSP_CALLS,
+    NSP_CALLS_COALESCED, NSP_SHARD_REDIRECTS, NSP_SHARD_RING_UPDATES)
 
 
 @dataclass
@@ -88,7 +91,6 @@ class NspLayer:
                       if len(self._directory) > 1 else None)
         # Per shard, the replica that answered last.
         self._current: Dict[int, int] = {}
-        self.failovers = 0
         # The §9 fast path needs one authority to stamp generations:
         # it is on exactly when the directory holds one server.
         config = nucleus.config
@@ -103,6 +105,11 @@ class NspLayer:
                 negative_ttl=config.nsp_negative_ttl,
             )
         self._flights: Dict[tuple, _Flight] = {}
+
+    @property
+    def failovers(self) -> int:
+        """Naming calls failed over to another replica so far."""
+        return self.nucleus.counters[NS_FAILOVERS]
 
     # -- transport: route, fail over, follow redirects ----------------------------
 
@@ -123,7 +130,7 @@ class NspLayer:
         Learning a second server ends the §9 fast path for good."""
         shard_id = reply.values["shard_id"]
         nucleus = self.nucleus
-        nucleus.counters.incr("nsp_shard_redirects")
+        nucleus.counters[NSP_SHARD_REDIRECTS] += 1
         if shard_id not in self._directory:
             entries: List[ShardEntry] = []
             for record in p.decode_records(reply.values["records"]):
@@ -138,7 +145,7 @@ class NspLayer:
             self._ring = HashRing(self._directory)
             self.cache = None
             self._coalesce = False
-            nucleus.counters.incr("nsp_shard_ring_updates")
+            nucleus.counters[NSP_SHARD_RING_UPDATES] += 1
         return shard_id
 
     def _call_replicas(self, shard: int, type_name: str, values: dict,
@@ -160,8 +167,7 @@ class NspLayer:
                     raise  # nobody to fail over to: the error as it is
                 last_error = exc
                 if i + 1 < len(servers):
-                    self.failovers += 1
-                    nucleus.counters.incr("ns_failovers")
+                    nucleus.counters[NS_FAILOVERS] += 1
                 continue
             self._current[shard] = index
             return reply
@@ -175,7 +181,7 @@ class NspLayer:
                     follow: bool = True) -> IncomingMessage:
         nucleus = self.nucleus
         with nucleus.enter(self.LAYER, type_name, reason=reason):
-            nucleus.counters.incr("nsp_calls")
+            nucleus.counters[NSP_CALLS] += 1
             for _hop in range(1 + self._MAX_HOPS):
                 reply = self._call_replicas(shard, type_name, values, timeout)
                 if reply.type_name != "ns_shard_redirect":
@@ -204,7 +210,7 @@ class NspLayer:
             return self._call(type_name, values, reason, timeout=timeout)
         flight = self._flights.get(key)
         if flight is not None and flight.handle is not None:
-            self.nucleus.counters.incr("nsp_calls_coalesced")
+            self.nucleus.counters[NSP_CALLS_COALESCED] += 1
             reply = self._join(flight, type_name, values, reason, timeout)
         else:
             reply = self._lead(key, type_name, values, reason, timeout)
@@ -224,7 +230,7 @@ class NspLayer:
         flight = _Flight()
         try:
             with nucleus.enter(self.LAYER, type_name, reason=reason):
-                nucleus.counters.incr("nsp_calls")
+                nucleus.counters[NSP_CALLS] += 1
                 attempts = 1 + CALL_RETRIES
                 last_error = ""
                 for _ in range(attempts):
@@ -240,7 +246,7 @@ class NspLayer:
                         return handle.result(timeout=timeout)
                     except DestinationUnavailable as exc:
                         last_error = str(exc)
-                        nucleus.counters.incr("lcm_call_retries")
+                        nucleus.counters[LCM_CALL_RETRIES] += 1
                 raise DestinationUnavailable(
                     f"call to {self.ns_uadd}: {last_error}"
                 )
@@ -409,7 +415,7 @@ class NspLayer:
                 self._expect(reply, "ns_resolve_batch_ack")
                 gen = reply.values.get("gen", 0)
                 self._observe(gen)
-                self.nucleus.counters.incr("nsp_batch_resolves")
+                self.nucleus.counters[NSP_BATCH_RESOLVES] += 1
                 missing, records = p.decode_batch_payload(
                     reply.values["payload"])
                 for record in records:

@@ -47,7 +47,10 @@ from repro.ntcs.lcm import IncomingMessage
 from repro.ntcs.message import FLAG_INTERNAL
 from repro.ntcs.nucleus import Nucleus, NucleusConfig
 from repro.ntcs.wellknown import WellKnownTable
-from repro.util.counters import CounterSet
+from repro.util.counters import (
+    NAME_SERVER, NS_ANTIENTROPY_APPLIED, NS_ANTIENTROPY_ROUNDS, NS_ANTIENTROPY_SERVED,
+    NS_ANTIENTROPY_SKIPPED, NS_HANDOFF_RECORDS_IN, NS_HANDOFF_RECORDS_OUT,
+    NS_REDIRECTS_SERVED, NS_UNKNOWN_REQUESTS, Counters, declare)
 
 
 class _LocalNsp:
@@ -138,21 +141,10 @@ class NameServer:
         self.nucleus.set_identity(self.uadd)
         self.nucleus.nsp = _LocalNsp(self.db)
         self.nucleus.lcm.set_handler(self._on_request)
-        self.counters = CounterSet()
-        self._handlers = {
-            "ns_register": self._handle_register,
-            "ns_resolve_name": self._handle_resolve_name,
-            "ns_resolve_uadd": self._handle_resolve_uadd,
-            "ns_forward": self._handle_forward,
-            "ns_deregister": self._handle_deregister,
-            "ns_list_gw": self._handle_list_gw,
-            "ns_ping": self._handle_ping,
-            "ns_query_attrs": self._handle_query_attrs,
-            "ns_resolve_batch": self._handle_resolve_batch,
-            "ns_repl_update": self._handle_repl_update,
-            "ns_antientropy": self._handle_antientropy,
-            "ns_shard_handoff": self._handle_handoff,
-        }
+        self.counters = Counters(NAME_SERVER)
+        # Each server dispatches through its own bound copy of the table.
+        self._handlers = {name: handler.__get__(self)
+                          for name, handler in NameServer._handlers.items()}
 
     # Reply types that carry the database generation (PROTOCOL.md §9);
     # _on_request stamps it centrally so no handler can forget.
@@ -167,9 +159,9 @@ class NameServer:
     def _on_request(self, request: IncomingMessage) -> None:
         handler = self._handlers.get(request.type_name)
         if handler is None:
-            self.counters.incr("unknown_requests")
+            self.counters[NS_UNKNOWN_REQUESTS] += 1
             return
-        self.counters.incr(request.type_name)
+        self.counters[NS_REQUESTS[request.type_name]] += 1
         try:
             # Ownership is checked here, once, for the request types
             # that have an owner — and only once a ring exists.
@@ -348,7 +340,7 @@ class NameServer:
         """A redirect reply carrying the owning shard's replica
         directory as name records, so the client can follow it without
         any further resolution."""
-        self.counters.incr("shard_redirects_served")
+        self.counters[NS_REDIRECTS_SERVED] += 1
         records = [
             NameRecord(
                 name=f"name.shard.{shard_id}",
@@ -392,7 +384,7 @@ class NameServer:
         watermark = request.values["gen"]
         entries = [(stamp, record) for stamp, record in self.db.oplog
                    if stamp > watermark]
-        self.counters.incr("antientropy_served")
+        self.counters[NS_ANTIENTROPY_SERVED] += 1
         return "ns_antientropy_ack", {
             "gen": self.db.generation,
             "count": len(entries),
@@ -414,19 +406,18 @@ class NameServer:
                 }, flags=FLAG_INTERNAL)
             except (NameServerUnreachable, DestinationUnavailable,
                     ReplyTimeout):
-                self.counters.incr("antientropy_skipped")
+                self.counters[NS_ANTIENTROPY_SKIPPED] += 1
                 continue
             if reply.type_name != "ns_antientropy_ack":
-                self.counters.incr("antientropy_skipped")
+                self.counters[NS_ANTIENTROPY_SKIPPED] += 1
                 continue
             for _stamp, record in p.decode_stamped_records(
                     reply.values["records"]):
                 if self.db.merge(record):
                     applied += 1
             self._applied_gen[peer] = reply.values["gen"]
-            self.counters.incr("antientropy_rounds")
-        if applied:
-            self.counters.incr("antientropy_records_applied", applied)
+            self.counters[NS_ANTIENTROPY_ROUNDS] += 1
+        self.counters[NS_ANTIENTROPY_APPLIED] += applied
         return applied
 
     # -- ownership transfer ------------------------------------------------------
@@ -444,8 +435,7 @@ class NameServer:
                 # shard's replicas.
                 self._replicate(
                     "register" if record.alive else "deregister", record)
-        if pairs:
-            self.counters.incr("handoff_records_in", len(pairs))
+        self.counters[NS_HANDOFF_RECORDS_IN] += len(pairs)
         return "ns_shard_handoff_ack", {"ok": 1, "count": applied}
 
     def handoff_to(self, new_shard_id: int, target: Address) -> int:
@@ -473,9 +463,30 @@ class NameServer:
                 or not reply.values["ok"]:
             raise ProtocolError(
                 f"shard {new_shard_id} rejected the ownership handoff")
-        self.counters.incr("handoff_records_out", len(moved))
+        self.counters[NS_HANDOFF_RECORDS_OUT] += len(moved)
         return len(moved)
 
     def kill(self) -> None:
         """Take the Name Server down (E2's removal experiment)."""
         self.process.kill()
+
+    # The dispatch table: request type -> handler.
+    _handlers = {
+        "ns_register": _handle_register,
+        "ns_resolve_name": _handle_resolve_name,
+        "ns_resolve_uadd": _handle_resolve_uadd,
+        "ns_forward": _handle_forward,
+        "ns_deregister": _handle_deregister,
+        "ns_list_gw": _handle_list_gw,
+        "ns_ping": _handle_ping,
+        "ns_query_attrs": _handle_query_attrs,
+        "ns_resolve_batch": _handle_resolve_batch,
+        "ns_repl_update": _handle_repl_update,
+        "ns_antientropy": _handle_antientropy,
+        "ns_shard_handoff": _handle_handoff,
+    }
+
+
+# One count per served request type, declared from the dispatch table.
+NS_REQUESTS = {name: declare(NAME_SERVER, name, f"{name} requests served")
+               for name in NameServer._handlers}

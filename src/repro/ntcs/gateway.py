@@ -13,7 +13,7 @@ splice table pairing inbound and outbound LVCs of pass-through
 circuits.  It establishes each circuit hop autonomously, consulting
 only the naming service for topology ("no inter-gateway communication
 ever takes place" — there is no gateway-to-gateway routing protocol,
-and :attr:`inter_gateway_control_messages` counts the proof).
+and :attr:`inter_gateway_control_messages` is the proof: a constant 0).
 
 Failure handling follows Sec. 4.3 exactly: a dead LVC on one side makes
 the gateway "instruct the IP-layer on the other side of the link to
@@ -40,10 +40,10 @@ from repro.ntcs.ndlayer import Lvc
 from repro.ntcs.nucleus import Nucleus, NucleusConfig
 from repro.ntcs.protocol import T_IVC_OPEN
 from repro.util.counters import (
-    GATEWAY_CHECKSUM_VERIFIES_DEFERRED,
-    GATEWAY_CREDIT_CLAMPS,
-    GATEWAY_CREDIT_DROPS,
-    GATEWAY_STALE_ADDR_FALLBACKS,
+    GATEWAY_CIRCUITS_ESTABLISHED, GATEWAY_CIRCUITS_REFUSED, GATEWAY_CLOSE_NOTIFY_LOST,
+    GATEWAY_CREDIT_CLAMPS, GATEWAY_CREDIT_DROPS, GATEWAY_FRAMES_SPLICED,
+    GATEWAY_MESSAGES_DROPPED, GATEWAY_NAK_LOST, GATEWAY_STALE_ADDR_FALLBACKS,
+    GATEWAY_TEARDOWNS, ND_MALFORMED_MESSAGES,
 )
 
 
@@ -66,6 +66,12 @@ class _SpliceCredit:
         self.consumed_seen = 0
 
 
+def _stacks_total(metric: str) -> property:
+    """A read-only Gateway attribute: ``metric`` summed over its stacks."""
+    return property(lambda self: sum(
+        nucleus.counters[metric] for nucleus in self.stacks.values()))
+
+
 class Gateway:
     """One gateway module, spanning every network its machine touches.
 
@@ -79,7 +85,26 @@ class Gateway:
             pinning each stack's listening endpoint.  A restarted
             gateway passes its previous bindings so well-known prime
             blobs and peers' cached routes stay valid (PROTOCOL.md §10).
+
+    Its counts live in its stacks' stores, each event on the stack where
+    it happens; the attributes below are their sums.
     """
+
+    # E5's absence proofs: no code path sends gateway-to-gateway control
+    # (Sec. 4.2), and the splice forwards frame by frame.
+    inter_gateway_control_messages = 0
+    train_splices = 0
+    circuits_established = _stacks_total(GATEWAY_CIRCUITS_ESTABLISHED)
+    circuits_refused = _stacks_total(GATEWAY_CIRCUITS_REFUSED)
+    teardowns_propagated = _stacks_total(GATEWAY_TEARDOWNS)
+    # Fast-path accounting (PROTOCOL.md, "Fast path and wire
+    # invariance"): every forwarded frame went through zero-copy, and
+    # this hop deferred its header-checksum verification.
+    messages_forwarded = _stacks_total(GATEWAY_FRAMES_SPLICED)
+    frames_forwarded_zero_copy = checksum_verifies_deferred = messages_forwarded
+    # Flow enforcement on the splice path (PROTOCOL.md §12).
+    credit_overruns_dropped = _stacks_total(GATEWAY_CREDIT_DROPS)
+    credit_clamps = _stacks_total(GATEWAY_CREDIT_CLAMPS)
 
     def __init__(self, process, registry, wellknown,
                  config: Optional[NucleusConfig] = None,
@@ -106,22 +131,6 @@ class Gateway:
         self.config = next(iter(self.stacks.values())).config
         self.uadd: Optional[Address] = None
         self.name: str = f"gateway.{process.name}"
-        # E5's absence proof: never incremented anywhere.
-        self.inter_gateway_control_messages = 0
-        self.circuits_established = 0
-        self.circuits_refused = 0
-        self.messages_forwarded = 0
-        self.teardowns_propagated = 0
-        # Fast-path accounting (PROTOCOL.md, "Fast path and wire
-        # invariance"): frames spliced through without re-serialization,
-        # and header-checksum verifications this hop did *not* perform.
-        self.frames_forwarded_zero_copy = 0
-        self.checksum_verifies_deferred = 0
-        # Flow enforcement on the splice path (PROTOCOL.md §12).
-        self.credit_overruns_dropped = 0
-        self.credit_clamps = 0
-        # Always 0: read by bench_e2e/workloads.py (SimWorkload.counters).
-        self.train_splices = 0
 
     # -- registration (Sec. 4.1: "their logical name and connected
     # networks are registered with the naming service; the same as any
@@ -174,7 +183,7 @@ class Gateway:
             # unpacks the body to route), so the deferred header
             # checksum is settled here before the body is touched.
             if not msg.checksum_ok():
-                nucleus.counters.incr("nd_malformed_messages")
+                nucleus.counters[ND_MALFORMED_MESSAGES] += 1
                 nucleus.nd.close(lvc, "IVC_OPEN header checksum mismatch")
                 return True
             self._establish(nucleus, lvc, msg)
@@ -200,7 +209,7 @@ class Gateway:
             other_nucleus.nd.send(other_lvc, close_msg)
         except NtcsError:
             # Best-effort: the surviving leg may already be down too.
-            other_nucleus.counters.incr("gateway_close_notify_lost")
+            other_nucleus.counters[GATEWAY_CLOSE_NOTIFY_LOST] += 1
         other_nucleus.ip.close_spliced(other_lvc, "splice peer failed")
         return True
 
@@ -211,11 +220,11 @@ class Gateway:
         splice = self._splices.pop(lvc, None)
         if splice is None:
             return None
-        other_lvc = splice[1]
+        other_nucleus, other_lvc = splice
         self._splices.pop(other_lvc, None)
         self._splice_credit.pop(lvc, None)
         self._splice_credit.pop(other_lvc, None)
-        self.teardowns_propagated += 1
+        other_nucleus.counters[GATEWAY_TEARDOWNS] += 1
         return splice
 
     def _is_mine(self, addr: Address) -> bool:
@@ -230,13 +239,13 @@ class Gateway:
         dst_network = values["dst_network"]
         hops = msg.aux
         if hops >= MAX_HOPS:
-            self.circuits_refused += 1
+            in_nucleus.counters[GATEWAY_CIRCUITS_REFUSED] += 1
             self._nak(in_nucleus, in_lvc, msg, "hop count exceeded")
             return
         try:
             out_nucleus, out_lvc = self._open_next_hop(msg.dst, dst_network)
         except (AddressFault, RouteNotFound, NoSuchAddress, NtcsError) as exc:
-            self.circuits_refused += 1
+            in_nucleus.counters[GATEWAY_CIRCUITS_REFUSED] += 1
             self._nak(in_nucleus, in_lvc, msg, str(exc))
             return
         # Splice before forwarding so the returning IVC_OPEN_ACK already
@@ -248,7 +257,7 @@ class Gateway:
         # header view alone (words 1–6) without materializing a Msg.
         in_lvc.frame_tap = lambda raw: self._fast_forward(in_lvc, raw)
         out_lvc.frame_tap = lambda raw: self._fast_forward(out_lvc, raw)
-        self.circuits_established += 1
+        in_nucleus.counters[GATEWAY_CIRCUITS_ESTABLISHED] += 1
         # Forward the original frame with only the hop-count (aux) and
         # checksum words patched in place — no header re-serialization.
         out_nucleus.nd.send_frame(
@@ -310,7 +319,7 @@ class Gateway:
                         dst, entry.blob, reason="final chain hop")
                 except AddressFault as fault:
                     # The connect already invalidated the stale entry.
-                    out_nucleus.counters.incr(GATEWAY_STALE_ADDR_FALLBACKS)
+                    out_nucleus.counters[GATEWAY_STALE_ADDR_FALLBACKS] += 1
                     blob = self._resolve_blob(dst, dst_network, out_nucleus)
                     if blob == entry.blob:
                         raise fault
@@ -356,7 +365,7 @@ class Gateway:
             nucleus.nd.send(lvc, nak)
         except NtcsError:
             # Best-effort refusal: the opener may already be gone.
-            nucleus.counters.incr("gateway_nak_lost")
+            nucleus.counters[GATEWAY_NAK_LOST] += 1
 
     # -- pass-through forwarding -----------------------------------------------
 
@@ -380,19 +389,16 @@ class Gateway:
             in_lvc, out_nucleus, out_lvc, header, raw)
         if not forward:
             return True  # consumed: dropped by flow enforcement
-        self.messages_forwarded += 1
-        self.frames_forwarded_zero_copy += 1
         # This hop neither verified the header sum nor re-serialized:
         # the terminating endpoint settles the checksum once.
-        self.checksum_verifies_deferred += 1
-        out_nucleus.counters.incr(GATEWAY_CHECKSUM_VERIFIES_DEFERRED)
+        out_nucleus.counters[GATEWAY_FRAMES_SPLICED] += 1
         try:
             out_nucleus.nd.send_frame(out_lvc, raw)
         except NtcsError:
             # The downstream leg died with traffic in flight: messages
             # "may get lost in Gateway queues during this
             # reconfiguration" (Sec. 4.3).
-            out_nucleus.counters.incr("gateway_messages_dropped")
+            out_nucleus.counters[GATEWAY_MESSAGES_DROPPED] += 1
         return True
 
     def _enforce_credit(self, in_lvc: Lvc, out_nucleus: Nucleus,
@@ -430,8 +436,7 @@ class Gateway:
             bound = max(peer.debits, peer.sent_seen)
             if advertised > bound:
                 raw = m.patch_frame_aux(raw, m.encode_credit(bound))
-                self.credit_clamps += 1
-                out_nucleus.counters.incr(GATEWAY_CREDIT_CLAMPS)
+                out_nucleus.counters[GATEWAY_CREDIT_CLAMPS] += 1
                 advertised = bound
             if advertised > peer.consumed_seen:
                 peer.consumed_seen = advertised
@@ -439,8 +444,7 @@ class Gateway:
                 and not header.flags & m.FLAG_IS_REPLY):
             if (state.debits - state.consumed_seen
                     >= 2 * self.config.flow_window):
-                self.credit_overruns_dropped += 1
-                out_nucleus.counters.incr(GATEWAY_CREDIT_DROPS)
+                out_nucleus.counters[GATEWAY_CREDIT_DROPS] += 1
                 return raw, False
             state.debits += 1
         return raw, True
@@ -453,7 +457,7 @@ class Gateway:
         except NtcsError:
             # The other leg is failing with the circuit; the close
             # below dismantles it regardless.
-            out_nucleus.counters.incr("gateway_close_notify_lost")
+            out_nucleus.counters[GATEWAY_CLOSE_NOTIFY_LOST] += 1
         out_nucleus.ip.close_spliced(out_lvc, "ivc closed")
 
     # -- introspection -------------------------------------------------------

@@ -48,11 +48,10 @@ from repro.ntcs.protocol import (
     T_IVC_OPEN_NAK,
 )
 from repro.util.counters import (
-    IP_CREDIT_GRANTS,
-    IP_CREDIT_PROBES,
-    IP_CREDIT_RESYNCS,
-    IP_CREDIT_STALLS,
-    LVC_RX_QUEUE_HIGH_WATER,
+    ALI_SEND_BLOCKED, IP_CLOSE_NOTIFY_LOST, IP_CREDIT_GRANTS, IP_CREDIT_PROBES,
+    IP_CREDIT_RESYNCS, IP_CREDIT_STALLS, IP_SUSPECT_FALLBACKS, IVC_CHAINED_OPENED,
+    IVC_DIRECT_OPENED, IVC_OPEN_REFUSED, LVC_RX_QUEUE_HIGH_WATER,
+    ND_MALFORMED_MESSAGES, TOPOLOGY_QUERIES,
 )
 from repro.util.dispatch import handles
 
@@ -222,7 +221,7 @@ class IpLayer:
                 ivc = Ivc(lvc, peer_addr=lvc.peer_addr or dst, direct=True)
                 self._attach_flow(ivc)
                 self._by_lvc[lvc] = ivc
-                nucleus.counters.incr("ivc_direct_opened")
+                nucleus.counters[IVC_DIRECT_OPENED] += 1
                 return ivc
             # Chained: open the LVC to the first gateway, then run the
             # end-to-end IVC_OPEN handshake through it.
@@ -274,7 +273,7 @@ class IpLayer:
                 # A chained open through this gateway just worked: any
                 # earlier suspicion of it is disproved.
                 self._suspect_gateways.discard(plan.gw_uadd)
-            nucleus.counters.incr("ivc_chained_opened")
+            nucleus.counters[IVC_CHAINED_OPENED] += 1
             return ivc
 
     def _plan(self, dst: Address) -> _Plan:
@@ -370,14 +369,14 @@ class IpLayer:
         suspect, the search falls back to the full gateway set rather
         than declaring the destination unreachable."""
         gateways = self.nucleus.require_nsp().list_gateways()
-        self.nucleus.counters.incr("topology_queries")
+        self.nucleus.counters[TOPOLOGY_QUERIES] += 1
         if self._suspect_gateways:
             healthy = [gw for gw in gateways
                        if gw.uadd not in self._suspect_gateways]
             hop = self._bfs_first_hop(local, dst_network, healthy)
             if hop is not None:
                 return hop
-            self.nucleus.counters.incr("ip_suspect_fallbacks")
+            self.nucleus.counters[IP_SUSPECT_FALLBACKS] += 1
         hop = self._bfs_first_hop(local, dst_network, gateways)
         if hop is None:
             raise RouteNotFound(
@@ -448,6 +447,11 @@ class IpLayer:
         if flow is not None and msg.kind == m.DATA and not msg.internal:
             if not msg.is_reply:
                 if flow.credit <= 0:
+                    if not msg.flags & (m.FLAG_REPLY_EXPECTED
+                                        | m.FLAG_CONNECTIONLESS):
+                        # Only the ALI sends one-way: counted here, so
+                        # a nested send counts only its own stall.
+                        self.nucleus.counters[ALI_SEND_BLOCKED] += 1
                     if msg.connectionless or not block:
                         raise SendWouldBlock(
                             f"no flow-control credit on {ivc} "
@@ -474,7 +478,7 @@ class IpLayer:
         reproduction's "block the caller, keep the system running"
         idiom (Sec. 6) — for at most FLOW_PROBE_RETRIES rounds."""
         nucleus = self.nucleus
-        nucleus.counters.incr(IP_CREDIT_STALLS)
+        nucleus.counters[IP_CREDIT_STALLS] += 1
         flow.stalls += 1
         for _ in range(FLOW_PROBE_RETRIES):
             self._send_probe(ivc, flow)
@@ -508,7 +512,7 @@ class IpLayer:
             "credit_probe", {"sent": flow.tx_sent}
         )
         self.nd.send(ivc.lvc, probe)
-        nucleus.counters.incr(IP_CREDIT_PROBES)
+        nucleus.counters[IP_CREDIT_PROBES] += 1
 
     def _send_grant(self, ivc: Ivc, flow: FlowState) -> None:
         nucleus = self.nucleus
@@ -525,7 +529,7 @@ class IpLayer:
         )
         flow.grant_owed = False
         self.nd.send(ivc.lvc, grant)
-        nucleus.counters.incr(IP_CREDIT_GRANTS)
+        nucleus.counters[IP_CREDIT_GRANTS] += 1
 
     def _on_credit_grant(self, ivc: Ivc, msg: m.Msg) -> None:
         flow = ivc.flow
@@ -562,7 +566,7 @@ class IpLayer:
                                  "window": nucleus.config.flow_window}
             )
             self.nd.send(ivc.lvc, grant)
-            nucleus.counters.incr(IP_CREDIT_GRANTS)
+            nucleus.counters[IP_CREDIT_GRANTS] += 1
             return
         flow.on_probe(values["sent"])
         self._send_grant(ivc, flow)
@@ -584,8 +588,9 @@ class IpLayer:
             lvc.rx_depth += 1
             if lvc.rx_depth > lvc.rx_high_water:
                 lvc.rx_high_water = lvc.rx_depth
-                self.nucleus.counters.record_max(
-                    LVC_RX_QUEUE_HIGH_WATER, lvc.rx_depth)
+                counters = self.nucleus.counters
+                if lvc.rx_depth > counters[LVC_RX_QUEUE_HIGH_WATER]:
+                    counters[LVC_RX_QUEUE_HIGH_WATER] = lvc.rx_depth
 
     def note_consumed(self, ivc: Ivc, from_queue: bool = True) -> None:
         """LCM hook: one flow-debited message was disposed of (handler
@@ -617,7 +622,7 @@ class IpLayer:
             return
         if flow.tx_sent - flow.tx_consumed_seen > 1:
             self._send_probe(ivc, flow)
-            self.nucleus.counters.incr(IP_CREDIT_RESYNCS)
+            self.nucleus.counters[IP_CREDIT_RESYNCS] += 1
 
     def close(self, ivc: Ivc, reason: str, notify: bool = True) -> None:
         """Close an IVC (optionally notifying the peer with IVC_CLOSE)."""
@@ -637,7 +642,7 @@ class IpLayer:
                 self.nd.send(ivc.lvc, close_msg)
             except ChannelClosed:
                 # The channel died before the courtesy close got out.
-                self.nucleus.counters.incr("ip_close_notify_lost")
+                self.nucleus.counters[IP_CLOSE_NOTIFY_LOST] += 1
         ivc.state = "CLOSED"
         self._by_lvc.pop(ivc.lvc, None)
         self.nd.close(ivc.lvc, reason)
@@ -670,7 +675,7 @@ class IpLayer:
         # This message terminates here: settle the checksum deferred by
         # the ND-Layer (once end-to-end, not once per hop).
         if not msg.checksum_ok():
-            nucleus.counters.incr("nd_malformed_messages")
+            nucleus.counters[ND_MALFORMED_MESSAGES] += 1
             self._teardown(ivc, "header checksum mismatch")
             return
         if msg.kind == m.IVC_OPEN:
@@ -707,7 +712,7 @@ class IpLayer:
         if not nucleus.is_self(msg.dst):
             # A chained open for someone else arriving at a plain module:
             # only gateways may forward.
-            nucleus.counters.incr("ivc_open_refused_not_gateway")
+            nucleus.counters[IVC_OPEN_REFUSED] += 1
             nak = m.Msg(
                 kind=m.IVC_OPEN_NAK, src=nucleus.self_addr, dst=msg.src,
                 flags=m.FLAG_PACKED | m.FLAG_INTERNAL,

@@ -52,7 +52,13 @@ from repro.errors import (
 from repro.ntcs import message as m
 from repro.ntcs.address import Address
 from repro.ntcs.iplayer import Ivc
-from repro.util.counters import DROP_CONNECTIONLESS
+from repro.util.counters import (
+    DATAGRAMS_DROPPED, DROP_CONNECTIONLESS, IVC_REOPEN_ATTEMPTS, LCM_ADDRESS_FAULTS,
+    LCM_CALL_RETRIES, LCM_CIRCUIT_FAULTS, LCM_CIRCUIT_REPAIRS,
+    LCM_DUPLICATES_SUPPRESSED, LCM_FORWARDING_COMPRESSIONS, LCM_ORPHAN_REPLIES,
+    LCM_RECONNECT_ATTEMPTS, LCM_RELOCATIONS_FOLLOWED, LCM_UNDECODABLE_MESSAGES,
+    LCM_UNEXPECTED_KINDS, NS_FAULT_PATCH_HITS, REPAIR_BACKOFF_BUCKETS,
+)
 from repro.util.idgen import SequenceGenerator
 
 # Conditions the send loop treats as "the address may be stale" — the
@@ -350,7 +356,7 @@ class LcmLayer:
                 # this send went through on a re-planned route: one
                 # completed repair (PROTOCOL.md §10).
                 del self._faulted_targets[target]
-                nucleus.counters.incr("lcm_circuit_repairs")
+                nucleus.counters[LCM_CIRCUIT_REPAIRS] += 1
                 # Resynchronize credits (PROTOCOL.md §12): a circuit
                 # that survived the fault window may have frames in
                 # doubt between the ledgers.
@@ -369,8 +375,8 @@ class LcmLayer:
         Sec. 6.3 well-known retry budget so the next round gets a fresh
         look at the naming service."""
         nucleus = self.nucleus
-        nucleus.counters.incr("lcm_circuit_repairs")
-        nucleus.counters.incr(f"repair_backoff_bucket_{min(round_no - 1, 7)}")
+        nucleus.counters[LCM_CIRCUIT_REPAIRS] += 1
+        nucleus.counters[REPAIR_BACKOFF_BUCKETS[min(round_no - 1, 7)]] += 1
         nucleus.trace(self.LAYER, "circuit_repair",
                       reason=f"round {round_no} for {dst}: {exc}")
         self._ns_fault_streak = 0
@@ -419,7 +425,7 @@ class LcmLayer:
                     return pending.reply
                 if pending.error is not None:
                     last_error = pending.error
-                    nucleus.counters.incr("lcm_call_retries")
+                    nucleus.counters[LCM_CALL_RETRIES] += 1
                     continue
                 assert not done
                 raise ReplyTimeout(f"no reply from {dst} within {timeout}s")
@@ -469,12 +475,12 @@ class LcmLayer:
                       flags=flags | m.FLAG_CONNECTIONLESS)
             return True
         except SendWouldBlock:
-            self.nucleus.counters.incr("datagrams_dropped")
-            self.nucleus.counters.incr(DROP_CONNECTIONLESS)
+            self.nucleus.counters[DATAGRAMS_DROPPED] += 1
+            self.nucleus.counters[DROP_CONNECTIONLESS] += 1
             return False
         except (DestinationUnavailable, NoSuchAddress, RouteNotFound,
                 NoForwardingAddress, NameServerUnreachable):
-            self.nucleus.counters.incr("datagrams_dropped")
+            self.nucleus.counters[DATAGRAMS_DROPPED] += 1
             return False
 
     def receive(self, timeout: Optional[float] = None) -> IncomingMessage:
@@ -517,7 +523,7 @@ class LcmLayer:
         if len(path) > 2:
             for addr in path[:-1]:
                 self.forwarding[addr] = target
-            self.nucleus.counters.incr("lcm_forwarding_compressions")
+            self.nucleus.counters[LCM_FORWARDING_COMPRESSIONS] += 1
         return target
 
     def _route_to(self, target: Address, repairing: bool = False) -> Ivc:
@@ -526,7 +532,7 @@ class LcmLayer:
             return ivc
         self._routes.pop(target, None)
         if repairing:
-            self.nucleus.counters.incr("ivc_reopen_attempts")
+            self.nucleus.counters[IVC_REOPEN_ATTEMPTS] += 1
         ivc = self.ip.open_ivc(
             target, reason="lcm repair" if repairing else "lcm send")
         self._routes[target] = ivc
@@ -554,7 +560,7 @@ class LcmLayer:
         "module still alive"."""
         nucleus = self.nucleus
         with nucleus.enter(self.LAYER, "address_fault", reason=str(exc)):
-            nucleus.counters.incr("lcm_address_faults")
+            nucleus.counters[LCM_ADDRESS_FAULTS] += 1
             if target in nucleus.ns_addresses:
                 if nucleus.config.ns_fault_patch:
                     # The patch (Sec. 6.3): layers below the NSP-Layer
@@ -562,7 +568,7 @@ class LcmLayer:
                     # can stop the recursion.  Retry through the
                     # well-known physical address instead of asking the
                     # naming service about itself.
-                    nucleus.counters.incr("ns_fault_patch_hits")
+                    nucleus.counters[NS_FAULT_PATCH_HITS] += 1
                     self._ns_fault_streak += 1
                     if self._ns_fault_streak > NS_FAULT_RETRY_LIMIT:
                         self._ns_fault_streak = 0
@@ -588,10 +594,10 @@ class LcmLayer:
             except ModuleStillAlive:
                 # "It will attempt to reestablish what appears to be a
                 # broken communication link."
-                nucleus.counters.incr("lcm_reconnect_attempts")
+                nucleus.counters[LCM_RECONNECT_ATTEMPTS] += 1
                 return target
             self.forwarding[target] = forward
-            nucleus.counters.incr("lcm_relocations_followed")
+            nucleus.counters[LCM_RELOCATIONS_FOLLOWED] += 1
             return self._follow_forwarding(target)
 
     # -- upcalls from the IP-Layer ---------------------------------------------
@@ -599,7 +605,7 @@ class LcmLayer:
     def _on_deliver(self, ivc: Ivc, msg: m.Msg) -> None:
         nucleus = self.nucleus
         if msg.kind != m.DATA:
-            nucleus.counters.incr("lcm_unexpected_kinds")
+            nucleus.counters[LCM_UNEXPECTED_KINDS] += 1
             return
         # A TAdd source is only unique to its assigner: key local tables
         # by the alias the ND/IP layer assigned to this circuit.
@@ -621,7 +627,7 @@ class LcmLayer:
                 nucleus.mtype, entry=entry,
             )
         except Exception as exc:  # malformed bodies must not kill the pump
-            nucleus.counters.incr("lcm_undecodable_messages")
+            nucleus.counters[LCM_UNDECODABLE_MESSAGES] += 1
             nucleus.log_error(f"undecodable message from {msg.src}: {exc}")
             if flow_debited:
                 self.ip.note_arrival(ivc, queued=False)
@@ -649,7 +655,7 @@ class LcmLayer:
             if pending is not None:
                 pending.reply = incoming
             else:
-                nucleus.counters.incr("lcm_orphan_replies")
+                nucleus.counters[LCM_ORPHAN_REPLIES] += 1
             return
         if (msg.reply_expected and msg.corr_id > 0
                 and not msg.connectionless and not msg.internal
@@ -666,7 +672,7 @@ class LcmLayer:
             # requests, where one module is one nucleus.
             key = (effective_src, msg.corr_id)
             if key in self._served:
-                nucleus.counters.incr("lcm_duplicate_requests_suppressed")
+                nucleus.counters[LCM_DUPLICATES_SUPPRESSED] += 1
                 if flow_debited:
                     # Disposed without delivery; account before the
                     # cached replay so the reply piggybacks the
@@ -705,7 +711,7 @@ class LcmLayer:
                         # watermark it is dropped rather than queued —
                         # that is what keeps per-LVC memory bounded
                         # when the sender will not stall.
-                        nucleus.counters.incr(DROP_CONNECTIONLESS)
+                        nucleus.counters[DROP_CONNECTIONLESS] += 1
                         self.ip.note_arrival(ivc, queued=False)
                         self.ip.note_consumed(ivc, from_queue=False)
                         return
@@ -714,7 +720,7 @@ class LcmLayer:
                 self._queue.append(incoming)
 
     def _on_fault(self, ivc: Ivc, reason: str) -> None:
-        self.nucleus.counters.incr("lcm_circuit_faults")
+        self.nucleus.counters[LCM_CIRCUIT_FAULTS] += 1
         dead = [addr for addr, route in self._routes.items() if route is ivc]
         for addr in dead:
             del self._routes[addr]

@@ -33,7 +33,9 @@ from repro.ntcs import message as m
 from repro.ntcs.address import Address, blob_network
 from repro.ntcs.protocol import T_LVC_HELLO, T_LVC_HELLO_ACK
 from repro.ntcs.stdif import MessageChannel
-from repro.util.counters import ND_FRAMES_FORWARDED
+from repro.util.counters import (
+    ND_CHANNEL_FAULTS, ND_MALFORMED_MESSAGES, ND_MESSAGES_SENT, ND_OPEN_RETRIES,
+    TADDS_ASSIGNED, TADDS_PURGED)
 
 
 # The LVC machine, model-checked by ntcsverify (pure literal).
@@ -232,7 +234,7 @@ class NdLayer:
                 )
             except (ConnectionRefused, NetworkUnreachable) as exc:
                 last_error = exc
-                self.nucleus.counters.incr("nd_open_retries")
+                self.nucleus.counters[ND_OPEN_RETRIES] += 1
         # A stale or dead physical address is exactly an address fault
         # (Sec. 3.5); notification is passed upward.  Naming-service
         # addresses are exempt from invalidation: they are well-known
@@ -275,7 +277,6 @@ class NdLayer:
         :class:`~repro.ntcs.message.Msg` (PROTOCOL.md, "Fast path and
         wire invariance")."""
         self._transmit(lvc, frame)
-        self.nucleus.counters.incr(ND_FRAMES_FORWARDED)
 
     def _transmit(self, lvc: Lvc, frame: bytes) -> None:
         if not lvc.mchan.open:
@@ -285,7 +286,7 @@ class NdLayer:
         except IpcsError as exc:
             raise ChannelClosed(str(exc))
         lvc.messages_sent += 1
-        self.nucleus.counters.incr("nd_messages_sent")
+        self.nucleus.counters[ND_MESSAGES_SENT] += 1
 
     def close(self, lvc: Lvc, reason: str) -> None:
         """Close an LVC locally (the IPCS notifies the peer)."""
@@ -342,7 +343,7 @@ class NdLayer:
             self._message_upcall(lvc, msg)
 
     def _malformed(self, lvc: Lvc) -> None:
-        self.nucleus.counters.incr("nd_malformed_messages")
+        self.nucleus.counters[ND_MALFORMED_MESSAGES] += 1
         self.close(lvc, "malformed message")
         self._fault_upcall(lvc, "malformed message")
 
@@ -354,7 +355,7 @@ class NdLayer:
             # (Sec. 3.4, "each Nucleus layer assigns its own TAdd to
             # each incoming connection from a TAdd source").
             lvc.peer_addr = nucleus.tadds.allocate()
-            nucleus.counters.incr("tadds_assigned_for_inbound")
+            nucleus.counters[TADDS_ASSIGNED] += 1
         else:
             lvc.peer_addr = msg.src
             if values["listen_blob"]:
@@ -397,7 +398,7 @@ class NdLayer:
             old = lvc.peer_addr
             lvc.peer_addr = msg.src
             self.nucleus.addr_cache.replace_tadd(old, msg.src)
-            self.nucleus.counters.incr("tadds_purged")
+            self.nucleus.counters[TADDS_PURGED] += 1
             self.nucleus.on_tadd_purged(old, msg.src)
 
     def _on_closed(self, lvc: Lvc, reason: str) -> None:
@@ -407,7 +408,7 @@ class NdLayer:
         lvc.state = "CLOSED"
         lvc.close_reason = reason
         self._lvcs.pop(lvc.lvc_id, None)
-        self.nucleus.counters.incr("nd_channel_faults")
+        self.nucleus.counters[ND_CHANNEL_FAULTS] += 1
         if was_open:
             # "Notification is simply passed upward."
             self._fault_upcall(lvc, reason)

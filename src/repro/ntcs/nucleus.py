@@ -27,7 +27,7 @@ from repro.machine.process import SimProcess
 from repro.ntcs.address import Address, AddressCache, TAddAllocator
 from repro.ntcs.drivers import make_driver
 from repro.ntcs.wellknown import WellKnownTable
-from repro.util.counters import CounterSet
+from repro.util.counters import ERRORS_LOGGED, NUCLEUS, Counters
 from repro.util.seeds import derive_rng
 from repro.util.trace import LayerTracer, NullTracer
 
@@ -140,7 +140,7 @@ class Nucleus:
         self.self_addr: Address = self.tadds.allocate()
         self._past_addrs: Set[Address] = set()
         self.addr_cache = AddressCache()
-        self.counters = CounterSet()
+        self.counters = Counters(NUCLEUS)
         if tracer is not None:
             self.tracer = tracer
         elif self.config.trace:
@@ -332,7 +332,7 @@ class Nucleus:
     def log_error(self, text: str) -> None:
         """Record an error locally and ship it to the error-log service."""
         self.error_log.append(text)
-        self.counters.incr("errors_logged")
+        self.counters[ERRORS_LOGGED] += 1
         if self.error_client is not None:
             self.error_client(text)
 

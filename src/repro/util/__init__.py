@@ -3,7 +3,7 @@ and counters used by the experiments."""
 
 from repro.util.idgen import SequenceGenerator
 from repro.util.trace import LayerTracer, TraceRecord, NullTracer
-from repro.util.counters import CounterSet
+from repro.util.counters import Counters
 from repro.util.seeds import derive_seed, derive_rng
 
 __all__ = [
@@ -11,7 +11,7 @@ __all__ = [
     "LayerTracer",
     "TraceRecord",
     "NullTracer",
-    "CounterSet",
+    "Counters",
     "derive_seed",
     "derive_rng",
 ]

@@ -164,6 +164,34 @@ def test_blocking_send_stalls_probes_and_resumes():
     assert cons.ali.queued() == 3  # WINDOW - (WINDOW-2) consumed + 1 new
 
 
+@pytest.mark.parametrize("nested", [False, True])
+def test_nested_stall_counts_once(nested):
+    """A handler's own stalling send, run while the producer's burst is
+    parked for credit (the Sec. 6.1 re-entry), counts its stalls once:
+    ``ali_send_blocked`` stays equal to ``ip_credit_stalls``."""
+    bed = single_net(config=NucleusConfig(flow_window=2))
+    sink1 = bed.module("flow.sink1", "sun1")
+    sink2 = bed.module("flow.sink2", "sun1")
+    for sink in (sink1, sink2):
+        sink.ali.set_request_handler(lambda request: None)
+    prod = bed.module("flow.prod", "vax1")
+
+    def relay(request):
+        for i in range(6):
+            prod.ali.send(sink2.ali.uadd, "numbers", {"a": i, "b": 0, "big": 0})
+
+    prod.ali.set_request_handler(relay)
+    if nested:
+        third = bed.module("flow.third", "vax1")
+        third.ali.send(prod.ali.uadd, "numbers", {"a": 0, "b": 0, "big": 0})
+    for i in range(6):
+        prod.ali.send(sink1.ali.uadd, "numbers", {"a": i, "b": 0, "big": 0})
+    bed.settle()
+    stalls = 4 if nested else 2
+    assert prod.nucleus.counters[IP_CREDIT_STALLS] == stalls
+    assert prod.nucleus.counters[ALI_SEND_BLOCKED] == stalls
+
+
 def test_messages_survive_overload_in_order():
     """Backpressure pauses the producer but never loses or reorders:
     the producer floods until blocked, the consumer drains a batch, and

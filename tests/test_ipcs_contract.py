@@ -18,6 +18,8 @@ class _Rig:
         self.sched = Scheduler()
         self.net = Network(self.sched, "net0", latency=0.001)
         kind = SimTcpIpcs if protocol == "tcp" else SimMbxIpcs
+        self.close_kind = "CLOSE" if protocol == "tcp" else "MBX_CLOSE"
+        self.ack_kind = "ACK" if protocol == "tcp" else "MBX_PUT_ACK"
         self.machine_a = Machine(self.sched, "hosta", VAX)
         self.machine_a.attach_network(self.net)
         self.ipcs_a = kind(self.machine_a, self.net)
@@ -171,3 +173,93 @@ def test_contract_many_concurrent_channels(rig):
         chan.send(f"ch{i}".encode())
     rig.sched.run_until_idle()
     assert sorted(got) == [(i, f"ch{i}".encode()) for i in range(10)]
+
+
+# ---------------------------------------------------------------------------
+# A connection whose CLOSE has arrived is owed nothing (PROTOCOL.md §13)
+# ---------------------------------------------------------------------------
+
+def _wire_log(network, host):
+    """Every frame ``host`` sends on ``network``, as (kind, id)."""
+    sent = []
+    network.trace_hooks.append(
+        lambda datagram, size, dropped: sent.append(datagram.payload[:2])
+        if datagram.src_host == host else None)
+    return sent
+
+
+@pytest.mark.parametrize("closer, reason", [
+    (None, "closed by peer"),
+    ("data upcall", "closed by local end"),
+    ("close upcall", "closed by peer"),
+])
+def test_close_in_the_train_is_answered_with_nothing(rig, closer, reason):
+    """The train is data then CLOSE on one connection.  The bytes go up
+    before the close upcall, and the peer — which has aborted and
+    cancelled its timers — is sent neither the owed ACK nor a CLOSE,
+    even when an upcall closes the channel itself."""
+    accepted, events = [], []
+    rig.listener.on_accept = accepted.append
+    channel = rig.ipcs_a.connect(rig.client, rig.listener.address_blob())
+    server_channel = accepted[0]
+
+    def on_data(data):
+        events.append(data)
+        if closer == "data upcall":
+            server_channel.close()
+
+    def on_close(why):
+        events.append(why)
+        if closer == "close upcall":
+            server_channel.close()
+
+    server_channel.set_receive_handler(on_data)
+    server_channel.set_close_handler(on_close)
+    answers = _wire_log(rig.net, "hostb")
+    channel.send(b"last words")
+    channel.close()
+    rig.sched.run_until_idle()
+    assert events == [b"last words", reason]
+    assert answers == []
+    assert not server_channel.open
+
+
+def test_simultaneous_close_sends_one_close_each_way(rig):
+    accepted = []
+    rig.listener.on_accept = accepted.append
+    channel = rig.ipcs_a.connect(rig.client, rig.listener.address_blob())
+    server_channel = accepted[0]
+    from_client = _wire_log(rig.net, "hosta")
+    from_server = _wire_log(rig.net, "hostb")
+    channel.close()
+    server_channel.close()
+    rig.sched.run_until_idle()
+    assert [kind for kind, _ in from_client + from_server] == \
+        [rig.close_kind] * 2
+    for end in (channel, server_channel):
+        assert end.closed_reason == "closed by local end"
+    assert not rig.ipcs_a._conns
+    assert not rig.ipcs_b._conns
+
+
+def test_close_in_the_train_still_acknowledges_other_connections(rig):
+    """The train is data(A) data(B) CLOSE(B): A's range ACK leaves at
+    the arrival instant ahead of every upcall; B's is dropped with B."""
+    accepted, events = [], []
+    rig.listener.on_accept = accepted.append
+    chan_a, chan_b = (rig.ipcs_a.connect(SimProcess(rig.machine_a, tag),
+                                         rig.listener.address_blob())
+                      for tag in "AB")
+    accepted[0].set_receive_handler(lambda data: events.append(("A", data)))
+    accepted[1].set_receive_handler(lambda data: events.append(("B", data)))
+    accepted[1].set_close_handler(lambda why: events.append(("B", why)))
+    rig.net.trace_hooks.append(
+        lambda datagram, size, dropped: events.append(
+            ("wire", datagram.payload))
+        if datagram.src_host == "hostb" else None)
+    chan_a.send(b"a1")
+    chan_b.send(b"b1")
+    chan_b.close()
+    rig.sched.run_until_idle()
+    assert events == [("wire", (rig.ack_kind, chan_a.channel_id, 0, 0)),
+                      ("A", b"a1"), ("B", b"b1"), ("B", "closed by peer")]

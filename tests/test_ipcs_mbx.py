@@ -220,100 +220,3 @@ def test_many_clients_one_mailbox(sched, pair, apollo1):
         chan.send(f"hello-{i}".encode())
     sched.run_until_idle()
     assert sorted(got) == [f"hello-{i}".encode() for i in range(5)]
-
-
-# ---------------------------------------------------------------------------
-# A connection whose MBX_CLOSE has arrived is owed nothing (PROTOCOL.md §13)
-# ---------------------------------------------------------------------------
-
-def _wire_log(network, host):
-    """Every frame ``host`` sends on ``network``, as (kind, id)."""
-    sent = []
-    network.trace_hooks.append(
-        lambda datagram, size, dropped: sent.append(datagram.payload[:2])
-        if datagram.src_host == host else None)
-    return sent
-
-
-@pytest.mark.parametrize("closer, reason", [
-    (None, "closed by peer"),
-    ("record upcall", "closed by local end"),
-    ("close upcall", "closed by peer"),
-])
-def test_close_in_the_train_is_answered_with_nothing(sched, ring, pair,
-                                                     closer, reason):
-    """The train is PUT MBX_CLOSE on one connection.  The record goes up
-    before the close upcall, and the peer — which has aborted and
-    cancelled its ack timeouts — is sent neither the owed PUT_ACK nor
-    an MBX_CLOSE, even when an upcall closes the channel itself."""
-    client_proc, client_ipcs, _, listener = pair
-    accepted, events = [], []
-    listener.on_accept = accepted.append
-    channel = client_ipcs.connect(client_proc, listener.address_blob())
-    server_channel = accepted[0]
-
-    def on_record(data):
-        events.append(data)
-        if closer == "record upcall":
-            server_channel.close()
-
-    def on_close(why):
-        events.append(why)
-        if closer == "close upcall":
-            server_channel.close()
-
-    server_channel.set_receive_handler(on_record)
-    server_channel.set_close_handler(on_close)
-    answers = _wire_log(ring, "apollo2")
-    channel.send(b"last words")
-    channel.close()
-    sched.run_until_idle()
-    assert events == [b"last words", reason]
-    assert answers == []
-    assert not server_channel.open
-
-
-def test_simultaneous_close_sends_one_close_each_way(sched, ring, pair,
-                                                     apollo2):
-    client_proc, client_ipcs, _, listener = pair
-    accepted = []
-    listener.on_accept = accepted.append
-    channel = client_ipcs.connect(client_proc, listener.address_blob())
-    server_channel = accepted[0]
-    from_client = _wire_log(ring, "apollo1")
-    from_server = _wire_log(ring, "apollo2")
-    channel.close()
-    server_channel.close()
-    sched.run_until_idle()
-    assert [kind for kind, _ in from_client + from_server] == ["MBX_CLOSE"] * 2
-    for end in (channel, server_channel):
-        assert end.closed_reason == "closed by local end"
-    assert not client_ipcs._conns
-    assert not apollo2.ipcs_for("ring0", "mbx")._conns
-
-
-def test_close_in_the_train_still_acknowledges_other_connections(sched, ring,
-                                                                 pair,
-                                                                 apollo1):
-    """The train is PUT(A) PUT(B) MBX_CLOSE(B): A's PUT_ACK range leaves
-    at the arrival instant ahead of every upcall; B's is dropped with
-    B."""
-    _, client_ipcs, _, listener = pair
-    accepted, events = [], []
-    listener.on_accept = accepted.append
-    chan_a, chan_b = (client_ipcs.connect(SimProcess(apollo1, tag),
-                                          listener.address_blob())
-                      for tag in "AB")
-    accepted[0].set_receive_handler(lambda data: events.append(("A", data)))
-    accepted[1].set_receive_handler(lambda data: events.append(("B", data)))
-    accepted[1].set_close_handler(lambda why: events.append(("B", why)))
-    ring.trace_hooks.append(
-        lambda datagram, size, dropped: events.append(
-            ("wire", datagram.payload))
-        if datagram.src_host == "apollo2" else None)
-    chan_a.send(b"a1")
-    chan_b.send(b"b1")
-    chan_b.close()
-    sched.run_until_idle()
-    assert events == [("wire", ("MBX_PUT_ACK", chan_a.channel_id, 0, 0)),
-                      ("A", b"a1"), ("B", b"b1"), ("B", "closed by peer")]

@@ -381,91 +381,3 @@ def test_warm_echo_over_three_gateways_exact_substrate_cost():
     assert sum(n.frames_sent for n in bed.networks.values()) - frames == 16
     assert bed.scheduler.events_processed - events == 14
     assert bed.now - started == pytest.approx(0.008)
-
-
-# ---------------------------------------------------------------------------
-# A connection whose CLOSE has arrived is owed nothing (PROTOCOL.md §13)
-# ---------------------------------------------------------------------------
-
-def _wire_log(network, host):
-    """Every segment ``host`` sends on ``network``, as (kind, id)."""
-    sent = []
-    network.trace_hooks.append(
-        lambda datagram, size, dropped: sent.append(datagram.payload[:2])
-        if datagram.src_host == host else None)
-    return sent
-
-
-@pytest.mark.parametrize("closer, reason", [
-    (None, "closed by peer"),
-    ("data upcall", "closed by local end"),
-    ("close upcall", "closed by peer"),
-])
-def test_close_in_the_train_is_answered_with_nothing(sched, ether, pair,
-                                                     closer, reason):
-    """The train is DATA CLOSE on one connection.  The bytes go up
-    before the close upcall, and the peer — which has aborted and
-    cancelled its timers — is sent neither the owed ACK nor a CLOSE,
-    even when an upcall closes the channel itself."""
-    client_proc, client_ipcs, _, listener = pair
-    accepted, events = [], []
-    listener.on_accept = accepted.append
-    channel = client_ipcs.connect(client_proc, listener.address_blob())
-    server_channel = accepted[0]
-
-    def on_data(data):
-        events.append(data)
-        if closer == "data upcall":
-            server_channel.close()
-
-    def on_close(why):
-        events.append(why)
-        if closer == "close upcall":
-            server_channel.close()
-
-    server_channel.set_receive_handler(on_data)
-    server_channel.set_close_handler(on_close)
-    answers = _wire_log(ether, "sun1")
-    channel.send(b"last words")
-    channel.close()
-    sched.run_until_idle()
-    assert events == [b"last words", reason]
-    assert answers == []
-    assert not server_channel.open
-
-
-def test_simultaneous_close_sends_one_close_each_way(sched, ether, pair, sun1):
-    client_proc, client_ipcs, _, listener = pair
-    accepted = []
-    listener.on_accept = accepted.append
-    channel = client_ipcs.connect(client_proc, listener.address_blob())
-    server_channel = accepted[0]
-    from_client = _wire_log(ether, "vax1")
-    from_server = _wire_log(ether, "sun1")
-    channel.close()
-    server_channel.close()
-    sched.run_until_idle()
-    assert [kind for kind, _ in from_client + from_server] == ["CLOSE"] * 2
-    for end in (channel, server_channel):
-        assert end.closed_reason == "closed by local end"
-    assert not client_ipcs._conns
-    assert not sun1.ipcs_for("ether0", "tcp")._conns
-
-
-def test_close_in_the_train_still_acknowledges_other_connections(sched, ether,
-                                                                 pair):
-    """The train is DATA(A) DATA(B) CLOSE(B): A's range ACK leaves at the
-    arrival instant ahead of every upcall; B's is dropped with B."""
-    client_proc, client_ipcs, _, listener = pair
-    conn_a, conn_b, accepted, chunks = _two_connections(
-        client_proc, client_ipcs, listener)
-    accepted[1].set_close_handler(lambda why: chunks.append(("B", why)))
-    ether.trace_hooks.append(
-        lambda datagram, size, dropped: chunks.append(
-            ("wire", datagram.payload)) if datagram.src_host == "sun1" else None)
-    conn_a.send(b"a1")
-    conn_b.send(b"b1")
-    conn_b.close()
-    sched.run_until_idle()
-    assert chunks == [("wire", ("ACK", conn_a.channel_id, 0, 0)),
-                      ("A", b"a1"), ("B", b"b1"), ("B", "closed by peer")]

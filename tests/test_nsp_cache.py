@@ -12,7 +12,7 @@ from repro.naming.cache import ResolutionCache
 from repro.naming.protocol import NameRecord
 from repro.ntcs.address import Address
 from repro.ntcs.nucleus import NucleusConfig
-from repro.util.counters import CounterSet
+from repro.util.counters import NUCLEUS, Counters
 
 
 def _ns_requests(bed, type_name):
@@ -33,7 +33,7 @@ def _echo_rebuild(old, new):
 
 def test_cache_unit_tadds_never_stored():
     clock = [0.0]
-    cache = ResolutionCache(clock=lambda: clock[0], counters=CounterSet())
+    cache = ResolutionCache(clock=lambda: clock[0], counters=Counters(NUCLEUS))
     tadd = Address(value=5, temporary=True)
     record = NameRecord(name="x", uadd=tadd, mtype_name="VAX")
     cache.store_name("x", tadd, gen=1)
@@ -44,7 +44,7 @@ def test_cache_unit_tadds_never_stored():
 
 def test_cache_unit_negative_ttl_expires():
     clock = [0.0]
-    counters = CounterSet()
+    counters = Counters(NUCLEUS)
     cache = ResolutionCache(clock=lambda: clock[0], counters=counters,
                             negative_ttl=1.0)
     cache.store_missing_name("ghost", gen=1)
@@ -57,7 +57,7 @@ def test_cache_unit_negative_ttl_expires():
 
 
 def test_cache_unit_generation_flush():
-    counters = CounterSet()
+    counters = Counters(NUCLEUS)
     cache = ResolutionCache(clock=lambda: 0.0, counters=counters)
     old = Address(value=7)
     cache.store_name("a", old, gen=3)
@@ -69,7 +69,7 @@ def test_cache_unit_generation_flush():
 
 
 def test_cache_unit_evict_address_drops_all_routes_to_it():
-    counters = CounterSet()
+    counters = Counters(NUCLEUS)
     cache = ResolutionCache(clock=lambda: 0.0, counters=counters)
     uadd = Address(value=7)
     record = NameRecord(name="a", uadd=uadd, mtype_name="VAX")

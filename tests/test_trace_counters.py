@@ -1,7 +1,15 @@
 """Unit tests for the debugging utilities: LayerTracer (Sec. 6.2) and
-CounterSet."""
+the metric stores of :mod:`repro.util.counters`."""
 
-from repro.util import CounterSet, LayerTracer, NullTracer
+import pytest
+
+from deployments import single_net
+from repro.naming import server  # noqa: F401  (declares the per-request counts)
+from repro.util import Counters, LayerTracer, NullTracer
+from repro.util.counters import (
+    CATALOGUE, HIGH_WATER, LVC_RX_QUEUE_HIGH_WATER, NAME_SERVER, ND_MESSAGES_SENT,
+    ND_OPEN_RETRIES, NUCLEUS, REGISTRY, REPAIR_BACKOFF_BUCKETS, TOPOLOGY_QUERIES,
+)
 from repro.util.idgen import SequenceGenerator
 
 
@@ -16,35 +24,69 @@ def test_sequence_generator():
     assert gen10.next() == 10
 
 
-# -- CounterSet ------------------------------------------------------------
+# -- Counters ---------------------------------------------------------------
 
-def test_counterset_basics():
-    counters = CounterSet()
-    assert counters["missing"] == 0
-    counters.incr("a")
-    counters.incr("a", 4)
-    counters.incr("b")
-    assert counters["a"] == 5
-    assert "a" in counters and "missing" not in counters
-    assert dict(counters) == {"a": 5, "b": 1}
-    assert counters.snapshot() == {"a": 5, "b": 1}
+def test_counters_undeclared_name_raises():
+    counters = Counters(NUCLEUS)
+    with pytest.raises(KeyError):
+        counters["nd_mesages_sent"]
+    with pytest.raises(KeyError):
+        counters["nd_mesages_sent"] += 1
+    with pytest.raises(KeyError):  # declared, but for another owner
+        counters["pack_calls"]
 
 
-def test_counterset_reset():
-    counters = CounterSet()
-    counters.incr("a")
-    counters.incr("b")
-    counters.reset("a")
-    assert counters["a"] == 0 and counters["b"] == 1
-    counters.reset()
+def test_counters_declared_untouched_reads_zero():
+    counters = Counters(NUCLEUS)
+    assert counters[ND_MESSAGES_SENT] == 0
+    assert ND_MESSAGES_SENT not in counters
     assert counters.snapshot() == {}
+    assert list(counters) == []
 
 
-def test_counterset_repr_is_sorted():
-    counters = CounterSet()
-    counters.incr("zeta")
-    counters.incr("alpha")
-    assert repr(counters) == "CounterSet(alpha=1, zeta=1)"
+def test_counters_snapshot_holds_touched_names_only():
+    counters = Counters(NUCLEUS)
+    counters[TOPOLOGY_QUERIES] += 1
+    counters[ND_MESSAGES_SENT] += 4
+    counters[ND_MESSAGES_SENT] += 1
+    assert counters["nd_messages_sent"] == 5
+    assert ND_MESSAGES_SENT in counters and ND_OPEN_RETRIES not in counters
+    assert counters.snapshot() == {"nd_messages_sent": 5, "topology_queries": 1}
+    assert list(counters) == [("nd_messages_sent", 5), ("topology_queries", 1)]
+
+
+def test_each_owner_store_holds_exactly_its_declared_metrics():
+    for owner in (NUCLEUS, REGISTRY, NAME_SERVER):
+        declared = {m.name for m in CATALOGUE.values() if m.owner == owner}
+        assert set(Counters(owner).keys()) == declared
+    assert "ns_resolve_name" in Counters(NAME_SERVER).keys()
+
+
+def test_high_water_metric_keeps_its_maximum():
+    bed = single_net()
+    prod = bed.module("hw.prod", "vax1")
+    cons = bed.module("hw.cons", "sun1")
+    for i in range(3):
+        prod.ali.send(cons.ali.uadd, "numbers", {"a": i, "b": 0, "big": 0})
+    bed.settle()
+    for _ in range(3):
+        cons.ali.receive(timeout=1.0)
+    prod.ali.send(cons.ali.uadd, "numbers", {"a": 3, "b": 0, "big": 0})
+    bed.settle()
+    assert cons.ali.queued() == 1
+    assert cons.nucleus.counters[LVC_RX_QUEUE_HIGH_WATER] == 3
+    assert CATALOGUE[LVC_RX_QUEUE_HIGH_WATER].kind == HIGH_WATER
+
+
+def test_repair_rounds_from_eight_on_land_in_the_last_bucket():
+    bed = single_net()
+    module = bed.module("repairer", "vax1")
+    for round_no in (1, 2, 8, 9, 30):
+        module.nucleus.lcm._repair_backoff(round_no, module.ali.uadd,
+                                           RuntimeError("injected"))
+    counters = module.nucleus.counters
+    assert [counters[name] for name in REPAIR_BACKOFF_BUCKETS] == \
+        [1, 1, 0, 0, 0, 0, 0, 3]
 
 
 # -- LayerTracer ------------------------------------------------------------
