@@ -11,7 +11,9 @@ Usage::
 The flat form runs every rule family (the model stage included).  The
 ``verify`` subcommand runs *only* the model stage — protocol
 extraction plus the MDL checks — and optionally replays netsim JSONL
-wire traces against the extracted wire protocol (TRC001/TRC002).
+wire traces against the extracted wire protocol (TRC001/TRC002),
+printing how many NTCS frames it checked in each trace (on stderr when
+the findings go out as json or sarif).
 
 With no paths, the installed ``repro`` package tree is scanned.  Exit
 status is 0 when no findings survive (waivers applied), 1 when any do
@@ -201,10 +203,15 @@ def main_verify(argv: Sequence[str]) -> int:
     if args.trace:
         # Imported lazily: plain lint paths never need the extractor
         # twice nor the NTCS message module.
-        from repro.analysis.model import extract
-        from repro.analysis.model.tracecheck import check_traces
+        from repro.analysis.model import extract, replay_trace
+        model = extract(project)
         findings = list(findings)
-        findings.extend(check_traces(args.trace, extract(project)))
+        out = sys.stdout if args.format == "text" else sys.stderr
+        for trace in args.trace:
+            trace_findings, checked = replay_trace(trace, model)
+            print(f"ntcsverify: {trace}: {checked} NTCS frame(s) checked",
+                  file=out)
+            findings.extend(trace_findings)
     _emit(findings, args.format)
     return 1 if findings else 0
 

@@ -15,10 +15,9 @@ from repro.analysis.engine import Finding, Project, rule
 from repro.analysis.model.checker import check_model
 from repro.analysis.model.extractor import extract
 from repro.analysis.model.ir import ProtocolModel
-from repro.analysis.model.tracecheck import check_trace, check_traces
+from repro.analysis.model.tracecheck import replay_trace
 
-__all__ = ["extract", "check_model", "check_trace", "check_traces",
-           "ProtocolModel"]
+__all__ = ["extract", "check_model", "replay_trace", "ProtocolModel"]
 
 
 @rule(

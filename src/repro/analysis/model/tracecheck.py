@@ -4,10 +4,13 @@ A trace is the output of :class:`repro.netsim.tracelog.NetTraceLog` —
 one JSON object per transmitted datagram, carrying every raw byte blob
 of the payload as hex.  The netsim records bytes without knowing what
 they are; *this* module (analysis is harness-layer, so it may import
-NTCS) picks out the blobs that carry NTCS magic, reads their header
-words through :class:`repro.ntcs.message.HeaderView`, and checks each
-frame's kind against the ``WIRE_PROTOCOL`` declaration the extractor
-pulled from :mod:`repro.ntcs.message`:
+NTCS) reads each blob under its IPCS's framing (PROTOCOL.md §7: a
+sim-TCP segment is a shift-mode length prefix plus one message, an MBX
+record is the message alone), picks out the ones that carry NTCS magic,
+reads their header words through
+:class:`repro.ntcs.message.HeaderView`, and checks each frame's kind
+against the ``WIRE_PROTOCOL`` declaration the extractor pulled from
+:mod:`repro.ntcs.message`:
 
 * per network and unordered host pair, handshake flags are monotonic:
   a kind *establishes* its flags when transmitted (transmit-side
@@ -16,8 +19,9 @@ pulled from :mod:`repro.ntcs.message`:
   and crash-restart re-handshakes);
 * TRC001 (error) a frame whose kind *requires* a flag not yet
   established on that hop — a transition outside the model;
-* TRC002 (error) a frame whose kind is not in the model at all, or a
-  trace line that cannot be parsed.
+* TRC002 (error) a frame whose kind is not in the model at all, a
+  trace line that cannot be parsed, or a trace that holds no NTCS frame
+  at all (nothing was checked, so nothing may pass).
 
 Exit-code semantics are the CLI's: any finding fails the run.
 """
@@ -26,10 +30,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.engine import Finding, SEVERITY_ERROR
 from repro.analysis.model.ir import ProtocolModel, WireProtocol
+from repro.conversion.shiftmode import shift_decode_u32s
 from repro.ntcs.message import HEADER_BYTES, HeaderView
 from repro.errors import ProtocolError
 
@@ -41,28 +46,42 @@ def _finding(rule: str, path: str, line: int, message: str) -> Finding:
                    path=path, line=line, message=message)
 
 
-def _looks_like_frame(blob: bytes) -> bool:
-    """True when a payload blob starts with the NTCS magic word — the
-    filter that separates NTCS frames from transport noise (TCP stream
-    continuation segments, mailbox records, app payloads)."""
+# Framing bytes each IPCS puts before one NTCS message (PROTOCOL.md
+# §7); a protocol not named here carries the message alone.
+_PREFIX_BYTES = {"tcp": 4}
+
+
+def _ntcs_frame(blob: bytes, protocol: str) -> Optional[bytes]:
+    """The NTCS frame a payload blob carries under ``protocol``'s
+    framing, or None for transport noise (a blob that is not exactly
+    one framed message with NTCS magic)."""
+    prefix = _PREFIX_BYTES.get(protocol, 0)
+    if prefix:
+        if (len(blob) < prefix
+                or shift_decode_u32s(blob, 1)[0] != len(blob) - prefix):
+            return None
+        blob = blob[prefix:]
     if len(blob) < HEADER_BYTES:
-        return False
+        return None
     try:
         HeaderView(blob)
     except ProtocolError:
-        return False
-    return True
+        return None
+    return blob
 
 
-def check_trace(path: str, model: ProtocolModel) -> List[Finding]:
-    """Replay one JSONL trace file against the model's wire protocol."""
+def replay_trace(path: str,
+                 model: ProtocolModel) -> Tuple[List[Finding], int]:
+    """Replay one JSONL trace file against the model's wire protocol;
+    returns its findings and the number of NTCS frames it checked."""
     wire = model.primary_wire()
     if wire is None:
         return [_finding(
             "TRC002", path, 1,
             "no WIRE_PROTOCOL declaration was extracted from the tree — "
-            "traces cannot be conformance-checked")]
+            "traces cannot be conformance-checked")], 0
     findings: List[Finding] = []
+    checked = 0
     flags_by_hop: Dict[_HopKey, Set[str]] = {}
     for lineno, raw in enumerate(
             Path(path).read_text().splitlines(), start=1):
@@ -83,6 +102,7 @@ def check_trace(path: str, model: ProtocolModel) -> List[Finding]:
             frozenset((str(args.get("src", "")), str(args.get("dst", "")))),
         )
         flags = flags_by_hop.setdefault(hop, set())
+        protocol = str(args.get("protocol", ""))
         for blob_hex in args.get("frames", ()):
             try:
                 blob = bytes.fromhex(blob_hex)
@@ -90,11 +110,16 @@ def check_trace(path: str, model: ProtocolModel) -> List[Finding]:
                 findings.append(_finding(
                     "TRC002", path, lineno, "frame hex is malformed"))
                 continue
-            if not _looks_like_frame(blob):
+            frame = _ntcs_frame(blob, protocol)
+            if frame is None:
                 continue
+            checked += 1
             findings.extend(
-                _check_frame(wire, blob, flags, path, lineno, args))
-    return findings
+                _check_frame(wire, frame, flags, path, lineno, args))
+    if not checked:
+        findings.append(_finding(
+            "TRC002", path, 1, "no NTCS frames to check"))
+    return findings, checked
 
 
 def _check_frame(wire: WireProtocol, blob: bytes, flags: Set[str],
@@ -117,12 +142,3 @@ def _check_frame(wire: WireProtocol, blob: bytes, flags: Set[str],
     # Establish regardless of validity or drops: keep later findings
     # about *new* violations, not echoes of this one.
     flags.update(wire.establishes.get(name, ()))
-
-
-def check_traces(paths: Sequence[str],
-                 model: ProtocolModel) -> List[Finding]:
-    """Replay several trace files; findings are concatenated in order."""
-    findings: List[Finding] = []
-    for path in paths:
-        findings.extend(check_trace(path, model))
-    return findings

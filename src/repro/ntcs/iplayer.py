@@ -186,8 +186,10 @@ class IpLayer:
             fault=self._on_lvc_fault,
         )
         self._by_lvc: Dict[Lvc, Ivc] = {}
-        # dst network -> (gateway uadd or None, gateway blob); cached so
-        # a warmed-up system routes with no Name-Server traffic (E2).
+        # dst network -> (first gateway's UAdd, its blob), planned from
+        # the topology or learned from a chained open that proved the
+        # hop; cached so a warmed-up system routes with no Name-Server
+        # traffic (E2).
         self.route_cache: Dict[str, Tuple[Optional[Address], str]] = {}
         # Which prime gateway we are currently using toward the Name
         # Server (rotated when one fails; Sec. 3.4's primes are plural).
@@ -238,6 +240,9 @@ class IpLayer:
                 if dst == nucleus.wellknown.ns_uadd:
                     self._prime_index += 1
                 raise AddressFault(dst, f"first-hop gateway unreachable: {exc}")
+            # Who answered the HELLO, read before the end-to-end reply
+            # can replace a TAdd peer with the destination's UAdd.
+            hop = lvc.peer_addr
             ivc = Ivc(lvc, peer_addr=dst, direct=False)
             self._attach_flow(ivc)
             self._by_lvc[lvc] = ivc
@@ -273,6 +278,12 @@ class IpLayer:
                 # A chained open through this gateway just worked: any
                 # earlier suspicion of it is disproved.
                 self._suspect_gateways.discard(plan.gw_uadd)
+            # A proven first hop is a route (PROTOCOL.md §3): remember
+            # it under the gateway's real UAdd, so suspect marking and
+            # eviction treat it as they treat a topology-planned entry.
+            if (plan.dst_network and hop is not None and not hop.temporary
+                    and not nucleus.is_self(hop)):
+                self.route_cache.setdefault(plan.dst_network, (hop, plan.blob))
             nucleus.counters[IVC_CHAINED_OPENED] += 1
             return ivc
 

@@ -12,7 +12,12 @@ from deployments import (
     veteran_of_far_echo,
 )
 from repro.drts.proctl import ProcessController
-from repro.errors import DestinationUnavailable, NtcsError, RouteNotFound
+from repro.errors import (
+    DestinationUnavailable,
+    NameServerUnreachable,
+    NtcsError,
+    RouteNotFound,
+)
 from repro.ntcs.nucleus import NucleusConfig
 from repro.util.counters import GATEWAY_STALE_ADDR_FALLBACKS
 
@@ -196,8 +201,8 @@ def test_gateways_splice_without_copy_or_checksum():
         client.ali.call(uadd, "echo", {"n": i, "text": "steady"})
     assert round((bed.now - t0) * 1000, 4) == 80.0  # 8 virtual ms a call
     gateways = bed.gateways.values()
-    assert sum(gw.frames_forwarded_zero_copy for gw in gateways) == 113
-    assert sum(gw.checksum_verifies_deferred for gw in gateways) == 113
+    assert sum(gw.frames_forwarded_zero_copy for gw in gateways) == 107
+    assert sum(gw.checksum_verifies_deferred for gw in gateways) == 107
 
 
 def test_end_to_end_machine_type_across_gateway():
@@ -288,6 +293,76 @@ def test_gateway_restored_circuit_after_reopen():
     reply = client.ali.call(uadd, "echo", {"n": 2, "text": "b"})
     assert reply.values["text"] == "B"
     assert bed.gateways["gwm0"].circuits_established >= 2
+
+
+# One cold contact from each end of sharded_chain(2, 2, 2), after one
+# warm-up contact from each end: a newcomer registers, locates the echo
+# server at the other end, calls it once and dies.  Pinned: its topology
+# queries, and the frames from its creation until the bed settles after
+# its death.  A newcomer on mEnd registered through its prime gateway
+# gwm1, so its first call into net0 goes out on the route that circuit
+# proved (PROTOCOL.md §3) and asks no shard for ns_list_gw: (1, 175)
+# before the IP-Layer kept proven first hops.  The m0 newcomer has no
+# chained circuit before its call, and still asks once: (1, 83) before
+# as after.
+COLD_CONTACT = {"mEnd": (0, 151), "m0": (1, 83)}
+
+
+def test_cold_contact_census_from_each_end():
+    bed, _groups = sharded_chain(hops=2, shards=2, replicas=2)
+    servers = {"mEnd": "near.echo", "m0": "far.echo"}
+    echo_server(bed, "near.echo", "m0")
+    echo_server(bed, "far.echo", "mEnd")
+    bed.settle()
+
+    def contact(name, machine):
+        frames = lambda: sum(net.frames_sent for net in bed.networks.values())
+        before = frames()
+        newcomer = bed.module(name, machine)
+        uadd = newcomer.ali.locate(servers[machine])
+        newcomer.ali.call(uadd, "echo", {"n": 1, "text": "x"})
+        queries = newcomer.nucleus.counters["topology_queries"]
+        newcomer.process.kill()
+        bed.settle()
+        return queries, frames() - before
+
+    for machine in servers:
+        contact(f"warm.{machine}", machine)
+    assert {machine: contact(f"new.{machine}", machine)
+            for machine in servers} == COLD_CONTACT
+
+
+@pytest.mark.parametrize("fault, elapsed_ms", [
+    ("crash", 22958.8012),
+    ("kill", 9927.8012),
+])
+def test_learned_first_hop_dies(fault, elapsed_ms):
+    """A newcomer on mEnd learned net0 through gwm1 at registration;
+    then gwm1 fails.  The next call dials the learned hop, evicts it and
+    marks gwm1 suspect; naming is behind the same gateway, so the call
+    ends in a typed ``NameServerUnreachable`` rather than a replan, and
+    does not hang.  (The newcomer that planned from topology failed the
+    same way, after 22823.8012 and 9923.8012 virtual ms.)"""
+    bed, _groups = sharded_chain(hops=2, shards=2, replicas=2)
+    echo_server(bed, "near.echo", "m0")
+    bed.settle()
+    newcomer = bed.module("newcomer", "mEnd")
+    uadd = newcomer.ali.locate("near.echo")
+    ip = newcomer.nucleus.ip
+    gwm1 = bed.gateways["gwm1"]
+    assert ip.route_cache["net0"][0] == gwm1.uadd
+    if fault == "crash":
+        bed.machines["gwm1"].crash()
+    else:
+        gwm1.process.kill()
+    bed.settle()
+    start = bed.now
+    with pytest.raises(NameServerUnreachable):
+        newcomer.ali.call(uadd, "echo", {"n": 1, "text": "x"}, timeout=5.0)
+    assert round((bed.now - start) * 1000, 4) == elapsed_ms
+    assert "net0" not in ip.route_cache
+    assert gwm1.uadd in ip._suspect_gateways
+    assert newcomer.nucleus.counters["topology_queries"] == 0
 
 
 def test_topology_cached_after_first_route():

@@ -3,11 +3,13 @@ gateway adjacency, route-cache behaviour."""
 
 import pytest
 
-from deployments import echo_server, single_net
+from deployments import chain_nets, echo_server, single_net
 from repro import Testbed, SUN3, VAX
 from repro.errors import AddressFault, NoSuchAddress, RouteNotFound
+from repro.machine import SimProcess
 from repro.naming.protocol import NameRecord
 from repro.ntcs.address import Address, make_uadd
+from repro.ntcs.gateway import Gateway
 
 
 class FakeNsp:
@@ -127,6 +129,94 @@ def test_route_cache_populated_and_reused():
     plan2 = ip._gateway_plan(make_uadd(61), "netB")
     assert plan1.blob == plan2.blob
     assert client.nucleus.counters["topology_queries"] == 1  # cached
+
+
+# A chained open that succeeds proves its first hop (PROTOCOL.md §3,
+# "The route cache"): the IP-Layer keeps it as the route to the
+# circuit's destination network.  On chain_nets(1) a module on net1
+# registers through its prime gateway gwm0 to the Name Server on net0.
+
+def _newcomer_behind_gateway():
+    bed = chain_nets(1)
+    newcomer = bed.module("newcomer", "mEnd")
+    return bed, newcomer, bed.gateways["gwm0"]
+
+
+def test_chained_open_learns_the_gateways_uadd():
+    bed, newcomer, gw = _newcomer_behind_gateway()
+    learned = newcomer.nucleus.ip.route_cache["net0"]
+    assert learned == (gw.uadd, gw.stacks["net1"].nd.listen_blob)
+    assert not learned[0].temporary  # the HELLO_ACK's UAdd, not a TAdd
+    assert newcomer.nucleus.counters["topology_queries"] == 0
+
+
+def test_unregistered_gateway_teaches_no_route():
+    """A prime gateway that has not registered yet answers the HELLO
+    with a TAdd (Sec. 3.4).  The open through it works, but a TAdd is
+    no route, so nothing is kept."""
+    bed = Testbed()
+    bed.network("net0")
+    bed.network("net1")
+    bed.machine("m0", VAX, networks=["net0"])
+    bed.name_server("m0")
+    gwm0 = bed.machine("gwm0", SUN3, networks=["net0", "net1"])
+    bed.machine("mEnd", VAX, networks=["net1"])
+    gw = Gateway(SimProcess(gwm0, "gw.gwm0"), bed.registry, bed.wellknown)
+    prime = gw.stacks["net1"]
+    bed.wellknown.add_prime_gateway("net1", prime.nd.listen_blob)
+    # TAdds are local to each Nucleus: move the gateway's off the one
+    # the newcomer will hold, so only the TAdd rule can refuse it.
+    prime.self_addr = prime.tadds.allocate()
+    newcomer = bed.module("newcomer", "mEnd")
+    assert newcomer.nucleus.counters["ivc_chained_opened"] == 1
+    assert newcomer.nucleus.ip.route_cache == {}
+
+
+def test_learned_route_never_overwrites_a_planned_one():
+    bed, newcomer, gw = _newcomer_behind_gateway()
+    ip = newcomer.nucleus.ip
+    ip.route_cache.clear()
+    real_nsp = newcomer.nucleus.nsp
+    newcomer.nucleus.nsp = FakeNsp(gateways=[_gw_record(1, ["net1", "net0"])])
+    ip._gateway_plan(make_uadd(60), "net0")
+    newcomer.nucleus.nsp = real_nsp
+    planned = (make_uadd(101), "tcp:net1:gw1:90")
+    assert ip.route_cache["net0"] == planned
+    ivc = ip.open_ivc(bed.wellknown.ns_uadd)  # chained, via the prime
+    assert not ivc.direct and ivc.lvc.peer_addr == gw.uadd
+    assert ip.route_cache["net0"] == planned
+
+
+@pytest.mark.parametrize("victim", ["gateway", "destination"])
+def test_failed_or_naked_chained_open_learns_nothing(victim):
+    """The first hop refuses the connect, or the gateway NAKs the open
+    because the Name Server is gone: no route is learned either way."""
+    bed, newcomer, gw = _newcomer_behind_gateway()
+    ip = newcomer.nucleus.ip
+    ip.route_cache.clear()
+    if victim == "gateway":
+        gw.process.kill()
+    else:
+        bed.name_server_instance.nucleus.process.kill()
+    bed.settle()
+    with pytest.raises(AddressFault):
+        ip.open_ivc(bed.wellknown.ns_uadd)
+    assert ip.route_cache == {}
+
+
+def test_gateway_stack_never_learns_itself_as_first_hop():
+    """On chain_nets(2) the far stack of each gateway is its own
+    network's prime, so its naming traffic opens chained circuits
+    through its own gateway.  Those circuits work, and teach nothing."""
+    bed = chain_nets(2)
+    echo_server(bed, "far.echo", "mEnd")
+    client = bed.module("client", "m0")
+    client.ali.call(client.ali.locate("far.echo"), "echo",
+                    {"n": 1, "text": "x"})
+    for name, far in (("gwm0", "net1"), ("gwm1", "net2")):
+        stack = bed.gateways[name].stacks[far]
+        assert stack.counters["ivc_chained_opened"] >= 1
+        assert "net0" not in stack.ip.route_cache
 
 
 def test_plan_resolves_remote_entry_and_caches(ip_layer):

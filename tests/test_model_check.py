@@ -22,7 +22,8 @@ import pytest
 from deployments import chain_nets, echo_server, two_nets
 from repro.analysis import Project, analyze
 from repro.analysis.cli import main
-from repro.analysis.model import check_trace, extract
+from repro.analysis.model import extract, replay_trace
+from repro.conversion.shiftmode import shift_encode_u32s
 from repro.netsim import ChaosSchedule, NetTraceLog
 from repro.ntcs import message as m
 from repro.ntcs.address import Address
@@ -197,48 +198,93 @@ def _chaos_trace(seed: int, tmp_path: Path) -> Path:
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_chaos_trace_replays_clean(seed, tmp_path):
     path = _chaos_trace(seed, tmp_path)
-    findings = check_trace(str(path), _model())
+    findings, checked = replay_trace(str(path), _model())
     assert findings == [], "\n".join(f.render() for f in findings)
+    # Every sim-TCP segment of the run was read through its length
+    # prefix (PROTOCOL.md §7), not skipped as transport noise.
+    assert checked > 0
 
 
-def _frame_event(frame_hex: str) -> str:
+def _frame_event(frame_hex: str, protocol: str = "tcp") -> str:
     return json.dumps({
         "at": 0.0, "op": "frame", "target": "ether0",
-        "args": {"src": "h1", "dst": "h2", "protocol": "tcp",
+        "args": {"src": "h1", "dst": "h2", "protocol": protocol,
                  "size": 64, "dropped": False, "frames": [frame_hex]},
     })
 
 
-def _frame_hex(kind: int) -> str:
-    msg = m.Msg(kind=kind, src=Address(1), dst=Address(2))
-    return msg.encode().hex()
+def _frame_hex(kind: int, protocol: str = "tcp") -> str:
+    """One message as its IPCS carries it (PROTOCOL.md §7): behind a
+    shift-mode length prefix on sim-TCP, alone in an MBX record."""
+    frame = m.Msg(kind=kind, src=Address(1), dst=Address(2)).encode()
+    if protocol == "tcp":
+        frame = shift_encode_u32s([len(frame)]) + frame
+    return frame.hex()
+
+
+def _data_before_hello(protocol: str, tmp_path: Path):
+    # DATA before any HELLO on the hop: a transition outside the model.
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        _frame_event(_frame_hex(m.DATA, protocol), protocol) + "\n")
+    findings, checked = replay_trace(str(path), _model())
+    assert [f.rule for f in findings] == ["TRC001"]
+    assert "lvc" in findings[0].message
+    assert checked == 1
 
 
 def test_corrupted_trace_fires_trc001(tmp_path):
-    # DATA before any HELLO on the hop: a transition outside the model.
-    path = tmp_path / "bad.jsonl"
-    path.write_text(_frame_event(_frame_hex(m.DATA)) + "\n")
-    findings = check_trace(str(path), _model())
-    assert [f.rule for f in findings] == ["TRC001"]
-    assert "lvc" in findings[0].message
+    """A sim-TCP segment, length prefix and all."""
+    _data_before_hello("tcp", tmp_path)
+
+
+def test_corrupted_mailbox_record_fires_trc001(tmp_path):
+    _data_before_hello("mbx", tmp_path)
+
+
+@pytest.mark.parametrize("protocol, blob", [
+    # An unprefixed message on a stream, and a prefix that does not
+    # measure the bytes after it, are not one framed TCP message.
+    ("tcp", _frame_hex(m.DATA, "mbx")),
+    ("tcp", "00000001" + _frame_hex(m.DATA, "mbx")),
+    # A prefixed message is not an MBX record.
+    ("mbx", _frame_hex(m.DATA, "tcp")),
+])
+def test_trace_with_no_ntcs_frame_fires_trc002(protocol, blob, tmp_path):
+    path = tmp_path / "noise.jsonl"
+    path.write_text(_frame_event(blob, protocol) + "\n")
+    findings, checked = replay_trace(str(path), _model())
+    assert checked == 0
+    assert [f.rule for f in findings] == ["TRC002"]
+    assert "no NTCS frames to check" in findings[0].message
 
 
 def test_unknown_kind_fires_trc002(tmp_path):
     path = tmp_path / "weird.jsonl"
     path.write_text(_frame_event(_frame_hex(99)) + "\n")
-    findings = check_trace(str(path), _model())
+    findings, _checked = replay_trace(str(path), _model())
     assert [f.rule for f in findings] == ["TRC002"]
 
 
 def test_verify_cli_with_traces(tmp_path, capsys):
     good = _chaos_trace(0, tmp_path)
     assert main(["verify", str(SRC_TREE), "--trace", str(good)]) == 0
-    capsys.readouterr()
+    checked = replay_trace(str(good), _model())[1]
+    assert f"{good}: {checked} NTCS frame(s) checked" in capsys.readouterr().out
     bad = tmp_path / "bad.jsonl"
     bad.write_text(_frame_event(_frame_hex(m.DATA)) + "\n")
     assert main(["verify", str(SRC_TREE), "--trace", str(good),
                  "--trace", str(bad)]) == 1
     assert "TRC001" in capsys.readouterr().out
+
+
+def test_verify_cli_fails_a_trace_it_cannot_read(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(["verify", str(SRC_TREE), "--trace", str(empty)]) == 1
+    out = capsys.readouterr().out
+    assert f"{empty}: 0 NTCS frame(s) checked" in out
+    assert "TRC002" in out and "no NTCS frames to check" in out
 
 
 def test_verify_cli_missing_trace_is_usage_error(capsys):

@@ -11,6 +11,8 @@ death").
 Each deployment runs 50 register → locate → call-across-the-gateways →
 kill cycles; a snapshot after cycle 5 (warm-up: lazily opened naming
 circuits, route caches) must still describe the system after cycle 50.
+Half the newcomers sit behind a gateway and route on the first hop their
+registration proved, so the snapshot also covers learned routes.
 The three tests split the assertions by the defect each one catches:
 
 * hooks of closed channels kept on the surviving (accepting) process,
@@ -145,6 +147,11 @@ def _snapshot(bed):
     for label, nucleus in _nuclei(bed):
         tables[f"{label}.ip._by_lvc"] = len(nucleus.ip._by_lvc)
         tables[f"{label}.nd._lvcs"] = len(nucleus.nd._lvcs)
+        # Planned and learned first hops (PROTOCOL.md §3): one per
+        # destination network, whoever came and went.
+        tables[f"{label}.ip.route_cache"] = sorted(nucleus.ip.route_cache)
+        tables[f"{label}.ip._suspect_gateways"] = len(
+            nucleus.ip._suspect_gateways)
     for label, table in _ipcs_tables(bed):
         tables[label] = len(table)
     return {"hooks": hooks, "tables": tables}
@@ -190,6 +197,7 @@ class _Run:
         self.bed = bed
         self.dead_nuclei = []
         self.dead_processes = []
+        self.topology_queries = Counter()
         for i in range(CYCLES):
             k = i % len(pairs)
             self._cycle(i, k, pairs[k][1])
@@ -205,6 +213,8 @@ class _Run:
         dst = new.ali.locate(f"srv.{k}")
         reply = new.ali.call(dst, "echo", {"n": i, "text": "ping"})
         assert reply.values == {"n": i, "text": "PING"}
+        self.topology_queries[machine] += new.nucleus.counters[
+            "topology_queries"]
         self.dead_nuclei.append(weakref.ref(new.nucleus))
         self.dead_processes.append(new.process)
         new.process.kill()
@@ -225,6 +235,20 @@ def test_every_call_crossed_a_gateway(run):
     for gateway in run.bed.gateways.values():
         assert gateway.circuits_established >= CYCLES
         assert gateway.inter_gateway_control_messages == 0
+
+
+# Topology queries the newcomers made, by the machine they ran on.  A
+# newcomer behind a gateway (apollo1, mEnd) registered through its prime
+# gateway, so it calls into the naming network on the route that
+# registration proved (PROTOCOL.md §3) and asks naming for no topology.
+NEWCOMER_TOPOLOGY_QUERIES = {
+    "two_nets": {"vax1": CYCLES // 2, "apollo1": 0},
+    "sharded_chain": {"m0": CYCLES // 2, "mEnd": 0},
+}
+
+
+def test_newcomers_behind_a_gateway_route_on_what_they_learned(run):
+    assert run.topology_queries == NEWCOMER_TOPOLOGY_QUERIES[run.name]
 
 
 def test_surviving_processes_hold_no_history(run):
