@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import bisect
 import zlib
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import NtcsError, SimulationError
@@ -71,6 +72,18 @@ def load_name_servers(nucleus, directory: Dict[int, List[ShardEntry]],
 
 # -- the consistent-hash ring -----------------------------------------------------
 
+def _crc32(key: str) -> int:
+    return zlib.crc32(key.encode("utf-8"))
+
+
+@lru_cache(maxsize=None)
+def _shard_points(shard_id: int, vnodes: int) -> Tuple[Tuple[int, int], ...]:
+    """One shard's ``vnodes`` ring points, computed once per process:
+    every module's NSP builds a ring from the same few shards."""
+    return tuple((_crc32(f"shard-{shard_id}#{v}"), shard_id)
+                 for v in range(vnodes))
+
+
 class HashRing:
     """Deterministic consistent hashing over shard ids.
 
@@ -85,25 +98,21 @@ class HashRing:
 
     def __init__(self, shard_ids: Iterable[int] = (), vnodes: int = 128):
         self.vnodes = vnodes
-        self._points: List[Tuple[int, int]] = []  # sorted (point, shard)
-        self._shards: set = set()
-        for shard_id in sorted(shard_ids):
-            self.add_shard(shard_id)
+        self._shards: set = set(shard_ids)
+        # sorted (point, shard): one sort over every shard's points.
+        self._points: List[Tuple[int, int]] = []
+        for shard_id in self._shards:
+            self._points.extend(_shard_points(shard_id, vnodes))
+        self._points.sort()
 
-    @staticmethod
-    def _hash(key: str) -> int:
-        return zlib.crc32(key.encode("utf-8"))
-
-    def _shard_points(self, shard_id: int) -> List[Tuple[int, int]]:
-        return [(self._hash(f"shard-{shard_id}#{v}"), shard_id)
-                for v in range(self.vnodes)]
+    _hash = staticmethod(_crc32)
 
     def add_shard(self, shard_id: int) -> None:
         """Insert a shard's virtual points; idempotent."""
         if shard_id in self._shards:
             return
         self._shards.add(shard_id)
-        for point in self._shard_points(shard_id):
+        for point in _shard_points(shard_id, self.vnodes):
             bisect.insort(self._points, point)
 
     def remove_shard(self, shard_id: int) -> None:

@@ -18,12 +18,15 @@ and :attr:`inter_gateway_control_messages` is the proof: a constant 0).
 Failure handling follows Sec. 4.3 exactly: a dead LVC on one side makes
 the gateway "instruct the IP-layer on the other side of the link to
 close the associated IVC", propagating the teardown hop-by-hop back to
-the originating module.
+the originating module.  The teardown closes the *circuit*, not the
+legs: an LVC is closed by the side that opened it, and a gateway parks
+the legs it opened for the next circuit to the same peer (PROTOCOL.md
+§3, "Kept legs").
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
     AddressFault,
@@ -42,8 +45,8 @@ from repro.ntcs.protocol import T_IVC_OPEN
 from repro.util.counters import (
     GATEWAY_CIRCUITS_ESTABLISHED, GATEWAY_CIRCUITS_REFUSED, GATEWAY_CLOSE_NOTIFY_LOST,
     GATEWAY_CREDIT_CLAMPS, GATEWAY_CREDIT_DROPS, GATEWAY_FRAMES_SPLICED,
-    GATEWAY_MESSAGES_DROPPED, GATEWAY_NAK_LOST, GATEWAY_STALE_ADDR_FALLBACKS,
-    GATEWAY_TEARDOWNS, ND_MALFORMED_MESSAGES,
+    GATEWAY_LEGS_REUSED, GATEWAY_MESSAGES_DROPPED, GATEWAY_NAK_LOST,
+    GATEWAY_STALE_ADDR_FALLBACKS, GATEWAY_TEARDOWNS, ND_MALFORMED_MESSAGES,
 )
 
 
@@ -105,6 +108,8 @@ class Gateway:
     # Flow enforcement on the splice path (PROTOCOL.md §12).
     credit_overruns_dropped = _stacks_total(GATEWAY_CREDIT_DROPS)
     credit_clamps = _stacks_total(GATEWAY_CREDIT_CLAMPS)
+    # Circuits that took a parked leg instead of dialling (PROTOCOL.md §3).
+    legs_reused = _stacks_total(GATEWAY_LEGS_REUSED)
 
     def __init__(self, process, registry, wellknown,
                  config: Optional[NucleusConfig] = None,
@@ -123,11 +128,19 @@ class Gateway:
             nucleus.gateway_handler = self
             nucleus.nd.create_resource((bindings or {}).get(network))
             self.stacks[network] = nucleus
-        # inbound/outbound pairing of pass-through circuits.
-        self._splices: Dict[Lvc, Tuple[Nucleus, Lvc]] = {}
+        # inbound/outbound pairing of pass-through circuits: each leg
+        # maps to the other leg, and to whether the circuit shares legs
+        # (takes a parked one, and parks its own at teardown).
+        self._splices: Dict[Lvc, Tuple[Nucleus, Lvc, bool]] = {}
         # Per-leg credit observations for flow enforcement on the
         # splice path (PROTOCOL.md §12); all stacks share one config.
         self._splice_credit: Dict[Lvc, _SpliceCredit] = {}
+        # Open legs this gateway dialled whose circuits have closed, by
+        # the peer UAdd they reach: the next circuit to that peer takes
+        # one instead of dialling.  A leg leaves when it is taken, when
+        # it dies (its fault upcall), or with the gateway.
+        self._parked: Dict[Address, List[Tuple[Nucleus, Lvc]]] = {}
+        process.at_kill(self._parked.clear)
         self.config = next(iter(self.stacks.values())).config
         self.uadd: Optional[Address] = None
         self.name: str = f"gateway.{process.name}"
@@ -176,7 +189,7 @@ class Gateway:
         if lvc in self._splices:
             # Only a teardown gets here decoded: the frame tap forwards
             # every other kind on a spliced LVC from its header view.
-            self._forward_close(lvc, msg)
+            self._forward_close(nucleus, lvc, msg)
             return True
         if msg.kind == m.IVC_OPEN and not self._is_mine(msg.dst):
             # The gateway terminates the IVC_OPEN at each hop (it
@@ -191,11 +204,13 @@ class Gateway:
         return False
 
     def on_fault(self, nucleus: Nucleus, lvc: Lvc, reason: str) -> bool:
-        """A spliced LVC died: close the other side (Sec. 4.3)."""
+        """A spliced LVC died: close the circuit on the other side
+        (Sec. 4.3).  A parked leg that died just leaves the idle set."""
         splice = self._dismantle(lvc)
         if splice is None:
+            self._unpark(nucleus, lvc)
             return False
-        other_nucleus, other_lvc = splice
+        other_nucleus, other_lvc, shared = splice
         close_msg = m.Msg(
             kind=m.IVC_CLOSE,
             src=nucleus.self_addr,
@@ -210,22 +225,80 @@ class Gateway:
         except NtcsError:
             # Best-effort: the surviving leg may already be down too.
             other_nucleus.counters[GATEWAY_CLOSE_NOTIFY_LOST] += 1
-        other_nucleus.ip.close_spliced(other_lvc, "splice peer failed")
+        self._release(other_nucleus, other_lvc, shared, "splice peer failed")
         return True
 
-    def _dismantle(self, lvc: Lvc) -> Optional[Tuple[Nucleus, Lvc]]:
+    def _dismantle(self, lvc: Lvc) -> Optional[Tuple[Nucleus, Lvc, bool]]:
         """Forget the splice ``lvc`` is one leg of — both directions,
-        both credit ledgers — and return its other leg, or None when
-        ``lvc`` is not spliced."""
+        both credit ledgers — and return its other leg and whether the
+        circuit shares legs, or None when ``lvc`` is not spliced."""
         splice = self._splices.pop(lvc, None)
         if splice is None:
             return None
-        other_nucleus, other_lvc = splice
+        other_nucleus, other_lvc, _shared = splice
         self._splices.pop(other_lvc, None)
         self._splice_credit.pop(lvc, None)
         self._splice_credit.pop(other_lvc, None)
+        lvc.frame_tap = other_lvc.frame_tap = None
         other_nucleus.counters[GATEWAY_TEARDOWNS] += 1
         return splice
+
+    # -- kept legs (PROTOCOL.md §3) ----------------------------------------------
+
+    def _release(self, nucleus: Nucleus, lvc: Lvc, shared: bool,
+                 reason: str) -> None:
+        """A leg whose circuit just closed.  An LVC is closed by the
+        side that opened it: an open inbound leg is left to its opener;
+        an open leg this gateway dialled for a circuit that shares legs
+        is parked for the next circuit to its peer, when that peer is
+        registered and is the one that answered; anything else is
+        closed."""
+        if lvc.open:
+            if lvc.inbound:
+                return
+            peer = lvc.dialled
+            if shared and not peer.temporary and peer == lvc.peer_addr:
+                self._parked.setdefault(peer, []).append((nucleus, lvc))
+                return
+        nucleus.nd.close(lvc, reason)
+
+    def _take_parked(self, nucleus: Nucleus, peer: Address) -> Optional[Lvc]:
+        """A parked, still-open leg from ``nucleus`` to ``peer``, taken
+        out of the idle set and guarded by :meth:`_until_open_reply`;
+        None when there is none."""
+        for owner, lvc in reversed(self._parked.get(peer, ())):
+            if owner is nucleus and lvc.open:
+                self._unpark(nucleus, lvc)
+                nucleus.counters[GATEWAY_LEGS_REUSED] += 1
+                lvc.frame_tap = lambda raw: self._until_open_reply(lvc, raw)
+                return lvc
+        return None
+
+    def _until_open_reply(self, lvc: Lvc, raw: bytes) -> bool:
+        """The frame tap of a taken leg until its new circuit's
+        IVC_OPEN is answered.  The peer answers that IVC_OPEN before it
+        sends the new circuit anything else, so another frame arriving
+        first was sent on the circuit that closed: it is consumed and
+        dropped.  An IVC_CLOSE goes on to :meth:`handle`, since it may
+        end the circuit still opening."""
+        try:
+            kind = m.HeaderView(raw).kind
+        except ProtocolError:
+            return False  # let the ND-Layer's malformed handling run
+        if kind == m.IVC_CLOSE:
+            return False
+        if kind in (m.IVC_OPEN_ACK, m.IVC_OPEN_NAK):
+            lvc.frame_tap = lambda frame: self._fast_forward(lvc, frame)
+            return self._fast_forward(lvc, raw)
+        return True
+
+    def _unpark(self, nucleus: Nucleus, lvc: Lvc) -> None:
+        """Take ``lvc`` out of the idle set, if it is parked."""
+        legs = self._parked.get(lvc.dialled)
+        if legs and (nucleus, lvc) in legs:
+            legs.remove((nucleus, lvc))
+            if not legs:
+                del self._parked[lvc.dialled]
 
     def _is_mine(self, addr: Address) -> bool:
         if self.uadd is not None and addr == self.uadd:
@@ -242,21 +315,31 @@ class Gateway:
             in_nucleus.counters[GATEWAY_CIRCUITS_REFUSED] += 1
             self._nak(in_nucleus, in_lvc, msg, "hop count exceeded")
             return
+        # A naming circuit from our direct neighbour (a gateway's own,
+        # above all) stays open as long as its module: it dials its own
+        # legs and closes them with it, leaving the parked legs to the
+        # circuits that come and go (PROTOCOL.md §3, "Kept legs").
+        shared = (msg.src != in_lvc.peer_addr
+                  or msg.dst not in in_nucleus.ns_addresses)
         try:
-            out_nucleus, out_lvc = self._open_next_hop(msg.dst, dst_network)
+            out_nucleus, out_lvc = self._open_next_hop(
+                msg.dst, dst_network, shared)
         except (AddressFault, RouteNotFound, NoSuchAddress, NtcsError) as exc:
             in_nucleus.counters[GATEWAY_CIRCUITS_REFUSED] += 1
             self._nak(in_nucleus, in_lvc, msg, str(exc))
             return
         # Splice before forwarding so the returning IVC_OPEN_ACK already
         # has a path back upstream.
-        self._splices[in_lvc] = (out_nucleus, out_lvc)
-        self._splices[out_lvc] = (in_nucleus, in_lvc)
+        self._splices[in_lvc] = (out_nucleus, out_lvc, shared)
+        self._splices[out_lvc] = (in_nucleus, in_lvc, shared)
         # Spliced frames bypass decoding entirely: the ND-Layer hands
         # each raw inbound frame to _fast_forward, which routes on the
         # header view alone (words 1–6) without materializing a Msg.
+        # (A leg taken from the idle set arrives with a guarding tap of
+        # its own, which hands over at the IVC_OPEN's answer.)
         in_lvc.frame_tap = lambda raw: self._fast_forward(in_lvc, raw)
-        out_lvc.frame_tap = lambda raw: self._fast_forward(out_lvc, raw)
+        if out_lvc.frame_tap is None:
+            out_lvc.frame_tap = lambda raw: self._fast_forward(out_lvc, raw)
         in_nucleus.counters[GATEWAY_CIRCUITS_ESTABLISHED] += 1
         # Forward the original frame with only the hop-count (aux) and
         # checksum words patched in place — no header re-serialization.
@@ -264,13 +347,15 @@ class Gateway:
             out_lvc, m.patch_frame_aux(msg.encode(), hops + 1)
         )
 
-    def _open_next_hop(self, dst: Address, dst_network: str) -> Tuple[Nucleus, Lvc]:
+    def _open_next_hop(self, dst: Address, dst_network: str,
+                       shared: bool) -> Tuple[Nucleus, Lvc]:
         """Open the next LVC of the chain: to the destination itself
         when its network is one of ours, else to the next gateway
         toward it — chosen with the same naming-service machinery the
-        originating IP-Layer used (Sec. 4.1)."""
+        originating IP-Layer used (Sec. 4.1).  A ``shared`` circuit takes
+        a parked leg to that peer before anything is dialled."""
         if dst_network in self.stacks:
-            return self._open_final_hop(dst, dst_network)
+            return self._open_final_hop(dst, dst_network, shared)
         # Route onward: first hop toward dst_network from any of our
         # stacks (each stack's IP-Layer owns the BFS and its cache).
         errors = []
@@ -283,6 +368,10 @@ class Gateway:
             gw_dst = plan.gw_uadd or nucleus.tadds.allocate()
             if self.uadd is not None and plan.gw_uadd == self.uadd:
                 continue  # never route through ourselves
+            if shared and plan.gw_uadd is not None:
+                lvc = self._take_parked(nucleus, plan.gw_uadd)
+                if lvc is not None:
+                    return nucleus, lvc
             try:
                 lvc = nucleus.nd.open_lvc(gw_dst, plan.blob,
                                           reason="next gateway hop")
@@ -300,9 +389,12 @@ class Gateway:
             f"no onward route to {dst_network!r}: {'; '.join(errors) or 'no gateways'}"
         )
 
-    def _open_final_hop(self, dst: Address, dst_network: str) -> Tuple[Nucleus, Lvc]:
+    def _open_final_hop(self, dst: Address, dst_network: str,
+                        shared: bool) -> Tuple[Nucleus, Lvc]:
         """Open the chain's last LVC, straight to ``dst`` on
-        ``dst_network``.  The blob comes from the well-known table, else
+        ``dst_network``: for a ``shared`` circuit, a parked leg to ``dst``
+        when there is one, so no blob is needed at all.  Else the blob comes
+        from the well-known table, else
         from this stack's address cache (the open protocol taught it at
         the peer's last HELLO, Sec. 3.3), else from the naming service.
         A cached blob that no longer answers is resolved afresh; when
@@ -310,6 +402,9 @@ class Gateway:
         its fault stands without a second connect round (PROTOCOL.md
         §3, "IVC through gateways")."""
         out_nucleus = self.stacks[dst_network]
+        lvc = self._take_parked(out_nucleus, dst) if shared else None
+        if lvc is not None:
+            return out_nucleus, lvc
         blob = self.wellknown.blob_for(dst, dst_network)
         if blob is None:
             entry = out_nucleus.addr_cache.lookup(dst)
@@ -384,7 +479,7 @@ class Gateway:
             return False  # let the ND-Layer's malformed handling run
         if header.kind == m.IVC_CLOSE:
             return False
-        out_nucleus, out_lvc = splice
+        out_nucleus, out_lvc, _shared = splice
         raw, forward = self._enforce_credit(
             in_lvc, out_nucleus, out_lvc, header, raw)
         if not forward:
@@ -449,16 +544,20 @@ class Gateway:
             state.debits += 1
         return raw, True
 
-    def _forward_close(self, in_lvc: Lvc, msg: m.Msg) -> None:
-        """Propagate an IVC_CLOSE and dismantle the splice (Sec. 4.3)."""
-        out_nucleus, out_lvc = self._dismantle(in_lvc)
+    def _forward_close(self, in_nucleus: Nucleus, in_lvc: Lvc,
+                       msg: m.Msg) -> None:
+        """Propagate an IVC_CLOSE and dismantle the splice (Sec. 4.3);
+        both legs outlive the circuit by :meth:`_release`'s rule."""
+        out_nucleus, out_lvc, shared = self._dismantle(in_lvc)
         try:
             out_nucleus.nd.send(out_lvc, msg)
         except NtcsError:
-            # The other leg is failing with the circuit; the close
-            # below dismantles it regardless.
+            # The other leg is failing with the circuit; its close
+            # below is the fault's.
             out_nucleus.counters[GATEWAY_CLOSE_NOTIFY_LOST] += 1
-        out_nucleus.ip.close_spliced(out_lvc, "ivc closed")
+        self._release(out_nucleus, out_lvc, shared, "ivc closed")
+        if not in_lvc.inbound:
+            self._release(in_nucleus, in_lvc, shared, "ivc closed")
 
     # -- introspection -------------------------------------------------------
 

@@ -658,31 +658,31 @@ class IpLayer:
         self._by_lvc.pop(ivc.lvc, None)
         self.nd.close(ivc.lvc, reason)
 
-    def close_spliced(self, lvc: Lvc, reason: str) -> None:
-        """Gateway hook: close the surviving leg of a dismantled
-        splice.  The gateway spoke for the circuit, so no IVC_CLOSE of
-        ours and no upcall — but the endpoint entry the leg's accept
-        created must not outlive it."""
-        self._by_lvc.pop(lvc, None)
-        self.nd.close(lvc, reason)
-
     # -- upcalls from the ND-Layer ------------------------------------------------
 
-    def _on_lvc_accept(self, lvc: Lvc) -> None:
+    def _on_lvc_accept(self, lvc: Lvc) -> Ivc:
         # Until proven otherwise this inbound circuit is a direct IVC;
         # an IVC_OPEN arriving on it upgrades it to a chained endpoint.
         ivc = Ivc(lvc, peer_addr=lvc.peer_addr, direct=True)
         self._attach_flow(ivc)
         self._by_lvc[lvc] = ivc
+        return ivc
 
     def _on_lvc_message(self, lvc: Lvc, msg: m.Msg) -> None:
         nucleus = self.nucleus
         gateway = nucleus.gateway_handler
         if gateway is not None and gateway.handle(nucleus, lvc, msg):
+            # The leg belongs to the pass-through plane: the endpoint
+            # entry its accept created is not a circuit of ours.
+            self._by_lvc.pop(lvc, None)
             return
         ivc = self._by_lvc.get(lvc)
         if ivc is None:
-            return
+            if msg.kind != m.IVC_OPEN or not lvc.inbound:
+                return
+            # A kept inbound leg (PROTOCOL.md §3) awaits its next
+            # circuit's IVC_OPEN as it did at accept.
+            ivc = self._on_lvc_accept(lvc)
         # This message terminates here: settle the checksum deferred by
         # the ND-Layer (once end-to-end, not once per hop).
         if not msg.checksum_ok():
@@ -700,7 +700,9 @@ class IpLayer:
             ivc.nak_reason = values["reason"]
             ivc.state = "FAILED"
         elif msg.kind == m.IVC_CLOSE:
-            self._teardown(ivc, "closed by remote")
+            # The circuit closes; the leg is closed by the side that
+            # opened it (PROTOCOL.md §3).
+            self._teardown(ivc, "closed by remote", keep_leg=lvc.inbound)
         elif msg.kind == m.CREDIT_GRANT:
             self._on_credit_grant(ivc, msg)
         elif msg.kind == m.CREDIT_PROBE:
@@ -764,14 +766,15 @@ class IpLayer:
             self._teardown(ivc, reason)
 
     @handles("ivc_close")
-    def _teardown(self, ivc: Ivc, reason: str) -> None:
+    def _teardown(self, ivc: Ivc, reason: str, keep_leg: bool = False) -> None:
         if ivc.state == "CLOSED":
             return
         was_opening = ivc.state == "OPENING"
         ivc.state = "FAILED" if was_opening else "CLOSED"
         ivc.nak_reason = ivc.nak_reason or reason
         self._by_lvc.pop(ivc.lvc, None)
-        self.nd.close(ivc.lvc, reason)
+        if not keep_leg:
+            self.nd.close(ivc.lvc, reason)
         if not was_opening:
             # "Notification is simply passed upward" — the LCM-Layer
             # owns relocation and recovery.

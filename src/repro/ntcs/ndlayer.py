@@ -117,6 +117,9 @@ class Lvc:
         self.inbound = inbound
         self.state = "NEW"  # NEW / HELLO_SENT / AWAIT_HELLO / OPEN / CLOSED
         self.peer_addr: Optional[Address] = None
+        # The address an outbound LVC was opened to reach (None when
+        # inbound); the peer that answers its HELLO may be another.
+        self.dialled: Optional[Address] = None
         self.peer_mtype_name: str = ""
         self.peer_blob: str = ""
         self.close_reason: Optional[str] = None
@@ -197,6 +200,7 @@ class NdLayer:
                 )
             mchan = self._connect_with_retry(dst, blob)
             lvc = Lvc(mchan, inbound=False)
+            lvc.dialled = dst
             self._install(lvc)
             hello = m.Msg(
                 kind=m.LVC_HELLO,

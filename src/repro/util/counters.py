@@ -103,6 +103,7 @@ GATEWAY_STALE_ADDR_FALLBACKS = _nucleus("gateway_stale_addr_fallbacks", "stale f
 GATEWAY_MESSAGES_DROPPED = _nucleus("gateway_messages_dropped", "frames lost to a dead outbound leg")
 GATEWAY_NAK_LOST = _nucleus("gateway_nak_lost", "IVC_OPEN_NAKs lost to a dead opener")
 GATEWAY_CLOSE_NOTIFY_LOST = _nucleus("gateway_close_notify_lost", "IVC_CLOSEs lost to a dead leg")
+GATEWAY_LEGS_REUSED = _nucleus("gateway_legs_reused", "circuits opened on a parked leg (outbound stack)")
 # -- ConversionRegistry ------------------------------------------------------
 CODEC_CACHE_HITS = _registry("codec_cache_hits", "(type, src, dst) route-cache hits")
 CODEC_CACHE_MISSES = _registry("codec_cache_misses", "(type, src, dst) route-cache misses")

@@ -170,3 +170,41 @@ def test_chain_nets_prime_routing_reaches_ns():
     bed = chain_nets(3)
     far = bed.module("far.worker", "mEnd")
     assert not far.address.temporary
+
+
+def test_a_taken_leg_drops_what_its_last_circuit_left_in_flight():
+    """A kept leg (PROTOCOL.md §3, "Kept legs") may still bring in a
+    frame its peer sent on the circuit that closed.  Once the next
+    circuit has taken the leg, such a frame arrives ahead of the answer
+    to the new IVC_OPEN; the gateway drops it instead of forwarding it
+    to the new circuit's originator."""
+    bed = chain_nets(2)
+    server = echo_server(bed, "dest", "mEnd")
+    first = bed.module("first", "m0")
+    uadd = first.ali.locate("dest")
+    first.ali.call(uadd, "echo", {"n": 0, "text": "a"})
+    first.process.kill()
+    bed.settle()
+    ip = server.nucleus.ip
+    answer_open = ip._on_ivc_open_as_endpoint
+
+    def straggler_then_answer(ivc, msg):
+        # A reply of the closed circuit, sent before this IVC_OPEN was
+        # read: it reaches the gateway ahead of the IVC_OPEN_ACK.
+        ip.nd.send(ivc.lvc, m.Msg(kind=m.DATA, src=server.nucleus.self_addr,
+                                  dst=msg.src, flags=m.FLAG_IS_REPLY))
+        answer_open(ivc, msg)
+
+    ip._on_ivc_open_as_endpoint = straggler_then_answer
+    second = bed.module("second", "m0")
+    delivered = []
+    deliver = second.nucleus.ip._deliver_upcall
+    second.nucleus.ip._deliver_upcall = lambda ivc, msg: (
+        delivered.append(msg.src), deliver(ivc, msg))
+    gwm1 = bed.gateways["gwm1"]
+    reply = second.ali.call(uadd, "echo", {"n": 1, "text": "b"})
+    assert reply.values["text"] == "B"
+    assert gwm1.legs_reused == 1
+    # From the server, only the echo reply came up: the straggler died
+    # at gwm1.
+    assert delivered.count(uadd) == 1

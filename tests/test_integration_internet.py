@@ -148,15 +148,15 @@ def test_e5_cost_grows_with_the_hops_and_nothing_else():
 
 # What one death costs on the wire (PROTOCOL.md §10, "Process death"):
 # frames from kill() until the bed settles, per arrival-train window.
-# Each hop of the teardown receives IVC_CLOSE and its peer's CLOSE.  At
-# train_max = 1 it acknowledges the IVC_CLOSE and answers with a CLOSE
-# of its own before the peer's arrives; at the default window both
-# arrive in one train, and a connection whose CLOSE has arrived is sent
-# nothing (PROTOCOL.md §13).
+# Each later hop of the teardown receives IVC_CLOSE and acknowledges it;
+# the gateway keeps the leg, so no CLOSE follows (PROTOCOL.md §3, "Kept
+# legs").  The windows still differ where a connection's CLOSE arrives
+# in one train with what it would have been answered (PROTOCOL.md §13).
+# Before gateways kept their legs: 11/8, 8/6 and 14/10.
 TEARDOWN_FRAMES = {
-    "chain2_client": {1: 11, 64: 8},
-    "two_nets_client": {1: 8, 64: 6},
-    "two_nets_ring_server": {1: 14, 64: 10},
+    "chain2_client": {1: 8, 64: 8},
+    "two_nets_client": {1: 6, 64: 6},
+    "two_nets_ring_server": {1: 11, 64: 10},
 }
 _TEARDOWNS = {
     # (deployment, server machine, client machine, who dies)
@@ -303,9 +303,10 @@ def test_gateway_restored_circuit_after_reopen():
 # gwm1, so its first call into net0 goes out on the route that circuit
 # proved (PROTOCOL.md §3) and asks no shard for ns_list_gw: (1, 175)
 # before the IP-Layer kept proven first hops.  The m0 newcomer has no
-# chained circuit before its call, and still asks once: (1, 83) before
-# as after.
-COLD_CONTACT = {"mEnd": (0, 151), "m0": (1, 83)}
+# chained circuit before its call, and still asks once.  The warm-up
+# contacts left the gateways' legs parked, so each contact's circuits
+# open on them: (0, 151) and (1, 83) before gateways kept their legs.
+COLD_CONTACT = {"mEnd": (0, 121), "m0": (1, 71)}
 
 
 def test_cold_contact_census_from_each_end():
@@ -417,7 +418,8 @@ def test_stale_entry_of_a_relocated_destination_forwards():
     """(a) The destination is killed and re-registered as a new process:
     its old blob refuses the connect, the gateway falls back to naming
     and NAKs, and the veteran's LCM follows the forwarding to the
-    replacement.  Naming-first: 0.060000000000000026 s, 2 naming calls."""
+    replacement.  Naming-first: 0.060000000000000026 s, 2 naming calls;
+    the repaired circuit now opens on gwm0's parked leg to gwm1."""
     bed, _groups = sharded_chain(hops=2, shards=2, replicas=2)
     _server, veteran, uadd = veteran_of_far_echo(bed)
 
@@ -431,15 +433,17 @@ def test_stale_entry_of_a_relocated_destination_forwards():
     reply, elapsed, fallbacks, nsp_calls = _call_again(bed, veteran, uadd)
     assert reply.values["text"] == "AGAIN"
     assert veteran.nucleus.counters["lcm_relocations_followed"] == 1
-    assert (elapsed, fallbacks, nsp_calls) == (0.060000000000000026, 1, 2)
+    assert (elapsed, fallbacks, nsp_calls) == (0.052000000000000046, 1, 2)
 
 
 def test_stale_entry_of_a_crashed_machine_costs_one_connect_round():
     """(b) The destination's machine crashes: the cached blob times out,
     naming still names the same blob, so the gateway NAKs at once rather
     than dialling it a second time.  The connect attempts on the far
-    network and the time to the typed failure equal the naming-first
-    hop's (30 attempts, 2.583001646631283 s, 15 naming calls)."""
+    network and the naming calls equal the naming-first hop's (30
+    attempts, 15 calls).  So did the time to the typed failure,
+    2.583001646631283 s, before each retry's circuit opened on gwm0's
+    parked leg to gwm1."""
     bed, _groups = sharded_chain(hops=2, shards=2, replicas=2)
     _server, veteran, uadd = veteran_of_far_echo(bed)
     far_stack = bed.gateways["gwm1"].stacks["net2"]
@@ -447,7 +451,7 @@ def test_stale_entry_of_a_crashed_machine_costs_one_connect_round():
     bed.settle()
     outcome, elapsed, fallbacks, nsp_calls = _call_again(bed, veteran, uadd)
     assert isinstance(outcome, DestinationUnavailable)
-    assert (elapsed, fallbacks, nsp_calls) == (2.583001646631283, 1, 15)
+    assert (elapsed, fallbacks, nsp_calls) == (2.523001646631287, 1, 15)
     assert far_stack.counters["nd_open_retries"] == 30
 
 
@@ -457,7 +461,8 @@ def test_cached_blob_of_another_live_module_is_refused_by_the_endpoint():
     impostor's IP-Layer refuses the chained open with its
     not-a-gateway NAK, which the originator sees as the same typed
     failure the naming-first hop gave (0.9640016466313124 s, 5 naming
-    calls).  No hang, no untyped exception."""
+    calls; 0.9440016466313128 s before the retries opened on gwm0's
+    parked leg to gwm1).  No hang, no untyped exception."""
     bed, _groups = sharded_chain(hops=2, shards=2, replicas=2)
     server, veteran, uadd = veteran_of_far_echo(bed)
     impostor = echo_server(bed, "other.echo", "mEnd")
@@ -468,7 +473,7 @@ def test_cached_blob_of_another_live_module_is_refused_by_the_endpoint():
     outcome, elapsed, fallbacks, nsp_calls = _call_again(bed, veteran, uadd)
     assert isinstance(outcome, DestinationUnavailable)
     assert "no replacement module" in str(outcome)
-    assert (elapsed, fallbacks, nsp_calls) == (0.9440016466313128, 0, 0)
+    assert (elapsed, fallbacks, nsp_calls) == (0.9240016466313132, 0, 0)
     assert impostor.nucleus.counters["ivc_open_refused_not_gateway"] == 5
 
 

@@ -31,6 +31,12 @@ a failed open must not leave a spliced leg or a half-open LVC behind.
 The same holds for the client's blob primed by its locate (PROTOCOL.md
 §5) when the destination relocates or dies before the first call, and a
 forged locate reply primes nothing at all.
+
+The snapshot also holds each gateway's parked legs per peer (PROTOCOL.md
+§3, "Kept legs"): a gateway never parks more legs to a peer than it
+ever had circuits open to that peer at once, and none to a dead module.
+Three hazards aim at a parked leg whose peer dies: killed, crashed
+silently, and a NAKed open further down the chain.
 """
 
 import gc
@@ -41,6 +47,8 @@ from dataclasses import replace
 import pytest
 
 from deployments import (
+    SIM,
+    chain_nets,
     echo_server,
     sharded_chain,
     two_nets,
@@ -98,6 +106,9 @@ def _nuclei(bed):
 IPCS_TABLES = {
     "tcp": ("_conns", "_by_peer", "_listeners", "_acks_owed", "_rx_ready"),
     "mbx": ("_conns", "_mailboxes", "_acks_owed", "_records"),
+    # Over real sockets the kernel holds the connections: the IPCS slot
+    # keeps no table of its own.
+    "rtcp": (),
 }
 
 
@@ -107,8 +118,8 @@ def _ipcs_tables(bed):
     acknowledgement, stream chunks and records not yet handed up."""
     for machine in bed.machines.values():
         for ipcs in machine.ipcs_instances():
-            label = f"{machine.name}/{ipcs.network.name}"
             for attr in IPCS_TABLES[ipcs.protocol]:
+                label = f"{machine.name}/{ipcs.network.name}"
                 yield f"{label}{attr}", getattr(ipcs, attr)
 
 
@@ -134,6 +145,45 @@ def _teardown_count(process):
     return len(process._kill_hooks) + len(getattr(process, "_resources", ()))
 
 
+def _parked(gateway):
+    """A gateway's parked legs, counted per peer."""
+    return {str(peer): len(legs)
+            for peer, legs in sorted(gateway._parked.items())}
+
+
+def _track_peak_circuits(bed):
+    """Count, from now on, the most circuits each gateway has had open
+    at once to each peer it dialled; returns the live Counter keyed by
+    (gateway name, peer)."""
+    peaks = Counter()
+    for name, gateway in bed.gateways.items():
+        def establish(nucleus, lvc, msg, name=name, gateway=gateway,
+                      original=gateway._establish):
+            original(nucleus, lvc, msg)
+            live = Counter(str(leg.dialled) for leg in gateway._splices
+                           if not leg.inbound)
+            for peer, count in live.items():
+                peaks[name, peer] = max(peaks[name, peer], count)
+
+        gateway._establish = establish
+    return peaks
+
+
+def _parking_beyond_peak(bed, peaks):
+    """(gateway, peer, parked, peak) wherever a gateway holds more
+    parked legs to a peer than it ever had circuits to it at once."""
+    return [(name, peer, count, peaks[name, peer])
+            for name, gateway in bed.gateways.items()
+            for peer, count in _parked(gateway).items()
+            if count > peaks[name, peer]]
+
+
+def _parked_to(bed, commod):
+    """Legs any gateway still keeps parked to ``commod``'s module."""
+    return sum(len(gateway._parked.get(commod.nucleus.self_addr, ()))
+               for gateway in bed.gateways.values())
+
+
 def _snapshot(bed):
     hooks = {
         f"{process.name}@{machine.name}": _teardown_count(process)
@@ -144,6 +194,7 @@ def _snapshot(bed):
     for name, gateway in bed.gateways.items():
         tables[f"gw.{name}._splices"] = len(gateway._splices)
         tables[f"gw.{name}._splice_credit"] = len(gateway._splice_credit)
+        tables[f"gw.{name}._parked"] = _parked(gateway)
     for label, nucleus in _nuclei(bed):
         tables[f"{label}.ip._by_lvc"] = len(nucleus.ip._by_lvc)
         tables[f"{label}.nd._lvcs"] = len(nucleus.nd._lvcs)
@@ -195,6 +246,9 @@ class _Run:
         bed.settle()
         assert not _train_debts(bed)
         self.bed = bed
+        self.peaks = _track_peak_circuits(bed)
+        self.beyond_peak = []
+        self.parked_to_dead = 0
         self.dead_nuclei = []
         self.dead_processes = []
         self.topology_queries = Counter()
@@ -220,6 +274,8 @@ class _Run:
         new.process.kill()
         bed.settle()
         assert not _train_debts(bed), f"cycle {i}: {_train_debts(bed)}"
+        self.beyond_peak += _parking_beyond_peak(bed, self.peaks)
+        self.parked_to_dead += _parked_to(bed, new)
         del bed.modules[name]
 
 
@@ -276,9 +332,12 @@ def test_dead_modules_leave_nothing_behind(run):
 
 
 def test_circuit_tables_return_to_steady_state(run):
-    """Splice tables, IVC endpoint entries, LVC tables and IPCS
-    connection tables describe what is open now, not what ever was."""
+    """Splice tables, parked legs, IVC endpoint entries, LVC tables and
+    IPCS connection tables describe what is open now, not what ever
+    was."""
     assert run.final["tables"] == run.warm["tables"]
+    assert run.beyond_peak == []
+    assert run.parked_to_dead == 0
 
 
 def test_one_close_per_connection(run):
@@ -292,10 +351,16 @@ def test_one_close_per_connection(run):
 
 
 # Acknowledgements of the dying module's ns_deregister: they leave in
-# the train before its CLOSE arrives, one per module and gateway hop on
-# its naming circuit, and reach a connection already gone.  Pinned for
-# a change that closes a dying module's circuits oldest first.
-DEAD_ACK_RESIDUE = {"two_nets": 67, "sharded_chain": 91}
+# the train before its CLOSE arrives and reach a connection already
+# gone, one per dying module, sent by the first hop of its naming
+# circuit.  By (network, sender): on two_nets, 23 from the Name Server's
+# vax1 on ether0 and 22 from gw1 on ring0; on the sharded chain, 22 from
+# the naming shards on net0 (ns00 10, ns10 12) and 23 from gwm1 on net2.
+# A later hop's ACK reaches the leg its gateway keeps parked (PROTOCOL.md
+# §3): 67 and 91 before, with 22 more from vax1 on ether0, and 23 from
+# gwm0 on net1 plus 23 more from the shards on net0.  Pinned for a
+# change that closes a dying module's circuits oldest first.
+DEAD_ACK_RESIDUE = {"two_nets": 45, "sharded_chain": 45}
 
 
 def test_no_ack_reaches_a_dead_connection_but_the_deregister_residue(run):
@@ -393,6 +458,7 @@ def _killed_before_the_first_call(bed, i, machine):
 
 def _hazard_snapshots(hazard, machine, prepare=None):
     bed, _groups = sharded_chain(hops=2, shards=2, replicas=2)
+    peaks = _track_peak_circuits(bed)
     if prepare is not None:
         prepare(bed)
     snapshots = []
@@ -400,10 +466,12 @@ def _hazard_snapshots(hazard, machine, prepare=None):
         for commod in hazard(bed, i, machine):
             commod.process.kill()
         bed.settle()
-        for name in [name for name, commod in bed.modules.items()
-                     if not commod.process.alive]:
-            del bed.modules[name]
+        for name, commod in list(bed.modules.items()):
+            if not commod.process.alive:
+                assert _parked_to(bed, commod) == 0, name
+                del bed.modules[name]
         assert not _train_debts(bed)
+        assert _parking_beyond_peak(bed, peaks) == []
         snapshots.append(_snapshot(bed))
     return snapshots
 
@@ -468,3 +536,139 @@ def test_forged_locate_reply_primes_nothing(forge):
     snapshots = _hazard_snapshots(
         hazard, "mEnd", prepare=lambda bed: _forge_locate_replies(bed, forge))
     assert snapshots[-2] == snapshots[-1]
+
+
+
+# Hazards of a parked leg (PROTOCOL.md §3, "Kept legs").  On
+# chain_nets(2) a client on m0 calls an echo server on mEnd and dies:
+# gwm0 keeps its leg to gwm1 and gwm1 its leg to the server.  Then the
+# peer at the far end of a parked leg dies.
+
+def _quiesce(bed, substrate, done):
+    """Let the bed come to rest: the simulator settles; over real
+    sockets the kernel is pumped until ``done`` holds."""
+    if substrate.name == "sim":
+        bed.settle()
+        assert done()
+    else:
+        assert bed.scheduler.pump_until(done, timeout=5)
+
+
+def _forget_the_dead(bed):
+    for name, commod in list(bed.modules.items()):
+        if not commod.process.alive:
+            del bed.modules[name]
+
+
+def _assert_last_rounds_match(bed, substrate, snapshots):
+    """The last two rounds leave equal snapshots.  Over real sockets,
+    whose kernel has no idle state, the last one is waited for."""
+    if substrate.name == "real":
+        assert bed.scheduler.pump_until(
+            lambda: _snapshot(bed) == snapshots[-2], timeout=5)
+    else:
+        assert snapshots[-2] == snapshots[-1]
+
+
+def _call_and_die(bed, substrate, client_name, server_name):
+    """A client on m0 locates and calls ``server_name`` once, then dies;
+    returns once its circuit's legs are parked."""
+    server = bed.modules[server_name]
+    client = bed.module(client_name, "m0")
+    uadd = client.ali.locate(server_name)
+    reply = client.ali.call(uadd, "echo", {"n": 1, "text": "x"}, timeout=5.0)
+    assert reply.values["text"] == "X"
+    client.process.kill()
+    _quiesce(bed, substrate, lambda: _parked_to(bed, server) == 1)
+    _forget_the_dead(bed)
+    return uadd
+
+
+def test_a_killed_peers_close_evicts_its_parked_leg(substrate):
+    """Kill: the server's CLOSE reaches gwm1's parked leg, whose fault
+    upcall evicts it as it arrives: no later circuit can take it."""
+    bed = chain_nets(2, substrate=substrate)
+    snapshots = []
+    for i in range(3):
+        server = echo_server(bed, f"dest.{i}", "mEnd")
+        _call_and_die(bed, substrate, f"client.{i}", f"dest.{i}")
+        server.process.kill()
+        if substrate.name == "sim":
+            # The CLOSE's one-way trip on net2, and nothing more.
+            start = bed.now
+            assert bed.scheduler.pump_until(
+                lambda: _parked_to(bed, server) == 0, timeout=1.0)
+            assert round((bed.now - start) * 1000, 4) == 1.0
+        _quiesce(bed, substrate, lambda: _parked_to(bed, server) == 0)
+        _forget_the_dead(bed)
+        snapshots.append(_snapshot(bed))
+    _assert_last_rounds_match(bed, substrate, snapshots)
+
+
+def test_a_parked_leg_to_a_silently_crashed_host_fails_typed():
+    """Silent host crash (simulator only: over loopback sockets the OS
+    closes a crashed module's sockets, which is the kill above).  No
+    CLOSE arrives, so the leg stays parked until a circuit takes it.
+    That circuit's IVC_OPEN goes unanswered until the transport gives
+    up; the fault evicts the leg.  The LCM's retries dial afresh, and
+    the call ends in the typed error a crashed destination always gave,
+    inside its timeout.  So does the next newcomer's call, which finds
+    no leg parked."""
+    bed = chain_nets(2)
+    server = echo_server(bed, "dest", "mEnd")
+    uadd = _call_and_die(bed, SIM, "client", "dest")
+    gwm1 = bed.gateways["gwm1"]
+    far_stack = gwm1.stacks["net2"]
+    bed.machines["mEnd"].crash()
+    bed.settle()
+    assert _parked_to(bed, server) == 1
+    snapshots = []
+    for i in range(3):
+        client = bed.module(f"late.{i}", "m0")
+        client.nucleus.addr_cache.store(uadd, server.nucleus.nd.listen_blob,
+                                        server.nucleus.mtype.name)
+        reused, dials = gwm1.legs_reused, far_stack.counters["nd_open_retries"]
+        start = bed.now
+        with pytest.raises(DestinationUnavailable):
+            client.ali.call(uadd, "echo", {"n": i, "text": "x"}, timeout=5.0)
+        assert bed.now - start < 5.0
+        assert _parked_to(bed, server) == 0
+        assert gwm1.legs_reused - reused == (1 if i == 0 else 0)
+        assert far_stack.counters["nd_open_retries"] > dials
+        client.process.kill()
+        bed.settle()
+        _forget_the_dead(bed)
+        snapshots.append(_snapshot(bed))
+    assert snapshots[-2] == snapshots[-1]
+
+
+def test_a_nak_downstream_parks_the_upstream_leg(substrate):
+    """NAKed open: each newcomer locates a server that then dies, and
+    calls it.  Its circuit opens on gwm0's parked leg to gwm1; gwm1
+    finds the server gone and NAKs.  The newcomer's open fails typed,
+    it closes its first hop, and gwm0 parks the leg again: one leg,
+    reused every time, never leaked."""
+    bed = chain_nets(2, substrate=substrate)
+    echo_server(bed, "warm", "mEnd")
+    _call_and_die(bed, substrate, "warm.client", "warm")
+    gwm0, gwm1 = bed.gateways["gwm0"], bed.gateways["gwm1"]
+    to_gwm1 = lambda: _parked(gwm0).get(str(gwm1.uadd)) == 1
+    assert to_gwm1()
+    snapshots = []
+    for i in range(3):
+        server = echo_server(bed, f"dest.{i}", "mEnd")
+        client = bed.module(f"client.{i}", "m0")
+        uadd = client.ali.locate(f"dest.{i}")
+        server.process.kill()
+        db = bed.name_server_instance.db
+        _quiesce(bed, substrate, lambda: not db.resolve_uadd(uadd).alive)
+        reused, refused = gwm0.legs_reused, gwm1.circuits_refused
+        with pytest.raises(DestinationUnavailable):
+            client.ali.call(uadd, "echo", {"n": i, "text": "x"}, timeout=5.0)
+        assert gwm0.legs_reused > reused
+        assert gwm1.circuits_refused > refused
+        client.process.kill()
+        _quiesce(bed, substrate, to_gwm1)
+        _forget_the_dead(bed)
+        snapshots.append(_snapshot(bed))
+    _assert_last_rounds_match(bed, substrate, snapshots)

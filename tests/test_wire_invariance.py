@@ -1,6 +1,6 @@
 """Datagram-level wire invariance: substrate work must not move a frame.
 
-Four scripted runs are traced one line per transmitted datagram —
+Five scripted runs are traced one line per transmitted datagram —
 virtual time, network, hosts, protocol, segment kind, sequence number
 (``first-last`` for an acknowledgement covering a range), size, a
 checksum of the bytes carried, and the drop decision — and compared
@@ -30,6 +30,13 @@ carry the answered record (PROTOCOL.md §5).  Each new trace is its
 predecessor minus one four-line block, the client's ``ns_resolve_uadd``
 round trip (DATA, ACK, ``ns_record_ack`` DATA, ACK), with every later
 line 2 ms earlier; CHANGES.md records the check per file.
+
+``reuse_chain2`` (two clients in turn across two gateways) was first
+recorded, in both windows, by the implementation whose gateways closed
+every leg with its circuit.  Both of its traces and both
+``teardown_chain2`` traces were then re-recorded when gateways began to
+keep their legs (PROTOCOL.md §3, "Kept legs"): each gateway leg's CLOSE
+went, and the second circuit's two connect-and-HELLO blocks with it.
 
 The fixtures' whole value is that the pre-change implementation wrote
 them.  Regenerate the default-window traces (only when the wire is
@@ -160,11 +167,31 @@ def _client_dies_across_two_gateways(config):
     return log
 
 
+def _two_clients_in_turn_across_two_gateways(config):
+    bed = chain_nets(2, config=config)
+    log = _traced(bed)
+    echo_server(bed, "dest", "mEnd")
+    for i in range(2):
+        client = bed.module(f"client{i}", "m0")
+        uadd = client.ali.locate("dest")
+        reply = client.ali.call(uadd, "echo", {"n": i, "text": f"m{i}"})
+        assert reply.values["text"] == f"M{i}"
+        bed.settle()
+        if i == 0:
+            # The first client dies before the second is born: the
+            # second circuit finds both gateways' legs kept (PROTOCOL.md
+            # §3, "Kept legs").
+            client.process.kill()
+            bed.settle()
+    return log
+
+
 SCENARIOS = {
     "echo5_chain3": _echoes_over_three_gateways,
     "burst40_two_nets_drop2": _burst_through_gateway_with_drops,
     "sever_heal_single_net": _sever_and_heal_mid_conversation,
     "teardown_chain2": _client_dies_across_two_gateways,
+    "reuse_chain2": _two_clients_in_turn_across_two_gateways,
 }
 
 
@@ -189,10 +216,11 @@ def test_train_max_1_reproduces_the_per_frame_acknowledged_wire(name):
 
 def test_teardown_omits_only_what_a_closed_peer_was_sent():
     """Where a hop receives IVC_CLOSE and its peer's CLOSE in one train,
-    it sends that connection nothing more (PROTOCOL.md §13): the
-    default-window teardown is the per-frame one minus exactly two
-    range ACKs and one answering CLOSE, every other line and time
-    unchanged."""
+    it sends that connection nothing more (PROTOCOL.md §13).  Gateways
+    keep their legs (PROTOCOL.md §3), so no hop of this teardown gets
+    both any more, and the default-window teardown is the per-frame one
+    line for line.  (It omitted two range ACKs and one answering CLOSE
+    while gateways closed their legs with the circuit.)"""
     trained = iter(_recorded("teardown_chain2.trace").splitlines())
     omitted = []
     expected = next(trained, None)
@@ -202,7 +230,7 @@ def test_teardown_omits_only_what_a_closed_peer_was_sent():
         else:
             omitted.append(line.split()[4:6])  # kind, sequence
     assert expected is None
-    assert omitted == [["ACK", "3"], ["ACK", "3"], ["CLOSE", "-"]]
+    assert omitted == []
 
 
 if __name__ == "__main__":
