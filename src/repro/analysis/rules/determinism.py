@@ -25,17 +25,18 @@ DET005 (error) chaos/repair modules (:data:`_REPAIR_MODULES`) must not
                which derives per-module seeds with crc32 (stable across
                processes, unlike string ``hash()``), so a chaos schedule
                replays bit-identically from its seed alone.
-DET006 (error) direct ``heapq`` use outside the shared timer module
-               (:data:`_TIMER_MODULES`).  Event ordering is a protocol
-               invariant — the total order ``(time, seq)`` that wire
-               goldens and chaos replays are pinned to lives in
-               ``netsim/timerwheel.py``, and every driver (virtual-time
-               scheduler, realtime kernel) must file timers through it.
-               A private heap is a second, unaccounted event queue:
-               its entries are invisible to ``pending()``, escape
-               cancellation accounting, and can interleave with wheel
-               events in an order no replay can reproduce.  Unlike
-               DET001–DET004, ``repro.realnet`` is *not* exempt.
+DET006 (error) direct ``heapq`` use outside the shared event queue's
+               module (:data:`_TIMER_MODULES`).  Event ordering is a
+               protocol invariant — the total order ``(time, seq)``
+               that wire goldens and chaos replays are pinned to lives
+               in ``netsim/scheduler.py``'s ``EventQueue``, and every
+               driver (virtual-time scheduler, realtime kernel) must
+               file timers through it.  A private heap is a second,
+               unaccounted event queue: its entries are invisible to
+               ``pending()``, escape cancellation accounting, and can
+               interleave with queued events in an order no replay can
+               reproduce.  Unlike DET001–DET004, ``repro.realnet`` is
+               *not* exempt.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ _REPAIR_MODULES: Tuple[str, ...] = (
 )
 
 # The one home of heap-ordered event storage (DET006).  Everything
-# else — including repro.realnet — files timers through its wheel.
+# else — including repro.realnet — files timers through its EventQueue.
 _TIMER_MODULES: Tuple[str, ...] = (
-    "repro.netsim.timerwheel",
+    "repro.netsim.scheduler",
 )
 
 
@@ -102,7 +103,7 @@ def check_determinism(project: Project) -> Iterable[Finding]:
 
 
 def _check_heapq(module: ModuleInfo) -> Iterable[Finding]:
-    """DET006: any heapq import outside the shared timer module."""
+    """DET006: any heapq import outside the shared event queue's module."""
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -110,15 +111,15 @@ def _check_heapq(module: ModuleInfo) -> Iterable[Finding]:
                     yield _finding(
                         "DET006", module, node.lineno,
                         "direct heapq import; event ordering lives in "
-                        "repro.netsim.timerwheel — file timers through "
-                        "the shared wheel, not a private heap")
+                        "repro.netsim.scheduler — file timers through "
+                        "the shared EventQueue, not a private heap")
         elif isinstance(node, ast.ImportFrom) and node.level == 0 \
                 and node.module == "heapq":
             yield _finding(
                 "DET006", module, node.lineno,
                 "imports from heapq; event ordering lives in "
-                "repro.netsim.timerwheel — file timers through the "
-                "shared wheel, not a private heap")
+                "repro.netsim.scheduler — file timers through the "
+                "shared EventQueue, not a private heap")
 
 
 def _stdlib_aliases(module: ModuleInfo) -> Dict[str, str]:

@@ -2,8 +2,9 @@
 
 The paper's NTCS ran over real LANs between real Apollo/VAX/Sun
 machines.  This package supplies the reproduction's stand-in: a
-deterministic event scheduler with a virtual clock (:mod:`scheduler`),
-named networks with per-link latency (:mod:`network`), and fault
+deterministic event scheduler with a virtual clock over one
+``(time, seq)`` event heap (:mod:`scheduler`, whose ``EventQueue`` the
+wall-clock kernel in :mod:`repro.realnet` drives too), named networks with per-link latency (:mod:`network`), and fault
 injection — message drop, partition, endpoint death (:mod:`faults`).
 
 The scheduler is *reentrant*: an event handler may itself block by

@@ -7,7 +7,9 @@ every run.  A :class:`ChaosSchedule` is a seeded, JSON-serializable
 list of timed fault operations; a :class:`ChaosEngine` installs it onto
 the discrete-event :class:`~repro.netsim.scheduler.Scheduler`, so fault
 injection rides the same (time, seq) total order as every protocol
-event and runs are bit-deterministic.
+event and runs are bit-deterministic.  The engine only calls ``now``
+and ``schedule``, so it installs on the wall-clock
+:class:`~repro.realnet.kernel.RealtimeKernel` as well.
 
 The engine knows nothing of the NTCS layers above it (this module may
 only import the foundation and its own package): process/gateway/
@@ -34,6 +36,7 @@ Operations (``ChaosEvent.op``):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -68,7 +71,12 @@ class ChaosEvent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChaosEvent":
-        return cls(at=float(data["at"]), op=str(data["op"]),
+        """Parse one event; a non-finite ``at`` (JSON ``NaN`` or
+        ``Infinity``) is rejected, since it names no instant."""
+        at = float(data["at"])
+        if not math.isfinite(at):
+            raise SimulationError(f"chaos event time must be finite, got {at}")
+        return cls(at=at, op=str(data["op"]),
                    target=str(data["target"]),
                    args=dict(data.get("args", {})))
 
@@ -191,9 +199,7 @@ class ChaosEngine:
         for event in self.schedule.sorted_events():
             self._validate(event)
             delay = max(0.0, event.at - self.scheduler.now)
-            # Installed faults always fire — no handle to cancel — so
-            # they ride the scheduler's pooled no-handle path.
-            self.scheduler.post(
+            self.scheduler.schedule(
                 delay, self._applier(event),
                 note=f"chaos:{event.op}:{event.target}",
             )

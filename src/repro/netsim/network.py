@@ -266,8 +266,6 @@ class Network:
                 self.trains_coalesced += 1
             dst.deliver_train(frames)
 
-        # Fire-and-forget: a frame in flight is never cancelled, so the
-        # pooled no-handle flavour keeps the per-train cost to one
-        # recycled event object (PROTOCOL.md §11).  The note is static:
+        # One event per train, never cancelled.  The note is static:
         # nothing per datagram is formatted (ntcslint PERF002).
-        self.scheduler.post(delay, deliver_train, "netsim train delivery")
+        self.scheduler.schedule(delay, deliver_train, "netsim train delivery")

@@ -15,33 +15,144 @@ is exactly the recursive control structure of Sec. 6 of the paper, and
 it is what lets a Name-Server request issued *from inside* a send be
 served before the send completes.
 
-Storage is the shared hierarchical timer wheel of
-:mod:`repro.netsim.timerwheel` (PROTOCOL.md §11): events run in the
-exact ``(time, seq)`` total order the original single heap produced,
-but pushes, pops and ``pending()`` no longer pay per-event Python
-comparisons or O(n) scans.  Two scheduling flavours exist:
+Storage is one :class:`EventQueue` (PROTOCOL.md §11): a ``heapq`` of
+``(time, seq, event)`` tuples, the one event store of both clocks — the
+wall-clock :class:`~repro.realnet.kernel.RealtimeKernel` drives the
+same class.  Events run in the total order ``(time, seq)``; ``seq`` is
+unique, so tuple comparison settles every tie in C and never reaches an
+:class:`Event`.  Cancellation is accounted eagerly, so ``pending()`` is
+O(1), and the queue rebuilds itself without its corpses once they
+outnumber the live events.
 
-* :meth:`schedule` — returns a cancellable :class:`Event` handle.
-* :meth:`post` — no handle, so the event object is recycled through a
-  free list; use for fire-and-forget hot-path work (datagram delivery,
-  chaos appliers) that is never cancelled.
+Every consumer — :meth:`Scheduler.step`, :meth:`Scheduler.run_for`,
+:meth:`Scheduler.pump_until` — takes events through the one fused step
+:meth:`EventQueue.pop_due`: the head comes off only if it is due by the
+caller's deadline.
 
-Every consumer — :meth:`step`, :meth:`run_for`, :meth:`pump_until` —
-takes events through the wheel's one fused step,
-:meth:`~repro.netsim.timerwheel.TimerWheel.pop_due`: the head comes
-off only if it is due by the caller's deadline.
+This is the only module in the tree allowed to import ``heapq``
+(ntcslint DET006): a private heap is a second event queue outside the
+total order and the cancellation accounting.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from heapq import heapify, heappop, heappush
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError, VirtualTimeout
-from repro.netsim.timerwheel import Event, EventPool, TimerWheel
 
-__all__ = ["Event", "Scheduler"]
+__all__ = ["Event", "EventQueue", "Scheduler"]
 
 _NO_DEADLINE = float("inf")
+
+#: Corpses an :class:`EventQueue` may hold before it considers a
+#: rebuild; past this it compacts whenever they outnumber live events.
+COMPACT_THRESHOLD = 64
+
+
+class Event:
+    """A scheduled callback.  Returned by the drivers' ``schedule`` so
+    callers can cancel it."""
+
+    __slots__ = ("time", "seq", "callback", "note", "cancelled", "_queue")
+
+    def __init__(self, time: float, seq: int,
+                 callback: Callable[[], None], note: str):
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.note = note
+        self.cancelled = False
+        self._queue: Optional[EventQueue] = None
+
+    def cancel(self) -> None:
+        """Prevent the callback from running.  Safe to call twice."""
+        if not self.cancelled:
+            self.cancelled = True
+            queue = self._queue
+            if queue is not None:
+                queue._note_cancel()
+
+    def __repr__(self) -> str:
+        state = "cancelled" if self.cancelled else "pending"
+        return f"Event(t={self.time:.6f}, seq={self.seq}, {state}, note={self.note!r})"
+
+
+class EventQueue:
+    """One heap of ``(time, seq, event)`` entries with O(1) live/
+    cancelled accounting.
+
+    The queue never invokes callbacks and never reads a clock: drivers
+    own sequence allocation, the clock and execution.
+    """
+
+    __slots__ = ("_heap", "_live", "_cancelled", "compactions")
+
+    def __init__(self):
+        self._heap: List[Tuple[float, int, Event]] = []
+        self._live = 0
+        self._cancelled = 0
+        self.compactions = 0
+
+    @property
+    def live(self) -> int:
+        """Not-yet-cancelled events held."""
+        return self._live
+
+    @property
+    def cancelled_held(self) -> int:
+        """Cancelled events still in the heap (until popped or compacted)."""
+        return self._cancelled
+
+    def push(self, event: Event) -> None:
+        """File an event by its ``(time, seq)``."""
+        event._queue = self
+        self._live += 1
+        heappush(self._heap, (event.time, event.seq, event))
+
+    def peek(self) -> Optional[Event]:
+        """The earliest live event, or None.  Does not remove it."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+            self._cancelled -= 1
+        return heap[0][2] if heap else None
+
+    def pop_due(self, deadline: float) -> Optional[Event]:
+        """Remove and return the earliest live event if its time is at or
+        before ``deadline``.  None means nothing is due: the queue is
+        empty, or its head is later and stays put.  An infinite deadline
+        is a plain pop."""
+        heap = self._heap
+        while heap:
+            time, _, event = heap[0]
+            if event.cancelled:
+                heappop(heap)
+                self._cancelled -= 1
+                continue
+            if time > deadline:
+                return None
+            heappop(heap)
+            self._live -= 1
+            event._queue = None
+            return event
+        return None
+
+    def _note_cancel(self) -> None:
+        """Called by :meth:`Event.cancel` while the event is held here."""
+        self._live -= 1
+        self._cancelled += 1
+        if (self._cancelled > COMPACT_THRESHOLD
+                and self._cancelled > self._live):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the heap without its cancelled entries: O(n), so
+        amortized O(1) per cancel."""
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
+        heapify(self._heap)
+        self._cancelled = 0
+        self.compactions += 1
 
 
 class Scheduler:
@@ -51,16 +162,10 @@ class Scheduler:
         max_events: hard ceiling on total events processed, a backstop
             against runaway feedback loops (the reproduction's analogue
             of a hung testbed).
-        quantum: timer-wheel bucket width in virtual seconds.  Purely a
-            routing knob — the execution order is bucket-independent.
-        wheel_slots: bucket count; ``quantum * wheel_slots`` is the
-            wheel window, beyond which events sit in the overflow heap.
     """
 
-    def __init__(self, max_events: int = 5_000_000,
-                 quantum: float = 0.005, wheel_slots: int = 512):
-        self._wheel = TimerWheel(quantum=quantum, slots=wheel_slots)
-        self._pool = EventPool()
+    def __init__(self, max_events: int = 5_000_000):
+        self._queue = EventQueue()
         self._seq = 0
         self._now = 0.0
         self._processed = 0
@@ -85,38 +190,25 @@ class Scheduler:
         return self._processed
 
     @property
-    def wheel(self) -> TimerWheel:
-        """The underlying timer wheel (stats: compactions, pool reuse)."""
-        return self._wheel
-
-    @property
-    def pool(self) -> EventPool:
-        """The free list recycling no-handle events."""
-        return self._pool
+    def queue(self) -> EventQueue:
+        """The underlying event queue (stats: corpses held, compactions)."""
+        return self._queue
 
     # -- scheduling -------------------------------------------------------
 
     def schedule(self, delay: float, callback: Callable[[], None],
                  note: str = "") -> Event:
         """Schedule ``callback`` to run ``delay`` virtual seconds from
-        now.  Returns a cancellable handle (never pooled)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        now.  Returns a cancellable handle.  The delay must be finite and
+        non-negative: NaN would break the total order, and an infinite
+        delay would run at t = inf under an unbounded pump."""
+        if not 0.0 <= delay < _NO_DEADLINE:
+            raise SimulationError(
+                f"delay must be finite and non-negative, got {delay}")
         self._seq += 1
         event = Event(self._now + delay, self._seq, callback, note)
-        self._wheel.push(event)
+        self._queue.push(event)
         return event
-
-    def post(self, delay: float, callback: Callable[[], None],
-             note: str = "") -> None:
-        """Fire-and-forget :meth:`schedule`: identical ordering, but no
-        handle is returned, so the event object rides the free list.
-        The hot-path flavour for work that is never cancelled."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self._seq += 1
-        self._wheel.push(
-            self._pool.acquire(self._now + delay, self._seq, callback, note))
 
     def call_soon(self, callback: Callable[[], None], note: str = "") -> Event:
         """Schedule ``callback`` at the current virtual time (after any
@@ -128,7 +220,7 @@ class Scheduler:
     def _run_due(self, deadline: float) -> bool:
         """Pop and run the earliest event if it is due by ``deadline``.
         Returns False when nothing is."""
-        event = self._wheel.pop_due(deadline)
+        event = self._queue.pop_due(deadline)
         if event is None:
             return False
         if event.time < self._now:
@@ -142,13 +234,7 @@ class Scheduler:
                 f"event budget exceeded ({self._max_events}); "
                 "probable runaway feedback loop"
             )
-        callback = event.callback
-        if event._pooled:
-            # No handle exists, so nothing can cancel or observe the
-            # object: recycle it before the callback so bursts of
-            # fire-and-forget work reuse one allocation.
-            self._pool.release(event)
-        callback()
+        event.callback()
         return True
 
     def step(self) -> bool:
@@ -229,9 +315,9 @@ class Scheduler:
             self.wait(when - self._now)
 
     def pending(self) -> int:
-        """Number of not-yet-cancelled queued events.  O(1): the wheel
+        """Number of not-yet-cancelled queued events.  O(1): the queue
         accounts for cancellations eagerly."""
-        return self._wheel.live
+        return self._queue.live
 
     def raise_timeout(self, what: str) -> None:
         """Helper for callers that want the raising flavour of timeout."""

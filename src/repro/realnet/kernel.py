@@ -6,23 +6,23 @@ implements it against wall-clock time and a :mod:`selectors` loop, so
 the same passive, reentrantly-blocking layers run unchanged over real
 sockets.
 
-Timers are stored on the same hierarchical
-:class:`~repro.netsim.timerwheel.TimerWheel` the virtual-time
-scheduler uses — one clock abstraction, two drivers (PROTOCOL.md §11).
-The wheel gives this kernel the identical total order ``(when, seq)``,
-O(1) ``pending()``, and eager cancellation accounting; only the notion
-of "now" (``time.monotonic`` here, the virtual clock in simulation)
-differs between the two drivers.
+Timers are stored in the same :class:`~repro.netsim.scheduler.EventQueue`
+the virtual-time scheduler uses — one event heap, two drivers
+(PROTOCOL.md §11).  The queue gives this kernel the identical total
+order ``(when, seq)``, O(1) ``pending()``, and eager cancellation
+accounting; only the notion of "now" (``time.monotonic`` here, the
+virtual clock in simulation) differs between the two drivers.
 """
 
 from __future__ import annotations
 
+import math
 import selectors
 import time
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
-from repro.netsim.timerwheel import Event, TimerWheel
+from repro.netsim.scheduler import Event, EventQueue
 
 
 class RealtimeKernel:
@@ -37,14 +37,9 @@ class RealtimeKernel:
     #: Longest single poll; keeps a pump responsive to its predicate.
     MAX_POLL = 0.05
 
-    #: Wheel bucket width in wall seconds; timers beyond the window
-    #: (quantum * slots) sit in the overflow heap until due.
-    QUANTUM = 0.01
-    WHEEL_SLOTS = 512
-
     def __init__(self):
         self.selector = selectors.DefaultSelector()
-        self._wheel = TimerWheel(quantum=self.QUANTUM, slots=self.WHEEL_SLOTS)
+        self._queue = EventQueue()
         self._seq = 0
         self._t0 = time.monotonic()
         self._pump_depth = 0
@@ -62,21 +57,18 @@ class RealtimeKernel:
     def pump_depth(self) -> int:
         return self._pump_depth
 
-    @property
-    def wheel(self) -> TimerWheel:
-        """The underlying timer wheel (shared implementation with the
-        virtual-time scheduler)."""
-        return self._wheel
-
     # -- timers -------------------------------------------------------------
 
     def schedule(self, delay: float, callback: Callable[[], None], note: str = ""):
-        """Run a callback after a wall-clock delay; returns a cancellable timer."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        """Run a callback after a wall-clock delay; returns a cancellable
+        timer.  The delay must be finite and non-negative, as in the
+        virtual-time scheduler."""
+        if not 0.0 <= delay < math.inf:
+            raise SimulationError(
+                f"delay must be finite and non-negative, got {delay}")
         self._seq += 1
         timer = Event(self.now + delay, self._seq, callback, note)
-        self._wheel.push(timer)
+        self._queue.push(timer)
         return timer
 
     def call_soon(self, callback: Callable[[], None], note: str = ""):
@@ -87,7 +79,7 @@ class RealtimeKernel:
         ran = 0
         now = self.now
         while True:
-            timer = self._wheel.pop_due(now)
+            timer = self._queue.pop_due(now)
             if timer is None:
                 break
             self.events_processed += 1
@@ -166,7 +158,7 @@ class RealtimeKernel:
                 if deadline is not None and self.now >= deadline:
                     return False
                 wait = self.MAX_POLL
-                head = self._wheel.peek()
+                head = self._queue.peek()
                 if head is not None:
                     wait = min(wait, max(0.0, head.time - self.now))
                 if deadline is not None:
@@ -185,8 +177,8 @@ class RealtimeKernel:
 
     def pending(self) -> int:
         """Number of armed (uncancelled) timers.  O(1): the shared
-        wheel accounts for cancellations eagerly."""
-        return self._wheel.live
+        queue accounts for cancellations eagerly."""
+        return self._queue.live
 
     def close(self) -> None:
         """Close the selector (call once, on shutdown)."""

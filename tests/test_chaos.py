@@ -285,6 +285,16 @@ def test_schedule_json_round_trip():
         == ["crash", "partition", "drop_next", "restart"]
 
 
+def test_schedule_json_rejects_a_non_finite_time():
+    # Python's json accepts the NaN / Infinity literals; a replayed
+    # schedule carrying one names no instant, so it must not parse.
+    for literal in ("NaN", "Infinity"):
+        text = ('{"seed": 0, "events": [{"at": %s, "op": "crash", '
+                '"target": "gw1"}]}' % literal)
+        with pytest.raises(SimulationError):
+            ChaosSchedule.from_json(text)
+
+
 def test_engine_rejects_unknown_targets_and_ops():
     bed = single_net()
     with pytest.raises(SimulationError):

@@ -5,6 +5,7 @@ import socket
 import pytest
 
 from repro.errors import SimulationError
+from repro.netsim import ChaosEngine, ChaosSchedule
 from repro.realnet.kernel import RealtimeKernel
 
 
@@ -106,3 +107,15 @@ def test_unregister_unknown_socket_is_noop(kernel):
     kernel.unregister_writer(a)    # fine too
     a.close()
     b.close()
+
+
+def test_chaos_installs_on_the_wall_clock(kernel):
+    # The engine needs only now() and schedule(), so a crash point
+    # replays on the kernel exactly as on virtual time.
+    crashed = []
+    engine = ChaosEngine(kernel, ChaosSchedule().crash(kernel.now + 0.01, "victim"))
+    engine.register_target("victim", crash=lambda: crashed.append(kernel.now))
+    engine.install()
+    assert kernel.pump_until(lambda: bool(crashed), timeout=5)
+    assert [op for _, op, _ in engine.applied] == ["crash"]
+    assert engine.remaining() == 0

@@ -207,16 +207,17 @@ def test_realnet_is_exempt_from_determinism():
 def test_private_heap_fires_det006_even_in_realnet():
     # The fixture lives under repro.realnet: the wall-clock exemption
     # must not extend to heapq — a private heap is a second,
-    # unaccounted event queue outside the shared wheel's total order.
+    # unaccounted event queue outside the shared queue's total order.
     findings = fixture_findings("rogue_heap")
     assert rule_lines(findings) == [("DET006", 6), ("DET006", 7)]
-    assert "timerwheel" in findings[0].message
-    assert "timerwheel" in findings[1].message
+    assert "repro.netsim.scheduler" in findings[0].message
+    assert "repro.netsim.scheduler" in findings[1].message
 
 
 def test_shared_timer_module_is_det006_home():
-    # The one sanctioned heapq user: repro.netsim.timerwheel itself.
-    findings = [f for f in analyze([SRC_TREE / "netsim" / "timerwheel.py"])
+    # The one sanctioned heapq user: repro.netsim.scheduler, home of
+    # the EventQueue.
+    findings = [f for f in analyze([SRC_TREE / "netsim" / "scheduler.py"])
                 if f.rule == "DET006"]
     assert findings == []
 
