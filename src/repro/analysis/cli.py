@@ -11,7 +11,7 @@ Usage::
 The flat form runs every rule family (the model stage included).  The
 ``verify`` subcommand runs *only* the model stage — protocol
 extraction plus the MDL checks — and optionally replays netsim JSONL
-wire traces against the extracted wire protocol (TRC001/TRC002),
+wire traces against the extracted wire protocol (TRC001–TRC003),
 printing how many NTCS frames it checked in each trace (on stderr when
 the findings go out as json or sarif).
 

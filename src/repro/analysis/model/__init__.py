@@ -4,7 +4,7 @@ Importing this package registers the ``model`` rule family (MDL001–
 MDL005) with the ntcslint engine, so ``python -m repro.analysis`` and
 ``make lint`` run the model checks alongside the per-file rule
 families.  The ``verify`` subcommand runs *only* this family and adds
-trace conformance (TRC001/TRC002) on top.
+trace conformance (TRC001–TRC003) on top.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ __all__ = ["extract", "check_model", "replay_trace", "ProtocolModel"]
 @rule(
     name="model",
     ids=("MDL001", "MDL002", "MDL003", "MDL004", "MDL005",
-         "TRC001", "TRC002"),
+         "TRC001", "TRC002", "TRC003"),
     description="extracted protocol machines are complete, deadlock- and "
                 "livelock-free; traces conform (verify --trace)",
 )

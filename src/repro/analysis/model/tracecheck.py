@@ -21,7 +21,13 @@ against the ``WIRE_PROTOCOL`` declaration the extractor pulled from
   established on that hop — a transition outside the model;
 * TRC002 (error) a frame whose kind is not in the model at all, a
   trace line that cannot be parsed, or a trace that holds no NTCS frame
-  at all (nothing was checked, so nothing may pass).
+  at all (nothing was checked, so nothing may pass);
+* TRC003 (error) a chained circuit's open broke the riding rule
+  (PROTOCOL.md §3): on a hop, between an IVC_OPEN and its
+  IVC_OPEN_ACK/NAK, the originator sent that destination more than
+  ``OPEN_RIDERS`` distinct DATA frames, or one that is not a request;
+  or a host that NAKed the open sent on a DATA that rode it before the
+  next IVC_OPEN for that destination reached it.
 
 Exit-code semantics are the CLI's: any finding fails the run.
 """
@@ -35,8 +41,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from repro.analysis.engine import Finding, SEVERITY_ERROR
 from repro.analysis.model.ir import ProtocolModel, WireProtocol
 from repro.conversion.shiftmode import shift_decode_u32s
-from repro.ntcs.message import HEADER_BYTES, HeaderView
-from repro.errors import ProtocolError
+from repro.ntcs.address import Address
+from repro.ntcs.iplayer import OPEN_RIDERS
+from repro.ntcs.message import (
+    FLAG_CONNECTIONLESS, FLAG_REPLY_EXPECTED, HEADER_BYTES, HeaderView)
+from repro.errors import NtcsError, ProtocolError
 
 _HopKey = Tuple[str, FrozenSet[str]]
 
@@ -83,6 +92,7 @@ def replay_trace(path: str,
     findings: List[Finding] = []
     checked = 0
     flags_by_hop: Dict[_HopKey, Set[str]] = {}
+    riding = _RidingRule(wire)
     for lineno, raw in enumerate(
             Path(path).read_text().splitlines(), start=1):
         raw = raw.strip()
@@ -116,6 +126,9 @@ def replay_trace(path: str,
             checked += 1
             findings.extend(
                 _check_frame(wire, frame, flags, path, lineno, args))
+            findings.extend(riding.check(
+                str(event.get("target", "")), str(args.get("src", "")),
+                str(args.get("dst", "")), frame, path, lineno))
     if not checked:
         findings.append(_finding(
             "TRC002", path, 1, "no NTCS frames to check"))
@@ -142,3 +155,63 @@ def _check_frame(wire: WireProtocol, blob: bytes, flags: Set[str],
     # Establish regardless of validity or drops: keep later findings
     # about *new* violations, not echoes of this one.
     flags.update(wire.establishes.get(name, ()))
+
+
+class _RidingRule:
+    """TRC003 state over one trace.  Headers carry end-to-end addresses,
+    so a circuit's open is followed per network and direction by its
+    originator's address: ``opening[(network, sender, receiver,
+    originator)]`` holds the destination and the distinct DATA frames
+    sent to it since the IVC_OPEN (a retransmitted segment is the same
+    bytes).  An originator opens one circuit at a time, and whichever
+    answer comes back ends it.  ``refused[(host, originator,
+    destination)]`` holds the riders a host received before it NAKed."""
+
+    def __init__(self, wire: WireProtocol):
+        kinds = {name: kind for kind, name in wire.kind_names.items()}
+        self._data = kinds.get("DATA")
+        self._open = kinds.get("IVC_OPEN")
+        self._answers = {kinds.get("IVC_OPEN_ACK"), kinds.get("IVC_OPEN_NAK")}
+        self._nak = kinds.get("IVC_OPEN_NAK")
+        self.opening: Dict[tuple, Tuple[Address, Set[bytes]]] = {}
+        self.refused: Dict[tuple, Set[bytes]] = {}
+
+    def check(self, network: str, sender: str, receiver: str, frame: bytes,
+              path: str, lineno: int) -> Iterable[Finding]:
+        header = HeaderView(frame)
+        kind = header.kind
+        try:
+            src, dst = header.src, header.dst
+        except NtcsError:
+            return  # no circuit has a zero address
+        if kind == self._open:
+            key = (network, sender, receiver, src)
+            pending = self.opening.get(key)
+            if pending is None or pending[0] != dst:
+                # A retried open to the same destination keeps its
+                # riders: the retry's is the same bytes.
+                self.opening[key] = (dst, set())
+            self.refused.pop((receiver, src, dst), None)
+        elif kind in self._answers:
+            pending = self.opening.pop((network, receiver, sender, dst), None)
+            if pending is not None and kind == self._nak:
+                self.refused[(sender, dst, pending[0])] = pending[1]
+        elif kind == self._data:
+            if frame in self.refused.get((sender, src, dst), ()):
+                yield _finding(
+                    "TRC003", path, lineno,
+                    f"{sender} sent on a DATA that rode an IVC_OPEN it "
+                    f"refused ({sender} -> {receiver} on {network})")
+            pending = self.opening.get((network, sender, receiver, src))
+            if pending is None or pending[0] != dst or frame in pending[1]:
+                return
+            pending[1].add(frame)
+            flags = header.flags
+            if (len(pending[1]) > OPEN_RIDERS
+                    or not flags & FLAG_REPLY_EXPECTED
+                    or flags & FLAG_CONNECTIONLESS):
+                yield _finding(
+                    "TRC003", path, lineno,
+                    f"DATA ({sender} -> {receiver} on {network}) sent on a "
+                    f"circuit still opening: only {OPEN_RIDERS} request "
+                    f"may ride an IVC_OPEN")

@@ -38,16 +38,22 @@ from repro.errors import (
 )
 from repro.ntcs import message as m
 from repro.ntcs.address import Address, blob_network
-from repro.ntcs.iplayer import MAX_HOPS
+from repro.ntcs.iplayer import MAX_HOPS, OPEN_RIDERS
 from repro.ntcs.ndlayer import Lvc
 from repro.ntcs.nucleus import Nucleus, NucleusConfig
 from repro.ntcs.protocol import T_IVC_OPEN
 from repro.util.counters import (
     GATEWAY_CIRCUITS_ESTABLISHED, GATEWAY_CIRCUITS_REFUSED, GATEWAY_CLOSE_NOTIFY_LOST,
     GATEWAY_CREDIT_CLAMPS, GATEWAY_CREDIT_DROPS, GATEWAY_FRAMES_SPLICED,
-    GATEWAY_LEGS_REUSED, GATEWAY_MESSAGES_DROPPED, GATEWAY_NAK_LOST,
+    GATEWAY_HELD_DROPPED, GATEWAY_LEGS_REUSED, GATEWAY_MESSAGES_DROPPED, GATEWAY_NAK_LOST,
     GATEWAY_STALE_ADDR_FALLBACKS, GATEWAY_TEARDOWNS, ND_MALFORMED_MESSAGES,
 )
+
+
+# What an originator may send on a leg before its IVC_OPEN is answered:
+# the request riding the open, and an IVC_CLOSE.  A gateway holds that
+# much while it dials the next hop (PROTOCOL.md §3).
+HOLD_LIMIT = OPEN_RIDERS + 1
 
 
 class _SpliceCredit:
@@ -321,12 +327,28 @@ class Gateway:
         # circuits that come and go (PROTOCOL.md §3, "Kept legs").
         shared = (msg.src != in_lvc.peer_addr
                   or msg.dst not in in_nucleus.ns_addresses)
+        # Dialling pumps the run queue, and a request riding the open
+        # may arrive meanwhile: hold what the leg carries until the
+        # IVC_OPEN has gone on, so it follows in arrival order.
+        held: List[bytes] = []
+        in_lvc.frame_tap = lambda raw: self._hold(in_nucleus, held, raw)
         try:
             out_nucleus, out_lvc = self._open_next_hop(
                 msg.dst, dst_network, shared)
         except (AddressFault, RouteNotFound, NoSuchAddress, NtcsError) as exc:
+            in_lvc.frame_tap = None
             in_nucleus.counters[GATEWAY_CIRCUITS_REFUSED] += 1
+            # A refused circuit splices nothing that followed its open.
+            in_nucleus.counters[GATEWAY_HELD_DROPPED] += len(held)
             self._nak(in_nucleus, in_lvc, msg, str(exc))
+            return
+        if not in_lvc.open or any(
+                m.HeaderView(raw).kind == m.IVC_CLOSE for raw in held):
+            # The circuit ended while its next hop was dialled: nothing
+            # goes on, and the new leg is kept or closed as at teardown.
+            in_lvc.frame_tap = out_lvc.frame_tap = None
+            in_nucleus.counters[GATEWAY_HELD_DROPPED] += len(held)
+            self._release(out_nucleus, out_lvc, shared, "ivc closed")
             return
         # Splice before forwarding so the returning IVC_OPEN_ACK already
         # has a path back upstream.
@@ -346,6 +368,23 @@ class Gateway:
         out_nucleus.nd.send_frame(
             out_lvc, m.patch_frame_aux(msg.encode(), hops + 1)
         )
+        for raw in held:
+            self._fast_forward(in_lvc, raw)
+
+    def _hold(self, nucleus: Nucleus, held: List[bytes], raw: bytes) -> bool:
+        """The frame tap of an inbound leg whose IVC_OPEN is being
+        established: keep up to HOLD_LIMIT frames in arrival order, drop
+        (and count) any beyond.  A malformed frame goes on to the
+        ND-Layer's handling."""
+        try:
+            m.HeaderView(raw)
+        except ProtocolError:
+            return False
+        if len(held) < HOLD_LIMIT:
+            held.append(raw)
+        else:
+            nucleus.counters[GATEWAY_HELD_DROPPED] += 1
+        return True
 
     def _open_next_hop(self, dst: Address, dst_network: str,
                        shared: bool) -> Tuple[Nucleus, Lvc]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.conversion.modes import encode_values
+from repro.conversion.modes import PACKED, encode_values
 from repro.errors import (
     AddressFault,
     ChannelClosed,
@@ -50,7 +50,8 @@ from repro.ntcs.protocol import (
 from repro.util.counters import (
     ALI_SEND_BLOCKED, IP_CLOSE_NOTIFY_LOST, IP_CREDIT_GRANTS, IP_CREDIT_PROBES,
     IP_CREDIT_RESYNCS, IP_CREDIT_STALLS, IP_SUSPECT_FALLBACKS, IVC_CHAINED_OPENED,
-    IVC_DIRECT_OPENED, IVC_OPEN_REFUSED, LVC_RX_QUEUE_HIGH_WATER,
+    IVC_DIRECT_OPENED, IVC_FRAMES_WITHOUT_CIRCUIT, IVC_OPEN_REFUSED,
+    IVC_REQUESTS_RODE_OPEN, IVC_RIDERS_REFUSED, LVC_RX_QUEUE_HIGH_WATER,
     ND_MALFORMED_MESSAGES, TOPOLOGY_QUERIES,
 )
 from repro.util.dispatch import handles
@@ -63,12 +64,18 @@ MAX_HOPS = 8
 FLOW_PROBE_RETRIES = 3
 FLOW_PROBE_TIMEOUT = 1.0
 
+# How many DATA frames an originator sends on a chained circuit before
+# its IVC_OPEN is answered: the one call request that rides the open
+# (PROTOCOL.md §3, "A call rides its circuit's open").
+OPEN_RIDERS = 1
+
 # The IVC endpoint machine, model-checked by ntcsverify (pure literal).
 # Anchored: the state names must match the ``.state`` strings this
 # module actually assigns/compares.  A direct circuit is constructed
 # already in OPEN; a chained one starts in OPENING and leaves it on the
 # end-to-end ACK/NAK, on the open timeout (which runs the normal close
-# path), or on an LVC fault underneath.
+# path), or on an LVC fault underneath.  While OPENING it sends at most
+# OPEN_RIDERS DATA frames: a call's request riding the open.
 # Alongside it, the ivc-flow machine declares the sender half of the
 # credit protocol (PROTOCOL.md §12): every send grows the in-flight
 # ledger, every advertisement drains it, and a zero-credit sender
@@ -83,6 +90,8 @@ PROTOCOL_MACHINES = (
             "OPENING": {
                 "waits": True,
                 "edges": (
+                    {"event": "send DATA", "next": "OPENING",
+                     "bounded": "OPEN_RIDERS"},
                     {"event": "recv IVC_OPEN_ACK", "next": "OPEN"},
                     {"event": "recv IVC_OPEN_NAK", "next": "FAILED"},
                     {"event": "timeout open_timeout", "next": "CLOSED"},
@@ -134,6 +143,13 @@ PROTOCOL_MACHINES = (
 )
 
 
+def _readable(mode: int, src, dst) -> bool:
+    """Whether a body machine type ``src`` encoded in ``mode`` decodes
+    on machine type ``dst``: packed always does, an image only between
+    image-compatible types (Sec. 5)."""
+    return mode == PACKED or src.image_compatible(dst)
+
+
 class Ivc:
     """One internet virtual circuit endpoint."""
 
@@ -164,12 +180,15 @@ class Ivc:
 
 @dataclass
 class _Plan:
-    """How to reach a destination: directly, or via a first gateway."""
+    """How to reach a destination: directly, or via a first gateway;
+    ``mtype_name`` is the destination's machine type as the record the
+    plan came from holds it ("" when unknown)."""
 
     direct: bool
     blob: str
     gw_uadd: Optional[Address] = None
     dst_network: str = ""
+    mtype_name: str = ""
 
 
 class IpLayer:
@@ -212,9 +231,19 @@ class IpLayer:
 
     # -- circuit establishment -------------------------------------------------
 
-    def open_ivc(self, dst: Address, reason: str = "") -> Ivc:
+    def open_ivc(self, dst: Address, reason: str = "",
+                 request: Optional[Tuple[m.Msg, int, dict]] = None) -> Ivc:
         """Establish an IVC to ``dst``.  Blocking; raises AddressFault
-        or RouteNotFound on failure."""
+        or RouteNotFound on failure.
+
+        ``request`` is a call's first message as ``(msg, type_id,
+        values)``.  On a chained open whose plan knows the destination's
+        machine type it rides the open (PROTOCOL.md §3): it is encoded
+        for that type, marked ``FLAG_RIDES_OPEN`` and sent right behind
+        the IVC_OPEN, so the destination answers both in one train.  On
+        return the flag is still set only when the IVC_OPEN_ACK
+        confirmed a type the encoding suits; otherwise the caller sends
+        the request as usual."""
         nucleus = self.nucleus
         with nucleus.enter(self.LAYER, "open", reason=reason or f"ivc to {dst}"):
             plan = self._plan(dst)
@@ -259,6 +288,9 @@ class IpLayer:
                 "src_listen_blob": self.nd.listen_blob or "",
             })
             self.nd.send(lvc, open_msg)
+            rider = None
+            if request is not None and plan.mtype_name:
+                rider = self._ride(ivc, plan.mtype_name, *request)
             nucleus.scheduler.pump_until(
                 lambda: ivc.state != "OPENING",
                 timeout=nucleus.config.open_timeout,
@@ -285,7 +317,44 @@ class IpLayer:
                     and not nucleus.is_self(hop)):
                 self.route_cache.setdefault(plan.dst_network, (hop, plan.blob))
             nucleus.counters[IVC_CHAINED_OPENED] += 1
+            if ivc.peer_mtype_name != plan.mtype_name and rider is not None:
+                self._confirm_rider(dst, ivc, rider)
             return ivc
+
+    def _ride(self, ivc: Ivc, mtype_name: str, msg: m.Msg, type_id: int,
+              values: dict) -> m.Msg:
+        """Send a call's request on an OPENING circuit, encoded for
+        ``mtype_name`` and marked as riding the open.  A fresh circuit
+        always has credit, so this debits without a stall check."""
+        nucleus = self.nucleus
+        msg.type_id = type_id
+        mode, msg.body = encode_values(
+            nucleus.registry, type_id, values,
+            src=nucleus.mtype, dst=nucleus.mtype_by_name(mtype_name),
+        )
+        msg.set_mode(mode)
+        msg.flags |= m.FLAG_RIDES_OPEN
+        flow = ivc.flow
+        if flow is not None:
+            flow.debit()
+            msg.aux = m.encode_credit(flow.advertised())
+        self.nd.send(ivc.lvc, msg)
+        nucleus.counters[IVC_REQUESTS_RODE_OPEN] += 1
+        return msg
+
+    def _confirm_rider(self, dst: Address, ivc: Ivc, rider: m.Msg) -> None:
+        """The IVC_OPEN_ACK named another machine type than the one the
+        rider was encoded for: the address cache learns the confirmed
+        type, and a rider the destination cannot read (it refuses one,
+        :func:`_readable`) loses its flag, so the caller sends the
+        request again."""
+        nucleus = self.nucleus
+        entry = nucleus.addr_cache.lookup(dst)
+        if entry is not None:
+            nucleus.addr_cache.store(dst, entry.blob, ivc.peer_mtype_name)
+        if not _readable(rider.mode, nucleus.mtype,
+                         nucleus.mtype_by_name(ivc.peer_mtype_name)):
+            rider.flags &= ~m.FLAG_RIDES_OPEN
 
     def _plan(self, dst: Address) -> _Plan:
         nucleus = self.nucleus
@@ -305,7 +374,8 @@ class IpLayer:
                 )
             ns_nets = wellknown.ns_networks()
             return _Plan(direct=False, blob=prime, gw_uadd=None,
-                         dst_network=ns_nets[0] if ns_nets else "")
+                         dst_network=ns_nets[0] if ns_nets else "",
+                         mtype_name=wellknown.mtype_for(dst))
 
         # Cached physical address?
         entry = nucleus.addr_cache.lookup(dst)
@@ -326,8 +396,8 @@ class IpLayer:
                         f"from {local!r}"
                     )
                 return _Plan(direct=False, blob=prime, gw_uadd=None,
-                             dst_network=net)
-            return self._gateway_plan(dst, net)
+                             dst_network=net, mtype_name=entry.mtype_name)
+            return self._gateway_plan(dst, net, entry.mtype_name)
 
         if dst.temporary:
             raise AddressFault(dst, "temporary addresses cannot be located")
@@ -346,7 +416,7 @@ class IpLayer:
         nucleus.addr_cache.store(dst, blob, record.mtype_name)
         if dst_network == local:
             return _Plan(direct=True, blob=blob)
-        return self._gateway_plan(dst, dst_network)
+        return self._gateway_plan(dst, dst_network, record.mtype_name)
 
     def note_gateway_fault(self, gw_uadd: Optional[Address]) -> None:
         """Mark a first-hop gateway suspect (its circuit just failed):
@@ -356,18 +426,15 @@ class IpLayer:
         if gw_uadd is not None:
             self._suspect_gateways.add(gw_uadd)
 
-    def _gateway_plan(self, dst: Address, dst_network: str) -> _Plan:
-        nucleus = self.nucleus
-        local = self.local_network
+    def _gateway_plan(self, dst: Address, dst_network: str,
+                      mtype_name: str = "") -> _Plan:
         cached = self.route_cache.get(dst_network)
-        if cached is not None:
-            gw_uadd, gw_blob = cached
-            return _Plan(direct=False, blob=gw_blob, gw_uadd=gw_uadd,
-                         dst_network=dst_network)
-        gw_uadd, gw_blob = self._first_hop(local, dst_network)
-        self.route_cache[dst_network] = (gw_uadd, gw_blob)
+        if cached is None:
+            cached = self._first_hop(self.local_network, dst_network)
+            self.route_cache[dst_network] = cached
+        gw_uadd, gw_blob = cached
         return _Plan(direct=False, blob=gw_blob, gw_uadd=gw_uadd,
-                     dst_network=dst_network)
+                     dst_network=dst_network, mtype_name=mtype_name)
 
     def _first_hop(self, local: str, dst_network: str) -> Tuple[Address, str]:
         """Pick the first gateway toward ``dst_network`` from the
@@ -679,6 +746,9 @@ class IpLayer:
         ivc = self._by_lvc.get(lvc)
         if ivc is None:
             if msg.kind != m.IVC_OPEN or not lvc.inbound:
+                # No circuit: the followers of a refused open, or a
+                # straggler of a circuit that has closed.
+                nucleus.counters[IVC_FRAMES_WITHOUT_CIRCUIT] += 1
                 return
             # A kept inbound leg (PROTOCOL.md §3) awaits its next
             # circuit's IVC_OPEN as it did at accept.
@@ -709,6 +779,19 @@ class IpLayer:
             self._on_credit_probe(ivc, msg)
         else:
             flow = ivc.flow
+            if (msg.flags & m.FLAG_RIDES_OPEN and msg.kind == m.DATA
+                    and not _readable(msg.mode,
+                                      nucleus.mtype_by_name(ivc.peer_mtype_name),
+                                      nucleus.mtype)):
+                # A request that rode the open, as an image its sender
+                # guessed this machine could read: never decoded under
+                # that guess.  The sender learns the truth from our
+                # IVC_OPEN_ACK and sends it again (PROTOCOL.md §3).
+                nucleus.counters[IVC_RIDERS_REFUSED] += 1
+                if flow is not None and not msg.internal and not msg.is_reply:
+                    self.note_arrival(ivc, queued=False)
+                    self.note_consumed(ivc, from_queue=False)
+                return
             if flow is not None and msg.kind == m.DATA and not msg.internal:
                 # Piggybacked advertisement: the peer's cumulative
                 # consumed counter rides the aux word of its DATA.
@@ -724,8 +807,11 @@ class IpLayer:
         values = nucleus.unpack_internal(T_IVC_OPEN, msg.body)
         if not nucleus.is_self(msg.dst):
             # A chained open for someone else arriving at a plain module:
-            # only gateways may forward.
+            # only gateways may forward.  The leg carries no circuit of
+            # ours, so what follows on it until the next IVC_OPEN — a
+            # request riding this one — is dropped, never delivered.
             nucleus.counters[IVC_OPEN_REFUSED] += 1
+            self._by_lvc.pop(ivc.lvc, None)
             nak = m.Msg(
                 kind=m.IVC_OPEN_NAK, src=nucleus.self_addr, dst=msg.src,
                 flags=m.FLAG_PACKED | m.FLAG_INTERNAL,

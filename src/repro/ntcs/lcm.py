@@ -330,16 +330,24 @@ class LcmLayer:
         nucleus = self.nucleus
         target = self._follow_forwarding(dst)
         last_error: Optional[Exception] = None
+        # A call's request may ride a new circuit's open (PROTOCOL.md
+        # §3): requests are deduplicated on (src, corr_id), so one that
+        # is delivered and then re-sent after a failed open runs once.
+        rides = (flags & (m.FLAG_REPLY_EXPECTED | m.FLAG_CONNECTIONLESS)
+                 == m.FLAG_REPLY_EXPECTED and force_mode is None)
         for _ in range(self.MAX_SEND_ATTEMPTS):
             try:
-                ivc = self._route_to(
-                    target, repairing=repairing or last_error is not None)
                 msg = m.Msg(
                     kind=m.DATA, src=nucleus.self_addr, dst=target,
                     flags=flags, corr_id=corr_id,
                 )
-                self.ip.send_values(ivc, msg, entry.sdef.type_id, values,
-                                    force_mode=force_mode, block=block)
+                request = (msg, entry.sdef.type_id, values)
+                ivc = self._route_to(
+                    target, repairing=repairing or last_error is not None,
+                    request=request if rides else None)
+                if not msg.flags & m.FLAG_RIDES_OPEN:
+                    self.ip.send_values(ivc, *request,
+                                        force_mode=force_mode, block=block)
             except _TRANSIENT as exc:
                 last_error = exc
                 self._drop_route(target)
@@ -526,7 +534,10 @@ class LcmLayer:
             self.nucleus.counters[LCM_FORWARDING_COMPRESSIONS] += 1
         return target
 
-    def _route_to(self, target: Address, repairing: bool = False) -> Ivc:
+    def _route_to(self, target: Address, repairing: bool = False,
+                  request: Optional[tuple] = None) -> Ivc:
+        """The open circuit to ``target``, opened when there is none —
+        with ``request`` riding the open where it can."""
         ivc = self._routes.get(target)
         if ivc is not None and ivc.open:
             return ivc
@@ -534,7 +545,8 @@ class LcmLayer:
         if repairing:
             self.nucleus.counters[IVC_REOPEN_ATTEMPTS] += 1
         ivc = self.ip.open_ivc(
-            target, reason="lcm repair" if repairing else "lcm send")
+            target, reason="lcm repair" if repairing else "lcm send",
+            request=request)
         self._routes[target] = ivc
         return ivc
 

@@ -13,7 +13,8 @@ word  meaning
 ====  ==========================================================
  0    magic ("NTCS")
  1    kind (DATA / LVC_HELLO / IVC_OPEN / ...)
- 2    flags (transfer mode, reply bits, connectionless)
+ 2    flags (transfer mode, reply bits, connectionless, internal,
+      rides-open)
  3,4  source address (high, low; bit 63 marks a TAdd)
  5,6  destination address (high, low)
  7    message type id (conversion-registry key)
@@ -110,6 +111,9 @@ FLAG_REPLY_EXPECTED = 0x02
 FLAG_IS_REPLY = 0x04
 FLAG_CONNECTIONLESS = 0x08
 FLAG_INTERNAL = 0x10        # NTCS control-plane traffic (NSP, monitor, ...)
+# A call's request sent right behind its circuit's IVC_OPEN, encoded for
+# a machine type the destination had not yet confirmed (PROTOCOL.md §3).
+FLAG_RIDES_OPEN = 0x20
 
 # Fields whose mutation invalidates a cached wire frame.
 _WIRE_FIELDS = frozenset(

@@ -30,6 +30,7 @@ class WellKnownTable:
         # gateways", plural — Sec. 3.4); callers try them in order.
         self._prime_gateway_blobs: Dict[str, List[str]] = {}
         self._name_servers: Dict[int, List[Tuple[Address, str, str]]] = {}
+        self._ns_mtypes: Dict[Address, str] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -43,6 +44,9 @@ class WellKnownTable:
         machine type name)]}, loaded into every module's tables when
         its NSP-Layer is initialized."""
         self._name_servers = directory
+        self._ns_mtypes = {uadd: mtype_name
+                           for entries in directory.values()
+                           for uadd, _blob, mtype_name in entries}
 
     def add_prime_gateway(self, network: str, blob: str) -> None:
         """Record the blob, on ``network``, of a prime gateway modules
@@ -57,6 +61,11 @@ class WellKnownTable:
         if addr == self.ns_uadd:
             return self._ns_blobs.get(network)
         return None
+
+    def mtype_for(self, addr: Address) -> str:
+        """The machine type the published naming fleet records for
+        ``addr``; "" when it records none."""
+        return self._ns_mtypes.get(addr, "")
 
     def name_servers(self) -> Dict[int, List[Tuple[Address, str, str]]]:
         """The published naming fleet — or, when none was, the one

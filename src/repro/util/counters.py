@@ -51,6 +51,9 @@ TADDS_PURGED = _nucleus("tadds_purged", "TAdds replaced by the UAdd they stood f
 IVC_DIRECT_OPENED = _nucleus("ivc_direct_opened", "IVCs opened straight to the peer")
 IVC_CHAINED_OPENED = _nucleus("ivc_chained_opened", "IVCs opened through gateways")
 IVC_OPEN_REFUSED = _nucleus("ivc_open_refused_not_gateway", "chained opens NAKed by a non-gateway")
+IVC_REQUESTS_RODE_OPEN = _nucleus("ivc_requests_rode_open", "call requests sent behind their circuit's IVC_OPEN")
+IVC_RIDERS_REFUSED = _nucleus("ivc_riders_refused", "riding requests whose image the endpoint cannot read")
+IVC_FRAMES_WITHOUT_CIRCUIT = _nucleus("ivc_frames_without_circuit", "frames dropped on an LVC carrying no circuit")
 TOPOLOGY_QUERIES = _nucleus("topology_queries", "gateway lists fetched to plan a route")
 IP_SUSPECT_FALLBACKS = _nucleus("ip_suspect_fallbacks", "routes planned through a suspect gateway")
 IP_CLOSE_NOTIFY_LOST = _nucleus("ip_close_notify_lost", "IVC_CLOSEs lost to a dead channel")
@@ -104,6 +107,7 @@ GATEWAY_MESSAGES_DROPPED = _nucleus("gateway_messages_dropped", "frames lost to 
 GATEWAY_NAK_LOST = _nucleus("gateway_nak_lost", "IVC_OPEN_NAKs lost to a dead opener")
 GATEWAY_CLOSE_NOTIFY_LOST = _nucleus("gateway_close_notify_lost", "IVC_CLOSEs lost to a dead leg")
 GATEWAY_LEGS_REUSED = _nucleus("gateway_legs_reused", "circuits opened on a parked leg (outbound stack)")
+GATEWAY_HELD_DROPPED = _nucleus("gateway_held_frames_dropped", "frames held behind a refused or overfull open (inbound)")
 # -- ConversionRegistry ------------------------------------------------------
 CODEC_CACHE_HITS = _registry("codec_cache_hits", "(type, src, dst) route-cache hits")
 CODEC_CACHE_MISSES = _registry("codec_cache_misses", "(type, src, dst) route-cache misses")

@@ -133,7 +133,7 @@ def test_gateway_kill_exact_counters_under_fixed_seed():
     # The repair window: crash to conversation finished and bed idle,
     # in virtual time.
     crashed_at = engine.applied[0][0]
-    assert round((bed.now - crashed_at) * 1000, 4) == 431.0
+    assert round((bed.now - crashed_at) * 1000, 4) == 423.0
 
 
 # ---------------------------------------------------------------------------

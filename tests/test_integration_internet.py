@@ -83,11 +83,15 @@ def test_no_inter_gateway_control_plane():
 # the destination's location (PROTOCOL.md §5), so the call asks naming
 # nothing: every row is one client <-> Name-Server round trip (2 ND
 # messages, 4 datagrams) below what a separate ns_resolve_uadd cost.
+# The call's request rides its circuit's IVC_OPEN and the reply its
+# IVC_OPEN_ACK, one train per hop each way (PROTOCOL.md §3), so the ND
+# messages hold while each hop sends two ACKs fewer: 60/120/198/294
+# datagrams and increments 50/60/78/96 before.
 E5_ND_MESSAGES = {0: 4, 1: 26, 2: 52, 3: 86, 4: 128}
-E5_SUBSTRATE_DATAGRAMS = {0: 10, 1: 60, 2: 120, 3: 198, 4: 294}
+E5_SUBSTRATE_DATAGRAMS = {0: 10, 1: 56, 2: 114, 3: 190, 4: 284}
 # What each further gateway adds: the paper-level claim itself.
 E5_ND_INCREMENTS = [22, 26, 34, 42]
-E5_DATAGRAM_INCREMENTS = [50, 60, 78, 96]
+E5_DATAGRAM_INCREMENTS = [46, 58, 76, 94]
 
 
 def _establish(hops, substrate=SIM):
@@ -306,7 +310,9 @@ def test_gateway_restored_circuit_after_reopen():
 # chained circuit before its call, and still asks once.  The warm-up
 # contacts left the gateways' legs parked, so each contact's circuits
 # open on them: (0, 151) and (1, 83) before gateways kept their legs.
-COLD_CONTACT = {"mEnd": (0, 121), "m0": (1, 71)}
+# Each chained call's request rides its circuit's open and its reply the
+# IVC_OPEN_ACK (PROTOCOL.md §3): (0, 121) and (1, 71) before.
+COLD_CONTACT = {"mEnd": (0, 104), "m0": (1, 65)}
 
 
 def test_cold_contact_census_from_each_end():
@@ -419,7 +425,8 @@ def test_stale_entry_of_a_relocated_destination_forwards():
     its old blob refuses the connect, the gateway falls back to naming
     and NAKs, and the veteran's LCM follows the forwarding to the
     replacement.  Naming-first: 0.060000000000000026 s, 2 naming calls;
-    the repaired circuit now opens on gwm0's parked leg to gwm1."""
+    the repaired circuit now opens on gwm0's parked leg to gwm1, and
+    0.052000000000000046 s before the request rode the open."""
     bed, _groups = sharded_chain(hops=2, shards=2, replicas=2)
     _server, veteran, uadd = veteran_of_far_echo(bed)
 
@@ -433,7 +440,7 @@ def test_stale_entry_of_a_relocated_destination_forwards():
     reply, elapsed, fallbacks, nsp_calls = _call_again(bed, veteran, uadd)
     assert reply.values["text"] == "AGAIN"
     assert veteran.nucleus.counters["lcm_relocations_followed"] == 1
-    assert (elapsed, fallbacks, nsp_calls) == (0.052000000000000046, 1, 2)
+    assert (elapsed, fallbacks, nsp_calls) == (0.04600000000000004, 1, 2)
 
 
 def test_stale_entry_of_a_crashed_machine_costs_one_connect_round():
@@ -451,7 +458,7 @@ def test_stale_entry_of_a_crashed_machine_costs_one_connect_round():
     bed.settle()
     outcome, elapsed, fallbacks, nsp_calls = _call_again(bed, veteran, uadd)
     assert isinstance(outcome, DestinationUnavailable)
-    assert (elapsed, fallbacks, nsp_calls) == (2.523001646631287, 1, 15)
+    assert (elapsed, fallbacks, nsp_calls) == (2.523001646631289, 1, 15)
     assert far_stack.counters["nd_open_retries"] == 30
 
 
@@ -462,10 +469,14 @@ def test_cached_blob_of_another_live_module_is_refused_by_the_endpoint():
     not-a-gateway NAK, which the originator sees as the same typed
     failure the naming-first hop gave (0.9640016466313124 s, 5 naming
     calls; 0.9440016466313128 s before the retries opened on gwm0's
-    parked leg to gwm1).  No hang, no untyped exception."""
+    parked leg to gwm1).  No hang, no untyped exception.  The request
+    that rode each refused open is dropped at the impostor, never handed
+    to its application (PROTOCOL.md §3)."""
     bed, _groups = sharded_chain(hops=2, shards=2, replicas=2)
     server, veteran, uadd = veteran_of_far_echo(bed)
     impostor = echo_server(bed, "other.echo", "mEnd")
+    impostor_saw = []
+    impostor.ali.set_request_handler(impostor_saw.append)
     server.process.kill()
     bed.settle()
     bed.gateways["gwm1"].stacks["net2"].addr_cache.store(
@@ -473,8 +484,12 @@ def test_cached_blob_of_another_live_module_is_refused_by_the_endpoint():
     outcome, elapsed, fallbacks, nsp_calls = _call_again(bed, veteran, uadd)
     assert isinstance(outcome, DestinationUnavailable)
     assert "no replacement module" in str(outcome)
-    assert (elapsed, fallbacks, nsp_calls) == (0.9240016466313132, 0, 0)
+    assert (elapsed, fallbacks, nsp_calls) == (0.9240016466313135, 0, 0)
     assert impostor.nucleus.counters["ivc_open_refused_not_gateway"] == 5
+    # Per refused open: the request that rode it, and the IVC_CLOSE
+    # that ends the circuit the gateways had spliced toward it.
+    assert impostor.nucleus.counters["ivc_frames_without_circuit"] == 10
+    assert impostor_saw == []
 
 
 def test_gateways_ask_naming_once_per_far_destination():

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from deployments import chain_nets, echo_server, two_nets
+from deployments import chain_nets, echo_server, sharded_chain, two_nets
 from test_wire_invariance import SCENARIOS
 from repro.analysis import Project, analyze
 from repro.analysis.cli import main
@@ -29,6 +29,7 @@ from repro.netsim import ChaosSchedule, NetTraceLog
 from repro.ntcs import message as m
 from repro.ntcs.address import Address
 from repro.ntcs.nucleus import NucleusConfig
+from repro.testbed import Testbed
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_TREE = REPO_ROOT / "src" / "repro"
@@ -338,3 +339,157 @@ def test_verify_cli_missing_trace_is_usage_error(capsys):
     assert main(["verify", str(SRC_TREE),
                  "--trace", "/no/such/trace.jsonl"]) == 2
     assert "no such trace" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# TRC003: a call rides its circuit's open (PROTOCOL.md §3)
+# ---------------------------------------------------------------------------
+
+A, B = Address(1), Address(2)
+
+
+def _hop_event(sender, receiver, msg, network="net0"):
+    frame = msg.encode()
+    return json.dumps({
+        "at": 0.0, "op": "frame", "target": network,
+        "args": {"src": sender, "dst": receiver, "protocol": "tcp",
+                 "size": 64, "dropped": False,
+                 "frames": [(shift_encode_u32s([len(frame)]) + frame).hex()]},
+    })
+
+
+def _lvc_up(sender, receiver, network="net0"):
+    return [_hop_event(sender, receiver,
+                       m.Msg(kind=m.LVC_HELLO, src=A, dst=B), network),
+            _hop_event(receiver, sender,
+                       m.Msg(kind=m.LVC_HELLO_ACK, src=B, dst=A), network)]
+
+
+def _request(corr_id, flags=m.FLAG_REPLY_EXPECTED | m.FLAG_RIDES_OPEN):
+    return m.Msg(kind=m.DATA, src=A, dst=B, flags=flags, corr_id=corr_id,
+                 body=b"request")
+
+
+def _replay_lines(tmp_path, lines):
+    path = tmp_path / "riding.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return [f.rule for f in replay_trace(str(path), _model())[0]]
+
+
+def _opening(*riders):
+    """client opens a circuit from A to B through gw, with ``riders``
+    sent behind the IVC_OPEN, and gw answers with the ACK."""
+    return (_lvc_up("client", "gw")
+            + [_hop_event("client", "gw", m.Msg(kind=m.IVC_OPEN, src=A, dst=B))]
+            + [_hop_event("client", "gw", rider) for rider in riders]
+            + [_hop_event("gw", "client",
+                          m.Msg(kind=m.IVC_OPEN_ACK, src=B, dst=A))])
+
+
+def test_one_request_riding_an_open_conforms(tmp_path):
+    """A request behind its IVC_OPEN, sent twice as a retransmitted
+    segment is, is one rider."""
+    rider = _request(1)
+    assert _replay_lines(tmp_path, _opening(rider, rider)) == []
+
+
+@pytest.mark.parametrize("riders", [
+    (_request(1), _request(2)),
+    (_request(1, flags=0),),
+    (_request(1, flags=m.FLAG_REPLY_EXPECTED | m.FLAG_CONNECTIONLESS),),
+], ids=["two-requests", "one-way", "datagram"])
+def test_more_than_a_request_before_the_answer_fires_trc003(riders, tmp_path):
+    assert _replay_lines(tmp_path, _opening(*riders)) == ["TRC003"]
+
+
+def test_data_after_the_answer_is_not_riding(tmp_path):
+    lines = _opening(_request(1)) + [_hop_event("client", "gw", _request(2))]
+    assert _replay_lines(tmp_path, lines) == []
+
+
+def test_rider_spliced_past_a_nak_fires_trc003(tmp_path):
+    """gw NAKs the open, then sends the request that rode it on toward
+    the destination: refused, yet spliced.  After the next IVC_OPEN for
+    that destination reaches gw, the same bytes may go on."""
+    rider = _request(1)
+    refused = (_lvc_up("client", "gw") + _lvc_up("gw", "server", "net1") + [
+        _hop_event("client", "gw", m.Msg(kind=m.IVC_OPEN, src=A, dst=B)),
+        _hop_event("client", "gw", rider),
+        _hop_event("gw", "client", m.Msg(kind=m.IVC_OPEN_NAK,
+                                         src=Address(9), dst=A)),
+    ])
+    spliced = _hop_event("gw", "server", rider, "net1")
+    assert _replay_lines(tmp_path, refused + [spliced]) == ["TRC003"]
+    reopened = [_hop_event("client", "gw", m.Msg(kind=m.IVC_OPEN, src=A, dst=B)),
+                _hop_event("client", "gw", rider)]
+    assert _replay_lines(tmp_path, refused + reopened + [spliced]) == []
+
+
+def _cold_contact_trace(tmp_path, monkeypatch):
+    """A warm-up and a cold contact from each end of the sharded chain:
+    each newcomer registers, locates the echo server at the other end,
+    calls it and dies — every chained first call rides its open.  Each
+    network is traced from its creation, so the naming fleet's own
+    handshakes are on the record too."""
+    log = NetTraceLog()
+    create = Testbed.network
+
+    def traced_network(bed, *args, **kwargs):
+        network = create(bed, *args, **kwargs)
+        log.attach(network)
+        return network
+
+    monkeypatch.setattr(Testbed, "network", traced_network)
+    bed, _groups = sharded_chain(hops=2, shards=2, replicas=2)
+    servers = {"mEnd": "near.echo", "m0": "far.echo"}
+    echo_server(bed, "near.echo", "m0")
+    echo_server(bed, "far.echo", "mEnd")
+    bed.settle()
+    for round_name in ("warm", "new"):
+        for machine, server in servers.items():
+            newcomer = bed.module(f"{round_name}.{machine}", machine)
+            uadd = newcomer.ali.locate(server)
+            newcomer.ali.call(uadd, "echo", {"n": 1, "text": "x"})
+            newcomer.process.kill()
+            bed.settle()
+    return log.dump_jsonl(tmp_path / "cold-contact.jsonl")
+
+
+def _riders(path):
+    """(line index, frame index) of every frame that rode an open."""
+    found = []
+    for index, line in enumerate(path.read_text().splitlines()):
+        for slot, blob in enumerate(json.loads(line)["args"]["frames"]):
+            frame = bytes.fromhex(blob)[4:]
+            if (len(frame) >= m.HEADER_BYTES and m.HeaderView(frame).flags
+                    & m.FLAG_RIDES_OPEN):
+                found.append((index, slot))
+    return found
+
+
+def test_cold_contact_wire_replays_clean_and_its_mutation_fires(
+        tmp_path, capsys, monkeypatch):
+    """The recorded cold-contact wire passes ``verify --trace`` with its
+    riders checked.  Duplicating the first rider as a second, distinct
+    request on the same hop (another correlation id) fires TRC003."""
+    path = _cold_contact_trace(tmp_path, monkeypatch)
+    riders = _riders(path)
+    assert riders
+    assert main(["verify", str(SRC_TREE), "--trace", str(path)]) == 0
+    capsys.readouterr()
+    lines = path.read_text().splitlines()
+    index, slot = riders[0]
+    event = json.loads(lines[index])
+    blob = bytes.fromhex(event["args"]["frames"][slot])
+    second = m.Msg.decode(blob[4:])
+    second.corr_id += 1000
+    frame = second.encode()
+    event["args"]["frames"] = [
+        (shift_encode_u32s([len(frame)]) + frame).hex()]
+    mutated = tmp_path / "cold-contact-two-riders.jsonl"
+    mutated.write_text("\n".join(
+        lines[:index + 1] + [json.dumps(event)] + lines[index + 1:]) + "\n")
+    findings, _checked = replay_trace(str(mutated), _model())
+    assert [f.rule for f in findings] == ["TRC003"]
+    assert main(["verify", str(SRC_TREE), "--trace", str(mutated)]) == 1
+    assert "TRC003" in capsys.readouterr().out

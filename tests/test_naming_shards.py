@@ -447,7 +447,7 @@ def test_list_gw_ack_bytes_pinned_on_the_sharded_chain():
     gwm1 = (1, b"gateway.gw.gwm1\n562949953421314\nSun-3\n"
                b"kind=gateway;networks=net1%2Cnet2\n"
                b"net1|tcp:net1:gwm1:32768,net2|tcp:net2:gwm1:32768\n"
-               b"1\n0.024000000000000014")
+               b"1\n0.02000000000000001")
     assert _list_gw_acks(bed, groups, client) == {
         "name.shard.0.0": gwm0, "name.shard.0.1": gwm0,
         "name.shard.1.0": gwm1, "name.shard.1.1": gwm1,
@@ -466,7 +466,7 @@ def test_list_gw_ack_bytes_pinned_on_the_sharded_chain():
     restarted = (1, b"gateway.gw.gwm1\n562949953421315\nSun-3\n"
                     b"kind=gateway;networks=net1%2Cnet2\n"
                     b"net1|tcp:net1:gwm1:32768,net2|tcp:net2:gwm1:32768\n"
-                    b"1\n0.07200000000000005")
+                    b"1\n0.06400000000000004")
     assert _list_gw_acks(bed, groups, client) == {
         "name.shard.0.0": gwm0, "name.shard.0.1": gwm0,
         "name.shard.1.0": restarted, "name.shard.1.1": restarted,
