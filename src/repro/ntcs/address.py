@@ -112,7 +112,7 @@ def blob_network(blob: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The ND-Layer's address cache
+# The Nucleus's address cache (Sec. 3.3)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -126,48 +126,30 @@ class AddressCache:
     lookups and from information "exchanged between modules during the
     channel open protocol" (Sec. 3.3).
 
-    Also implements the TAdd purge rule: when a message arrives from a
-    real UAdd over a connection the tables know by a TAdd, the TAdd
-    entry is replaced (Sec. 3.4)."""
+    TAdds are "only unique locally to the module that assigned them"
+    (Sec. 3.4), so they are never keys here: :meth:`store` refuses
+    them, and a TAdd purge has nothing to replace."""
 
     def __init__(self):
         self._entries: Dict[Address, CacheEntry] = {}
-        self.tadds_purged = 0
-        self.hits = 0
-        self.misses = 0
 
     def store(self, addr: Address, blob: str, mtype_name: str) -> None:
-        """Cache the physical blob and machine type for an address."""
-        self._entries[addr] = CacheEntry(blob=blob, mtype_name=mtype_name)
+        """Cache the physical blob and machine type for a UAdd; a TAdd
+        is not stored."""
+        if not addr.temporary:
+            self._entries[addr] = CacheEntry(blob=blob, mtype_name=mtype_name)
 
     def lookup(self, addr: Address) -> Optional[CacheEntry]:
-        """The cached entry for an address, or None (counts hit/miss)."""
-        entry = self._entries.get(addr)
-        if entry is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return entry
+        """The cached entry for an address, or None."""
+        return self._entries.get(addr)
 
     def invalidate(self, addr: Address) -> None:
         """Drop the cached entry for an address, if any."""
         self._entries.pop(addr, None)
 
-    def replace_tadd(self, tadd: Address, uadd: Address) -> bool:
-        """Replace a temporary entry with the real UAdd.  Returns True
-        when a purge actually happened."""
-        if not tadd.temporary or uadd.temporary:
-            return False
-        entry = self._entries.pop(tadd, None)
-        if entry is None:
-            return False
-        self._entries[uadd] = entry
-        self.tadds_purged += 1
-        return True
-
     def temporary_entries(self) -> int:
-        """How many TAdd-keyed entries remain (should reach zero within
-        the first two Name-Server communications — experiment E3)."""
+        """How many TAdd-keyed entries there are (experiment E3's
+        metric; zero, since :meth:`store` refuses TAdds)."""
         return sum(1 for addr in self._entries if addr.temporary)
 
     def __len__(self) -> int:

@@ -404,23 +404,19 @@ class Gateway:
             except (RouteNotFound, NtcsError) as exc:
                 errors.append(str(exc))
                 continue
-            gw_dst = plan.gw_uadd or nucleus.tadds.allocate()
             if self.uadd is not None and plan.gw_uadd == self.uadd:
                 continue  # never route through ourselves
-            if shared and plan.gw_uadd is not None:
+            if shared:
                 lvc = self._take_parked(nucleus, plan.gw_uadd)
                 if lvc is not None:
                     return nucleus, lvc
             try:
-                lvc = nucleus.nd.open_lvc(gw_dst, plan.blob,
+                lvc = nucleus.nd.open_lvc(plan.gw_uadd, plan.blob,
                                           reason="next gateway hop")
             except AddressFault as exc:
-                # The chosen next gateway is dead (Sec. 4.3): evict the
-                # stale route so the next establishment replans from the
-                # naming service's current topology, mark the hop
-                # suspect, and try the remaining stacks.
-                nucleus.ip.route_cache.pop(dst_network, None)
-                nucleus.ip.note_gateway_fault(plan.gw_uadd)
+                # The chosen next gateway is dead (Sec. 4.3): the stack
+                # forgets the route, and the remaining stacks are tried.
+                nucleus.ip.forget_route(dst_network, plan.gw_uadd)
                 errors.append(str(exc))
                 continue
             return nucleus, lvc

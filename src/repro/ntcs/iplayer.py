@@ -208,10 +208,12 @@ class IpLayer:
         # dst network -> (first gateway's UAdd, its blob), planned from
         # the topology or learned from a chained open that proved the
         # hop; cached so a warmed-up system routes with no Name-Server
-        # traffic (E2).
-        self.route_cache: Dict[str, Tuple[Optional[Address], str]] = {}
-        # Which prime gateway we are currently using toward the Name
-        # Server (rotated when one fails; Sec. 3.4's primes are plural).
+        # traffic (E2).  Only forget_route evicts from this table, moves
+        # the prime index or marks a suspect (PROTOCOL.md §3, "What a
+        # Nucleus remembers").
+        self.route_cache: Dict[str, Tuple[Address, str]] = {}
+        # Which prime gateway we are currently using toward the naming
+        # fleet (rotated when one fails; Sec. 3.4's primes are plural).
         self._prime_index = 0
         # Gateways whose circuits recently failed (PROTOCOL.md §10):
         # route planning prefers paths avoiding them until a chained
@@ -261,13 +263,7 @@ class IpLayer:
                 lvc = self.nd.open_lvc(gw_dst, plan.blob,
                                        reason="first gateway hop")
             except AddressFault as exc:
-                # The cached first hop is dead: drop it so the retry
-                # replans — from the naming service's current topology,
-                # or, for the Name Server itself, the next prime gateway.
-                self.route_cache.pop(plan.dst_network, None)
-                self.note_gateway_fault(plan.gw_uadd)
-                if dst == nucleus.wellknown.ns_uadd:
-                    self._prime_index += 1
+                self.forget_route(plan.dst_network, plan.gw_uadd)
                 raise AddressFault(dst, f"first-hop gateway unreachable: {exc}")
             # Who answered the HELLO, read before the end-to-end reply
             # can replace a TAdd peer with the destination's UAdd.
@@ -299,17 +295,11 @@ class IpLayer:
             if ivc.state != "OPEN":
                 failure = ivc.nak_reason or "ivc open timed out"
                 self.close(ivc, failure, notify=False)
-                # A NAK naming a stale route means the cached first hop
-                # may be wrong; drop it so the retry replans.
-                self.route_cache.pop(plan.dst_network, None)
-                self.note_gateway_fault(plan.gw_uadd)
-                if dst == nucleus.wellknown.ns_uadd:
-                    self._prime_index += 1
+                self.forget_route(plan.dst_network, plan.gw_uadd)
                 raise AddressFault(dst, failure)
-            if plan.gw_uadd is not None:
-                # A chained open through this gateway just worked: any
-                # earlier suspicion of it is disproved.
-                self._suspect_gateways.discard(plan.gw_uadd)
+            # A chained open through this gateway just worked: any
+            # earlier suspicion of it is disproved.
+            self._suspect_gateways.discard(plan.gw_uadd)
             # A proven first hop is a route (PROTOCOL.md §3): remember
             # it under the gateway's real UAdd, so suspect marking and
             # eviction treat it as they treat a topology-planned entry.
@@ -367,15 +357,9 @@ class IpLayer:
             blob = wellknown.blob_for(dst, local)
             if blob is not None:
                 return _Plan(direct=True, blob=blob)
-            prime = wellknown.prime_gateway_blob(local, self._prime_index)
-            if prime is None:
-                raise RouteNotFound(
-                    f"no well-known path to the Name Server from {local!r}"
-                )
             ns_nets = wellknown.ns_networks()
-            return _Plan(direct=False, blob=prime, gw_uadd=None,
-                         dst_network=ns_nets[0] if ns_nets else "",
-                         mtype_name=wellknown.mtype_for(dst))
+            return self._prime_plan(ns_nets[0] if ns_nets else "",
+                                    wellknown.mtype_for(dst))
 
         # Cached physical address?
         entry = nucleus.addr_cache.lookup(dst)
@@ -389,14 +373,7 @@ class IpLayer:
                 # Planning through _first_hop would ask the naming
                 # service for the topology — and never ask the naming
                 # service where the naming service is (Sec. 3.4).
-                prime = wellknown.prime_gateway_blob(local, self._prime_index)
-                if prime is None:
-                    raise RouteNotFound(
-                        f"no well-known path to the naming fleet "
-                        f"from {local!r}"
-                    )
-                return _Plan(direct=False, blob=prime, gw_uadd=None,
-                             dst_network=net, mtype_name=entry.mtype_name)
+                return self._prime_plan(net, entry.mtype_name)
             return self._gateway_plan(dst, net, entry.mtype_name)
 
         if dst.temporary:
@@ -418,12 +395,31 @@ class IpLayer:
             return _Plan(direct=True, blob=blob)
         return self._gateway_plan(dst, dst_network, record.mtype_name)
 
-    def note_gateway_fault(self, gw_uadd: Optional[Address]) -> None:
-        """Mark a first-hop gateway suspect (its circuit just failed):
-        route planning prefers alternatives until a chained open through
-        it succeeds again.  Gateways call this on next-hop failures so
-        repaired sends replan around the dead hop."""
-        if gw_uadd is not None:
+    def _prime_plan(self, dst_network: str, mtype_name: str) -> _Plan:
+        """The well-known route to a naming-fleet member: through the
+        local network's current prime gateway (Sec. 3.4)."""
+        local = self.local_network
+        prime = self.nucleus.wellknown.prime_gateway_blob(
+            local, self._prime_index)
+        if prime is None:
+            raise RouteNotFound(
+                f"no well-known path to the naming fleet from {local!r}")
+        return _Plan(direct=False, blob=prime, dst_network=dst_network,
+                     mtype_name=mtype_name)
+
+    def forget_route(self, dst_network: str,
+                     gw_uadd: Optional[Address]) -> None:
+        """A chained open toward ``dst_network`` through first hop
+        ``gw_uadd`` failed to connect, was NAKed or timed out: the one
+        place this layer forgets a route (PROTOCOL.md §3, "The route
+        cache").  The cached hop goes, so the retry replans.  A prime
+        plan (``gw_uadd`` None) moves on to the next prime gateway; any
+        other gateway is suspect until a chained open through it
+        succeeds again (§10)."""
+        self.route_cache.pop(dst_network, None)
+        if gw_uadd is None:
+            self._prime_index += 1
+        else:
             self._suspect_gateways.add(gw_uadd)
 
     def _gateway_plan(self, dst: Address, dst_network: str,

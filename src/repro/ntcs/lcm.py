@@ -594,9 +594,7 @@ class LcmLayer:
             # Cache-miss recovery (PROTOCOL.md §9): the faulted address
             # proves any cached resolution for it is stale; evict before
             # re-resolving so the answer comes from the naming service.
-            evict = getattr(nsp, "evict_address", None)
-            if evict is not None:
-                evict(target)
+            nsp.evict_address(target)
             try:
                 forward = nsp.lookup_forwarding(target)
             except NoForwardingAddress:

@@ -7,9 +7,11 @@ Nucleus:
 * LVC open with retry ("there is no automatic relocation or recovery
   from failed channels (except for retry on open); notification is
   simply passed upward"),
-* the UAdd → physical-address mapping, "either through the NSP-layer
-  services, or by information exchanged between modules during the
-  channel open protocol.  This information is then locally cached",
+* the open protocol's half of the UAdd → physical-address mapping:
+  "information exchanged between modules during the channel open
+  protocol ... is then locally cached" in the Nucleus's address cache,
+  and a connect that fails evicts it (the other half, "through the
+  NSP-layer services", is the IP-Layer's planning),
 * the TAdd machinery for inbound connections from unregistered modules
   (Sec. 3.4).
 
@@ -185,14 +187,12 @@ class NdLayer:
 
     # -- active open ------------------------------------------------------------
 
-    def open_lvc(self, dst: Address, blob: Optional[str] = None,
-                 reason: str = "") -> Lvc:
-        """Open an LVC to ``dst``, resolving its physical address if no
-        blob was supplied, and run the HELLO handshake.  Blocking."""
+    def open_lvc(self, dst: Address, blob: str, reason: str = "") -> Lvc:
+        """Open an LVC to ``dst`` at physical address ``blob`` (the
+        IP-Layer or a gateway planned it) and run the HELLO handshake.
+        Blocking."""
         nucleus = self.nucleus
         with nucleus.enter(self.LAYER, "open", reason=reason or f"open to {dst}"):
-            if blob is None:
-                blob = self._resolve_blob(dst)
             if blob_network(blob) != self.driver.network_name:
                 raise AddressFault(
                     dst, f"blob {blob!r} is not on local network "
@@ -248,26 +248,6 @@ class NdLayer:
         if dst not in self.nucleus.ns_addresses:
             self.nucleus.addr_cache.invalidate(dst)
         raise AddressFault(dst, str(last_error))
-
-    def _resolve_blob(self, dst: Address) -> str:
-        nucleus = self.nucleus
-        entry = nucleus.addr_cache.lookup(dst)
-        if entry is not None:
-            return entry.blob
-        wk_blob = nucleus.wellknown.blob_for(dst, self.driver.network_name)
-        if wk_blob is not None:
-            return wk_blob
-        if dst.temporary:
-            raise AddressFault(dst, "temporary addresses cannot be located")
-        # Recursive resolution through the naming service (Sec. 3).
-        record = nucleus.require_nsp().resolve_uadd(dst)
-        blob = record.blob_on(self.driver.network_name)
-        if blob is None:
-            raise AddressFault(
-                dst, f"no physical address on network {self.driver.network_name!r}"
-            )
-        nucleus.addr_cache.store(dst, blob, record.mtype_name)
-        return blob
 
     # -- data path ------------------------------------------------------------
 
@@ -401,7 +381,6 @@ class NdLayer:
         ):
             old = lvc.peer_addr
             lvc.peer_addr = msg.src
-            self.nucleus.addr_cache.replace_tadd(old, msg.src)
             self.nucleus.counters[TADDS_PURGED] += 1
             self.nucleus.on_tadd_purged(old, msg.src)
 

@@ -160,7 +160,6 @@ class Nucleus:
         self.monitor_client = None        # DRTS network monitor client
         self.error_log: List[str] = []
         self.error_client: Optional[Callable[[str], None]] = None
-        self.tadd_purge_hooks: List[Callable[[Address, Address], None]] = []
         # Addresses the LCM's Sec. 6.3 patch must recognize as "the
         # naming service" (replicated NSP-Layers add their servers).
         self.ns_addresses: Set[Address] = {wellknown.ns_uadd}
@@ -180,7 +179,6 @@ class Nucleus:
         self.nd = NdLayer(self)
         self.ip = IpLayer(self)
         self.lcm = LcmLayer(self)
-        self.tadd_purge_hooks.append(self.lcm.rekey_route)
 
     # -- identity ------------------------------------------------------------
 
@@ -195,9 +193,9 @@ class Nucleus:
         return addr == self.self_addr or addr in self._past_addrs
 
     def on_tadd_purged(self, old: Address, new: Address) -> None:
-        """Propagate a TAdd-to-UAdd replacement to all table holders."""
-        for hook in self.tadd_purge_hooks:
-            hook(old, new)
+        """Propagate a TAdd-to-UAdd replacement to the one table holder
+        that keys by TAdds: the LCM (the address cache refuses them)."""
+        self.lcm.rekey_route(old, new)
 
     # -- recursion accounting (Sec. 6) -------------------------------------------
 

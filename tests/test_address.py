@@ -82,7 +82,7 @@ def test_malformed_blob_rejected():
         blob_network("garbage")
 
 
-# -- the ND-Layer cache -----------------------------------------------------
+# -- the address cache ------------------------------------------------------
 
 def test_cache_store_lookup_invalidate():
     cache = AddressCache()
@@ -92,31 +92,32 @@ def test_cache_store_lookup_invalidate():
     entry = cache.lookup(addr)
     assert entry.blob == "tcp:ether0:vax1:5000"
     assert entry.mtype_name == "VAX"
-    assert cache.hits == 1 and cache.misses == 1
     cache.invalidate(addr)
     assert cache.lookup(addr) is None
 
 
 def test_cache_tadd_purge():
+    """A TAdd is unique only to the module that assigned it (Sec. 3.4):
+    storing one caches nothing, so a TAdd purge has nothing to replace."""
     cache = AddressCache()
     tadd = Address(value=3, temporary=True)
-    uadd = make_uadd(30)
     cache.store(tadd, "tcp:ether0:vax1:5000", "VAX")
-    assert cache.temporary_entries() == 1
-    assert cache.replace_tadd(tadd, uadd) is True
-    assert cache.temporary_entries() == 0
-    assert cache.tadds_purged == 1
-    assert cache.lookup(uadd).blob == "tcp:ether0:vax1:5000"
-    assert tadd not in cache
+    assert tadd not in cache and cache.lookup(tadd) is None
+    assert len(cache) == 0 and cache.temporary_entries() == 0
 
 
 def test_cache_purge_rules():
     cache = AddressCache()
     uadd = make_uadd(1)
     tadd = Address(value=1, temporary=True)
-    # Only TAdd → UAdd replacements are legal.
-    assert cache.replace_tadd(uadd, make_uadd(2)) is False
-    assert cache.replace_tadd(tadd, Address(value=2, temporary=True)) is False
-    # Replacing an absent TAdd is a no-op.
-    assert cache.replace_tadd(tadd, uadd) is False
-    assert cache.tadds_purged == 0
+    cache.store(uadd, "tcp:ether0:vax1:5000", "VAX")
+    # A TAdd with the same value is a different key, and is not stored:
+    # it neither overwrites nor shadows the UAdd's entry.
+    cache.store(tadd, "tcp:ether0:sun2:6000", "SUN")
+    assert cache.lookup(uadd).blob == "tcp:ether0:vax1:5000"
+    assert cache.lookup(tadd) is None
+    # Invalidating a TAdd, or an absent UAdd, is a no-op.
+    cache.invalidate(tadd)
+    cache.invalidate(make_uadd(2))
+    assert len(cache) == 1 and uadd in cache
+    assert cache.temporary_entries() == 0

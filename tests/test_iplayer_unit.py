@@ -3,10 +3,11 @@ gateway adjacency, route-cache behaviour."""
 
 import pytest
 
-from deployments import chain_nets, echo_server, single_net
+from deployments import chain_nets, echo_server, sharded_chain, single_net
 from repro import Testbed, SUN3, VAX
 from repro.errors import AddressFault, NoSuchAddress, RouteNotFound
 from repro.machine import SimProcess
+from repro.naming.shards import HashRing
 from repro.naming.protocol import NameRecord
 from repro.ntcs.address import Address, make_uadd
 from repro.ntcs.gateway import Gateway
@@ -217,6 +218,42 @@ def test_gateway_stack_never_learns_itself_as_first_hop():
         stack = bed.gateways[name].stacks[far]
         assert stack.counters["ivc_chained_opened"] >= 1
         assert "net0" not in stack.ip.route_cache
+
+
+# A failed prime plan moves on to the next prime gateway whatever
+# naming-fleet member it was for (IpLayer.forget_route).  On
+# sharded_chain(hops=1) a second prime gwm0b serves net1, and the first
+# prime gwm0 is dead.
+
+def _second_prime_first_dead():
+    bed, groups = sharded_chain(hops=1)
+    bed.machine("gwm0b", SUN3, networks=["net0", "net1"])
+    bed.gateway("gwm0b", prime_for=["net1"])
+    bed.gateways["gwm0"].process.kill()
+    bed.settle()
+    return bed, groups
+
+
+def test_failed_prime_plan_to_a_shard_member_rotates_primes():
+    bed, groups = _second_prime_first_dead()
+    member = groups[1][0].directory_entry[0]
+    assert member != bed.wellknown.ns_uadd
+    ip = bed.module("probe", "mEnd", register=False).nucleus.ip
+    with pytest.raises(AddressFault, match="first-hop gateway unreachable"):
+        ip.open_ivc(member)
+    ivc = ip.open_ivc(member)
+    assert ivc.open and not ivc.direct
+    assert ivc.lvc.peer_addr == bed.gateways["gwm0b"].uadd
+
+
+def test_registration_on_a_far_shard_survives_a_dead_prime():
+    bed, groups = _second_prime_first_dead()
+    ring = HashRing(sorted(groups))
+    name = next(f"late.{i}" for i in range(100)
+                if ring.owner(f"late.{i}") == 1)
+    newcomer = bed.module(name, "mEnd")
+    assert not newcomer.ali.uadd.temporary
+    assert bed.module("finder", "m0").ali.locate(name) == newcomer.ali.uadd
 
 
 def test_plan_resolves_remote_entry_and_caches(ip_layer):

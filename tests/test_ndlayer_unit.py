@@ -1,11 +1,10 @@
-"""Focused tests for ND-Layer mechanics: open retry, resolution paths,
-malformed-message handling, fault notification."""
+"""Focused tests for ND-Layer mechanics: open retry, the HELLO
+exchange, malformed-message handling, fault notification."""
 
 import pytest
 
 from deployments import echo_server, send_burst_with_bad_frame, single_net
 from repro.errors import AddressFault
-from repro.naming.protocol import NameRecord
 from repro.ntcs import message as m
 from repro.ntcs.address import make_uadd
 
@@ -13,6 +12,13 @@ from repro.ntcs.address import make_uadd
 @pytest.fixture
 def bed():
     return single_net()
+
+
+def _open_located(client, uadd):
+    """Open an LVC to a located module at the blob its locate cached
+    (the ND-Layer resolves nothing itself: its caller plans the blob)."""
+    return client.nucleus.nd.open_lvc(
+        uadd, client.nucleus.addr_cache.lookup(uadd).blob)
 
 
 def test_open_retries_then_faults(bed):
@@ -32,22 +38,11 @@ def test_open_to_wrong_network_blob_faults(bed):
         client.nucleus.nd.open_lvc(make_uadd(50), "tcp:othernet:x:1")
 
 
-def test_resolution_via_nsp_when_uncached(bed):
-    # The UAdd comes from the server itself, not from a locate: a
-    # locate would leave the location in the address cache.
-    uadd = echo_server(bed, "dest", "sun1").ali.uadd
-    client = bed.module("client", "vax1")
-    assert client.nucleus.addr_cache.lookup(uadd) is None
-    lvc = client.nucleus.nd.open_lvc(uadd)  # no blob: ND resolves
-    assert lvc.open
-    assert client.nucleus.addr_cache.lookup(uadd) is not None
-
-
 def test_hello_exchanges_machine_types(bed):
     echo_server(bed, "dest", "sun1")
     client = bed.module("client", "vax1")
     uadd = client.ali.locate("dest")
-    lvc = client.nucleus.nd.open_lvc(uadd)
+    lvc = _open_located(client, uadd)
     assert lvc.peer_mtype_name == "Sun-3"
     assert lvc.peer_addr == uadd
     assert "sun1" in lvc.peer_blob
@@ -59,7 +54,7 @@ def test_malformed_message_closes_circuit(bed):
     echo_server(bed, "dest", "sun1")
     client = bed.module("client", "vax1")
     uadd = client.ali.locate("dest")
-    lvc = client.nucleus.nd.open_lvc(uadd)
+    lvc = _open_located(client, uadd)
     # Inject raw garbage under the message layer.
     lvc.mchan.send_message(b"this is not an NTCS message")
     bed.settle()
@@ -127,7 +122,7 @@ def test_open_lvc_counts(bed):
     nd = client.nucleus.nd
     base = nd.open_lvc_count()
     uadd = client.ali.locate("dest")
-    lvc = nd.open_lvc(uadd)
+    lvc = _open_located(client, uadd)
     assert nd.open_lvc_count() == base + 1
     nd.close(lvc, "test over")
     assert nd.open_lvc_count() == base
@@ -152,7 +147,7 @@ def test_regular_address_invalidated_on_open_failure(bed):
     client = bed.module("client", "vax1")
     uadd = client.ali.locate("victim")
     # Prime the cache, then kill the victim.
-    client.nucleus.nd.open_lvc(uadd)
+    _open_located(client, uadd)
     assert client.nucleus.addr_cache.lookup(uadd) is not None
     victim.process.kill()
     bed.settle()
