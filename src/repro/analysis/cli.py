@@ -11,9 +11,11 @@ Usage::
 The flat form runs every rule family (the model stage included).  The
 ``verify`` subcommand runs *only* the model stage — protocol
 extraction plus the MDL checks — and optionally replays netsim JSONL
-wire traces against the extracted wire protocol (TRC001–TRC003),
-printing how many NTCS frames it checked in each trace (on stderr when
-the findings go out as json or sarif).
+wire traces through the declared ``lvc`` and ``ivc-endpoint`` machines
+(TRC001–TRC003), printing how many NTCS frames it checked in each
+trace and then every ``send``/``recv`` edge of those machines that no
+frame of any trace took (on stderr when the findings go out as json
+or sarif; untaken edges do not change the exit status).
 
 With no paths, the installed ``repro`` package tree is scanned.  Exit
 status is 0 when no findings survive (waivers applied), 1 when any do
@@ -104,8 +106,8 @@ def build_verify_parser() -> argparse.ArgumentParser:
         prog="ntcslint verify",
         description="Protocol model checking: extract the message/machine "
                     "model from the tree, run the MDL rules, and "
-                    "optionally replay netsim wire traces against the "
-                    "extracted wire protocol.",
+                    "optionally replay netsim wire traces through the "
+                    "declared wire machines.",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path,
@@ -203,15 +205,18 @@ def main_verify(argv: Sequence[str]) -> int:
     if args.trace:
         # Imported lazily: plain lint paths never need the extractor
         # twice nor the NTCS message module.
-        from repro.analysis.model import extract, replay_trace
+        from repro.analysis.model import extract, replay_trace, untaken_edges
         model = extract(project)
         findings = list(findings)
         out = sys.stdout if args.format == "text" else sys.stderr
+        taken: set = set()
         for trace in args.trace:
-            trace_findings, checked = replay_trace(trace, model)
+            trace_findings, checked = replay_trace(trace, model, taken)
             print(f"ntcsverify: {trace}: {checked} NTCS frame(s) checked",
                   file=out)
             findings.extend(trace_findings)
+        for edge in untaken_edges(model, taken):
+            print(f"ntcsverify: no frame took {edge}", file=out)
     _emit(findings, args.format)
     return 1 if findings else 0
 

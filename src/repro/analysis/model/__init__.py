@@ -4,7 +4,8 @@ Importing this package registers the ``model`` rule family (MDL001–
 MDL005) with the ntcslint engine, so ``python -m repro.analysis`` and
 ``make lint`` run the model checks alongside the per-file rule
 families.  The ``verify`` subcommand runs *only* this family and adds
-trace conformance (TRC001–TRC003) on top.
+trace conformance (TRC001–TRC003) on top: traces step the same
+declared ``lvc`` and ``ivc-endpoint`` machines the MDL rules check.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from repro.analysis.engine import Finding, Project, rule
 from repro.analysis.model.checker import check_model
 from repro.analysis.model.extractor import extract
 from repro.analysis.model.ir import ProtocolModel
-from repro.analysis.model.tracecheck import replay_trace
+from repro.analysis.model.tracecheck import replay_trace, untaken_edges
 
-__all__ = ["extract", "check_model", "replay_trace", "ProtocolModel"]
+__all__ = ["extract", "check_model", "replay_trace", "untaken_edges",
+           "ProtocolModel"]
 
 
 @rule(

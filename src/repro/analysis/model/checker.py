@@ -9,13 +9,12 @@ MDL002 (error) a request's handling modules never send a reply, or a
                declared waits-state has no timeout edge — either way a
                caller can block forever on one lost frame.
 MDL003 (error) a declared machine can deadlock: dead-end non-terminal
-               state, unreachable state, no reachable terminal, edge to
-               an undeclared state, anchor states that disagree with
-               the ``.state`` strings the module actually uses, a kind
-               table with no ``WIRE_PROTOCOL``, wire keys that disagree
-               with the kind table, or a wire kind whose required
-               handshake flags can never all be established (flag
-               fixpoint) — plus any unparseable declaration.
+               state, unreachable state, no reachable terminal, edge
+               (entry edges included) to an undeclared state, anchor
+               states that disagree with the ``.state`` strings the
+               module actually uses, or a ``KIND_NAMES`` kind that no
+               declared machine edge names (the trace checker could
+               not step it) — plus any unparseable declaration.
 MDL004 (error) a machine cycle with no exit discipline — no bounded
                retry budget, no timeout edge, no queue-draining edge,
                and no progress-marked edge — can livelock.
@@ -39,7 +38,6 @@ from repro.analysis.model.ir import (
     MessageSpec,
     ProtocolModel,
     SEND_REPLY,
-    WireProtocol,
 )
 from repro.analysis.rules.protocol import RESERVED_RANGES
 
@@ -56,7 +54,7 @@ def check_model(project: Project, model: ProtocolModel) -> List[Finding]:
     for machine in model.machines:
         findings.extend(_check_machine(machine, module_sources))
     findings.extend(_check_anchors(model))
-    findings.extend(_check_wire(model))
+    findings.extend(_check_kinds(model))
     return findings
 
 
@@ -142,13 +140,15 @@ def _check_machine(machine: Machine,
             f"{where}: initial state {machine.initial!r} is not declared")
         return
     bad_targets = False
-    for state, edges in machine.edges.items():
+    sources = [("entry", machine.entry)] + [
+        (f"state {state!r}", edges) for state, edges in machine.edges.items()]
+    for source, edges in sources:
         for edge in edges:
             if edge.next not in states:
                 bad_targets = True
                 yield _finding(
                     "MDL003", machine.path, machine.line,
-                    f"{where}: state {state!r} has an edge to undeclared "
+                    f"{where}: {source} has an edge to undeclared "
                     f"state {edge.next!r}")
     for terminal in machine.terminal:
         if terminal not in states:
@@ -189,8 +189,7 @@ def _check_machine(machine: Machine,
 
     # Every claimed retry bound must be a name the module really uses.
     source = module_sources.get(machine.module, "")
-    claimed = sorted({e.bounded for edges in machine.edges.values()
-                      for e in edges if e.bounded})
+    claimed = sorted({e.bounded for e in machine.all_edges() if e.bounded})
     for bound in claimed:
         if bound not in source:
             yield _finding(
@@ -229,8 +228,8 @@ def _check_machine(machine: Machine,
 
 
 def _reachable(machine: Machine) -> Set[str]:
-    seen = {machine.initial}
-    frontier = [machine.initial]
+    seen = {machine.initial} | {e.next for e in machine.entry}
+    frontier = list(seen)
     while frontier:
         state = frontier.pop()
         for edge in machine.edges.get(state, []):
@@ -336,52 +335,16 @@ def _check_anchors(model: ProtocolModel) -> Iterable[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# Wire protocol: MDL003 handshake fixpoint
+# Kind table: every wire kind is a machine event (MDL003)
 # ---------------------------------------------------------------------------
 
-def _check_wire(model: ProtocolModel) -> Iterable[Finding]:
-    declared_modules = {w.module for w in model.wires}
-    for module, path, line in model.kind_table_modules:
-        if module not in declared_modules:
+def _check_kinds(model: ProtocolModel) -> Iterable[Finding]:
+    named = {edge.kind for machine in model.machines
+             for edge in machine.all_edges()}
+    for table in model.kind_tables:
+        for name in sorted(set(table.names.values()) - named):
             yield _finding(
-                "MDL003", path, line,
-                f"{module} defines a KIND_NAMES table but no "
-                f"WIRE_PROTOCOL — the wire handshake is unmodeled and "
-                f"traces cannot be conformance-checked")
-    for wire in model.wires:
-        yield from _check_one_wire(wire)
-
-
-def _check_one_wire(wire: WireProtocol) -> Iterable[Finding]:
-    kind_set = set(wire.kind_names.values())
-    wire_set = set(wire.requires)
-    for name in sorted(kind_set - wire_set):
-        yield _finding(
-            "MDL003", wire.path, wire.line,
-            f"wire kind {name!r} is in KIND_NAMES but missing from "
-            f"WIRE_PROTOCOL")
-    for name in sorted(wire_set - kind_set):
-        yield _finding(
-            "MDL003", wire.path, wire.line,
-            f"WIRE_PROTOCOL names unknown kind {name!r} (not in "
-            f"KIND_NAMES)")
-
-    # Flag fixpoint: a kind is sendable once every flag it requires has
-    # been established by some sendable kind; a kind that never becomes
-    # sendable is a handshake deadlock baked into the declaration.
-    sendable: Set[str] = set()
-    flags: Set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for name in sorted(wire_set - sendable):
-            if set(wire.requires.get(name, ())) <= flags:
-                sendable.add(name)
-                flags.update(wire.establishes.get(name, ()))
-                changed = True
-    for name in sorted(wire_set - sendable):
-        needed = sorted(set(wire.requires[name]) - flags)
-        yield _finding(
-            "MDL003", wire.path, wire.line,
-            f"wire kind {name!r} requires flag(s) {needed} that no "
-            f"sendable kind can ever establish — a handshake deadlock")
+                "MDL003", table.path, table.line,
+                f"wire kind {name!r} in {table.module}'s KIND_NAMES is "
+                f"named by no declared machine edge — traces cannot step "
+                f"it")

@@ -22,9 +22,10 @@ read off the ASTs the ntcslint engine already holds:
   matching cannot see;
 * **reply consumption** — ``self._expect(reply, "name")`` sites;
 * **declared machines** — ``PROTOCOL_MACHINE`` / ``PROTOCOL_MACHINES``
-  literals, plus the ``.state`` strings each module assigns or
-  compares (the checker's extraction proof), and the
-  ``WIRE_PROTOCOL`` / ``KIND_NAMES`` tables in the message module.
+  literals with the integer constants their ``bounded`` edges name,
+  plus the ``.state`` strings each module assigns or compares (the
+  checker's extraction proof), and the ``KIND_NAMES`` table in the
+  message module.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.analysis.engine import ModuleInfo, Project
 from repro.analysis.model.ir import (
     Edge,
+    KindTable,
     Machine,
     MessageSpec,
     ProtocolModel,
@@ -44,7 +46,6 @@ from repro.analysis.model.ir import (
     SEND_REPLY,
     SEND_REQUEST,
     Site,
-    WireProtocol,
 )
 from repro.analysis.rules.protocol import (
     _call_arg,
@@ -128,7 +129,7 @@ def extract(project: Project) -> ProtocolModel:
         name.upper(): name for name in model.messages
     }
 
-    # Phase 2: use sites, declared machines, wire tables.
+    # Phase 2: use sites, declared machines, the kind table.
     for module in project.modules:
         consts = dict(global_consts)
         consts.update(_int_constants(module.tree))
@@ -288,12 +289,10 @@ def _function_sites(node: ast.FunctionDef, add_send, add_handler) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Declarations: machines, wire tables, state strings
+# Declarations: machines, the kind table, state strings
 # ---------------------------------------------------------------------------
 
 def _collect_declarations(model: ProtocolModel, module: ModuleInfo) -> None:
-    kind_names: Optional[Dict[int, str]] = None
-    wire_decl: Optional[Tuple[dict, int]] = None
     consts = _int_constants(module.tree)
     for node in module.tree.body:
         if not (isinstance(node, ast.Assign) and len(node.targets) == 1
@@ -305,17 +304,17 @@ def _collect_declarations(model: ProtocolModel, module: ModuleInfo) -> None:
             # resolve them through the module's constant table instead
             # of demanding a pure literal.
             if isinstance(node.value, ast.Dict):
-                kind_names = {}
+                names = {}
                 for key, value in zip(node.value.keys, node.value.values):
                     kind = _resolve_id(key, consts)
                     name = _str_const(value)
                     if kind is not None and name is not None:
-                        kind_names[kind] = name
-                model.kind_table_modules.append(
-                    (module.name, str(module.path), node.lineno))
+                        names[kind] = name
+                model.kind_tables.append(KindTable(
+                    module=module.name, path=str(module.path),
+                    line=node.lineno, names=names))
             continue
-        if target not in ("PROTOCOL_MACHINE", "PROTOCOL_MACHINES",
-                          "WIRE_PROTOCOL"):
+        if target not in ("PROTOCOL_MACHINE", "PROTOCOL_MACHINES"):
             continue
         try:
             value = ast.literal_eval(node.value)
@@ -326,27 +325,22 @@ def _collect_declarations(model: ProtocolModel, module: ModuleInfo) -> None:
                 f"model-check it",
             ))
             continue
-        if target == "PROTOCOL_MACHINE":
-            _add_machine(model, module, node.lineno, value)
-        elif target == "PROTOCOL_MACHINES":
-            for decl in value:
-                _add_machine(model, module, node.lineno, decl)
-        elif target == "WIRE_PROTOCOL":
-            wire_decl = (value, node.lineno)
-    if wire_decl is not None:
-        decl, lineno = wire_decl
-        model.wires.append(WireProtocol(
-            module=module.name, path=str(module.path), line=lineno,
-            kind_names=kind_names or {},
-            requires={str(k): tuple(v.get("requires", ()))
-                      for k, v in decl.items()},
-            establishes={str(k): tuple(v.get("establishes", ()))
-                         for k, v in decl.items()},
-        ))
+        for decl in (value,) if target == "PROTOCOL_MACHINE" else value:
+            _add_machine(model, module, node.lineno, decl, consts)
+
+
+def _edges(raw_edges) -> List[Edge]:
+    return [Edge(
+        event=str(raw.get("event", "")),
+        next=str(raw.get("next", "")),
+        bounded=raw.get("bounded"),
+        progress=bool(raw.get("progress", False)),
+        queue=raw.get("queue"),
+    ) for raw in raw_edges]
 
 
 def _add_machine(model: ProtocolModel, module: ModuleInfo,
-                 lineno: int, decl: object) -> None:
+                 lineno: int, decl: object, consts: Dict[str, int]) -> None:
     if not isinstance(decl, dict) or "states" not in decl:
         model.errors.append((
             module.name, str(module.path), lineno,
@@ -361,21 +355,16 @@ def _add_machine(model: ProtocolModel, module: ModuleInfo,
         terminal=tuple(decl.get("terminal", ())),
         states=dict(decl["states"]),
         anchor=bool(decl.get("anchor", False)),
+        entry=_edges(decl.get("entry", ())),
     )
     for state, spec in machine.states.items():
         spec = spec or {}
         if spec.get("waits"):
             machine.waits.add(state)
-        edges: List[Edge] = []
-        for raw in spec.get("edges", ()):
-            edges.append(Edge(
-                event=str(raw.get("event", "")),
-                next=str(raw.get("next", "")),
-                bounded=raw.get("bounded"),
-                progress=bool(raw.get("progress", False)),
-                queue=raw.get("queue"),
-            ))
-        machine.edges[state] = edges
+        machine.edges[state] = _edges(spec.get("edges", ()))
+    machine.bounds = {edge.bounded: consts[edge.bounded]
+                      for edge in machine.all_edges()
+                      if edge.bounded in consts}
     model.machines.append(machine)
 
 

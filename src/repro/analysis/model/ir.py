@@ -4,7 +4,7 @@ The extractor (:mod:`repro.analysis.model.extractor`) populates a
 :class:`ProtocolModel` from the parsed project; the checker
 (:mod:`repro.analysis.model.checker`) runs the MDL rules over it; the
 trace checker (:mod:`repro.analysis.model.tracecheck`) replays netsim
-JSONL traces against the extracted wire protocol.
+JSONL traces through the declared wire machines.
 
 Three layers of fact live here:
 
@@ -15,10 +15,9 @@ Three layers of fact live here:
   dispatch-dict keys, ``@handles`` annotations, kind dispatch);
 * **machines** — declarative ``PROTOCOL_MACHINE`` literals in the
   source, cross-validated against the ``.state`` strings the same
-  module actually assigns (the extraction proof);
-* **wire** — the ``WIRE_PROTOCOL`` declaration next to the kind table
-  in :mod:`repro.ntcs.message`: per-kind *requires*/*establishes*
-  handshake flags, the model that chaos traces are replayed against.
+  module actually assigns (the extraction proof); ``lvc`` and
+  ``ivc-endpoint`` are also the model traces are replayed through;
+* **kinds** — the ``KIND_NAMES`` wire kinds, each named by some edge.
 """
 
 from __future__ import annotations
@@ -81,6 +80,17 @@ class Edge:
     def is_timeout(self) -> bool:
         return self.event.startswith("timeout")
 
+    @property
+    def is_silent(self) -> bool:
+        """A ``local`` or ``timeout`` edge: taken with no frame."""
+        return self.event.split(" ", 1)[0] in ("local", "timeout")
+
+    @property
+    def kind(self) -> Optional[str]:
+        """The wire kind a ``send``/``recv`` event names, else None."""
+        verb, *words = self.event.split() or [""]
+        return words[0] if verb in ("send", "recv") and words else None
+
 
 @dataclass
 class Machine:
@@ -96,18 +106,26 @@ class Machine:
     edges: Dict[str, List[Edge]] = field(default_factory=dict)
     waits: Set[str] = field(default_factory=set)
     anchor: bool = False  # states must match the module's .state strings
+    # How an instance is entered from outside ("send IVC_OPEN" ->
+    # OPENING); none means it starts in ``initial``.
+    entry: List[Edge] = field(default_factory=list)
+    # The module's integer constants that ``bounded`` edges name.
+    bounds: Dict[str, int] = field(default_factory=dict)
+
+    def all_edges(self) -> List[Edge]:
+        """Every edge, the entry edges included."""
+        return self.entry + [e for edges in self.edges.values()
+                             for e in edges]
 
 
 @dataclass
-class WireProtocol:
-    """The declared wire handshake model from ``repro.ntcs.message``."""
+class KindTable:
+    """A ``KIND_NAMES`` table: numeric wire kind -> name."""
 
     module: str
     path: str
     line: int
-    kind_names: Dict[int, str]              # numeric kind -> "IVC_OPEN" ...
-    requires: Dict[str, Tuple[str, ...]]    # kind name -> needed flags
-    establishes: Dict[str, Tuple[str, ...]]  # kind name -> flags it sets
+    names: Dict[int, str]
 
 
 @dataclass
@@ -116,9 +134,7 @@ class ProtocolModel:
 
     messages: Dict[str, MessageSpec] = field(default_factory=dict)
     machines: List[Machine] = field(default_factory=list)
-    wires: List[WireProtocol] = field(default_factory=list)
-    # Modules defining KIND_NAMES (used to demand a WIRE_PROTOCOL).
-    kind_table_modules: List[Tuple[str, str, int]] = field(default_factory=list)
+    kind_tables: List[KindTable] = field(default_factory=list)
     # module name -> .state strings observed in assignments/comparisons
     state_strings: Dict[str, Set[str]] = field(default_factory=dict)
     # declaration parse problems: (module, path, line, message)
@@ -128,11 +144,3 @@ class ProtocolModel:
         """The message table keyed by wire type id (typed specs only)."""
         return {m.type_id: m for m in self.messages.values()
                 if m.type_id is not None}
-
-    def primary_wire(self) -> Optional[WireProtocol]:
-        """The wire model traces replay against: the declaration in
-        ``repro.ntcs.message``, or the only one present."""
-        for wire in self.wires:
-            if wire.module == "repro.ntcs.message":
-                return wire
-        return self.wires[0] if self.wires else None

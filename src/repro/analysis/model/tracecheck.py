@@ -1,59 +1,43 @@
-"""Replay netsim JSONL wire traces against the extracted wire model.
+"""Replay netsim JSONL wire traces through the declared wire machines.
 
-A trace is the output of :class:`repro.netsim.tracelog.NetTraceLog` —
-one JSON object per transmitted datagram, carrying every raw byte blob
-of the payload as hex.  The netsim records bytes without knowing what
-they are; *this* module (analysis is harness-layer, so it may import
-NTCS) reads each blob under its IPCS's framing (PROTOCOL.md §7: a
-sim-TCP segment is a shift-mode length prefix plus one message, an MBX
-record is the message alone), picks out the ones that carry NTCS magic,
-reads their header words through
-:class:`repro.ntcs.message.HeaderView`, and checks each frame's kind
-against the ``WIRE_PROTOCOL`` declaration the extractor pulled from
-:mod:`repro.ntcs.message`:
-
-* per network and unordered host pair, handshake flags are monotonic:
-  a kind *establishes* its flags when transmitted (transmit-side
-  conformance — a dropped frame still proves the sender believed the
-  handshake allowed it, which keeps replay robust under chaos drops
-  and crash-restart re-handshakes);
-* TRC001 (error) a frame whose kind *requires* a flag not yet
-  established on that hop — a transition outside the model;
-* TRC002 (error) a frame whose kind is not in the model at all, a
-  trace line that cannot be parsed, or a trace that holds no NTCS frame
-  at all (nothing was checked, so nothing may pass);
-* TRC003 (error) a chained circuit's open broke the riding rule
-  (PROTOCOL.md §3): on a hop, between an IVC_OPEN and its
-  IVC_OPEN_ACK/NAK, the originator sent that destination more than
-  ``OPEN_RIDERS`` distinct DATA frames, or one that is not a request;
-  or a host that NAKed the open sent on a DATA that rode it before the
-  next IVC_OPEN for that destination reached it.
-
-Exit-code semantics are the CLI's: any finding fails the run.
+Each payload blob of a :class:`repro.netsim.tracelog.NetTraceLog` trace
+is read under its IPCS's framing (PROTOCOL.md §7); one with NTCS magic
+is a frame, stepped as ``send`` at its sender and ``recv`` at its
+receiver when transmitted, dropped or not, through the two anchored
+machines the MDL rules also check.  ``lvc`` runs per ``(network, host,
+peer host)``, keeping the union of the states reached, since LVC frames
+carry no LVC identity; a kind it does not name is its DATA.
+``ivc-endpoint`` runs per hop of a chained circuit, as the hop's opener
+sees it: per ``(network, opener host, answerer host, originator)``,
+holding the destination.  An entry edge's frame starts it unless it is
+still in that edge's state for the destination (a retry); a frame
+repeated in an instance counts once; other frames of no live chained
+circuit are a direct circuit's, entered by the silent entry edge.  A
+request with ``FLAG_RIDES_OPEN`` is ``DATA rides_open``; ``local`` and
+``timeout`` edges are taken silently.  TRC001: a frame with no edge
+from any state its instance may be in.  TRC002: a kind not in the kind
+table, a line that is no frame event, or no NTCS frame at all.  TRC003:
+a ``bounded`` edge taken in one instance past the constant it names.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.engine import Finding, SEVERITY_ERROR
-from repro.analysis.model.ir import ProtocolModel, WireProtocol
+from repro.analysis.model.ir import Edge, Machine, ProtocolModel
 from repro.conversion.shiftmode import shift_decode_u32s
-from repro.ntcs.address import Address
-from repro.ntcs.iplayer import OPEN_RIDERS
 from repro.ntcs.message import (
-    FLAG_CONNECTIONLESS, FLAG_REPLY_EXPECTED, HEADER_BYTES, HeaderView)
+    FLAG_CONNECTIONLESS, FLAG_REPLY_EXPECTED, FLAG_RIDES_OPEN, HeaderView)
 from repro.errors import NtcsError, ProtocolError
 
-_HopKey = Tuple[str, FrozenSet[str]]
-
-
-def _finding(rule: str, path: str, line: int, message: str) -> Finding:
-    return Finding(rule=rule, severity=SEVERITY_ERROR,
-                   path=path, line=line, message=message)
-
+# The wire machines, and what a replay took of them: (machine name,
+# source state or None for an entry edge, edge).
+WIRE_MACHINES = ("lvc", "ivc-endpoint")
+TakenEdge = Tuple[str, Optional[str], Edge]
 
 # Framing bytes each IPCS puts before one NTCS message (PROTOCOL.md
 # §7); a protocol not named here carries the message alone.
@@ -62,16 +46,13 @@ _PREFIX_BYTES = {"tcp": 4}
 
 def _ntcs_frame(blob: bytes, protocol: str) -> Optional[bytes]:
     """The NTCS frame a payload blob carries under ``protocol``'s
-    framing, or None for transport noise (a blob that is not exactly
-    one framed message with NTCS magic)."""
+    framing, or None for transport noise."""
     prefix = _PREFIX_BYTES.get(protocol, 0)
     if prefix:
         if (len(blob) < prefix
                 or shift_decode_u32s(blob, 1)[0] != len(blob) - prefix):
             return None
         blob = blob[prefix:]
-    if len(blob) < HEADER_BYTES:
-        return None
     try:
         HeaderView(blob)
     except ProtocolError:
@@ -79,139 +60,194 @@ def _ntcs_frame(blob: bytes, protocol: str) -> Optional[bytes]:
     return blob
 
 
-def replay_trace(path: str,
-                 model: ProtocolModel) -> Tuple[List[Finding], int]:
-    """Replay one JSONL trace file against the model's wire protocol;
-    returns its findings and the number of NTCS frames it checked."""
-    wire = model.primary_wire()
-    if wire is None:
-        return [_finding(
-            "TRC002", path, 1,
-            "no WIRE_PROTOCOL declaration was extracted from the tree — "
-            "traces cannot be conformance-checked")], 0
+class _Instance:
+    """The states one machine instance may be in, its destination, its
+    bounded-edge counts and the frames it has seen."""
+
+    def __init__(self, states: frozenset, dst=None):
+        self.states, self.dst = states, dst
+        self.counts: Counter = Counter()
+        self.seen: Set[bytes] = set()
+
+
+class _Walk:
+    """Steps the instances of one declared machine."""
+
+    def __init__(self, machine: Machine, taken: Set[TakenEdge]):
+        self.machine, self.taken = machine, taken
+        self.kinds = {edge.kind for edge in machine.all_edges()}
+        self.instances: Dict[tuple, _Instance] = {}
+
+    def enter(self, states: Iterable[str], dst=None) -> _Instance:
+        """An instance in ``states`` and every state silent edges reach
+        from them."""
+        states = set(states)
+        frontier = list(states)
+        while frontier:
+            for edge in self.machine.edges.get(frontier.pop(), ()):
+                if edge.is_silent and edge.next not in states:
+                    states.add(edge.next)
+                    frontier.append(edge.next)
+        return _Instance(frozenset(states), dst)
+
+    def step(self, instance: _Instance, event: str,
+             union: bool = False) -> Optional[Tuple[str, str]]:
+        """Take ``event``; None when the model allows it, else the rule
+        it breaks and why."""
+        moves = [(state, edge) for state in instance.states
+                 for edge in self.machine.edges.get(state, ())
+                 if edge.event == event]
+        if not moves:
+            return "TRC001", (f"{self.machine.name} has no {event!r} edge "
+                              f"from {sorted(instance.states)}")
+        self.taken.update((self.machine.name, *move) for move in moves)
+        reached = self.enter(edge.next for _, edge in moves).states
+        instance.states = instance.states | reached if union else reached
+        for edge in {edge for _, edge in moves if edge.bounded}:
+            instance.counts[edge] += 1
+            limit = self.machine.bounds.get(edge.bounded)
+            if limit is not None and instance.counts[edge] > limit:
+                return "TRC003", (f"{self.machine.name} took {event!r} past "
+                                  f"its bound {edge.bounded} = {limit} in "
+                                  f"one instance")
+        return None
+
+
+def _step_lvc(walk: _Walk, network: str, sender: str, receiver: str,
+              name: str) -> Optional[Tuple[str, str]]:
+    token = name if name in walk.kinds else "DATA"
+    for key, event in (((network, sender, receiver), f"send {token}"),
+                       ((network, receiver, sender), f"recv {token}")):
+        if key not in walk.instances:
+            walk.instances[key] = walk.enter((walk.machine.initial,))
+        broken = walk.step(walk.instances[key], event, union=True)
+        if broken:
+            return broken
+    return None
+
+
+def _step_ivc(walk: _Walk, network: str, sender: str, receiver: str,
+              header: HeaderView, name: str,
+              frame: bytes) -> Optional[Tuple[str, str]]:
+    try:
+        src, dst = header.src, header.dst
+    except NtcsError:
+        return None  # no circuit has a zero address
+    key, event = (network, sender, receiver, src), f"send {name}"
+    instance = walk.instances.get(key)
+    entry = [edge for edge in walk.machine.entry if edge.event == event]
+    if entry:
+        if (instance is None or instance.dst != dst
+                or not {edge.next for edge in entry} <= instance.states):
+            instance = walk.enter((edge.next for edge in entry), dst)
+            walk.instances[key] = instance
+            walk.taken.update((walk.machine.name, None, e) for e in entry)
+        instance.seen.add(frame)
+        return None
+    if instance is None or instance.dst != dst:
+        key, event = (network, receiver, sender, dst), f"recv {name}"
+        instance = walk.instances.get(key)
+    if instance is not None and frame in instance.seen:
+        return None
+    if instance is None or instance.states <= set(walk.machine.terminal):
+        # A direct circuit: both of its ends are constructed OPEN.
+        direct = [e.next for e in walk.machine.entry if e.is_silent]
+        broken = (walk.step(walk.enter(direct), f"send {name}")
+                  or walk.step(walk.enter(direct), f"recv {name}"))
+        return broken and (broken[0], f"no open on this hop (a direct "
+                                      f"circuit), and {broken[1]}")
+    instance.seen.add(frame)
+    return walk.step(instance, event)
+
+
+def _frame_event(event) -> Optional[Tuple[str, dict, List[bytes]]]:
+    """A frame event's network, args and payload blobs, or None for a
+    blank line or another event; ValueError for anything unreadable."""
+    try:
+        if isinstance(event, str):  # a raw trace line
+            event = json.loads(event) if event.strip() else {}
+        if event.get("op") != "frame":
+            return None
+        args = event["args"]
+        blobs = [bytes.fromhex(blob) for blob in args.get("frames", [])]
+        return str(event.get("target", "")), args, blobs
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise ValueError("trace line is not a frame event the checker "
+                         "can read") from None
+
+
+def replay_trace(path: str, model: ProtocolModel,
+                 taken: Optional[Set[TakenEdge]] = None,
+                 events: Optional[Iterable] = None,
+                 ) -> Tuple[List[Finding], int]:
+    """Replay one JSONL trace file — or its already decoded ``events``,
+    reported against ``path`` — through the model's wire machines.
+    Returns the findings and the number of NTCS frames checked, and
+    adds every edge taken to ``taken`` when given."""
+    def finding(rule: str, line: int, message: str) -> Finding:
+        return Finding(rule=rule, severity=SEVERITY_ERROR,
+                       path=path, line=line, message=message)
+
+    machines = {m.name: m for m in model.machines if m.name in WIRE_MACHINES}
+    if len(machines) < len(WIRE_MACHINES):
+        return [finding("TRC002", 1, "no lvc and ivc-endpoint machines "
+                        "were extracted — traces cannot be checked")], 0
+    taken = set() if taken is None else taken
+    lvc, ivc = (_Walk(machines[name], taken) for name in WIRE_MACHINES)
+    kinds = {kind: name for table in model.kind_tables
+             for kind, name in table.names.items()}
+    if events is None:
+        events = Path(path).read_text().splitlines()
     findings: List[Finding] = []
     checked = 0
-    flags_by_hop: Dict[_HopKey, Set[str]] = {}
-    riding = _RidingRule(wire)
-    for lineno, raw in enumerate(
-            Path(path).read_text().splitlines(), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
+    for lineno, event in enumerate(events, start=1):
         try:
-            event = json.loads(raw)
-        except ValueError:
-            findings.append(_finding(
-                "TRC002", path, lineno, "unparseable trace line"))
+            parsed = _frame_event(event)
+        except ValueError as exc:
+            findings.append(finding("TRC002", lineno, str(exc)))
             continue
-        if event.get("op") != "frame":
+        if parsed is None:
             continue
-        args = event.get("args", {})
-        hop: _HopKey = (
-            str(event.get("target", "")),
-            frozenset((str(args.get("src", "")), str(args.get("dst", "")))),
-        )
-        flags = flags_by_hop.setdefault(hop, set())
-        protocol = str(args.get("protocol", ""))
-        for blob_hex in args.get("frames", ()):
-            try:
-                blob = bytes.fromhex(blob_hex)
-            except ValueError:
-                findings.append(_finding(
-                    "TRC002", path, lineno, "frame hex is malformed"))
-                continue
-            frame = _ntcs_frame(blob, protocol)
+        network, args, blobs = parsed
+        sender, receiver = str(args.get("src", "")), str(args.get("dst", ""))
+        for blob in blobs:
+            frame = _ntcs_frame(blob, str(args.get("protocol", "")))
             if frame is None:
                 continue
             checked += 1
-            findings.extend(
-                _check_frame(wire, frame, flags, path, lineno, args))
-            findings.extend(riding.check(
-                str(event.get("target", "")), str(args.get("src", "")),
-                str(args.get("dst", "")), frame, path, lineno))
+            header = HeaderView(frame)
+            name = kinds.get(header.kind)
+            where = f"({sender} -> {receiver} on {network})"
+            if name is None:
+                findings.append(finding(
+                    "TRC002", lineno, f"frame kind {header.kind} {where} "
+                    f"is not in the kind table"))
+                continue
+            broken = _step_lvc(lvc, network, sender, receiver, name)
+            if broken is None and name in ivc.kinds:
+                flags = header.flags
+                if (name == "DATA" and flags & FLAG_RIDES_OPEN
+                        and flags & FLAG_REPLY_EXPECTED
+                        and not flags & FLAG_CONNECTIONLESS):
+                    name = "DATA rides_open"
+                broken = _step_ivc(ivc, network, sender, receiver,
+                                   header, name, frame)
+            if broken:
+                findings.append(finding(
+                    broken[0], lineno, f"{name} {where}: {broken[1]}"))
     if not checked:
-        findings.append(_finding(
-            "TRC002", path, 1, "no NTCS frames to check"))
+        findings.append(finding("TRC002", 1, "no NTCS frames to check"))
     return findings, checked
 
 
-def _check_frame(wire: WireProtocol, blob: bytes, flags: Set[str],
-                 path: str, lineno: int, args: dict) -> Iterable[Finding]:
-    header = HeaderView(blob)
-    name = wire.kind_names.get(header.kind)
-    if name is None:
-        yield _finding(
-            "TRC002", path, lineno,
-            f"frame kind {header.kind} ({args.get('src')} -> "
-            f"{args.get('dst')}) is not in the wire model")
-        return
-    missing = sorted(set(wire.requires.get(name, ())) - flags)
-    if missing:
-        yield _finding(
-            "TRC001", path, lineno,
-            f"{name} frame ({args.get('src')} -> {args.get('dst')}) "
-            f"sent before flag(s) {missing} were established on this "
-            f"hop — a transition outside the extracted model")
-    # Establish regardless of validity or drops: keep later findings
-    # about *new* violations, not echoes of this one.
-    flags.update(wire.establishes.get(name, ()))
-
-
-class _RidingRule:
-    """TRC003 state over one trace.  Headers carry end-to-end addresses,
-    so a circuit's open is followed per network and direction by its
-    originator's address: ``opening[(network, sender, receiver,
-    originator)]`` holds the destination and the distinct DATA frames
-    sent to it since the IVC_OPEN (a retransmitted segment is the same
-    bytes).  An originator opens one circuit at a time, and whichever
-    answer comes back ends it.  ``refused[(host, originator,
-    destination)]`` holds the riders a host received before it NAKed."""
-
-    def __init__(self, wire: WireProtocol):
-        kinds = {name: kind for kind, name in wire.kind_names.items()}
-        self._data = kinds.get("DATA")
-        self._open = kinds.get("IVC_OPEN")
-        self._answers = {kinds.get("IVC_OPEN_ACK"), kinds.get("IVC_OPEN_NAK")}
-        self._nak = kinds.get("IVC_OPEN_NAK")
-        self.opening: Dict[tuple, Tuple[Address, Set[bytes]]] = {}
-        self.refused: Dict[tuple, Set[bytes]] = {}
-
-    def check(self, network: str, sender: str, receiver: str, frame: bytes,
-              path: str, lineno: int) -> Iterable[Finding]:
-        header = HeaderView(frame)
-        kind = header.kind
-        try:
-            src, dst = header.src, header.dst
-        except NtcsError:
-            return  # no circuit has a zero address
-        if kind == self._open:
-            key = (network, sender, receiver, src)
-            pending = self.opening.get(key)
-            if pending is None or pending[0] != dst:
-                # A retried open to the same destination keeps its
-                # riders: the retry's is the same bytes.
-                self.opening[key] = (dst, set())
-            self.refused.pop((receiver, src, dst), None)
-        elif kind in self._answers:
-            pending = self.opening.pop((network, receiver, sender, dst), None)
-            if pending is not None and kind == self._nak:
-                self.refused[(sender, dst, pending[0])] = pending[1]
-        elif kind == self._data:
-            if frame in self.refused.get((sender, src, dst), ()):
-                yield _finding(
-                    "TRC003", path, lineno,
-                    f"{sender} sent on a DATA that rode an IVC_OPEN it "
-                    f"refused ({sender} -> {receiver} on {network})")
-            pending = self.opening.get((network, sender, receiver, src))
-            if pending is None or pending[0] != dst or frame in pending[1]:
-                return
-            pending[1].add(frame)
-            flags = header.flags
-            if (len(pending[1]) > OPEN_RIDERS
-                    or not flags & FLAG_REPLY_EXPECTED
-                    or flags & FLAG_CONNECTIONLESS):
-                yield _finding(
-                    "TRC003", path, lineno,
-                    f"DATA ({sender} -> {receiver} on {network}) sent on a "
-                    f"circuit still opening: only {OPEN_RIDERS} request "
-                    f"may ride an IVC_OPEN")
+def untaken_edges(model: ProtocolModel, taken: Set[TakenEdge]) -> List[str]:
+    """Every ``send``/``recv`` edge of the wire machines no replayed
+    frame took, as ``machine STATE --event--> NEXT`` (``(entry)`` for an
+    entry edge)."""
+    return [f"{machine.name} {state or '(entry)'} --{edge.event}--> "
+            f"{edge.next}"
+            for machine in model.machines if machine.name in WIRE_MACHINES
+            for state, edges in [(None, machine.entry),
+                                 *machine.edges.items()]
+            for edge in edges
+            if edge.kind and (machine.name, state, edge) not in taken]

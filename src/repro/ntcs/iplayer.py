@@ -69,29 +69,39 @@ FLOW_PROBE_TIMEOUT = 1.0
 # (PROTOCOL.md §3, "A call rides its circuit's open").
 OPEN_RIDERS = 1
 
-# The IVC endpoint machine, model-checked by ntcsverify (pure literal).
-# Anchored: the state names must match the ``.state`` strings this
-# module actually assigns/compares.  A direct circuit is constructed
-# already in OPEN; a chained one starts in OPENING and leaves it on the
+# The IVC endpoint machine, model-checked by ntcsverify (pure literal)
+# and stepped by ``verify --trace`` per hop of every chained circuit,
+# from the side that sent that hop's IVC_OPEN.  Anchored: the state
+# names must match the ``.state`` strings this module actually
+# assigns/compares.  A direct circuit is constructed already in OPEN;
+# a chained one enters OPENING with its IVC_OPEN and leaves it on the
 # end-to-end ACK/NAK, on the open timeout (which runs the normal close
 # path), or on an LVC fault underneath.  While OPENING it sends at most
-# OPEN_RIDERS DATA frames: a call's request riding the open.
+# OPEN_RIDERS DATA frames, each a call's request riding the open
+# ("rides_open": FLAG_RIDES_OPEN on a request), and may still receive
+# a straggler of the circuit that last used a kept leg.
 # Alongside it, the ivc-flow machine declares the sender half of the
 # credit protocol (PROTOCOL.md §12): every send grows the in-flight
-# ledger, every advertisement drains it, and a zero-credit sender
-# stalls behind a bounded, timed probe loop — never an unbounded wait.
+# ledger, every advertisement drains it, a sender that suspects lost
+# frames probes without stalling, and a zero-credit sender stalls
+# behind a bounded, timed probe loop — never an unbounded wait.
 PROTOCOL_MACHINES = (
     {
         "name": "ivc-endpoint",
         "anchor": True,
         "initial": "OPENING",
+        "entry": (
+            {"event": "send IVC_OPEN", "next": "OPENING"},
+            {"event": "local direct", "next": "OPEN"},
+        ),
         "terminal": ("CLOSED", "FAILED"),
         "states": {
             "OPENING": {
                 "waits": True,
                 "edges": (
-                    {"event": "send DATA", "next": "OPENING",
+                    {"event": "send DATA rides_open", "next": "OPENING",
                      "bounded": "OPEN_RIDERS"},
+                    {"event": "recv DATA", "next": "OPENING"},
                     {"event": "recv IVC_OPEN_ACK", "next": "OPEN"},
                     {"event": "recv IVC_OPEN_NAK", "next": "FAILED"},
                     {"event": "timeout open_timeout", "next": "CLOSED"},
@@ -104,6 +114,7 @@ PROTOCOL_MACHINES = (
                     {"event": "send DATA", "next": "OPEN", "progress": True},
                     {"event": "recv DATA", "next": "OPEN", "progress": True},
                     {"event": "recv IVC_CLOSE", "next": "CLOSED"},
+                    {"event": "send IVC_CLOSE", "next": "CLOSED"},
                     {"event": "local close", "next": "CLOSED"},
                     {"event": "local lvc_fault", "next": "CLOSED"},
                 ),
@@ -123,6 +134,7 @@ PROTOCOL_MACHINES = (
                      "queue": "+inflight", "progress": True},
                     {"event": "recv CREDIT_GRANT", "next": "READY",
                      "queue": "-inflight", "progress": True},
+                    {"event": "send CREDIT_PROBE", "next": "READY"},
                     {"event": "local credit_exhausted", "next": "STALLED"},
                     {"event": "local close", "next": "CLOSED"},
                 ),

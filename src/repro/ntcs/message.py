@@ -72,6 +72,9 @@ IVC_CLOSE = 7
 CREDIT_GRANT = 8
 CREDIT_PROBE = 9
 
+# Every kind is named by some declared machine edge (ntcsverify MDL003):
+# ``verify --trace`` steps each frame through the lvc (ndlayer.py) and
+# ivc-endpoint (iplayer.py) machines, the one model of the wire.
 KIND_NAMES = {
     DATA: "DATA",
     LVC_HELLO: "LVC_HELLO",
@@ -82,26 +85,6 @@ KIND_NAMES = {
     IVC_CLOSE: "IVC_CLOSE",
     CREDIT_GRANT: "CREDIT_GRANT",
     CREDIT_PROBE: "CREDIT_PROBE",
-}
-
-# The declared wire handshake, checked by ntcsverify (pure literal —
-# the analyzer reads it off the AST).  Per network hop (one LVC), a
-# kind may only be transmitted once every flag it *requires* has been
-# *established* by an earlier kind on that hop: the HELLO exchange
-# brings up the LVC, IVC_OPEN rides an open LVC, the OPEN ACK/NAK
-# answer an outstanding open, and everything else needs the LVC.
-# ``verify`` model-checks this table for handshake deadlocks (MDL003)
-# and replays netsim wire traces against it (TRC001/TRC002).
-WIRE_PROTOCOL = {
-    "LVC_HELLO":     {"requires": (),         "establishes": ("hello",)},
-    "LVC_HELLO_ACK": {"requires": ("hello",), "establishes": ("lvc",)},
-    "IVC_OPEN":      {"requires": ("lvc",),   "establishes": ("open",)},
-    "IVC_OPEN_ACK":  {"requires": ("open",),  "establishes": ("ivc",)},
-    "IVC_OPEN_NAK":  {"requires": ("open",),  "establishes": ()},
-    "IVC_CLOSE":     {"requires": ("lvc",),   "establishes": ()},
-    "DATA":          {"requires": ("lvc",),   "establishes": ()},
-    "CREDIT_GRANT":  {"requires": ("lvc",),   "establishes": ()},
-    "CREDIT_PROBE":  {"requires": ("lvc",),   "establishes": ()},
 }
 
 # -- flags -------------------------------------------------------------------

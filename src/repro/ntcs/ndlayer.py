@@ -40,12 +40,14 @@ from repro.util.counters import (
     TADDS_ASSIGNED, TADDS_PURGED)
 
 
-# The LVC machine, model-checked by ntcsverify (pure literal).
-# Anchored: state names must match this module's ``.state``
-# strings.  An outbound circuit runs the HELLO handshake under
-# ``open_timeout``; an inbound one sits in AWAIT_HELLO without a
-# local timer (the *peer's* hello timeout bounds that wait — its
-# close tears the transport, which surfaces here as a fault edge).
+# The LVC machine, model-checked by ntcsverify (pure literal) and
+# stepped by ``verify --trace`` at each end of every hop, where every
+# kind but the two HELLOs is the DATA the LVC carries.  Anchored:
+# state names must match this module's ``.state`` strings.  An
+# outbound circuit runs the HELLO handshake under ``open_timeout``; an
+# inbound one sits in AWAIT_HELLO without a local timer (the *peer's*
+# hello timeout bounds that wait — its close tears the transport,
+# which surfaces here as a fault edge) and answers the HELLO once OPEN.
 # Alongside it, the lvc-rx-queue machine declares the per-LVC
 # receive-queue discipline (PROTOCOL.md §12): every arrival that grows
 # the queue is balanced by a consume or an overload drop, so the MDL005
@@ -59,7 +61,7 @@ PROTOCOL_MACHINES = (
         "states": {
             "NEW": {
                 "edges": (
-                    {"event": "local connect", "next": "HELLO_SENT"},
+                    {"event": "send LVC_HELLO", "next": "HELLO_SENT"},
                     {"event": "local accept", "next": "AWAIT_HELLO"},
                 ),
             },
@@ -78,6 +80,7 @@ PROTOCOL_MACHINES = (
             },
             "OPEN": {
                 "edges": (
+                    {"event": "send LVC_HELLO_ACK", "next": "OPEN"},
                     {"event": "send DATA", "next": "OPEN", "progress": True},
                     {"event": "recv DATA", "next": "OPEN", "progress": True},
                     {"event": "local close", "next": "CLOSED"},

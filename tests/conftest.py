@@ -1,13 +1,62 @@
-"""Shared fixtures: schedulers, networks, machines, and IPCS instances."""
+"""Shared fixtures: schedulers, networks, machines, and IPCS instances,
+and the wire-conformance recorder."""
 
 from __future__ import annotations
+
+import re
+from pathlib import Path
 
 import pytest
 
 from deployments import Substrate
+from repro.analysis import Project
+from repro.analysis.model import extract, replay_trace
 from repro.ipcs import SimMbxIpcs, SimTcpIpcs
 from repro.machine import APOLLO, Machine, SimProcess, SUN3, VAX
-from repro.netsim import Network, Scheduler
+from repro.netsim import NetTraceLog, Network, Scheduler
+from repro.testbed import Testbed
+
+@pytest.fixture(scope="session")
+def wire_model():
+    """The protocol model extracted from ``src/repro``, once per run."""
+    return extract(Project.load(
+        [Path(__file__).resolve().parent.parent / "src" / "repro"]))
+
+
+@pytest.fixture
+def wire_conformance(request, monkeypatch, wire_model):
+    """Record every network a ``Testbed`` creates, one
+    :class:`NetTraceLog` per bed, and after the test replay each bed's
+    trace through the declared wire machines (``verify --trace``).  Any
+    finding fails the test and writes that trace into
+    ``chaos-failures/`` for replay.  A bed whose networks carried
+    nothing (real sockets) is skipped."""
+    logs = {}
+    create = Testbed.network
+
+    def traced_network(bed, *args, **kwargs):
+        network = create(bed, *args, **kwargs)
+        logs.setdefault(bed, NetTraceLog()).attach(network)
+        return network
+
+    monkeypatch.setattr(Testbed, "network", traced_network)
+    yield
+    failures = []
+    for index, log in enumerate(logs.values()):
+        if not log.events:
+            continue
+        name = re.sub(r"[^\w.-]+", "_", request.node.nodeid)
+        path = f"{name}.bed{index}.jsonl"
+        findings, _checked = replay_trace(path, wire_model,
+                                          events=log.events)
+        if findings:
+            out_dir = Path("chaos-failures")
+            out_dir.mkdir(exist_ok=True)
+            log.dump_jsonl(out_dir / path)
+            failures.extend(finding.render() for finding in findings)
+    if failures:
+        pytest.fail("wire trace leaves the declared machines:\n"
+                    + "\n".join(failures), pytrace=False)
 
 
 @pytest.fixture(params=["sim", "real"])

@@ -19,6 +19,10 @@ from repro.errors import DestinationUnavailable, NtcsError, SimulationError
 from repro.netsim import ChaosEngine, ChaosSchedule
 from repro.ntcs.nucleus import NucleusConfig
 
+# Every trace these tests put on a simulated wire steps the declared
+# wire machines (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("wire_conformance")
+
 
 def recording_echo(bed, name, machine):
     """An echo server that records every request body it serves —

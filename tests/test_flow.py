@@ -28,6 +28,10 @@ from repro.util.counters import (
     LVC_RX_QUEUE_HIGH_WATER,
 )
 
+# Every trace these tests put on a simulated wire steps the declared
+# wire machines (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("wire_conformance")
+
 WINDOW = 8
 
 

@@ -16,6 +16,10 @@ from repro.ntcs import message as m
 from repro.ntcs.gateway import Gateway
 from repro.ntcs.iplayer import MAX_HOPS
 
+# Every trace these tests put on a simulated wire steps the declared
+# wire machines (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("wire_conformance")
+
 
 def test_gateway_requires_two_networks():
     bed = Testbed()

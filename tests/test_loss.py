@@ -23,6 +23,10 @@ import pytest
 from deployments import two_nets
 from repro.ntcs.nucleus import NucleusConfig
 
+# Every trace these tests put on a simulated wire steps the declared
+# wire machines (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("wire_conformance")
+
 BURST = 40
 
 

@@ -3,17 +3,18 @@
 Three halves, mirroring the tentpole:
 
 * the *gate* — ``verify`` over ``src/repro`` extracts the message
-  table, the declared machines, and the wire protocol, and every MDL
+  table, the declared machines, and the kind table, and every MDL
   rule comes back clean;
 * the *demonstration* — one mutation fixture per MDL rule (a deleted
-  ack handler, a dropped timeout edge, a dead handshake, an unbounded
-  retry cycle, an undrained queue) proves each rule actually fires,
-  and fires alone;
+  ack handler, a dropped timeout edge, a wire kind no machine edge
+  names, an unbounded retry cycle, an undrained queue) proves each
+  rule actually fires, and fires alone;
 * the *bridge* — wire traces recorded from live chaos-schedule runs
-  replay through the trace-conformance checker with zero unmodeled
-  transitions, while corrupted traces are flagged.
+  step the declared ``lvc`` and ``ivc-endpoint`` machines with zero
+  unmodeled transitions, while corrupted traces are flagged.
 """
 
+import functools
 import json
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from deployments import chain_nets, echo_server, sharded_chain, two_nets
 from test_wire_invariance import SCENARIOS
 from repro.analysis import Project, analyze
 from repro.analysis.cli import main
-from repro.analysis.model import extract, replay_trace
+from repro.analysis.model import extract, replay_trace, untaken_edges
 from repro.conversion.shiftmode import shift_encode_u32s
 from repro.netsim import ChaosSchedule, NetTraceLog
 from repro.ntcs import message as m
@@ -36,7 +37,9 @@ SRC_TREE = REPO_ROOT / "src" / "repro"
 VERIFY_FIXTURES = REPO_ROOT / "tests" / "fixtures" / "ntcsverify"
 
 
+@functools.lru_cache(maxsize=None)
 def _model(paths=(SRC_TREE,)):
+    """The extracted model (read-only to every caller: extract once)."""
     return extract(Project.load(paths))
 
 
@@ -83,9 +86,19 @@ def test_extracts_declared_machines_and_wire():
             "lcm-call", "lcm-rx-queue"} <= names
     anchors = {machine.name for machine in model.machines if machine.anchor}
     assert {"ivc-endpoint", "lvc"} <= anchors
-    wire = model.primary_wire()
-    assert wire is not None and wire.module == "repro.ntcs.message"
-    assert set(wire.kind_names.values()) == set(wire.requires)
+    # The wire model is the anchored lvc and ivc-endpoint machines: the
+    # kind table's every kind is an edge event, a chained circuit is
+    # entered by its IVC_OPEN, and the riding bound is read off
+    # iplayer.py's constant.
+    [table] = model.kind_tables
+    assert table.module == "repro.ntcs.message"
+    named = {edge.kind for machine in model.machines
+             for edge in machine.all_edges()}
+    assert set(table.names.values()) <= named
+    ivc = next(mach for mach in model.machines if mach.name == "ivc-endpoint")
+    assert {(e.event, e.next) for e in ivc.entry} == {
+        ("send IVC_OPEN", "OPENING"), ("local direct", "OPEN")}
+    assert ivc.bounds == {"OPEN_RIDERS": 1}
 
 
 def test_anchor_mismatch_fires_mdl003(tmp_path):
@@ -119,7 +132,7 @@ def test_anchor_mismatch_fires_mdl003(tmp_path):
 @pytest.mark.parametrize("fixture, rule", [
     ("mdl001", "MDL001"),   # deleted ack handler
     ("mdl002", "MDL002"),   # dropped timeout edge
-    ("mdl003", "MDL003"),   # handshake flag deadlock
+    ("mdl003", "MDL003"),   # a wire kind no machine edge names
     ("mdl004", "MDL004"),   # unbounded retry cycle
     ("mdl005", "MDL005"),   # queue grown, never drained
 ])
@@ -253,6 +266,15 @@ def test_kept_legs_replay_clean(tmp_path, capsys):
         assert f"{path}: {checked} NTCS frame(s) checked" in out
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_wire_scenario_replays_clean(name, tmp_path):
+    """The scripted runs whose wire the netsim fixtures pin step the
+    declared machines with no finding."""
+    path = SCENARIOS[name](None).dump_jsonl(tmp_path / f"{name}.jsonl")
+    findings, checked = replay_trace(str(path), _model())
+    assert findings == [] and checked > 0
+
+
 def _frame_event(frame_hex: str, protocol: str = "tcp") -> str:
     return json.dumps({
         "at": 0.0, "op": "frame", "target": "ether0",
@@ -341,8 +363,89 @@ def test_verify_cli_missing_trace_is_usage_error(capsys):
     assert "no such trace" in capsys.readouterr().err
 
 
+HOSTILE_LINES = ["[1, 2]", '"x"', '{"op": "frame", "args": []}',
+                 '{"op": "frame", "args": {"frames": [7]}}']
+
+
+@pytest.mark.parametrize("line", HOSTILE_LINES,
+                         ids=["list", "string", "args-list", "frame-not-hex"])
+def test_a_hostile_trace_line_is_a_trc002_finding(line, tmp_path):
+    """A line that is not a frame event the checker can read is a
+    finding, never a traceback."""
+    path = tmp_path / "hostile.jsonl"
+    path.write_text(line + "\n")
+    findings, checked = replay_trace(str(path), _model())
+    assert checked == 0
+    assert [(f.rule, f.line) for f in findings] == [("TRC002", 1)] * 2
+    assert "not a frame event" in findings[0].message
+    assert "no NTCS frames" in findings[1].message
+
+
+@pytest.mark.parametrize("fmt", ["json", "sarif"])
+def test_verify_cli_reports_hostile_trace_lines(fmt, tmp_path, capsys):
+    """The report still comes out in the requested format."""
+    path = tmp_path / "hostile.jsonl"
+    path.write_text("".join(line + "\n" for line in HOSTILE_LINES))
+    assert main(["verify", str(SRC_TREE), "--trace", str(path),
+                 "--format", fmt]) == 1
+    report = json.loads(capsys.readouterr().out)
+    if fmt == "sarif":
+        rules = [r["ruleId"] for r in report["runs"][0]["results"]]
+    else:
+        rules = [f["rule"] for f in report]
+    assert rules == ["TRC002"] * (len(HOSTILE_LINES) + 1)
+
+
+def test_verify_cli_prints_the_edges_no_frame_took(tmp_path, capsys):
+    """After the replay, every send/recv edge of the stepped machines
+    that no frame of any trace took is printed; it is not a finding."""
+    path = tmp_path / "answered.jsonl"
+    path.write_text("\n".join(_opening(_request(1))) + "\n")
+    assert main(["verify", str(SRC_TREE), "--trace", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "no frame took" in line] == [
+        "ntcsverify: no frame took ivc-endpoint OPENING --recv DATA--> OPENING",
+        "ntcsverify: no frame took ivc-endpoint OPENING "
+        "--recv IVC_OPEN_NAK--> FAILED",
+        "ntcsverify: no frame took ivc-endpoint OPENING "
+        "--recv IVC_CLOSE--> FAILED",
+        "ntcsverify: no frame took ivc-endpoint OPEN --send DATA--> OPEN",
+        "ntcsverify: no frame took ivc-endpoint OPEN --recv DATA--> OPEN",
+        "ntcsverify: no frame took ivc-endpoint OPEN --recv IVC_CLOSE--> CLOSED",
+        "ntcsverify: no frame took ivc-endpoint OPEN --send IVC_CLOSE--> CLOSED",
+    ]
+    assert lines[-1] == "ntcslint: clean"
+
+
+def test_the_far_end_closing_a_chained_circuit_replays_clean(tmp_path):
+    """The destination's IP-Layer closes a chained circuit with notify:
+    its IVC_CLOSE travels back hop by hop, and each hop's opener takes
+    ``OPEN --recv IVC_CLOSE--> CLOSED``."""
+    bed = chain_nets(2)
+    log = bed.record_wire_trace()
+    server = echo_server(bed, "far.echo", "mEnd")
+    client = bed.module("client", "m0")
+    uadd = client.ali.locate("far.echo")
+    client.ali.call(uadd, "echo", {"n": 1, "text": "x"})
+    ip = server.nucleus.ip
+    [circuit] = [ivc for ivc in ip._by_lvc.values()
+                 if ivc.peer_addr == client.nucleus.self_addr]
+    assert not circuit.direct
+    ip.close(circuit, "done", notify=True)
+    bed.settle()
+    assert not [ivc for ivc in client.nucleus.ip._by_lvc.values()
+                if ivc.peer_addr == uadd]
+    model = _model()
+    taken = set()
+    findings, checked = replay_trace(
+        str(log.dump_jsonl(tmp_path / "far-close.jsonl")), model, taken)
+    assert findings == [] and checked > 0
+    untaken = untaken_edges(model, taken)
+    assert "ivc-endpoint OPEN --recv IVC_CLOSE--> CLOSED" not in untaken
+
+
 # ---------------------------------------------------------------------------
-# TRC003: a call rides its circuit's open (PROTOCOL.md §3)
+# The riding edge: a call rides its circuit's open (PROTOCOL.md §3)
 # ---------------------------------------------------------------------------
 
 A, B = Address(1), Address(2)
@@ -395,34 +498,92 @@ def test_one_request_riding_an_open_conforms(tmp_path):
 
 @pytest.mark.parametrize("riders", [
     (_request(1), _request(2)),
-    (_request(1, flags=0),),
-    (_request(1, flags=m.FLAG_REPLY_EXPECTED | m.FLAG_CONNECTIONLESS),),
-], ids=["two-requests", "one-way", "datagram"])
+], ids=["two-requests"])
 def test_more_than_a_request_before_the_answer_fires_trc003(riders, tmp_path):
+    """The riding edge is bounded by ``OPEN_RIDERS`` (1): a second,
+    distinct request behind the same open takes it past its bound."""
     assert _replay_lines(tmp_path, _opening(*riders)) == ["TRC003"]
 
 
+@pytest.mark.parametrize("rider", [
+    _request(1, flags=0),
+    _request(1, flags=m.FLAG_REPLY_EXPECTED | m.FLAG_CONNECTIONLESS),
+], ids=["one-way", "datagram"])
+def test_a_non_request_before_the_answer_fires_trc001(rider, tmp_path):
+    """Only a request rides: an OPENING circuit has no edge for any
+    other DATA."""
+    assert _replay_lines(tmp_path, _opening(rider)) == ["TRC001"]
+
+
 def test_data_after_the_answer_is_not_riding(tmp_path):
-    lines = _opening(_request(1)) + [_hop_event("client", "gw", _request(2))]
+    lines = _opening(_request(1)) + [
+        _hop_event("client", "gw", _request(2, flags=m.FLAG_REPLY_EXPECTED))]
     assert _replay_lines(tmp_path, lines) == []
 
 
-def test_rider_spliced_past_a_nak_fires_trc003(tmp_path):
-    """gw NAKs the open, then sends the request that rode it on toward
-    the destination: refused, yet spliced.  After the next IVC_OPEN for
-    that destination reaches gw, the same bytes may go on."""
-    rider = _request(1)
-    refused = (_lvc_up("client", "gw") + _lvc_up("gw", "server", "net1") + [
+def test_a_rider_after_the_answer_fires_trc001(tmp_path):
+    """A request marked as riding the open after the open was answered:
+    the riding edge leaves OPENING only."""
+    lines = _opening(_request(1)) + [_hop_event("client", "gw", _request(2))]
+    assert _replay_lines(tmp_path, lines) == ["TRC001"]
+
+
+def test_an_answer_with_no_open_on_its_hop_fires_trc001(tmp_path):
+    lines = _lvc_up("client", "gw") + [
+        _hop_event("gw", "client", m.Msg(kind=m.IVC_OPEN_ACK, src=B, dst=A))]
+    assert _replay_lines(tmp_path, lines) == ["TRC001"]
+
+
+def test_a_straggler_on_a_taken_leg_conforms(tmp_path):
+    """A kept leg's peer may still send a frame of the circuit that last
+    used it after the next IVC_OPEN went out on it (PROTOCOL.md §3,
+    "Kept legs"): the gateway drops it, and OPENING receives it."""
+    lines = (_lvc_up("gw", "server")
+             + [_hop_event("gw", "server", m.Msg(kind=m.IVC_OPEN, src=A, dst=B)),
+                _hop_event("server", "gw", m.Msg(
+                    kind=m.DATA, src=B, dst=A, flags=m.FLAG_IS_REPLY)),
+                _hop_event("server", "gw",
+                           m.Msg(kind=m.IVC_OPEN_ACK, src=B, dst=A))])
+    assert _replay_lines(tmp_path, lines) == []
+
+
+def _refused_open(rider):
+    """gw NAKs client's open, after the request that rode it."""
+    return (_lvc_up("client", "gw") + _lvc_up("gw", "server", "net1") + [
         _hop_event("client", "gw", m.Msg(kind=m.IVC_OPEN, src=A, dst=B)),
         _hop_event("client", "gw", rider),
         _hop_event("gw", "client", m.Msg(kind=m.IVC_OPEN_NAK,
                                          src=Address(9), dst=A)),
     ])
+
+
+def test_rider_spliced_past_a_nak_fires_trc001(tmp_path):
+    """gw NAKs the open, then sends the request that rode it on toward
+    the destination: refused, yet spliced, on a hop with no open, where
+    the rider has no edge.  After the next IVC_OPEN for that
+    destination reaches gw and gw forwards it, the same bytes may go
+    on."""
+    rider = _request(1)
     spliced = _hop_event("gw", "server", rider, "net1")
-    assert _replay_lines(tmp_path, refused + [spliced]) == ["TRC003"]
+    assert _replay_lines(tmp_path, _refused_open(rider) + [spliced]) == [
+        "TRC001"]
     reopened = [_hop_event("client", "gw", m.Msg(kind=m.IVC_OPEN, src=A, dst=B)),
-                _hop_event("client", "gw", rider)]
-    assert _replay_lines(tmp_path, refused + reopened + [spliced]) == []
+                _hop_event("client", "gw", rider),
+                _hop_event("gw", "server",
+                           m.Msg(kind=m.IVC_OPEN, src=A, dst=B), "net1")]
+    assert _replay_lines(
+        tmp_path, _refused_open(rider) + reopened + [spliced]) == []
+
+
+def test_a_rider_sent_on_with_no_open_on_its_hop_fires_trc001(tmp_path):
+    """The reopen with the rider spliced onto a hop the IVC_OPEN never
+    reached."""
+    rider = _request(1)
+    reopened = [_hop_event("client", "gw", m.Msg(kind=m.IVC_OPEN, src=A, dst=B)),
+                _hop_event("client", "gw", rider),
+                _hop_event("gw", "server", rider, "net1")]
+    assert _replay_lines(tmp_path, _refused_open(rider) + reopened) == [
+        "TRC001"]
 
 
 def _cold_contact_trace(tmp_path, monkeypatch):

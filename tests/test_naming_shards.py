@@ -39,6 +39,10 @@ from repro.netsim import ChaosSchedule
 from repro.ntcs.message import FLAG_INTERNAL
 from repro.ntcs.nucleus import NucleusConfig
 
+# Every trace these tests put on a simulated wire steps the declared
+# wire machines (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("wire_conformance")
+
 # CI sweeps the chaos scenarios across seeds; exact-pin tests use
 # literal seeds and ignore the offset (same convention as test_chaos).
 SEED_OFFSET = int(os.environ.get("NTCS_CHAOS_SEED", "0"))

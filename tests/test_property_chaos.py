@@ -20,6 +20,7 @@ the repro artifact.
 from collections import Counter
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,10 @@ from deployments import chain_nets
 from repro.errors import NtcsError
 from repro.netsim import random_schedule
 from repro.ntcs.nucleus import NucleusConfig
+
+# Every trace these tests put on a simulated wire steps the declared
+# wire machines (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("wire_conformance")
 
 # One gateway between two networks: restartable, and partitionable on
 # either side.  Small enough that 20 examples stay fast; rich enough

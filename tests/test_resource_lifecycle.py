@@ -60,6 +60,10 @@ from repro.naming import protocol as p
 from repro.ntcs.address import make_uadd
 from repro.util.counters import GATEWAY_STALE_ADDR_FALLBACKS
 
+# Every trace these tests put on a simulated wire steps the declared
+# wire machines (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("wire_conformance")
+
 CYCLES = 50
 WARMUP = 5
 

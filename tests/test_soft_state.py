@@ -30,6 +30,10 @@ from repro.ntcs.address import AddressCache
 from repro.ntcs.iplayer import IpLayer
 from repro.ntcs.ndlayer import NdLayer
 
+# Every trace these tests put on a simulated wire steps the declared
+# wire machines (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("wire_conformance")
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 # ---------------------------------------------------------------------------

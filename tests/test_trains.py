@@ -39,6 +39,10 @@ from repro.netsim.network import Network
 from repro.netsim.scheduler import Scheduler
 from repro.ntcs.nucleus import NucleusConfig
 
+# Every trace these tests put on a simulated wire steps the declared
+# wire machines (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("wire_conformance")
+
 # The per-frame schedule: total scheduler events and per-network wire
 # frames for the 20-call echo workloads below.  ``train_max=1`` must
 # reproduce these exactly; a wider window must keep the frames and
