@@ -11,7 +11,7 @@ read off the ASTs the ntcslint engine already holds:
 * **send sites** — ``x.call/call_async(dst, "name", ...)``,
   ``x.send/datagram/reply(.., "name", ...)``, the NSP/replication
   ``self._call("name", ...)`` / ``self._resolve("name", ...)``
-  wrappers, and ``pack_internal("name", ...)`` control bodies;
+  wrappers, and ``control(kind, dst, "name", ...)`` control frames;
 * **handler sites** — ``unpack_internal(T_CONST, ...)``,
   ``request.type_name == "name"`` comparisons (and ``in`` tuples),
   dispatch-dict literals (``self._handlers = {"name": fn}``, subscript
@@ -64,7 +64,7 @@ _SEND_METHODS: Dict[str, Tuple[int, str]] = {
     "reply": (1, SEND_REPLY),
     "_call": (0, SEND_REQUEST),
     "_resolve": (0, SEND_REQUEST),
-    "pack_internal": (0, SEND_INTERNAL),
+    "control": (2, SEND_INTERNAL),
 }
 
 

@@ -10,7 +10,7 @@ Three layers of fact live here:
 
 * **messages** — every ``StructDef`` defined under the ``repro``
   package, joined with every *send site* (``call``/``send``/
-  ``datagram``/``reply``/``pack_internal``/NSP ``_call``) and every
+  ``datagram``/``reply``/Nucleus ``control``/NSP ``_call``) and every
   *handler site* (``unpack_internal``, ``type_name`` comparisons,
   dispatch-dict keys, ``@handles`` annotations, kind dispatch);
 * **machines** — declarative ``PROTOCOL_MACHINE`` literals in the
@@ -30,7 +30,7 @@ SEND_REQUEST = "request"      # call / call_async / NSP _call / _resolve
 SEND_PLAIN = "send"           # lcm/ali send
 SEND_DATAGRAM = "datagram"    # one-way, no reply expected
 SEND_REPLY = "reply"          # reply() / handler-return tuple
-SEND_INTERNAL = "internal"    # pack_internal control body
+SEND_INTERNAL = "internal"    # Nucleus.control frame body
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,10 @@ Coherence comes from two mechanisms:
 
 Negative results (``NoSuchName`` / ``NoSuchAddress`` /
 ``NoForwardingAddress``) are cached only under a short *virtual-time*
-TTL: absence is not protected by forwarding, so it must expire on its
-own.  Temporary addresses (TAdds) are never cached — "they purge within
-two NS communications" (Sec. 3.3), so any cached TAdd mapping would be
-born stale.
+TTL, ``NEGATIVE_TTL``: absence is not protected by forwarding, so it
+must expire on its own.  Temporary addresses (TAdds) are never cached —
+"they purge within two NS communications" (Sec. 3.3), so any cached
+TAdd mapping would be born stale.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ from repro.naming.protocol import NameRecord
 from repro.ntcs.address import Address
 from repro.util.counters import (
     NSP_CACHE_HITS, NSP_CACHE_INVALIDATIONS, NSP_CACHE_MISSES)
+
+# Virtual seconds a cached negative resolution (no such name / address
+# / forwarding) stays valid.
+NEGATIVE_TTL = 2.0
 
 
 @dataclass
@@ -63,14 +67,11 @@ class ResolutionCache:
     Args:
         clock: virtual-time source (``scheduler.now``) for negative TTLs.
         counters: the owning Nucleus's :class:`~repro.util.counters.Counters`.
-        negative_ttl: virtual seconds a cached negative stays valid.
     """
 
-    def __init__(self, clock: Callable[[], float], counters,
-                 negative_ttl: float = 2.0):
+    def __init__(self, clock: Callable[[], float], counters):
         self._clock = clock
         self._counters = counters
-        self.negative_ttl = negative_ttl
         self._names: Dict[str, _Entry] = {}
         self._records: Dict[Address, _Entry] = {}
         self._forwards: Dict[Address, _Entry] = {}
@@ -97,7 +98,7 @@ class ResolutionCache:
              detail: str = "") -> None:
         expires_at = None
         if error is not None:
-            expires_at = self._clock() + self.negative_ttl
+            expires_at = self._clock() + NEGATIVE_TTL
         table[key] = _Entry(value=value, gen=gen, error=error,
                             detail=detail, expires_at=expires_at)
 

@@ -93,17 +93,13 @@ class NspLayer:
         self._current: Dict[int, int] = {}
         # The §9 fast path needs one authority to stamp generations:
         # it is on exactly when the directory holds one server.
-        config = nucleus.config
         servers = sum(len(entries) for entries in self._directory.values())
         self.cache: Optional[ResolutionCache] = None
-        self._coalesce = bool(config.nsp_cache_enabled) and servers == 1
+        self._coalesce = bool(nucleus.config.nsp_cache_enabled) and servers == 1
         if self._coalesce:
             scheduler = nucleus.scheduler
-            self.cache = ResolutionCache(
-                clock=lambda: scheduler.now,
-                counters=nucleus.counters,
-                negative_ttl=config.nsp_negative_ttl,
-            )
+            self.cache = ResolutionCache(clock=lambda: scheduler.now,
+                                         counters=nucleus.counters)
         self._flights: Dict[tuple, _Flight] = {}
 
     @property

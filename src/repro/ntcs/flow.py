@@ -46,7 +46,6 @@ class FlowState:
         "rx_queued",
         "peer_sent",
         "grant_owed",
-        "stalls",
     )
 
     def __init__(self, window: int):
@@ -66,7 +65,6 @@ class FlowState:
         self.rx_queued = 0
         self.peer_sent = 0
         self.grant_owed = False
-        self.stalls = 0
 
     # -- sender side ------------------------------------------------------
 

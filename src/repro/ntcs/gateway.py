@@ -217,15 +217,9 @@ class Gateway:
             self._unpark(nucleus, lvc)
             return False
         other_nucleus, other_lvc, shared = splice
-        close_msg = m.Msg(
-            kind=m.IVC_CLOSE,
-            src=nucleus.self_addr,
-            dst=other_lvc.peer_addr or nucleus.self_addr,
-            flags=m.FLAG_PACKED | m.FLAG_INTERNAL,
-        )
-        close_msg.type_id, close_msg.body = nucleus.pack_internal(
-            "ivc_close", {"reason": f"upstream circuit failed: {reason}"[:90]}
-        )
+        close_msg = nucleus.control(
+            m.IVC_CLOSE, other_lvc.peer_addr or nucleus.self_addr, "ivc_close",
+            {"reason": f"upstream circuit failed: {reason}"[:90]})
         try:
             other_nucleus.nd.send(other_lvc, close_msg)
         except NtcsError:
@@ -484,13 +478,8 @@ class Gateway:
         raise last_error
 
     def _nak(self, nucleus: Nucleus, lvc: Lvc, msg: m.Msg, reason: str) -> None:
-        nak = m.Msg(
-            kind=m.IVC_OPEN_NAK, src=nucleus.self_addr, dst=msg.src,
-            flags=m.FLAG_PACKED | m.FLAG_INTERNAL,
-        )
-        nak.type_id, nak.body = nucleus.pack_internal(
-            "ivc_open_nak", {"reason": reason[:90]}
-        )
+        nak = nucleus.control(m.IVC_OPEN_NAK, msg.src, "ivc_open_nak",
+                              {"reason": reason[:90]})
         try:
             nucleus.nd.send(lvc, nak)
         except NtcsError:
@@ -570,8 +559,7 @@ class Gateway:
                 advertised = bound
             if advertised > peer.consumed_seen:
                 peer.consumed_seen = advertised
-        if (header.kind == m.DATA and not header.flags & m.FLAG_INTERNAL
-                and not header.flags & m.FLAG_IS_REPLY):
+        if m.flow_debited(header.kind, header.flags):
             if (state.debits - state.consumed_seen
                     >= 2 * self.config.flow_window):
                 out_nucleus.counters[GATEWAY_CREDIT_DROPS] += 1

@@ -48,11 +48,11 @@ from repro.ntcs.protocol import (
     T_IVC_OPEN_NAK,
 )
 from repro.util.counters import (
-    ALI_SEND_BLOCKED, IP_CLOSE_NOTIFY_LOST, IP_CREDIT_GRANTS, IP_CREDIT_PROBES,
-    IP_CREDIT_RESYNCS, IP_CREDIT_STALLS, IP_SUSPECT_FALLBACKS, IVC_CHAINED_OPENED,
-    IVC_DIRECT_OPENED, IVC_FRAMES_WITHOUT_CIRCUIT, IVC_OPEN_REFUSED,
-    IVC_REQUESTS_RODE_OPEN, IVC_RIDERS_REFUSED, LVC_RX_QUEUE_HIGH_WATER,
-    ND_MALFORMED_MESSAGES, TOPOLOGY_QUERIES,
+    ALI_SEND_BLOCKED, DROP_CONNECTIONLESS, IP_CLOSE_NOTIFY_LOST, IP_CREDIT_GRANTS,
+    IP_CREDIT_PROBES, IP_CREDIT_RESYNCS, IP_CREDIT_STALLS, IP_SUSPECT_FALLBACKS,
+    IVC_CHAINED_OPENED, IVC_DIRECT_OPENED, IVC_FRAMES_WITHOUT_CIRCUIT,
+    IVC_OPEN_REFUSED, IVC_REQUESTS_RODE_OPEN, IVC_RIDERS_REFUSED,
+    LVC_RX_QUEUE_HIGH_WATER, ND_MALFORMED_MESSAGES, TOPOLOGY_QUERIES,
 )
 from repro.util.dispatch import handles
 
@@ -283,19 +283,11 @@ class IpLayer:
             ivc = Ivc(lvc, peer_addr=dst, direct=False)
             self._attach_flow(ivc)
             self._by_lvc[lvc] = ivc
-            open_msg = m.Msg(
-                kind=m.IVC_OPEN,
-                src=nucleus.self_addr,
-                dst=dst,
-                flags=m.FLAG_PACKED | m.FLAG_INTERNAL,
-                aux=0,
-            )
-            open_msg.type_id, open_msg.body = nucleus.pack_internal("ivc_open", {
+            self.nd.send(lvc, nucleus.control(m.IVC_OPEN, dst, "ivc_open", {
                 "dst_network": plan.dst_network,
                 "src_mtype": nucleus.mtype.name,
                 "src_listen_blob": self.nd.listen_blob or "",
-            })
-            self.nd.send(lvc, open_msg)
+            }))
             rider = None
             if request is not None and plan.mtype_name:
                 rider = self._ride(ivc, plan.mtype_name, *request)
@@ -518,11 +510,12 @@ class IpLayer:
     def send_raw(self, ivc: Ivc, msg: m.Msg, block: bool = True) -> None:
         """Transmit an already-encoded message over an IVC.
 
-        Flow control (PROTOCOL.md §12) runs here.  An application DATA
-        message (not internal, not a reply) debits one credit; at zero
-        credit the sender stalls on the run queue behind a bounded
-        probe loop — or, with ``block=False`` or on a connectionless
-        message, reports :class:`SendWouldBlock` instead of waiting.
+        Flow control (PROTOCOL.md §12) runs here.  A flow-debited
+        message (:func:`~repro.ntcs.message.flow_debited`) spends one
+        credit; at zero credit the sender stalls on the run queue behind
+        a bounded probe loop — or, with ``block=False`` or on a
+        connectionless message, reports :class:`SendWouldBlock` instead
+        of waiting.
         Every non-internal DATA message also piggybacks this end's
         cumulative consumed counter in the aux word, so steady
         bidirectional traffic needs no standalone credit frames at
@@ -531,7 +524,7 @@ class IpLayer:
             raise ChannelClosed(f"{ivc} is not open")
         flow = ivc.flow
         if flow is not None and msg.kind == m.DATA and not msg.internal:
-            if not msg.is_reply:
+            if m.flow_debited(msg.kind, msg.flags):
                 if flow.credit <= 0:
                     if not msg.flags & (m.FLAG_REPLY_EXPECTED
                                         | m.FLAG_CONNECTIONLESS):
@@ -565,7 +558,6 @@ class IpLayer:
         idiom (Sec. 6) — for at most FLOW_PROBE_RETRIES rounds."""
         nucleus = self.nucleus
         nucleus.counters[IP_CREDIT_STALLS] += 1
-        flow.stalls += 1
         for _ in range(FLOW_PROBE_RETRIES):
             self._send_probe(ivc, flow)
             nucleus.scheduler.pump_until(
@@ -587,34 +579,20 @@ class IpLayer:
         consumed counter is.  The aux word carries the same counter so
         gateways can track the direction's high watermark."""
         nucleus = self.nucleus
-        probe = m.Msg(
-            kind=m.CREDIT_PROBE,
-            src=nucleus.self_addr,
-            dst=ivc.peer_addr or nucleus.self_addr,
-            flags=m.FLAG_PACKED | m.FLAG_INTERNAL,
-            aux=m.encode_credit(flow.tx_sent),
-        )
-        probe.type_id, probe.body = nucleus.pack_internal(
-            "credit_probe", {"sent": flow.tx_sent}
-        )
-        self.nd.send(ivc.lvc, probe)
+        self.nd.send(ivc.lvc, nucleus.control(
+            m.CREDIT_PROBE, ivc.peer_addr or nucleus.self_addr,
+            "credit_probe", {"sent": flow.tx_sent},
+            aux=m.encode_credit(flow.tx_sent)))
         nucleus.counters[IP_CREDIT_PROBES] += 1
 
-    def _send_grant(self, ivc: Ivc, flow: FlowState) -> None:
+    def _send_grant(self, ivc: Ivc, consumed: int, window: int) -> None:
+        """Advertise the cumulative ``consumed`` counter, in the body and
+        in the aux word a gateway can clamp."""
         nucleus = self.nucleus
-        advertised = flow.advertised()
-        grant = m.Msg(
-            kind=m.CREDIT_GRANT,
-            src=nucleus.self_addr,
-            dst=ivc.peer_addr or nucleus.self_addr,
-            flags=m.FLAG_PACKED | m.FLAG_INTERNAL,
-            aux=m.encode_credit(advertised),
-        )
-        grant.type_id, grant.body = nucleus.pack_internal(
-            "credit_grant", {"consumed": advertised, "window": flow.window}
-        )
-        flow.grant_owed = False
-        self.nd.send(ivc.lvc, grant)
+        self.nd.send(ivc.lvc, nucleus.control(
+            m.CREDIT_GRANT, ivc.peer_addr or nucleus.self_addr,
+            "credit_grant", {"consumed": consumed, "window": window},
+            aux=m.encode_credit(consumed)))
         nucleus.counters[IP_CREDIT_GRANTS] += 1
 
     def _on_credit_grant(self, ivc: Ivc, msg: m.Msg) -> None:
@@ -640,60 +618,81 @@ class IpLayer:
             # answer with a full grant so a mixed deployment never
             # wedges.  (The all-off ablation sees no probes at all, so
             # its wire stays byte-identical.)
-            grant = m.Msg(
-                kind=m.CREDIT_GRANT,
-                src=nucleus.self_addr,
-                dst=ivc.peer_addr or nucleus.self_addr,
-                flags=m.FLAG_PACKED | m.FLAG_INTERNAL,
-                aux=m.encode_credit(values["sent"]),
-            )
-            grant.type_id, grant.body = nucleus.pack_internal(
-                "credit_grant", {"consumed": values["sent"],
-                                 "window": nucleus.config.flow_window}
-            )
-            self.nd.send(ivc.lvc, grant)
-            nucleus.counters[IP_CREDIT_GRANTS] += 1
+            self._send_grant(ivc, values["sent"], nucleus.config.flow_window)
             return
         flow.on_probe(values["sent"])
-        self._send_grant(ivc, flow)
-        if flow.rx_queued > flow.low_watermark:
-            # The grant could not have freed much: the receive queue is
-            # still deep.  Owe the peer an unsolicited grant for when
-            # consumption drains it past the low watermark.
-            flow.grant_owed = True
+        self._send_grant(ivc, flow.advertised(), flow.window)
+        # While the receive queue stays deep the grant could not have
+        # freed much: owe the peer an unsolicited grant for when
+        # consumption drains it past the low watermark.
+        flow.grant_owed = flow.rx_queued > flow.low_watermark
 
-    def note_arrival(self, ivc: Ivc, queued: bool) -> None:
-        """LCM hook: one flow-debited message arrived on ``ivc``;
-        ``queued`` when it entered the receive queue."""
-        flow = ivc.flow
-        if flow is None:
-            return
-        flow.on_arrival(queued)
-        if queued:
-            lvc = ivc.lvc
-            lvc.rx_depth += 1
-            if lvc.rx_depth > lvc.rx_high_water:
-                lvc.rx_high_water = lvc.rx_depth
-                counters = self.nucleus.counters
-                if lvc.rx_depth > counters[LVC_RX_QUEUE_HIGH_WATER]:
-                    counters[LVC_RX_QUEUE_HIGH_WATER] = lvc.rx_depth
+    # -- the receive-side ledger (PROTOCOL.md §12) ------------------------------
+    #
+    # The LCM reports how it disposed of each DATA message this layer
+    # delivered; whether the message spent credit, and what its
+    # disposal frees, is decided here alone.
 
-    def note_consumed(self, ivc: Ivc, from_queue: bool = True) -> None:
-        """LCM hook: one flow-debited message was disposed of (handler
-        returned, ``receive()`` popped it, duplicate suppressed, or
-        overload-dropped).  Sends the owed grant once the queue drains
-        to the low watermark."""
+    def note_handling(self, ivc: Ivc, msg: m.Msg) -> None:
+        """LCM report: ``msg`` was decoded and goes to a handler."""
         flow = ivc.flow
-        if flow is None:
-            return
+        if flow is not None and m.flow_debited(msg.kind, msg.flags):
+            flow.on_arrival(False)
+
+    def note_handled(self, ivc: Ivc, msg: m.Msg) -> None:
+        """LCM report: the handler ``msg`` went to has returned."""
+        flow = ivc.flow
+        if flow is not None and m.flow_debited(msg.kind, msg.flags):
+            self._consume(ivc, flow)
+
+    def note_discarded(self, ivc: Ivc, msg: m.Msg) -> None:
+        """Report: ``msg`` was disposed of without delivery — suppressed
+        as a duplicate or undecodable (the LCM), or a refused rider."""
+        flow = ivc.flow
+        if flow is not None and m.flow_debited(msg.kind, msg.flags):
+            flow.on_arrival(False)
+            self._consume(ivc, flow)
+
+    def note_queued(self, ivc: Ivc, msg: m.Msg) -> Tuple[bool, Optional[Ivc]]:
+        """LCM report: ``msg`` is about to enter the receive queue.
+        Returns whether to queue it, and the circuit
+        :meth:`note_dequeued` credits when it is popped (None when it
+        spent no credit).  Overload: a flow-debited connectionless
+        arrival that finds a full window queued from its LVC is dropped
+        and counted instead — best-effort traffic never buffers past
+        the window, so only a sender that keeps no ledger gets here."""
+        flow = ivc.flow
+        if flow is None or not m.flow_debited(msg.kind, msg.flags):
+            return True, None
+        lvc = ivc.lvc
+        counters = self.nucleus.counters
+        if msg.connectionless and lvc.rx_depth >= flow.window:
+            counters[DROP_CONNECTIONLESS] += 1
+            flow.on_arrival(False)
+            self._consume(ivc, flow)
+            return False, None
+        flow.on_arrival(True)
+        lvc.rx_depth += 1
+        if lvc.rx_depth > counters[LVC_RX_QUEUE_HIGH_WATER]:
+            counters[LVC_RX_QUEUE_HIGH_WATER] = lvc.rx_depth
+        return True, ivc
+
+    def note_dequeued(self, ivc: Ivc) -> None:
+        """LCM report: ``receive()`` popped a message :meth:`note_queued`
+        debited on ``ivc``."""
+        if ivc.lvc.rx_depth > 0:
+            ivc.lvc.rx_depth -= 1
+        self._consume(ivc, ivc.flow, from_queue=True)
+
+    def _consume(self, ivc: Ivc, flow: FlowState,
+                 from_queue: bool = False) -> None:
+        """Credit one disposal back, and send the owed grant once the
+        queue drains to the low watermark."""
         flow.on_consumed(from_queue)
-        if from_queue:
-            lvc = ivc.lvc
-            if lvc.rx_depth > 0:
-                lvc.rx_depth -= 1
         if (flow.grant_owed and ivc.open
                 and flow.rx_queued <= flow.low_watermark):
-            self._send_grant(ivc, flow)
+            flow.grant_owed = False
+            self._send_grant(ivc, flow.advertised(), flow.window)
 
     def resync_credit(self, ivc: Optional[Ivc]) -> None:
         """After circuit repair (PROTOCOL.md §10): a freshly reopened
@@ -714,21 +713,16 @@ class IpLayer:
         """Close an IVC (optionally notifying the peer with IVC_CLOSE)."""
         if ivc.state == "CLOSED":
             return
+        nucleus = self.nucleus
         if notify and ivc.open:
-            close_msg = m.Msg(
-                kind=m.IVC_CLOSE,
-                src=self.nucleus.self_addr,
-                dst=ivc.peer_addr or self.nucleus.self_addr,
-                flags=m.FLAG_PACKED | m.FLAG_INTERNAL,
-            )
-            close_msg.type_id, close_msg.body = self.nucleus.pack_internal(
-                "ivc_close", {"reason": reason[:90]}
-            )
+            close_msg = nucleus.control(
+                m.IVC_CLOSE, ivc.peer_addr or nucleus.self_addr,
+                "ivc_close", {"reason": reason[:90]})
             try:
                 self.nd.send(ivc.lvc, close_msg)
             except ChannelClosed:
                 # The channel died before the courtesy close got out.
-                self.nucleus.counters[IP_CLOSE_NOTIFY_LOST] += 1
+                nucleus.counters[IP_CLOSE_NOTIFY_LOST] += 1
         ivc.state = "CLOSED"
         self._by_lvc.pop(ivc.lvc, None)
         self.nd.close(ivc.lvc, reason)
@@ -786,7 +780,6 @@ class IpLayer:
         elif msg.kind == m.CREDIT_PROBE:
             self._on_credit_probe(ivc, msg)
         else:
-            flow = ivc.flow
             if (msg.flags & m.FLAG_RIDES_OPEN and msg.kind == m.DATA
                     and not _readable(msg.mode,
                                       nucleus.mtype_by_name(ivc.peer_mtype_name),
@@ -796,10 +789,9 @@ class IpLayer:
                 # that guess.  The sender learns the truth from our
                 # IVC_OPEN_ACK and sends it again (PROTOCOL.md §3).
                 nucleus.counters[IVC_RIDERS_REFUSED] += 1
-                if flow is not None and not msg.internal and not msg.is_reply:
-                    self.note_arrival(ivc, queued=False)
-                    self.note_consumed(ivc, from_queue=False)
+                self.note_discarded(ivc, msg)
                 return
+            flow = ivc.flow
             if flow is not None and msg.kind == m.DATA and not msg.internal:
                 # Piggybacked advertisement: the peer's cumulative
                 # consumed counter rides the aux word of its DATA.
@@ -820,14 +812,9 @@ class IpLayer:
             # request riding this one — is dropped, never delivered.
             nucleus.counters[IVC_OPEN_REFUSED] += 1
             self._by_lvc.pop(ivc.lvc, None)
-            nak = m.Msg(
-                kind=m.IVC_OPEN_NAK, src=nucleus.self_addr, dst=msg.src,
-                flags=m.FLAG_PACKED | m.FLAG_INTERNAL,
-            )
-            nak.type_id, nak.body = nucleus.pack_internal(
-                "ivc_open_nak", {"reason": "not a gateway and not the destination"}
-            )
-            self.nd.send(ivc.lvc, nak)
+            self.nd.send(ivc.lvc, nucleus.control(
+                m.IVC_OPEN_NAK, msg.src, "ivc_open_nak",
+                {"reason": "not a gateway and not the destination"}))
             return
         if msg.src.temporary:
             ivc.peer_addr = nucleus.tadds.allocate()
@@ -839,14 +826,9 @@ class IpLayer:
                 )
         ivc.peer_mtype_name = values["src_mtype"]
         ivc.direct = False
-        ack = m.Msg(
-            kind=m.IVC_OPEN_ACK, src=nucleus.self_addr, dst=msg.src,
-            flags=m.FLAG_PACKED | m.FLAG_INTERNAL,
-        )
-        ack.type_id, ack.body = nucleus.pack_internal(
-            "ivc_open_ack", {"dst_mtype": nucleus.mtype.name}
-        )
-        self.nd.send(ivc.lvc, ack)
+        self.nd.send(ivc.lvc, nucleus.control(
+            m.IVC_OPEN_ACK, msg.src, "ivc_open_ack",
+            {"dst_mtype": nucleus.mtype.name}))
 
     def _on_lvc_fault(self, lvc: Lvc, reason: str) -> None:
         gateway = self.nucleus.gateway_handler

@@ -173,9 +173,9 @@ class IncomingMessage:
     connectionless: bool
     arrived_at: float
     mode: int
-    # The circuit the message arrived on, so whoever disposes of a
-    # queued message can credit it back (PROTOCOL.md §12).  None for
-    # messages that never touched the flow ledger.
+    # The circuit whose credit ledger the IP-Layer debited for this
+    # queued message, so ``receive()`` can report its consumption
+    # (PROTOCOL.md §12); None when it spent no credit.
     ivc: Optional[Ivc] = None
 
 
@@ -477,7 +477,7 @@ class LcmLayer:
         Under flow control (PROTOCOL.md §12) a datagram never stalls:
         at zero credit it is dropped at the sender — counted as
         ``drop_connectionless`` — exactly as an overloaded receiver
-        drops it at the high watermark."""
+        drops one that finds a full window queued."""
         try:
             self.send(dst, type_name, values,
                       flags=flags | m.FLAG_CONNECTIONLESS)
@@ -502,9 +502,8 @@ class LcmLayer:
             raise ReplyTimeout(f"nothing received within {timeout}s")
         incoming = self._queue.popleft()
         if incoming.ivc is not None:
-            # Credit the message back to its circuit (PROTOCOL.md §12):
-            # consumption is what lets the sender send again.
-            self.ip.note_consumed(incoming.ivc, from_queue=True)
+            # Consumption is what lets the sender send again.
+            self.ip.note_dequeued(incoming.ivc)
         return incoming
 
     def set_handler(self, handler: Optional[Callable[[IncomingMessage], None]]) -> None:
@@ -624,12 +623,8 @@ class LcmLayer:
             effective_src = ivc.peer_addr
         if effective_src is not None:
             self._routes[effective_src] = ivc
-        # Flow accounting (PROTOCOL.md §12): every flow-debited arrival
-        # must be matched by exactly one consumption — at whichever
-        # disposal point the message reaches.  Replies and internal
-        # traffic were never debited by the sender.
-        flow_debited = (ivc.flow is not None and not msg.internal
-                        and not msg.is_reply)
+        # Flow accounting (PROTOCOL.md §12): each disposal point below
+        # reports to the IP-Layer, which owns the credit ledger.
         try:
             entry = nucleus.registry.get(msg.type_id)
             values = decode_body(
@@ -639,9 +634,7 @@ class LcmLayer:
         except Exception as exc:  # malformed bodies must not kill the pump
             nucleus.counters[LCM_UNDECODABLE_MESSAGES] += 1
             nucleus.log_error(f"undecodable message from {msg.src}: {exc}")
-            if flow_debited:
-                self.ip.note_arrival(ivc, queued=False)
-                self.ip.note_consumed(ivc, from_queue=False)
+            self.ip.note_discarded(ivc, msg)
             return
         incoming = IncomingMessage(
             src=effective_src,
@@ -683,12 +676,9 @@ class LcmLayer:
             key = (effective_src, msg.corr_id)
             if key in self._served:
                 nucleus.counters[LCM_DUPLICATES_SUPPRESSED] += 1
-                if flow_debited:
-                    # Disposed without delivery; account before the
-                    # cached replay so the reply piggybacks the
-                    # up-to-date advertisement.
-                    self.ip.note_arrival(ivc, queued=False)
-                    self.ip.note_consumed(ivc, from_queue=False)
+                # Reported before the cached replay, so the reply
+                # piggybacks the up-to-date advertisement.
+                self.ip.note_discarded(ivc, msg)
                 cached = self._served[key]
                 if cached is not None:
                     r_type, r_values, r_flags = cached
@@ -704,30 +694,17 @@ class LcmLayer:
         with nucleus.enter(self.LAYER, "deliver", caller="IP",
                            reason=entry.sdef.name):
             if self._handler is not None:
-                if flow_debited:
-                    self.ip.note_arrival(ivc, queued=False)
+                self.ip.note_handling(ivc, msg)
                 try:
                     self._handler(incoming)
                 finally:
-                    if flow_debited:
-                        self.ip.note_consumed(ivc, from_queue=False)
+                    self.ip.note_handled(ivc, msg)
             else:
-                if flow_debited:
-                    if (msg.connectionless and ivc.lvc is not None
-                            and ivc.lvc.rx_depth
-                            >= nucleus.config.effective_flow_high_watermark()):
-                        # Overload (PROTOCOL.md §12): connectionless
-                        # traffic is best-effort, so above the high
-                        # watermark it is dropped rather than queued —
-                        # that is what keeps per-LVC memory bounded
-                        # when the sender will not stall.
-                        nucleus.counters[DROP_CONNECTIONLESS] += 1
-                        self.ip.note_arrival(ivc, queued=False)
-                        self.ip.note_consumed(ivc, from_queue=False)
-                        return
-                    incoming.ivc = ivc
-                    self.ip.note_arrival(ivc, queued=True)
-                self._queue.append(incoming)
+                # The IP-Layer may drop a connectionless arrival under
+                # overload rather than queue it.
+                keep, incoming.ivc = self.ip.note_queued(ivc, msg)
+                if keep:
+                    self._queue.append(incoming)
 
     def _on_fault(self, ivc: Ivc, reason: str) -> None:
         self.nucleus.counters[LCM_CIRCUIT_FAULTS] += 1

@@ -35,7 +35,8 @@ header checksum may be verified lazily (``verify=False`` on decode +
 :func:`patch_frame_aux` rewrites only the aux and checksum words of a
 frame in place via ``memoryview`` for the per-hop IVC_OPEN hop count.
 :class:`HeaderView` exposes the routing words (1–6) of a raw frame
-without materializing a full message.
+without materializing a full message; :func:`flow_debited` reads the
+kind and flags words either one exposes.
 """
 
 from __future__ import annotations
@@ -166,6 +167,13 @@ class HeaderView:
     def checksum_ok(self) -> bool:
         """True when the checksum word matches the header sum."""
         return self._words[11] == sum(self._words[:11]) & 0xFFFFFFFF
+
+
+def flow_debited(kind: int, flags: int) -> bool:
+    """Whether a frame with header words ``kind`` and ``flags`` spends
+    one credit of its circuit's window (PROTOCOL.md §12): application
+    DATA that is not a reply.  Control traffic and replies never do."""
+    return kind == DATA and not flags & (FLAG_INTERNAL | FLAG_IS_REPLY)
 
 
 def encode_credit(count: int) -> int:

@@ -131,12 +131,10 @@ class Lvc:
         self.messages_sent = 0
         self.messages_received = 0
         # Flow-control accounting (PROTOCOL.md §12): how many of the
-        # LCM receive queue's messages arrived over this circuit, and
-        # the deepest that attribution has ever been.  Maintained by
-        # the layers above (LCM queues, IP credits); kept here because
-        # the LVC is the unit whose memory the watermarks bound.
+        # LCM receive queue's flow-debited messages arrived over this
+        # circuit.  Kept by the IP-Layer's credit ledger; here because
+        # the LVC is the unit whose memory the window bounds.
         self.rx_depth = 0
-        self.rx_high_water = 0
         # Optional fast-path hook (installed by the Gateway on spliced
         # LVCs): called with each raw inbound frame *before* decoding;
         # returning True means the frame was consumed (forwarded) and
@@ -205,13 +203,7 @@ class NdLayer:
             lvc = Lvc(mchan, inbound=False)
             lvc.dialled = dst
             self._install(lvc)
-            hello = m.Msg(
-                kind=m.LVC_HELLO,
-                src=nucleus.self_addr,
-                dst=dst,
-                flags=m.FLAG_PACKED | m.FLAG_INTERNAL,
-            )
-            hello.type_id, hello.body = nucleus.pack_internal("lvc_hello", {
+            hello = nucleus.control(m.LVC_HELLO, dst, "lvc_hello", {
                 "mtype": nucleus.mtype.name,
                 "listen_blob": self.listen_blob or "",
                 "network": self.driver.network_name,
@@ -351,13 +343,7 @@ class NdLayer:
                 )
         lvc.peer_mtype_name = values["mtype"]
         lvc.peer_blob = values["listen_blob"]
-        ack = m.Msg(
-            kind=m.LVC_HELLO_ACK,
-            src=nucleus.self_addr,
-            dst=msg.src,
-            flags=m.FLAG_PACKED | m.FLAG_INTERNAL,
-        )
-        ack.type_id, ack.body = nucleus.pack_internal("lvc_hello_ack", {
+        ack = nucleus.control(m.LVC_HELLO_ACK, msg.src, "lvc_hello_ack", {
             "mtype": nucleus.mtype.name,
             "listen_blob": self.listen_blob or "",
         })

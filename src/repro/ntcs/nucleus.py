@@ -24,6 +24,7 @@ from typing import Callable, List, Optional, Set
 from repro.errors import NameServerUnreachable, NtcsError, RecursionLimitExceeded
 from repro.machine.arch import MachineType, machine_type
 from repro.machine.process import SimProcess
+from repro.ntcs import message as m
 from repro.ntcs.address import Address, AddressCache, TAddAllocator
 from repro.ntcs.drivers import make_driver
 from repro.ntcs.wellknown import WellKnownTable
@@ -48,8 +49,6 @@ class NucleusConfig:
         nsp_cache_enabled: the NSP-layer resolution cache and
             single-flight coalescing (PROTOCOL.md §9).  Off reproduces
             the uncached control plane message-for-message.
-        nsp_negative_ttl: virtual seconds a cached negative resolution
-            (no such name / address / forwarding) stays valid.
         repair_max_attempts: circuit-repair rounds the LCM send path
             runs after its per-round relocation attempts exhaust
             (PROTOCOL.md §10).  0 disables repair entirely, reproducing
@@ -63,9 +62,9 @@ class NucleusConfig:
             kinds on the wire, every DATA aux word zero.
         flow_window: end-to-end IVC window — unconsumed flow-debited
             messages a sender may have outstanding before it stalls.
-        flow_high_watermark: receive-queue depth above which
-            connectionless arrivals are dropped (and counted) instead
-            of queued.  Defaults to ``flow_window``.
+            It is also the receive-queue depth per LVC above which a
+            connectionless arrival is dropped (and counted) instead of
+            queued; only a sender that keeps no ledger gets there.
         train_max: maximum back-to-back same-destination frames the
             netsim coalesces into one scheduled delivery event
             (PROTOCOL.md §13) before the next frame opens a fresh
@@ -80,8 +79,9 @@ class NucleusConfig:
     Budgets nothing varies are constants beside their readers, not
     fields: ``CALL_RETRIES``, ``NS_FAULT_RETRY_LIMIT`` and
     ``REPAIR_BACKOFF_BASE`` / ``_CAP`` in ``lcm``, ``FLOW_PROBE_TIMEOUT``
-    in ``iplayer``, and the grant low watermark (a quarter of the
-    window) in ``flow.FlowState``.
+    in ``iplayer``, the grant low watermark (a quarter of the window) in
+    ``flow.FlowState``, and the negative-resolution TTL
+    ``NEGATIVE_TTL`` in ``naming.cache``.
     """
 
     monitor_enabled: bool = False
@@ -91,21 +91,12 @@ class NucleusConfig:
     open_timeout: float = 5.0
     call_timeout: float = 10.0
     nsp_cache_enabled: bool = True
-    nsp_negative_ttl: float = 2.0
     repair_max_attempts: int = 4
     chaos_seed: int = 0
     flow_control_enabled: bool = True
     flow_window: int = 256
-    flow_high_watermark: Optional[int] = None
     train_max: int = 64
     trace: bool = False
-
-    def effective_flow_high_watermark(self) -> int:
-        """The queue depth at which connectionless arrivals are dropped
-        rather than queued; defaults to the full window."""
-        if self.flow_high_watermark is not None:
-            return self.flow_high_watermark
-        return self.flow_window
 
 
 class Nucleus:
@@ -238,13 +229,18 @@ class Nucleus:
             caller=caller, reason=reason, depth=self._depth,
         )
 
-    # -- internal (control-plane) bodies ---------------------------------------
+    # -- control frames --------------------------------------------------------
 
-    def pack_internal(self, type_name: str, values: dict):
-        """Pack an NTCS control body — always packed mode (Sec. 5.2).
-        Returns (type_id, body_bytes)."""
+    def control(self, kind: int, dst: Address, type_name: str, values: dict,
+                aux: int = 0) -> m.Msg:
+        """An NTCS control frame of ``kind`` from this module to ``dst``,
+        its body ``values`` of control type ``type_name`` — always in
+        packed mode (Sec. 5.2)."""
         entry = self.registry.get_by_name(type_name)
-        return entry.sdef.type_id, entry.pack(values)
+        return m.Msg(kind=kind, src=self.self_addr, dst=dst,
+                     flags=m.FLAG_PACKED | m.FLAG_INTERNAL,
+                     type_id=entry.sdef.type_id, aux=aux,
+                     body=entry.pack(values))
 
     def unpack_internal(self, type_id: int, body: bytes) -> dict:
         """Unpack an NTCS control body by type id."""

@@ -237,19 +237,41 @@ def test_datagram_dropped_at_zero_credit():
 
 
 def test_connectionless_overload_dropped_at_receiver():
-    """Above the high watermark a queued datagram is discarded at the
-    receiver — truthfully counted — instead of buffered forever."""
-    high = WINDOW // 2
-    bed = single_net(config=_flow_config(flow_high_watermark=high))
-    prod, cons, addr = _producer_consumer(bed, "vax1", "sun1")
+    """Past a full window queued a datagram is discarded at the
+    receiver — truthfully counted — instead of buffered forever.  Only
+    a sender that keeps no ledger gets there."""
+    bed = single_net(config=_flow_config())
+    prod = bed.module("flow.prod", "vax1",
+                      config=NucleusConfig(flow_control_enabled=False))
+    cons = bed.module("flow.cons", "sun1")
+    addr = cons.ali.uadd
     delivered = 0
-    for i in range(WINDOW):
+    for i in range(2 * WINDOW):
         if prod.ali.datagram(addr, "numbers", {"a": i, "b": 0, "big": 0}):
             delivered += 1
     bed.settle()
-    assert delivered == WINDOW  # the sender had credit for all of them
-    assert cons.ali.queued() == high
-    assert cons.nucleus.counters[DROP_CONNECTIONLESS] == WINDOW - high
+    assert delivered == 2 * WINDOW  # the sender never holds one back
+    assert cons.ali.queued() == WINDOW
+    assert cons.nucleus.counters[DROP_CONNECTIONLESS] == WINDOW
+
+
+def test_flow_off_receiver_answers_a_probe():
+    """A receiver with flow control off keeps no ledger and never
+    advertises: a flow-on sender spends its window, stalls and probes
+    once, and the receiver's full grant (PROTOCOL.md §12) reopens the
+    window for the rest of the stream."""
+    bed = single_net(config=_flow_config())
+    prod = bed.module("flow.prod", "vax1")
+    cons = bed.module("flow.cons", "sun1",
+                      config=NucleusConfig(flow_control_enabled=False))
+    addr = cons.ali.uadd
+    for i in range(2 * WINDOW):
+        prod.ali.send(addr, "numbers", {"a": i, "b": 0, "big": 0})
+    bed.settle()
+    assert prod.nucleus.counters[IP_CREDIT_STALLS] == 1
+    assert prod.nucleus.counters[IP_CREDIT_PROBES] == 1
+    assert cons.nucleus.counters[IP_CREDIT_GRANTS] == 1
+    assert cons.ali.queued() == 2 * WINDOW
 
 
 # ---------------------------------------------------------------------------

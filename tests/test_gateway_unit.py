@@ -86,11 +86,9 @@ def test_hop_count_limit_naks():
     nucleus = client.nucleus
     record = bed.name_server_instance.db.resolve_uadd(gw.uadd)
     lvc = nucleus.nd.open_lvc(gw.uadd, record.blob_on("ether0"))
-    msg = m.Msg(kind=m.IVC_OPEN, src=nucleus.self_addr, dst=uadd,
-                flags=m.FLAG_PACKED | m.FLAG_INTERNAL, aux=MAX_HOPS)
-    msg.type_id, msg.body = nucleus.pack_internal("ivc_open", {
+    msg = nucleus.control(m.IVC_OPEN, uadd, "ivc_open", {
         "dst_network": "ring0", "src_mtype": "VAX", "src_listen_blob": "",
-    })
+    }, aux=MAX_HOPS)
     nucleus.nd.send(lvc, msg)
     bed.settle()
     assert gw.circuits_refused == refused_before + 1
@@ -107,12 +105,9 @@ def test_nongateway_module_naks_foreign_ivc_open():
     record = bed.name_server_instance.db.resolve_uadd(uadd_bystander)
     lvc = nucleus.nd.open_lvc(uadd_bystander, record.blob_on("ether0"))
     from repro.ntcs.address import make_uadd
-    msg = m.Msg(kind=m.IVC_OPEN, src=nucleus.self_addr,
-                dst=make_uadd(4242),  # not the bystander
-                flags=m.FLAG_PACKED | m.FLAG_INTERNAL, aux=0)
-    msg.type_id, msg.body = nucleus.pack_internal("ivc_open", {
+    msg = nucleus.control(m.IVC_OPEN, make_uadd(4242), "ivc_open", {
         "dst_network": "ring0", "src_mtype": "VAX", "src_listen_blob": "",
-    })
+    })  # not the bystander
     nucleus.nd.send(lvc, msg)
     bed.settle()
     assert bystander.nucleus.counters["ivc_open_refused_not_gateway"] == 1

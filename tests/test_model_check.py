@@ -26,6 +26,7 @@ from repro.analysis import Project, analyze
 from repro.analysis.cli import main
 from repro.analysis.model import extract, replay_trace, untaken_edges
 from repro.conversion.shiftmode import shift_encode_u32s
+from repro.errors import AddressFault
 from repro.netsim import ChaosSchedule, NetTraceLog
 from repro.ntcs import message as m
 from repro.ntcs.address import Address
@@ -442,6 +443,39 @@ def test_the_far_end_closing_a_chained_circuit_replays_clean(tmp_path):
     assert findings == [] and checked > 0
     untaken = untaken_edges(model, taken)
     assert "ivc-endpoint OPEN --recv IVC_CLOSE--> CLOSED" not in untaken
+
+
+def test_a_destination_dying_mid_open_fails_the_open(tmp_path):
+    """The destination dies after the gateway has spliced and forwarded
+    its IVC_OPEN, but before it answers: the gateway's fault handler
+    sends IVC_CLOSE upstream (Sec. 4.3), the originator's open fails
+    with a typed AddressFault, and its hop takes ``OPENING --recv
+    IVC_CLOSE--> FAILED``."""
+    bed = chain_nets(1)
+    log = bed.record_wire_trace()
+    server = echo_server(bed, "far.echo", "mEnd")
+    client = bed.module("client", "m0")
+    uadd = client.ali.locate("far.echo")
+    splices = bed.gateways["gwm0"]._splices
+    spliced = []
+
+    def die_instead_of_answering(ivc, msg):
+        spliced.append((client.nucleus.self_addr, uadd) in {
+            (leg.peer_addr, other.peer_addr)
+            for leg, (_, other, _) in splices.items()})
+        bed.scheduler.call_soon(server.process.kill)
+
+    server.nucleus.ip._on_ivc_open_as_endpoint = die_instead_of_answering
+    with pytest.raises(AddressFault, match="closed by remote"):
+        client.nucleus.ip.open_ivc(uadd)
+    assert spliced == [True]
+    model = _model()
+    taken = set()
+    findings, checked = replay_trace(
+        str(log.dump_jsonl(tmp_path / "dies-mid-open.jsonl")), model, taken)
+    assert findings == [] and checked > 0
+    assert ("ivc-endpoint OPENING --recv IVC_CLOSE--> FAILED"
+            not in untaken_edges(model, taken))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from deployments import echo_server, single_net
 from repro import SUN3, VAX
 from repro.drts.proctl import ProcessController
 from repro.errors import NoSuchAddress, NoSuchName
-from repro.naming.cache import ResolutionCache
+from repro.naming.cache import NEGATIVE_TTL, ResolutionCache
 from repro.naming.protocol import NameRecord
 from repro.ntcs.address import Address
 from repro.ntcs.nucleus import NucleusConfig
@@ -45,12 +45,11 @@ def test_cache_unit_tadds_never_stored():
 def test_cache_unit_negative_ttl_expires():
     clock = [0.0]
     counters = Counters(NUCLEUS)
-    cache = ResolutionCache(clock=lambda: clock[0], counters=counters,
-                            negative_ttl=1.0)
+    cache = ResolutionCache(clock=lambda: clock[0], counters=counters)
     cache.store_missing_name("ghost", gen=1)
     with pytest.raises(NoSuchName):
         cache.lookup_name("ghost")
-    clock[0] = 1.0  # the negative entry has now expired
+    clock[0] = NEGATIVE_TTL  # the negative entry has now expired
     assert cache.lookup_name("ghost") is None
     assert counters["nsp_cache_hits"] == 1
     assert counters["nsp_cache_misses"] == 1
@@ -106,7 +105,7 @@ def test_cache_disabled_reproduces_per_resolution_traffic():
 
 
 def test_negative_cache_expires_in_virtual_time():
-    bed = single_net(config=NucleusConfig(nsp_negative_ttl=0.5))
+    bed = single_net()
     client = bed.module("client", "vax1")
     with pytest.raises(NoSuchName):
         client.ali.locate("ghost")
@@ -114,7 +113,7 @@ def test_negative_cache_expires_in_virtual_time():
     with pytest.raises(NoSuchName):
         client.ali.locate("ghost")   # served by the cached negative
     assert _ns_requests(bed, "ns_resolve_name") == asked
-    bed.scheduler.run_for(0.6)       # let the negative TTL lapse
+    bed.scheduler.run_for(NEGATIVE_TTL + 0.1)  # let the negative TTL lapse
     with pytest.raises(NoSuchName):
         client.ali.locate("ghost")   # re-asks the Name Server
     assert _ns_requests(bed, "ns_resolve_name") == asked + 1

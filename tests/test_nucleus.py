@@ -12,6 +12,7 @@ from repro.errors import (
 from repro.ipcs import SimTcpIpcs
 from repro.machine import Machine, SimProcess
 from repro.netsim import Network, Scheduler
+from repro.ntcs import message as m
 from repro.ntcs.nucleus import Nucleus, NucleusConfig
 from repro.ntcs.wellknown import WellKnownTable
 from repro.testbed import make_registry
@@ -127,11 +128,12 @@ def test_emit_monitor_respects_flags_and_suppression(nucleus):
 
 
 def test_pack_unpack_internal_round_trip(nucleus):
-    type_id, body = nucleus.pack_internal("lvc_hello", {
+    msg = nucleus.control(m.LVC_HELLO, nucleus.self_addr, "lvc_hello", {
         "mtype": "VAX", "listen_blob": "tcp:ether0:m1:5000",
         "network": "ether0",
     })
-    values = nucleus.unpack_internal(type_id, body)
+    assert msg.flags == m.FLAG_PACKED | m.FLAG_INTERNAL
+    values = nucleus.unpack_internal(msg.type_id, msg.body)
     assert values["mtype"] == "VAX"
     assert values["network"] == "ether0"
 

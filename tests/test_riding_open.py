@@ -61,9 +61,7 @@ def test_refused_chained_open_delivers_nothing_that_follows():
     lvc = nucleus.nd.open_lvc(
         victim_uadd, nucleus.addr_cache.lookup(victim_uadd).blob)
     other = make_uadd(4242)
-    ivc_open = m.Msg(kind=m.IVC_OPEN, src=nucleus.self_addr, dst=other,
-                     flags=m.FLAG_PACKED | m.FLAG_INTERNAL)
-    ivc_open.type_id, ivc_open.body = nucleus.pack_internal("ivc_open", {
+    ivc_open = nucleus.control(m.IVC_OPEN, other, "ivc_open", {
         "dst_network": "net1", "src_mtype": nucleus.mtype.name,
         "src_listen_blob": "",
     })
