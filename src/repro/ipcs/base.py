@@ -140,9 +140,10 @@ class Conn:
 
     __slots__ = (
         "local_id", "remote_id", "remote_host", "channel", "state",
-        "next_send_seq", "next_recv_seq", "unacked", "out_of_order",
-        "rx_pending", "open_timer", "fail_reason", "peer_key",
-        "ack_from", "ack_to", "peer_closed",
+        "next_send_seq", "next_recv_seq", "unacked", "deadlines",
+        "timer", "tries", "resent", "out_of_order", "rx_pending",
+        "open_timer", "fail_reason", "peer_key", "ack_from", "ack_to",
+        "peer_closed",
     )
 
     def __init__(self, local_id: int, remote_host: str, channel: Channel,
@@ -154,8 +155,19 @@ class Conn:
         self.state = OPENING if remote_id is None else ESTABLISHED
         self.next_send_seq = 0
         self.next_recv_seq = 0
-        # seq -> the timer that retransmits (TCP) or aborts (MBX).
-        self.unacked: Dict[int, object] = {}
+        # seq -> data sent and not yet acknowledged, oldest first.  One
+        # timer per connection covers the oldest entry, at that entry's
+        # own deadline: it retransmits (TCP) or aborts (MBX).  An entry
+        # sent while the timer runs keeps its deadline in ``deadlines``
+        # until an acknowledgement makes it the oldest.  ``tries``
+        # counts the oldest entry's transmissions by the timer;
+        # ``resent`` is the last entry retransmitted because an
+        # acknowledgement named it as a hole (TCP).
+        self.unacked: Dict[int, bytes] = {}
+        self.deadlines: Dict[int, float] = {}
+        self.timer = None
+        self.tries = 1
+        self.resent: Optional[int] = None
         self.out_of_order: Dict[int, bytes] = {}
         self.rx_pending: List[bytes] = []
         self.open_timer = None
@@ -176,14 +188,18 @@ class Ipcs:
     """The connection core both simulated native IPCSs share.
 
     Open / accept / refuse, one range acknowledgement per connection
-    per arrival train, close and abort are the same in both; each
-    subclass declares its wire kinds (``OPEN``, ``ACCEPT``, ``REFUSE``,
-    ``DATA``, ``ACK``, ``CLOSE``) and implements only what differs:
+    per arrival train, one acknowledgement timer per connection, close
+    and abort are the same in both; each subclass declares its wire
+    kinds (``OPEN``, ``ACCEPT``, ``REFUSE``, ``DATA``, ``ACK``,
+    ``CLOSE``) and implements only what differs:
 
       * :meth:`listen` and :meth:`_handle_open` — the binding namespace,
       * :meth:`_send_open` — how an active open goes out,
       * :meth:`_channel_send` and :meth:`_handle_data` — sending,
         sequencing and the owed-range rule per arrival,
+      * :meth:`_expire` — what the connection timer does when the
+        oldest unacknowledged entry falls due, and :meth:`_retransmit`
+        (TCP only),
       * :meth:`_hand_up` — what the train tail delivers,
       * :meth:`address_blob_for` / :meth:`parse_blob`.
     """
@@ -233,6 +249,9 @@ class Ipcs:
         raise NotImplementedError
 
     def _hand_up(self) -> None:
+        raise NotImplementedError
+
+    def _expire(self, conn: Conn) -> None:
         raise NotImplementedError
 
     def _channel_send(self, channel: Channel, data: bytes) -> None:
@@ -335,33 +354,87 @@ class Ipcs:
         so a handler that blocks while another train arrives leaves the
         rest to the nested call, in arrival order.  Also called ahead of
         an accept or close upcall, so upcalls keep arrival order; a
-        connection whose CLOSE the train carried is owed nothing."""
+        connection whose CLOSE the train carried is owed nothing.  A
+        connection holding data past a hole names the hole in its
+        acknowledgement (:meth:`_handle_ack`)."""
         owed = self._acks_owed
         while owed:
             conn = owed.popleft()
             first = conn.ack_from
             conn.ack_from = None
             if not conn.peer_closed:
-                self.iface.send(conn.remote_host, self.protocol,
-                                (self.ACK, conn.remote_id, first, conn.ack_to))
+                ack = (self.ACK, conn.remote_id, first, conn.ack_to)
+                if conn.out_of_order:
+                    ack += (conn.next_recv_seq,)
+                self.iface.send(conn.remote_host, self.protocol, ack)
         self._hand_up()
 
+    def _track(self, conn: Conn, seq: int, data: bytes,
+               timeout: float) -> None:
+        """Hold ``data`` (sequence ``seq``, just sent) until it is
+        acknowledged.  The send that finds the connection timer idle
+        arms it for ``timeout``; one sent while it runs records its
+        deadline, read only if an acknowledgement makes it the oldest."""
+        conn.unacked[seq] = data
+        if conn.timer is None:
+            # :meth:`_arm` inlined: every send that finds the timer
+            # idle comes through here.
+            conn.timer = self.scheduler.schedule(
+                timeout, lambda: self._expire(conn), "ipcs ack timer")
+        else:
+            conn.deadlines[seq] = self.scheduler.now + timeout
+
     def _handle_ack(self, datagram: Datagram) -> None:
-        _, local_id, first, last = datagram.payload
-        conn = self._conns.get(local_id)
-        if conn is None:
+        """Forget what an acknowledgement covers: the range
+        ``(ACK, id, first, last)``, and — when the receiver holds data
+        past a hole and so names it, ``(ACK, id, first, last, hole)`` —
+        everything below the hole.  When that includes the oldest entry,
+        the connection timer moves to the new oldest, at that entry's
+        own deadline.  A named hole that is the oldest entry is
+        retransmitted at once, once per oldest entry."""
+        payload = datagram.payload
+        conn = self._conns.get(payload[1])
+        if conn is None or not conn.unacked:
             return
+        first, last = payload[2], payload[3]
+        hole = payload[4] if len(payload) > 4 else None
         unacked = conn.unacked
+        deadlines = conn.deadlines
+        oldest = next(iter(unacked))
+        if hole is not None:
+            acked = [seq for seq in unacked
+                     if seq < hole or first <= seq <= last]
         # Walk the range or the outstanding entries, whichever is
         # shorter: never more than what is outstanding.
-        if last - first < len(unacked):
+        elif last - first < len(unacked):
             acked = range(first, last + 1)
         else:
             acked = [seq for seq in unacked if first <= seq <= last]
         for seq in acked:
-            timer = unacked.pop(seq, None)
-            if timer is not None:
-                timer.cancel()
+            if unacked.pop(seq, None) is not None:
+                deadlines.pop(seq, None)
+        if oldest not in unacked:
+            conn.timer.cancel()
+            conn.timer = None
+            conn.tries = 1
+            if not unacked:
+                return
+            oldest = next(iter(unacked))
+            self._arm(conn, max(0.0, deadlines.pop(oldest)
+                                - self.scheduler.now))
+        if hole == oldest and conn.tries == 1 and conn.resent != oldest:
+            conn.resent = oldest
+            self._retransmit(conn)
+
+    def _arm(self, conn: Conn, delay: float) -> None:
+        """(Re)start the connection timer ``delay`` from now."""
+        conn.timer = self.scheduler.schedule(
+            delay, lambda: self._expire(conn), "ipcs ack timer")
+
+    def _retransmit(self, conn: Conn) -> None:
+        """Send the oldest unacknowledged entry again.  Only TCP
+        retransmits: an MBX acknowledgement never names a hole."""
+        raise NotImplementedError
 
     def _handle_close(self, datagram: Datagram) -> None:
         conn = self._conns.get(datagram.payload[1])
@@ -388,9 +461,11 @@ class Ipcs:
             return
         was_established = conn.state == ESTABLISHED
         conn.state = CLOSED
-        for timer in conn.unacked.values():
-            timer.cancel()
+        if conn.timer is not None:
+            conn.timer.cancel()
+            conn.timer = None
         conn.unacked.clear()
+        conn.deadlines.clear()
         if conn.open_timer is not None:
             conn.open_timer.cancel()
         if notify_peer and was_established and not conn.peer_closed:

@@ -9,7 +9,9 @@ must paper over:
 * no retransmission: the destination's mailbox daemon acknowledges
   the records of each arrival train with one range per connection, and
   a missing acknowledgement aborts the channel (the Apollo ring was
-  assumed reliable; failure means the peer died).
+  assumed reliable; failure means the peer died).  One timer per
+  connection watches the oldest unacknowledged record, at that
+  record's own deadline (its send time + ``ack_timeout``).
 
 Open, acknowledgement, close and abort are the shared connection core
 in :mod:`repro.ipcs.base`; this module is the record shell around it.
@@ -101,14 +103,12 @@ class SimMbxIpcs(Ipcs):
         self.iface.send(conn.remote_host, self.protocol,
                         (self.DATA, conn.remote_id, seq, data),
                         Network.DEFAULT_FRAME_SIZE + len(data))
-        # No retransmission in MBX: an unacknowledged record means the
-        # peer (or its host) is gone.
-        conn.unacked[seq] = self.scheduler.schedule(
-            self.ack_timeout,
-            lambda: self._abort(conn, "record not acknowledged",
-                                notify_peer=False),
-            "mbx ack timeout",
-        )
+        self._track(conn, seq, data, self.ack_timeout)
+
+    def _expire(self, conn: Conn) -> None:
+        """No retransmission in MBX: an unacknowledged record means the
+        peer (or its host) is gone."""
+        self._abort(conn, "record not acknowledged", notify_peer=False)
 
     def _handle_data(self, datagram: Datagram) -> None:
         _, local_id, seq, data = datagram.payload

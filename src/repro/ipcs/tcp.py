@@ -6,10 +6,17 @@ Faithful-to-purpose TCP behaviours the ND-Layer driver must cope with:
   retransmitted until answered,
 * **byte-stream semantics** — contiguous segments are coalesced into a
   single delivery, so receivers must frame their own messages,
-* one range acknowledgement per connection per arrival train (a
-  duplicate or out-of-order segment is acknowledged alone, at once),
-  with bounded retransmission; exhausting retries aborts the channel
-  ("the link failed"),
+* one range acknowledgement per connection per arrival train, running
+  to everything the train made contiguous; an out-of-order segment is
+  acknowledged alone and at once, a duplicate with the cumulative range
+  ``(0, next_recv_seq - 1)``, and every acknowledgement sent while data
+  past a hole is held names the hole (``next_recv_seq``),
+* one retransmission timer per connection (RFC 6298 §5): it covers the
+  oldest unacknowledged segment at that segment's own deadline (its
+  send time + ``rto``) and retransmits only that segment, which an
+  acknowledgement naming it as the hole also retransmits, at once and
+  once.  The timer's ``MAX_RETRIES``-th expiry on one oldest segment
+  aborts the channel ("the link failed"),
 * RST notification when the peer process dies while its host survives;
   silent loss (caught by retransmission timeout) when the host crashes.
 
@@ -145,25 +152,33 @@ class SimTcpIpcs(Ipcs):
             return
         seq = conn.next_send_seq
         conn.next_send_seq += 1
-        self._send_segment(conn, seq, data, 1)
-
-    def _send_segment(self, conn: Conn, seq: int, data: bytes, tries: int) -> None:
         self.segments_sent += 1
         self.iface.send(conn.remote_host, self.protocol,
                         (self.DATA, conn.remote_id, seq, data),
                         Network.DEFAULT_FRAME_SIZE + len(data))
-        conn.unacked[seq] = self.scheduler.schedule(
-            self.rto, lambda: self._segment_timeout(conn, seq, data, tries),
-            "tcp rto")
+        self._track(conn, seq, data, self.rto)
 
-    def _segment_timeout(self, conn: Conn, seq: int, data: bytes, tries: int) -> None:
-        if conn.unacked.pop(seq, None) is None or conn.state != ESTABLISHED:
-            return
-        if tries >= self.MAX_RETRIES:
+    def _expire(self, conn: Conn) -> None:
+        """The oldest segment's deadline passed unanswered: retransmit
+        it, or give up at the ``MAX_RETRIES``-th expiry."""
+        if conn.tries >= self.MAX_RETRIES:
             self._abort(conn, "retransmission timeout", notify_peer=False)
-            return
+        else:
+            conn.tries += 1
+            self._retransmit(conn)
+
+    def _retransmit(self, conn: Conn) -> None:
+        """Send the oldest unacknowledged segment again and restart the
+        timer for it."""
+        seq = next(iter(conn.unacked))
+        data = conn.unacked[seq]
         self.segments_retransmitted += 1
-        self._send_segment(conn, seq, data, tries + 1)
+        self.segments_sent += 1
+        self.iface.send(conn.remote_host, self.protocol,
+                        (self.DATA, conn.remote_id, seq, data),
+                        Network.DEFAULT_FRAME_SIZE + len(data))
+        conn.timer.cancel()
+        self._arm(conn, self.rto)
 
     def _handle_data(self, datagram: Datagram) -> None:
         _, local_id, seq, data = datagram.payload
@@ -171,17 +186,23 @@ class SimTcpIpcs(Ipcs):
         if conn is None or conn.state != ESTABLISHED:
             return
         if seq != conn.next_recv_seq:
-            # A duplicate, or a segment past a gap: acknowledged alone
-            # and at once, so loss recovery is what it is without trains.
-            self.iface.send(conn.remote_host, self.protocol,
-                            (self.ACK, conn.remote_id, seq, seq))
+            # Answered alone and at once: a segment past a gap with
+            # itself, a duplicate (its acknowledgement was lost) with
+            # everything received so far.  Either answer names the hole
+            # while data past one is held.
             if seq > conn.next_recv_seq:
                 conn.out_of_order[seq] = data
+                first = seq
+            else:
+                first, seq = 0, conn.next_recv_seq - 1
+            ack = (self.ACK, conn.remote_id, first, seq)
+            if conn.out_of_order:
+                ack += (conn.next_recv_seq,)
+            self.iface.send(conn.remote_host, self.protocol, ack)
             return
         if conn.ack_from is None:
             conn.ack_from = seq
             self._acks_owed.append(conn)
-        conn.ack_to = seq
         rx_pending = conn.rx_pending
         if not rx_pending:
             # Byte-stream semantics: hold the bytes until the arrival
@@ -196,6 +217,9 @@ class SimTcpIpcs(Ipcs):
             rx_pending.append(out_of_order.pop(seq))
             seq += 1
         conn.next_recv_seq = seq
+        # The owed range runs to what this arrival made contiguous, so
+        # it also covers segments whose own answers were lost.
+        conn.ack_to = seq - 1
 
     def _hand_up(self) -> None:
         """Every stream chunk the train carried is born: one per

@@ -263,3 +263,59 @@ def test_close_in_the_train_still_acknowledges_other_connections(rig):
     rig.sched.run_until_idle()
     assert events == [("wire", (rig.ack_kind, chan_a.channel_id, 0, 0)),
                       ("A", b"a1"), ("B", b"b1"), ("B", "closed by peer")]
+
+
+# ---------------------------------------------------------------------------
+# One acknowledgement timer per connection (PROTOCOL.md §13)
+# ---------------------------------------------------------------------------
+
+def _armed(ipcs):
+    """The connections of ``ipcs`` whose timer is armed."""
+    return [conn for conn in ipcs._conns.values() if conn.timer is not None]
+
+
+def test_a_burst_arms_one_timer(rig):
+    """A 32-segment burst on one connection rides one train delivery
+    and arms one timer: ``pending()`` rises by exactly one beyond the
+    wire's own event, where a timer per segment or record added 32.
+    The burst's acknowledgement disarms it."""
+    channel = rig.ipcs_a.connect(rig.client, rig.listener.address_blob())
+    rig.sched.run_until_idle()
+    before = rig.sched.pending()
+    for i in range(32):
+        channel.send(b"%02d" % i)
+    wire = 1  # the burst's one train delivery
+    assert rig.sched.pending() - before - wire == 1
+    assert [len(conn.unacked) for conn in _armed(rig.ipcs_a)] == [32]
+    rig.sched.run_until_idle()
+    assert rig.sched.pending() == 0
+    assert not _armed(rig.ipcs_a)
+
+
+def test_the_timer_follows_the_oldest_entry_to_its_own_deadline(rig):
+    """Entry 0 is acknowledged; entry 1, sent half a latency later, is
+    not — the peer's host crashed between the two arrivals.  The timer
+    moves to entry 1 at entry 1's own deadline, so the connection dies
+    when a timer of its own would have killed it: one timeout later
+    (MBX), or ``MAX_RETRIES`` retransmission timeouts later (TCP)."""
+    channel = rig.ipcs_a.connect(rig.client, rig.listener.address_blob())
+    rig.sched.run_until_idle()
+    died = []
+    channel.set_close_handler(lambda why: died.append((rig.sched.now, why)))
+    channel.send(b"acknowledged")
+    rig.sched.run_for(rig.net.latency / 2)
+    second_send = rig.sched.now
+    channel.send(b"lost")
+    rig.sched.schedule(rig.net.latency * 0.7, rig.machine_b.crash)
+    rig.sched.run_until_idle()
+    if isinstance(rig.ipcs_a, SimTcpIpcs):
+        timeouts, reason = SimTcpIpcs.MAX_RETRIES, "retransmission timeout"
+        timeout = rig.ipcs_a.rto
+    else:
+        timeouts, reason = 1, "record not acknowledged"
+        timeout = rig.ipcs_a.ack_timeout
+    deadline = second_send
+    for _ in range(timeouts):
+        deadline += timeout
+    assert died == [(deadline, reason)]
+    assert not _armed(rig.ipcs_a)

@@ -220,3 +220,29 @@ def test_many_clients_one_mailbox(sched, pair, apollo1):
         chan.send(f"hello-{i}".encode())
     sched.run_until_idle()
     assert sorted(got) == [f"hello-{i}".encode() for i in range(5)]
+
+
+def test_an_unacknowledged_record_aborts_at_its_own_deadline(sched, ring,
+                                                             pair, apollo2):
+    """Three records go to a host that has crashed.  The connection's
+    one timer, armed by the first, aborts the channel when a timer per
+    record did — first send + ``ack_timeout`` — and nothing is sent
+    again: MBX does not retransmit."""
+    client_proc, client_ipcs, _, listener = pair
+    channel = client_ipcs.connect(client_proc, listener.address_blob())
+    sched.run_until_idle()
+    died, puts = [], []
+    channel.set_close_handler(lambda why: died.append((sched.now, why)))
+    ring.trace_hooks.append(
+        lambda datagram, size, dropped: puts.append(datagram.payload[2])
+        if datagram.payload[0] == "MBX_PUT" else None)
+    apollo2.crash()
+    first_send = sched.now
+    for record in (b"r0", b"r1", b"r2"):
+        channel.send(record)
+    assert sched.pending() == 2  # the records' train and the one timer
+    sched.run_until_idle()
+    assert died == [(first_send + client_ipcs.ack_timeout,
+                     "record not acknowledged")]
+    assert puts == [0, 1, 2]
+    assert not client_ipcs._conns

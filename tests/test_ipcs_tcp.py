@@ -381,3 +381,156 @@ def test_warm_echo_over_three_gateways_exact_substrate_cost():
     assert sum(n.frames_sent for n in bed.networks.values()) - frames == 16
     assert bed.scheduler.events_processed - events == 14
     assert bed.now - started == pytest.approx(0.008)
+
+
+# ---------------------------------------------------------------------------
+# One retransmission timer per connection: oldest first (PROTOCOL.md §13)
+# ---------------------------------------------------------------------------
+
+def _wire(network, sched):
+    """Every frame ``network`` carries from now on, as (instant, sender,
+    payload, dropped)."""
+    frames = []
+    network.trace_hooks.append(
+        lambda datagram, size, dropped: frames.append(
+            (sched.now, datagram.src_host, datagram.payload, dropped)))
+    return frames
+
+
+def _established(sched, pair):
+    client_proc, client_ipcs, _, listener = pair
+    accepted = []
+    listener.on_accept = accepted.append
+    channel = client_ipcs.connect(client_proc, listener.address_blob())
+    got = []
+    accepted[0].set_receive_handler(got.append)
+    sched.run_until_idle()
+    return channel, got
+
+
+def _sent_again(frames, client="vax1"):
+    """(instant, seq) of every DATA segment the client sent twice."""
+    seen, again = set(), []
+    for at, src, payload, _ in frames:
+        if src == client and payload[0] == "DATA":
+            if payload[2] in seen:
+                again.append((at, payload[2]))
+            seen.add(payload[2])
+    return again
+
+
+def test_a_crash_under_a_backlog_retransmits_only_the_oldest(sched, ether,
+                                                             pair, sun1):
+    """Ten segments are outstanding when the peer's host crashes.  The
+    connection's one timer retransmits segment 0 alone, four times (a
+    timer per segment sent 40), and aborts when the per-segment design
+    did: first send + ``MAX_RETRIES`` · ``rto``."""
+    _, client_ipcs, _, _ = pair
+    channel, _ = _established(sched, pair)
+    died = []
+    channel.set_close_handler(lambda why: died.append((sched.now, why)))
+    frames = _wire(ether, sched)
+    sun1.crash()
+    first_send = sched.now
+    for i in range(10):
+        channel.send(b"%d" % i)
+    sched.run_until_idle()
+    deadline = first_send
+    for _ in range(SimTcpIpcs.MAX_RETRIES):
+        deadline += client_ipcs.rto
+    assert died == [(deadline, "retransmission timeout")]
+    assert [seq for _, seq in _sent_again(frames)] == [0] * 4
+    assert client_ipcs.segments_retransmitted == 4
+    assert not client_ipcs._conns
+
+
+def test_a_duplicate_is_answered_with_everything_received(sched, ether,
+                                                         pair):
+    """The range ACK of a three-segment train is lost.  The timer
+    retransmits the oldest segment only, and the duplicate is answered
+    with the cumulative range ``(0, 2)``, which clears the whole train:
+    one retransmission where a timer per segment sent three."""
+    _, client_ipcs, _, _ = pair
+    channel, got = _established(sched, pair)
+    frames = _wire(ether, sched)
+    start = sched.now
+    for part in (b"a", b"b", b"c"):
+        channel.send(part)
+    ether.faults.drop_next(1)  # the next frame is the train's range ACK
+    sched.run_until_idle()
+    acks = [(payload[2:], dropped) for _, src, payload, dropped in frames
+            if src == "sun1"]
+    assert acks == [((0, 2), True), ((0, 2), False)]
+    assert _sent_again(frames) == [(start + client_ipcs.rto, 0)]
+    assert got == [b"abc"]
+
+
+def test_a_second_hole_waits_one_round_trip_not_a_timeout(sched, ether,
+                                                         pair):
+    """Segments 2 and 6 of a ten-segment train are lost.  Every answer
+    the receiver sends while it holds data past a hole names the hole:
+    the out-of-order segments' answers name 2 — and leave ahead of the
+    train's owed range without retransmitting anything else — and the
+    range that fills 2 names 6.  Each hole is retransmitted once, a round
+    trip apart, long before the retransmission timeout."""
+    _, client_ipcs, _, _ = pair
+    channel, got = _established(sched, pair)
+    frames = _wire(ether, sched)
+    start = sched.now
+    for i in range(10):
+        if i in (2, 6):
+            ether.faults.drop_next(1)
+        channel.send(b"%d" % i)
+    sched.run_until_idle()
+    round_trip = 2 * ether.latency
+    assert _sent_again(frames) == [(start + round_trip, 2),
+                                   (start + 2 * round_trip, 6)]
+    assert 2 * round_trip < client_ipcs.rto
+    assert b"".join(got) == b"0123456789"
+    assert client_ipcs.segments_retransmitted == 2
+
+
+def test_a_lost_acknowledgement_is_not_taken_for_a_lost_segment(sched,
+                                                                 ether,
+                                                                 pair):
+    """Segment 0's ACK is lost and segment 1's arrives.  The receiver
+    holds nothing past a hole, so its answer names none and the sender
+    retransmits nothing early: segment 0 goes again at its own deadline,
+    and its duplicate's cumulative answer settles it."""
+    _, client_ipcs, _, _ = pair
+    channel, _ = _established(sched, pair)
+    frames = _wire(ether, sched)
+    start = sched.now
+    channel.send(b"0")
+    sched.run_for(ether.latency / 2)
+    channel.send(b"1")
+    ether.faults.drop_next(1)  # the next frame is segment 0's ACK
+    sched.run_until_idle()
+    assert _sent_again(frames) == [(start + client_ipcs.rto, 0)]
+    assert client_ipcs.segments_retransmitted == 1
+
+
+def test_a_named_hole_resent_at_once_spends_no_retry(sched, ether, pair,
+                                                     sun1):
+    """Segment 0 is lost; segment 1's answer names it, so it is resent
+    at once — and then the peer's host crashes.  That resend spends none
+    of the timer's ``MAX_RETRIES`` expiries: four more resends follow,
+    and the abort comes ``MAX_RETRIES`` · ``rto`` after it."""
+    _, client_ipcs, _, _ = pair
+    channel, _ = _established(sched, pair)
+    died = []
+    channel.set_close_handler(lambda why: died.append((sched.now, why)))
+    frames = _wire(ether, sched)
+    start = sched.now
+    ether.faults.drop_next(1)
+    channel.send(b"0")
+    channel.send(b"1")
+    sched.schedule(1.5 * ether.latency, sun1.crash)
+    sched.run_until_idle()
+    resent = _sent_again(frames)
+    assert resent[0] == (start + 2 * ether.latency, 0)
+    assert [seq for _, seq in resent] == [0] * 5
+    deadline = resent[0][0]
+    for _ in range(SimTcpIpcs.MAX_RETRIES):
+        deadline += client_ipcs.rto
+    assert died == [(deadline, "retransmission timeout")]

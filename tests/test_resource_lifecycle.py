@@ -37,6 +37,12 @@ The snapshot also holds each gateway's parked legs per peer (PROTOCOL.md
 ever had circuits open to that peer at once, and none to a dead module.
 Three hazards aim at a parked leg whose peer dies: killed, crashed
 silently, and a NAKed open further down the chain.
+
+Each simulated IPCS connection has one acknowledgement timer
+(PROTOCOL.md §13).  The snapshot holds the connections whose timer is
+armed, and takes it only when they are exactly the connections with
+unacknowledged data; a deployment torn down mid-burst leaves no timer
+armed.
 """
 
 import gc
@@ -188,6 +194,23 @@ def _parked_to(bed, commod):
                for gateway in bed.gateways.values())
 
 
+def _armed_timers(bed):
+    """(label, connection ids) of every simulated IPCS's connections
+    whose acknowledgement timer is armed; each must be exactly the
+    connections holding unacknowledged data."""
+    for machine in bed.machines.values():
+        for ipcs in machine.ipcs_instances():
+            if ipcs.protocol not in ("tcp", "mbx"):
+                continue
+            label = f"{machine.name}/{ipcs.network.name}"
+            armed = sorted(conn.local_id for conn in ipcs._conns.values()
+                           if conn.timer is not None)
+            assert armed == sorted(
+                conn.local_id for conn in ipcs._conns.values()
+                if conn.unacked), label
+            yield f"{label}.timers_armed", armed
+
+
 def _snapshot(bed):
     hooks = {
         f"{process.name}@{machine.name}": _teardown_count(process)
@@ -209,6 +232,7 @@ def _snapshot(bed):
             nucleus.ip._suspect_gateways)
     for label, table in _ipcs_tables(bed):
         tables[label] = len(table)
+    tables.update(_armed_timers(bed))
     return {"hooks": hooks, "tables": tables}
 
 
@@ -676,3 +700,35 @@ def test_a_nak_downstream_parks_the_upstream_leg(substrate):
         _forget_the_dead(bed)
         snapshots.append(_snapshot(bed))
     _assert_last_rounds_match(bed, substrate, snapshots)
+
+
+def _live_connection_timers(bed):
+    """Connection timers still live on the bed's event heap."""
+    return [event for _, _, event in bed.scheduler.queue._heap
+            if not event.cancelled and event.note == "ipcs ack timer"]
+
+
+@pytest.mark.parametrize("build", [_two_nets, _sharded_chain],
+                         ids=["two_nets", "sharded_chain"])
+def test_no_timer_outlives_a_torn_down_deployment(build):
+    """Every client sends a burst that is still unacknowledged when
+    every process of the deployment is killed: each connection's timer
+    dies with its connection, and no connection is left."""
+    bed, pairs = build()
+    for k, (server_machine, _client_machine) in enumerate(pairs):
+        sink = bed.module(f"sink.{k}", server_machine)
+        sink.ali.set_request_handler(lambda request: None)
+    bed.settle()
+    for k, (_server_machine, client_machine) in enumerate(pairs):
+        client = bed.module(f"client.{k}", client_machine)
+        dst = client.ali.locate(f"sink.{k}")
+        for n in range(8):
+            client.ali.send(dst, "echo", {"n": n, "text": "burst"})
+    assert any(armed for _label, armed in _armed_timers(bed))
+    assert _live_connection_timers(bed)
+    for machine in bed.machines.values():
+        for process in list(machine.processes):
+            process.kill()
+    assert _live_connection_timers(bed) == []
+    assert [label for label, table in _ipcs_tables(bed)
+            if label.endswith("_conns") and table] == []

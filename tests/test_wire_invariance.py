@@ -38,6 +38,16 @@ every leg with its circuit.  Both of its traces and both
 keep their legs (PROTOCOL.md §3, "Kept legs"): each gateway leg's CLOSE
 went, and the second circuit's two connect-and-HELLO blocks with it.
 
+The two lossy scenarios' traces, both windows, were re-recorded when
+each connection got one retransmission timer (PROTOCOL.md §13): only
+the oldest segment is retransmitted, a duplicate is answered with the
+cumulative range, and an acknowledgement sent past a hole names it.
+``sever_heal_single_net`` changed in one line, the duplicate's answer
+(``ACK 3`` -> ``ACK 0-3``); in ``burst40_two_nets_drop2`` the two lost
+segments are retransmitted a round trip apart, as soon as the hole is
+named, instead of together at their timeout, and the trace ends 5 ms
+sooner.  Every lossless trace stayed byte for byte.
+
 The fixtures' whole value is that the pre-change implementation wrote
 them.  Regenerate the default-window traces (only when the wire is
 *meant* to change, and record old -> new in CHANGES.md) with:
