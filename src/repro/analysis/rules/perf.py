@@ -4,22 +4,24 @@ per-datagram string formatting below it.
 The netsim coalesces back-to-back frames into one scheduled delivery
 event per train (PROTOCOL.md §13) because one event per frame was the
 dominant dispatch cost at scale.  A future edit that introduces a
-per-frame ``Scheduler.post`` loop in the ND-Layer or gateway hot paths
-silently undoes the optimisation while every golden stays green — the
-wire is unchanged, only the event count regresses — so the shape
-itself is machine-checked.
+per-frame ``Scheduler.schedule`` or ``call_soon`` loop in the ND-Layer
+or gateway hot paths silently undoes the optimisation while every
+golden stays green — the wire is unchanged, only the event count
+regresses — so the shape itself is machine-checked.
 
-PERF001 (error) per-frame delivery dispatch: a ``scheduler.post(...)``
-                or ``scheduler.schedule(...)`` call inside a ``for``/
-                ``while`` loop in one of the hot-path modules
-                (:data:`_HOT_PATH_MODULES`).  Handle each frame inline
-                in its upcall; the netsim owns the only delivery post.
+PERF001 (error) per-frame delivery dispatch: a
+                ``scheduler.schedule(...)`` or ``scheduler.call_soon(...)``
+                call inside a ``for``/``while`` loop in one of the
+                hot-path modules (:data:`_HOT_PATH_MODULES`).  Handle
+                each frame inline in its upcall; the netsim owns the
+                only delivery event.
 PERF002 (error) per-datagram note formatting: an f-string, ``%`` or
                 ``.format`` expression passed as the ``note`` of a
-                ``scheduler.post(...)``/``schedule(...)`` in a substrate
-                module (:data:`_SUBSTRATE_MODULES`).  A note is read
-                only from a debugger, and these modules schedule once
-                per datagram or retransmission timer.  Pass a constant.
+                ``scheduler.schedule(...)``/``call_soon(...)`` in a
+                substrate module (:data:`_SUBSTRATE_MODULES`).  A note
+                is read only from a debugger, and these modules
+                schedule once per datagram or retransmission timer.
+                Pass a constant.
 """
 
 from __future__ import annotations
@@ -35,20 +37,23 @@ from repro.analysis.engine import (
     rule,
 )
 
-# The data-plane modules that must not post one event per frame.
+# The data-plane modules that must not queue one event per frame.
 _HOT_PATH_MODULES: Tuple[str, ...] = (
     "repro.ntcs.ndlayer",
     "repro.ntcs.gateway",
 )
 
 # The substrate modules that schedule per datagram: the network's
-# delivery post and every simulated IPCS (a prefix matches the package).
+# delivery event and every simulated IPCS (a prefix matches the package).
 _SUBSTRATE_MODULES: Tuple[str, ...] = (
     "repro.netsim.network",
     "repro.ipcs.",
 )
 
-_DISPATCH_METHODS = ("post", "schedule")
+# The scheduler's two ways to queue an event, each mapped to the
+# position of its ``note`` argument: ``schedule(delay, callback, note)``
+# and ``call_soon(callback, note)``.
+_DISPATCH_METHODS = {"schedule": 2, "call_soon": 1}
 
 
 def _is_scheduler_receiver(node: ast.expr) -> bool:
@@ -63,7 +68,8 @@ def _is_scheduler_receiver(node: ast.expr) -> bool:
 
 
 def _is_dispatch(node: ast.AST) -> bool:
-    """True for a ``<scheduler>.post(...)`` / ``.schedule(...)`` call."""
+    """True for a ``<scheduler>.schedule(...)`` / ``.call_soon(...)``
+    call."""
     return (isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr in _DISPATCH_METHODS
@@ -72,11 +78,12 @@ def _is_dispatch(node: ast.AST) -> bool:
 
 def _note_of(call: ast.Call) -> Optional[ast.expr]:
     """The ``note`` argument of a dispatch call: the keyword, or the
-    third positional (``post(delay, callback, note)``)."""
+    positional after the callback."""
     for keyword in call.keywords:
         if keyword.arg == "note":
             return keyword.value
-    return call.args[2] if len(call.args) > 2 else None
+    position = _DISPATCH_METHODS[call.func.attr]
+    return call.args[position] if len(call.args) > position else None
 
 
 def _is_formatted(node: ast.expr) -> bool:
@@ -109,7 +116,7 @@ def _formatted_notes(module: ModuleInfo) -> Iterable[Finding]:
             )
 
 
-def _per_frame_posts(module: ModuleInfo) -> Iterable[Finding]:
+def _per_frame_events(module: ModuleInfo) -> Iterable[Finding]:
     """PERF001: dispatch calls inside a ``for``/``while`` loop."""
     seen: Set[Tuple[int, int]] = set()
     for loop in ast.walk(module.tree):
@@ -128,7 +135,7 @@ def _per_frame_posts(module: ModuleInfo) -> Iterable[Finding]:
                 message=(
                     f"per-frame scheduler.{node.func.attr}() inside a "
                     f"hot-path loop; handle the frame inline — the "
-                    f"netsim owns the one delivery post per train "
+                    f"netsim owns the one delivery event per train "
                     f"(PROTOCOL.md §13)"),
             )
 
@@ -136,8 +143,8 @@ def _per_frame_posts(module: ModuleInfo) -> Iterable[Finding]:
 @rule(
     name="perf",
     ids=("PERF001", "PERF002"),
-    description="data-plane hot paths post no per-frame scheduler "
-                "events (no Scheduler.post loops); the substrate "
+    description="data-plane hot paths queue no per-frame scheduler "
+                "events (no schedule/call_soon loops); the substrate "
                 "formats no per-datagram event notes",
 )
 def check_perf(project: Project) -> Iterable[Finding]:
@@ -146,7 +153,7 @@ def check_perf(project: Project) -> Iterable[Finding]:
     findings: List[Finding] = []
     for module in project.modules:
         if module.name in _HOT_PATH_MODULES:
-            findings.extend(_per_frame_posts(module))
+            findings.extend(_per_frame_events(module))
         if module.name.startswith(_SUBSTRATE_MODULES):
             findings.extend(_formatted_notes(module))
     return findings

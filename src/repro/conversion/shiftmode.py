@@ -33,7 +33,13 @@ U32_BYTES = 4
 _CODECS: Dict[int, struct.Struct] = {}
 
 
-def _codec(count: int) -> struct.Struct:
+def u32_codec(count: int) -> struct.Struct:
+    """The compiled shift-mode codec for ``count`` words: the same bytes
+    as :func:`shift_encode_u32s` / :func:`shift_decode_u32s`.  A hot
+    path with a fixed word count binds it once at import; it raises
+    ``struct.error`` where the functions above raise
+    :class:`ConversionError`, so such a caller checks lengths first and
+    hands a failed encode to :func:`shift_encode_u32s` for the error."""
     codec = _CODECS.get(count)
     if codec is None:
         codec = _CODECS[count] = struct.Struct(">%dI" % count)
@@ -44,7 +50,7 @@ def shift_encode_u32s(values: Sequence[int]) -> bytes:
     """Encode a sequence of 32-bit unsigned integers, four bytes each,
     most-significant byte first."""
     try:
-        return _codec(len(values)).pack(*values)
+        return u32_codec(len(values)).pack(*values)
     except struct.error:
         for value in values:
             if not 0 <= value <= 0xFFFFFFFF:
@@ -63,7 +69,7 @@ def shift_decode_u32s(data: Union[bytes, memoryview], count: int,
         raise ConversionError(
             f"shift mode: need {need} bytes, have {len(data)}"
         )
-    return list(_codec(count).unpack_from(data, offset))
+    return list(u32_codec(count).unpack_from(data, offset))
 
 
 # Credit words (PROTOCOL.md §12).  Flow control piggybacks a cumulative

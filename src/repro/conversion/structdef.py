@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import ConversionError
@@ -49,21 +49,22 @@ class Field:
 
     name: str
     ftype: str
+    #: Whether this is a ``char[N]`` field: decided once, at definition,
+    #: since every pack and unpack of a message asks.
+    is_char: bool = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name.isidentifier():
             raise ConversionError(f"field name {self.name!r} is not an identifier")
+        is_char = _CHAR_RE.match(self.ftype) is not None
         if self.ftype not in _SCALAR_CODES and self.ftype != "bytes" \
-                and not _CHAR_RE.match(self.ftype):
+                and not is_char:
             raise ConversionError(f"unknown field type {self.ftype!r}")
+        object.__setattr__(self, "is_char", is_char)
 
     @property
     def is_scalar(self) -> bool:
         return self.ftype in _SCALAR_CODES
-
-    @property
-    def is_char(self) -> bool:
-        return bool(_CHAR_RE.match(self.ftype))
 
     @property
     def is_bytes(self) -> bool:

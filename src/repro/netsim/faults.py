@@ -84,7 +84,11 @@ class FaultPlan:
         return False
 
     def should_drop(self, src_host: str, dst_host: str) -> bool:
-        """Decide the fate of one datagram; counts drops."""
+        """Decide the fate of one datagram; counts drops.
+
+        ``Network.transmit`` skips this call while nothing is severed
+        or partitioned, ``drop_next`` is spent and ``drop_probability``
+        is 0: a new kind of fault must be added to that test too."""
         # With nothing severed or partitioned ``blocks`` cannot say yes:
         # skip building its frozenset.  Every later decision, and the
         # RNG draw, happens exactly as it would have.

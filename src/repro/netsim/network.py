@@ -224,7 +224,13 @@ class Network:
             size = self.DEFAULT_FRAME_SIZE
         self.frames_sent += 1
         self.bytes_sent += size
-        dropped = self.faults.should_drop(datagram.src_host, datagram.dst_host)
+        faults = self.faults
+        # A plan with nothing configured drops nothing and draws nothing
+        # from its RNG, so skipping it there is exact.
+        dropped = bool(
+            (faults._severed or faults._partition is not None
+             or faults._drop_next or faults.drop_probability)
+            and faults.should_drop(datagram.src_host, datagram.dst_host))
         for hook in self.trace_hooks:
             hook(datagram, size, dropped)
         if dropped:

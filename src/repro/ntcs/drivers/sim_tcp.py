@@ -12,12 +12,16 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.conversion.shiftmode import shift_decode_u32s, shift_encode_u32s
+from repro.conversion.shiftmode import u32_codec
 from repro.ipcs.tcp import SimTcpIpcs
 from repro.ntcs.stdif import MessageChannel, StdIfDriver
 
 _LEN_BYTES = 4
 _MAX_MESSAGE = 16 * 1024 * 1024
+# The one-word length prefix, bound once.  A message can never hold 2^32
+# bytes, and the receive side reads a prefix only once four bytes are
+# buffered, so neither direction can fail.
+_PREFIX = u32_codec(1)
 
 
 class FramedChannel(MessageChannel):
@@ -30,7 +34,7 @@ class FramedChannel(MessageChannel):
 
     def send_message(self, data: bytes) -> None:
         """Frame one NTCS message with a shift-mode length prefix."""
-        self.channel.send(shift_encode_u32s([len(data)]) + data)
+        self.channel.send(_PREFIX.pack(len(data)) + data)
 
     def _on_bytes(self, data: bytes) -> None:
         # One chunk may carry many messages.  Each is popped off the
@@ -44,7 +48,7 @@ class FramedChannel(MessageChannel):
         buffer = self._buffer
         buffer.extend(data)
         while self.channel.open and len(buffer) >= _LEN_BYTES:
-            (length,) = shift_decode_u32s(buffer, 1)
+            (length,) = _PREFIX.unpack_from(buffer)
             if length > _MAX_MESSAGE:
                 # The stream has lost its framing for good (PROTOCOL.md
                 # §7).  The prefix goes up alone — shorter than any

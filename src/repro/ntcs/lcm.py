@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.conversion.modes import decode_body
@@ -184,10 +185,15 @@ class _PendingCall:
     dst: Address
     reply: Optional[IncomingMessage] = None
     error: Optional[str] = None
+    # Set by whatever finishes the call, its reply or the fault that
+    # dooms it; a waiter pumps until it reads True (see _finished).
+    done: bool = False
 
-    @property
-    def done(self) -> bool:
-        return self.reply is not None or self.error is not None
+
+def _finished(pending: _PendingCall) -> Callable[[], bool]:
+    """The predicate a waiter pumps on: a C-level read of
+    ``pending.done``, so waiting adds no Python call per event."""
+    return partial(getattr, pending, "done")
 
 
 class CallHandle:
@@ -209,7 +215,7 @@ class CallHandle:
         timeout = timeout if timeout is not None else nucleus.config.call_timeout
         try:
             nucleus.scheduler.pump_until(
-                lambda: self._pending.done, timeout=timeout,
+                _finished(self._pending), timeout=timeout,
                 what=f"async reply from {self._pending.dst}",
             )
             if self._pending.reply is not None:
@@ -425,7 +431,7 @@ class LcmLayer:
                 self.send(dst, type_name, values,
                           flags=flags | m.FLAG_REPLY_EXPECTED, corr_id=corr)
                 done = nucleus.scheduler.pump_until(
-                    lambda: pending.done,
+                    _finished(pending),
                     timeout=timeout,
                     what=f"reply from {dst}",
                 )
@@ -657,6 +663,7 @@ class LcmLayer:
             pending = self._pending.get(msg.corr_id)
             if pending is not None:
                 pending.reply = incoming
+                pending.done = True
             else:
                 nucleus.counters[LCM_ORPHAN_REPLIES] += 1
             return
@@ -721,6 +728,7 @@ class LcmLayer:
                 target = pending.dst
             if pending.dst in dead or target in dead:
                 pending.error = f"connection lost: {reason}"
+                pending.done = True
 
     # -- TAdd purge plumbing ---------------------------------------------------
 

@@ -33,7 +33,7 @@ gateway that forwards a message untouched never re-serializes it.  The
 header checksum may be verified lazily (``verify=False`` on decode +
 :meth:`Msg.checksum_ok` at the terminating endpoint), and
 :func:`patch_frame_aux` rewrites only the aux and checksum words of a
-frame in place via ``memoryview`` for the per-hop IVC_OPEN hop count.
+frame copy in place (``pack_into``) for the per-hop IVC_OPEN hop count.
 :class:`HeaderView` exposes the routing words (1–6) of a raw frame
 without materializing a full message; :func:`flow_debited` reads the
 kind and flags words either one exposes.
@@ -41,14 +41,15 @@ kind and flags words either one exposes.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.conversion.shiftmode import (
     shift_decode_credit,
-    shift_decode_u32s,
     shift_encode_credit,
     shift_encode_u32s,
+    u32_codec,
 )
 from repro.errors import ProtocolError
 from repro.ntcs.address import Address
@@ -60,6 +61,13 @@ HEADER_BYTES = HEADER_WORDS * 4
 # Byte offsets of the in-place-patchable words (see patch_frame_aux).
 AUX_WORD_OFFSET = 10 * 4
 CHECKSUM_WORD_OFFSET = 11 * 4
+
+# The shift-mode codecs every header read and write goes through, bound
+# once: the whole header, and the aux + checksum pair patch_frame_aux
+# rewrites.  Callers check the frame length first, so only an
+# out-of-range word on encode can fail (see Msg.encode).
+_HEADER = u32_codec(HEADER_WORDS)
+_AUX_AND_SUM = u32_codec(2)
 
 # -- kinds ------------------------------------------------------------------
 
@@ -120,7 +128,7 @@ class HeaderView:
     def __init__(self, frame: Union[bytes, bytearray, memoryview]):
         if len(frame) < HEADER_BYTES:
             raise ProtocolError(f"short NTCS message: {len(frame)} bytes")
-        self._words = shift_decode_u32s(frame, HEADER_WORDS)
+        self._words = _HEADER.unpack_from(frame)
         if self._words[0] != MAGIC:
             raise ProtocolError(f"bad magic {self._words[0]:#x}")
 
@@ -199,17 +207,20 @@ def patch_frame_aux(frame: Union[bytes, memoryview], aux: int) -> bytes:
     if len(frame) < HEADER_BYTES:
         raise ProtocolError(f"short NTCS message: {len(frame)} bytes")
     patched = bytearray(frame)
-    view = memoryview(patched)
-    old_aux, old_sum = shift_decode_u32s(view, 2, offset=AUX_WORD_OFFSET)
+    old_aux, old_sum = _AUX_AND_SUM.unpack_from(patched, AUX_WORD_OFFSET)
     new_sum = (old_sum - old_aux + aux) & 0xFFFFFFFF
-    view[AUX_WORD_OFFSET:CHECKSUM_WORD_OFFSET + 4] = \
-        shift_encode_u32s((aux & 0xFFFFFFFF, new_sum))
+    _AUX_AND_SUM.pack_into(patched, AUX_WORD_OFFSET, aux & 0xFFFFFFFF, new_sum)
     return bytes(patched)
 
 
-@dataclass
+@dataclass(init=False)
 class Msg:
-    """One NTCS message: a parsed header plus its body bytes."""
+    """One NTCS message: a parsed header plus its body bytes.
+
+    Construction fills the fields directly; any wire-field assignment
+    after it drops the cached frame (see ``__setattr__``), and
+    ``dataclasses.replace`` builds a new message with no frame at all.
+    """
 
     kind: int
     src: Address
@@ -221,15 +232,37 @@ class Msg:
     body: bytes = b""
     # Cached wire frame: populated by decode()/encode(), dropped on any
     # wire-field mutation (see __setattr__).  repr=False keeps dumps
-    # readable; compare=False keeps Msg equality semantic, not cached.
-    _frame: Optional[bytes] = field(default=None, repr=False, compare=False)
+    # readable; compare=False keeps Msg equality semantic, not cached;
+    # init=False keeps ``dataclasses.replace`` from copying a stale one.
+    _frame: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False)
     # False until the header checksum has been checked (decode verifies
     # eagerly unless told to defer; locally built messages are trusted).
-    _checksum_deferred: bool = field(default=False, repr=False, compare=False)
+    _checksum_deferred: bool = field(
+        default=False, init=False, repr=False, compare=False)
+
+    def __init__(self, kind: int, src: Address, dst: Address, flags: int = 0,
+                 type_id: int = 0, corr_id: int = 0, aux: int = 0,
+                 body: bytes = b""):
+        # Written straight into the instance dict: a message being built
+        # has no frame to drop, so the hook below has nothing to do.
+        d = self.__dict__
+        d["kind"] = kind
+        d["src"] = src
+        d["dst"] = dst
+        d["flags"] = flags
+        d["type_id"] = type_id
+        d["corr_id"] = corr_id
+        d["aux"] = aux
+        d["body"] = body
+        d["_frame"] = None
+        d["_checksum_deferred"] = False
 
     def __setattr__(self, name: str, value) -> None:
-        if name in _WIRE_FIELDS and "_frame" in self.__dict__:
-            object.__setattr__(self, "_frame", None)
+        # The one place a stale frame is dropped: every wire-field
+        # assignment after construction goes through here.
+        if name in _WIRE_FIELDS:
+            self.__dict__["_frame"] = None
         object.__setattr__(self, name, value)
 
     # -- flag helpers ---------------------------------------------------------
@@ -277,15 +310,21 @@ class Msg:
             return frame
         src_hi, src_lo = self.src.to_u32_pair()
         dst_hi, dst_lo = self.dst.to_u32_pair()
+        body = self.body
         words = [
             MAGIC, self.kind, self.flags,
             src_hi, src_lo, dst_hi, dst_lo,
-            self.type_id, self.corr_id, len(self.body), self.aux,
+            self.type_id, self.corr_id, len(body), self.aux,
         ]
-        checksum = sum(words) & 0xFFFFFFFF
-        words.append(checksum)
-        frame = shift_encode_u32s(words) + self.body
-        self._frame = frame
+        words.append(sum(words) & 0xFFFFFFFF)
+        try:
+            header = _HEADER.pack(*words)
+        except struct.error:
+            # A word out of u32 range: the generic codec names it in a
+            # ConversionError.
+            header = shift_encode_u32s(words)
+        frame = header + body
+        self.__dict__["_frame"] = frame
         return frame
 
     @classmethod
@@ -301,7 +340,7 @@ class Msg:
         """
         if len(data) < HEADER_BYTES:
             raise ProtocolError(f"short NTCS message: {len(data)} bytes")
-        words = shift_decode_u32s(data, HEADER_WORDS)
+        words = _HEADER.unpack_from(data)
         if words[0] != MAGIC:
             raise ProtocolError(f"bad magic {words[0]:#x}")
         if verify:
@@ -326,26 +365,28 @@ class Msg:
             aux=words[10],
             body=body,
         )
-        msg._frame = bytes(data)
-        msg._checksum_deferred = not verify
+        d = msg.__dict__
+        d["_frame"] = bytes(data)
+        d["_checksum_deferred"] = not verify
         return msg
 
     def checksum_ok(self) -> bool:
         """Verify a deferred header checksum (idempotent; True when the
         checksum was already verified at decode or the message was built
         locally)."""
-        if not self._checksum_deferred:
+        d = self.__dict__
+        if not d["_checksum_deferred"]:
             return True
-        frame = self._frame
+        frame = d["_frame"]
         if frame is None:
             # Mutated since decode: the cached frame (and with it the
             # received checksum word) is gone; nothing left to verify.
-            self._checksum_deferred = False
+            d["_checksum_deferred"] = False
             return True
-        words = shift_decode_u32s(frame, HEADER_WORDS)
+        words = _HEADER.unpack_from(frame)
         ok = words[11] == sum(words[:11]) & 0xFFFFFFFF
         if ok:
-            self._checksum_deferred = False
+            d["_checksum_deferred"] = False
         return ok
 
     def __repr__(self) -> str:

@@ -99,6 +99,45 @@ class NucleusConfig:
     trace: bool = False
 
 
+class _Exit:
+    """The end of a :meth:`Nucleus.enter` block: restores the depth.
+    One per Nucleus, shared by every untraced entry."""
+
+    __slots__ = ("_nucleus",)
+
+    def __init__(self, nucleus: "Nucleus"):
+        self._nucleus = nucleus
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info) -> None:
+        self._nucleus._depth -= 1
+
+
+class _TracedExit(_Exit):
+    """The end of one traced entry: records the exit, then restores the
+    depth."""
+
+    __slots__ = ("_layer", "_operation", "_caller", "_reason")
+
+    def __init__(self, nucleus: "Nucleus", layer: str, operation: str,
+                 caller: str, reason: str):
+        super().__init__(nucleus)
+        self._layer = layer
+        self._operation = operation
+        self._caller = caller
+        self._reason = reason
+
+    def __exit__(self, *exc_info) -> None:
+        nucleus = self._nucleus
+        nucleus.tracer.record(
+            nucleus.process.name, self._layer, self._operation, "exit",
+            caller=self._caller, reason=self._reason, depth=nucleus._depth,
+        )
+        nucleus._depth -= 1
+
+
 class Nucleus:
     """The per-module (per-network) NTCS core."""
 
@@ -141,6 +180,7 @@ class Nucleus:
 
         # Recursion accounting (Sec. 6).
         self._depth = 0
+        self._exit = _Exit(self)
         self.max_depth_seen = 0
         self._suppress = 0
 
@@ -194,32 +234,35 @@ class Nucleus:
     def depth(self) -> int:
         return self._depth
 
-    @contextmanager
     def enter(self, layer: str, operation: str, caller: str = "",
-              reason: str = ""):
-        """Track one layer entry.  Exceeding the recursion limit raises
-        — the reproduction of the paper's observed stack overflow."""
-        self._depth += 1
-        self.max_depth_seen = max(self.max_depth_seen, self._depth)
-        self.tracer.record(
-            self.process.name, layer, operation, "enter",
-            caller=caller, reason=reason, depth=self._depth,
-        )
-        try:
-            if self._depth > self.config.recursion_limit:
-                raise RecursionLimitExceeded(
-                    f"Nucleus re-entered {self._depth} deep in "
-                    f"{self.process.name}:{layer}.{operation} "
-                    f"(limit {self.config.recursion_limit}) — the Sec. 6.3 "
-                    "stack overflow"
-                )
-            yield
-        finally:
-            self.tracer.record(
-                self.process.name, layer, operation, "exit",
-                caller=caller, reason=reason, depth=self._depth,
+              reason: str = "") -> "_Exit":
+        """Track one layer entry: ``with nucleus.enter(layer, op):``.
+        Exceeding the recursion limit raises — the reproduction of the
+        paper's observed stack overflow — with the depth restored.
+
+        With tracing off an entry costs nothing extra: the depth count
+        and one shared exit object, and no tracer call.  An installed
+        tracer records the entry here and the exit when the block
+        ends."""
+        depth = self._depth = self._depth + 1
+        if depth > self.max_depth_seen:
+            self.max_depth_seen = depth
+        tracer = self.tracer
+        if isinstance(tracer, NullTracer):
+            exit_ = self._exit
+        else:
+            tracer.record(self.process.name, layer, operation, "enter",
+                          caller=caller, reason=reason, depth=depth)
+            exit_ = _TracedExit(self, layer, operation, caller, reason)
+        if depth > self.config.recursion_limit:
+            exit_.__exit__(None, None, None)
+            raise RecursionLimitExceeded(
+                f"Nucleus re-entered {depth} deep in "
+                f"{self.process.name}:{layer}.{operation} "
+                f"(limit {self.config.recursion_limit}) — the Sec. 6.3 "
+                "stack overflow"
             )
-            self._depth -= 1
+        return exit_
 
     def trace(self, layer: str, operation: str, caller: str = "",
               reason: str = "") -> None:

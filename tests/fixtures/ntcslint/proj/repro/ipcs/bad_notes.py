@@ -10,13 +10,13 @@ class BadIpcs:
     def send_segment(self, seq, on_timeout):
         self.scheduler.schedule(0.009, on_timeout,
                                 note=f"tcp rto seq={seq}")    # PERF002
-        self.scheduler.post(0.0, on_timeout, "flush %d" % seq)    # PERF002
-        self.scheduler.post(
-            0.0, on_timeout, note="ack {}".format(seq))       # PERF002
+        self.scheduler.call_soon(on_timeout, "flush %d" % seq)    # PERF002
+        self.scheduler.call_soon(
+            on_timeout, note="ack {}".format(seq))            # PERF002
 
     def sanctioned(self, on_timeout):
         # Constant notes — positional, keyword, or a placeholder-free
         # f-string — and no note at all are all fine.
         self.scheduler.schedule(0.009, on_timeout, note="tcp rto")
-        self.scheduler.post(0.0, on_timeout, f"tcp rx flush")
-        self.scheduler.post(0.0, on_timeout)
+        self.scheduler.call_soon(on_timeout, f"tcp rx flush")
+        self.scheduler.call_soon(on_timeout)
