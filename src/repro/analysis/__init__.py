@@ -2,13 +2,13 @@
 
 The paper's guarantees are architectural — strict layering (Fig. 2-1),
 reserved packed-mode type-id ranges (Sec. 5.2), a simulation driven
-purely by virtual time, and disciplined error propagation through the
-passive Nucleus.  This package turns those conventions into
-machine-checked invariants: an AST-based rule engine
-(:mod:`repro.analysis.engine`), a declarative layer map
-(:mod:`repro.analysis.layermap`), four built-in rule families
-(:mod:`repro.analysis.rules`), and a CLI
-(``python -m repro.analysis`` / ``ntcslint``).
+purely by virtual time, disciplined error propagation through the
+passive Nucleus, and decisions PROTOCOL.md makes in one place.  This
+package turns those conventions into machine-checked invariants: an
+AST-based rule engine (:mod:`repro.analysis.engine`), a declarative
+layer map (:mod:`repro.analysis.layermap`), the built-in rule families
+(:mod:`repro.analysis.rules`, the sole-site table among them), and a
+CLI (``python -m repro.analysis`` / ``ntcslint``).
 
 Programmatic use::
 

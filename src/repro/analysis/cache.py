@@ -2,11 +2,12 @@
 
 The cache key is a manifest of per-file content hashes (every ``.py``
 file the scan would parse), plus the scan configuration (paths, rule
-filter, excludes) and the registered rule-id set — so editing any
-file, adding one, deleting one, changing the flags, or upgrading the
-rule set all invalidate it.  Invalidation is whole-tree on purpose:
-the interesting rules (layering, duplicate type ids, the model stage)
-are cross-file, so per-file reuse of stale results would be unsound.
+filter, excludes) and the same manifest of ``repro/analysis`` itself
+— so editing any file, adding one, deleting one, changing the flags,
+or editing a rule all invalidate it.  Invalidation is whole-tree on
+purpose: the interesting rules (layering, duplicate type ids, the
+model stage) are cross-file, so per-file reuse of stale results would
+be unsound.
 A hit replays the stored findings and waivers without parsing a
 single AST, which is what keeps ``make lint`` on an unchanged tree
 well under a second.
@@ -23,9 +24,11 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.engine import Finding, Waiver, all_rules, iter_python_files
+from repro.analysis.engine import Finding, Waiver, iter_python_files
 
 CACHE_FORMAT = 1
+
+ANALYSIS_SOURCES = Path(__file__).resolve().parent   # the rules' sources
 
 
 def _manifest(paths: Sequence[Path],
@@ -40,14 +43,14 @@ def _manifest(paths: Sequence[Path],
 
 def cache_key(paths: Sequence[Path], rule_filter: Optional[Sequence[str]],
               exclude: Sequence[str]) -> str:
-    """One hash covering file contents and scan configuration."""
+    """One hash covering file contents, scan configuration and the
+    rules' own sources."""
     payload = {
         "format": CACHE_FORMAT,
         "manifest": _manifest(paths, exclude),
         "rule_filter": sorted(rule_filter or ()),
         "exclude": sorted(exclude),
-        "rule_ids": sorted(
-            rid for rule_obj in all_rules() for rid in rule_obj.ids),
+        "rules": _manifest([ANALYSIS_SOURCES], ()),
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()

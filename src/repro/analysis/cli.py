@@ -55,8 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ntcslint",
         description="Static architecture checks for the NTCS reproduction: "
                     "layering (Fig. 2-1), protocol type-id reservations "
-                    "(Sec. 5.2), determinism, exception hygiene, and "
-                    "protocol model checking (see also: ntcslint verify).",
+                    "(Sec. 5.2), determinism, exception hygiene, sole "
+                    "sites (PROTOCOL.md), and protocol model checking "
+                    "(see also: ntcslint verify).",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path,
@@ -66,11 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=FORMATS, default="text",
         help="findings output format (default: text)",
     )
+    families = ", ".join(rule_obj.name for rule_obj in all_rules())
     parser.add_argument(
         "--rule", action="append", default=None, metavar="TOKEN",
-        help="only run/report rules matching TOKEN — a family name "
-             "(layering, protocol, determinism, hygiene, model) or a "
-             "rule-id prefix (LAY, DET002, ...); repeatable",
+        help=f"only run/report rules matching TOKEN — a family name "
+             f"({families}) or a rule-id prefix (LAY, DET002, ...); "
+             f"repeatable",
     )
     parser.add_argument(
         "--exclude", action="append", default=None, metavar="TOKEN",

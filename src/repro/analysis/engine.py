@@ -27,6 +27,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
@@ -106,6 +107,32 @@ class ModuleInfo:
             return self.source_lines[lineno - 1]
         return ""
 
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the tree (``ast.walk`` order), walked once."""
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def functions(self) -> Dict[int, str]:
+        """id(node) -> qualified name (``Nucleus.control``) of the
+        innermost function around it (a ``def`` is its own), once."""
+        functions: Dict[int, str] = {}
+
+        def walk(node: ast.AST, prefix: str, owner: Optional[str]) -> None:
+            for child in ast.iter_child_nodes(node):
+                inner, scope = owner, prefix
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                    scope = f"{prefix}{child.name}."
+                    if not isinstance(child, ast.ClassDef):
+                        inner = prefix + child.name
+                if inner:
+                    functions[id(child)] = inner
+                walk(child, scope, inner)
+
+        walk(self.tree, "", None)
+        return functions
+
 
 @dataclass(frozen=True)
 class ImportEdge:
@@ -133,6 +160,27 @@ def iter_python_files(paths: Iterable[Path],
         files = [f for f in files
                  if not any(tok in f.as_posix() for tok in exclude)]
     return files
+
+
+def in_package(module: str, *packages: str) -> bool:
+    """True when dotted ``module`` is one of ``packages`` or inside one."""
+    return any(module == package or module.startswith(package + ".")
+               for package in packages)
+
+
+def terminal_name(node: Optional[ast.AST]) -> Optional[str]:
+    """The final identifier of a Name/Attribute chain (``m.IVC_CLOSE``
+    -> ``IVC_CLOSE``), or None."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def literal_str(node: Optional[ast.AST]) -> Optional[str]:
+    """The value of a string constant, or None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
 
 
 def module_name_for(path: Path) -> str:
@@ -192,7 +240,7 @@ class Project:
                 for alias in node.names:
                     yield ImportEdge(target=alias.name, line=node.lineno)
             elif isinstance(node, ast.ImportFrom):
-                base = self._resolve_from(module, node)
+                base = self.resolve_from(module, node)
                 if base is None:
                     continue
                 for alias in node.names:
@@ -203,8 +251,10 @@ class Project:
                         yield ImportEdge(target=base, line=node.lineno,
                                          symbol=alias.name)
 
-    def _resolve_from(self, module: ModuleInfo,
-                      node: ast.ImportFrom) -> Optional[str]:
+    def resolve_from(self, module: ModuleInfo,
+                     node: ast.ImportFrom) -> Optional[str]:
+        """The dotted module a ``from ... import`` in ``module`` reads
+        from, relative levels resolved."""
         if node.level == 0:
             return node.module
         # Relative import: start at the module's package, climb one

@@ -31,7 +31,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.engine import Finding, Project, SEVERITY_ERROR
+from repro.analysis.engine import (
+    Finding, Project, SEVERITY_ERROR, in_package,
+)
 from repro.analysis.model.ir import (
     Edge,
     Machine,
@@ -91,8 +93,7 @@ def _check_receivers(model: ProtocolModel) -> Iterable[Finding]:
             continue
         layer = _required_layer(spec)
         if layer is not None and not any(
-                h.module == layer or h.module.startswith(layer + ".")
-                for h in spec.handlers):
+                in_package(h.module, layer) for h in spec.handlers):
             handled_in = sorted({h.module for h in spec.handlers})
             yield _finding(
                 "MDL001", first_send.path, first_send.line,

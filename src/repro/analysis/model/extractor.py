@@ -33,7 +33,9 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.engine import ModuleInfo, Project
+from repro.analysis.engine import (
+    ModuleInfo, Project, in_package, literal_str, terminal_name,
+)
 from repro.analysis.model.ir import (
     Edge,
     KindTable,
@@ -51,7 +53,6 @@ from repro.analysis.rules.protocol import (
     _call_arg,
     _int_constants,
     _is_structdef_call,
-    _literal_str,
     _resolve_id,
 )
 
@@ -68,34 +69,6 @@ _SEND_METHODS: Dict[str, Tuple[int, str]] = {
 }
 
 
-def _in_repro_tree(module_name: str) -> bool:
-    return module_name == "repro" or module_name.startswith("repro.")
-
-
-def _callee_name(node: ast.Call) -> Optional[str]:
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    return None
-
-
-def _str_const(node: Optional[ast.expr]) -> Optional[str]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-def _terminal_name(node: ast.expr) -> Optional[str]:
-    """The final identifier of a Name/Attribute chain (``m.IVC_CLOSE``
-    -> ``IVC_CLOSE``)."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 def _is_attr(node: ast.expr, attr: str) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == attr
 
@@ -107,14 +80,14 @@ def extract(project: Project) -> ProtocolModel:
 
     # Phase 1: the message table (repro-tree StructDefs only).
     for module in project.modules:
-        if not _in_repro_tree(module.name):
+        if not in_package(module.name, "repro"):
             continue
         consts = dict(global_consts)
         consts.update(_int_constants(module.tree))
         for node in ast.walk(module.tree):
             if not (isinstance(node, ast.Call) and _is_structdef_call(node)):
                 continue
-            name = _literal_str(_call_arg(node, 0, "name"))
+            name = literal_str(_call_arg(node, 0, "name"))
             if name is None:
                 continue
             type_id = _resolve_id(_call_arg(node, 1, "type_id"), consts)
@@ -147,7 +120,7 @@ def _global_constants(project: Project) -> Dict[str, int]:
     table: Dict[str, int] = {}
     conflicted: Set[str] = set()
     for module in project.modules:
-        if not _in_repro_tree(module.name):
+        if not in_package(module.name, "repro"):
             continue
         for name, value in _int_constants(module.tree).items():
             if name in table and table[name] != value:
@@ -186,10 +159,10 @@ def _collect_sites(
 
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Call):
-            callee = _callee_name(node)
+            callee = terminal_name(node.func)
             if callee in _SEND_METHODS:
                 index, kind = _SEND_METHODS[callee]
-                name = _str_const(_call_arg(node, index, "type_name"))
+                name = literal_str(_call_arg(node, index, "type_name"))
                 if name is not None:
                     add_send(name, node.lineno, kind)
             elif callee == "unpack_internal":
@@ -198,7 +171,7 @@ def _collect_sites(
                 if spec is not None:
                     spec.handlers.append(site(node.lineno, "handler"))
             elif callee == "_expect":
-                name = _str_const(_call_arg(node, 1, "type_name"))
+                name = literal_str(_call_arg(node, 1, "type_name"))
                 spec = model.messages.get(name) if name else None
                 if spec is not None:
                     spec.expects.append(site(node.lineno, "expect"))
@@ -207,7 +180,7 @@ def _collect_sites(
                     and node.args and _is_attr(node.args[0], "type_name"):
                 # Inline dispatch: {"name": fn, ...}.get(request.type_name)
                 for key in node.func.value.keys:
-                    name = _str_const(key)
+                    name = literal_str(key)
                     if name is not None:
                         add_handler(name, key.lineno)
 
@@ -228,14 +201,13 @@ def _compare_sites(node: ast.Compare, add_handler, kind_to_message) -> None:
     if any(_is_attr(side, "type_name") for side in sides):
         for side in sides:
             for leaf in _iter_leaves(side):
-                name = _str_const(leaf)
+                name = literal_str(leaf)
                 if name is not None:
                     add_handler(name, node.lineno)
     elif any(_is_attr(side, "kind") for side in sides):
         for side in sides:
             for leaf in _iter_leaves(side):
-                kind_name = _terminal_name(leaf) if isinstance(
-                    leaf, (ast.Name, ast.Attribute)) else None
+                kind_name = terminal_name(leaf)
                 if kind_name and kind_name in kind_to_message:
                     add_handler(kind_to_message[kind_name], node.lineno)
 
@@ -251,20 +223,18 @@ def _iter_leaves(node: ast.expr):
 def _assign_sites(node: ast.Assign, add_handler) -> None:
     """Dispatch-dict literals and subscript installs."""
     for target in node.targets:
-        tname = _terminal_name(target) if isinstance(
-            target, (ast.Name, ast.Attribute)) else None
+        tname = terminal_name(target)
         if tname and "handlers" in tname and isinstance(node.value, ast.Dict):
             for key in node.value.keys:
-                name = _str_const(key)
+                name = literal_str(key)
                 if name is not None:
                     add_handler(name, key.lineno)
         if isinstance(target, ast.Subscript):
-            base = _terminal_name(target.value) if isinstance(
-                target.value, (ast.Name, ast.Attribute)) else None
+            base = terminal_name(target.value)
             sl = target.slice
             if isinstance(sl, ast.Index):  # pragma: no cover (py<3.9)
                 sl = sl.value
-            name = _str_const(sl)
+            name = literal_str(sl)
             if base and "handlers" in base and name is not None:
                 add_handler(name, node.lineno)
 
@@ -274,16 +244,16 @@ def _function_sites(node: ast.FunctionDef, add_send, add_handler) -> None:
     reply tuples in ``_handle_*`` methods (the Name-Server idiom)."""
     for decorator in node.decorator_list:
         if isinstance(decorator, ast.Call) \
-                and _callee_name(decorator) == "handles":
+                and terminal_name(decorator.func) == "handles":
             for arg in decorator.args:
-                name = _str_const(arg)
+                name = literal_str(arg)
                 if name is not None:
                     add_handler(name, decorator.lineno)
     if node.name.startswith("_handle"):
         for sub in ast.walk(node):
             if isinstance(sub, ast.Return) and isinstance(sub.value, ast.Tuple) \
                     and sub.value.elts:
-                name = _str_const(sub.value.elts[0])
+                name = literal_str(sub.value.elts[0])
                 if name is not None:
                     add_send(name, sub.lineno, SEND_REPLY)
 
@@ -307,7 +277,7 @@ def _collect_declarations(model: ProtocolModel, module: ModuleInfo) -> None:
                 names = {}
                 for key, value in zip(node.value.keys, node.value.values):
                     kind = _resolve_id(key, consts)
-                    name = _str_const(value)
+                    name = literal_str(value)
                     if kind is not None and name is not None:
                         names[kind] = name
                 model.kind_tables.append(KindTable(
@@ -374,7 +344,7 @@ def _collect_state_strings(model: ProtocolModel, module: ModuleInfo) -> None:
         if isinstance(node, ast.Assign):
             if any(_is_attr(t, "state") for t in node.targets):
                 for sub in ast.walk(node.value):
-                    name = _str_const(sub)
+                    name = literal_str(sub)
                     if name is not None:
                         observed.add(name)
         elif isinstance(node, ast.Compare):
@@ -382,7 +352,7 @@ def _collect_state_strings(model: ProtocolModel, module: ModuleInfo) -> None:
             if any(_is_attr(side, "state") for side in sides):
                 for side in sides:
                     for leaf in _iter_leaves(side):
-                        name = _str_const(leaf)
+                        name = literal_str(leaf)
                         if name is not None:
                             observed.add(name)
     if observed:

@@ -49,6 +49,7 @@ from repro.analysis.engine import (
     Finding,
     ModuleInfo,
     Project,
+    in_package,
     rule,
 )
 
@@ -75,11 +76,6 @@ _TIMER_MODULES: Tuple[str, ...] = (
 )
 
 
-def _exempt(module_name: str) -> bool:
-    return any(module_name == p or module_name.startswith(p + ".")
-               for p in EXEMPT_PREFIXES)
-
-
 @rule(
     name="determinism",
     ids=("DET001", "DET002", "DET003", "DET004", "DET005", "DET006"),
@@ -91,7 +87,7 @@ def check_determinism(project: Project) -> Iterable[Finding]:
     for module in project.modules:
         if module.name not in _TIMER_MODULES:
             findings.extend(_check_heapq(module))
-        if _exempt(module.name):
+        if in_package(module.name, *EXEMPT_PREFIXES):
             continue
         aliases = _stdlib_aliases(module)
         for node in ast.walk(module.tree):

@@ -29,6 +29,7 @@ from repro.analysis.engine import (
     ModuleInfo,
     Project,
     rule,
+    terminal_name,
 )
 
 _MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "deque",
@@ -87,13 +88,7 @@ def _check_handler(module: ModuleInfo, node: ast.ExceptHandler,
 def _caught_ntcs_errors(type_node: ast.expr,
                         error_names: Set[str]) -> Set[str]:
     nodes = type_node.elts if isinstance(type_node, ast.Tuple) else [type_node]
-    caught: Set[str] = set()
-    for node in nodes:
-        if isinstance(node, ast.Name) and node.id in error_names:
-            caught.add(node.id)
-        elif isinstance(node, ast.Attribute) and node.attr in error_names:
-            caught.add(node.attr)
-    return caught
+    return {terminal_name(node) for node in nodes} & error_names
 
 
 def _body_is_silent(body: List[ast.stmt]) -> bool:

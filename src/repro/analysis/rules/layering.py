@@ -29,6 +29,8 @@ from repro.analysis.engine import (
     SEVERITY_WARNING,
     Finding,
     Project,
+    in_package,
+    literal_str,
     rule,
 )
 from repro.analysis.layermap import layer_of
@@ -43,7 +45,7 @@ def check_layering(project: Project) -> Iterable[Finding]:
     """Emit LAY001/LAY002 findings for the project's import graph."""
     findings: List[Finding] = []
     for module in project.modules:
-        if not _in_repro(module.name):
+        if not in_package(module.name, "repro"):
             continue
         src_layer = layer_of(module.name)
         if src_layer is None:
@@ -55,7 +57,7 @@ def check_layering(project: Project) -> Iterable[Finding]:
             ))
             continue
         for edge in project.imports_of(module):
-            if not _in_repro(edge.target):
+            if not in_package(edge.target, "repro"):
                 continue
             dst_layer = layer_of(edge.target)
             if dst_layer is None:
@@ -84,9 +86,7 @@ def _message_type(call: ast.Call) -> Optional[str]:
         return None
     node = call.args[1] if len(call.args) > 1 else next(
         (kw.value for kw in call.keywords if kw.arg == "type_name"), None)
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
+    return literal_str(node)
 
 
 @rule(
@@ -99,8 +99,8 @@ def check_naming_access(project: Project) -> Iterable[Finding]:
     """Emit LAY003 for every ``ns_*`` send site outside repro.naming."""
     findings: List[Finding] = []
     for module in project.modules:
-        if not _in_repro(module.name) or module.name == "repro.naming" \
-                or module.name.startswith("repro.naming."):
+        if not in_package(module.name, "repro") \
+                or in_package(module.name, "repro.naming"):
             continue
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -116,10 +116,6 @@ def check_naming_access(project: Project) -> Iterable[Finding]:
                              f"single naming service access point"),
                 ))
     return findings
-
-
-def _in_repro(module: str) -> bool:
-    return module == "repro" or module.startswith("repro.")
 
 
 def _fmt(names) -> str:

@@ -39,7 +39,10 @@ from repro.analysis.engine import (
     Finding,
     ModuleInfo,
     Project,
+    in_package,
+    literal_str,
     rule,
+    terminal_name,
 )
 from repro.conversion.registry import ConversionRegistry
 from repro.conversion.structdef import _CHAR_RE, _SCALAR_CODES
@@ -63,13 +66,9 @@ class _StructUse:
 
 def _reserved_range(module_name: str) -> Tuple[int, int]:
     for prefix, id_range in RESERVED_RANGES:
-        if module_name == prefix or module_name.startswith(prefix + "."):
+        if in_package(module_name, prefix):
             return id_range
     return APPLICATION_RANGE
-
-
-def _in_repro_tree(module_name: str) -> bool:
-    return module_name == "repro" or module_name.startswith("repro.")
 
 
 def _int_constants(tree: ast.Module) -> Dict[str, int]:
@@ -86,18 +85,7 @@ def _int_constants(tree: ast.Module) -> Dict[str, int]:
 
 
 def _is_structdef_call(node: ast.Call) -> bool:
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id == "StructDef"
-    if isinstance(func, ast.Attribute):
-        return func.attr == "StructDef"
-    return False
-
-
-def _literal_str(node: Optional[ast.expr]) -> Optional[str]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
+    return terminal_name(node.func) == "StructDef"
 
 
 def _resolve_id(node: Optional[ast.expr],
@@ -133,11 +121,11 @@ def check_protocol(project: Project) -> Iterable[Finding]:
         for node in ast.walk(module.tree):
             if not (isinstance(node, ast.Call) and _is_structdef_call(node)):
                 continue
-            sname = _literal_str(_call_arg(node, 0, "name"))
+            sname = literal_str(_call_arg(node, 0, "name"))
             type_id = _resolve_id(_call_arg(node, 1, "type_id"), consts)
             uses.append(_StructUse(module=module, line=node.lineno,
                                    name=sname, type_id=type_id))
-            if type_id is not None and _in_repro_tree(module.name):
+            if type_id is not None and in_package(module.name, "repro"):
                 lo, hi = _reserved_range(module.name)
                 if not (lo <= type_id <= hi):
                     findings.append(Finding(
@@ -160,7 +148,7 @@ def _check_duplicates(uses: List[_StructUse]) -> Iterable[Finding]:
     for use in sorted(uses, key=lambda u: (str(u.module.path), u.line)):
         if use.type_id is None:
             continue
-        scope = None if _in_repro_tree(use.module.name) \
+        scope = None if in_package(use.module.name, "repro") \
             else str(use.module.path)
         first = firsts.setdefault((scope, use.type_id), use)
         if first is use:
@@ -182,8 +170,8 @@ def _check_fields(module: ModuleInfo, node: ast.Call,
     seen_names: Dict[str, int] = {}
     field_calls = [el for el in fields_arg.elts if isinstance(el, ast.Call)]
     for index, el in enumerate(field_calls):
-        fname = _literal_str(_call_arg(el, 0, "name"))
-        ftype = _literal_str(_call_arg(el, 1, "ftype"))
+        fname = literal_str(_call_arg(el, 0, "name"))
+        ftype = literal_str(_call_arg(el, 1, "ftype"))
         where = f"{sname or '?'}.{fname or '?'}"
         if ftype is not None and not _valid_ftype(ftype):
             yield Finding(

@@ -7,9 +7,10 @@ relevant events are counted at the point they would occur, so each
 count is declared once below — name, kind, owning store, meaning — and
 a site bumps its constant with a plain dict update on the owner's
 :class:`Counters` (``nucleus.counters[IP_CREDIT_STALLS] += 1``): no
-Python call, and an undeclared name raises ``KeyError``.
-``tests/test_counter_catalogue.py`` checks every site statically and
-diffs :func:`catalogue_table` against PROTOCOL.md §15.
+Python call, and an undeclared name raises ``KeyError``.  ntcslint
+(ONE006, ONE007) checks every site statically, and
+``tests/test_counter_catalogue.py`` diffs :func:`catalogue_table`
+against PROTOCOL.md §15.
 """
 
 from __future__ import annotations

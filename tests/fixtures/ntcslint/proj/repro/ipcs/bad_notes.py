@@ -1,6 +1,6 @@
 """Seeded PERF002 violations: this file's module name resolves to
-repro.ipcs.bad_notes — a substrate module — so formatting an event note
-per segment must fire, however the string is built."""
+repro.ipcs.bad_notes — a substrate module — so a note formatted per
+segment fires, however it is built (and every event here is ONE005)."""
 
 
 class BadIpcs:
@@ -16,7 +16,7 @@ class BadIpcs:
 
     def sanctioned(self, on_timeout):
         # Constant notes — positional, keyword, or a placeholder-free
-        # f-string — and no note at all are all fine.
+        # f-string — and no note at all pass PERF002.
         self.scheduler.schedule(0.009, on_timeout, note="tcp rto")
         self.scheduler.call_soon(on_timeout, f"tcp rx flush")
         self.scheduler.call_soon(on_timeout)

@@ -1,6 +1,6 @@
-"""Seeded PERF001 violations: this file's module name resolves to
-repro.ntcs.ndlayer — a data-plane hot-path module — so per-frame
-scheduler.schedule / call_soon loops in it must fire."""
+"""Seeded ONE005 violations: this file's module name resolves to
+repro.ntcs.ndlayer — the netsim owns the one delivery event per train —
+so every scheduler.schedule / call_soon in it fires, looped or not."""
 
 
 class BadNdLayer:
@@ -9,12 +9,12 @@ class BadNdLayer:
 
     def deliver_all(self, frames):
         for frame in frames:
-            self.scheduler.call_soon(lambda f=frame: f)       # PERF001
+            self.scheduler.call_soon(lambda f=frame: f)       # ONE005
 
     def requeue(self, scheduler, frames):
         while frames:
-            scheduler.schedule(0.1, frames.pop)               # PERF001
+            scheduler.schedule(0.1, frames.pop)               # ONE005
 
     def one_shot(self, frame):
-        # A single event outside any loop is the sanctioned shape.
-        self.scheduler.call_soon(lambda: frame)
+        # A single event outside any loop is one event too many.
+        self.scheduler.call_soon(lambda: frame)                # ONE005

@@ -1,20 +1,17 @@
 """The soft-state ledger (PROTOCOL.md §3, "What a Nucleus remembers"):
 each table that records where a peer is has one place that forgets it.
+ntcslint's ONE004 keeps every other module off the route tables; the
+IP-Layer still writes them.
 
-* A static guard: no module of ``src/repro`` but the IP-Layer's own
-  writes the IP-Layer's route tables (``route_cache``, the suspect
-  gateways, the prime index); everyone else goes through
-  ``IpLayer.forget_route``.
-* A property over relocations, module crashes, gateway kills and
-  restarts, and naming-replica kills and restarts on
-  ``sharded_chain(2, 2, 2)``, with calls in between: every call returns
-  its reply or raises a typed ``NtcsError``, and an address-cache or
-  route-cache entry filled before an event is used stale at most once
-  after it, and is forgotten by that use (Sec. 3.5: a cached address
-  may lie once, and the fault that catches it repairs it).
+A property over relocations, module crashes, gateway kills and
+restarts, and naming-replica kills and restarts on
+``sharded_chain(2, 2, 2)``, with calls in between: every call returns
+its reply or raises a typed ``NtcsError``, and an address-cache or
+route-cache entry filled before an event is used stale at most once
+after it, and is forgotten by that use (Sec. 3.5: a cached address may
+lie once, and the fault that catches it repairs it).
 """
 
-import ast
 from collections import Counter
 from pathlib import Path
 
@@ -24,6 +21,8 @@ from hypothesis import strategies as st
 
 from deployments import echo_server, sharded_chain
 from repro import VAX
+from repro.analysis import Project
+from repro.analysis.rules.sole_site import SOLE_SITES, row_sites
 from repro.drts.proctl import ProcessController
 from repro.errors import AddressFault, NtcsError
 from repro.ntcs.address import AddressCache
@@ -36,75 +35,14 @@ pytestmark = pytest.mark.usefixtures("wire_conformance")
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-# ---------------------------------------------------------------------------
-# The guard: one writer for the IP-Layer's route tables
-# ---------------------------------------------------------------------------
-
-ROUTE_TABLES = {"route_cache", "_suspect_gateways", "_prime_index"}
-_MUTATORS = {"pop", "popitem", "clear", "add", "discard", "remove",
-             "update", "setdefault"}
-_OWNER = Path("ntcs") / "iplayer.py"
-
-
-def _table(node):
-    """The route-table name ``node`` designates (``x.route_cache`` or
-    ``x.route_cache[k]``), or None."""
-    if isinstance(node, ast.Subscript):
-        node = node.value
-    if isinstance(node, ast.Attribute) and node.attr in ROUTE_TABLES:
-        return node.attr
-    return None
-
-
-def route_table_writes(source: str):
-    """(line, table) of every assignment to, deletion from or mutating
-    method call on a route table in ``source``."""
-    writes = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Assign, ast.Delete)):
-            targets = node.targets
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        elif (isinstance(node, ast.Call)
-              and isinstance(node.func, ast.Attribute)
-              and node.func.attr in _MUTATORS):
-            targets = [node.func.value]
-        else:
-            continue
-        writes += [(node.lineno, name) for name in map(_table, targets)
-                   if name is not None]
-    return sorted(writes)
-
-
-def test_guard_sees_every_kind_of_write():
-    source = "\n".join([
-        "ip.route_cache.pop(net, None)",
-        "ip.route_cache[net] = hop",
-        "del stack.ip.route_cache[net]",
-        "ip._suspect_gateways.add(gw)",
-        "ip._suspect_gateways.discard(gw)",
-        "ip._prime_index += 1",
-        "ip.route_cache.clear()",
-        "hop = ip.route_cache.get(net)",  # a read
-    ])
-    assert [line for line, _ in route_table_writes(source)] == list(
-        range(1, 8))
-
 
 def test_only_the_ip_layer_writes_its_route_tables():
-    offenders = [
-        f"{path.relative_to(SRC)}:{line} writes {table}"
-        for path in sorted(SRC.rglob("*.py"))
-        if path.relative_to(SRC) != _OWNER
-        for line, table in route_table_writes(path.read_text())
-    ]
-    assert offenders == []
-    assert route_table_writes((SRC / _OWNER).read_text())
+    row = next(row for row in SOLE_SITES if row.id == "ONE004")
+    writers = {module.name for module, _, _
+               in row_sites(Project.load([SRC]), row)}
+    assert writers == {"repro.ntcs.iplayer"}
+    assert row.allowed == {("repro.ntcs.iplayer", None)}
 
-
-# ---------------------------------------------------------------------------
-# The property: one stale use per entry per event, then a refresh
-# ---------------------------------------------------------------------------
 
 class _FillDict(dict):
     """A route cache that tells the ledger when each entry was filled."""

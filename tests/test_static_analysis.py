@@ -4,8 +4,8 @@ Two halves:
 
 * the *gate* — the full rule set runs over ``src/repro`` and must come
   back empty, so any future PR that violates the paper's layering
-  (Fig. 2-1), type-id reservations (Sec. 5.2), determinism, or
-  exception hygiene fails tier-1;
+  (Fig. 2-1), type-id reservations (Sec. 5.2), determinism, exception
+  hygiene, or a PROTOCOL.md sole site fails tier-1;
 * the *demonstration* — fixture trees with deliberately seeded
   violations assert that each rule family actually fires, with exact
   rule ids and line numbers, so the gate cannot rot into a no-op.
@@ -13,11 +13,12 @@ Two halves:
 
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Finding, Project, analyze, layer_name
+from repro.analysis import Finding, Project, all_rules, analyze, layer_name
 from repro.analysis.cli import main
 from repro.conversion import ConversionRegistry, Field, StructDef
 from repro.errors import ConversionError, DuplicateTypeId
@@ -243,45 +244,21 @@ def test_pragma_waives_a_finding():
 
 
 # ---------------------------------------------------------------------------
-# Performance (PERF001/PERF002) — no per-frame events above the wire
-# (§13), no per-datagram note formatting below it
+# Performance (PERF002) — no per-datagram note formatting below the wire
+# (§13)
 # ---------------------------------------------------------------------------
-
-def test_perf_rule_fires_on_per_frame_post_loops():
-    # The fixture's module name is repro.ntcs.ndlayer — a data-plane
-    # hot-path module — so scheduler posts inside for/while loops fire.
-    findings = fixture_findings("ntcs/ndlayer")
-    assert rule_lines(findings) == [("PERF001", 12), ("PERF001", 16)]
-    assert "per train" in findings[0].message
-
-
-def test_perf_rule_ignores_single_posts_and_other_modules():
-    # one_shot() in the fixture posts outside a loop: no finding past
-    # line 16.  And the identical shapes elsewhere in the fixture tree
-    # (non-hot-path modules) produce no PERF001 at all.
-    assert all(f.line <= 16 for f in fixture_findings("ntcs/ndlayer"))
-    others = [f for f in fixture_findings() if f.rule == "PERF001"
-              and "ntcs/ndlayer" not in f.path]
-    assert others == []
-
-
-def test_live_hot_paths_satisfy_perf001():
-    # The real ND-Layer and gateway handle each frame inline in its
-    # upcall — no per-frame dispatch loops, no waivers.
-    for rel in ("ntcs/ndlayer.py", "ntcs/gateway.py"):
-        findings = [f for f in analyze([SRC_TREE / rel])
-                    if f.rule == "PERF001"]
-        assert findings == [], rel
-
 
 def test_perf_rule_fires_on_formatted_event_notes():
     # The fixture's module name is repro.ipcs.bad_notes — a substrate
     # module — so an f-string, %-format or .format() note fires
     # (PERF002); constant notes and note-less posts past line 16 do not.
+    # Every event it files is outside the IPCS timer sites (ONE005).
     findings = fixture_findings("ipcs/bad_notes")
     assert rule_lines(findings) == [
-        ("PERF002", 11), ("PERF002", 13), ("PERF002", 14)]
-    assert "constant" in findings[0].message
+        ("ONE005", 11), ("PERF002", 11), ("ONE005", 13), ("PERF002", 13),
+        ("ONE005", 14), ("PERF002", 14),
+        ("ONE005", 20), ("ONE005", 21), ("ONE005", 22)]
+    assert "constant" in findings[1].message
     others = [f for f in fixture_findings() if f.rule == "PERF002"
               and "ipcs/bad_notes" not in f.path]
     assert others == []
@@ -291,6 +268,60 @@ def test_live_substrate_satisfies_perf002():
     findings = [f for f in analyze([SRC_TREE / "netsim", SRC_TREE / "ipcs"])
                 if f.rule == "PERF002"]
     assert findings == []
+
+
+# ---------------------------------------------------------------------------
+# Sole sites (ONE001–ONE007) — where PROTOCOL.md says one place decides
+# ---------------------------------------------------------------------------
+
+# Each seeded fixture -> the (rule, line) pairs it fires, and no others.
+SOLE_SITE_FIXTURES = {
+    "ntcs/nucleus.py": [("ONE001", 1), ("ONE001", 2)],
+    "ntcs/lcm.py": [("ONE002", 1), ("ONE002", 2)],
+    "ntcs/flow.py": [("ONE003", 2), ("ONE003", 5), ("ONE003", 9)],
+    "ntcs/gateway.py": [("ONE004", line) for line in range(1, 8)],
+    "ipcs/tcp.py": [("ONE005", 3), ("ONE005", 6), ("ONE005", 7)],
+    "ntcs/ndlayer.py": [("ONE005", 12), ("ONE005", 16), ("ONE005", 20)],
+    "util/counting.py": [("ONE006", 15), ("ONE006", 16)] + [
+        ("ONE007", line) for line in range(17, 23)],
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(SOLE_SITE_FIXTURES),
+                         ids=lambda fixture: fixture[:-3].replace("/", "."))
+def test_sole_site_rows_fire_exactly(fixture):
+    assert rule_lines(fixture_findings(fixture)) == \
+        SOLE_SITE_FIXTURES[fixture]
+
+
+def test_sole_site_rows_fire_nowhere_else(tmp_path):
+    fired = {Path(f.path).relative_to(FIXTURE_PROJ / "repro").as_posix()
+             for f in fixture_findings() if f.rule.startswith("ONE")}
+    assert fired == set(SOLE_SITE_FIXTURES) | {"ipcs/bad_notes.py"}
+    # The scheduler row binds the IPCSs, the ND-Layer and the gateway.
+    for rel in ("netsim/clock.py", "ntcs/gateway.py"):
+        path = tmp_path / "repro" / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("def arm(scheduler):\n    scheduler.call_soon(f)\n")
+    assert [(Path(f.path).parent.name, f.rule, f.line)
+            for f in analyze([tmp_path])] == [("ntcs", "ONE005", 2)]
+
+
+def test_live_hot_paths_satisfy_perf001():
+    # PERF001's per-frame dispatch loops are ONE005 now, which is
+    # stricter: the real ND-Layer and gateway handle each frame inline
+    # in its upcall and file no scheduler event at all, with no waivers.
+    for rel in ("ntcs/ndlayer.py", "ntcs/gateway.py"):
+        findings = [f for f in analyze([SRC_TREE / rel])
+                    if f.rule == "ONE005"]
+        assert findings == [], rel
+
+
+def test_analysis_md_documents_every_rule_id():
+    documented = set(re.findall(r"\*\*([A-Z]+[0-9]+)\*\*",
+                                (REPO_ROOT / "ANALYSIS.md").read_text()))
+    registered = {rid for rule_obj in all_rules() for rid in rule_obj.ids}
+    assert documented == registered | {"WVR001"}
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +375,7 @@ def test_cli_json_format_is_machine_readable(capsys):
         "LAY001", "LAY002", "PRO001", "PRO002", "PRO003", "PRO004",
         "DET001", "DET002", "DET003", "DET004", "DET005",
         "EXC001", "EXC002", "EXC003",
-    }
+    } | {f"ONE00{n}" for n in range(1, 8)}
     sample = records[0]
     assert set(sample) == {"rule", "severity", "path", "line", "message"}
 
@@ -364,8 +395,11 @@ def test_cli_rule_filtering(capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for family in ("layering", "protocol", "determinism", "hygiene"):
+    for family in ("layering", "protocol", "determinism", "hygiene",
+                   "sole-site: ONE001, ONE002, ONE003, ONE004, ONE005, "
+                   "ONE006, ONE007"):
         assert family in out
+    assert "PERF001" not in out
 
 
 def test_cli_missing_path_is_usage_error(capsys):
@@ -581,9 +615,11 @@ def test_cli_sarif_format_is_valid_shape(capsys):
     assert driver["name"] == "ntcslint"
     rule_ids = {r["id"] for r in driver["rules"]}
     # Every family is indexed, the model stage and WVR001 included.
-    assert {"LAY001", "PRO001", "DET001", "EXC001",
+    assert {"LAY001", "PRO001", "DET001", "EXC001", "ONE001", "ONE007",
             "MDL001", "TRC001", "WVR001"} <= rule_ids
     assert run["results"], "fixture tree must produce results"
+    assert {f"ONE00{n}" for n in range(1, 8)} <= {
+        result["ruleId"] for result in run["results"]}
     sample = run["results"][0]
     assert sample["ruleId"] in rule_ids
     assert sample["level"] in ("error", "warning")
@@ -648,6 +684,21 @@ def test_cache_round_trip_and_invalidation(tmp_path, capsys):
     assert main([str(tree), "--cache", str(cache_file),
                  "--format", "json"]) == 1
     assert json.loads(capsys.readouterr().out) == cold  # same findings
+
+
+def test_cache_key_moves_when_a_rule_source_changes(tmp_path, monkeypatch):
+    # A rule edit that keeps every rule id — a sole-site row's allowed
+    # sites, say — must not replay findings cached before it.
+    from repro.analysis import cache as result_cache
+
+    rules = tmp_path / "analysis"
+    shutil.copytree(result_cache.ANALYSIS_SOURCES, rules,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(result_cache, "ANALYSIS_SOURCES", rules)
+    before = result_cache.cache_key([FIXTURE_PROJ], None, ())
+    table = rules / "rules" / "sole_site.py"
+    table.write_text(table.read_text().replace("Nucleus.control", "x"))
+    assert result_cache.cache_key([FIXTURE_PROJ], None, ()) != before
 
 
 def test_cache_corrupt_file_is_a_miss_not_a_crash(tmp_path):
