@@ -3,8 +3,10 @@
 The cache key is a manifest of per-file content hashes (every ``.py``
 file the scan would parse), plus the scan configuration (paths, rule
 filter, excludes) and the same manifest of ``repro/analysis`` itself
-— so editing any file, adding one, deleting one, changing the flags,
-or editing a rule all invalidate it.  Invalidation is whole-tree on
+and of every ``repro`` module loaded with the rules (PRO003 reads
+``conversion.structdef``'s scalar table) — so editing any file, adding
+one, deleting one, changing the flags, or editing what the rules run
+all invalidate it.  Invalidation is whole-tree on
 purpose: the interesting rules (layering, duplicate type ids, the
 model stage) are cross-file, so per-file reuse of stale results would
 be unsound.
@@ -21,10 +23,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.engine import Finding, Waiver, iter_python_files
+from repro.analysis.engine import Finding, Waiver, all_rules, iter_python_files
 
 CACHE_FORMAT = 1
 
@@ -41,6 +44,15 @@ def _manifest(paths: Sequence[Path],
     return manifest
 
 
+def _loaded_sources() -> List[Path]:
+    """Every ``repro`` module outside ``repro/analysis`` loaded with the
+    rules: what they import (at module level), and what that imports."""
+    all_rules()
+    return sorted(Path(module.__file__) for name, module
+                  in list(sys.modules.items()) if name.startswith("repro.")
+                  and not name.startswith("repro.analysis"))
+
+
 def cache_key(paths: Sequence[Path], rule_filter: Optional[Sequence[str]],
               exclude: Sequence[str]) -> str:
     """One hash covering file contents, scan configuration and the
@@ -50,7 +62,7 @@ def cache_key(paths: Sequence[Path], rule_filter: Optional[Sequence[str]],
         "manifest": _manifest(paths, exclude),
         "rule_filter": sorted(rule_filter or ()),
         "exclude": sorted(exclude),
-        "rules": _manifest([ANALYSIS_SOURCES], ()),
+        "rules": _manifest([ANALYSIS_SOURCES, *_loaded_sources()], ()),
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -10,11 +10,11 @@ MDL002 (error) a request's handling modules never send a reply, or a
                caller can block forever on one lost frame.
 MDL003 (error) a declared machine can deadlock: dead-end non-terminal
                state, unreachable state, no reachable terminal, edge
-               (entry edges included) to an undeclared state, anchor
-               states that disagree with the ``.state`` strings the
-               module actually uses, or a ``KIND_NAMES`` kind that no
-               declared machine edge names (the trace checker could
-               not step it) — plus any unparseable declaration.
+               (entry edges included) to an undeclared state, a
+               ``step`` event that is no edge of its machine, or a
+               ``KIND_NAMES`` kind that no declared machine edge names
+               (the trace checker could not step it) — plus any
+               unparseable declaration.
 MDL004 (error) a machine cycle with no exit discipline — no bounded
                retry budget, no timeout edge, no queue-draining edge,
                and no progress-marked edge — can livelock.
@@ -55,7 +55,7 @@ def check_model(project: Project, model: ProtocolModel) -> List[Finding]:
     findings.extend(_check_request_replies(model))
     for machine in model.machines:
         findings.extend(_check_machine(machine, module_sources))
-    findings.extend(_check_anchors(model))
+    findings.extend(_check_steps(model))
     findings.extend(_check_kinds(model))
     return findings
 
@@ -299,40 +299,18 @@ def _cyclic_sccs(machine: Machine,
 
 
 # ---------------------------------------------------------------------------
-# Anchor proof: declared states match the module's .state strings
+# Steps: every event a step takes is an edge of its machine (MDL003)
 # ---------------------------------------------------------------------------
 
-def _check_anchors(model: ProtocolModel) -> Iterable[Finding]:
-    by_module: Dict[str, List[Machine]] = {}
-    for machine in model.machines:
-        if machine.anchor:
-            by_module.setdefault(machine.module, []).append(machine)
-    for module in sorted(by_module):
-        machines = by_module[module]
-        declared: Set[str] = set()
-        for machine in machines:
-            declared.update(machine.states)
-        observed = model.state_strings.get(module, set())
-        first = min(machines, key=lambda m: m.line)
-        if not observed:
+def _check_steps(model: ProtocolModel) -> Iterable[Finding]:
+    events = {machine.name: {edge.event for edge in machine.all_edges()}
+              for machine in model.machines}
+    for path, line, machine, event in model.steps:
+        if event not in events.get(machine, ()):
             yield _finding(
-                "MDL003", first.path, first.line,
-                f"anchor machine(s) in {module} but the module never "
-                f"assigns or compares a .state string — nothing ties the "
-                f"declaration to the code")
-            continue
-        missing = sorted(observed - declared)
-        extra = sorted(declared - observed)
-        if missing or extra:
-            parts = []
-            if missing:
-                parts.append(f"code uses {missing} undeclared")
-            if extra:
-                parts.append(f"declaration has {extra} unused in code")
-            yield _finding(
-                "MDL003", first.path, first.line,
-                f"anchor machine(s) in {module} disagree with the "
-                f"module's .state strings: {'; '.join(parts)}")
+                "MDL003", path, line,
+                f"step takes {event!r}, which is no edge event of a "
+                f"declared {machine!r} machine")
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,11 @@ read off the ASTs the ntcslint engine already holds:
   (:func:`repro.util.dispatch.handles`) for the spots AST pattern
   matching cannot see;
 * **reply consumption** — ``self._expect(reply, "name")`` sites;
+* **steps** — ``step(obj, "machine", event)`` calls under ``repro``,
+  with every string literal of the event argument;
 * **declared machines** — ``PROTOCOL_MACHINE`` / ``PROTOCOL_MACHINES``
   literals with the integer constants their ``bounded`` edges name,
-  plus the ``.state`` strings each module assigns or compares (the
-  checker's extraction proof), and the ``KIND_NAMES`` table in the
-  message module.
+  and the ``KIND_NAMES`` table in the message module.
 """
 
 from __future__ import annotations
@@ -108,7 +108,6 @@ def extract(project: Project) -> ProtocolModel:
         consts.update(_int_constants(module.tree))
         _collect_sites(model, module, consts, by_id, kind_to_message)
         _collect_declarations(model, module)
-        _collect_state_strings(model, module)
     return model
 
 
@@ -170,6 +169,13 @@ def _collect_sites(
                 spec = by_id.get(type_id) if type_id is not None else None
                 if spec is not None:
                     spec.handlers.append(site(node.lineno, "handler"))
+            elif callee == "step" and len(node.args) >= 3 \
+                    and in_package(module.name, "repro"):
+                machine = literal_str(node.args[1])
+                model.steps.extend(
+                    (str(module.path), node.lineno, str(machine), event)
+                    for event in map(literal_str, ast.walk(node.args[2]))
+                    if event is not None)
             elif callee == "_expect":
                 name = literal_str(_call_arg(node, 1, "type_name"))
                 spec = model.messages.get(name) if name else None
@@ -259,7 +265,7 @@ def _function_sites(node: ast.FunctionDef, add_send, add_handler) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Declarations: machines, the kind table, state strings
+# Declarations: machines, the kind table
 # ---------------------------------------------------------------------------
 
 def _collect_declarations(model: ProtocolModel, module: ModuleInfo) -> None:
@@ -324,7 +330,6 @@ def _add_machine(model: ProtocolModel, module: ModuleInfo,
         initial=str(decl.get("initial", "")),
         terminal=tuple(decl.get("terminal", ())),
         states=dict(decl["states"]),
-        anchor=bool(decl.get("anchor", False)),
         entry=_edges(decl.get("entry", ())),
     )
     for state, spec in machine.states.items():
@@ -337,23 +342,3 @@ def _add_machine(model: ProtocolModel, module: ModuleInfo,
                       if edge.bounded in consts}
     model.machines.append(machine)
 
-
-def _collect_state_strings(model: ProtocolModel, module: ModuleInfo) -> None:
-    observed: Set[str] = set()
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Assign):
-            if any(_is_attr(t, "state") for t in node.targets):
-                for sub in ast.walk(node.value):
-                    name = literal_str(sub)
-                    if name is not None:
-                        observed.add(name)
-        elif isinstance(node, ast.Compare):
-            sides = [node.left] + list(node.comparators)
-            if any(_is_attr(side, "state") for side in sides):
-                for side in sides:
-                    for leaf in _iter_leaves(side):
-                        name = literal_str(leaf)
-                        if name is not None:
-                            observed.add(name)
-    if observed:
-        model.state_strings[module.name] = observed

@@ -14,8 +14,7 @@ Three layers of fact live here:
   *handler site* (``unpack_internal``, ``type_name`` comparisons,
   dispatch-dict keys, ``@handles`` annotations, kind dispatch);
 * **machines** — declarative ``PROTOCOL_MACHINE`` literals in the
-  source, cross-validated against the ``.state`` strings the same
-  module actually assigns (the extraction proof); ``lvc`` and
+  source, and the ``step`` calls that run them; ``lvc`` and
   ``ivc-endpoint`` are also the model traces are replayed through;
 * **kinds** — the ``KIND_NAMES`` wire kinds, each named by some edge.
 """
@@ -105,7 +104,6 @@ class Machine:
     states: Dict[str, dict] = field(default_factory=dict)  # name -> raw decl
     edges: Dict[str, List[Edge]] = field(default_factory=dict)
     waits: Set[str] = field(default_factory=set)
-    anchor: bool = False  # states must match the module's .state strings
     # How an instance is entered from outside ("send IVC_OPEN" ->
     # OPENING); none means it starts in ``initial``.
     entry: List[Edge] = field(default_factory=list)
@@ -135,8 +133,8 @@ class ProtocolModel:
     messages: Dict[str, MessageSpec] = field(default_factory=dict)
     machines: List[Machine] = field(default_factory=list)
     kind_tables: List[KindTable] = field(default_factory=list)
-    # module name -> .state strings observed in assignments/comparisons
-    state_strings: Dict[str, Set[str]] = field(default_factory=dict)
+    # step(obj, "machine", "event") literals: (path, line, machine, event)
+    steps: List[Tuple[str, int, str, str]] = field(default_factory=list)
     # declaration parse problems: (module, path, line, message)
     errors: List[Tuple[str, str, int, str]] = field(default_factory=list)
 

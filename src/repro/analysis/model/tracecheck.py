@@ -3,7 +3,7 @@
 Each payload blob of a :class:`repro.netsim.tracelog.NetTraceLog` trace
 is read under its IPCS's framing (PROTOCOL.md §7); one with NTCS magic
 is a frame, stepped as ``send`` at its sender and ``recv`` at its
-receiver when transmitted, dropped or not, through the two anchored
+receiver when transmitted, dropped or not, through the two wire
 machines the MDL rules also check.  ``lvc`` runs per ``(network, host,
 peer host)``, keeping the union of the states reached, since LVC frames
 carry no LVC identity; a kind it does not name is its DATA.

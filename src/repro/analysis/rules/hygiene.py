@@ -23,6 +23,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List, Set
 
+from repro import errors as errors_mod
 from repro.analysis.engine import (
     SEVERITY_ERROR,
     Finding,
@@ -38,7 +39,6 @@ _MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "deque",
 
 def _ntcs_error_names() -> Set[str]:
     """Every exception class exported by repro.errors, by class name."""
-    import repro.errors as errors_mod
     return {
         name for name, obj in vars(errors_mod).items()
         if isinstance(obj, type) and issubclass(obj, BaseException)

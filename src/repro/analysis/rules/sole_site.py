@@ -91,9 +91,9 @@ _MUTATORS = ("pop", "popitem", "clear", "add", "discard", "remove",
              "update", "setdefault")
 
 
-def _route_table_write(node: ast.AST) -> bool:
-    """An assignment to, deletion from or mutator call on ``x.TABLE``
-    or ``x.TABLE[k]``."""
+def _attr_store(node: ast.AST, attrs: Tuple[str, ...]) -> bool:
+    """An assignment to, deletion from or mutator call on ``x.ATTR``
+    or ``x.ATTR[k]``, for an attribute named in ``attrs``."""
     if isinstance(node, (ast.Assign, ast.Delete)):
         targets = node.targets
     elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
@@ -103,8 +103,8 @@ def _route_table_write(node: ast.AST) -> bool:
     else:
         return False
     tables = [t.value if isinstance(t, ast.Subscript) else t for t in targets]
-    return any(isinstance(t, ast.Attribute) and t.attr in (
-        "route_cache", "_suspect_gateways", "_prime_index") for t in tables)
+    return any(isinstance(t, ast.Attribute) and t.attr in attrs
+               for t in tables)
 
 
 SOLE_SITES: Tuple[SoleSite, ...] = (
@@ -126,8 +126,9 @@ SOLE_SITES: Tuple[SoleSite, ...] = (
              frozenset({("repro.ntcs.message", "flow_debited")})),
     SoleSite("ONE004", "a route-table write outside the IP-Layer; call "
              "IpLayer.forget_route", "§3",
-             _each(_route_table_write), ("repro",),
-             frozenset({("repro.ntcs.iplayer", None)})),
+             _each(lambda node: _attr_store(node, (
+                 "route_cache", "_suspect_gateways", "_prime_index"))),
+             ("repro",), frozenset({("repro.ntcs.iplayer", None)})),
     SoleSite("ONE005", "a scheduler event outside the connection timer "
              "(Ipcs._track, Ipcs._arm) and the SYN retry: one timer per "
              "connection, and the netsim owns the one delivery event per "
@@ -140,6 +141,10 @@ SOLE_SITES: Tuple[SoleSite, ...] = (
     SoleSite("ONE006", "a string-keyed counting call; bump a declared "
              "metric with a plain dict update", "§15",
              _call_of("incr", "record_max"), ("repro",)),
+    SoleSite("ONE008", "an LVC or IVC state store outside protocol.step, "
+             "which moves it only along a declared machine edge", "§3",
+             _each(lambda node: _attr_store(node, ("state",))),
+             ("repro.ntcs",), frozenset({("repro.ntcs.protocol", "step")})),
 )
 
 
@@ -229,11 +234,12 @@ def metric_sites(project: Project
 
 @rule(
     name="sole-site",
-    ids=tuple(row.id for row in SOLE_SITES) + ("ONE007",),
+    ids=tuple(sorted({row.id for row in SOLE_SITES} | {"ONE007"})),
     description="where PROTOCOL.md says one place decides (§3 route "
-                "tables, §12 control flags / flow books / debit rule, "
-                "§13 scheduler events, §15 counting), only that place "
-                "spells it; every counter store names a declared metric",
+                "tables and circuit states, §12 control flags / flow "
+                "books / debit rule, §13 scheduler events, §15 "
+                "counting), only that place spells it; every counter "
+                "store names a declared metric",
 )
 def check_sole_sites(project: Project) -> Iterable[Finding]:
     """Emit a finding for every row match outside its allowed sites,

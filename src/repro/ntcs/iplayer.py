@@ -46,6 +46,8 @@ from repro.ntcs.protocol import (
     T_IVC_OPEN,
     T_IVC_OPEN_ACK,
     T_IVC_OPEN_NAK,
+    compile_machines,
+    step,
 )
 from repro.util.counters import (
     ALI_SEND_BLOCKED, DROP_CONNECTIONLESS, IP_CLOSE_NOTIFY_LOST, IP_CREDIT_GRANTS,
@@ -69,14 +71,14 @@ FLOW_PROBE_TIMEOUT = 1.0
 # (PROTOCOL.md §3, "A call rides its circuit's open").
 OPEN_RIDERS = 1
 
-# The IVC endpoint machine, model-checked by ntcsverify (pure literal)
-# and stepped by ``verify --trace`` per hop of every chained circuit,
-# from the side that sent that hop's IVC_OPEN.  Anchored: the state
-# names must match the ``.state`` strings this module actually
-# assigns/compares.  A direct circuit is constructed already in OPEN;
-# a chained one enters OPENING with its IVC_OPEN and leaves it on the
-# end-to-end ACK/NAK, on the open timeout (which runs the normal close
-# path), or on an LVC fault underneath.  While OPENING it sends at most
+# The IVC endpoint machine, model-checked by ntcsverify (pure literal),
+# run by every Ivc through :func:`~repro.ntcs.protocol.step`, and
+# stepped by ``verify --trace`` per hop of every chained circuit, from
+# the side that sent that hop's IVC_OPEN.  A direct circuit is
+# constructed already in OPEN; a chained one enters OPENING with its
+# IVC_OPEN and leaves it on the end-to-end ACK/NAK, on the open timeout
+# (which runs the normal close path), on a local close, or on an LVC
+# fault underneath.  While OPENING it sends at most
 # OPEN_RIDERS DATA frames, each a call's request riding the open
 # ("rides_open": FLAG_RIDES_OPEN on a request), and may still receive
 # a straggler of the circuit that last used a kept leg.
@@ -88,7 +90,6 @@ OPEN_RIDERS = 1
 PROTOCOL_MACHINES = (
     {
         "name": "ivc-endpoint",
-        "anchor": True,
         "initial": "OPENING",
         "entry": (
             {"event": "send IVC_OPEN", "next": "OPENING"},
@@ -105,6 +106,7 @@ PROTOCOL_MACHINES = (
                     {"event": "recv IVC_OPEN_ACK", "next": "OPEN"},
                     {"event": "recv IVC_OPEN_NAK", "next": "FAILED"},
                     {"event": "timeout open_timeout", "next": "CLOSED"},
+                    {"event": "local close", "next": "CLOSED"},
                     {"event": "recv IVC_CLOSE", "next": "FAILED"},
                     {"event": "local lvc_fault", "next": "FAILED"},
                 ),
@@ -153,6 +155,7 @@ PROTOCOL_MACHINES = (
         },
     },
 )
+compile_machines(PROTOCOL_MACHINES)
 
 
 def _readable(mode: int, src, dst) -> bool:
@@ -166,6 +169,7 @@ class Ivc:
     """One internet virtual circuit endpoint."""
 
     _next_id = 0
+    state: Optional[str] = None
 
     def __init__(self, lvc: Lvc, peer_addr: Optional[Address], direct: bool):
         Ivc._next_id += 1
@@ -174,7 +178,8 @@ class Ivc:
         self.peer_addr = peer_addr
         self.peer_mtype_name = lvc.peer_mtype_name
         self.direct = direct
-        self.state = "OPEN" if direct else "OPENING"
+        step(self, "ivc-endpoint",
+             "local direct" if direct else "send IVC_OPEN")
         self.nak_reason = ""
         # Credit ledger (PROTOCOL.md §12); None when flow control is
         # off.  Installed by the IP-Layer at construction, never
@@ -298,7 +303,8 @@ class IpLayer:
             )
             if ivc.state != "OPEN":
                 failure = ivc.nak_reason or "ivc open timed out"
-                self.close(ivc, failure, notify=False)
+                self.close(ivc, failure, notify=False,
+                           event="timeout open_timeout")
                 self.forget_route(plan.dst_network, plan.gw_uadd)
                 raise AddressFault(dst, failure)
             # A chained open through this gateway just worked: any
@@ -709,12 +715,15 @@ class IpLayer:
             self._send_probe(ivc, flow)
             self.nucleus.counters[IP_CREDIT_RESYNCS] += 1
 
-    def close(self, ivc: Ivc, reason: str, notify: bool = True) -> None:
-        """Close an IVC (optionally notifying the peer with IVC_CLOSE)."""
+    def close(self, ivc: Ivc, reason: str, notify: bool = True,
+              event: str = "local close") -> None:
+        """Close an IVC (optionally notifying the peer with IVC_CLOSE),
+        taking ``event``'s edge; a FAILED circuit is only released."""
         if ivc.state == "CLOSED":
             return
         nucleus = self.nucleus
         if notify and ivc.open:
+            event = "send IVC_CLOSE"
             close_msg = nucleus.control(
                 m.IVC_CLOSE, ivc.peer_addr or nucleus.self_addr,
                 "ivc_close", {"reason": reason[:90]})
@@ -723,7 +732,7 @@ class IpLayer:
             except ChannelClosed:
                 # The channel died before the courtesy close got out.
                 nucleus.counters[IP_CLOSE_NOTIFY_LOST] += 1
-        ivc.state = "CLOSED"
+        step(ivc, "ivc-endpoint", event)
         self._by_lvc.pop(ivc.lvc, None)
         self.nd.close(ivc.lvc, reason)
 
@@ -759,22 +768,23 @@ class IpLayer:
         # the ND-Layer (once end-to-end, not once per hop).
         if not msg.checksum_ok():
             nucleus.counters[ND_MALFORMED_MESSAGES] += 1
-            self._teardown(ivc, "header checksum mismatch")
+            self._teardown(ivc, "header checksum mismatch", "local lvc_fault")
             return
         if msg.kind == m.IVC_OPEN:
             self._on_ivc_open_as_endpoint(ivc, msg)
         elif msg.kind == m.IVC_OPEN_ACK:
-            values = nucleus.unpack_internal(T_IVC_OPEN_ACK, msg.body)
-            ivc.peer_mtype_name = values["dst_mtype"]
-            ivc.state = "OPEN"
+            if step(ivc, "ivc-endpoint", "recv IVC_OPEN_ACK", nucleus.counters):
+                values = nucleus.unpack_internal(T_IVC_OPEN_ACK, msg.body)
+                ivc.peer_mtype_name = values["dst_mtype"]
         elif msg.kind == m.IVC_OPEN_NAK:
-            values = nucleus.unpack_internal(T_IVC_OPEN_NAK, msg.body)
-            ivc.nak_reason = values["reason"]
-            ivc.state = "FAILED"
+            if step(ivc, "ivc-endpoint", "recv IVC_OPEN_NAK", nucleus.counters):
+                values = nucleus.unpack_internal(T_IVC_OPEN_NAK, msg.body)
+                ivc.nak_reason = values["reason"]
         elif msg.kind == m.IVC_CLOSE:
             # The circuit closes; the leg is closed by the side that
             # opened it (PROTOCOL.md §3).
-            self._teardown(ivc, "closed by remote", keep_leg=lvc.inbound)
+            self._teardown(ivc, "closed by remote", "recv IVC_CLOSE",
+                           keep_leg=lvc.inbound)
         elif msg.kind == m.CREDIT_GRANT:
             self._on_credit_grant(ivc, msg)
         elif msg.kind == m.CREDIT_PROBE:
@@ -839,19 +849,20 @@ class IpLayer:
             return
         ivc = self._by_lvc.get(lvc)
         if ivc is not None:
-            self._teardown(ivc, reason)
+            self._teardown(ivc, reason, "local lvc_fault")
 
     @handles("ivc_close")
-    def _teardown(self, ivc: Ivc, reason: str, keep_leg: bool = False) -> None:
-        if ivc.state == "CLOSED":
+    def _teardown(self, ivc: Ivc, reason: str, event: str,
+                  keep_leg: bool = False) -> None:
+        """``event`` (``recv IVC_CLOSE`` or ``local lvc_fault``) ends the
+        circuit; the table says FAILED (``open_ivc`` reports) or CLOSED."""
+        if not step(ivc, "ivc-endpoint", event, self.nucleus.counters):
             return
-        was_opening = ivc.state == "OPENING"
-        ivc.state = "FAILED" if was_opening else "CLOSED"
         ivc.nak_reason = ivc.nak_reason or reason
         self._by_lvc.pop(ivc.lvc, None)
         if not keep_leg:
             self.nd.close(ivc.lvc, reason)
-        if not was_opening:
+        if ivc.state == "CLOSED":
             # "Notification is simply passed upward" — the LCM-Layer
             # owns relocation and recovery.
             self._fault_upcall(ivc, reason)

@@ -81,8 +81,8 @@ REPAIR_BACKOFF_BASE = 0.05
 REPAIR_BACKOFF_CAP = 2.0
 
 # The LCM control loops, model-checked by ntcsverify (pure literals).
-# Not anchored: these abstract the send/call/receive control flow, not
-# a ``.state`` field.  Every retry cycle names the budget that bounds
+# Not run by step: these abstract the send/call/receive control flow,
+# not a circuit's state.  Every retry cycle names the budget that bounds
 # it (the name must exist in this module — MDL004 checks), the reply
 # wait carries the call timeout (MDL002), and the receive queue pairs
 # its fill edge with a draining edge (MDL005).
@@ -561,8 +561,7 @@ class LcmLayer:
             # An established circuit (not a first-open failure) is being
             # dropped after a fault: the next send through marks a repair.
             self._mark_faulted((target,))
-            if ivc.state not in ("CLOSED", "FAILED"):
-                self.ip.close(ivc, "dropped after fault", notify=False)
+            self.ip.close(ivc, "dropped after fault", notify=False)
 
     def _mark_faulted(self, targets) -> None:
         faulted = self._faulted_targets

@@ -33,21 +33,23 @@ from repro.errors import (
 )
 from repro.ntcs import message as m
 from repro.ntcs.address import Address, blob_network
-from repro.ntcs.protocol import T_LVC_HELLO, T_LVC_HELLO_ACK
+from repro.ntcs.protocol import (
+    T_LVC_HELLO, T_LVC_HELLO_ACK, compile_machines, step)
 from repro.ntcs.stdif import MessageChannel
 from repro.util.counters import (
     ND_CHANNEL_FAULTS, ND_MALFORMED_MESSAGES, ND_MESSAGES_SENT, ND_OPEN_RETRIES,
     TADDS_ASSIGNED, TADDS_PURGED)
 
 
-# The LVC machine, model-checked by ntcsverify (pure literal) and
-# stepped by ``verify --trace`` at each end of every hop, where every
-# kind but the two HELLOs is the DATA the LVC carries.  Anchored:
-# state names must match this module's ``.state`` strings.  An
-# outbound circuit runs the HELLO handshake under ``open_timeout``; an
-# inbound one sits in AWAIT_HELLO without a local timer (the *peer's*
-# hello timeout bounds that wait — its close tears the transport,
-# which surfaces here as a fault edge) and answers the HELLO once OPEN.
+# The LVC machine, model-checked by ntcsverify (pure literal), run by
+# every Lvc through :func:`~repro.ntcs.protocol.step`, and stepped by
+# ``verify --trace`` at each end of every hop, where every kind but the
+# two HELLOs is the DATA the LVC carries.  An outbound circuit runs the
+# HELLO handshake under ``open_timeout`` (a peer that hangs up first is
+# a transport fault); an inbound one sits in AWAIT_HELLO without a
+# local timer (the *peer's* hello timeout bounds that wait — its close
+# tears the transport, which surfaces here as a fault edge) and answers
+# the HELLO once OPEN.
 # Alongside it, the lvc-rx-queue machine declares the per-LVC
 # receive-queue discipline (PROTOCOL.md §12): every arrival that grows
 # the queue is balanced by a consume or an overload drop, so the MDL005
@@ -55,7 +57,6 @@ from repro.util.counters import (
 PROTOCOL_MACHINES = (
     {
         "name": "lvc",
-        "anchor": True,
         "initial": "NEW",
         "terminal": ("CLOSED",),
         "states": {
@@ -70,6 +71,7 @@ PROTOCOL_MACHINES = (
                 "edges": (
                     {"event": "recv LVC_HELLO_ACK", "next": "OPEN"},
                     {"event": "timeout open_timeout", "next": "CLOSED"},
+                    {"event": "local transport_fault", "next": "CLOSED"},
                 ),
             },
             "AWAIT_HELLO": {
@@ -108,19 +110,20 @@ PROTOCOL_MACHINES = (
         },
     },
 )
+compile_machines(PROTOCOL_MACHINES)
 
 
 class Lvc:
     """One local virtual circuit, as seen above the STD-IF."""
 
     _next_id = 0
+    state: Optional[str] = None  # moved only by step(lvc, "lvc", ...)
 
     def __init__(self, mchan: MessageChannel, inbound: bool):
         Lvc._next_id += 1
         self.lvc_id = Lvc._next_id
         self.mchan = mchan
         self.inbound = inbound
-        self.state = "NEW"  # NEW / HELLO_SENT / AWAIT_HELLO / OPEN / CLOSED
         self.peer_addr: Optional[Address] = None
         # The address an outbound LVC was opened to reach (None when
         # inbound); the peer that answers its HELLO may be another.
@@ -208,7 +211,7 @@ class NdLayer:
                 "listen_blob": self.listen_blob or "",
                 "network": self.driver.network_name,
             })
-            lvc.state = "HELLO_SENT"
+            step(lvc, "lvc", "send LVC_HELLO")
             self.send(lvc, hello)
             nucleus.scheduler.pump_until(
                 lambda: lvc.state != "HELLO_SENT",
@@ -216,7 +219,7 @@ class NdLayer:
                 what=f"LVC hello to {dst}",
             )
             if lvc.state != "OPEN":
-                self.close(lvc, "hello handshake failed")
+                self.close(lvc, "hello handshake failed", "timeout open_timeout")
                 raise AddressFault(dst, "no HELLO_ACK from peer")
             # Cache what the open protocol taught us (Sec. 3.3).
             if not dst.temporary and lvc.peer_blob:
@@ -267,11 +270,10 @@ class NdLayer:
         lvc.messages_sent += 1
         self.nucleus.counters[ND_MESSAGES_SENT] += 1
 
-    def close(self, lvc: Lvc, reason: str) -> None:
-        """Close an LVC locally (the IPCS notifies the peer)."""
-        if lvc.state == "CLOSED":
+    def close(self, lvc: Lvc, reason: str, event: str = "local close") -> None:
+        """Close an LVC locally (the IPCS notifies the peer) by ``event``."""
+        if not step(lvc, "lvc", event):
             return
-        lvc.state = "CLOSED"
         lvc.close_reason = reason
         lvc.mchan.close()
         self._lvcs.pop(lvc.lvc_id, None)
@@ -285,7 +287,7 @@ class NdLayer:
 
     def _on_accept(self, mchan: MessageChannel) -> None:
         lvc = Lvc(mchan, inbound=True)
-        lvc.state = "AWAIT_HELLO"
+        step(lvc, "lvc", "local accept")
         self._install(lvc)
 
     def _on_raw(self, lvc: Lvc, raw: bytes) -> None:
@@ -318,16 +320,23 @@ class NdLayer:
             else:
                 self._on_hello_ack(lvc, msg)
         else:
+            # DATA has an edge only from OPEN, where it is a progress
+            # loop and goes unstepped; before the HELLO it is dropped.
+            if lvc.state != "OPEN" and not step(
+                    lvc, "lvc", "recv DATA", self.nucleus.counters):
+                return
             self._maybe_purge_tadd(lvc, msg)
             self._message_upcall(lvc, msg)
 
     def _malformed(self, lvc: Lvc) -> None:
         self.nucleus.counters[ND_MALFORMED_MESSAGES] += 1
-        self.close(lvc, "malformed message")
+        self.close(lvc, "malformed message", "local transport_fault")
         self._fault_upcall(lvc, "malformed message")
 
     def _on_hello(self, lvc: Lvc, msg: m.Msg) -> None:
         nucleus = self.nucleus
+        if not step(lvc, "lvc", "recv LVC_HELLO", nucleus.counters):
+            return
         values = nucleus.unpack_internal(T_LVC_HELLO, msg.body)
         if msg.src.temporary:
             # The source's TAdd is not unique here: assign our own
@@ -347,17 +356,17 @@ class NdLayer:
             "mtype": nucleus.mtype.name,
             "listen_blob": self.listen_blob or "",
         })
-        lvc.state = "OPEN"
         self.send(lvc, ack)
         self._accept_upcall(lvc)
 
     def _on_hello_ack(self, lvc: Lvc, msg: m.Msg) -> None:
+        if not step(lvc, "lvc", "recv LVC_HELLO_ACK", self.nucleus.counters):
+            return
         values = self.nucleus.unpack_internal(T_LVC_HELLO_ACK, msg.body)
         lvc.peer_mtype_name = values["mtype"]
         lvc.peer_blob = values["listen_blob"]
         if lvc.peer_addr is None:
             lvc.peer_addr = msg.src
-        lvc.state = "OPEN"
 
     def _maybe_purge_tadd(self, lvc: Lvc, msg: m.Msg) -> None:
         """Sec. 3.4: "upon receipt of a message from a UAdd source, if
@@ -374,10 +383,9 @@ class NdLayer:
             self.nucleus.on_tadd_purged(old, msg.src)
 
     def _on_closed(self, lvc: Lvc, reason: str) -> None:
-        if lvc.state == "CLOSED":
-            return
         was_open = lvc.state == "OPEN"
-        lvc.state = "CLOSED"
+        if not step(lvc, "lvc", "local transport_fault"):
+            return
         lvc.close_reason = reason
         self._lvcs.pop(lvc.lvc_id, None)
         self.nucleus.counters[ND_CHANNEL_FAULTS] += 1

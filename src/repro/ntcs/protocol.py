@@ -9,11 +9,18 @@ overhead is not bothersome" (Sec. 5.2).
 Type ids 1–9 are reserved for Nucleus control bodies; 10–39 for the
 naming service protocol; 40–63 for DRTS services; applications start at
 :attr:`ConversionRegistry.FIRST_APPLICATION_TYPE_ID`.
+
+:func:`step` runs the ND- and IP-Layer's declared machines: the one
+place an LVC or IVC changes state.
 """
 
 from __future__ import annotations
 
+from typing import Dict, Optional
+
 from repro.conversion import ConversionRegistry, Field, StructDef
+from repro.errors import ProtocolError
+from repro.util.counters import FRAMES_OUT_OF_MODEL
 
 # Nucleus control-plane type ids.
 T_LVC_HELLO = 1
@@ -72,3 +79,36 @@ def register_nucleus_types(registry: ConversionRegistry) -> None:
     """Install the Nucleus control structures into a registry."""
     for sdef in _STRUCTS:
         registry.register(sdef)
+
+
+# Each declared machine compiled once, as {state: {event: next}}.  The
+# None row enters an instance that has no state yet: the machine's
+# entry edges, or, where it declares none, its initial state's edges.
+MACHINES: Dict[str, Dict[Optional[str], Dict[str, str]]] = {}
+
+
+def compile_machines(decls) -> None:
+    """Compile a module's ``PROTOCOL_MACHINES`` into :data:`MACHINES`."""
+    for decl in decls:
+        table = MACHINES[decl["name"]] = {
+            state: {edge["event"]: edge["next"]
+                    for edge in (spec or {}).get("edges", ())}
+            for state, spec in decl["states"].items()}
+        table[None] = ({edge["event"]: edge["next"] for edge in decl["entry"]}
+                       if "entry" in decl else table[decl["initial"]])
+
+
+def step(obj, machine: str, event: str, counters=None) -> bool:
+    """Move ``obj.state`` along ``machine``'s ``event`` edge, if any.  A
+    received frame with none is counted in ``counters`` and dropped, a
+    finished machine (no edges) ignores a local event, any other local
+    event raises :class:`~repro.errors.ProtocolError` (PROTOCOL.md §3)."""
+    edges = MACHINES[machine][obj.state]
+    if event in edges:
+        obj.state = edges[event]
+        return True
+    if event.startswith("recv"):
+        counters[FRAMES_OUT_OF_MODEL] += 1
+    elif edges:
+        raise ProtocolError(f"{obj!r}: {machine} has no {event!r} edge")
+    return False

@@ -96,6 +96,7 @@ NSP_CACHE_MISSES = _nucleus("nsp_cache_misses", "resolution-cache misses")
 NSP_CACHE_INVALIDATIONS = _nucleus("nsp_cache_invalidations", "cache entries flushed or evicted")
 # -- Nucleus -----------------------------------------------------------------
 ERRORS_LOGGED = _nucleus("errors_logged", "errors recorded by Nucleus.log_error")
+FRAMES_OUT_OF_MODEL = _nucleus("frames_out_of_model", "LVC/IVC control frames dropped: no declared edge from the state")
 # -- Gateway (bumped on the stack where the event happens) -------------------
 GATEWAY_CIRCUITS_ESTABLISHED = _nucleus("gateway_circuits_established", "splices made (inbound stack)")
 GATEWAY_CIRCUITS_REFUSED = _nucleus("gateway_circuits_refused", "IVC_OPENs refused (inbound stack)")

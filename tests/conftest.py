@@ -15,6 +15,21 @@ from repro.ipcs import SimMbxIpcs, SimTcpIpcs
 from repro.machine import APOLLO, Machine, SimProcess, SUN3, VAX
 from repro.netsim import NetTraceLog, Network, Scheduler
 from repro.testbed import Testbed
+from repro.util.counters import FRAMES_OUT_OF_MODEL
+
+
+def _nuclei(bed):
+    """Every Nucleus of a bed: gateway stacks, name servers, modules."""
+    for gateway in bed.gateways.values():
+        yield from gateway.stacks.values()
+    servers = [bed.name_server_instance, *bed.name_shard_servers.values(),
+               *(server for group in bed.shard_groups.values()
+                 for server in group)]
+    yield from {id(server): server.nucleus for server in servers
+                if server is not None}.values()
+    for commod in bed.modules.values():
+        yield commod.nucleus
+
 
 @pytest.fixture(scope="session")
 def wire_model():
@@ -29,8 +44,10 @@ def wire_conformance(request, monkeypatch, wire_model):
     :class:`NetTraceLog` per bed, and after the test replay each bed's
     trace through the declared wire machines (``verify --trace``).  Any
     finding fails the test and writes that trace into
-    ``chaos-failures/`` for replay.  A bed whose networks carried
-    nothing (real sockets) is skipped."""
+    ``chaos-failures/`` for replay, and so does a replayed bed with a
+    Nucleus that dropped a frame out of its own machines
+    (``frames_out_of_model``).  A bed whose networks carried nothing
+    (real sockets) is skipped."""
     logs = {}
     create = Testbed.network
 
@@ -42,18 +59,23 @@ def wire_conformance(request, monkeypatch, wire_model):
     monkeypatch.setattr(Testbed, "network", traced_network)
     yield
     failures = []
-    for index, log in enumerate(logs.values()):
+    for index, (bed, log) in enumerate(logs.items()):
         if not log.events:
             continue
         name = re.sub(r"[^\w.-]+", "_", request.node.nodeid)
         path = f"{name}.bed{index}.jsonl"
         findings, _checked = replay_trace(path, wire_model,
                                           events=log.events)
-        if findings:
+        found = [finding.render() for finding in findings] + [
+            f"{path}: {nucleus.process.name} dropped "
+            f"{nucleus.counters[FRAMES_OUT_OF_MODEL]} frame(s) out of model"
+            for nucleus in _nuclei(bed)
+            if nucleus.counters[FRAMES_OUT_OF_MODEL]]
+        if found:
             out_dir = Path("chaos-failures")
             out_dir.mkdir(exist_ok=True)
             log.dump_jsonl(out_dir / path)
-            failures.extend(finding.render() for finding in findings)
+            failures.extend(found)
     if failures:
         pytest.fail("wire trace leaves the declared machines:\n"
                     + "\n".join(failures), pytrace=False)

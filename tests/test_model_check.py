@@ -25,6 +25,7 @@ from test_wire_invariance import SCENARIOS
 from repro.analysis import Project, analyze
 from repro.analysis.cli import main
 from repro.analysis.model import extract, replay_trace, untaken_edges
+from repro.analysis.rules.sole_site import SOLE_SITES, row_sites
 from repro.conversion.shiftmode import shift_encode_u32s
 from repro.errors import AddressFault
 from repro.netsim import ChaosSchedule, NetTraceLog
@@ -85,9 +86,10 @@ def test_extracts_declared_machines_and_wire():
     names = {machine.name for machine in model.machines}
     assert {"ivc-endpoint", "lvc", "lcm-send-repair",
             "lcm-call", "lcm-rx-queue"} <= names
-    anchors = {machine.name for machine in model.machines if machine.anchor}
-    assert {"ivc-endpoint", "lvc"} <= anchors
-    # The wire model is the anchored lvc and ivc-endpoint machines: the
+    # The wire machines are the ones the code runs through step.
+    assert {machine for _, _, machine, _ in model.steps} == {
+        "ivc-endpoint", "lvc"}
+    # The wire model is the lvc and ivc-endpoint machines: the
     # kind table's every kind is an edge event, a chained circuit is
     # entered by its IVC_OPEN, and the riding bound is read off
     # iplayer.py's constant.
@@ -102,12 +104,22 @@ def test_extracts_declared_machines_and_wire():
     assert ivc.bounds == {"OPEN_RIDERS": 1}
 
 
-def test_anchor_mismatch_fires_mdl003(tmp_path):
+def test_only_step_moves_a_circuit_state():
+    # ONE008's one allowed site is the one store it finds.
+    [row] = [row for row in SOLE_SITES if row.id == "ONE008"]
+    assert {(module.name, function) for module, function, _
+            in row_sites(Project.load([SRC_TREE]), row)} == row.allowed == {
+        ("repro.ntcs.protocol", "step")}
+
+
+def test_undeclared_step_event_fires_mdl003(tmp_path):
     tree = tmp_path / "repro" / "ntcs"
     tree.mkdir(parents=True)
     (tree / "drifted.py").write_text(
+        'from repro.ntcs.protocol import step\n'
+        '\n'
         'PROTOCOL_MACHINE = {\n'
-        '    "name": "drifted", "anchor": True,\n'
+        '    "name": "drifted",\n'
         '    "initial": "NEW", "terminal": ("DONE",),\n'
         '    "states": {\n'
         '        "NEW": {"edges": ({"event": "local go", "next": "DONE"},)},\n'
@@ -116,14 +128,18 @@ def test_anchor_mismatch_fires_mdl003(tmp_path):
         '}\n'
         '\n'
         'class Thing:\n'
-        '    def __init__(self):\n'
-        '        self.state = "NEW"\n'
+        '    def go(self, fast):\n'
+        '        step(self, "drifted", "local go")\n'
+        '        step(self, "drifted", "local go" if fast else "local run")\n'
         '    def finish(self):\n'
-        '        self.state = "FINISHED"\n'
+        '        step(self, "drifted", "local finish")\n'
     )
     findings = analyze([tmp_path], rule_filter=["model"])
-    assert {f.rule for f in findings} == {"MDL003"}
-    assert any("FINISHED" in f.message for f in findings)
+    assert [(f.rule, f.line) for f in findings] == [
+        ("MDL003", 15), ("MDL003", 17)], \
+        "\n".join(f.render() for f in findings)
+    assert "'local run'" in findings[0].message
+    assert "'local finish'" in findings[1].message
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,15 @@ def _armed_timers(bed):
             yield f"{label}.timers_armed", armed
 
 
+def _ended_but_indexed(nucleus):
+    """The circuits a Nucleus still indexes although their machine has
+    finished: an IVC CLOSED or FAILED, an LVC CLOSED."""
+    return ([ivc for ivc in nucleus.ip._by_lvc.values()
+             if ivc.state in ("CLOSED", "FAILED")]
+            + [lvc for lvc in nucleus.nd._lvcs.values()
+               if lvc.state == "CLOSED"])
+
+
 def _snapshot(bed):
     hooks = {
         f"{process.name}@{machine.name}": _teardown_count(process)
@@ -223,6 +232,7 @@ def _snapshot(bed):
         tables[f"gw.{name}._splice_credit"] = len(gateway._splice_credit)
         tables[f"gw.{name}._parked"] = _parked(gateway)
     for label, nucleus in _nuclei(bed):
+        assert not _ended_but_indexed(nucleus), label
         tables[f"{label}.ip._by_lvc"] = len(nucleus.ip._by_lvc)
         tables[f"{label}.nd._lvcs"] = len(nucleus.nd._lvcs)
         # Planned and learned first hops (PROTOCOL.md §3): one per

@@ -12,8 +12,11 @@ Two halves:
 """
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -271,7 +274,7 @@ def test_live_substrate_satisfies_perf002():
 
 
 # ---------------------------------------------------------------------------
-# Sole sites (ONE001–ONE007) — where PROTOCOL.md says one place decides
+# Sole sites (ONE001–ONE008) — where PROTOCOL.md says one place decides
 # ---------------------------------------------------------------------------
 
 # Each seeded fixture -> the (rule, line) pairs it fires, and no others.
@@ -280,6 +283,7 @@ SOLE_SITE_FIXTURES = {
     "ntcs/lcm.py": [("ONE002", 1), ("ONE002", 2)],
     "ntcs/flow.py": [("ONE003", 2), ("ONE003", 5), ("ONE003", 9)],
     "ntcs/gateway.py": [("ONE004", line) for line in range(1, 8)],
+    "ntcs/iplayer.py": [("ONE008", 1), ("ONE008", 2)],
     "ipcs/tcp.py": [("ONE005", 3), ("ONE005", 6), ("ONE005", 7)],
     "ntcs/ndlayer.py": [("ONE005", 12), ("ONE005", 16), ("ONE005", 20)],
     "util/counting.py": [("ONE006", 15), ("ONE006", 16)] + [
@@ -397,7 +401,7 @@ def test_cli_list_rules(capsys):
     out = capsys.readouterr().out
     for family in ("layering", "protocol", "determinism", "hygiene",
                    "sole-site: ONE001, ONE002, ONE003, ONE004, ONE005, "
-                   "ONE006, ONE007"):
+                   "ONE006, ONE007, ONE008"):
         assert family in out
     assert "PERF001" not in out
 
@@ -699,6 +703,34 @@ def test_cache_key_moves_when_a_rule_source_changes(tmp_path, monkeypatch):
     table = rules / "rules" / "sole_site.py"
     table.write_text(table.read_text().replace("Nucleus.control", "x"))
     assert result_cache.cache_key([FIXTURE_PROJ], None, ()) != before
+
+
+def test_cache_key_moves_when_code_a_rule_reads_changes(tmp_path):
+    # PRO003 reads repro.conversion.structdef's scalar table: a field
+    # type the table gains must not replay the finding cached before.
+    code = tmp_path / "code"
+    shutil.copytree(SRC_TREE, code / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    tree = tmp_path / "tree" / "repro" / "wm"
+    tree.mkdir(parents=True)
+    (tree / "floats.py").write_text(
+        'from repro.conversion import Field, StructDef\n'
+        'POINT = StructDef("point", 900, [Field("x", "float32")])\n')
+
+    def lint():
+        return subprocess.run(
+            [sys.executable, "-m", "repro.analysis", str(tree),
+             "--rule", "PRO003", "--cache", str(tmp_path / "cache.json")],
+            env={**os.environ, "PYTHONPATH": str(code)},
+            capture_output=True, text=True).returncode
+
+    assert lint() == 1
+    structdef = code / "repro" / "conversion" / "structdef.py"
+    source = structdef.read_text()
+    assert '"f64": "d",' in source
+    structdef.write_text(source.replace('"f64": "d",',
+                                        '"f64": "d", "float32": "f",'))
+    assert lint() == 0
 
 
 def test_cache_corrupt_file_is_a_miss_not_a_crash(tmp_path):
