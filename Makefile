@@ -8,10 +8,10 @@ export PYTHONPATH := src
 
 all: lint test
 
-# Architecture gate: layering (Fig. 2-1), type-id reservations
-# (Sec. 5.2), determinism, exception hygiene, and protocol model
-# checks over the whole tree (fixture trees excluded — they violate on
-# purpose).  Waivers are ratcheted against the committed baseline, and
+# Architecture gate, the families `--list-rules` prints: determinism,
+# exception hygiene, layering (Fig. 2-1), perf, protocol type-id
+# reservations (Sec. 5.2), sole sites and the protocol model, over the
+# whole tree (fixture trees excluded — they violate on purpose).  Waivers are ratcheted against the committed baseline, and
 # results are cached on file content hashes so an unchanged tree
 # re-lints in well under a second.  See ANALYSIS.md for the catalogue.
 lint:

@@ -25,18 +25,11 @@ DET005 (error) chaos/repair modules (:data:`_REPAIR_MODULES`) must not
                which derives per-module seeds with crc32 (stable across
                processes, unlike string ``hash()``), so a chaos schedule
                replays bit-identically from its seed alone.
-DET006 (error) direct ``heapq`` use outside the shared event queue's
-               module (:data:`_TIMER_MODULES`).  Event ordering is a
-               protocol invariant — the total order ``(time, seq)``
-               that wire goldens and chaos replays are pinned to lives
-               in ``netsim/scheduler.py``'s ``EventQueue``, and every
-               driver (virtual-time scheduler, realtime kernel) must
-               file timers through it.  A private heap is a second,
-               unaccounted event queue: its entries are invisible to
-               ``pending()``, escape cancellation accounting, and can
-               interleave with queued events in an order no replay can
-               reproduce.  Unlike DET001–DET004, ``repro.realnet`` is
-               *not* exempt.
+DET006 (a ``heapq`` import outside ``repro.netsim.scheduler``, the
+shared event queue's module) is a row of the sole-site table
+(:mod:`repro.analysis.rules.sole_site`); unlike DET001–DET004 it
+exempts no ``repro.realnet`` module, and it scans tests and benchmarks
+too.
 """
 
 from __future__ import annotations
@@ -69,24 +62,16 @@ _REPAIR_MODULES: Tuple[str, ...] = (
     "repro.ntcs.gateway",
 )
 
-# The one home of heap-ordered event storage (DET006).  Everything
-# else — including repro.realnet — files timers through its EventQueue.
-_TIMER_MODULES: Tuple[str, ...] = (
-    "repro.netsim.scheduler",
-)
-
 
 @rule(
     name="determinism",
-    ids=("DET001", "DET002", "DET003", "DET004", "DET005", "DET006"),
+    ids=("DET001", "DET002", "DET003", "DET004", "DET005"),
     description="sim code uses virtual time and seeded RNGs only",
 )
 def check_determinism(project: Project) -> Iterable[Finding]:
-    """Emit DET001–DET006 findings for wall-clock/RNG/heapq use."""
+    """Emit DET001–DET005 findings for wall-clock/RNG use."""
     findings: List[Finding] = []
     for module in project.modules:
-        if module.name not in _TIMER_MODULES:
-            findings.extend(_check_heapq(module))
         if in_package(module.name, *EXEMPT_PREFIXES):
             continue
         aliases = _stdlib_aliases(module)
@@ -96,26 +81,6 @@ def check_determinism(project: Project) -> Iterable[Finding]:
             elif isinstance(node, ast.Call):
                 findings.extend(_check_call(module, node, aliases))
     return findings
-
-
-def _check_heapq(module: ModuleInfo) -> Iterable[Finding]:
-    """DET006: any heapq import outside the shared event queue's module."""
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "heapq" or alias.name.startswith("heapq."):
-                    yield _finding(
-                        "DET006", module, node.lineno,
-                        "direct heapq import; event ordering lives in "
-                        "repro.netsim.scheduler — file timers through "
-                        "the shared EventQueue, not a private heap")
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
-                and node.module == "heapq":
-            yield _finding(
-                "DET006", module, node.lineno,
-                "imports from heapq; event ordering lives in "
-                "repro.netsim.scheduler — file timers through the "
-                "shared EventQueue, not a private heap")
 
 
 def _stdlib_aliases(module: ModuleInfo) -> Dict[str, str]:

@@ -6,13 +6,9 @@ LAY001 (error)   an import crosses layers in a forbidden direction —
                  simulated network importing the NTCS above it.
 LAY002 (warning) a ``repro.*`` module is missing from the layer map —
                  new modules must be placed before they can be checked.
-LAY003 (error)   a Name Service Protocol message sent from outside
-                 ``repro.naming``: a string literal starting ``ns_`` as
-                 the message type of a ``.call`` / ``.call_async`` /
-                 ``.datagram`` / ``.send``.  "The NSP-Layer is the
-                 single naming service access point for all layers
-                 within the ComMod" (Sec. 2.4) — a hand-rolled send
-                 knows one server where the NSP-Layer knows the fleet.
+
+LAY003 (a naming message sent outside ``repro.naming``) is a row of the
+sole-site table (:mod:`repro.analysis.rules.sole_site`).
 
 The map itself lives in :mod:`repro.analysis.layermap`; every import
 edge (module- and function-scope alike) is checked, so lazy imports
@@ -21,8 +17,7 @@ cannot smuggle an upward dependency.
 
 from __future__ import annotations
 
-import ast
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from repro.analysis.engine import (
     SEVERITY_ERROR,
@@ -30,7 +25,6 @@ from repro.analysis.engine import (
     Finding,
     Project,
     in_package,
-    literal_str,
     rule,
 )
 from repro.analysis.layermap import layer_of
@@ -71,49 +65,6 @@ def check_layering(project: Project) -> Iterable[Finding]:
                              f"imports {edge.target} (layer {dst_layer.name!r}); "
                              f"layer {src_layer.name!r} may import only "
                              f"{_fmt(src_layer.allowed)}"),
-                ))
-    return findings
-
-
-_SEND_METHODS = ("call", "call_async", "datagram", "send")
-
-
-def _message_type(call: ast.Call) -> Optional[str]:
-    """The literal message type of an LCM/ALI-style send
-    (``<x>.send(dst, type_name, ...)``), or None."""
-    if not (isinstance(call.func, ast.Attribute)
-            and call.func.attr in _SEND_METHODS):
-        return None
-    node = call.args[1] if len(call.args) > 1 else next(
-        (kw.value for kw in call.keywords if kw.arg == "type_name"), None)
-    return literal_str(node)
-
-
-@rule(
-    name="naming-access",
-    ids=("LAY003",),
-    description="only the NSP-Layer speaks the Name Service Protocol "
-                "(Sec. 2.4)",
-)
-def check_naming_access(project: Project) -> Iterable[Finding]:
-    """Emit LAY003 for every ``ns_*`` send site outside repro.naming."""
-    findings: List[Finding] = []
-    for module in project.modules:
-        if not in_package(module.name, "repro") \
-                or in_package(module.name, "repro.naming"):
-            continue
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            type_name = _message_type(node)
-            if type_name is not None and type_name.startswith("ns_"):
-                findings.append(Finding(
-                    rule="LAY003", severity=SEVERITY_ERROR,
-                    path=str(module.path), line=node.lineno,
-                    message=(f"{module.name} sends naming message "
-                             f"{type_name!r} itself; go through the "
-                             f"NSP-Layer (nucleus.require_nsp()), the "
-                             f"single naming service access point"),
                 ))
     return findings
 

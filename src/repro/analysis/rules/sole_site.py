@@ -18,6 +18,7 @@ from repro.analysis.engine import (
     ModuleInfo,
     Project,
     in_package,
+    literal_str,
     rule,
     terminal_name,
 )
@@ -28,14 +29,18 @@ Declaration = Tuple[str, str]            # (module, module-level name)
 @dataclass(frozen=True)
 class SoleSite:
     """One row: ``pattern`` may match only at ``allowed``, the
-    ``(module, function)`` sites (function None: anywhere in module)."""
+    ``(module, function)`` sites (function None: anywhere in module or
+    package)."""
 
     id: str
     rule: str                    # what must not appear elsewhere, and why
     section: str                 # the PROTOCOL.md section stating it
     pattern: Callable[[ModuleInfo], Iterable[ast.AST]]
-    scope: Tuple[str, ...]       # module names; each covers its submodules
+    scope: Tuple[str, ...]       # module names; each covers its submodules;
+                                 # () covers every scanned module
     allowed: FrozenSet[Tuple[str, Optional[str]]] = frozenset()
+    # The finding's message for a match, when not the row's rule.
+    message: Optional[Callable[[ModuleInfo, ast.AST], str]] = None
 
 
 def _each(test: Callable[[ast.AST], bool]
@@ -107,6 +112,26 @@ def _attr_store(node: ast.AST, attrs: Tuple[str, ...]) -> bool:
                for t in tables)
 
 
+def _naming_message(node: ast.AST) -> Optional[str]:
+    """The ``ns_*`` message type of an LCM/ALI-style send
+    (``<x>.send(dst, type_name, ...)``), or None."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("call", "call_async", "datagram", "send")):
+        return None
+    arg = node.args[1] if len(node.args) > 1 else next(
+        (kw.value for kw in node.keywords if kw.arg == "type_name"), None)
+    type_name = literal_str(arg)
+    return type_name if type_name and type_name.startswith("ns_") else None
+
+
+def _imports_heapq(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "heapq" or alias.name.startswith("heapq.")
+                   for alias in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module == "heapq")
+
+
 SOLE_SITES: Tuple[SoleSite, ...] = (
     SoleSite("ONE001", "FLAG_PACKED | FLAG_INTERNAL outside "
              "Nucleus.control, the one control-frame builder", "§12",
@@ -145,21 +170,41 @@ SOLE_SITES: Tuple[SoleSite, ...] = (
              "which moves it only along a declared machine edge", "§3",
              _each(lambda node: _attr_store(node, ("state",))),
              ("repro.ntcs",), frozenset({("repro.ntcs.protocol", "step")})),
+    SoleSite("LAY003", "a Name Service Protocol message sent outside "
+             "the NSP-Layer, the single naming service access point "
+             "(Sec. 2.4)", "§14",
+             _each(lambda node: _naming_message(node) is not None),
+             ("repro",), frozenset({("repro.naming", None)}),
+             lambda module, node: (
+                 f"{module.name} sends naming message "
+                 f"{_naming_message(node)!r} itself; go through the "
+                 f"NSP-Layer (nucleus.require_nsp()), the single naming "
+                 f"service access point")),
+    SoleSite("DET006", "a heapq import outside the shared event queue: "
+             "a private heap is a second, unaccounted event queue",
+             "§11", _each(_imports_heapq), (),
+             frozenset({("repro.netsim.scheduler", None)}),
+             lambda module, node: (
+                 ("direct heapq import" if isinstance(node, ast.Import)
+                  else "imports from heapq")
+                 + "; event ordering lives in repro.netsim.scheduler — "
+                   "file timers through the shared EventQueue, not a "
+                   "private heap")),
 )
 
 
 def row_sites(project: Project, row: SoleSite
-              ) -> List[Tuple[ModuleInfo, Optional[str], int]]:
+              ) -> List[Tuple[ModuleInfo, Optional[str], ast.AST]]:
     """Every match of ``row`` in its scope, allowed or not: (module,
-    function, line), one per line."""
+    function, node), the first node of each line."""
     sites = []
     for module in project.modules:
-        if in_package(module.name, *row.scope):
+        if not row.scope or in_package(module.name, *row.scope):
             first: Dict[int, ast.AST] = {}
             for node in row.pattern(module):
                 first.setdefault(node.lineno, node)
-            sites += [(module, module.functions.get(id(node)), line)
-                      for line, node in first.items()]
+            sites += [(module, module.functions.get(id(node)), node)
+                      for node in first.values()]
     return sites
 
 
@@ -236,25 +281,28 @@ def metric_sites(project: Project
     name="sole-site",
     ids=tuple(sorted({row.id for row in SOLE_SITES} | {"ONE007"})),
     description="where PROTOCOL.md says one place decides (§3 route "
-                "tables and circuit states, §12 control flags / flow "
-                "books / debit rule, §13 scheduler events, §15 "
-                "counting), only that place spells it; every counter "
-                "store names a declared metric",
+                "tables and circuit states, §11 the event heap, §12 "
+                "control flags / flow books / debit rule, §13 scheduler "
+                "events, §14 naming access, §15 counting), only that "
+                "place spells it; every counter store names a declared "
+                "metric",
 )
 def check_sole_sites(project: Project) -> Iterable[Finding]:
     """Emit a finding for every row match outside its allowed sites,
     and ONE007 for every counter key naming no declared metric."""
     findings: List[Finding] = []
     for row in SOLE_SITES:
-        for module, function, line in row_sites(project, row):
-            if not {(module.name, function), (module.name, None)} \
-                    & row.allowed:
+        for module, function, node in row_sites(project, row):
+            if not any(in_package(module.name, where) if what is None
+                       else (module.name, function) == (where, what)
+                       for where, what in row.allowed):
                 findings.append(Finding(
                     rule=row.id, severity=SEVERITY_ERROR,
-                    path=str(module.path), line=line,
-                    message=f"{row.rule} (PROTOCOL.md {row.section}); "
-                            f"here in {module.name}, "
-                            f"{function or 'module level'}"))
+                    path=str(module.path), line=node.lineno,
+                    message=row.message(module, node) if row.message
+                    else f"{row.rule} (PROTOCOL.md {row.section}); "
+                         f"here in {module.name}, "
+                         f"{function or 'module level'}"))
     for module, key in metric_sites(project).get(None, ()):
         if in_package(module.name, "repro"):
             findings.append(Finding(

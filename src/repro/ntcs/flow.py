@@ -2,8 +2,8 @@
 
 One :class:`FlowState` lives on each end of an IVC and holds both
 directions of the credit ledger in pure, side-effect-free arithmetic —
-the IP-Layer decides *when* to probe, grant, or stall; this module
-decides only *how much*.
+the IP-Layer decides *when* to probe, grant, or stall, walking the
+``ivc-flow`` machine it declares; this module decides only *how much*.
 
 The scheme is cumulative, in the DECnet-NSP style: the sender counts
 every flow-debited message it has ever transmitted on the circuit
@@ -30,11 +30,15 @@ which is the whole resynchronization story — no merge, no carry-over.
 
 from __future__ import annotations
 
+from typing import Optional
+
 __all__ = ["FlowState"]
 
 
 class FlowState:
-    """Both directions of one IVC endpoint's credit ledger."""
+    """Both directions of one IVC endpoint's credit ledger, and its
+    sender half's ``ivc-flow`` state (None, stepped as READY, until a
+    stall)."""
 
     __slots__ = (
         "window",
@@ -46,15 +50,27 @@ class FlowState:
         "rx_queued",
         "peer_sent",
         "grant_owed",
+        "state",
+        "spent",
     )
 
     def __init__(self, window: int):
         if window < 1:
             raise ValueError(f"flow window must be >= 1, got {window}")
         self.window = window
+        # step(flow, "ivc-flow", ...) counts the rounds of a stall here.
+        self.spent = 0
         # Receive-queue depth at which an owed grant goes out.
         self.low_watermark = max(1, window // 4)
         self.reset()
+
+    def __getattr__(self, name: str) -> Optional[str]:
+        # A slot takes no class default, and only step stores a state
+        # (ONE008): a ledger never stepped reads as state None, as an
+        # Ivc's class default does.
+        if name == "state":
+            return None
+        raise AttributeError(name)
 
     def reset(self) -> None:
         """Return to the just-opened state (both ledgers zero)."""

@@ -46,7 +46,7 @@ from repro.util.counters import (
     GATEWAY_CIRCUITS_ESTABLISHED, GATEWAY_CIRCUITS_REFUSED, GATEWAY_CLOSE_NOTIFY_LOST,
     GATEWAY_CREDIT_CLAMPS, GATEWAY_CREDIT_DROPS, GATEWAY_FRAMES_SPLICED,
     GATEWAY_HELD_DROPPED, GATEWAY_LEGS_REUSED, GATEWAY_MESSAGES_DROPPED, GATEWAY_NAK_LOST,
-    GATEWAY_STALE_ADDR_FALLBACKS, GATEWAY_TEARDOWNS, ND_MALFORMED_MESSAGES,
+    GATEWAY_STALE_ADDR_FALLBACKS, GATEWAY_TEARDOWNS,
 )
 
 
@@ -202,8 +202,7 @@ class Gateway:
             # unpacks the body to route), so the deferred header
             # checksum is settled here before the body is touched.
             if not msg.checksum_ok():
-                nucleus.counters[ND_MALFORMED_MESSAGES] += 1
-                nucleus.nd.close(lvc, "IVC_OPEN header checksum mismatch")
+                nucleus.nd.malformed(lvc)
                 return True
             self._establish(nucleus, lvc, msg)
             return True
@@ -308,7 +307,9 @@ class Gateway:
     # -- circuit establishment -----------------------------------------------
 
     def _establish(self, in_nucleus: Nucleus, in_lvc: Lvc, msg: m.Msg) -> None:
-        values = in_nucleus.unpack_internal(T_IVC_OPEN, msg.body)
+        values = in_nucleus.unpack_internal(T_IVC_OPEN, msg.body, in_lvc)
+        if values is None:
+            return
         dst_network = values["dst_network"]
         hops = msg.aux
         if hops >= MAX_HOPS:

@@ -54,21 +54,22 @@ from repro.util.counters import (
     IP_CREDIT_PROBES, IP_CREDIT_RESYNCS, IP_CREDIT_STALLS, IP_SUSPECT_FALLBACKS,
     IVC_CHAINED_OPENED, IVC_DIRECT_OPENED, IVC_FRAMES_WITHOUT_CIRCUIT,
     IVC_OPEN_REFUSED, IVC_REQUESTS_RODE_OPEN, IVC_RIDERS_REFUSED,
-    LVC_RX_QUEUE_HIGH_WATER, ND_MALFORMED_MESSAGES, TOPOLOGY_QUERIES,
+    LVC_RX_QUEUE_HIGH_WATER, TOPOLOGY_QUERIES,
 )
 from repro.util.dispatch import handles
 
 MAX_HOPS = 8
 
-# How many credit probes a zero-credit sender issues (each waiting
-# FLOW_PROBE_TIMEOUT virtual seconds for a grant) before the send
-# fails as destination-unavailable (PROTOCOL.md §12).
+# How many credit probes one stall of a zero-credit sender issues (each
+# waiting FLOW_PROBE_TIMEOUT virtual seconds for a grant) before the
+# send fails as destination-unavailable (PROTOCOL.md §12): the bound of
+# the ivc-flow timeout loop, spent by step.
 FLOW_PROBE_RETRIES = 3
 FLOW_PROBE_TIMEOUT = 1.0
 
 # How many DATA frames an originator sends on a chained circuit before
 # its IVC_OPEN is answered: the one call request that rides the open
-# (PROTOCOL.md §3, "A call rides its circuit's open").
+# (PROTOCOL.md §3, "A call rides its circuit's open"); spent by step.
 OPEN_RIDERS = 1
 
 # The IVC endpoint machine, model-checked by ntcsverify (pure literal),
@@ -80,13 +81,20 @@ OPEN_RIDERS = 1
 # (which runs the normal close path), on a local close, or on an LVC
 # fault underneath.  While OPENING it sends at most
 # OPEN_RIDERS DATA frames, each a call's request riding the open
-# ("rides_open": FLAG_RIDES_OPEN on a request), and may still receive
-# a straggler of the circuit that last used a kept leg.
-# Alongside it, the ivc-flow machine declares the sender half of the
-# credit protocol (PROTOCOL.md §12): every send grows the in-flight
-# ledger, every advertisement drains it, a sender that suspects lost
-# frames probes without stalling, and a zero-credit sender stalls
-# behind a bounded, timed probe loop — never an unbounded wait.
+# ("rides_open": FLAG_RIDES_OPEN on a request; step refuses one more),
+# and may still receive a straggler of the circuit that last used a
+# kept leg.
+# Alongside it, the ivc-flow machine is the sender half of the credit
+# protocol (PROTOCOL.md §12), run by every FlowState through the same
+# step: every send grows the in-flight ledger and every advertisement
+# drains it (progress loops, not stepped), a sender that suspects lost
+# frames probes without stalling, and a zero-credit sender stalls.
+# Each round of a stall (probe, then wait FLOW_PROBE_TIMEOUT) is one
+# step of the bounded timeout loop; credit or a close ends the stall,
+# and past FLOW_PROBE_RETRIES rounds it gives up back to READY, where
+# the LCM's repair rounds may stall the circuit again.  A handler's
+# send on the circuit, run while it is stalled, joins the stall with
+# rounds of its own and leaves it STALLED for the send beneath.
 PROTOCOL_MACHINES = (
     {
         "name": "ivc-endpoint",
@@ -148,14 +156,16 @@ PROTOCOL_MACHINES = (
                      "queue": "-inflight", "progress": True},
                     {"event": "timeout FLOW_PROBE_TIMEOUT", "next": "STALLED",
                      "bounded": "FLOW_PROBE_RETRIES"},
-                    {"event": "local give_up", "next": "CLOSED"},
+                    {"event": "local credit_exhausted", "next": "STALLED"},
+                    {"event": "local close", "next": "CLOSED"},
+                    {"event": "local give_up", "next": "READY"},
                 ),
             },
             "CLOSED": {},
         },
     },
 )
-compile_machines(PROTOCOL_MACHINES)
+compile_machines(PROTOCOL_MACHINES, globals())
 
 
 def _readable(mode: int, src, dst) -> bool:
@@ -322,10 +332,13 @@ class IpLayer:
             return ivc
 
     def _ride(self, ivc: Ivc, mtype_name: str, msg: m.Msg, type_id: int,
-              values: dict) -> m.Msg:
+              values: dict) -> Optional[m.Msg]:
         """Send a call's request on an OPENING circuit, encoded for
-        ``mtype_name`` and marked as riding the open.  A fresh circuit
-        always has credit, so this debits without a stall check."""
+        ``mtype_name`` and marked as riding the open; None, sending
+        nothing, past OPEN_RIDERS riders.  A fresh circuit always has
+        credit, so this debits without a stall check."""
+        if not step(ivc, "ivc-endpoint", "send DATA rides_open"):
+            return None
         nucleus = self.nucleus
         msg.type_id = type_id
         mode, msg.body = encode_values(
@@ -558,27 +571,45 @@ class IpLayer:
             ivc.flow = FlowState(cfg.flow_window)
 
     def _stall_for_credit(self, ivc: Ivc, flow: FlowState) -> None:
-        """Park the sending module until the peer advertises credit:
-        probe, then pump the run queue under the probe timeout — the
-        reproduction's "block the caller, keep the system running"
-        idiom (Sec. 6) — for at most FLOW_PROBE_RETRIES rounds."""
+        """Park the sending module until the peer advertises credit, by
+        a walk of the ``ivc-flow`` table: each round its timeout loop
+        allows, probe, then pump the run queue under the probe timeout
+        (Sec. 6: block the caller, keep the system running).
+
+        A handler's send on a circuit stalled beneath it (the pump runs
+        handlers) joins the stall with a stay of its own: it leaves the
+        circuit STALLED for the send beneath, whose spent rounds resume
+        when it ends."""
         nucleus = self.nucleus
         nucleus.counters[IP_CREDIT_STALLS] += 1
-        for _ in range(FLOW_PROBE_RETRIES):
-            self._send_probe(ivc, flow)
-            nucleus.scheduler.pump_until(
-                lambda: flow.credit > 0 or not ivc.open,
-                timeout=FLOW_PROBE_TIMEOUT,
-                what=f"credit on {ivc}",
+        beneath = flow.spent if flow.state == "STALLED" else None
+        step(flow, "ivc-flow", "local credit_exhausted")
+        flow.spent = 0
+        try:
+            while step(flow, "ivc-flow", "timeout FLOW_PROBE_TIMEOUT"):
+                self._send_probe(ivc, flow)
+                nucleus.scheduler.pump_until(
+                    lambda: flow.credit > 0 or not ivc.open,
+                    timeout=FLOW_PROBE_TIMEOUT,
+                    what=f"credit on {ivc}",
+                )
+                if not ivc.open:
+                    step(flow, "ivc-flow", "local close")
+                    raise ChannelClosed(
+                        f"{ivc} closed while stalled for credit")
+                if flow.credit > 0:
+                    if beneath is None:
+                        step(flow, "ivc-flow", "recv CREDIT_GRANT")
+                    return
+            if beneath is None:
+                step(flow, "ivc-flow", "local give_up")
+            raise DestinationUnavailable(
+                f"no flow-control credit on {ivc} after {FLOW_PROBE_RETRIES} "
+                f"probes ({flow.tx_sent - flow.tx_consumed_seen} unconsumed)"
             )
-            if not ivc.open:
-                raise ChannelClosed(f"{ivc} closed while stalled for credit")
-            if flow.credit > 0:
-                return
-        raise DestinationUnavailable(
-            f"no flow-control credit on {ivc} after {FLOW_PROBE_RETRIES} "
-            f"probes ({flow.tx_sent - flow.tx_consumed_seen} unconsumed)"
-        )
+        finally:
+            if beneath is not None:
+                flow.spent = beneath
 
     def _send_probe(self, ivc: Ivc, flow: FlowState) -> None:
         """Tell the peer our cumulative sent counter and ask where its
@@ -611,13 +642,18 @@ class IpLayer:
         # the fallback for a grant whose aux was never stamped.
         advertised = m.decode_credit(msg.aux)
         if advertised is None:
-            values = self.nucleus.unpack_internal(T_CREDIT_GRANT, msg.body)
+            values = self.nucleus.unpack_internal(
+                T_CREDIT_GRANT, msg.body, ivc.lvc)
+            if values is None:
+                return
             advertised = values["consumed"]
         flow.on_advertised(advertised)
 
     def _on_credit_probe(self, ivc: Ivc, msg: m.Msg) -> None:
         nucleus = self.nucleus
-        values = nucleus.unpack_internal(T_CREDIT_PROBE, msg.body)
+        values = nucleus.unpack_internal(T_CREDIT_PROBE, msg.body, ivc.lvc)
+        if values is None:
+            return
         flow = ivc.flow
         if flow is None:
             # Flow control is off on this end but the peer runs it:
@@ -767,18 +803,21 @@ class IpLayer:
         # This message terminates here: settle the checksum deferred by
         # the ND-Layer (once end-to-end, not once per hop).
         if not msg.checksum_ok():
-            nucleus.counters[ND_MALFORMED_MESSAGES] += 1
-            self._teardown(ivc, "header checksum mismatch", "local lvc_fault")
+            self.nd.malformed(lvc)
             return
+        # A control body is decoded before its step (a body that does not
+        # decode faults the LVC as a checksum mismatch does).
         if msg.kind == m.IVC_OPEN:
             self._on_ivc_open_as_endpoint(ivc, msg)
         elif msg.kind == m.IVC_OPEN_ACK:
-            if step(ivc, "ivc-endpoint", "recv IVC_OPEN_ACK", nucleus.counters):
-                values = nucleus.unpack_internal(T_IVC_OPEN_ACK, msg.body)
+            values = nucleus.unpack_internal(T_IVC_OPEN_ACK, msg.body, lvc)
+            if values is not None and step(
+                    ivc, "ivc-endpoint", "recv IVC_OPEN_ACK", nucleus.counters):
                 ivc.peer_mtype_name = values["dst_mtype"]
         elif msg.kind == m.IVC_OPEN_NAK:
-            if step(ivc, "ivc-endpoint", "recv IVC_OPEN_NAK", nucleus.counters):
-                values = nucleus.unpack_internal(T_IVC_OPEN_NAK, msg.body)
+            values = nucleus.unpack_internal(T_IVC_OPEN_NAK, msg.body, lvc)
+            if values is not None and step(
+                    ivc, "ivc-endpoint", "recv IVC_OPEN_NAK", nucleus.counters):
                 ivc.nak_reason = values["reason"]
         elif msg.kind == m.IVC_CLOSE:
             # The circuit closes; the leg is closed by the side that
@@ -814,7 +853,9 @@ class IpLayer:
         """The final destination of a chained circuit: record the
         originator's identity/machine type and acknowledge end-to-end."""
         nucleus = self.nucleus
-        values = nucleus.unpack_internal(T_IVC_OPEN, msg.body)
+        values = nucleus.unpack_internal(T_IVC_OPEN, msg.body, ivc.lvc)
+        if values is None:
+            return
         if not nucleus.is_self(msg.dst):
             # A chained open for someone else arriving at a plain module:
             # only gateways may forward.  The leg carries no circuit of

@@ -110,7 +110,7 @@ PROTOCOL_MACHINES = (
         },
     },
 )
-compile_machines(PROTOCOL_MACHINES)
+compile_machines(PROTOCOL_MACHINES, globals())
 
 
 class Lvc:
@@ -306,14 +306,14 @@ class NdLayer:
         try:
             msg = m.Msg.decode(raw, verify=False)
         except ProtocolError:
-            self._malformed(lvc)
+            self.malformed(lvc)
             return
         lvc.messages_received += 1
         self.nucleus.trace(self.LAYER, "receive", caller="wire",
                            reason=msg.kind_name)
         if msg.kind in (m.LVC_HELLO, m.LVC_HELLO_ACK):
             if not msg.checksum_ok():
-                self._malformed(lvc)
+                self.malformed(lvc)
                 return
             if msg.kind == m.LVC_HELLO:
                 self._on_hello(lvc, msg)
@@ -328,16 +328,20 @@ class NdLayer:
             self._maybe_purge_tadd(lvc, msg)
             self._message_upcall(lvc, msg)
 
-    def _malformed(self, lvc: Lvc) -> None:
+    def malformed(self, lvc: Lvc) -> None:
+        """Count a frame that failed to decode or its checksum; fault it."""
         self.nucleus.counters[ND_MALFORMED_MESSAGES] += 1
         self.close(lvc, "malformed message", "local transport_fault")
         self._fault_upcall(lvc, "malformed message")
 
     def _on_hello(self, lvc: Lvc, msg: m.Msg) -> None:
+        # Decoded before the step: a body that does not decode is
+        # malformed, whatever the state.
         nucleus = self.nucleus
-        if not step(lvc, "lvc", "recv LVC_HELLO", nucleus.counters):
+        values = nucleus.unpack_internal(T_LVC_HELLO, msg.body, lvc)
+        if values is None or not step(
+                lvc, "lvc", "recv LVC_HELLO", nucleus.counters):
             return
-        values = nucleus.unpack_internal(T_LVC_HELLO, msg.body)
         if msg.src.temporary:
             # The source's TAdd is not unique here: assign our own
             # (Sec. 3.4, "each Nucleus layer assigns its own TAdd to
@@ -360,9 +364,10 @@ class NdLayer:
         self._accept_upcall(lvc)
 
     def _on_hello_ack(self, lvc: Lvc, msg: m.Msg) -> None:
-        if not step(lvc, "lvc", "recv LVC_HELLO_ACK", self.nucleus.counters):
+        values = self.nucleus.unpack_internal(T_LVC_HELLO_ACK, msg.body, lvc)
+        if values is None or not step(
+                lvc, "lvc", "recv LVC_HELLO_ACK", self.nucleus.counters):
             return
-        values = self.nucleus.unpack_internal(T_LVC_HELLO_ACK, msg.body)
         lvc.peer_mtype_name = values["mtype"]
         lvc.peer_blob = values["listen_blob"]
         if lvc.peer_addr is None:

@@ -21,7 +21,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Set
 
-from repro.errors import NameServerUnreachable, NtcsError, RecursionLimitExceeded
+from repro.errors import (
+    ConversionError, NameServerUnreachable, NtcsError, RecursionLimitExceeded)
 from repro.machine.arch import MachineType, machine_type
 from repro.machine.process import SimProcess
 from repro.ntcs import message as m
@@ -285,9 +286,16 @@ class Nucleus:
                      type_id=entry.sdef.type_id, aux=aux,
                      body=entry.pack(values))
 
-    def unpack_internal(self, type_id: int, body: bytes) -> dict:
-        """Unpack an NTCS control body by type id."""
-        return self.registry.get(type_id).unpack(body)
+    def unpack_internal(self, type_id: int, body: bytes,
+                        lvc) -> Optional[dict]:
+        """Unpack the NTCS control body of a frame ``lvc`` carried, by
+        type id; None when it does not decode, a malformed frame that
+        faults ``lvc`` (``NdLayer.malformed``)."""
+        try:
+            return self.registry.get(type_id).unpack(body)
+        except ConversionError:
+            self.nd.malformed(lvc)
+            return None
 
     # -- naming-service access -----------------------------------------------
 

@@ -11,12 +11,13 @@ naming service protocol; 40–63 for DRTS services; applications start at
 :attr:`ConversionRegistry.FIRST_APPLICATION_TYPE_ID`.
 
 :func:`step` runs the ND- and IP-Layer's declared machines: the one
-place an LVC or IVC changes state.
+place an LVC, an IVC or an IVC's credit ledger changes state, and the
+one place a bounded edge's budget is spent.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.conversion import ConversionRegistry, Field, StructDef
 from repro.errors import ProtocolError
@@ -85,27 +86,44 @@ def register_nucleus_types(registry: ConversionRegistry) -> None:
 # None row enters an instance that has no state yet: the machine's
 # entry edges, or, where it declares none, its initial state's edges.
 MACHINES: Dict[str, Dict[Optional[str], Dict[str, str]]] = {}
+# (machine, state, event) of each bounded self-loop -> its bound.
+BOUNDS: Dict[Tuple[str, str, str], int] = {}
 
 
-def compile_machines(decls) -> None:
-    """Compile a module's ``PROTOCOL_MACHINES`` into :data:`MACHINES`."""
+def compile_machines(decls, constants: Dict[str, object]) -> None:
+    """Compile a module's ``PROTOCOL_MACHINES`` into :data:`MACHINES`,
+    reading each ``bounded`` edge's bound from ``constants``, the
+    declaring module's globals.  Only a self-loop is bounded."""
     for decl in decls:
-        table = MACHINES[decl["name"]] = {
-            state: {edge["event"]: edge["next"]
-                    for edge in (spec or {}).get("edges", ())}
-            for state, spec in decl["states"].items()}
+        name = decl["name"]
+        table = MACHINES[name] = {}
+        for state, spec in decl["states"].items():
+            edges = (spec or {}).get("edges", ())
+            table[state] = {edge["event"]: edge["next"] for edge in edges}
+            BOUNDS.update({(name, state, edge["event"]):
+                           constants[edge["bounded"]]
+                           for edge in edges if "bounded" in edge})
         table[None] = ({edge["event"]: edge["next"] for edge in decl["entry"]}
                        if "entry" in decl else table[decl["initial"]])
 
 
 def step(obj, machine: str, event: str, counters=None) -> bool:
     """Move ``obj.state`` along ``machine``'s ``event`` edge, if any.  A
-    received frame with none is counted in ``counters`` and dropped, a
-    finished machine (no edges) ignores a local event, any other local
-    event raises :class:`~repro.errors.ProtocolError` (PROTOCOL.md §3)."""
-    edges = MACHINES[machine][obj.state]
+    bounded self-loop is refused (False) once taken its bound times in
+    one stay in its state (``obj.spent`` counts).  A received frame with
+    no edge is counted in ``counters`` and dropped, a finished machine
+    (no edges) ignores a local event, any other local event raises
+    :class:`~repro.errors.ProtocolError` (PROTOCOL.md §3)."""
+    state = obj.state
+    edges = MACHINES[machine][state]
     if event in edges:
-        obj.state = edges[event]
+        if edges[event] != state:
+            obj.state = edges[event]
+            obj.spent = 0
+        elif (machine, state, event) in BOUNDS:
+            if obj.spent >= BOUNDS[machine, state, event]:
+                return False
+            obj.spent += 1
         return True
     if event.startswith("recv"):
         counters[FRAMES_OUT_OF_MODEL] += 1

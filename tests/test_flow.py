@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deployments import chain_nets, echo_server, single_net, two_nets
-from repro.errors import SendWouldBlock
+from repro.errors import ChannelClosed, DestinationUnavailable, SendWouldBlock
 from repro.netsim.chaos import ChaosSchedule
 from repro.ntcs import message as m
 from repro.ntcs.flow import FlowState
+from repro.ntcs.iplayer import FLOW_PROBE_RETRIES, IpLayer
 from repro.ntcs.nucleus import NucleusConfig
 from repro.util.counters import (
     ALI_SEND_BLOCKED,
@@ -166,6 +167,104 @@ def test_blocking_send_stalls_probes_and_resumes():
     assert prod.nucleus.counters[IP_CREDIT_PROBES] == 1
     assert cons.nucleus.counters[IP_CREDIT_GRANTS] == 1
     assert cons.ali.queued() == 3  # WINDOW - (WINDOW-2) consumed + 1 new
+
+
+def test_a_peer_that_never_consumes_is_given_up_on_every_repair_round():
+    """Each stall gives up after FLOW_PROBE_RETRIES probe rounds back to
+    READY, so each of the LCM's 1 + repair_max_attempts rounds stalls
+    the same circuit again before the send fails."""
+    config = NucleusConfig(flow_window=2)
+    bed = single_net(config=config)
+    prod, cons, addr = _producer_consumer(bed, "vax1", "sun1")
+    for i in range(2):
+        prod.ali.send(addr, "numbers", {"a": i, "b": 0, "big": 0})
+    with pytest.raises(DestinationUnavailable):
+        prod.ali.send(addr, "numbers", {"a": 2, "b": 0, "big": 0})
+    counters = prod.nucleus.counters
+    rounds = 1 + config.repair_max_attempts
+    assert (counters[IP_CREDIT_STALLS], counters[IP_CREDIT_PROBES]) == (
+        rounds, rounds * FLOW_PROBE_RETRIES) == (5, 15)
+    [ivc] = [ivc for ivc in prod.nucleus.ip._by_lvc.values()
+             if ivc.peer_addr == addr]
+    assert ivc.open and cons.ali.queued() == 2
+
+
+def test_a_circuit_closed_under_a_stalled_sender_raises_channel_closed():
+    """The stall's close edge: the circuit ends while its sender waits
+    for credit, and the send leaves the stall as ChannelClosed."""
+    bed = single_net(config=NucleusConfig(flow_window=2))
+    prod, cons, addr = _producer_consumer(bed, "vax1", "sun1")
+    for i in range(2):
+        prod.ali.send(addr, "numbers", {"a": i, "b": 0, "big": 0})
+    bed.settle()
+    ip = prod.nucleus.ip
+    [ivc] = [ivc for ivc in ip._by_lvc.values() if ivc.peer_addr == addr]
+    [far] = [far for far in cons.nucleus.ip._by_lvc.values()
+             if far.peer_addr == prod.ali.uadd]
+    bed.scheduler.schedule(
+        0.5, lambda: cons.nucleus.ip.close(far, "consumer leaves"))
+    msg = m.Msg(kind=m.DATA, src=prod.nucleus.self_addr, dst=addr)
+    entry = prod.nucleus.registry.get_by_name("numbers")
+    with pytest.raises(ChannelClosed):
+        ip.send_values(ivc, msg, entry.sdef.type_id,
+                       {"a": 2, "b": 0, "big": 0})
+    assert (ivc.state, ivc.flow.state) == ("CLOSED", "CLOSED")
+    assert prod.nucleus.counters[IP_CREDIT_PROBES] == 1
+
+
+@pytest.mark.parametrize("arrivals", [
+    [0.3], [2.3], [2.3, 5.3, 8.3, 11.3],
+], ids=["in-round-1", "in-last-round", "every-3s"])
+def test_a_nested_send_stalls_with_rounds_of_its_own(monkeypatch, arrivals):
+    """A handler's send on the circuit its module is stalled on, run
+    inside that stall, joins it (STALLED --local credit_exhausted-->
+    STALLED) with a stay of its own: however late it joins, and however
+    often, every stall on a peer that never consumes sends exactly
+    FLOW_PROBE_RETRIES probes of its own, as the send beneath it does,
+    and the outer send still fails after its own repair rounds."""
+    own = []  # [circuit, probes] of each stall, innermost last
+    ended = []
+    send_probe, stall = IpLayer._send_probe, IpLayer._stall_for_credit
+
+    def counted_probe(self, ivc, flow):
+        own[-1][1] += 1
+        send_probe(self, ivc, flow)
+
+    def counted_stall(self, ivc, flow):
+        own.append([ivc, 0])
+        try:
+            stall(self, ivc, flow)
+        finally:
+            ended.append(own.pop())
+
+    monkeypatch.setattr(IpLayer, "_send_probe", counted_probe)
+    monkeypatch.setattr(IpLayer, "_stall_for_credit", counted_stall)
+    bed = single_net(config=NucleusConfig(flow_window=2))
+    sink = bed.module("flow.sink", "sun1")
+    prod = bed.module("flow.prod", "vax1")
+    third = bed.module("flow.third", "vax1")
+    failures = []
+
+    def relay(request):
+        try:
+            prod.ali.send(sink.ali.uadd, "numbers", {"a": 9, "b": 0, "big": 0})
+        except DestinationUnavailable as exc:
+            failures.append(exc)
+
+    prod.ali.set_request_handler(relay)
+    for i in range(2):
+        prod.ali.send(sink.ali.uadd, "numbers", {"a": i, "b": 0, "big": 0})
+    for delay in arrivals:
+        bed.scheduler.schedule(delay, lambda: third.ali.send(
+            prod.ali.uadd, "numbers", {"a": 0, "b": 0, "big": 0}))
+    with pytest.raises(DestinationUnavailable):
+        prod.ali.send(sink.ali.uadd, "numbers", {"a": 2, "b": 0, "big": 0})
+    assert len(failures) == len(arrivals)
+    [ivc] = {ivc for ivc, _ in ended if ivc.peer_addr == sink.ali.uadd}
+    probes = [n for stalled, n in ended if stalled is ivc]
+    rounds = 1 + prod.nucleus.config.repair_max_attempts
+    assert probes == [FLOW_PROBE_RETRIES] * rounds * (1 + len(arrivals))
+    assert ivc.flow.state == "READY"
 
 
 @pytest.mark.parametrize("nested", [False, True])

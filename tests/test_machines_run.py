@@ -14,7 +14,9 @@ answered, rewrote the LVC's peer and replaced the circuit indexed on it.
 The fixtures hand each frame to the ND-Layer's receive path, as a
 network would.  A property then feeds random sequences of the five
 control kinds to the live circuit of a call, with the compiled table as
-the oracle.
+the oracle.  A control body that does not decode is decoded before any
+step and faults its LVC as a checksum mismatch does; a bounded
+self-loop is refused past its bound, so a second rider sends nothing.
 """
 
 import pytest
@@ -24,9 +26,11 @@ from deployments import echo_server, single_net, two_nets
 from repro.errors import AddressFault, NtcsError, ProtocolError
 from repro.ntcs import message as m
 from repro.ntcs.address import make_uadd
+from repro.ntcs.iplayer import Ivc
 from repro.ntcs.protocol import MACHINES, step
 from repro.util.counters import (
-    FRAMES_OUT_OF_MODEL, IVC_CHAINED_OPENED, IVC_DIRECT_OPENED)
+    FRAMES_OUT_OF_MODEL, IVC_CHAINED_OPENED, IVC_DIRECT_OPENED,
+    ND_MALFORMED_MESSAGES)
 from test_resource_lifecycle import _ended_but_indexed
 
 ECHO = {"n": 1, "text": "x"}
@@ -263,3 +267,172 @@ def test_hostile_control_frames_take_an_edge_or_are_counted_and_dropped(
         if not ended:
             assert nucleus.counters[IVC_CHAINED_OPENED] == 1
             assert _chained(client) is ivc
+
+
+# ---------------------------------------------------------------------------
+# A control body that does not decode is a malformed frame
+# ---------------------------------------------------------------------------
+
+def _garbled(sender, dst, kind, values):
+    """A ``kind`` control frame whose header checksum holds but whose
+    packed body's last byte, a field terminator, is flipped: it no
+    longer decodes."""
+    frame = bytearray(sender.nucleus.control(
+        kind, dst, m.KIND_NAMES[kind].lower(), values).encode())
+    frame[-1] ^= 1
+    return bytes(frame)
+
+
+def _fresh_lvc(client, stack):
+    """An LVC from ``client`` to ``stack``'s listener, HELLO done: the
+    two ends."""
+    nd = stack.nd
+    known = set(nd._lvcs.values())
+    lvc = client.nucleus.nd.open_lvc(stack.self_addr, nd.listen_blob)
+    [far] = set(nd._lvcs.values()) - known
+    return lvc, far
+
+
+def _hello_at_an_awaiting_lvc(bed):
+    client, server, uadd = _called(bed, "vax1")
+    nd = server.nucleus.nd
+    known = set(nd._lvcs.values())
+    client.nucleus.nd.driver.connect(
+        client.nucleus.process, nd.listen_blob, timeout=1.0)
+    bed.settle()
+    [lvc] = set(nd._lvcs.values()) - known
+    nucleus = client.nucleus
+    return server.nucleus, lvc, _garbled(client, uadd, m.LVC_HELLO, {
+        "mtype": nucleus.mtype.name, "listen_blob": nucleus.nd.listen_blob,
+        "network": "ether0"})
+
+
+def _open_at_an_endpoint(bed):
+    client, server, uadd = _called(bed, "vax1")
+    _lvc, far = _fresh_lvc(client, server.nucleus)
+    return server.nucleus, far, _garbled(client, uadd, m.IVC_OPEN, {
+        "dst_network": "ether0", "src_mtype": "vax",
+        "src_listen_blob": client.nucleus.nd.listen_blob})
+
+
+def _open_at_a_gateway(bed):
+    client, server, uadd = _called(bed, "apollo1")
+    stack = bed.gateways["gw1"].stacks["ether0"]
+    _lvc, far = _fresh_lvc(client, stack)
+    return stack, far, _garbled(client, uadd, m.IVC_OPEN, {
+        "dst_network": "ring0", "src_mtype": "sun",
+        "src_listen_blob": client.nucleus.nd.listen_blob})
+
+
+def _answer_at_an_opening_circuit(kind, values):
+    def build(bed):
+        client, server, uadd = _called(bed, "apollo1")
+        stack = bed.gateways["gw1"].stacks["ether0"]
+        lvc, _far = _fresh_lvc(client, stack)
+        # The first half of a chained open: the circuit is OPENING on
+        # the leg, its IVC_OPEN not yet sent.
+        ip = client.nucleus.ip
+        ip._by_lvc[lvc] = Ivc(lvc, peer_addr=uadd, direct=False)
+        return client.nucleus, lvc, _garbled(
+            server, client.nucleus.self_addr, kind, values)
+    return build
+
+
+def _credit_at_an_open_circuit(kind, values):
+    def build(bed):
+        client, server, uadd = _called(bed, "vax1")
+        [ivc] = [ivc for ivc in client.nucleus.ip._by_lvc.values()
+                 if ivc.peer_addr == uadd]
+        return client.nucleus, ivc.lvc, _garbled(
+            server, client.nucleus.self_addr, kind, values)
+    return build
+
+
+@pytest.mark.parametrize("build, bed_of", [
+    (_hello_at_an_awaiting_lvc, single_net),
+    (_open_at_an_endpoint, single_net),
+    (_open_at_a_gateway, two_nets),
+    (_answer_at_an_opening_circuit(m.IVC_OPEN_ACK, {"dst_mtype": "vax"}),
+     two_nets),
+    (_answer_at_an_opening_circuit(m.IVC_OPEN_NAK, {"reason": "no"}),
+     two_nets),
+    (_credit_at_an_open_circuit(m.CREDIT_PROBE, {"sent": 1}), single_net),
+    (_credit_at_an_open_circuit(m.CREDIT_GRANT,
+                                {"consumed": 1, "window": 8}), single_net),
+], ids=["lvc_hello", "ivc_open-endpoint", "ivc_open-gateway",
+        "ivc_open_ack", "ivc_open_nak", "credit_probe", "credit_grant"])
+def test_an_undecodable_control_body_is_malformed(build, bed_of):
+    """Decoded before any step: a body that does not decode is counted
+    in ``nd_malformed_messages`` and ends its LVC, as a header checksum
+    mismatch does — nothing is raised into the network callback."""
+    bed = bed_of()
+    nucleus, lvc, frame = build(bed)
+    before = nucleus.counters[ND_MALFORMED_MESSAGES]
+    nucleus.nd._on_raw(lvc, frame)
+    bed.settle()
+    assert nucleus.counters[ND_MALFORMED_MESSAGES] - before == 1
+    assert lvc.state == "CLOSED" and lvc not in nucleus.ip._by_lvc
+    assert nucleus.counters[FRAMES_OUT_OF_MODEL] == 0
+
+
+def test_an_undecodable_hello_ack_fails_the_open():
+    # An LVC in HELLO_SENT whose answer does not decode: the open fails
+    # as one that got no answer.
+    bed = single_net()
+    client, server, uadd = _called(bed, "vax1")
+    nucleus = client.nucleus
+    ack = _garbled(server, nucleus.self_addr, m.LVC_HELLO_ACK, {
+        "mtype": "sun", "listen_blob": server.nucleus.nd.listen_blob})
+
+    def answer_garbled(channel):
+        channel.set_message_handler(lambda raw: channel.send_message(ack))
+
+    listener = server.nucleus.nd.driver
+    blob = listener.listen(server.nucleus.process, answer_garbled)
+    known = set(nucleus.nd._lvcs.values())
+    with pytest.raises(AddressFault):
+        nucleus.nd.open_lvc(uadd, blob)
+    assert set(nucleus.nd._lvcs.values()) == known
+    assert nucleus.counters[ND_MALFORMED_MESSAGES] == 1
+
+
+# ---------------------------------------------------------------------------
+# Bounded edges run: the riders bound
+# ---------------------------------------------------------------------------
+
+def test_a_bounded_self_loop_is_refused_past_its_bound_per_stay():
+    class Circuit:
+        state = None
+
+    circuit = Circuit()
+    step(circuit, "ivc-endpoint", "send IVC_OPEN")
+    assert step(circuit, "ivc-endpoint", "send DATA rides_open")
+    assert not step(circuit, "ivc-endpoint", "send DATA rides_open")
+    # An unbounded self-loop neither spends nor ends the stay.
+    assert step(circuit, "ivc-endpoint", "recv DATA")
+    assert (circuit.state, circuit.spent) == ("OPENING", 1)
+    flow = Circuit()
+    for _ in range(2):
+        step(flow, "ivc-flow", "local credit_exhausted")
+        assert [step(flow, "ivc-flow", "timeout FLOW_PROBE_TIMEOUT")
+                for _ in range(4)] == [True, True, True, False]
+        step(flow, "ivc-flow", "local give_up")
+        assert flow.state == "READY"
+
+
+def test_a_second_rider_is_refused_and_sends_nothing():
+    bed = two_nets()
+    client, server, uadd = _called(bed, "apollo1")
+    stack = bed.gateways["gw1"].stacks["ether0"]
+    lvc, _far = _fresh_lvc(client, stack)
+    ivc = Ivc(lvc, peer_addr=uadd, direct=False)
+    assert step(ivc, "ivc-endpoint", "send DATA rides_open")  # the first
+    msg = m.Msg(kind=m.DATA, src=client.nucleus.self_addr, dst=uadd,
+                flags=m.FLAG_REPLY_EXPECTED)
+    entry = client.nucleus.registry.get_by_name("echo")
+    sent = _sent(bed)
+    assert client.nucleus.ip._ride(
+        ivc, "apollo", msg, entry.sdef.type_id, ECHO) is None
+    bed.settle()
+    assert not msg.flags & m.FLAG_RIDES_OPEN and msg.body == b""
+    assert (_sent(bed), ivc.state) == (sent, "OPENING")

@@ -86,9 +86,10 @@ def test_extracts_declared_machines_and_wire():
     names = {machine.name for machine in model.machines}
     assert {"ivc-endpoint", "lvc", "lcm-send-repair",
             "lcm-call", "lcm-rx-queue"} <= names
-    # The wire machines are the ones the code runs through step.
+    # The code runs the wire machines and the sender's ivc-flow
+    # through step.
     assert {machine for _, _, machine, _ in model.steps} == {
-        "ivc-endpoint", "lvc"}
+        "ivc-endpoint", "lvc", "ivc-flow"}
     # The wire model is the lvc and ivc-endpoint machines: the
     # kind table's every kind is an edge event, a chained circuit is
     # entered by its IVC_OPEN, and the riding bound is read off
@@ -102,6 +103,8 @@ def test_extracts_declared_machines_and_wire():
     assert {(e.event, e.next) for e in ivc.entry} == {
         ("send IVC_OPEN", "OPENING"), ("local direct", "OPEN")}
     assert ivc.bounds == {"OPEN_RIDERS": 1}
+    flow = next(mach for mach in model.machines if mach.name == "ivc-flow")
+    assert flow.bounds == {"FLOW_PROBE_RETRIES": 3}
 
 
 def test_only_step_moves_a_circuit_state():

@@ -133,7 +133,7 @@ def test_pack_unpack_internal_round_trip(nucleus):
         "network": "ether0",
     })
     assert msg.flags == m.FLAG_PACKED | m.FLAG_INTERNAL
-    values = nucleus.unpack_internal(msg.type_id, msg.body)
+    values = nucleus.unpack_internal(msg.type_id, msg.body, lvc=None)
     assert values["mtype"] == "VAX"
     assert values["network"] == "ether0"
 

@@ -218,6 +218,18 @@ def test_private_heap_fires_det006_even_in_realnet():
     assert "repro.netsim.scheduler" in findings[1].message
 
 
+def test_det006_scans_tests_and_benchmarks(tmp_path):
+    # The row's scope is every scanned module, not only repro.
+    for tree in ("tests", "benchmarks"):
+        (tmp_path / tree).mkdir()
+        (tmp_path / tree / "heap_user.py").write_text(
+            "import heapq\nfrom heapq import heappush\n")
+    findings = analyze([tmp_path / "tests", tmp_path / "benchmarks"],
+                       rule_filter=["DET006"])
+    assert [(Path(f.path).parent.name, f.line) for f in findings] == [
+        ("benchmarks", 1), ("benchmarks", 2), ("tests", 1), ("tests", 2)]
+
+
 def test_shared_timer_module_is_det006_home():
     # The one sanctioned heapq user: repro.netsim.scheduler, home of
     # the EventQueue.
@@ -311,6 +323,20 @@ def test_sole_site_rows_fire_nowhere_else(tmp_path):
             for f in analyze([tmp_path])] == [("ntcs", "ONE005", 2)]
 
 
+def test_a_function_site_covers_its_module_only(tmp_path):
+    # A (module, None) site covers the module's package; a function
+    # site only that function in that module, not a namesake beneath.
+    for rel, body in (
+            ("ntcs/protocol/sub.py", "def step(obj):\n    obj.state = 'X'\n"),
+            ("naming/sub.py", "def ask(lcm):\n    lcm.call(d, 'ns_lookup')\n")):
+        path = tmp_path / "repro" / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(body)
+    assert [(Path(f.path).parent.name, f.rule, f.line)
+            for f in analyze([tmp_path]) if f.rule in ("ONE008", "LAY003")
+            ] == [("protocol", "ONE008", 2)]
+
+
 def test_live_hot_paths_satisfy_perf001():
     # PERF001's per-frame dispatch loops are ONE005 now, which is
     # stricter: the real ND-Layer and gateway handle each frame inline
@@ -399,11 +425,14 @@ def test_cli_rule_filtering(capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for family in ("layering", "protocol", "determinism", "hygiene",
-                   "sole-site: ONE001, ONE002, ONE003, ONE004, ONE005, "
-                   "ONE006, ONE007, ONE008"):
+    for family in ("layering: LAY001, LAY002\n", "protocol",
+                   "determinism: DET001, DET002, DET003, DET004, DET005\n",
+                   "hygiene",
+                   "sole-site: DET006, LAY003, ONE001, ONE002, ONE003, "
+                   "ONE004, ONE005, ONE006, ONE007, ONE008"):
         assert family in out
     assert "PERF001" not in out
+    assert "naming-access" not in out
 
 
 def test_cli_missing_path_is_usage_error(capsys):
