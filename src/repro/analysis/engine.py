@@ -341,11 +341,6 @@ class Project:
                               justification=pragma.justification)
         return None
 
-    def is_waived(self, finding: Finding) -> bool:
-        """True when a matching ``ntcslint: allow`` pragma suppresses
-        the finding (see :meth:`waiver_for`)."""
-        return self.waiver_for(finding) is not None
-
     def unknown_pragma_findings(self, known_ids: Iterable[str]) -> List[Finding]:
         """WVR001 warnings for pragma tokens naming no known rule id —
         a typo'd waiver must not silently suppress nothing."""

@@ -170,6 +170,15 @@ SOLE_SITES: Tuple[SoleSite, ...] = (
              "which moves it only along a declared machine edge", "§3",
              _each(lambda node: _attr_store(node, ("state",))),
              ("repro.ntcs",), frozenset({("repro.ntcs.protocol", "step")})),
+    SoleSite("ONE009", "a name-record field store outside NameDatabase "
+             "and the record's constructor: a record never changes once "
+             "built, but for the tombstone the database sets", "§9",
+             _each(lambda node: _attr_store(node, (
+                 "alive", "attrs", "addresses", "mtype_name",
+                 "registered_at"))),
+             ("repro.naming",),
+             frozenset({("repro.naming.database", None),
+                        ("repro.naming.protocol", "NameRecord.__init__")})),
     SoleSite("LAY003", "a Name Service Protocol message sent outside "
              "the NSP-Layer, the single naming service access point "
              "(Sec. 2.4)", "§14",
@@ -281,7 +290,8 @@ def metric_sites(project: Project
     name="sole-site",
     ids=tuple(sorted({row.id for row in SOLE_SITES} | {"ONE007"})),
     description="where PROTOCOL.md says one place decides (§3 route "
-                "tables and circuit states, §11 the event heap, §12 "
+                "tables and circuit states, §9 name records, §11 the "
+                "event heap, §12 "
                 "control flags / flow books / debit rule, §13 scheduler "
                 "events, §14 naming access, §15 counting), only that "
                 "place spells it; every counter store names a declared "

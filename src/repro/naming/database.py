@@ -17,7 +17,8 @@ probes).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import (
     ModuleStillAlive,
@@ -45,7 +46,10 @@ class NameDatabase:
         self._clock = clock
         self._counter = SequenceGenerator()
         self._by_uadd: Dict[Address, NameRecord] = {}
-        self._by_name: Dict[str, List[NameRecord]] = {}
+        # Name -> its record, or its records oldest first once the name
+        # has been registered again (PROTOCOL.md §9): the common name,
+        # registered once, costs one dict slot and no container.
+        self._by_name: Dict[str, Union[NameRecord, List[NameRecord]]] = {}
         # Topology index (PROTOCOL.md §9): the gateway records, in
         # ``_by_uadd`` insertion order, and the alive-record count —
         # both kept by the write paths so ``ns_list_gw`` and ``len()``
@@ -71,22 +75,16 @@ class NameDatabase:
     def register(
         self,
         name: str,
-        attrs: Dict[str, str],
-        addresses: List[Tuple[str, str]],
+        attrs: Mapping[str, str],
+        addresses: Iterable[Tuple[str, str]],
         mtype_name: str,
     ) -> NameRecord:
         """Create a new entry; "the naming service generates a UAdd for
-        the module" (Sec. 3.2)."""
+        the module" (Sec. 3.2).  The record's constructor takes its own
+        read-only copy of ``attrs`` and a tuple of ``addresses``."""
         uadd = make_uadd(self._counter.next(), self._server_id)
-        record = NameRecord(
-            name=name,
-            uadd=uadd,
-            mtype_name=mtype_name,
-            attrs=dict(attrs),
-            addresses=list(addresses),
-            alive=True,
-            registered_at=self._clock(),
-        )
+        record = NameRecord(name, uadd, mtype_name, attrs, addresses,
+                            True, self._clock())
         self.adopt(record)
         return record
 
@@ -95,14 +93,16 @@ class NameDatabase:
         Idempotent: re-adopting a known UAdd updates the stored record
         in place (last write wins).  Every write funnels through here
         (or :meth:`deregister`), which is what keeps the topology index
-        exact."""
+        exact.  A record's fields other than ``alive`` never change, so
+        the stored record shares them with ``record``: nothing is
+        copied."""
         self.generation += 1
         existing = self._by_uadd.get(record.uadd)
         if existing is not None:
             was_alive, was_gateway = existing.alive, existing.is_gateway
             existing.alive = record.alive
-            existing.attrs = dict(record.attrs)
-            existing.addresses = list(record.addresses)
+            existing.attrs = record.attrs
+            existing.addresses = record.addresses
             existing.mtype_name = record.mtype_name
             self._alive += existing.alive - was_alive
             if was_gateway and not existing.is_gateway:
@@ -116,17 +116,40 @@ class NameDatabase:
                 }
             return
         self._by_uadd[record.uadd] = record
-        self._by_name.setdefault(record.name, []).append(record)
+        held = self._by_name.get(record.name)
+        if held is None:
+            self._by_name[record.name] = record
+        elif isinstance(held, list):
+            held.append(record)
+        else:
+            self._by_name[record.name] = [held, record]
         self.registrations += 1
         self._alive += record.alive
         if record.is_gateway:
             self._gateways[record.uadd] = record
 
     def log_write(self, record: NameRecord) -> None:
-        """Append an origin write to the anti-entropy log, snapshotted
-        (records mutate in place on deregister) and stamped with the
-        current generation."""
-        self.oplog.append((self.generation, NameRecord.decode(record.encode())))
+        """Append an origin write to the anti-entropy log, stamped with
+        the current generation.  The entry is a field copy: a stored
+        record's ``alive`` changes in place on deregister, its other
+        fields never do, so the copy shares them."""
+        self.oplog.append((self.generation, NameRecord(
+            record.name, record.uadd, record.mtype_name, record.attrs,
+            record.addresses, record.alive, record.registered_at)))
+
+    def readdress(self, record: NameRecord,
+                  addresses: Iterable[Tuple[str, str]]) -> None:
+        """The stored ``record`` alive at new physical ``addresses``,
+        under its old UAdd: how a restarted Name Server keeps the
+        identity every well-known table knows (last write wins, as
+        :meth:`adopt`)."""
+        self.adopt(replace(record, addresses=addresses, alive=True))
+
+    def adopt_tombstone(self, record: NameRecord) -> None:
+        """Adopt a replicated deregistration: ``record`` as a
+        tombstone, whatever its ``alive`` says."""
+        record.alive = False
+        self.adopt(record)
 
     def merge(self, record: NameRecord) -> bool:
         """Anti-entropy merge (PROTOCOL.md §14): adopt a record pulled
@@ -155,7 +178,10 @@ class NameDatabase:
     # -- resolution -----------------------------------------------------------
 
     def _newest_alive(self, name: str) -> Optional[NameRecord]:
-        for record in reversed(self._by_name.get(name, [])):
+        held = self._by_name.get(name)
+        if not isinstance(held, list):
+            return held if held is not None and held.alive else None
+        for record in reversed(held):
             if record.alive:
                 return record
         return None

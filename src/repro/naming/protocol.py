@@ -18,8 +18,9 @@ newer write (PROTOCOL.md §9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.conversion import ConversionRegistry, Field, StructDef
 from repro.errors import NtcsError, ProtocolError
@@ -231,22 +232,51 @@ def decode_addresses(text: str) -> List[Tuple[str, str]]:
 
 # -- name records -----------------------------------------------------------
 
-@dataclass
+# The attribute set of every record registered without attributes.
+NO_ATTRS: Mapping[str, str] = MappingProxyType({})
+
+
+@dataclass(init=False)
 class NameRecord:
     """One naming-service entry, as exchanged on the wire.
 
     The physical-address blobs are carried and stored *uninterpreted*
     (Sec. 3.2) — this class never parses them beyond the network tag
     every driver places second.
+
+    A record is one slotted object (PROTOCOL.md §9): ``attrs`` is a
+    read-only mapping (every record without attributes shares
+    :data:`NO_ATTRS`) and ``addresses`` a tuple of ``(network, blob)``
+    pairs, so copies share them.  ``alive`` is the one field that
+    changes after construction (the tombstone), and only
+    :class:`~repro.naming.database.NameDatabase` changes it (ntcslint's
+    ONE009).
     """
+
+    __slots__ = ("name", "uadd", "mtype_name", "attrs", "addresses",
+                 "alive", "registered_at")
 
     name: str
     uadd: Address
     mtype_name: str
-    attrs: Dict[str, str] = field(default_factory=dict)
-    addresses: List[Tuple[str, str]] = field(default_factory=list)
-    alive: bool = True
-    registered_at: float = 0.0
+    attrs: Mapping[str, str]
+    addresses: Tuple[Tuple[str, str], ...]
+    alive: bool
+    registered_at: float
+
+    def __init__(self, name: str, uadd: Address, mtype_name: str,
+                 attrs: Mapping[str, str] = NO_ATTRS,
+                 addresses: Iterable[Tuple[str, str]] = (),
+                 alive: bool = True, registered_at: float = 0.0):
+        self.name = name
+        self.uadd = uadd
+        self.mtype_name = mtype_name
+        if type(attrs) is not MappingProxyType:
+            attrs = MappingProxyType(dict(attrs)) if attrs else NO_ATTRS
+        self.attrs = attrs
+        self.addresses = tuple(addresses)
+        self.alive = alive
+        self.registered_at = registered_at
 
     def networks(self) -> List[str]:
         """The networks this record has addresses on."""

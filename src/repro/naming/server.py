@@ -126,9 +126,7 @@ class NameServer:
         # address — instead of registering a second identity.
         try:
             record = self.db.resolve_name(self.name)
-            record.alive = True
-            record.addresses = [(network, self.listen_blob)]
-            self.db.adopt(record)
+            self.db.readdress(record, [(network, self.listen_blob)])
         except NoSuchName:
             # First boot: nothing to take over — register fresh.
             record = self.db.register(
@@ -374,10 +372,10 @@ class NameServer:
             }, flags=FLAG_INTERNAL)
 
     def _handle_repl_update(self, request: IncomingMessage):
+        adopt = (self.db.adopt_tombstone
+                 if request.values["op"] == "deregister" else self.db.adopt)
         for record in p.decode_records(request.values["record"]):
-            if request.values["op"] == "deregister":
-                record.alive = False
-            self.db.adopt(record)
+            adopt(record)
         return "ns_ack", {"ok": 1, "detail": ""}
 
     def _handle_antientropy(self, request: IncomingMessage):

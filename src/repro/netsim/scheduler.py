@@ -39,7 +39,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
-from repro.errors import DeadlockError, SimulationError, VirtualTimeout
+from repro.errors import DeadlockError, SimulationError
 
 __all__ = ["Event", "EventQueue", "Scheduler"]
 
@@ -318,7 +318,3 @@ class Scheduler:
         """Number of not-yet-cancelled queued events.  O(1): the queue
         accounts for cancellations eagerly."""
         return self._queue.live
-
-    def raise_timeout(self, what: str) -> None:
-        """Helper for callers that want the raising flavour of timeout."""
-        raise VirtualTimeout(what)

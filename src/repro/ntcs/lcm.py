@@ -314,10 +314,11 @@ class LcmLayer:
                         raise
                     round_no += 1
                     self._repair_backoff(round_no, dst, exc)
-            nucleus.emit_monitor({
-                "event": "send", "peer": str(target),
-                "type": type_name, "t": timestamp,
-            })
+            if nucleus.monitoring_active:
+                nucleus.emit_monitor({
+                    "event": "send", "peer": str(target),
+                    "type": type_name, "t": timestamp,
+                })
 
     def _send_round(
         self,
@@ -758,10 +759,6 @@ class LcmLayer:
         side consumes.  With ``flow_control_enabled=False`` a slow
         receiver buffers without limit."""
         return len(self._queue)
-
-    def route_count(self) -> int:
-        """Number of address-to-circuit routes held."""
-        return len(self._routes)
 
     def temporary_route_keys(self) -> int:
         """Number of routes still keyed by TAdds (E3's metric)."""

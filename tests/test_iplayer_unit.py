@@ -113,8 +113,7 @@ def test_first_hop_ignores_gateway_without_local_blob():
     bed = single_net()
     client = bed.module("client", "vax1")
     ip = client.nucleus.ip
-    broken = _gw_record(1, ["ether0", "netB"])
-    broken.addresses = [("netB", "tcp:netB:gw1:90")]  # no ether0 blob
+    broken = _gw_record(1, ["netB"])  # no ether0 blob
     client.nucleus.nsp = FakeNsp(gateways=[broken])
     with pytest.raises(RouteNotFound):
         ip._first_hop("ether0", "netB")

@@ -119,6 +119,44 @@ def test_property_record_round_trip(name, uadd, attrs, nets, alive):
     assert NameRecord.decode(record.encode()) == record
 
 
+def _plain_wire_form(name, uadd, mtype_name, attrs, addresses, alive,
+                     registered_at):
+    """A record's wire form spelled from a plain dict and list, the
+    field types a record held before it was slotted."""
+    return "\n".join([
+        p._escape(name), str(uadd.value), p._escape(mtype_name),
+        ";".join(f"{p._escape(k)}={p._escape(v)}"
+                 for k, v in sorted(dict(attrs).items())),
+        ",".join(f"{p._escape(net)}|{p._escape(blob)}"
+                 for net, blob in list(addresses)),
+        "1" if alive else "0", repr(registered_at),
+    ])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=_name_text,
+    uadd=st.integers(1, 2 ** 48),
+    attrs=st.dictionaries(_name_text, _name_text, max_size=5),
+    nets=st.lists(st.tuples(_name_text, _name_text), max_size=4),
+    alive=st.booleans(),
+    registered_at=st.floats(min_value=0, max_value=1e9),
+)
+def test_property_record_wire_form_is_unchanged(name, uadd, attrs, nets,
+                                                alive, registered_at):
+    """A slotted record with read-only attrs and tuple addresses encodes
+    byte for byte as the dict-and-list record did, built locally or
+    decoded from the wire."""
+    fields = (name, make_uadd(uadd), "VAX", attrs, nets, alive,
+              registered_at)
+    wire = _plain_wire_form(*fields)
+    record = NameRecord(*fields)
+    assert record.encode() == wire
+    assert NameRecord.decode(wire).encode() == wire
+    (decoded,) = p.decode_records(p.encode_records([record]))
+    assert decoded.encode() == wire
+
+
 def test_record_location_prefers_the_asking_network():
     """The one rule for the blob a module keeps in its Sec. 3.3 cache:
     the record's address on the module's own network, else its first."""

@@ -286,7 +286,7 @@ def test_live_substrate_satisfies_perf002():
 
 
 # ---------------------------------------------------------------------------
-# Sole sites (ONE001–ONE008) — where PROTOCOL.md says one place decides
+# Sole sites (ONE001–ONE009) — where PROTOCOL.md says one place decides
 # ---------------------------------------------------------------------------
 
 # Each seeded fixture -> the (rule, line) pairs it fires, and no others.
@@ -296,6 +296,7 @@ SOLE_SITE_FIXTURES = {
     "ntcs/flow.py": [("ONE003", 2), ("ONE003", 5), ("ONE003", 9)],
     "ntcs/gateway.py": [("ONE004", line) for line in range(1, 8)],
     "ntcs/iplayer.py": [("ONE008", 1), ("ONE008", 2)],
+    "naming/record_writer.py": [("ONE009", line) for line in range(1, 6)],
     "ipcs/tcp.py": [("ONE005", 3), ("ONE005", 6), ("ONE005", 7)],
     "ntcs/ndlayer.py": [("ONE005", 12), ("ONE005", 16), ("ONE005", 20)],
     "util/counting.py": [("ONE006", 15), ("ONE006", 16)] + [
@@ -429,7 +430,7 @@ def test_cli_list_rules(capsys):
                    "determinism: DET001, DET002, DET003, DET004, DET005\n",
                    "hygiene",
                    "sole-site: DET006, LAY003, ONE001, ONE002, ONE003, "
-                   "ONE004, ONE005, ONE006, ONE007, ONE008"):
+                   "ONE004, ONE005, ONE006, ONE007, ONE008, ONE009\n"):
         assert family in out
     assert "PERF001" not in out
     assert "naming-access" not in out
