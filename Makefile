@@ -9,7 +9,7 @@ export PYTHONPATH := src
 all: lint test
 
 # Architecture gate, the families `--list-rules` prints: determinism,
-# exception hygiene, layering (Fig. 2-1), perf, protocol type-id
+# exception hygiene, layering (Fig. 2-1), protocol type-id
 # reservations (Sec. 5.2), sole sites and the protocol model, over the
 # whole tree (fixture trees excluded — they violate on purpose).  Waivers are ratcheted against the committed baseline, and
 # results are cached on file content hashes so an unchanged tree

@@ -116,7 +116,6 @@ MODULE_OVERRIDES: Dict[str, str] = {
     # harness-level modules living inside other packages
     "repro": "harness",
     "repro.testbed": "harness",
-    "repro.netsim.topology": "harness",
     "repro.ursa": "harness",        # package init re-exports deploy helpers
     "repro.ursa.deploy": "harness",
 }

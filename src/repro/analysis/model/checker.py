@@ -35,7 +35,6 @@ from repro.analysis.engine import (
     Finding, Project, SEVERITY_ERROR, in_package,
 )
 from repro.analysis.model.ir import (
-    Edge,
     Machine,
     MessageSpec,
     ProtocolModel,

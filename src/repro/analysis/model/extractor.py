@@ -31,7 +31,7 @@ read off the ASTs the ntcslint engine already holds:
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.analysis.engine import (
     ModuleInfo, Project, in_package, literal_str, terminal_name,

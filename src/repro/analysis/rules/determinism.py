@@ -35,7 +35,7 @@ too.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.engine import (
     SEVERITY_ERROR,

@@ -132,6 +132,32 @@ def _imports_heapq(node: ast.AST) -> bool:
             and node.module == "heapq")
 
 
+# The scheduler's two ways to queue an event -> the position of its
+# ``note``: ``schedule(delay, callback, note)``, ``call_soon(callback, note)``.
+_NOTE_POSITION = {"schedule": 2, "call_soon": 1}
+
+
+def _formatted_note(node: ast.AST) -> bool:
+    """A ``scheduler.schedule(...)``/``.call_soon(...)`` (the receiver
+    is ``scheduler`` or ends in ``.scheduler``) whose note formats a
+    string per call: an f-string with a placeholder, ``"..." % x`` or
+    ``"...".format(...)``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _NOTE_POSITION
+            and terminal_name(node.func.value) == "scheduler"):
+        return False
+    position = _NOTE_POSITION[node.func.attr]
+    note = next((kw.value for kw in node.keywords if kw.arg == "note"),
+                node.args[position] if len(node.args) > position else None)
+    if isinstance(note, ast.JoinedStr):
+        return any(isinstance(part, ast.FormattedValue)
+                   for part in note.values)
+    if isinstance(note, ast.BinOp) and isinstance(note.op, ast.Mod):
+        return isinstance(note.left, (ast.Constant, ast.JoinedStr))
+    return (isinstance(note, ast.Call) and isinstance(note.func, ast.Attribute)
+            and note.func.attr == "format")
+
+
 SOLE_SITES: Tuple[SoleSite, ...] = (
     SoleSite("ONE001", "FLAG_PACKED | FLAG_INTERNAL outside "
              "Nucleus.control, the one control-frame builder", "§12",
@@ -199,6 +225,15 @@ SOLE_SITES: Tuple[SoleSite, ...] = (
                  + "; event ordering lives in repro.netsim.scheduler — "
                    "file timers through the shared EventQueue, not a "
                    "private heap")),
+    SoleSite("PERF002", "a scheduler note formatted per call in the "
+             "substrate, which schedules once per datagram or "
+             "retransmission timer; a note is read only from a debugger, "
+             "so pass a constant", "§13",
+             _each(_formatted_note),
+             ("repro.netsim.network", "repro.ipcs"),
+             message=lambda module, node: (
+                 f"scheduler.{node.func.attr}() note is formatted per "
+                 f"call on the per-datagram path; pass a constant string")),
 )
 
 
@@ -293,7 +328,8 @@ def metric_sites(project: Project
                 "tables and circuit states, §9 name records, §11 the "
                 "event heap, §12 "
                 "control flags / flow books / debit rule, §13 scheduler "
-                "events, §14 naming access, §15 counting), only that "
+                "events and their notes, §14 naming access, §15 "
+                "counting), only that "
                 "place spells it; every counter store names a declared "
                 "metric",
 )

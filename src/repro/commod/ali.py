@@ -23,11 +23,10 @@ transparent at this interface."
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import (
     BadParameter,
-    NoSuchName,
     NotRegistered,
     UnknownMessageType,
 )

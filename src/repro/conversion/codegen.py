@@ -28,8 +28,6 @@ from typing import Callable, Dict, Tuple
 from repro.conversion.structdef import StructDef
 from repro.errors import ConversionError
 
-SEPARATOR = 0x1F
-
 _RANGES = {
     "i8": (-0x80, 0x7F),
     "u8": (0, 0xFF),

@@ -27,8 +27,6 @@ from repro.util.counters import (
 IMAGE = 0
 PACKED = 1
 
-MODE_NAMES = {IMAGE: "image", PACKED: "packed"}
-
 
 def choose_mode(src: MachineType, dst: MachineType) -> int:
     """The paper's rule: image between identical machine types, packed

@@ -16,7 +16,7 @@ produce/consume bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.conversion.codegen import build_codecs
 from repro.conversion.structdef import StructDef
@@ -124,7 +124,3 @@ class ConversionRegistry:
 
     def __contains__(self, type_id: int) -> bool:
         return type_id in self._by_id
-
-    def type_ids(self) -> Iterable[int]:
-        """All registered type ids, sorted."""
-        return sorted(self._by_id)

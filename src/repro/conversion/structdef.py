@@ -128,14 +128,6 @@ class StructDef:
             self._codecs[byte_order_prefix] = codec
         return codec
 
-    @property
-    def has_tail(self) -> bool:
-        return self._has_tail
-
-    def field_names(self) -> List[str]:
-        """The field names, in wire order."""
-        return [f.name for f in self.fields]
-
     # -- image mode ---------------------------------------------------------
 
     def _coerce(self, values: Dict[str, Any]) -> List[Any]:

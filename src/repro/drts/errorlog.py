@@ -38,10 +38,6 @@ class ErrorLogServer:
             "at": message.arrived_at,
         })
 
-    def entries_for(self, module_name: str) -> List[dict]:
-        """All entries reported by one module."""
-        return [e for e in self.entries if e["module"] == module_name]
-
 
 class ErrorLogClient:
     """Per-module shipper, installed as ``nucleus.error_client``."""

@@ -60,24 +60,6 @@ class Monitor:
             per_module[event["event"]] = per_module.get(event["event"], 0) + 1
         return out
 
-    def conversation_matrix(self) -> Dict[tuple, int]:
-        """(module, peer-address) → message count, both directions."""
-        matrix: Dict[tuple, int] = {}
-        for event in self.events:
-            key = (event["module"], event["peer"])
-            matrix[key] = matrix.get(key, 0) + 1
-        return matrix
-
-    def send_rate(self, module_name: str, msg_type: Optional[str] = None) -> float:
-        """Average sends per timestamp-second for one module, optionally
-        restricted to one message type (0.0 when fewer than two send
-        events exist)."""
-        times = sorted(e["t"] for e in self.events
-                       if e["module"] == module_name and e["event"] == "send"
-                       and (msg_type is None or e["msg_type"] == msg_type))
-        if len(times) < 2 or times[-1] == times[0]:
-            return 0.0
-        return (len(times) - 1) / (times[-1] - times[0])
 
 
 class MonitorClient:

@@ -28,11 +28,6 @@ class DeadlockError(SimulationError):
     becoming true — no future event can ever satisfy it."""
 
 
-class VirtualTimeout(SimulationError):
-    """A blocking call's virtual-time deadline passed before its predicate
-    became true."""
-
-
 # ---------------------------------------------------------------------------
 # IPCS / network level
 # ---------------------------------------------------------------------------

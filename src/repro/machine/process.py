@@ -78,10 +78,6 @@ class SimProcess:
         if self in self.machine.processes:
             self.machine.processes.remove(self)
 
-    def check_alive(self) -> bool:
-        """True while the process has not been killed."""
-        return self.alive
-
     def __repr__(self) -> str:
         state = "alive" if self.alive else "dead"
         return f"SimProcess({self.name!r} pid={self.pid} on {self.machine.name}, {state})"

@@ -97,7 +97,6 @@ class HashRing:
     """
 
     def __init__(self, shard_ids: Iterable[int] = (), vnodes: int = 128):
-        self.vnodes = vnodes
         self._shards: set = set(shard_ids)
         # sorted (point, shard): one sort over every shard's points.
         self._points: List[Tuple[int, int]] = []
@@ -106,21 +105,6 @@ class HashRing:
         self._points.sort()
 
     _hash = staticmethod(_crc32)
-
-    def add_shard(self, shard_id: int) -> None:
-        """Insert a shard's virtual points; idempotent."""
-        if shard_id in self._shards:
-            return
-        self._shards.add(shard_id)
-        for point in _shard_points(shard_id, self.vnodes):
-            bisect.insort(self._points, point)
-
-    def remove_shard(self, shard_id: int) -> None:
-        """Drop a shard's virtual points; idempotent."""
-        if shard_id not in self._shards:
-            return
-        self._shards.discard(shard_id)
-        self._points = [pt for pt in self._points if pt[1] != shard_id]
 
     def owner(self, name: str) -> int:
         """The shard owning a logical name."""
@@ -228,14 +212,3 @@ def add_naming_shard(testbed, machine_names: Sequence[str]):
                 moved += server.handoff_to(group[0].shard_id, group[0].uadd)
                 break
     return group, moved
-
-
-def heal_naming_shards(testbed) -> int:
-    """Run one anti-entropy round on every live server (the test
-    harness's convergence step); returns how many records moved."""
-    applied = 0
-    for group in testbed.shard_groups.values():
-        for server in group:
-            if server.process.alive:
-                applied += server.run_antientropy()
-    return applied

@@ -79,10 +79,6 @@ class Interface:
             )
         self._bound[protocol] = (handler, train_end, deque())
 
-    def unbind_protocol(self, protocol: str) -> None:
-        """Remove a protocol's receive handler."""
-        self._bound.pop(protocol, None)
-
     def send(self, dst_host: str, protocol: str, payload: Any,
              size: Optional[int] = None) -> None:
         """Transmit one datagram to another host on this network.

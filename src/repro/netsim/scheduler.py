@@ -309,11 +309,6 @@ class Scheduler:
         if ok:  # pragma: no cover - predicate is constant False
             raise SimulationError("wait() predicate unexpectedly true")
 
-    def sleep_until(self, when: float) -> None:
-        """Blockingly advance virtual time to ``when`` (no-op if past)."""
-        if when > self._now:
-            self.wait(when - self._now)
-
     def pending(self) -> int:
         """Number of not-yet-cancelled queued events.  O(1): the queue
         accounts for cancellations eagerly."""

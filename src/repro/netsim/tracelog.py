@@ -87,12 +87,6 @@ class NetTraceLog:
                 handle.write(json.dumps(event, sort_keys=True) + "\n")
         return path
 
-    @staticmethod
-    def load_jsonl(path: Union[str, Path]) -> List[dict]:
-        """Read a dumped trace back as a list of events."""
-        return [json.loads(line)
-                for line in Path(path).read_text().splitlines() if line]
-
     def clear(self) -> None:
         """Discard recorded events."""
         self.events.clear()

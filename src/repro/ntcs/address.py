@@ -96,12 +96,6 @@ class TAddAllocator:
 # Physical-address blob helpers
 # ---------------------------------------------------------------------------
 
-def blob_protocol(blob: str) -> str:
-    """The IPCS protocol a blob belongs to — the only part of a blob
-    that is interpreted outside the owning driver (for driver dispatch)."""
-    return blob.split(":", 1)[0]
-
-
 def blob_network(blob: str) -> str:
     """The network a blob is reachable on (second blob component by
     convention across all drivers)."""

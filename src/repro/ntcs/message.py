@@ -58,9 +58,9 @@ MAGIC = 0x4E544353  # "NTCS"
 HEADER_WORDS = 12
 HEADER_BYTES = HEADER_WORDS * 4
 
-# Byte offsets of the in-place-patchable words (see patch_frame_aux).
+# Byte offset of the in-place-patchable aux word; the checksum word
+# follows it (see patch_frame_aux).
 AUX_WORD_OFFSET = 10 * 4
-CHECKSUM_WORD_OFFSET = 11 * 4
 
 # The shift-mode codecs every header read and write goes through, bound
 # once: the whole header, and the aux + checksum pair patch_frame_aux

@@ -22,7 +22,6 @@ class DocumentServer:
         self.commod = commod
         self.corpus = corpus
         self.name = name
-        self.fetches = 0
         self.ingests = 0
         self._store: Dict[int, str] = {d: corpus.text(d)
                                        for d in corpus.doc_ids()}
@@ -59,14 +58,8 @@ class DocumentServer:
             self._handle_fetch(request)
         elif request.type_name == "doc_ingest" and request.reply_expected:
             self._handle_ingest(request)
-        elif request.type_name == "server_stats" and request.reply_expected:
-            self.commod.ali.reply(request, "server_stats_reply", {
-                "requests": self.fetches,
-                "items": len(self._store),
-            })
 
     def _handle_fetch(self, request: IncomingMessage) -> None:
-        self.fetches += 1
         doc_id = request.values["doc_id"]
         text = self._store.get(doc_id)
         self.commod.ali.reply(request, "doc_text", {

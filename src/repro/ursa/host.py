@@ -73,21 +73,6 @@ class UrsaHost:
         hits = self.search(query)[:limit]
         return [(doc_id, self.fetch(doc_id) or "") for doc_id in hits]
 
-    def backend_stats(self) -> List[Tuple[str, int, int]]:
-        """(service name, requests served, items held) for every URSA
-        backend, gathered over the NTCS ``server_stats`` protocol."""
-        out = []
-        records = self.commod.ali.locate_by_attrs({"kind": "index"})
-        targets = [(r.name, r.uadd) for r in sorted(records,
-                                                    key=lambda r: r.name)]
-        targets.append((self.search_name, self.search_uadd))
-        targets.append((self.docs_name, self.docs_uadd))
-        for name, uadd in targets:
-            reply = self.commod.ali.call(uadd, "server_stats", {})
-            out.append((name, reply.values["requests"],
-                        reply.values["items"]))
-        return out
-
     def ingest(self, doc_id: int, text: str) -> bool:
         """Add a new document to the running system.  The document
         server stores it and pushes the index update to the owning

@@ -58,11 +58,6 @@ class IndexServer:
             })
         elif request.type_name == "index_add":
             self._handle_index_add(request)
-        elif request.type_name == "server_stats" and request.reply_expected:
-            self.commod.ali.reply(request, "server_stats_reply", {
-                "requests": self.requests,
-                "items": len(self.index),
-            })
 
     def _handle_index_add(self, request: IncomingMessage) -> None:
         """Live index maintenance: add one document's terms."""

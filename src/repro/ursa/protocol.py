@@ -18,8 +18,6 @@ T_SEARCH_QUERY = 66
 T_SEARCH_RESULT = 67
 T_DOC_FETCH = 68
 T_DOC_TEXT = 69
-T_SERVER_STATS = 70
-T_SERVER_STATS_REPLY = 71
 T_DOC_INGEST = 72
 T_INGEST_ACK = 73
 T_INDEX_ADD = 74
@@ -51,11 +49,6 @@ _STRUCTS = [
         Field("doc_id", "u32"),
         Field("found", "u8"),
         Field("text", "bytes"),
-    ]),
-    StructDef("server_stats", T_SERVER_STATS, []),
-    StructDef("server_stats_reply", T_SERVER_STATS_REPLY, [
-        Field("requests", "u32"),
-        Field("items", "u32"),
     ]),
     # The ingest path: new documents arrive while the system runs.
     StructDef("doc_ingest", T_DOC_INGEST, [

@@ -95,7 +95,6 @@ class SearchServer:
         # NOT needs a universe; the deployment tells us how many docs exist.
         self.universe_size = universe_size
         self._index_uadds: List[Address] = []
-        self.queries = 0
         self.index_calls = 0
         commod.ali.register(name, attrs={"kind": "search"})
         commod.ali.set_request_handler(self._on_request)
@@ -110,10 +109,6 @@ class SearchServer:
             self._index_uadds = [r.uadd for r in
                                  sorted(records, key=lambda r: r.name)]
         return self._index_uadds
-
-    def invalidate_shards(self) -> None:
-        """Forget the cached index-shard addresses (rediscover next query)."""
-        self._index_uadds = []
 
     # -- evaluation -----------------------------------------------------------
 
@@ -179,7 +174,6 @@ class SearchServer:
 
     def _on_request(self, request: IncomingMessage) -> None:
         if request.type_name == "search_query" and request.reply_expected:
-            self.queries += 1
             try:
                 doc_ids = self.evaluate(request.values["query"])
             except (QueryError, NtcsError):
@@ -189,7 +183,6 @@ class SearchServer:
                 "doc_ids": encode_ids(doc_ids),
             })
         elif request.type_name == "search_ranked" and request.reply_expected:
-            self.queries += 1
             terms = request.values["query"].split()
             try:
                 scored = self.ranked(terms, limit=request.values["limit"])
@@ -198,9 +191,4 @@ class SearchServer:
             self.commod.ali.reply(request, "ranked_result", {
                 "count": len(scored),
                 "scored": encode_scored(scored),
-            })
-        elif request.type_name == "server_stats" and request.reply_expected:
-            self.commod.ali.reply(request, "server_stats_reply", {
-                "requests": self.queries,
-                "items": self.index_calls,
             })

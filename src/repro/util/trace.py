@@ -103,10 +103,6 @@ class LayerTracer:
         """Discard all recorded events."""
         self.records.clear()
 
-    def layer_sequence(self, phase: str = "enter") -> List[str]:
-        """The ordered list of layer names for events of ``phase``."""
-        return [r.layer for r in self.records if r.phase == phase]
-
     def max_depth(self) -> int:
         """The deepest Nucleus recursion observed (0 if no records)."""
         return max((r.depth for r in self.records), default=0)
@@ -140,10 +136,6 @@ class NullTracer:
     def clear(self) -> None:
         """Discard all recorded events."""
         pass
-
-    def layer_sequence(self, phase: str = "enter") -> List[str]:
-        """Always empty."""
-        return []
 
     def max_depth(self) -> int:
         """Always zero."""

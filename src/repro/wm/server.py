@@ -181,10 +181,3 @@ class WindowManager:
         else:
             self.inputs_dropped += 1
         return ok
-
-    def gc_windows_of(self, owner: Address) -> int:
-        """Drop all windows owned by a dead module; returns the count."""
-        doomed = [wid for wid, w in self.windows.items() if w.owner == owner]
-        for wid in doomed:
-            del self.windows[wid]
-        return len(doomed)

@@ -158,6 +158,17 @@ def sharded_chain(hops: int = 2, shards: int = 2, replicas: int = 2,
     return bed, groups
 
 
+def heal_naming_shards(bed: Testbed) -> int:
+    """Run one anti-entropy round on every live name server (the test
+    harness's convergence step); returns how many records moved."""
+    applied = 0
+    for group in bed.shard_groups.values():
+        for server in group:
+            if server.process.alive:
+                applied += server.run_antientropy()
+    return applied
+
+
 def echo_server(bed: Testbed, name: str, machine: str, **kwargs):
     """A module answering echo requests with the text upper-cased."""
     commod = bed.module(name, machine, **kwargs)

@@ -10,7 +10,6 @@ from repro.ntcs.address import (
     NAME_SERVER_UADD,
     TAddAllocator,
     blob_network,
-    blob_protocol,
     make_uadd,
 )
 
@@ -71,9 +70,7 @@ def test_addresses_are_hashable_table_keys():
 # -- blob helpers -------------------------------------------------------------
 
 def test_blob_helpers():
-    assert blob_protocol("tcp:ether0:vax1:5000") == "tcp"
     assert blob_network("tcp:ether0:vax1:5000") == "ether0"
-    assert blob_protocol("mbx:ring0://apollo2/mbx/ns") == "mbx"
     assert blob_network("mbx:ring0://apollo2/mbx/ns") == "ring0"
 
 

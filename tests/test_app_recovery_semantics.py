@@ -3,14 +3,10 @@ recovers *communication*, never application state — "recovery from this
 type of failure belongs in the area of transaction management, and not
 in the NTCS"."""
 
-import pytest
-
 from deployments import single_net
 from repro import SUN3
 from repro.drts.proctl import ProcessController
-from repro.errors import NtcsError
 from repro.wm import WindowClient, WindowManager, register_wm_types
-from repro.ursa import Corpus, deploy_ursa
 
 
 def test_window_state_is_lost_on_wm_relocation_and_rebuilt_by_client():
@@ -47,28 +43,3 @@ def test_window_state_is_lost_on_wm_relocation_and_rebuilt_by_client():
     client.write(new_wid, 0, "rebuilt state")
     _, rows = client.snapshot(new_wid)
     assert rows[0] == "rebuilt state"
-
-
-def test_ursa_backend_stats_survey():
-    bed = single_net()
-    bed.machine("sun2", SUN3, networks=["ether0"])
-    corpus = Corpus(n_docs=20, seed=2)
-    ursa = deploy_ursa(
-        bed, corpus,
-        index_machines=["sun1", "sun2"],
-        search_machine="sun1",
-        docs_machine="sun2",
-        host_machines=["vax1"],
-    )
-    host = ursa.hosts[0]
-    term = corpus.common_terms(1)[0]
-    host.search(term)
-    host.fetch(corpus.doc_ids()[0])
-    stats = dict(
-        (name, (requests, items))
-        for name, requests, items in host.backend_stats()
-    )
-    assert stats["ursa.index.0"][0] >= 1
-    assert stats["ursa.index.1"][0] >= 1
-    assert stats["ursa.search"][0] == 1
-    assert stats["ursa.docs"] == (1, 20)

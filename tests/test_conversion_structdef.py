@@ -116,4 +116,5 @@ def test_truncated_image_rejected():
 
 def test_field_names_order_preserved():
     sdef = _query_def()
-    assert sdef.field_names() == ["qid", "weight", "score", "term", "payload"]
+    assert [f.name for f in sdef.fields] == [
+        "qid", "weight", "score", "term", "payload"]

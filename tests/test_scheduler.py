@@ -161,14 +161,6 @@ def test_run_for_advances_exactly():
     assert sched.now == pytest.approx(0.5)
 
 
-def test_sleep_until_noop_when_past():
-    sched = Scheduler()
-    sched.schedule(0.1, lambda: None)
-    sched.run_until_idle()
-    sched.sleep_until(0.05)
-    assert sched.now == pytest.approx(0.1)
-
-
 def test_event_budget_guards_runaway_loops():
     sched = Scheduler(max_events=100)
 

@@ -430,9 +430,11 @@ def test_cli_list_rules(capsys):
                    "determinism: DET001, DET002, DET003, DET004, DET005\n",
                    "hygiene",
                    "sole-site: DET006, LAY003, ONE001, ONE002, ONE003, "
-                   "ONE004, ONE005, ONE006, ONE007, ONE008, ONE009\n"):
+                   "ONE004, ONE005, ONE006, ONE007, ONE008, ONE009, "
+                   "PERF002\n"):
         assert family in out
     assert "PERF001" not in out
+    assert "perf:" not in out
     assert "naming-access" not in out
 
 

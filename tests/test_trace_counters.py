@@ -106,8 +106,8 @@ def test_tracer_records_and_sequences():
     clock_value = [0.5]
     tracer = LayerTracer(clock=lambda: clock_value[0])
     _record_some(tracer)
-    assert tracer.layer_sequence() == ["ALI", "LCM"]
-    assert tracer.layer_sequence("exit") == ["LCM", "ALI"]
+    assert [(r.layer, r.phase) for r in tracer.records] == [
+        ("ALI", "enter"), ("LCM", "enter"), ("LCM", "exit"), ("ALI", "exit")]
     assert tracer.max_depth() == 2
     assert all(r.time == 0.5 for r in tracer.records)
     tracer.clear()
@@ -146,7 +146,6 @@ def test_null_tracer_is_inert():
     tracer = NullTracer()
     tracer.record("mod", "ALI", "send", "enter")
     assert tracer.records == []
-    assert tracer.layer_sequence() == []
     assert tracer.max_depth() == 0
     assert tracer.format() == ""
     assert not tracer.enabled
