@@ -1,16 +1,47 @@
-"""Tests for the standard topology builders."""
+"""Tests for the recurring internet shapes: a chain of networks, a star
+around a hub, and a full clique of networks."""
 
-import pytest
+from deployments import chain_nets, echo_server, register_app_types
+from repro import SUN3, Testbed, VAX
 
-from deployments import echo_server, register_app_types
-from repro import Testbed
-from repro.netsim.topology import build_chain, build_clique, build_star
+
+def _star(spokes: int) -> Testbed:
+    """A hub network with ``spokes`` leaf networks, one gateway ("g<i>")
+    and one leaf machine ("leaf<i>") per spoke; Name Server on the hub."""
+    bed = Testbed()
+    bed.network("hub", protocol="tcp")
+    bed.machine("center", VAX, networks=["hub"])
+    bed.name_server("center")
+    for i in range(spokes):
+        bed.network(f"spoke{i}", protocol="tcp")
+        bed.machine(f"g{i}", SUN3, networks=["hub", f"spoke{i}"])
+        bed.gateway(f"g{i}", prime_for=[f"spoke{i}"])
+        bed.machine(f"leaf{i}", VAX, networks=[f"spoke{i}"])
+    register_app_types(bed)
+    return bed
+
+
+def _clique(size: int) -> Testbed:
+    """``size`` networks with a gateway ("gw<i>_<j>") between every pair;
+    Name Server on net0, one machine ("host<i>") per network."""
+    bed = Testbed()
+    for i in range(size):
+        bed.network(f"net{i}", protocol="tcp")
+    bed.machine("host0", VAX, networks=["net0"])
+    bed.name_server("host0")
+    for i in range(size):
+        for j in range(i + 1, size):
+            bed.machine(f"gw{i}_{j}", SUN3, networks=[f"net{i}", f"net{j}"])
+            # net0-adjacent gateways are primes for their far network.
+            bed.gateway(f"gw{i}_{j}", prime_for=[f"net{j}"] if i == 0 else [])
+    for i in range(1, size):
+        bed.machine(f"host{i}", VAX, networks=[f"net{i}"])
+    register_app_types(bed)
+    return bed
 
 
 def test_build_chain_connects_ends():
-    bed = Testbed()
-    build_chain(bed, hops=2)
-    register_app_types(bed)
+    bed = chain_nets(hops=2)
     echo_server(bed, "far", "mEnd")
     client = bed.module("client", "m0")
     uadd = client.ali.locate("far")
@@ -20,9 +51,7 @@ def test_build_chain_connects_ends():
 
 
 def test_build_star_spoke_to_spoke():
-    bed = Testbed()
-    build_star(bed, spokes=3)
-    register_app_types(bed)
+    bed = _star(spokes=3)
     echo_server(bed, "svc", "leaf1")
     client = bed.module("client", "leaf2")
     uadd = client.ali.locate("svc")
@@ -31,9 +60,7 @@ def test_build_star_spoke_to_spoke():
 
 
 def test_build_clique_has_direct_routes():
-    bed = Testbed()
-    build_clique(bed, size=3)
-    register_app_types(bed)
+    bed = _clique(size=3)
     echo_server(bed, "svc", "host2")
     client = bed.module("client", "host1")
     uadd = client.ali.locate("svc")
@@ -45,9 +72,7 @@ def test_build_clique_has_direct_routes():
 
 
 def test_clique_survives_any_single_gateway_loss():
-    bed = Testbed()
-    build_clique(bed, size=3)
-    register_app_types(bed)
+    bed = _clique(size=3)
     echo_server(bed, "svc", "host2")
     client = bed.module("client", "host1")
     uadd = client.ali.locate("svc")
