@@ -137,10 +137,16 @@ def _step_ivc(walk: _Walk, network: str, sender: str, receiver: str,
     instance = walk.instances.get(key)
     entry = [edge for edge in walk.machine.entry if edge.event == event]
     if entry:
+        nexts = {edge.next for edge in entry}
         if (instance is None or instance.dst != dst
-                or not {edge.next for edge in entry} <= instance.states):
-            instance = walk.enter((edge.next for edge in entry), dst)
-            walk.instances[key] = instance
+                or not nexts <= instance.states):
+            entered = walk.enter(nexts, dst)
+            if instance is not None and frame in instance.seen:
+                # The same bytes again: a transport resend of an open
+                # already answered, or a new open identical to the last.
+                # The hop keeps the states it had as well.
+                entered.states |= instance.states
+            instance = walk.instances[key] = entered
             walk.taken.update((walk.machine.name, None, e) for e in entry)
         instance.seen.add(frame)
         return None

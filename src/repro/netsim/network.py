@@ -164,7 +164,6 @@ class Network:
         self.faults = FaultPlan(seed=fault_seed)
         self._interfaces: Dict[str, Interface] = {}
         self.frames_sent = 0
-        self.frames_delivered = 0
         self.bytes_sent = 0
         # Frame trains (PROTOCOL.md §13): coalesce back-to-back frames
         # sharing (dst_host, protocol, delay) at one transmit instant
@@ -263,7 +262,6 @@ class Network:
             if self._open_train is train:
                 self._open_train = None
             frames = train.frames
-            self.frames_delivered += len(frames)
             if len(frames) > 1:
                 self.trains_coalesced += 1
             dst.deliver_train(frames)

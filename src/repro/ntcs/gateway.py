@@ -26,6 +26,7 @@ the legs it opened for the next circuit to the same peer (PROTOCOL.md
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -56,16 +57,20 @@ from repro.util.counters import (
 HOLD_LIMIT = OPEN_RIDERS + 1
 
 
-class _SpliceCredit:
-    """What one spliced LVC's direction has shown the gateway: frames
-    it debited through, and the cumulative counters gleaned from the
-    headers (PROTOCOL.md §12).  Dies with the splice — a re-established
-    circuit starts a fresh ledger, matching the endpoints' fresh
-    :class:`~repro.ntcs.flow.FlowState`."""
+class _Leg:
+    """One LVC of a spliced circuit: the stack it is on, the leg across
+    the splice, whether the circuit shares legs (takes a parked one, and
+    parks its own at teardown), and the credit ledger of the frames
+    arriving on it (PROTOCOL.md §12).  Dies with the splice — a
+    re-established circuit starts a fresh ledger, matching the
+    endpoints' fresh :class:`~repro.ntcs.flow.FlowState`."""
 
-    __slots__ = ("debits", "sent_seen", "consumed_seen")
+    __slots__ = ("nucleus", "lvc", "other", "shared",
+                 "debits", "sent_seen", "consumed_seen")
 
-    def __init__(self):
+    def __init__(self, nucleus: Nucleus, lvc: Lvc, shared: bool):
+        self.nucleus, self.lvc, self.shared = nucleus, lvc, shared
+        self.other: Optional[_Leg] = None
         # Flow-debited DATA frames forwarded from this leg.
         self.debits = 0
         # The sender's cumulative tx counter, from credit probes.
@@ -113,7 +118,6 @@ class Gateway:
     frames_forwarded_zero_copy = checksum_verifies_deferred = messages_forwarded
     # Flow enforcement on the splice path (PROTOCOL.md §12).
     credit_overruns_dropped = _stacks_total(GATEWAY_CREDIT_DROPS)
-    credit_clamps = _stacks_total(GATEWAY_CREDIT_CLAMPS)
     # Circuits that took a parked leg instead of dialling (PROTOCOL.md §3).
     legs_reused = _stacks_total(GATEWAY_LEGS_REUSED)
 
@@ -134,13 +138,8 @@ class Gateway:
             nucleus.gateway_handler = self
             nucleus.nd.create_resource((bindings or {}).get(network))
             self.stacks[network] = nucleus
-        # inbound/outbound pairing of pass-through circuits: each leg
-        # maps to the other leg, and to whether the circuit shares legs
-        # (takes a parked one, and parks its own at teardown).
-        self._splices: Dict[Lvc, Tuple[Nucleus, Lvc, bool]] = {}
-        # Per-leg credit observations for flow enforcement on the
-        # splice path (PROTOCOL.md §12); all stacks share one config.
-        self._splice_credit: Dict[Lvc, _SpliceCredit] = {}
+        # Both legs of every pass-through circuit, each by its LVC.
+        self._splices: Dict[Lvc, _Leg] = {}
         # Open legs this gateway dialled whose circuits have closed, by
         # the peer UAdd they reach: the next circuit to that peer takes
         # one instead of dialling.  A leg leaves when it is taken, when
@@ -195,7 +194,7 @@ class Gateway:
         if lvc in self._splices:
             # Only a teardown gets here decoded: the frame tap forwards
             # every other kind on a spliced LVC from its header view.
-            self._forward_close(nucleus, lvc, msg)
+            self._forward_close(lvc, msg)
             return True
         if msg.kind == m.IVC_OPEN and not self._is_mine(msg.dst):
             # The gateway terminates the IVC_OPEN at each hop (it
@@ -211,69 +210,67 @@ class Gateway:
     def on_fault(self, nucleus: Nucleus, lvc: Lvc, reason: str) -> bool:
         """A spliced LVC died: close the circuit on the other side
         (Sec. 4.3).  A parked leg that died just leaves the idle set."""
-        splice = self._dismantle(lvc)
-        if splice is None:
+        other = self._dismantle(lvc)
+        if other is None:
             self._unpark(nucleus, lvc)
             return False
-        other_nucleus, other_lvc, shared = splice
         close_msg = nucleus.control(
-            m.IVC_CLOSE, other_lvc.peer_addr or nucleus.self_addr, "ivc_close",
+            m.IVC_CLOSE, other.lvc.peer_addr or nucleus.self_addr, "ivc_close",
             {"reason": f"upstream circuit failed: {reason}"[:90]})
         try:
-            other_nucleus.nd.send(other_lvc, close_msg)
+            other.nucleus.nd.send(other.lvc, close_msg)
         except NtcsError:
             # Best-effort: the surviving leg may already be down too.
-            other_nucleus.counters[GATEWAY_CLOSE_NOTIFY_LOST] += 1
-        self._release(other_nucleus, other_lvc, shared, "splice peer failed")
+            other.nucleus.counters[GATEWAY_CLOSE_NOTIFY_LOST] += 1
+        self._release(other, "splice peer failed")
         return True
 
-    def _dismantle(self, lvc: Lvc) -> Optional[Tuple[Nucleus, Lvc, bool]]:
-        """Forget the splice ``lvc`` is one leg of — both directions,
-        both credit ledgers — and return its other leg and whether the
-        circuit shares legs, or None when ``lvc`` is not spliced."""
-        splice = self._splices.pop(lvc, None)
-        if splice is None:
+    def _dismantle(self, lvc: Lvc) -> Optional[_Leg]:
+        """Forget the splice ``lvc`` is one leg of — both legs, with
+        their credit ledgers — and return the leg across it, or None
+        when ``lvc`` is not spliced."""
+        leg = self._splices.pop(lvc, None)
+        if leg is None:
             return None
-        other_nucleus, other_lvc, _shared = splice
-        self._splices.pop(other_lvc, None)
-        self._splice_credit.pop(lvc, None)
-        self._splice_credit.pop(other_lvc, None)
-        lvc.frame_tap = other_lvc.frame_tap = None
-        other_nucleus.counters[GATEWAY_TEARDOWNS] += 1
-        return splice
+        other = leg.other
+        self._splices.pop(other.lvc, None)
+        lvc.frame_tap = other.lvc.frame_tap = None
+        other.nucleus.counters[GATEWAY_TEARDOWNS] += 1
+        return other
 
     # -- kept legs (PROTOCOL.md §3) ----------------------------------------------
 
-    def _release(self, nucleus: Nucleus, lvc: Lvc, shared: bool,
-                 reason: str) -> None:
+    def _release(self, leg: _Leg, reason: str) -> None:
         """A leg whose circuit just closed.  An LVC is closed by the
         side that opened it: an open inbound leg is left to its opener;
         an open leg this gateway dialled for a circuit that shares legs
         is parked for the next circuit to its peer, when that peer is
         registered and is the one that answered; anything else is
         closed."""
+        lvc = leg.lvc
         if lvc.open:
             if lvc.inbound:
                 return
             peer = lvc.dialled
-            if shared and not peer.temporary and peer == lvc.peer_addr:
-                self._parked.setdefault(peer, []).append((nucleus, lvc))
+            if leg.shared and not peer.temporary and peer == lvc.peer_addr:
+                self._parked.setdefault(peer, []).append((leg.nucleus, lvc))
                 return
-        nucleus.nd.close(lvc, reason)
+        leg.nucleus.nd.close(lvc, reason)
 
-    def _take_parked(self, nucleus: Nucleus, peer: Address) -> Optional[Lvc]:
+    def _take_parked(self, nucleus: Nucleus, peer: Address) -> Optional[_Leg]:
         """A parked, still-open leg from ``nucleus`` to ``peer``, taken
-        out of the idle set and guarded by :meth:`_until_open_reply`;
-        None when there is none."""
+        out of the idle set for a circuit that shares legs and guarded
+        by :meth:`_until_open_reply`; None when there is none."""
         for owner, lvc in reversed(self._parked.get(peer, ())):
             if owner is nucleus and lvc.open:
                 self._unpark(nucleus, lvc)
                 nucleus.counters[GATEWAY_LEGS_REUSED] += 1
-                lvc.frame_tap = lambda raw: self._until_open_reply(lvc, raw)
-                return lvc
+                leg = _Leg(nucleus, lvc, True)
+                lvc.frame_tap = partial(self._until_open_reply, leg)
+                return leg
         return None
 
-    def _until_open_reply(self, lvc: Lvc, raw: bytes) -> bool:
+    def _until_open_reply(self, leg: _Leg, raw: bytes) -> bool:
         """The frame tap of a taken leg until its new circuit's
         IVC_OPEN is answered.  The peer answers that IVC_OPEN before it
         sends the new circuit anything else, so another frame arriving
@@ -287,8 +284,8 @@ class Gateway:
         if kind == m.IVC_CLOSE:
             return False
         if kind in (m.IVC_OPEN_ACK, m.IVC_OPEN_NAK):
-            lvc.frame_tap = lambda frame: self._fast_forward(lvc, frame)
-            return self._fast_forward(lvc, raw)
+            leg.lvc.frame_tap = partial(self._fast_forward, leg)
+            return self._fast_forward(leg, raw)
         return True
 
     def _unpark(self, nucleus: Nucleus, lvc: Lvc) -> None:
@@ -326,10 +323,9 @@ class Gateway:
         # may arrive meanwhile: hold what the leg carries until the
         # IVC_OPEN has gone on, so it follows in arrival order.
         held: List[bytes] = []
-        in_lvc.frame_tap = lambda raw: self._hold(in_nucleus, held, raw)
+        in_lvc.frame_tap = partial(self._hold, in_nucleus, held)
         try:
-            out_nucleus, out_lvc = self._open_next_hop(
-                msg.dst, dst_network, shared)
+            out = self._open_next_hop(msg.dst, dst_network, shared)
         except (AddressFault, RouteNotFound, NoSuchAddress, NtcsError) as exc:
             in_lvc.frame_tap = None
             in_nucleus.counters[GATEWAY_CIRCUITS_REFUSED] += 1
@@ -341,30 +337,32 @@ class Gateway:
                 m.HeaderView(raw).kind == m.IVC_CLOSE for raw in held):
             # The circuit ended while its next hop was dialled: nothing
             # goes on, and the new leg is kept or closed as at teardown.
-            in_lvc.frame_tap = out_lvc.frame_tap = None
+            in_lvc.frame_tap = out.lvc.frame_tap = None
             in_nucleus.counters[GATEWAY_HELD_DROPPED] += len(held)
-            self._release(out_nucleus, out_lvc, shared, "ivc closed")
+            self._release(out, "ivc closed")
             return
         # Splice before forwarding so the returning IVC_OPEN_ACK already
         # has a path back upstream.
-        self._splices[in_lvc] = (out_nucleus, out_lvc, shared)
-        self._splices[out_lvc] = (in_nucleus, in_lvc, shared)
+        leg = _Leg(in_nucleus, in_lvc, shared)
+        leg.other, out.other = out, leg
+        self._splices[in_lvc] = leg
+        self._splices[out.lvc] = out
         # Spliced frames bypass decoding entirely: the ND-Layer hands
         # each raw inbound frame to _fast_forward, which routes on the
         # header view alone (words 1–6) without materializing a Msg.
         # (A leg taken from the idle set arrives with a guarding tap of
         # its own, which hands over at the IVC_OPEN's answer.)
-        in_lvc.frame_tap = lambda raw: self._fast_forward(in_lvc, raw)
-        if out_lvc.frame_tap is None:
-            out_lvc.frame_tap = lambda raw: self._fast_forward(out_lvc, raw)
+        in_lvc.frame_tap = partial(self._fast_forward, leg)
+        if out.lvc.frame_tap is None:
+            out.lvc.frame_tap = partial(self._fast_forward, out)
         in_nucleus.counters[GATEWAY_CIRCUITS_ESTABLISHED] += 1
         # Forward the original frame with only the hop-count (aux) and
         # checksum words patched in place — no header re-serialization.
-        out_nucleus.nd.send_frame(
-            out_lvc, m.patch_frame_aux(msg.encode(), hops + 1)
+        out.nucleus.nd.send_frame(
+            out.lvc, m.patch_frame_aux(msg.encode(), hops + 1)
         )
         for raw in held:
-            self._fast_forward(in_lvc, raw)
+            self._fast_forward(leg, raw)
 
     def _hold(self, nucleus: Nucleus, held: List[bytes], raw: bytes) -> bool:
         """The frame tap of an inbound leg whose IVC_OPEN is being
@@ -382,7 +380,7 @@ class Gateway:
         return True
 
     def _open_next_hop(self, dst: Address, dst_network: str,
-                       shared: bool) -> Tuple[Nucleus, Lvc]:
+                       shared: bool) -> _Leg:
         """Open the next LVC of the chain: to the destination itself
         when its network is one of ours, else to the next gateway
         toward it — chosen with the same naming-service machinery the
@@ -401,10 +399,9 @@ class Gateway:
                 continue
             if self.uadd is not None and plan.gw_uadd == self.uadd:
                 continue  # never route through ourselves
-            if shared:
-                lvc = self._take_parked(nucleus, plan.gw_uadd)
-                if lvc is not None:
-                    return nucleus, lvc
+            leg = self._take_parked(nucleus, plan.gw_uadd) if shared else None
+            if leg is not None:
+                return leg
             try:
                 lvc = nucleus.nd.open_lvc(plan.gw_uadd, plan.blob,
                                           reason="next gateway hop")
@@ -414,13 +411,13 @@ class Gateway:
                 nucleus.ip.forget_route(dst_network, plan.gw_uadd)
                 errors.append(str(exc))
                 continue
-            return nucleus, lvc
+            return _Leg(nucleus, lvc, shared)
         raise RouteNotFound(
             f"no onward route to {dst_network!r}: {'; '.join(errors) or 'no gateways'}"
         )
 
     def _open_final_hop(self, dst: Address, dst_network: str,
-                        shared: bool) -> Tuple[Nucleus, Lvc]:
+                        shared: bool) -> _Leg:
         """Open the chain's last LVC, straight to ``dst`` on
         ``dst_network``: for a ``shared`` circuit, a parked leg to ``dst``
         when there is one, so no blob is needed at all.  Else the blob comes
@@ -432,16 +429,16 @@ class Gateway:
         its fault stands without a second connect round (PROTOCOL.md
         §3, "IVC through gateways")."""
         out_nucleus = self.stacks[dst_network]
-        lvc = self._take_parked(out_nucleus, dst) if shared else None
-        if lvc is not None:
-            return out_nucleus, lvc
+        leg = self._take_parked(out_nucleus, dst) if shared else None
+        if leg is not None:
+            return leg
         blob = self.wellknown.blob_for(dst, dst_network)
         if blob is None:
             entry = out_nucleus.addr_cache.lookup(dst)
             if entry is not None and blob_network(entry.blob) == dst_network:
                 try:
-                    return out_nucleus, out_nucleus.nd.open_lvc(
-                        dst, entry.blob, reason="final chain hop")
+                    return _Leg(out_nucleus, out_nucleus.nd.open_lvc(
+                        dst, entry.blob, reason="final chain hop"), shared)
                 except AddressFault as fault:
                     # The connect already invalidated the stale entry.
                     out_nucleus.counters[GATEWAY_STALE_ADDR_FALLBACKS] += 1
@@ -450,8 +447,8 @@ class Gateway:
                         raise fault
             else:
                 blob = self._resolve_blob(dst, dst_network, out_nucleus)
-        return out_nucleus, out_nucleus.nd.open_lvc(
-            dst, blob, reason="final chain hop")
+        return _Leg(out_nucleus, out_nucleus.nd.open_lvc(
+            dst, blob, reason="final chain hop"), shared)
 
     def _resolve_blob(self, dst: Address, dst_network: str,
                       preferred: Nucleus) -> str:
@@ -489,99 +486,81 @@ class Gateway:
 
     # -- pass-through forwarding -----------------------------------------------
 
-    def _fast_forward(self, in_lvc: Lvc, raw: bytes) -> bool:
+    def _fast_forward(self, leg: _Leg, raw: bytes) -> bool:
         """The zero-copy splice: forward a raw inbound frame from its
         header view alone.  Returns False (frame not consumed) for
         anything needing the full path — IVC_CLOSE teardown, malformed
         frames, or a dismantled splice — which then goes through decode
-        and :meth:`handle` as before."""
-        splice = self._splices.get(in_lvc)
-        if splice is None:
+        and :meth:`handle` as before.
+
+        On the way it keeps the circuit's credit ledgers (PROTOCOL.md
+        §12).  The gateway is not a flow endpoint — it keeps no queue of
+        its own to defend — but it can police the circuits it splices
+        from the header words alone: a sender that has overrun its
+        window twice over (a flow-disabled or misbehaving stack flooding
+        a stalled receiver) gets its excess dropped here instead of
+        accumulating downstream, and an advertisement inflated beyond
+        anything ever sent is patched down in place — aux and checksum
+        words only, no Msg materialized — so forged credit cannot mint
+        window the sender never earned."""
+        if self._splices.get(leg.lvc) is not leg:
             return False
         try:
             header = m.HeaderView(raw)
         except ProtocolError:
             return False  # let the ND-Layer's malformed handling run
-        if header.kind == m.IVC_CLOSE:
+        kind = header.kind
+        if kind == m.IVC_CLOSE:
             return False
-        out_nucleus, out_lvc, _shared = splice
-        raw, forward = self._enforce_credit(
-            in_lvc, out_nucleus, out_lvc, header, raw)
-        if not forward:
-            return True  # consumed: dropped by flow enforcement
+        out = leg.other
+        flow = self.config.flow_control_enabled
+        if flow and kind == m.CREDIT_PROBE:
+            sent = header.credit
+            if sent is not None and sent > leg.sent_seen:
+                leg.sent_seen = sent
+        elif flow and kind in (m.DATA, m.CREDIT_GRANT):
+            # An advertisement arriving on this leg covers traffic of
+            # the opposite direction: frames that arrived on ``out``.
+            advertised = header.credit
+            if advertised is not None:
+                bound = max(out.debits, out.sent_seen)
+                if advertised > bound:
+                    raw = m.patch_frame_aux(raw, m.encode_credit(bound))
+                    out.nucleus.counters[GATEWAY_CREDIT_CLAMPS] += 1
+                    advertised = bound
+                if advertised > out.consumed_seen:
+                    out.consumed_seen = advertised
+            if m.flow_debited(kind, header.flags):
+                if (leg.debits - leg.consumed_seen
+                        >= 2 * self.config.flow_window):
+                    out.nucleus.counters[GATEWAY_CREDIT_DROPS] += 1
+                    return True  # consumed: dropped by flow enforcement
+                leg.debits += 1
         # This hop neither verified the header sum nor re-serialized:
         # the terminating endpoint settles the checksum once.
-        out_nucleus.counters[GATEWAY_FRAMES_SPLICED] += 1
+        out.nucleus.counters[GATEWAY_FRAMES_SPLICED] += 1
         try:
-            out_nucleus.nd.send_frame(out_lvc, raw)
+            out.nucleus.nd.send_frame(out.lvc, raw)
         except NtcsError:
             # The downstream leg died with traffic in flight: messages
             # "may get lost in Gateway queues during this
             # reconfiguration" (Sec. 4.3).
-            out_nucleus.counters[GATEWAY_MESSAGES_DROPPED] += 1
+            out.nucleus.counters[GATEWAY_MESSAGES_DROPPED] += 1
         return True
 
-    def _enforce_credit(self, in_lvc: Lvc, out_nucleus: Nucleus,
-                        out_lvc: Lvc, header: m.HeaderView,
-                        raw: bytes) -> Tuple[bytes, bool]:
-        """Credit bookkeeping on the zero-copy path (PROTOCOL.md §12).
-
-        The gateway is not a flow endpoint — it keeps no queue of its
-        own to defend — but it can police the circuits it splices from
-        the header words alone: a sender that has overrun its window
-        twice over (a flow-disabled or misbehaving stack flooding a
-        stalled receiver) gets its excess dropped here instead of
-        accumulating downstream, and an advertisement inflated beyond
-        anything ever sent is patched down in place — aux and checksum
-        words only, no Msg materialized — so forged credit cannot mint
-        window the sender never earned.  Returns the (possibly
-        patched) frame and whether to forward it."""
-        if not self.config.flow_control_enabled:
-            return raw, True
-        state = self._splice_credit.get(in_lvc)
-        if state is None:
-            state = self._splice_credit[in_lvc] = _SpliceCredit()
-        if header.kind == m.CREDIT_PROBE:
-            sent = header.credit
-            if sent is not None and sent > state.sent_seen:
-                state.sent_seen = sent
-            return raw, True
-        advertised = header.credit
-        if advertised is not None and header.kind in (m.DATA, m.CREDIT_GRANT):
-            # An advertisement arriving on this leg covers traffic of
-            # the opposite direction: frames that arrived on out_lvc.
-            peer = self._splice_credit.get(out_lvc)
-            if peer is None:
-                peer = self._splice_credit[out_lvc] = _SpliceCredit()
-            bound = max(peer.debits, peer.sent_seen)
-            if advertised > bound:
-                raw = m.patch_frame_aux(raw, m.encode_credit(bound))
-                out_nucleus.counters[GATEWAY_CREDIT_CLAMPS] += 1
-                advertised = bound
-            if advertised > peer.consumed_seen:
-                peer.consumed_seen = advertised
-        if m.flow_debited(header.kind, header.flags):
-            if (state.debits - state.consumed_seen
-                    >= 2 * self.config.flow_window):
-                out_nucleus.counters[GATEWAY_CREDIT_DROPS] += 1
-                return raw, False
-            state.debits += 1
-        return raw, True
-
-    def _forward_close(self, in_nucleus: Nucleus, in_lvc: Lvc,
-                       msg: m.Msg) -> None:
+    def _forward_close(self, in_lvc: Lvc, msg: m.Msg) -> None:
         """Propagate an IVC_CLOSE and dismantle the splice (Sec. 4.3);
         both legs outlive the circuit by :meth:`_release`'s rule."""
-        out_nucleus, out_lvc, shared = self._dismantle(in_lvc)
+        out = self._dismantle(in_lvc)
         try:
-            out_nucleus.nd.send(out_lvc, msg)
+            out.nucleus.nd.send(out.lvc, msg)
         except NtcsError:
             # The other leg is failing with the circuit; its close
             # below is the fault's.
-            out_nucleus.counters[GATEWAY_CLOSE_NOTIFY_LOST] += 1
-        self._release(out_nucleus, out_lvc, shared, "ivc closed")
+            out.nucleus.counters[GATEWAY_CLOSE_NOTIFY_LOST] += 1
+        self._release(out, "ivc closed")
         if not in_lvc.inbound:
-            self._release(in_nucleus, in_lvc, shared, "ivc closed")
+            self._release(out.other, "ivc closed")
 
     # -- introspection -------------------------------------------------------
 

@@ -264,10 +264,10 @@ class LcmLayer:
         self._ns_fault_streak = 0
         # Duplicate suppression (PROTOCOL.md §10): requests already
         # accepted, keyed (src, corr_id) -> cached reply args, or None
-        # while the handler is still running.  Bounded FIFO so a
-        # long-lived server forgets the oldest conversations first.
+        # while the handler is still running.  Insertion-ordered and
+        # capped at SERVED_LIMIT, so a long-lived server forgets the
+        # oldest conversations first.
         self._served: Dict[Tuple[Address, int], Optional[tuple]] = {}
-        self._served_order: Deque[Tuple[Address, int]] = deque()
 
     # -- primitives -----------------------------------------------------------
 
@@ -693,11 +693,10 @@ class LcmLayer:
                               flags=r_flags | m.FLAG_IS_REPLY,
                               corr_id=msg.corr_id)
                 return
-            self._served[key] = None
-            self._served_order.append(key)
-            while len(self._served_order) > self.SERVED_LIMIT:
-                evicted = self._served_order.popleft()
-                self._served.pop(evicted, None)
+            served = self._served
+            served[key] = None
+            while len(served) > self.SERVED_LIMIT:
+                del served[next(iter(served))]
         with nucleus.enter(self.LAYER, "deliver", caller="IP",
                            reason=entry.sdef.name):
             if self._handler is not None:
@@ -743,9 +742,7 @@ class LcmLayer:
         if old in self.forwarding:
             self.forwarding[new] = self.forwarding.pop(old)
         for key in [k for k in self._served if k[0] == old]:
-            new_key = (new, key[1])
-            self._served[new_key] = self._served.pop(key)
-            self._served_order.append(new_key)
+            self._served[new, key[1]] = self._served.pop(key)
 
     # -- introspection ----------------------------------------------------
 

@@ -25,7 +25,6 @@ class DocumentServer:
         self.ingests = 0
         self._store: Dict[int, str] = {d: corpus.text(d)
                                        for d in corpus.doc_ids()}
-        self._shard_uadds: Dict[int, Address] = {}
         commod.ali.register(name, attrs={"kind": "docs"})
         commod.ali.set_request_handler(self._on_request)
 

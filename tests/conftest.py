@@ -18,6 +18,13 @@ from repro.testbed import Testbed
 from repro.util.counters import FRAMES_OUT_OF_MODEL
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "out_of_model: the test delivers a frame out of the "
+        "declared machines on purpose and asserts its own "
+        "frames_out_of_model count")
+
+
 def _nuclei(bed):
     """Every Nucleus of a bed: gateway stacks, name servers, modules."""
     for gateway in bed.gateways.values():
@@ -44,9 +51,7 @@ def wire_conformance(request, monkeypatch, wire_model):
     :class:`NetTraceLog` per bed, and after the test replay each bed's
     trace through the declared wire machines (``verify --trace``).  Any
     finding fails the test and writes that trace into
-    ``chaos-failures/`` for replay, and so does a replayed bed with a
-    Nucleus that dropped a frame out of its own machines
-    (``frames_out_of_model``).  A bed whose networks carried nothing
+    ``chaos-failures/`` for replay.  A bed whose networks carried nothing
     (real sockets) is skipped."""
     logs = {}
     create = Testbed.network
@@ -66,11 +71,7 @@ def wire_conformance(request, monkeypatch, wire_model):
         path = f"{name}.bed{index}.jsonl"
         findings, _checked = replay_trace(path, wire_model,
                                           events=log.events)
-        found = [finding.render() for finding in findings] + [
-            f"{path}: {nucleus.process.name} dropped "
-            f"{nucleus.counters[FRAMES_OUT_OF_MODEL]} frame(s) out of model"
-            for nucleus in _nuclei(bed)
-            if nucleus.counters[FRAMES_OUT_OF_MODEL]]
+        found = [finding.render() for finding in findings]
         if found:
             out_dir = Path("chaos-failures")
             out_dir.mkdir(exist_ok=True)
@@ -79,6 +80,32 @@ def wire_conformance(request, monkeypatch, wire_model):
     if failures:
         pytest.fail("wire trace leaves the declared machines:\n"
                     + "\n".join(failures), pytrace=False)
+
+
+@pytest.fixture(autouse=True)
+def no_frames_out_of_model(request, monkeypatch):
+    """Fail a test when a Nucleus of any ``Testbed`` it built (a
+    ``RealDeployment`` too) dropped a frame out of its own machines
+    (``frames_out_of_model``).  A test marked ``out_of_model`` delivers
+    such frames on purpose and asserts its own counts."""
+    if request.node.get_closest_marker("out_of_model"):
+        yield
+        return
+    beds = []
+    init = Testbed.__init__
+
+    def recorded_init(bed, *args, **kwargs):
+        init(bed, *args, **kwargs)
+        beds.append(bed)
+
+    monkeypatch.setattr(Testbed, "__init__", recorded_init)
+    yield
+    found = [f"bed {index}: {nucleus.process.name} dropped "
+             f"{nucleus.counters[FRAMES_OUT_OF_MODEL]} frame(s) out of model"
+             for index, bed in enumerate(beds) for nucleus in _nuclei(bed)
+             if nucleus.counters[FRAMES_OUT_OF_MODEL]]
+    if found:
+        pytest.fail("\n".join(found), pytrace=False)
 
 
 @pytest.fixture(params=["sim", "real"])

@@ -46,6 +46,29 @@ def test_rekey_route_moves_forwarding_too(bed):
     assert lcm.forwarding == {real: target}
 
 
+def test_served_requests_stay_bounded_across_a_rekey(bed):
+    """Duplicate suppression (PROTOCOL.md §10) remembers at most
+    ``SERVED_LIMIT`` requests, oldest forgotten first.  Rekeying a peer's
+    entries (a TAdd purge, Sec. 3.4) moves them without shrinking the
+    table: 118 requests, 10 more from the rekeyed peer and one after the
+    rekey leave exactly ``SERVED_LIMIT`` entries."""
+    server = echo_server(bed, "dest", "sun1")
+    client, peer = bed.module("client", "vax1"), bed.module("peer", "vax1")
+    lcm = server.nucleus.lcm
+    for caller, count in ((client, 118), (peer, 10)):
+        uadd = caller.ali.locate("dest")
+        for n in range(count):
+            caller.ali.call(uadd, "echo", {"n": n, "text": "x"})
+    assert len(lcm._served) == lcm.SERVED_LIMIT == 128
+    oldest = next(iter(lcm._served))
+    real = make_uadd(300)
+    lcm.rekey_route(peer.nucleus.self_addr, real)
+    client.ali.call(uadd, "echo", {"n": 118, "text": "x"})
+    assert len(lcm._served) == lcm.SERVED_LIMIT
+    assert oldest not in lcm._served
+    assert sum(src == real for src, _corr in lcm._served) == 10
+
+
 def test_call_handle_states(bed):
     echo_server(bed, "dest", "sun1")
     client = bed.module("client", "vax1")

@@ -481,8 +481,8 @@ def test_a_destination_dying_mid_open_fails_the_open(tmp_path):
 
     def die_instead_of_answering(ivc, msg):
         spliced.append((client.nucleus.self_addr, uadd) in {
-            (leg.peer_addr, other.peer_addr)
-            for leg, (_, other, _) in splices.items()})
+            (lvc.peer_addr, leg.other.lvc.peer_addr)
+            for lvc, leg in splices.items()})
         bed.scheduler.call_soon(server.process.kill)
 
     server.nucleus.ip._on_ivc_open_as_endpoint = die_instead_of_answering
@@ -598,6 +598,21 @@ def test_a_straggler_on_a_taken_leg_conforms(tmp_path):
                     kind=m.DATA, src=B, dst=A, flags=m.FLAG_IS_REPLY)),
                 _hop_event("server", "gw",
                            m.Msg(kind=m.IVC_OPEN_ACK, src=B, dst=A))])
+    assert _replay_lines(tmp_path, lines) == []
+
+
+def test_a_resent_open_after_its_answer_conforms(tmp_path):
+    """TCP lost the acknowledgement of the segment carrying an IVC_OPEN
+    and sends the same bytes again after the IVC_OPEN_ACK arrived: the
+    hop keeps its OPEN state, so its next plain DATA conforms."""
+    opening = m.Msg(kind=m.IVC_OPEN, src=A, dst=B)
+    lines = (_lvc_up("gw", "server")
+             + [_hop_event("gw", "server", opening),
+                _hop_event("server", "gw",
+                           m.Msg(kind=m.IVC_OPEN_ACK, src=B, dst=A)),
+                _hop_event("gw", "server", opening),
+                _hop_event("gw", "server",
+                           _request(1, flags=m.FLAG_REPLY_EXPECTED))])
     assert _replay_lines(tmp_path, lines) == []
 
 

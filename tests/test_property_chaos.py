@@ -21,7 +21,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deployments import chain_nets
@@ -101,6 +101,8 @@ def _record_failure(seed: int) -> str:
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+# TCP resends an IVC_OPEN whose answer already arrived.
+@example(seed=834)
 def test_random_fault_schedules_preserve_delivery_contract(seed):
     try:
         schedule, served, errors = _run_schedule(seed)

@@ -229,7 +229,6 @@ def _snapshot(bed):
     tables = {}
     for name, gateway in bed.gateways.items():
         tables[f"gw.{name}._splices"] = len(gateway._splices)
-        tables[f"gw.{name}._splice_credit"] = len(gateway._splice_credit)
         tables[f"gw.{name}._parked"] = _parked(gateway)
     for label, nucleus in _nuclei(bed):
         assert not _ended_but_indexed(nucleus), label
