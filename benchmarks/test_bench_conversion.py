@@ -6,9 +6,7 @@ vs shift, the corruption a wrong mode causes, and dynamic adaptation
 after relocation.  Ablation: shift-mode headers vs packed headers.
 """
 
-import struct
-
-from deployments import register_app_types, single_net
+from deployments import single_net
 from repro import (
     APOLLO,
     ConversionRegistry,

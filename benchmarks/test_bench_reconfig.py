@@ -7,7 +7,7 @@ and the forwarding machinery's work.  Ablation: the local
 forwarding-address table.
 """
 
-from deployments import register_app_types, single_net
+from deployments import single_net
 from repro import SUN3
 from repro.drts.proctl import ProcessController
 

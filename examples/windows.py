@@ -10,7 +10,7 @@ message crossing the gateway.
 Run:  python examples/windows.py
 """
 
-from repro import APOLLO, SUN3, Testbed, VAX
+from repro import APOLLO, Testbed, VAX
 from repro.wm import WindowClient, WindowManager, register_wm_types
 
 

@@ -6,14 +6,17 @@ is a frame, stepped as ``send`` at its sender and ``recv`` at its
 receiver when transmitted, dropped or not, through the two wire
 machines the MDL rules also check.  ``lvc`` runs per ``(network, host,
 peer host)``, keeping the union of the states reached, since LVC frames
-carry no LVC identity; a kind it does not name is its DATA.
-``ivc-endpoint`` runs per hop of a chained circuit, as the hop's opener
+carry no LVC identity; a kind it does not name is its DATA.  A union
+counts no bound: the frames a dial sends behind its LVC_HELLO, from the
+HELLO's source until the answer, also step an exact instance of their
+own, which does.  ``ivc-endpoint`` runs per hop of a chained circuit, as the hop's opener
 sees it: per ``(network, opener host, answerer host, originator)``,
 holding the destination.  An entry edge's frame starts it unless it is
 still in that edge's state for the destination (a retry); a frame
 repeated in an instance counts once; other frames of no live chained
 circuit are a direct circuit's, entered by the silent entry edge.  A
-request with ``FLAG_RIDES_OPEN`` is ``DATA rides_open``; ``local`` and
+request with ``FLAG_RIDES_OPEN`` is ``DATA rides_open`` (to a direct
+circuit, its plain DATA once it rode a dial's HELLO); ``local`` and
 ``timeout`` edges are taken silently.  TRC001: a frame with no edge
 from any state its instance may be in.  TRC002: a kind not in the kind
 table, a line that is no frame event, or no NTCS frame at all.  TRC003:
@@ -102,7 +105,11 @@ class _Walk:
                               f"from {sorted(instance.states)}")
         self.taken.update((self.machine.name, *move) for move in moves)
         reached = self.enter(edge.next for _, edge in moves).states
-        instance.states = instance.states | reached if union else reached
+        if union:
+            # A union holds several circuits' stays: it counts no bound.
+            instance.states = instance.states | reached
+            return None
+        instance.states = reached
         for edge in {edge for _, edge in moves if edge.bounded}:
             instance.counts[edge] += 1
             limit = self.machine.bounds.get(edge.bounded)
@@ -126,9 +133,44 @@ def _step_lvc(walk: _Walk, network: str, sender: str, receiver: str,
     return None
 
 
+def _step_dial(walk: _Walk, dials: Dict[tuple, _Instance],
+               direct: Set[bytes], network: str, sender: str,
+               receiver: str, header: HeaderView, name: str, frame: bytes,
+               rider: bool) -> Optional[Tuple[str, str]]:
+    """Step the frames a dial sends behind its LVC_HELLO through an
+    exact ``lvc`` instance, which counts the riding edge's bound: the
+    frames on the hop from the HELLO's source, until the answer or a
+    frame from another source.  Every HELLO starts a run; a request
+    first in its run is a direct circuit's, and joins ``direct``."""
+    try:
+        src, dst = header.src, header.dst
+    except NtcsError:
+        return None
+    if name == "LVC_HELLO":
+        dials[network, sender, receiver] = walk.enter(("HELLO_SENT",), src)
+        return None
+    if name == "LVC_HELLO_ACK":
+        answered = dials.get((network, receiver, sender))
+        if answered is not None and answered.dst == dst:
+            del dials[network, receiver, sender]
+        return None
+    dial = dials.get((network, sender, receiver))
+    if dial is None:
+        return None
+    if dial.dst != src:
+        del dials[network, sender, receiver]
+        return None
+    if frame in dial.seen:
+        return None
+    if rider and not dial.seen:
+        direct.add(frame)
+    dial.seen.add(frame)
+    return walk.step(dial, "send DATA rides_open" if rider else "send DATA")
+
+
 def _step_ivc(walk: _Walk, network: str, sender: str, receiver: str,
-              header: HeaderView, name: str,
-              frame: bytes) -> Optional[Tuple[str, str]]:
+              header: HeaderView, name: str, frame: bytes,
+              rode_hello: bool) -> Optional[Tuple[str, str]]:
     try:
         src, dst = header.src, header.dst
     except NtcsError:
@@ -153,6 +195,10 @@ def _step_ivc(walk: _Walk, network: str, sender: str, receiver: str,
     if instance is None or instance.dst != dst:
         key, event = (network, receiver, sender, dst), f"recv {name}"
         instance = walk.instances.get(key)
+    if rode_hello:
+        # The request first behind a dial's LVC_HELLO: the plain DATA of
+        # a direct circuit, whatever chained circuit shares its key.
+        instance, name = None, "DATA"
     if instance is not None and frame in instance.seen:
         return None
     if instance is None or instance.states <= set(walk.machine.terminal):
@@ -200,6 +246,8 @@ def replay_trace(path: str, model: ProtocolModel,
                         "were extracted — traces cannot be checked")], 0
     taken = set() if taken is None else taken
     lvc, ivc = (_Walk(machines[name], taken) for name in WIRE_MACHINES)
+    dials: Dict[tuple, _Instance] = {}
+    direct: Set[bytes] = set()
     kinds = {kind: name for table in model.kind_tables
              for kind, name in table.names.items()}
     if events is None:
@@ -229,15 +277,17 @@ def replay_trace(path: str, model: ProtocolModel,
                     "TRC002", lineno, f"frame kind {header.kind} {where} "
                     f"is not in the kind table"))
                 continue
-            broken = _step_lvc(lvc, network, sender, receiver, name)
+            flags = header.flags
+            rider = bool(name == "DATA" and flags & FLAG_RIDES_OPEN
+                         and flags & FLAG_REPLY_EXPECTED
+                         and not flags & FLAG_CONNECTIONLESS)
+            broken = (_step_lvc(lvc, network, sender, receiver, name)
+                      or _step_dial(lvc, dials, direct, network, sender,
+                                    receiver, header, name, frame, rider))
             if broken is None and name in ivc.kinds:
-                flags = header.flags
-                if (name == "DATA" and flags & FLAG_RIDES_OPEN
-                        and flags & FLAG_REPLY_EXPECTED
-                        and not flags & FLAG_CONNECTIONLESS):
-                    name = "DATA rides_open"
-                broken = _step_ivc(ivc, network, sender, receiver,
-                                   header, name, frame)
+                broken = _step_ivc(ivc, network, sender, receiver, header,
+                                   "DATA rides_open" if rider else name,
+                                   frame, frame in direct)
             if broken:
                 findings.append(finding(
                     broken[0], lineno, f"{name} {where}: {broken[1]}"))

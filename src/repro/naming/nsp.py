@@ -57,6 +57,7 @@ from repro.ntcs.message import FLAG_INTERNAL
 from repro.util.counters import (
     LCM_CALL_RETRIES, NS_FAILOVERS, NSP_BATCH_RESOLVES, NSP_CALLS,
     NSP_CALLS_COALESCED, NSP_SHARD_REDIRECTS, NSP_SHARD_RING_UPDATES)
+from repro.util.trace import Label
 
 
 @dataclass
@@ -173,7 +174,7 @@ class NspLayer:
         )
 
     def _call_shard(self, shard: int, type_name: str, values: dict,
-                    reason: str, timeout: Optional[float] = None,
+                    reason: Label, timeout: Optional[float] = None,
                     follow: bool = True) -> IncomingMessage:
         nucleus = self.nucleus
         with nucleus.enter(self.LAYER, type_name, reason=reason):
@@ -191,12 +192,12 @@ class NspLayer:
             raise ProtocolError(
                 f"sharded naming: redirect loop for {type_name}")
 
-    def _call(self, type_name: str, values: dict, reason: str,
+    def _call(self, type_name: str, values: dict, reason: Label,
               timeout: Optional[float] = None) -> IncomingMessage:
         return self._call_shard(self._route(type_name, values),
                                 type_name, values, reason, timeout=timeout)
 
-    def _resolve(self, type_name: str, values: dict, reason: str,
+    def _resolve(self, type_name: str, values: dict, reason: Label,
                  key: Optional[tuple] = None,
                  timeout: Optional[float] = None) -> IncomingMessage:
         """One resolution round trip, coalesced with any identical
@@ -217,7 +218,7 @@ class NspLayer:
                                     values, reason, timeout=timeout)
         return reply
 
-    def _lead(self, key: tuple, type_name: str, values: dict, reason: str,
+    def _lead(self, key: tuple, type_name: str, values: dict, reason: Label,
               timeout: Optional[float]) -> IncomingMessage:
         """Issue the shared call; mirrors :meth:`LcmLayer.call`'s retry
         discipline (circuit deaths retried, reply timeouts not) but
@@ -251,7 +252,7 @@ class NspLayer:
                 del self._flights[key]
 
     def _join(self, flight: _Flight, type_name: str, values: dict,
-              reason: str, timeout: Optional[float]) -> IncomingMessage:
+              reason: Label, timeout: Optional[float]) -> IncomingMessage:
         """Wait on the leader's in-flight call.  A follower runs in a
         pump frame *above* the leader's, so it sees the shared reply
         (or circuit death) first; on death it falls back to a private
@@ -335,7 +336,7 @@ class NspLayer:
             if cached is not None:
                 return cached
         reply = self._resolve("ns_resolve_uadd", {"uadd": uadd.value},
-                              reason=f"locate {uadd}",
+                              reason=lambda: f"locate {uadd}",
                               key=("uadd", uadd))
         self._expect(reply, "ns_record_ack")
         # A redirect learned on the way may have dropped the cache.
@@ -361,7 +362,7 @@ class NspLayer:
             if cached is not None:
                 return cached
         reply = self._resolve("ns_forward", {"uadd": old_uadd.value},
-                              reason=f"forwarding for {old_uadd}",
+                              reason=lambda: f"forwarding for {old_uadd}",
                               key=("fwd", old_uadd))
         self._expect(reply, "ns_forward_ack")
         cacheable = cacheable and self.cache is not None
@@ -435,7 +436,7 @@ class NspLayer:
     def deregister(self, uadd: Address) -> bool:
         """Tombstone a UAdd in the naming service; True on success."""
         reply = self._call("ns_deregister", {"uadd": uadd.value},
-                           reason=f"deregister {uadd}")
+                           reason=lambda: f"deregister {uadd}")
         self._expect(reply, "ns_ack")
         self.evict_address(uadd)
         return bool(reply.values["ok"])
@@ -452,7 +453,7 @@ class NspLayer:
         return self.nucleus.lcm.datagram(target, "ns_deregister", values)
 
     def _fan_out(self, type_name: str, values: dict,
-                 reason: str) -> List[NameRecord]:
+                 reason: Label) -> List[NameRecord]:
         """Ask every known shard and merge the record lists: one
         shard's answer in the server's own order, several deduplicated
         by UAdd and sorted by UAdd value for determinism."""

@@ -40,6 +40,7 @@ from heapq import heapify, heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
+from repro.util.trace import Label, label_text
 
 __all__ = ["Event", "EventQueue", "Scheduler"]
 
@@ -266,7 +267,7 @@ class Scheduler:
         self,
         predicate: Callable[[], bool],
         timeout: Optional[float] = None,
-        what: str = "",
+        what: Label = "",
     ) -> bool:
         """Block (in simulation terms) until ``predicate()`` is true.
 
@@ -277,7 +278,7 @@ class Scheduler:
         advanced to the deadline and False is returned if the predicate
         never held.  Without one, an empty queue with a false predicate
         raises :class:`DeadlockError`, since no future event could ever
-        change the outcome.
+        change the outcome; its message names ``what``, built only then.
         """
         deadline = _NO_DEADLINE if timeout is None else self._now + timeout
         run_due = self._run_due
@@ -293,8 +294,9 @@ class Scheduler:
             self._pump_depth -= 1
         if timeout is None:
             raise DeadlockError(
-                f"pump_until({what or 'predicate'}): event queue empty "
-                "and predicate false — nothing can unblock this call"
+                f"pump_until({label_text(what) or 'predicate'}): event "
+                "queue empty and predicate false — nothing can unblock "
+                "this call"
             )
         # Nothing (left) is due by the deadline; a later head stays in
         # place — it belongs to whoever pumps next.

@@ -265,80 +265,113 @@ class IpLayer:
         """Establish an IVC to ``dst``.  Blocking; raises AddressFault
         or RouteNotFound on failure.
 
-        ``request`` is a call's first message as ``(msg, type_id,
-        values)``.  On a chained open whose plan knows the destination's
-        machine type it rides the open (PROTOCOL.md §3): it is encoded
-        for that type, marked ``FLAG_RIDES_OPEN`` and sent right behind
-        the IVC_OPEN, so the destination answers both in one train.  On
-        return the flag is still set only when the IVC_OPEN_ACK
-        confirmed a type the encoding suits; otherwise the caller sends
-        the request as usual."""
+        The circuit's first frames leave right behind its new LVC's
+        LVC_HELLO (PROTOCOL.md §3): a chained plan's IVC_OPEN, and
+        ``request``, a call's first message as ``(msg, type_id,
+        values)``, when the plan knows the destination's machine type.
+        The request is encoded for that type and marked
+        ``FLAG_RIDES_OPEN``, so the destination answers the handshake
+        and the request in one train.  On return the flag is still set
+        only when the answer confirmed a type the encoding suits;
+        otherwise the caller sends the request as usual."""
         nucleus = self.nucleus
-        with nucleus.enter(self.LAYER, "open", reason=reason or f"ivc to {dst}"):
+        with nucleus.enter(self.LAYER, "open",
+                           reason=reason or (lambda: f"ivc to {dst}")):
             plan = self._plan(dst)
-            if plan.direct:
-                lvc = self.nd.open_lvc(dst, plan.blob, reason="direct ivc")
-                ivc = Ivc(lvc, peer_addr=lvc.peer_addr or dst, direct=True)
-                self._attach_flow(ivc)
-                self._by_lvc[lvc] = ivc
-                nucleus.counters[IVC_DIRECT_OPENED] += 1
-                return ivc
-            # Chained: open the LVC to the first gateway, then run the
-            # end-to-end IVC_OPEN handshake through it.
-            gw_dst = plan.gw_uadd or nucleus.tadds.allocate()
+            opened: List[Ivc] = []
+            hop_dst = (dst if plan.direct
+                       else plan.gw_uadd or nucleus.tadds.allocate())
             try:
-                lvc = self.nd.open_lvc(gw_dst, plan.blob,
-                                       reason="first gateway hop")
+                lvc = self.nd.open_lvc(
+                    hop_dst, plan.blob,
+                    reason="direct ivc" if plan.direct else "first gateway hop",
+                    first=lambda lvc: opened.append(
+                        self._first_frames(lvc, dst, plan, request)))
             except AddressFault as exc:
+                for ivc in opened:
+                    self.close(ivc, "no HELLO_ACK", notify=False)
+                if plan.direct:
+                    raise
                 self.forget_route(plan.dst_network, plan.gw_uadd)
                 raise AddressFault(dst, f"first-hop gateway unreachable: {exc}")
-            # Who answered the HELLO, read before the end-to-end reply
-            # can replace a TAdd peer with the destination's UAdd.
-            hop = lvc.peer_addr
-            ivc = Ivc(lvc, peer_addr=dst, direct=False)
-            self._attach_flow(ivc)
-            self._by_lvc[lvc] = ivc
+            ivc = opened[0]
+            if plan.direct:
+                if lvc.peer_addr != dst:
+                    # Another module answered at the destination's cached
+                    # blob (Sec. 3.3): a stale address, whose rider the
+                    # answerer refused.
+                    self.close(ivc, "another module answered", notify=False)
+                    nucleus.addr_cache.invalidate(dst)
+                    raise AddressFault(
+                        dst, f"{lvc.peer_addr} answered at its address")
+                ivc.peer_mtype_name = lvc.peer_mtype_name
+                nucleus.counters[IVC_DIRECT_OPENED] += 1
+            else:
+                self._await_chained(dst, ivc, plan, hop=lvc.peer_addr)
+            rider = request[0] if request is not None else None
+            if (rider is not None and rider.flags & m.FLAG_RIDES_OPEN
+                    and ivc.peer_mtype_name != plan.mtype_name):
+                self._confirm_rider(dst, ivc, rider)
+            return ivc
+
+    def _first_frames(self, lvc: Lvc, dst: Address, plan: _Plan,
+                      request: Optional[Tuple[m.Msg, int, dict]]) -> Ivc:
+        """A new circuit's first frames, sent behind its LVC_HELLO: a
+        chained plan's IVC_OPEN, then the request, where it can ride.
+        The circuit exists before the answer, so a reply in the
+        answer's train finds it."""
+        nucleus = self.nucleus
+        ivc = Ivc(lvc, peer_addr=dst, direct=plan.direct)
+        self._attach_flow(ivc)
+        self._by_lvc[lvc] = ivc
+        if not plan.direct:
             self.nd.send(lvc, nucleus.control(m.IVC_OPEN, dst, "ivc_open", {
                 "dst_network": plan.dst_network,
                 "src_mtype": nucleus.mtype.name,
                 "src_listen_blob": self.nd.listen_blob or "",
             }))
-            rider = None
-            if request is not None and plan.mtype_name:
-                rider = self._ride(ivc, plan.mtype_name, *request)
-            nucleus.scheduler.pump_until(
-                lambda: ivc.state != "OPENING",
-                timeout=nucleus.config.open_timeout,
-                what=f"ivc open to {dst}",
-            )
-            if ivc.state != "OPEN":
-                failure = ivc.nak_reason or "ivc open timed out"
-                self.close(ivc, failure, notify=False,
-                           event="timeout open_timeout")
-                self.forget_route(plan.dst_network, plan.gw_uadd)
-                raise AddressFault(dst, failure)
-            # A chained open through this gateway just worked: any
-            # earlier suspicion of it is disproved.
-            self._suspect_gateways.discard(plan.gw_uadd)
-            # A proven first hop is a route (PROTOCOL.md §3): remember
-            # it under the gateway's real UAdd, so suspect marking and
-            # eviction treat it as they treat a topology-planned entry.
-            if (plan.dst_network and hop is not None and not hop.temporary
-                    and not nucleus.is_self(hop)):
-                self.route_cache.setdefault(plan.dst_network, (hop, plan.blob))
-            nucleus.counters[IVC_CHAINED_OPENED] += 1
-            if ivc.peer_mtype_name != plan.mtype_name and rider is not None:
-                self._confirm_rider(dst, ivc, rider)
-            return ivc
+        if request is not None and plan.mtype_name:
+            self._ride(ivc, plan.mtype_name, *request)
+        return ivc
+
+    def _await_chained(self, dst: Address, ivc: Ivc, plan: _Plan,
+                       hop: Optional[Address]) -> None:
+        """Wait for the end-to-end answer to a chained circuit's
+        IVC_OPEN; ``hop`` answered the LVC_HELLO, read before the answer
+        can replace a TAdd peer with the destination's UAdd."""
+        nucleus = self.nucleus
+        nucleus.scheduler.pump_until(
+            lambda: ivc.state != "OPENING",
+            timeout=nucleus.config.open_timeout,
+            what=lambda: f"ivc open to {dst}",
+        )
+        if ivc.state != "OPEN":
+            failure = ivc.nak_reason or "ivc open timed out"
+            self.close(ivc, failure, notify=False,
+                       event="timeout open_timeout")
+            self.forget_route(plan.dst_network, plan.gw_uadd)
+            raise AddressFault(dst, failure)
+        # A chained open through this gateway just worked: any earlier
+        # suspicion of it is disproved.
+        self._suspect_gateways.discard(plan.gw_uadd)
+        # A proven first hop is a route (PROTOCOL.md §3): remember it
+        # under the gateway's real UAdd, so suspect marking and eviction
+        # treat it as they treat a topology-planned entry.
+        if (plan.dst_network and hop is not None and not hop.temporary
+                and not nucleus.is_self(hop)):
+            self.route_cache.setdefault(plan.dst_network, (hop, plan.blob))
+        nucleus.counters[IVC_CHAINED_OPENED] += 1
 
     def _ride(self, ivc: Ivc, mtype_name: str, msg: m.Msg, type_id: int,
-              values: dict) -> Optional[m.Msg]:
-        """Send a call's request on an OPENING circuit, encoded for
-        ``mtype_name`` and marked as riding the open; None, sending
-        nothing, past OPEN_RIDERS riders.  A fresh circuit always has
-        credit, so this debits without a stall check."""
-        if not step(ivc, "ivc-endpoint", "send DATA rides_open"):
-            return None
+              values: dict) -> None:
+        """Send a call's request behind a new circuit's open, encoded
+        for ``mtype_name`` and marked as riding it; nothing past
+        OPEN_RIDERS riders on a chained circuit or HELLO_RIDERS on the
+        LVC.  A fresh circuit always has credit, so this debits without
+        a stall check."""
+        if not (ivc.direct
+                or step(ivc, "ivc-endpoint", "send DATA rides_open")):
+            return
         nucleus = self.nucleus
         msg.type_id = type_id
         mode, msg.body = encode_values(
@@ -349,11 +382,13 @@ class IpLayer:
         msg.flags |= m.FLAG_RIDES_OPEN
         flow = ivc.flow
         if flow is not None:
-            flow.debit()
             msg.aux = m.encode_credit(flow.advertised())
-        self.nd.send(ivc.lvc, msg)
+        if not self.nd.ride(ivc.lvc, msg):
+            msg.flags &= ~m.FLAG_RIDES_OPEN
+            return
+        if flow is not None:
+            flow.debit()
         nucleus.counters[IVC_REQUESTS_RODE_OPEN] += 1
-        return msg
 
     def _confirm_rider(self, dst: Address, ivc: Ivc, rider: m.Msg) -> None:
         """The IVC_OPEN_ACK named another machine type than the one the
@@ -378,18 +413,20 @@ class IpLayer:
         # service involvement (Sec. 3.4).
         if dst == wellknown.ns_uadd:
             blob = wellknown.blob_for(dst, local)
+            mtype_name = wellknown.mtype_for(dst)
             if blob is not None:
-                return _Plan(direct=True, blob=blob)
+                return _Plan(direct=True, blob=blob, mtype_name=mtype_name)
             ns_nets = wellknown.ns_networks()
             return self._prime_plan(ns_nets[0] if ns_nets else "",
-                                    wellknown.mtype_for(dst))
+                                    mtype_name)
 
         # Cached physical address?
         entry = nucleus.addr_cache.lookup(dst)
         if entry is not None:
             net = blob_network(entry.blob)
             if net == local:
-                return _Plan(direct=True, blob=entry.blob)
+                return _Plan(direct=True, blob=entry.blob,
+                             mtype_name=entry.mtype_name)
             if dst in nucleus.ns_addresses:
                 # A naming-fleet member (replica / shard server) on a
                 # remote network: take the well-known prime route.
@@ -415,7 +452,7 @@ class IpLayer:
         dst_network, blob = location
         nucleus.addr_cache.store(dst, blob, record.mtype_name)
         if dst_network == local:
-            return _Plan(direct=True, blob=blob)
+            return _Plan(direct=True, blob=blob, mtype_name=record.mtype_name)
         return self._gateway_plan(dst, dst_network, record.mtype_name)
 
     def _prime_plan(self, dst_network: str, mtype_name: str) -> _Plan:
@@ -830,13 +867,14 @@ class IpLayer:
             self._on_credit_probe(ivc, msg)
         else:
             if (msg.flags & m.FLAG_RIDES_OPEN and msg.kind == m.DATA
-                    and not _readable(msg.mode,
-                                      nucleus.mtype_by_name(ivc.peer_mtype_name),
-                                      nucleus.mtype)):
-                # A request that rode the open, as an image its sender
-                # guessed this machine could read: never decoded under
-                # that guess.  The sender learns the truth from our
-                # IVC_OPEN_ACK and sends it again (PROTOCOL.md §3).
+                    and not (nucleus.is_self(msg.dst) and _readable(
+                        msg.mode, nucleus.mtype_by_name(ivc.peer_mtype_name),
+                        nucleus.mtype))):
+                # A request that rode the open, for another module (a
+                # cached blob now ours), or as an image its sender
+                # guessed this machine could read: never delivered, never
+                # decoded under that guess.  The sender learns the truth
+                # from our answer to its open (PROTOCOL.md §3).
                 nucleus.counters[IVC_RIDERS_REFUSED] += 1
                 self.note_discarded(ivc, msg)
                 return

@@ -216,7 +216,7 @@ class CallHandle:
         try:
             nucleus.scheduler.pump_until(
                 _finished(self._pending), timeout=timeout,
-                what=f"async reply from {self._pending.dst}",
+                what=lambda: f"async reply from {self._pending.dst}",
             )
             if self._pending.reply is not None:
                 return self._pending.reply
@@ -434,7 +434,7 @@ class LcmLayer:
                 done = nucleus.scheduler.pump_until(
                     _finished(pending),
                     timeout=timeout,
-                    what=f"reply from {dst}",
+                    what=lambda: f"reply from {dst}",
                 )
                 if pending.reply is not None:
                     return pending.reply

@@ -41,6 +41,11 @@ from repro.util.counters import (
     TADDS_ASSIGNED, TADDS_PURGED)
 
 
+# How many call requests an outbound LVC sends behind its LVC_HELLO
+# before the answer (PROTOCOL.md §3, "A call rides its circuit's
+# open"); spent by step.
+HELLO_RIDERS = 1
+
 # The LVC machine, model-checked by ntcsverify (pure literal), run by
 # every Lvc through :func:`~repro.ntcs.protocol.step`, and stepped by
 # ``verify --trace`` at each end of every hop, where every kind but the
@@ -49,7 +54,11 @@ from repro.util.counters import (
 # a transport fault); an inbound one sits in AWAIT_HELLO without a
 # local timer (the *peer's* hello timeout bounds that wait — its close
 # tears the transport, which surfaces here as a fault edge) and answers
-# the HELLO once OPEN.
+# the HELLO once OPEN.  While HELLO_SENT, an outbound LVC sends its
+# circuit's first frames behind the HELLO without waiting for the
+# answer (PROTOCOL.md §3): a chained plan's IVC_OPEN, and at most
+# HELLO_RIDERS call requests ("rides_open": FLAG_RIDES_OPEN on a
+# request; step refuses one more).
 # Alongside it, the lvc-rx-queue machine declares the per-LVC
 # receive-queue discipline (PROTOCOL.md §12): every arrival that grows
 # the queue is balanced by a consume or an overload drop, so the MDL005
@@ -69,6 +78,9 @@ PROTOCOL_MACHINES = (
             "HELLO_SENT": {
                 "waits": True,
                 "edges": (
+                    {"event": "send DATA", "next": "HELLO_SENT"},
+                    {"event": "send DATA rides_open", "next": "HELLO_SENT",
+                     "bounded": "HELLO_RIDERS"},
                     {"event": "recv LVC_HELLO_ACK", "next": "OPEN"},
                     {"event": "timeout open_timeout", "next": "CLOSED"},
                     {"event": "local transport_fault", "next": "CLOSED"},
@@ -191,12 +203,20 @@ class NdLayer:
 
     # -- active open ------------------------------------------------------------
 
-    def open_lvc(self, dst: Address, blob: str, reason: str = "") -> Lvc:
+    def open_lvc(self, dst: Address, blob: str, reason: str = "",
+                 first: Optional[Callable[[Lvc], None]] = None) -> Lvc:
         """Open an LVC to ``dst`` at physical address ``blob`` (the
         IP-Layer or a gateway planned it) and run the HELLO handshake.
-        Blocking."""
+        Blocking.
+
+        ``first``, when given, is called with the new LVC right after
+        its LVC_HELLO is sent and before the wait: the circuit's first
+        frames leave with the handshake (PROTOCOL.md §3), a call's
+        request through :meth:`ride`.  A peer that answers in the same
+        train finds them sent."""
         nucleus = self.nucleus
-        with nucleus.enter(self.LAYER, "open", reason=reason or f"open to {dst}"):
+        with nucleus.enter(self.LAYER, "open",
+                           reason=reason or (lambda: f"open to {dst}")):
             if blob_network(blob) != self.driver.network_name:
                 raise AddressFault(
                     dst, f"blob {blob!r} is not on local network "
@@ -213,10 +233,12 @@ class NdLayer:
             })
             step(lvc, "lvc", "send LVC_HELLO")
             self.send(lvc, hello)
+            if first is not None:
+                first(lvc)
             nucleus.scheduler.pump_until(
                 lambda: lvc.state != "HELLO_SENT",
                 timeout=nucleus.config.open_timeout,
-                what=f"LVC hello to {dst}",
+                what=lambda: f"LVC hello to {dst}",
             )
             if lvc.state != "OPEN":
                 self.close(lvc, "hello handshake failed", "timeout open_timeout")
@@ -225,6 +247,14 @@ class NdLayer:
             if not dst.temporary and lvc.peer_blob:
                 self.nucleus.addr_cache.store(dst, lvc.peer_blob, lvc.peer_mtype_name)
             return lvc
+
+    def ride(self, lvc: Lvc, msg: m.Msg) -> bool:
+        """Send a call's request behind ``lvc``'s LVC_HELLO, before the
+        answer; False, sending nothing, past HELLO_RIDERS."""
+        if not step(lvc, "lvc", "send DATA rides_open"):
+            return False
+        self.send(lvc, msg)
+        return True
 
     def _connect_with_retry(self, dst: Address, blob: str) -> MessageChannel:
         last_error: Optional[Exception] = None

@@ -31,7 +31,7 @@ from repro.ntcs.drivers import make_driver
 from repro.ntcs.wellknown import WellKnownTable
 from repro.util.counters import ERRORS_LOGGED, NUCLEUS, Counters
 from repro.util.seeds import derive_rng
-from repro.util.trace import LayerTracer, NullTracer
+from repro.util.trace import Label, LayerTracer, NullTracer, label_text
 
 
 @dataclass
@@ -236,7 +236,7 @@ class Nucleus:
         return self._depth
 
     def enter(self, layer: str, operation: str, caller: str = "",
-              reason: str = "") -> "_Exit":
+              reason: Label = "") -> "_Exit":
         """Track one layer entry: ``with nucleus.enter(layer, op):``.
         Exceeding the recursion limit raises — the reproduction of the
         paper's observed stack overflow — with the depth restored.
@@ -244,7 +244,7 @@ class Nucleus:
         With tracing off an entry costs nothing extra: the depth count
         and one shared exit object, and no tracer call.  An installed
         tracer records the entry here and the exit when the block
-        ends."""
+        ends; a ``reason`` given as a callable is built only then."""
         depth = self._depth = self._depth + 1
         if depth > self.max_depth_seen:
             self.max_depth_seen = depth
@@ -252,6 +252,7 @@ class Nucleus:
         if isinstance(tracer, NullTracer):
             exit_ = self._exit
         else:
+            reason = label_text(reason)
             tracer.record(self.process.name, layer, operation, "enter",
                           caller=caller, reason=reason, depth=depth)
             exit_ = _TracedExit(self, layer, operation, caller, reason)

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 from repro.errors import SimulationError
 from repro.netsim.scheduler import Event, EventQueue
+from repro.util.trace import Label
 
 
 class RealtimeKernel:
@@ -143,7 +144,7 @@ class RealtimeKernel:
         return dispatched
 
     def pump_until(self, predicate: Callable[[], bool],
-                   timeout: Optional[float] = None, what: str = "") -> bool:
+                   timeout: Optional[float] = None, what: Label = "") -> bool:
         """Block until the predicate holds, dispatching io and timers."""
         deadline = None if timeout is None else self.now + timeout
         self._pump_depth += 1

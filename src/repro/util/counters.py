@@ -52,8 +52,8 @@ TADDS_PURGED = _nucleus("tadds_purged", "TAdds replaced by the UAdd they stood f
 IVC_DIRECT_OPENED = _nucleus("ivc_direct_opened", "IVCs opened straight to the peer")
 IVC_CHAINED_OPENED = _nucleus("ivc_chained_opened", "IVCs opened through gateways")
 IVC_OPEN_REFUSED = _nucleus("ivc_open_refused_not_gateway", "chained opens NAKed by a non-gateway")
-IVC_REQUESTS_RODE_OPEN = _nucleus("ivc_requests_rode_open", "call requests sent behind their circuit's IVC_OPEN")
-IVC_RIDERS_REFUSED = _nucleus("ivc_riders_refused", "riding requests whose image the endpoint cannot read")
+IVC_REQUESTS_RODE_OPEN = _nucleus("ivc_requests_rode_open", "call requests sent behind their circuit's open")
+IVC_RIDERS_REFUSED = _nucleus("ivc_riders_refused", "riding requests refused: another module's, or an unreadable image")
 IVC_FRAMES_WITHOUT_CIRCUIT = _nucleus("ivc_frames_without_circuit", "frames dropped on an LVC carrying no circuit")
 TOPOLOGY_QUERIES = _nucleus("topology_queries", "gateway lists fetched to plan a route")
 IP_SUSPECT_FALLBACKS = _nucleus("ip_suspect_fallbacks", "routes planned through a suspect gateway")

@@ -14,7 +14,17 @@ and per-operation filters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Union
+
+# A trace reason or wait label: the text itself, or a callable that
+# builds it, so a hot path formats it only when it is read (a tracer is
+# installed, or a wait deadlocks).
+Label = Union[str, Callable[[], str]]
+
+
+def label_text(label: Label) -> str:
+    """The text of a :data:`Label`."""
+    return label() if callable(label) else label
 
 
 @dataclass(frozen=True)

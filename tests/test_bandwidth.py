@@ -3,7 +3,6 @@ interaction with the conversion modes."""
 
 import pytest
 
-from deployments import register_app_types
 from repro import Field, StructDef, SUN3, Testbed, VAX
 from repro.netsim import Network, Scheduler
 

@@ -147,7 +147,7 @@ def test_property_packed_round_trip(a, b, c, d, text, tail):
 def test_property_image_and_packed_agree(a, b, c, d, tail):
     """Packing a VAX image and unpacking on a Sun must yield the same
     values as an image round trip on a single machine."""
-    from repro.machine import SUN3, VAX
+    from repro.machine import VAX
 
     values = {"a": a, "b": b, "c": c, "d": d, "text": "t", "tail": tail}
     vax_image = _MIXED.image_encode(values, VAX.struct_prefix)

@@ -9,7 +9,7 @@ from deployments import (
     send_burst_with_bad_frame,
     two_nets,
 )
-from repro import APOLLO, Testbed, VAX
+from repro import Testbed, VAX
 from repro.errors import NtcsError
 from repro.machine import SimProcess
 from repro.ntcs import message as m

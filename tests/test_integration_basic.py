@@ -4,14 +4,13 @@ single network (paper Secs. 1.3, 2.4, 3.2–3.3)."""
 import pytest
 
 from deployments import echo_server, single_net
-from repro import Address, NAME_SERVER_UADD
+from repro import NAME_SERVER_UADD
 from repro.errors import (
     BadParameter,
     DestinationUnavailable,
     NoSuchName,
     ReplyTimeout,
 )
-from repro.ntcs.nucleus import NucleusConfig
 
 
 @pytest.fixture

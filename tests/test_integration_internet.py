@@ -86,12 +86,17 @@ def test_no_inter_gateway_control_plane():
 # The call's request rides its circuit's IVC_OPEN and the reply its
 # IVC_OPEN_ACK, one train per hop each way (PROTOCOL.md §3), so the ND
 # messages hold while each hop sends two ACKs fewer: 60/120/198/294
-# datagrams and increments 50/60/78/96 before.
+# datagrams and increments 50/60/78/96 before.  A circuit's first frames
+# ride its LVC_HELLO (PROTOCOL.md §3): the direct call's request, and the
+# IVC_OPEN of each chained circuit a stack dials on the way (the
+# client's first hop, each gateway's first naming circuit), one ACK
+# fewer each: 10/56/114/190/284 datagrams and increments 46/58/76/94
+# before.
 E5_ND_MESSAGES = {0: 4, 1: 26, 2: 52, 3: 86, 4: 128}
-E5_SUBSTRATE_DATAGRAMS = {0: 10, 1: 56, 2: 114, 3: 190, 4: 284}
+E5_SUBSTRATE_DATAGRAMS = {0: 8, 1: 54, 2: 111, 3: 186, 4: 279}
 # What each further gateway adds: the paper-level claim itself.
 E5_ND_INCREMENTS = [22, 26, 34, 42]
-E5_DATAGRAM_INCREMENTS = [46, 58, 76, 94]
+E5_DATAGRAM_INCREMENTS = [46, 57, 75, 93]
 
 
 def _establish(hops, substrate=SIM):
@@ -242,7 +247,6 @@ def test_route_not_found_without_gateway():
     client = bed.module("client", "vax1")
     # The lonely module cannot even register (no path to the NS) —
     # build its record by hand to test the client-side routing error.
-    from repro.naming.protocol import NameRecord
     record = bed.name_server_instance.db.register(
         "lonely.mod", {}, [("ring9", "mbx:ring9://lonely/mbx/x")], "Apollo")
     with pytest.raises((RouteNotFound, DestinationUnavailable)):
@@ -311,8 +315,9 @@ def test_gateway_restored_circuit_after_reopen():
 # contacts left the gateways' legs parked, so each contact's circuits
 # open on them: (0, 151) and (1, 83) before gateways kept their legs.
 # Each chained call's request rides its circuit's open and its reply the
-# IVC_OPEN_ACK (PROTOCOL.md §3): (0, 121) and (1, 71) before.
-COLD_CONTACT = {"mEnd": (0, 104), "m0": (1, 65)}
+# IVC_OPEN_ACK (PROTOCOL.md §3): (0, 121) and (1, 71) before.  Each
+# circuit's first frames ride its LVC_HELLO: (0, 104) and (1, 65) before.
+COLD_CONTACT = {"mEnd": (0, 101), "m0": (1, 61)}
 
 
 def test_cold_contact_census_from_each_end():
@@ -426,7 +431,8 @@ def test_stale_entry_of_a_relocated_destination_forwards():
     and NAKs, and the veteran's LCM follows the forwarding to the
     replacement.  Naming-first: 0.060000000000000026 s, 2 naming calls;
     the repaired circuit now opens on gwm0's parked leg to gwm1, and
-    0.052000000000000046 s before the request rode the open."""
+    0.052000000000000046 s before the request rode the open, and
+    0.04600000000000004 s before the IVC_OPEN rode the LVC_HELLO."""
     bed, _groups = sharded_chain(hops=2, shards=2, replicas=2)
     _server, veteran, uadd = veteran_of_far_echo(bed)
 
@@ -440,7 +446,7 @@ def test_stale_entry_of_a_relocated_destination_forwards():
     reply, elapsed, fallbacks, nsp_calls = _call_again(bed, veteran, uadd)
     assert reply.values["text"] == "AGAIN"
     assert veteran.nucleus.counters["lcm_relocations_followed"] == 1
-    assert (elapsed, fallbacks, nsp_calls) == (0.04600000000000004, 1, 2)
+    assert (elapsed, fallbacks, nsp_calls) == (0.04200000000000004, 1, 2)
 
 
 def test_stale_entry_of_a_crashed_machine_costs_one_connect_round():
@@ -450,7 +456,8 @@ def test_stale_entry_of_a_crashed_machine_costs_one_connect_round():
     network and the naming calls equal the naming-first hop's (30
     attempts, 15 calls).  So did the time to the typed failure,
     2.583001646631283 s, before each retry's circuit opened on gwm0's
-    parked leg to gwm1."""
+    parked leg to gwm1, and 2.523001646631289 s before each retry's
+    IVC_OPEN rode its LVC_HELLO."""
     bed, _groups = sharded_chain(hops=2, shards=2, replicas=2)
     _server, veteran, uadd = veteran_of_far_echo(bed)
     far_stack = bed.gateways["gwm1"].stacks["net2"]
@@ -458,7 +465,7 @@ def test_stale_entry_of_a_crashed_machine_costs_one_connect_round():
     bed.settle()
     outcome, elapsed, fallbacks, nsp_calls = _call_again(bed, veteran, uadd)
     assert isinstance(outcome, DestinationUnavailable)
-    assert (elapsed, fallbacks, nsp_calls) == (2.523001646631289, 1, 15)
+    assert (elapsed, fallbacks, nsp_calls) == (2.493001646631291, 1, 15)
     assert far_stack.counters["nd_open_retries"] == 30
 
 
@@ -469,7 +476,8 @@ def test_cached_blob_of_another_live_module_is_refused_by_the_endpoint():
     not-a-gateway NAK, which the originator sees as the same typed
     failure the naming-first hop gave (0.9640016466313124 s, 5 naming
     calls; 0.9440016466313128 s before the retries opened on gwm0's
-    parked leg to gwm1).  No hang, no untyped exception.  The request
+    parked leg to gwm1; 0.9240016466313135 s before each IVC_OPEN rode
+    its LVC_HELLO).  No hang, no untyped exception.  The request
     that rode each refused open is dropped at the impostor, never handed
     to its application (PROTOCOL.md §3)."""
     bed, _groups = sharded_chain(hops=2, shards=2, replicas=2)
@@ -484,7 +492,7 @@ def test_cached_blob_of_another_live_module_is_refused_by_the_endpoint():
     outcome, elapsed, fallbacks, nsp_calls = _call_again(bed, veteran, uadd)
     assert isinstance(outcome, DestinationUnavailable)
     assert "no replacement module" in str(outcome)
-    assert (elapsed, fallbacks, nsp_calls) == (0.9240016466313135, 0, 0)
+    assert (elapsed, fallbacks, nsp_calls) == (0.9140016466313137, 0, 0)
     assert impostor.nucleus.counters["ivc_open_refused_not_gateway"] == 5
     # Per refused open: the request that rode it, and the IVC_CLOSE
     # that ends the circuit the gateways had spliced toward it.

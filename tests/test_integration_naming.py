@@ -4,7 +4,6 @@ TAdds, caching, and removal of the Name Server (paper Secs. 3.2–3.4)."""
 import pytest
 
 from deployments import echo_server, single_net, two_nets
-from repro import NAME_SERVER_UADD
 from repro.errors import NameServerUnreachable, NoSuchAddress
 from repro.ntcs.nucleus import NucleusConfig
 

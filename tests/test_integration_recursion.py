@@ -5,7 +5,7 @@ Name-Server recursion with and without the LCM patch."""
 import pytest
 
 from deployments import echo_server, register_app_types, single_net
-from repro import SUN3, Testbed, VAX
+from repro import Testbed, VAX
 from repro.drts.monitor import Monitor, enable_monitoring
 from repro.drts.timeservice import TimeServer, enable_time_correction
 from repro.errors import NameServerUnreachable, RecursionLimitExceeded

@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import ChannelClosed, ConnectionRefused
 from repro.ipcs import SimMbxIpcs, SimTcpIpcs
-from repro.machine import APOLLO, Machine, SimProcess, SUN3, VAX
+from repro.machine import Machine, SimProcess, SUN3, VAX
 from repro.netsim import Network, Scheduler
 
 

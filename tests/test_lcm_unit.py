@@ -70,9 +70,15 @@ def test_served_requests_stay_bounded_across_a_rekey(bed):
 
 
 def test_call_handle_states(bed):
+    """A call on an open circuit is pending until its reply arrives.  A
+    first call's request rides its circuit's LVC_HELLO and its reply the
+    answer's train (PROTOCOL.md §3), so that handle is ready at once."""
     echo_server(bed, "dest", "sun1")
     client = bed.module("client", "vax1")
     uadd = client.ali.locate("dest")
+    first = client.ali.call_async(uadd, "echo", {"n": 0, "text": "open"})
+    assert first.ready
+    assert first.result(timeout=2.0).values["text"] == "OPEN"
     handle = client.ali.call_async(uadd, "echo", {"n": 1, "text": "x"})
     assert not handle.ready
     reply = handle.result(timeout=2.0)

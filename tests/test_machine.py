@@ -15,7 +15,7 @@ from repro.machine import (
     list_machine_types,
 )
 from repro.machine.arch import machine_type
-from repro.netsim import Network, Scheduler
+from repro.netsim import Network
 
 
 # -- architectures ----------------------------------------------------------

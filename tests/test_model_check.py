@@ -434,6 +434,8 @@ def test_verify_cli_prints_the_edges_no_frame_took(tmp_path, capsys):
         "ntcsverify: no frame took ivc-endpoint OPEN --recv DATA--> OPEN",
         "ntcsverify: no frame took ivc-endpoint OPEN --recv IVC_CLOSE--> CLOSED",
         "ntcsverify: no frame took ivc-endpoint OPEN --send IVC_CLOSE--> CLOSED",
+        "ntcsverify: no frame took lvc HELLO_SENT "
+        "--send DATA rides_open--> HELLO_SENT",
     ]
     assert lines[-1] == "ntcslint: clean"
 
@@ -569,6 +571,46 @@ def test_a_non_request_before_the_answer_fires_trc001(rider, tmp_path):
     assert _replay_lines(tmp_path, _opening(rider)) == ["TRC001"]
 
 
+def _dialling(*riders):
+    """client dials gw: an LVC_HELLO with ``riders`` behind it, then the
+    answer."""
+    return ([_hop_event("client", "gw",
+                        m.Msg(kind=m.LVC_HELLO, src=A, dst=B))]
+            + [_hop_event("client", "gw", rider) for rider in riders]
+            + [_hop_event("gw", "client",
+                          m.Msg(kind=m.LVC_HELLO_ACK, src=B, dst=A))])
+
+
+def test_the_first_frames_riding_a_hello_conform(tmp_path):
+    """A direct call's request, or a chained circuit's IVC_OPEN and the
+    request behind it, rides the LVC_HELLO (PROTOCOL.md §3); plain DATA
+    follows the answer."""
+    after = [_hop_event("client", "gw",
+                        _request(3, flags=m.FLAG_REPLY_EXPECTED))]
+    assert _replay_lines(tmp_path, _dialling(_request(1)) + after) == []
+    assert _replay_lines(tmp_path, _dialling(
+        m.Msg(kind=m.IVC_OPEN, src=A, dst=B), _request(1))
+        + [_hop_event("gw", "client",
+                      m.Msg(kind=m.IVC_OPEN_ACK, src=B, dst=A))]
+        + after) == []
+
+
+@pytest.mark.parametrize("first", [
+    (), (m.Msg(kind=m.IVC_OPEN, src=A, dst=B),),
+], ids=["direct", "chained"])
+def test_two_requests_behind_one_hello_fire_trc003(first, tmp_path):
+    """The lvc riding edge is bounded by ``HELLO_RIDERS`` (1): a second,
+    distinct request behind the same LVC_HELLO takes it past its
+    bound."""
+    lines = _dialling(*first, _request(1), _request(2))
+    assert _replay_lines(tmp_path, lines) == ["TRC003"]
+
+
+def test_a_direct_rider_after_the_hello_answer_fires_trc001(tmp_path):
+    lines = _dialling() + [_hop_event("client", "gw", _request(1))]
+    assert _replay_lines(tmp_path, lines) == ["TRC001"]
+
+
 def test_data_after_the_answer_is_not_riding(tmp_path):
     lines = _opening(_request(1)) + [
         _hop_event("client", "gw", _request(2, flags=m.FLAG_REPLY_EXPECTED))]
@@ -700,13 +742,17 @@ def _riders(path):
 def test_cold_contact_wire_replays_clean_and_its_mutation_fires(
         tmp_path, capsys, monkeypatch):
     """The recorded cold-contact wire passes ``verify --trace`` with its
-    riders checked.  Duplicating the first rider as a second, distinct
-    request on the same hop (another correlation id) fires TRC003."""
+    riders checked, and takes both of the LVC_HELLO's riding edges.
+    Duplicating the first rider as a second, distinct request on the
+    same hop (another correlation id) fires TRC003."""
     path = _cold_contact_trace(tmp_path, monkeypatch)
     riders = _riders(path)
     assert riders
     assert main(["verify", str(SRC_TREE), "--trace", str(path)]) == 0
-    capsys.readouterr()
+    untaken = [line for line in capsys.readouterr().out.splitlines()
+               if "no frame took" in line]
+    assert untaken and not any("HELLO_SENT --send" in line
+                               for line in untaken)
     lines = path.read_text().splitlines()
     index, slot = riders[0]
     event = json.loads(lines[index])

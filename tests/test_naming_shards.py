@@ -438,18 +438,21 @@ def test_list_gw_ack_bytes_pinned_on_the_sharded_chain():
     """The topology answer is served from the database's gateway index
     (PROTOCOL.md §9); its wire bytes are pinned to what the record scan
     it replaced produced on this deployment — before and after a
-    crashed gateway's restart supersedes its dead registration."""
+    crashed gateway's restart supersedes its dead registration.  The
+    registration stamps read 0.005, 0.02000000000000001 and
+    0.06400000000000004 before each registration's request rode its
+    circuit's LVC_HELLO (PROTOCOL.md §3)."""
     bed, groups = sharded_chain(hops=2, shards=2, replicas=2)
     client = bed.module("client", "m0")
     bed.settle()
     gwm0 = (1, b"gateway.gw.gwm0\n2\nSun-3\n"
                b"kind=gateway;networks=net0%2Cnet1\n"
                b"net0|tcp:net0:gwm0:32768,net1|tcp:net1:gwm0:32768\n"
-               b"1\n0.005")
+               b"1\n0.003")
     gwm1 = (1, b"gateway.gw.gwm1\n562949953421314\nSun-3\n"
                b"kind=gateway;networks=net1%2Cnet2\n"
                b"net1|tcp:net1:gwm1:32768,net2|tcp:net2:gwm1:32768\n"
-               b"1\n0.02000000000000001")
+               b"1\n0.016000000000000007")
     assert _list_gw_acks(bed, groups, client) == {
         "name.shard.0.0": gwm0, "name.shard.0.1": gwm0,
         "name.shard.1.0": gwm1, "name.shard.1.1": gwm1,
@@ -468,7 +471,7 @@ def test_list_gw_ack_bytes_pinned_on_the_sharded_chain():
     restarted = (1, b"gateway.gw.gwm1\n562949953421315\nSun-3\n"
                     b"kind=gateway;networks=net1%2Cnet2\n"
                     b"net1|tcp:net1:gwm1:32768,net2|tcp:net2:gwm1:32768\n"
-                    b"1\n0.06400000000000004")
+                    b"1\n0.05000000000000004")
     assert _list_gw_acks(bed, groups, client) == {
         "name.shard.0.0": gwm0, "name.shard.0.1": gwm0,
         "name.shard.1.0": restarted, "name.shard.1.1": restarted,

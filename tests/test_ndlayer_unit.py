@@ -5,7 +5,6 @@ import pytest
 
 from deployments import echo_server, send_burst_with_bad_frame, single_net
 from repro.errors import AddressFault
-from repro.ntcs import message as m
 from repro.ntcs.address import make_uadd
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetworkUnreachable, SimulationError
-from repro.netsim import FaultPlan, Network, Scheduler
+from repro.netsim import FaultPlan, Network
 
 
 @pytest.fixture

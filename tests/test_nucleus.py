@@ -11,7 +11,7 @@ from repro.errors import (
 )
 from repro.ipcs import SimTcpIpcs
 from repro.machine import Machine, SimProcess
-from repro.netsim import Network, Scheduler
+from repro.netsim import Network
 from repro.ntcs import message as m
 from repro.ntcs.nucleus import Nucleus, NucleusConfig
 from repro.ntcs.wellknown import WellKnownTable

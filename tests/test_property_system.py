@@ -13,7 +13,6 @@ Invariants checked:
 
 from collections import defaultdict
 
-import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,

@@ -1,17 +1,21 @@
 """A call rides its circuit's open (PROTOCOL.md §3).
 
-A chained first call sends its request right behind the IVC_OPEN,
-encoded for the machine type the address cache holds for the
-destination, and the destination answers the IVC_OPEN_ACK and the reply
-in one train.  These tests hold the rules that make that safe:
+A new circuit's first frames go right behind its LVC_HELLO: a direct
+first call's request, or a chained circuit's IVC_OPEN and the request
+behind it.  The request is encoded for the machine type the address
+cache (or the naming directory) holds for the destination, and the
+destination answers the handshake and the request in one train.  These
+tests hold the rules that make that safe:
 
 * a hop that refuses the open delivers and splices nothing that rode
-  it;
+  it, and a module a direct rider reaches at a stale cached blob never
+  hands it to its application;
 * a request encoded for a machine type the destination does not have is
   never decoded under that guess, and the call still gets its answer;
-* a gateway crash anywhere around a riding first call ends each call in
-  its reply or a typed error, and the server runs each request at most
-  once.
+* only calls ride;
+* a gateway or server crash anywhere around a riding first call ends
+  each call in its reply or a typed error, and the server runs each
+  request at most once.
 """
 
 from collections import Counter
@@ -20,14 +24,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deployments import chain_nets, echo_server
-from repro import SUN3
+from deployments import chain_nets, echo_server, single_net
+from repro import SUN3, VAX
 from repro.conversion.modes import encode_values
 from repro.errors import NtcsError
 from repro.netsim import ChaosSchedule
 from repro.ntcs import message as m
 from repro.ntcs.address import make_uadd
 from repro.ntcs.nucleus import NucleusConfig
+
+# The riding-HELLO tests replay each bed's wire through the declared
+# machines (tests/conftest.py).
+conformance = pytest.mark.usefixtures("wire_conformance")
 
 
 def _recording_server(bed, name, machine):
@@ -199,3 +207,151 @@ def test_gateway_sends_nothing_on_for_an_open_that_ends_while_it_dials(
     assert stacks[inbound].counters["gateway_held_frames_dropped"] == held
     assert stacks[outbound].counters["gateway_legs_reused"] == 1
     assert all(lvc.open for gw in bed.gateways.values() for lvc in gw._splices)
+
+
+# -- the riding LVC_HELLO ------------------------------------------------------
+
+def _sent(log, host):
+    """(time, header) of every NTCS frame ``host`` transmitted."""
+    return [(event["at"], m.HeaderView(bytes.fromhex(blob)[4:]))
+            for event in log.events if event["args"]["src"] == host
+            for blob in event["args"]["frames"]]
+
+
+@conformance
+def test_a_direct_first_call_costs_one_train_each_way():
+    """On one network a first call's request rides its LVC_HELLO and the
+    reply its LVC_HELLO_ACK's train: after the connect, one instant each
+    way carries the whole call, in 8 datagrams where a HELLO round trip
+    first cost 10."""
+    bed = single_net()
+    echo_server(bed, "dest", "sun1")
+    client = bed.module("client", "vax1")
+    uadd = client.ali.locate("dest")
+    bed.settle()
+    log = bed.record_wire_trace()
+    reply = client.ali.call(uadd, "echo", {"n": 1, "text": "x"})
+    bed.settle()
+    assert reply.values == {"n": 1, "text": "X"}
+    trains = {}
+    for host in ("vax1", "sun1"):
+        for at, header in _sent(log, host):
+            trains.setdefault((host, at), []).append(header.kind)
+    assert list(trains.values()) == [[m.LVC_HELLO, m.DATA],
+                                     [m.LVC_HELLO_ACK, m.DATA]]
+    assert len(log.events) == 8
+    assert client.nucleus.counters["ivc_requests_rode_open"] == 1
+
+
+@conformance
+def test_a_direct_rider_under_a_wrong_machine_type_is_resent_once():
+    """The client's cache says the Sun-3 server is a VAX, so its request
+    rides the LVC_HELLO as a VAX image.  The server refuses to decode
+    it; the LVC_HELLO_ACK names the real type, the cache learns it, and
+    the client sends the request again once, packed and unmarked.  The
+    handler runs once, on the right values."""
+    bed = single_net()
+    server, seen = _recording_server(bed, "sun.echo", "sun1")
+    client = bed.module("client", "vax1")
+    uadd = client.ali.locate("sun.echo")
+    cache = client.nucleus.addr_cache
+    cache.store(uadd, cache.lookup(uadd).blob, VAX.name)
+    bed.settle()
+    log = bed.record_wire_trace()
+    reply = client.ali.call(uadd, "echo", {"n": 258, "text": "typed"})
+    assert reply.values == {"n": 258, "text": "TYPED"}
+    assert [values for _src, _corr, values in seen] == [
+        {"n": 258, "text": "typed"}]
+    assert server.nucleus.counters["ivc_riders_refused"] == 1
+    assert client.nucleus.counters["ivc_requests_rode_open"] == 1
+    assert cache.lookup(uadd).mtype_name == SUN3.name
+    requests = [header.flags & (m.FLAG_RIDES_OPEN | m.FLAG_PACKED)
+                for _at, header in _sent(log, "vax1")
+                if header.kind == m.DATA]
+    assert requests == [m.FLAG_RIDES_OPEN, m.FLAG_PACKED]
+
+
+@conformance
+def test_a_direct_rider_at_another_live_modules_blob_is_never_delivered():
+    """The client's cached blob for a dead server now belongs to another
+    live module (a reused port; netsim never reuses one, so the entry is
+    planted).  The request that rides the LVC_HELLO names the dead
+    server: the module that answers refuses it, and its handler never
+    sees it.  Its LVC_HELLO_ACK names itself, so the client takes the
+    stale address as an address fault, and the call ends in the typed
+    failure a dead destination gives."""
+    bed = single_net()
+    server = echo_server(bed, "gone.echo", "sun1")
+    other, other_saw = _recording_server(bed, "other.echo", "sun1")
+    client = bed.module("client", "vax1")
+    uadd = client.ali.locate("gone.echo")
+    server.process.kill()
+    bed.settle()
+    client.nucleus.addr_cache.store(
+        uadd, other.nucleus.nd.listen_blob, other.nucleus.mtype.name)
+    with pytest.raises(NtcsError, match="no replacement module"):
+        client.ali.call(uadd, "echo", {"n": 5, "text": "hi"}, timeout=5.0)
+    assert other_saw == []
+    assert other.nucleus.counters["ivc_riders_refused"] == 1
+    assert client.nucleus.counters["ivc_requests_rode_open"] == 1
+
+
+@conformance
+def test_one_way_sends_and_datagrams_never_ride_a_hello():
+    """Only a call's request rides: a direct one-way send and a datagram
+    go out after the LVC_HELLO_ACK, unmarked."""
+    bed = single_net()
+    sink = bed.module("sink", "sun1")
+    got = []
+    sink.ali.set_request_handler(lambda msg: got.append(msg.values["n"]))
+    log = bed.record_wire_trace()
+    for n, (name, send) in enumerate((
+            ("oneway", lambda ali, uadd: ali.send(
+                uadd, "echo", {"n": 0, "text": "x"})),
+            ("datagram", lambda ali, uadd: ali.datagram(
+                uadd, "echo", {"n": 1, "text": "y"})))):
+        client = bed.module(name, "vax1")
+        send(client.ali, client.ali.locate("sink"))
+        bed.settle()
+        assert client.nucleus.counters["ivc_direct_opened"] >= 1
+        assert client.nucleus.counters["ivc_requests_rode_open"] == 0
+    assert got == [0, 1]
+    assert not any(header.flags & m.FLAG_RIDES_OPEN
+                   for host in ("vax1", "sun1")
+                   for _at, header in _sent(log, host))
+
+
+@conformance
+@settings(max_examples=25, deadline=None)
+@given(victim=st.sampled_from(["gwm0", "m1", "mEnd"]),
+       crash_ms=st.integers(min_value=0, max_value=20),
+       down_ms=st.integers(min_value=1, max_value=400))
+def test_a_crash_around_a_riding_hello(victim, crash_ms, down_ms):
+    """A newcomer's first calls ride their LVC_HELLOs: to a server on
+    its own network (a direct rider) and to one across a gateway (an
+    IVC_OPEN and its rider).  The gateway or either server's machine
+    crashes at any instant around them and restarts.  Every call ends
+    in its correct reply or a typed NtcsError, and each server's handler
+    runs at most once per (src, corr_id)."""
+    bed = chain_nets(1, config=NucleusConfig(repair_max_attempts=8))
+    bed.machine("m1", SUN3, networks=["net0"])
+    _near, near_seen = _recording_server(bed, "near.echo", "m1")
+    _far, far_seen = _recording_server(bed, "far.echo", "mEnd")
+    client = bed.module("client", "m0")
+    targets = [client.ali.locate(name) for name in ("near.echo", "far.echo")]
+    start = bed.now
+    bed.chaos(ChaosSchedule(seed=0)
+              .crash(start + crash_ms / 1000, victim)
+              .restart(start + (crash_ms + down_ms) / 1000, victim))
+    for n, uadd in enumerate(targets * 2):
+        try:
+            reply = client.ali.call(uadd, "echo", {"n": n, "text": "hello"},
+                                    timeout=5.0)
+        except NtcsError:
+            continue
+        assert reply.values == {"n": n, "text": "HELLO"}
+    bed.settle()
+    for seen in (near_seen, far_seen):
+        runs = Counter((src, corr) for src, corr, _values in seen)
+        assert all(count == 1 for count in runs.values()), runs
+        assert all(values["text"] == "hello" for _s, _c, values in seen)

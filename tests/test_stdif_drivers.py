@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.conversion.shiftmode import shift_encode_u32s
-from repro.ipcs import SimMbxIpcs, SimTcpIpcs
 from repro.machine import SimProcess
 from repro.ntcs.drivers import make_driver
 from repro.ntcs.drivers.sim_mbx import RecordChannel, SimMbxDriver

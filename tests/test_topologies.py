@@ -1,8 +1,6 @@
 """Integration tests on richer internet topologies: triangles, stars,
 and shortest-path routing behaviour."""
 
-import pytest
-
 from deployments import echo_server, register_app_types
 from repro import SUN3, Testbed, VAX
 

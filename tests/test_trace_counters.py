@@ -3,8 +3,11 @@ the metric stores of :mod:`repro.util.counters`."""
 
 import pytest
 
-from deployments import single_net
+from deployments import echo_server, single_net
+from repro.errors import DeadlockError
 from repro.naming import server  # noqa: F401  (declares the per-request counts)
+from repro.ntcs.address import Address
+from repro.ntcs.nucleus import NucleusConfig
 from repro.util import Counters, LayerTracer, NullTracer
 from repro.util.counters import (
     CATALOGUE, HIGH_WATER, LVC_RX_QUEUE_HIGH_WATER, NAME_SERVER, ND_MESSAGES_SENT,
@@ -150,3 +153,51 @@ def test_null_tracer_is_inert():
     assert tracer.format() == ""
     assert not tracer.enabled
     tracer.clear()
+
+
+# -- labels built only when read ---------------------------------------------
+
+def _formatted_addresses(monkeypatch):
+    """A list that grows by one each time an ``Address`` is formatted."""
+    formatted = []
+    as_text = Address.__str__
+
+    def counting(addr):
+        formatted.append(addr)
+        return as_text(addr)
+
+    monkeypatch.setattr(Address, "__str__", counting)
+    return formatted
+
+
+def test_an_untraced_first_call_formats_no_address(monkeypatch):
+    """Trace reasons and wait labels that name an address are built
+    only when read: a first call opens its circuits and waits on its
+    reply without formatting one."""
+    bed = single_net()
+    echo_server(bed, "dest", "sun1")
+    client = bed.module("client", "vax1")
+    bed.settle()
+    formatted = _formatted_addresses(monkeypatch)
+    uadd = client.ali.locate("dest")
+    reply = client.ali.call(uadd, "echo", {"n": 1, "text": "x"})
+    assert reply.values["text"] == "X"
+    assert formatted == []
+
+
+def test_traced_opens_and_deadlocked_waits_name_the_address():
+    """An installed tracer gets the labels, and a wait that can never
+    end names what it waited for."""
+    bed = single_net(config=NucleusConfig(trace=True))
+    echo_server(bed, "dest", "sun1")
+    client = bed.module("client", "vax1")
+    nucleus = client.nucleus
+    uadd = client.ali.locate("dest")
+    nucleus.ip.open_ivc(uadd)
+    nucleus.nd.open_lvc(uadd, nucleus.addr_cache.lookup(uadd).blob)
+    reasons = {(r.layer, r.reason) for r in nucleus.tracer.records
+               if r.operation == "open"}
+    assert {("IP", f"ivc to {uadd}"), ("ND", f"open to {uadd}")} <= reasons
+    with pytest.raises(DeadlockError, match=f"reply from {uadd}"):
+        bed.scheduler.pump_until(lambda: False,
+                                 what=lambda: f"reply from {uadd}")

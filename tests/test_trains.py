@@ -62,8 +62,11 @@ TWO_NETS_RING_FRAMES = 118
 # network: the first call's request rides its circuit's IVC_OPEN and its
 # reply the IVC_OPEN_ACK (PROTOCOL.md §3), and each such pair arrives as
 # one train with one range ACK.  (146/118 before requests rode opens.)
-TWO_NETS_TRAINED_ETHER_FRAMES = 144
-TWO_NETS_TRAINED_RING_FRAMES = 116
+# A circuit's first frames ride its LVC_HELLO too, and answer in one
+# train: 110 and 144/116 before.
+SINGLE_NET_TRAINED_FRAMES = 108
+TWO_NETS_TRAINED_ETHER_FRAMES = 143
+TWO_NETS_TRAINED_RING_FRAMES = 114
 
 
 def _echo_workload(make_bed, server_machine, train_max=64):
@@ -114,7 +117,7 @@ def test_trains_on_same_wire_same_answers_fewer_events():
     answers, strictly fewer scheduler events, and at least one
     multi-frame delivery actually coalesced."""
     for make_bed, server, frames, off_events in (
-            (single_net, "sun1", {"ether0": SINGLE_NET_FRAMES},
+            (single_net, "sun1", {"ether0": SINGLE_NET_TRAINED_FRAMES},
              SINGLE_NET_OFF_EVENTS),
             (two_nets, "apollo1", {"ether0": TWO_NETS_TRAINED_ETHER_FRAMES,
                                    "ring0": TWO_NETS_TRAINED_RING_FRAMES},
@@ -145,13 +148,15 @@ def test_train_counters_account_the_batches():
 # Wire frames of the 60-send gateway burst per coalescing window.  The
 # per-frame count dates from before trains existed; the coalesced one
 # moved 344 -> 226 (and its trains 33 -> 31) when each connection's
-# share of an arrival train began to be acknowledged with one range ACK.
-GATEWAY_BURST_FRAMES = {1: 344, 64: 226}
+# share of an arrival train began to be acknowledged with one range ACK,
+# and 226 -> 223 (events 46 -> 44) when circuits' first frames began to
+# ride their LVC_HELLOs.
+GATEWAY_BURST_FRAMES = {1: 344, 64: 223}
 
 
 @pytest.mark.parametrize("train_max, events, trains", [
     (1, 298, 0),
-    (64, 46, 31),
+    (64, 44, 31),
 ])
 def test_gateway_burst_exact_events_and_trains(train_max, events, trains):
     """60 one-way sends across the gateway to a polling consumer: the

@@ -48,6 +48,12 @@ segments are retransmitted a round trip apart, as soon as the hole is
 named, instead of together at their timeout, and the trace ends 5 ms
 sooner.  Every lossless trace stayed byte for byte.
 
+All ten were re-recorded at once when a circuit's first frames began to
+ride its LVC_HELLO (PROTOCOL.md §3): in every file the non-ACK frames
+are the predecessor's as a multiset, each rider moves to just behind
+its ``LVC_HELLO``, and only the default window merges ACKs (the
+``train1`` traces keep their line counts and end sooner).
+
 The fixtures' whole value is that the pre-change implementation wrote
 them.  Regenerate the default-window traces (only when the wire is
 *meant* to change, and record old -> new in CHANGES.md) with:
