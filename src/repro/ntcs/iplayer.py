@@ -67,9 +67,12 @@ MAX_HOPS = 8
 FLOW_PROBE_RETRIES = 3
 FLOW_PROBE_TIMEOUT = 1.0
 
-# How many DATA frames an originator sends on a chained circuit before
-# its IVC_OPEN is answered: the one call request that rides the open
-# (PROTOCOL.md §3, "A call rides its circuit's open"); spent by step.
+# How many DATA frames the sender of a chained hop's IVC_OPEN sends
+# before it is answered: the one call request that rides the open
+# (PROTOCOL.md §3, "A call rides its circuit's open").  ``verify
+# --trace`` spends it per hop; an originator's rider leaves behind its
+# new LVC's LVC_HELLO, whose HELLO_RIDERS (ndlayer) bounds it at run
+# time.
 OPEN_RIDERS = 1
 
 # The IVC endpoint machine, model-checked by ntcsverify (pure literal),
@@ -81,9 +84,10 @@ OPEN_RIDERS = 1
 # (which runs the normal close path), on a local close, or on an LVC
 # fault underneath.  While OPENING it sends at most
 # OPEN_RIDERS DATA frames, each a call's request riding the open
-# ("rides_open": FLAG_RIDES_OPEN on a request; step refuses one more),
-# and may still receive a straggler of the circuit that last used a
-# kept leg.
+# ("rides_open": FLAG_RIDES_OPEN on a request; the trace walk refuses
+# one more, and at run time the originator's new LVC bounds it by
+# HELLO_RIDERS), and may still receive a straggler of the circuit that
+# last used a kept leg.
 # Alongside it, the ivc-flow machine is the sender half of the credit
 # protocol (PROTOCOL.md §12), run by every FlowState through the same
 # step: every send grows the in-flight ledger and every advertisement
@@ -364,14 +368,11 @@ class IpLayer:
 
     def _ride(self, ivc: Ivc, mtype_name: str, msg: m.Msg, type_id: int,
               values: dict) -> None:
-        """Send a call's request behind a new circuit's open, encoded
-        for ``mtype_name`` and marked as riding it; nothing past
-        OPEN_RIDERS riders on a chained circuit or HELLO_RIDERS on the
-        LVC.  A fresh circuit always has credit, so this debits without
-        a stall check."""
-        if not (ivc.direct
-                or step(ivc, "ivc-endpoint", "send DATA rides_open")):
-            return
+        """Send a call's request behind a new circuit's LVC_HELLO,
+        encoded for ``mtype_name`` and marked as riding it; nothing past
+        the LVC's HELLO_RIDERS, which on a chained circuit also keeps
+        the originator within OPEN_RIDERS.  A fresh circuit always has
+        credit, so this debits without a stall check."""
         nucleus = self.nucleus
         msg.type_id = type_id
         mode, msg.body = encode_values(
@@ -867,14 +868,19 @@ class IpLayer:
             self._on_credit_probe(ivc, msg)
         else:
             if (msg.flags & m.FLAG_RIDES_OPEN and msg.kind == m.DATA
-                    and not (nucleus.is_self(msg.dst) and _readable(
+                    and not ((msg.dst == nucleus.self_addr if ivc.direct
+                              else nucleus.is_self(msg.dst)) and _readable(
                         msg.mode, nucleus.mtype_by_name(ivc.peer_mtype_name),
                         nucleus.mtype))):
                 # A request that rode the open, for another module (a
                 # cached blob now ours), or as an image its sender
                 # guessed this machine could read: never delivered, never
                 # decoded under that guess.  The sender learns the truth
-                # from our answer to its open (PROTOCOL.md §3).
+                # from our answer to its open (PROTOCOL.md §3).  Whom it
+                # is for follows the sender's rule for the answer: a
+                # direct open keeps only the UAdd it dialled, so only
+                # our current one takes a direct rider; a chained open
+                # is taken by any identity of ours, and so is its rider.
                 nucleus.counters[IVC_RIDERS_REFUSED] += 1
                 self.note_discarded(ivc, msg)
                 return

@@ -431,18 +431,24 @@ def test_a_bounded_self_loop_is_refused_past_its_bound_per_stay():
 
 
 def test_a_second_rider_is_refused_and_sends_nothing():
+    """A request behind an LVC_HELLO whose HELLO_RIDERS (1) is spent is
+    not sent and not marked: the caller sends it after the open."""
     bed = two_nets()
     client, server, uadd = _called(bed, "apollo1")
     stack = bed.gateways["gw1"].stacks["ether0"]
-    lvc, _far = _fresh_lvc(client, stack)
-    ivc = Ivc(lvc, peer_addr=uadd, direct=False)
-    assert step(ivc, "ivc-endpoint", "send DATA rides_open")  # the first
     msg = m.Msg(kind=m.DATA, src=client.nucleus.self_addr, dst=uadd,
                 flags=m.FLAG_REPLY_EXPECTED)
     entry = client.nucleus.registry.get_by_name("echo")
-    sent = _sent(bed)
-    assert client.nucleus.ip._ride(
-        ivc, "apollo", msg, entry.sdef.type_id, ECHO) is None
-    bed.settle()
-    assert not msg.flags & m.FLAG_RIDES_OPEN and msg.body == b""
-    assert (_sent(bed), ivc.state) == (sent, "OPENING")
+    seen = []
+
+    def first(lvc):
+        ivc = Ivc(lvc, peer_addr=uadd, direct=False)
+        assert step(lvc, "lvc", "send DATA rides_open")  # the first
+        sent = _sent(bed)
+        client.nucleus.ip._ride(ivc, "apollo", msg, entry.sdef.type_id, ECHO)
+        seen.append((_sent(bed) - sent, lvc.state, ivc.state))
+
+    client.nucleus.nd.open_lvc(stack.self_addr, stack.nd.listen_blob,
+                               first=first)
+    assert seen == [(0, "HELLO_SENT", "OPENING")]
+    assert not msg.flags & m.FLAG_RIDES_OPEN

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from deployments import chain_nets, echo_server, single_net
 from repro import SUN3, VAX
 from repro.conversion.modes import encode_values
-from repro.errors import NtcsError
+from repro.errors import DestinationUnavailable, NtcsError
 from repro.netsim import ChaosSchedule
 from repro.ntcs import message as m
 from repro.ntcs.address import make_uadd
@@ -294,6 +294,30 @@ def test_a_direct_rider_at_another_live_modules_blob_is_never_delivered():
     assert other_saw == []
     assert other.nucleus.counters["ivc_riders_refused"] == 1
     assert client.nucleus.counters["ivc_requests_rode_open"] == 1
+
+
+@conformance
+def test_a_direct_rider_for_an_identity_the_answerer_left_is_never_delivered():
+    """A direct open keeps only the UAdd it dialled, so the module that
+    answers takes a direct rider only for its current UAdd.  The server
+    here has moved to a new UAdd at the same blob (a re-registration,
+    planted): the client's request to its old UAdd rides the HELLO,
+    the server refuses it and its handler never runs, the HELLO_ACK
+    names the new UAdd, and the client drops the circuit as an address
+    fault, as it would for a stranger at that blob."""
+    bed = single_net()
+    server, saw = _recording_server(bed, "moved.echo", "sun1")
+    client = bed.module("client", "vax1")
+    uadd = client.ali.locate("moved.echo")
+    server.nucleus.set_identity(make_uadd(4243))
+    assert server.nucleus.is_self(uadd)
+    with pytest.raises(DestinationUnavailable,
+                       match="U#4243 answered at its address"):
+        client.ali.call(uadd, "echo", {"n": 6, "text": "hi"}, timeout=5.0)
+    assert saw == []
+    # Every attempt of every repair round rode, and each was refused.
+    assert (server.nucleus.counters["ivc_riders_refused"],
+            client.nucleus.counters["ivc_requests_rode_open"]) == (15, 15)
 
 
 @conformance
